@@ -26,6 +26,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import gates
+
 DEFAULT_MAX_QUBITS = 24
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -90,7 +92,7 @@ class BranchEnsemble:
         if vec.shape != (2 ** len(registry),):
             raise ValueError(f"expected {2 ** len(registry)} amplitudes, got {vec.shape}")
         norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # negated so that a NaN norm fails
             raise ValueError(f"state is not normalized (norm {norm})")
         ens = cls(registry=registry, branches=[Branch(1.0, vec / norm)], max_qubits=max_qubits)
         ens.check()
@@ -125,12 +127,13 @@ class BranchEnsemble:
         )
 
     def check(self) -> None:
+        # the comparisons are negated so that a NaN fails them
         total = sum(b.probability for b in self.branches)
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise AssertionError(f"branch probabilities sum to {total}")
         for b in self.branches:
             norm = np.linalg.norm(b.amplitudes)
-            if abs(norm - 1.0) > 1e-9:
+            if not abs(norm - 1.0) <= 1e-9:
                 raise AssertionError(f"branch norm {norm} drifted from 1")
 
 
@@ -144,16 +147,21 @@ class Gate:
     def __post_init__(self):
         targets = tuple(self.targets)
         object.__setattr__(self, "targets", targets)
-        if len(set(targets)) != len(targets):
-            raise ValueError("gate targets must be distinct")
-        mat = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
-        dim = 1 << len(targets)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"gate on {len(targets)} qubits needs a {dim}x{dim} matrix")
-        err = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
-        if err > UNITARY_TOL:
-            raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
+        object.__setattr__(self, "matrix", _checked_unitary(targets, self.matrix))
+
+
+def _checked_unitary(targets: Sequence[QubitId], matrix) -> np.ndarray:
+    """``matrix`` as a complex array, once it is a unitary on the distinct ``targets``."""
+    if len(set(targets)) != len(targets):
+        raise ValueError("gate targets must be distinct")
+    mat = np.asarray(matrix, dtype=complex)
+    dim = 1 << len(targets)
+    if mat.shape != (dim, dim):
+        raise ValueError(f"gate on {len(targets)} qubits needs a {dim}x{dim} matrix")
+    err = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
+    if err > UNITARY_TOL:
+        raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
+    return mat
 
 
 @dataclass(frozen=True)
@@ -190,7 +198,11 @@ class Povm:
 
 
 def _apply_matrix(vec: np.ndarray, positions: Sequence[int], matrix: np.ndarray, k: int) -> np.ndarray:
-    """Apply ``matrix`` to the registry ``positions`` of a 2**k statevector."""
+    """Apply ``matrix`` to the registry ``positions`` of a 2**k statevector.
+
+    This stays on tensordot: a matmul over ``_block`` sums in another order,
+    moves the last digit of recorded distributions and so changes traces.
+    """
     m = len(positions)
     tensor = vec.reshape((2,) * k)
     state_axes = [k - 1 - p for p in positions]  # axis of gate bit j
@@ -202,12 +214,15 @@ def _apply_matrix(vec: np.ndarray, positions: Sequence[int], matrix: np.ndarray,
     return np.ascontiguousarray(out).reshape(-1)
 
 
-def _outcome_masks(positions: Sequence[int], bits: Sequence[int], k: int) -> np.ndarray:
-    idx = np.arange(1 << k)
-    sel = np.ones(1 << k, dtype=bool)
-    for p, b in zip(positions, bits):
-        sel &= ((idx >> p) & 1) == b
-    return sel
+def _block(vec: np.ndarray, positions: Sequence[int], k: int) -> np.ndarray:
+    """A 2**k statevector as a (2**m, rest) block for the m registry ``positions``.
+
+    Row index bit j is the qubit at ``positions[j]``; columns run over the
+    other qubits in their original index order.
+    """
+    axes = [k - 1 - p for p in reversed(positions)]
+    order = axes + [a for a in range(k) if a not in axes]
+    return np.transpose(vec.reshape((2,) * k), order).reshape(1 << len(positions), -1)
 
 
 def _reduced_from_vec(vec: np.ndarray, keep_positions: Sequence[int], k: int) -> np.ndarray:
@@ -215,19 +230,8 @@ def _reduced_from_vec(vec: np.ndarray, keep_positions: Sequence[int], k: int) ->
 
     Row index bit j of the result is the qubit at ``keep_positions[j]``.
     """
-    m = len(keep_positions)
-    tensor = vec.reshape((2,) * k)
-    keep_axes = [k - 1 - p for p in keep_positions]
-    order = [k - 1 - p for p in reversed(keep_positions)] + [a for a in range(k) if a not in keep_axes]
-    mat = np.transpose(tensor, order).reshape(1 << m, -1)
+    mat = _block(vec, keep_positions, k)
     return mat @ mat.conj().T
-
-
-def _reordered_vec(vec: np.ndarray, positions: Sequence[int], k: int) -> np.ndarray:
-    """Permute a full statevector so that bit j becomes the qubit that was
-    at registry position ``positions[j]``."""
-    axes = [k - 1 - positions[k - 1 - i] for i in range(k)]
-    return np.transpose(vec.reshape((2,) * k), axes).reshape(-1)
 
 
 # --------------------------------------------------------------------------
@@ -251,25 +255,15 @@ def allocate_qubits(
     init = "0" * count if init is None else init
     if len(init) != count or set(init) - {"0", "1"}:
         raise ValueError(f"init string {init!r} does not describe {count} basis qubits")
-    if ensemble.num_qubits + count > ensemble.max_qubits:
-        raise RegistryCapacityError(
-            f"allocating {count} qubits would exceed the registry cap of {ensemble.max_qubits}"
-        )
     if labels is None:
         base = len(ensemble.registry)
         labels = tuple(f"x{base + i}" for i in range(count))
     new_ids = tuple(QubitId(party, lbl) for lbl in labels)
-    if len(set(new_ids)) != count or set(new_ids) & set(ensemble.registry):
-        raise ValueError("new qubit ids collide with existing registry entries")
+    if len(new_ids) != count:
+        raise ValueError(f"{len(new_ids)} labels given for {count} qubits")
     block = np.zeros(1 << count, dtype=complex)
     block[sum(int(c) << j for j, c in enumerate(init))] = 1.0
-    branches = [
-        Branch(b.probability, np.kron(block, b.amplitudes), dict(b.record)) for b in ensemble.branches
-    ]
-    return (
-        BranchEnsemble(ensemble.registry + new_ids, branches, ensemble.max_qubits, ensemble.measurement_count),
-        new_ids,
-    )
+    return _append(ensemble, new_ids, block), new_ids
 
 
 def insert_bell_pair(ensemble: BranchEnsemble, first: QubitId, second: QubitId) -> BranchEnsemble:
@@ -278,14 +272,17 @@ def insert_bell_pair(ensemble: BranchEnsemble, first: QubitId, second: QubitId) 
     This is the resource primitive that realizes a held ebit in the
     statevector; it is not a local operation.
     """
-    if ensemble.num_qubits + 2 > ensemble.max_qubits:
+    return _append(ensemble, (first, second), np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
+
+
+def _append(ensemble: BranchEnsemble, new_ids: tuple[QubitId, ...], block: np.ndarray) -> BranchEnsemble:
+    """Append the qubits ``new_ids`` (``new_ids[j]`` = bit j of ``block``) to every branch."""
+    if ensemble.num_qubits + len(new_ids) > ensemble.max_qubits:
         raise RegistryCapacityError(
-            f"bell pair would exceed the registry cap of {ensemble.max_qubits}"
+            f"allocating {len(new_ids)} qubits would exceed the registry cap of {ensemble.max_qubits}"
         )
-    new_ids = (first, second)
-    if first == second or set(new_ids) & set(ensemble.registry):
-        raise ValueError("bell pair qubit ids collide with the registry")
-    block = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
+    if len(set(new_ids)) != len(new_ids) or set(new_ids) & set(ensemble.registry):
+        raise ValueError("new qubit ids collide with existing registry entries")
     branches = [
         Branch(b.probability, np.kron(block, b.amplitudes), dict(b.record)) for b in ensemble.branches
     ]
@@ -314,15 +311,7 @@ def relocate_qubit(ensemble: BranchEnsemble, qubit: QubitId, to_party: int) -> t
 
 def apply_gate(ensemble: BranchEnsemble, gate: Gate) -> BranchEnsemble:
     """Apply a unitary to every branch; norms are preserved to 1e-12."""
-    k = ensemble.num_qubits
-    positions = [ensemble.position(q) for q in gate.targets]
-    branches = []
-    for b in ensemble.branches:
-        vec = _apply_matrix(b.amplitudes, positions, gate.matrix, k)
-        branches.append(Branch(b.probability, vec, dict(b.record)))
-    out = BranchEnsemble(ensemble.registry, branches, ensemble.max_qubits, ensemble.measurement_count)
-    out.check()
-    return out
+    return _evolve(ensemble, gate.targets, lambda branch: gate.matrix)
 
 
 def apply_conditional(
@@ -336,21 +325,28 @@ def apply_conditional(
     ``cases`` maps the outcome string of measurement ``measurement_index``
     (as stored in each branch record) to the matrix applied on that branch.
     """
+    targets = tuple(targets)
+    checked = {outcome: _checked_unitary(targets, mat) for outcome, mat in cases.items()}
+
+    def case_of(branch: Branch) -> np.ndarray:
+        if measurement_index not in branch.record:
+            raise ValueError(f"branch has no outcome recorded for measurement {measurement_index}")
+        outcome = branch.record[measurement_index]
+        if outcome not in checked:
+            raise ValueError(f"no case for outcome {outcome!r}")
+        return checked[outcome]
+
+    return _evolve(ensemble, targets, case_of)
+
+
+def _evolve(ensemble: BranchEnsemble, targets: Sequence[QubitId], matrix_of) -> BranchEnsemble:
+    """Apply ``matrix_of(branch)`` to ``targets`` of every branch."""
     k = ensemble.num_qubits
     positions = [ensemble.position(q) for q in targets]
-    dim = 1 << len(targets)
-    for outcome, mat in cases.items():
-        Gate(tuple(targets), mat)  # validates unitarity / shape
-        del outcome
-    branches = []
-    for b in ensemble.branches:
-        if measurement_index not in b.record:
-            raise ValueError(f"branch has no outcome recorded for measurement {measurement_index}")
-        outcome = b.record[measurement_index]
-        if outcome not in cases:
-            raise ValueError(f"no case for outcome {outcome!r}")
-        mat = np.asarray(cases[outcome], dtype=complex).reshape(dim, dim)
-        branches.append(Branch(b.probability, _apply_matrix(b.amplitudes, positions, mat, k), dict(b.record)))
+    branches = [
+        Branch(b.probability, _apply_matrix(b.amplitudes, positions, matrix_of(b), k), dict(b.record))
+        for b in ensemble.branches
+    ]
     out = BranchEnsemble(ensemble.registry, branches, ensemble.max_qubits, ensemble.measurement_count)
     out.check()
     return out
@@ -373,22 +369,24 @@ def measure_computational(
     if len(set(positions)) != m:
         raise ValueError("measurement targets must be distinct")
     midx = ensemble.measurement_count
+    outcomes = ["".join(str((code >> j) & 1) for j in range(m)) for code in range(1 << m)]
+    # row ``code`` of the index block lists the amplitude indices of that outcome
+    index_rows = None if discard else _block(np.arange(1 << k), positions, k)
     dist: dict[str, float] = {}
     branches: list[Branch] = []
     for b in ensemble.branches:
-        for code in range(1 << m):
-            bits = [(code >> j) & 1 for j in range(m)]
-            outcome = "".join(str(x) for x in bits)
-            sel = _outcome_masks(positions, bits, k)
-            weight = float(np.sum(np.abs(b.amplitudes[sel]) ** 2))
+        for code, row in enumerate(_block(b.amplitudes, positions, k)):
+            weight = float(np.sum(np.abs(row) ** 2))
             prob = b.probability * weight
             if prob <= PRUNE_TOL:
                 continue
+            outcome = outcomes[code]
             dist[outcome] = dist.get(outcome, 0.0) + prob
             if discard:
-                vec = b.amplitudes[sel] / math.sqrt(weight)
+                vec = row / math.sqrt(weight)
             else:
-                vec = np.where(sel, b.amplitudes, 0.0) / math.sqrt(weight)
+                vec = np.zeros(1 << k, dtype=complex)
+                vec[index_rows[code]] = row / math.sqrt(weight)
             record = dict(b.record)
             record[midx] = outcome
             branches.append(Branch(prob, vec, record))
@@ -400,20 +398,9 @@ def measure_computational(
     return out, dict(sorted(dist.items()))
 
 
-_BELL_BASIS_CHANGE: np.ndarray | None = None
-
-
-def _bell_basis_change() -> np.ndarray:
-    """Two-qubit unitary sending each Bell state to its label's basis state."""
-    global _BELL_BASIS_CHANGE
-    if _BELL_BASIS_CHANGE is None:
-        cnot = np.zeros((4, 4), dtype=complex)  # control = bit 0, target = bit 1
-        for g in range(4):
-            cnot[g ^ ((g & 1) << 1), g] = 1.0
-        h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-        h_on_first = np.kron(np.eye(2), h)  # bit 0 is the least significant kron factor
-        _BELL_BASIS_CHANGE = h_on_first @ cnot
-    return _BELL_BASIS_CHANGE
+# Two-qubit unitary sending each Bell state to its label's basis state:
+# CNOT from the first qubit (bit 0), then a Hadamard on it.
+_BELL_BASIS_CHANGE = np.kron(np.eye(2), gates.HADAMARD) @ gates.cnot_unitary()
 
 
 def bell_measure(
@@ -426,11 +413,10 @@ def bell_measure(
     """
     if len(pair) != 2:
         raise ValueError("bell_measure targets exactly 2 qubits")
-    w = _bell_basis_change()
-    ens = apply_gate(ensemble, Gate(tuple(pair), w))
+    ens = apply_gate(ensemble, Gate(tuple(pair), _BELL_BASIS_CHANGE))
     ens, dist = measure_computational(ens, pair, discard=discard)
     if not discard:
-        ens = apply_gate(ens, Gate(tuple(pair), w.conj().T))
+        ens = apply_gate(ens, Gate(tuple(pair), _BELL_BASIS_CHANGE.conj().T))
     return ens, dist
 
 
@@ -541,7 +527,7 @@ def branch_vectors(ensemble: BranchEnsemble, order: Sequence[QubitId]) -> list[t
         raise ValueError("order must list every registry qubit exactly once")
     k = ensemble.num_qubits
     positions = [ensemble.position(q) for q in order]
-    return [(b.probability, _reordered_vec(b.amplitudes, positions, k)) for b in ensemble.branches]
+    return [(b.probability, _block(b.amplitudes, positions, k).reshape(-1)) for b in ensemble.branches]
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:

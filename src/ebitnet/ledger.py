@@ -12,13 +12,13 @@ run from its recorded initial state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
-from .engine import Branch, BranchEnsemble, QubitId
+from .engine import DEFAULT_MAX_QUBITS, Branch, BranchEnsemble, QubitId
 
 
 class InsufficientResources(RuntimeError):
@@ -44,43 +44,27 @@ class ResourceLedger:
 
     def grant(self, a: int, b: int, amount: int | Fraction = 1) -> None:
         """Endow the pair {a,b} with initially held ebits."""
-        amount = Fraction(amount)
-        if amount < 0:
-            raise ValueError("cannot grant a negative amount")
         key = pair_key(a, b)
-        self.ebits_held[key] = self.held(a, b) + amount
-        self.granted[key] = self.granted.get(key, Fraction(0)) + amount
+        self.ebits_held[key] = self.held(a, b) + _book(self.granted, key, amount)
 
     def held(self, a: int, b: int) -> Fraction:
         return self.ebits_held.get(pair_key(a, b), Fraction(0))
 
     def consume_ebit(self, a: int, b: int, amount: int | Fraction = 1) -> None:
-        amount = Fraction(amount)
-        if amount < 0:
-            raise ValueError("consumed amounts only grow")
         key = pair_key(a, b)
         if self.held(a, b) < amount:
             raise InsufficientResources(
                 f"pair {key} holds {self.held(a, b)} ebits, needs {amount}"
             )
-        self.ebits_held[key] = self.ebits_held[key] - amount
-        self.ebits_consumed[key] = self.ebits_consumed.get(key, Fraction(0)) + amount
+        self.ebits_held[key] = self.held(a, b) - _book(self.ebits_consumed, key, amount)
 
     def create_ebit(self, a: int, b: int, amount: int | Fraction = 1) -> None:
-        amount = Fraction(amount)
-        if amount < 0:
-            raise ValueError("created amounts only grow")
-        key = pair_key(a, b)
-        self.ebits_created[key] = self.ebits_created.get(key, Fraction(0)) + amount
+        _book(self.ebits_created, pair_key(a, b), amount)
 
     def send_bits(self, sender: int, receiver: int, amount: int | Fraction) -> None:
         if sender == receiver:
             raise ValueError("sender and receiver must differ")
-        amount = Fraction(amount)
-        if amount < 0:
-            raise ValueError("sent bits only grow")
-        key = (sender, receiver)
-        self.bits_sent[key] = self.bits_sent.get(key, Fraction(0)) + amount
+        _book(self.bits_sent, (sender, receiver), amount)
 
     def add_supplementary(self, bits: float) -> None:
         if bits < 0:
@@ -100,25 +84,14 @@ class ResourceLedger:
 
     def consumed_matrix(self, n: int) -> list[list[Fraction]]:
         """Symmetric matrix of consumed ebits over parties 1..n."""
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for (a, b), v in self.ebits_consumed.items():
-            mat[a - 1][b - 1] = v
-            mat[b - 1][a - 1] = v
-        return mat
+        return _party_matrix(self.ebits_consumed, n, symmetric=True)
 
     def bits_matrix(self, n: int) -> list[list[Fraction]]:
         """Directed matrix of sent bits over parties 1..n."""
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for (a, b), v in self.bits_sent.items():
-            mat[a - 1][b - 1] = v
-        return mat
+        return _party_matrix(self.bits_sent, n, symmetric=False)
 
     def granted_matrix(self, n: int) -> list[list[Fraction]]:
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for (a, b), v in self.granted.items():
-            mat[a - 1][b - 1] = v
-            mat[b - 1][a - 1] = v
-        return mat
+        return _party_matrix(self.granted, n, symmetric=True)
 
     def summary(self) -> dict:
         def pairs(d: Mapping[tuple[int, int], Fraction], sep: str) -> dict[str, str]:
@@ -133,42 +106,69 @@ class ResourceLedger:
         }
 
 
+def _book(book: dict[tuple[int, int], Fraction], key: tuple[int, int], amount) -> Fraction:
+    """Add a nonnegative ``amount`` to ``book[key]`` and return it as a Fraction."""
+    amount = Fraction(amount)
+    if amount < 0:
+        raise ValueError(f"ledger amounts only grow, got {amount}")
+    book[key] = book.get(key, Fraction(0)) + amount
+    return amount
+
+
+def _party_matrix(book: Mapping[tuple[int, int], Fraction], n: int, symmetric: bool) -> list[list[Fraction]]:
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for (a, b), v in book.items():
+        mat[a - 1][b - 1] = v
+        if symmetric:
+            mat[b - 1][a - 1] = v
+    return mat
+
+
 # --------------------------------------------------------------------------
 # trace events
+
+# A party index, 1..n_parties.  Loading a trace range-checks every field
+# annotated with it, and the party of every qubit id.
+Party = int
 
 
 @dataclass(frozen=True)
 class Allocate:
-    party: int
+    party: Party
     qubits: tuple[QubitId, ...]
     init: str
 
 
 @dataclass(frozen=True)
 class EbitConsume:
-    pair: tuple[int, int]
+    pair: tuple[Party, Party]
     qubits: tuple[QubitId, QubitId]  # the instantiated phi+ pair
 
 
 @dataclass(frozen=True)
 class EbitCreate:
-    pair: tuple[int, int]
+    pair: tuple[Party, Party]
 
 
 @dataclass(frozen=True)
 class LocalGate:
-    party: int
+    party: Party
     targets: tuple[QubitId, ...]
     matrix: np.ndarray | None = None
     cases: tuple[tuple[str, np.ndarray], ...] | None = None
     conditional_on: int | None = None
 
+    def __post_init__(self):
+        given = (self.matrix is not None, self.cases is not None, self.conditional_on is not None)
+        if given not in ((True, False, False), (False, True, True)):
+            raise ValueError("a local gate takes either a matrix or cases with conditional_on")
+
 
 @dataclass(frozen=True)
 class LocalMeasure:
-    party: int
+    party: Party
     targets: tuple[QubitId, ...]
-    basis: str  # "computational" | "bell"
+    basis: str  # "computational" | "bell" | "povm"
     discard: bool
     index: int
     distribution: tuple[tuple[str, float], ...]
@@ -176,16 +176,16 @@ class LocalMeasure:
 
 @dataclass(frozen=True)
 class ClassicalMessage:
-    sender: int
-    receiver: int
+    sender: Party
+    receiver: Party
     bits: Fraction
     supplementary: bool = False
 
 
 @dataclass(frozen=True)
 class DecodedBits:
-    at_party: int
-    from_party: int
+    at_party: Party
+    from_party: Party
     bits: Fraction
     payload: str = ""
 
@@ -195,7 +195,7 @@ class CollectiveOracle:
     """A joint unitary applied as the operation under study, not charged as LQCC."""
 
     label: str
-    parties: tuple[int, ...]
+    parties: tuple[Party, ...]
     targets: tuple[QubitId, ...]
     matrix: np.ndarray
 
@@ -203,7 +203,7 @@ class CollectiveOracle:
 @dataclass(frozen=True)
 class Relocate:
     qubit: QubitId
-    to_party: int
+    to_party: Party
 
 
 @dataclass(frozen=True)
@@ -254,104 +254,94 @@ class ProtocolTrace:
 
 # --------------------------------------------------------------------------
 # serialization (JSON lines; one record per event, header first)
+#
+# Events are encoded field by field: the field's annotation picks an
+# (encoder, decoder) pair, fields that are None are left out, and absent keys
+# take the dataclass defaults.  Decoders get the party count for range checks.
 
 
-def _qid(q: QubitId) -> list:
-    return [q.party, q.label]
+def _complex_out(arr) -> list:
+    """A complex array of any shape as nested lists ending in [re, im] pairs."""
+    arr = np.asarray(arr, dtype=complex)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
-def _parse_qid(raw) -> QubitId:
-    return QubitId(int(raw[0]), str(raw[1]))
+def _complex_in(raw) -> np.ndarray:
+    pairs = np.array(raw, dtype=float)
+    if pairs.ndim == 0 or pairs.shape[-1] != 2:
+        raise ValueError("complex entries must be [re, im] pairs")
+    return pairs.view(complex)[..., 0]
 
 
-def _matrix_out(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, dtype=complex)]
+def _party(raw, n_parties: int) -> int:
+    if not 1 <= int(raw) <= n_parties:
+        raise ValueError(f"party {raw} is outside 1..{n_parties}")
+    return int(raw)
 
 
-def _matrix_in(raw) -> np.ndarray:
-    return np.array([[complex(c[0], c[1]) for c in row] for row in raw], dtype=complex)
+def _qubit(raw, n_parties: int) -> QubitId:
+    party, label = raw
+    return QubitId(_party(party, n_parties), str(label))
+
+
+def _two(raw):
+    if len(raw) != 2:
+        raise ValueError(f"expected a pair, got {raw!r}")
+    return raw
+
+
+_CODECS = {
+    "Party": (int, _party),
+    "int": (int, lambda raw, n: int(raw)),
+    "str": (str, lambda raw, n: str(raw)),
+    "bool": (bool, lambda raw, n: bool(raw)),
+    "Fraction": (str, lambda raw, n: Fraction(raw)),
+    "QubitId": (lambda q: [q.party, q.label], _qubit),
+    "np.ndarray": (_complex_out, lambda raw, n: _complex_in(raw)),
+    "tuple[Party, ...]": (list, lambda raw, n: tuple(_party(p, n) for p in raw)),
+    "tuple[Party, Party]": (list, lambda raw, n: pair_key(*(_party(p, n) for p in _two(raw)))),
+    "tuple[QubitId, ...]": (
+        lambda qs: [[q.party, q.label] for q in qs], lambda raw, n: tuple(_qubit(q, n) for q in raw)),
+    "tuple[QubitId, QubitId]": (
+        lambda qs: [[q.party, q.label] for q in qs], lambda raw, n: tuple(_qubit(q, n) for q in _two(raw))),
+    "tuple[tuple[str, np.ndarray], ...]": (
+        lambda cases: {k: _complex_out(m) for k, m in cases},
+        lambda raw, n: tuple(sorted((str(k), _complex_in(m)) for k, m in raw.items()))),
+    "tuple[tuple[str, float], ...]": (
+        dict, lambda raw, n: tuple(sorted((str(k), float(v)) for k, v in raw.items()))),
+}
+_KINDS = {
+    Allocate: "allocate", EbitConsume: "ebit_consume", EbitCreate: "ebit_create",
+    LocalGate: "local_gate", LocalMeasure: "local_measure", ClassicalMessage: "message",
+    DecodedBits: "decoded", CollectiveOracle: "oracle", Relocate: "relocate",
+    Relabel: "relabel", Coalesce: "coalesce",
+}
+_EVENT_TYPES = {kind: cls for cls, kind in _KINDS.items()}
+_KEYS = {"sender": "from", "receiver": "to", "at_party": "at", "from_party": "from", "to_party": "to"}
+# event type -> [(field name, JSON key, encoder, decoder)]
+_FIELDS = {
+    cls: [(f.name, _KEYS.get(f.name, f.name), *_CODECS[f.type.removesuffix(" | None")])
+          for f in fields(cls)]
+    for cls in _KINDS
+}
+_REGISTRY_OUT, _REGISTRY_IN = _CODECS["tuple[QubitId, ...]"]
 
 
 def event_record(event: Event) -> dict:
-    if isinstance(event, Allocate):
-        return {"kind": "allocate", "party": event.party,
-                "qubits": [_qid(q) for q in event.qubits], "init": event.init}
-    if isinstance(event, EbitConsume):
-        return {"kind": "ebit_consume", "pair": list(event.pair),
-                "qubits": [_qid(q) for q in event.qubits]}
-    if isinstance(event, EbitCreate):
-        return {"kind": "ebit_create", "pair": list(event.pair)}
-    if isinstance(event, LocalGate):
-        rec = {"kind": "local_gate", "party": event.party,
-               "targets": [_qid(q) for q in event.targets]}
-        if event.matrix is not None:
-            rec["matrix"] = _matrix_out(event.matrix)
-        else:
-            rec["conditional_on"] = event.conditional_on
-            rec["cases"] = {k: _matrix_out(m) for k, m in event.cases}
-        return rec
-    if isinstance(event, LocalMeasure):
-        return {"kind": "local_measure", "party": event.party,
-                "targets": [_qid(q) for q in event.targets], "basis": event.basis,
-                "discard": event.discard, "index": event.index,
-                "distribution": {k: v for k, v in event.distribution}}
-    if isinstance(event, ClassicalMessage):
-        return {"kind": "message", "from": event.sender, "to": event.receiver,
-                "bits": str(event.bits), "supplementary": event.supplementary}
-    if isinstance(event, DecodedBits):
-        return {"kind": "decoded", "at": event.at_party, "from": event.from_party,
-                "bits": str(event.bits), "payload": event.payload}
-    if isinstance(event, CollectiveOracle):
-        return {"kind": "oracle", "label": event.label, "parties": list(event.parties),
-                "targets": [_qid(q) for q in event.targets], "matrix": _matrix_out(event.matrix)}
-    if isinstance(event, Relocate):
-        return {"kind": "relocate", "qubit": _qid(event.qubit), "to": event.to_party}
-    if isinstance(event, Relabel):
-        return {"kind": "relabel", "old": _qid(event.old), "new": _qid(event.new)}
-    if isinstance(event, Coalesce):
-        return {"kind": "coalesce"}
-    raise TypeError(f"unknown event type {type(event)!r}")
+    rec = {"kind": _KINDS[type(event)]}
+    for name, key, encode, _ in _FIELDS[type(event)]:
+        if getattr(event, name) is not None:
+            rec[key] = encode(getattr(event, name))
+    return rec
 
 
-def event_from_record(rec: Mapping) -> Event:
-    kind = rec.get("kind")
-    if kind == "allocate":
-        return Allocate(int(rec["party"]), tuple(_parse_qid(q) for q in rec["qubits"]), str(rec["init"]))
-    if kind == "ebit_consume":
-        a, b = rec["pair"]
-        q1, q2 = (_parse_qid(q) for q in rec["qubits"])
-        return EbitConsume(pair_key(int(a), int(b)), (q1, q2))
-    if kind == "ebit_create":
-        a, b = rec["pair"]
-        return EbitCreate(pair_key(int(a), int(b)))
-    if kind == "local_gate":
-        targets = tuple(_parse_qid(q) for q in rec["targets"])
-        if "matrix" in rec:
-            return LocalGate(int(rec["party"]), targets, matrix=_matrix_in(rec["matrix"]))
-        cases = tuple(sorted((k, _matrix_in(m)) for k, m in rec["cases"].items()))
-        return LocalGate(int(rec["party"]), targets, cases=cases,
-                         conditional_on=int(rec["conditional_on"]))
-    if kind == "local_measure":
-        return LocalMeasure(int(rec["party"]), tuple(_parse_qid(q) for q in rec["targets"]),
-                            str(rec["basis"]), bool(rec["discard"]), int(rec["index"]),
-                            tuple(sorted((k, float(v)) for k, v in rec["distribution"].items())))
-    if kind == "message":
-        return ClassicalMessage(int(rec["from"]), int(rec["to"]), Fraction(rec["bits"]),
-                                bool(rec.get("supplementary", False)))
-    if kind == "decoded":
-        return DecodedBits(int(rec["at"]), int(rec["from"]), Fraction(rec["bits"]),
-                           str(rec.get("payload", "")))
-    if kind == "oracle":
-        return CollectiveOracle(str(rec["label"]), tuple(int(p) for p in rec["parties"]),
-                                tuple(_parse_qid(q) for q in rec["targets"]),
-                                _matrix_in(rec["matrix"]))
-    if kind == "relocate":
-        return Relocate(_parse_qid(rec["qubit"]), int(rec["to"]))
-    if kind == "relabel":
-        return Relabel(_parse_qid(rec["old"]), _parse_qid(rec["new"]))
-    if kind == "coalesce":
-        return Coalesce()
-    raise ValueError(f"unknown event kind {kind!r}")
+def event_from_record(rec: Mapping, n_parties: int) -> Event:
+    """Decode one event record; every party in it must lie in 1..n_parties."""
+    cls = _EVENT_TYPES.get(rec.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown event kind {rec.get('kind')!r}")
+    return cls(**{name: decode(rec[key], n_parties)
+                  for name, key, _, decode in _FIELDS[cls] if rec.get(key) is not None})
 
 
 def _header_record(trace: ProtocolTrace) -> dict:
@@ -359,24 +349,34 @@ def _header_record(trace: ProtocolTrace) -> dict:
     if trace.initial is not None:
         ens = trace.initial
         rec["max_qubits"] = ens.max_qubits
-        rec["registry"] = [_qid(q) for q in ens.registry]
+        rec["registry"] = _REGISTRY_OUT(ens.registry)
         rec["branches"] = [
-            {"p": float(b.probability),
-             "amplitudes": [[float(z.real), float(z.imag)] for z in b.amplitudes]}
-            for b in ens.branches
+            {"p": float(b.probability), "amplitudes": _complex_out(b.amplitudes)} for b in ens.branches
         ]
     return rec
 
 
-def _header_ensemble(rec: Mapping) -> BranchEnsemble | None:
+def _header_trace(rec: Mapping) -> ProtocolTrace:
+    """The empty trace a header record describes, with its checked initial state."""
+    if rec.get("kind") != "header":
+        raise ValueError("expected a header record")
+    n_parties = rec.get("n_parties")
+    if type(n_parties) is not int or n_parties < 1:
+        raise ValueError(f"n_parties must be a positive integer, got {n_parties!r}")
     if "registry" not in rec:
-        return None
-    registry = tuple(_parse_qid(q) for q in rec["registry"])
-    branches = [
-        Branch(float(b["p"]), np.array([complex(c[0], c[1]) for c in b["amplitudes"]], dtype=complex))
-        for b in rec["branches"]
-    ]
-    return BranchEnsemble(registry, branches, int(rec.get("max_qubits", 24)))
+        return ProtocolTrace(n_parties)
+    registry = _REGISTRY_IN(rec["registry"], n_parties)
+    if len(set(registry)) != len(registry):
+        raise ValueError("registry contains duplicate qubit ids")
+    branches = [Branch(float(b["p"]), _complex_in(b["amplitudes"])) for b in rec["branches"]]
+    if any(b.amplitudes.shape != (1 << len(registry),) for b in branches):
+        raise ValueError(f"every branch needs {1 << len(registry)} amplitudes")
+    initial = BranchEnsemble(registry, branches, int(rec.get("max_qubits", DEFAULT_MAX_QUBITS)))
+    try:
+        initial.check()
+    except AssertionError as exc:
+        raise ValueError(f"initial state: {exc}") from None
+    return ProtocolTrace(n_parties, initial)
 
 
 def dump_trace(trace: ProtocolTrace) -> str:
@@ -386,22 +386,21 @@ def dump_trace(trace: ProtocolTrace) -> str:
 
 
 def load_trace(text: str) -> ProtocolTrace:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse a trace; malformed input raises ValueError("trace line N: ...")."""
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("trace line 1: empty trace")
-    records = []
-    for i, ln in enumerate(lines, start=1):
+    for i, ln in lines:
         try:
-            records.append(json.loads(ln))
+            rec = json.loads(ln)
+            if not isinstance(rec, dict):
+                raise ValueError("expected a JSON object")
+            if i == lines[0][0]:
+                trace = _header_trace(rec)
+            else:
+                trace.append(event_from_record(rec, trace.n_parties))
         except json.JSONDecodeError as exc:
             raise ValueError(f"trace line {i}: invalid JSON ({exc.msg})") from None
-    header = records[0]
-    if header.get("kind") != "header":
-        raise ValueError("trace line 1: expected a header record")
-    trace = ProtocolTrace(n_parties=int(header["n_parties"]), initial=_header_ensemble(header))
-    for i, rec in enumerate(records[1:], start=2):
-        try:
-            trace.append(event_from_record(rec))
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise ValueError(f"trace line {i}: {exc}") from None
     return trace

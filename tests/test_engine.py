@@ -418,3 +418,38 @@ class TestCoalesce:
         assert len(merged.branches) == 1
         with pytest.raises(ValueError, match="no outcome recorded"):
             engine.apply_conditional(merged, (b,), {"0": np.eye(2), "1": np.eye(2)}, 0)
+
+
+class TestBlockKernelAgainstMasks:
+    """Measurement reads each outcome as one row of a reshaped block; the
+    per-outcome index masks it replaced are the reference, bit for bit."""
+
+    @pytest.mark.parametrize("discard", [False, True])
+    def test_measurement_matches_mask_reference(self, discard):
+        rng = np.random.default_rng(5)
+        ens = BranchEnsemble.vacuum()
+        ens, ids = engine.allocate_qubits(ens, 1, 5)
+        ens = BranchEnsemble.from_amplitudes(ids, gates.random_state(32, rng))
+        targets = [ids[3], ids[0], ids[4]]
+        out, dist = engine.measure_computational(ens, targets, discard=discard)
+        vec = ens.branches[0].amplitudes
+        idx = np.arange(32)
+        expected = {}
+        for code in range(8):
+            bits = [(code >> j) & 1 for j in range(3)]
+            sel = np.ones(32, dtype=bool)
+            for q, bit in zip(targets, bits):
+                sel &= ((idx >> ens.position(q)) & 1) == bit
+            weight = float(np.sum(np.abs(vec[sel]) ** 2))
+            kept = vec[sel] if discard else np.where(sel, vec, 0.0)
+            expected["".join(map(str, bits))] = (weight, kept / math.sqrt(weight))
+        assert dist == {outcome: weight for outcome, (weight, _) in expected.items()}
+        assert len(out.branches) == 8
+        for b in out.branches:
+            weight, ref = expected[b.record[0]]
+            assert b.probability == weight
+            assert b.amplitudes.tobytes() == ref.tobytes()
+
+    def test_nan_amplitude_is_rejected(self):
+        with pytest.raises(ValueError, match="normalized"):
+            BranchEnsemble.from_amplitudes((QubitId(1, "a"),), [float("nan"), 0.0])

@@ -1,0 +1,20 @@
+"""Each demo script under scripts/ runs to completion with its default arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_exits_zero_with_defaults(script, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
