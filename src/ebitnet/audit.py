@@ -9,7 +9,8 @@ Checks, per trace:
   bits claimed as decoded do not exceed messages sent plus two bits per
   consumed ebit (the dense-coding allowance) -- cuts spanned by a
   collective oracle are exempt, since the oracle is the operation under
-  study rather than an LQCC step;
+  study rather than an LQCC step, and cuts a relocation conveys a qubit
+  across are exempt from the entanglement check;
 * when the trace carries its initial state, the run is replayed and the
   LQCC monotone (average entanglement entropy plus remaining held ebits
   across each cut) is checked to be non-increasing step by step, again
@@ -19,13 +20,14 @@ Checks, per trace:
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import engine
 from .engine import BranchEnsemble, Gate
-from .graphs import CommunicationGraph, EntanglementGraph, GraphBundle
+from .graphs import GraphBundle
 from .ledger import (
     Allocate,
     ClassicalMessage,
@@ -67,18 +69,37 @@ class AuditReport:
 
 def _cuts(n: int) -> list[frozenset[int]]:
     """All bipartitions of 1..n, each named by the side containing party 1."""
-    rest = list(range(2, n + 1))
-    out = []
-    for r in range(0, len(rest)):
-        for combo in itertools.combinations(rest, r):
-            side = frozenset({1, *combo})
-            if len(side) < n:
-                out.append(side)
-    return out
+    rest = range(2, n + 1)
+    return [frozenset({1, *combo}) for r in range(n - 1) for combo in itertools.combinations(rest, r)]
 
 
-def _crosses(pair: tuple[int, int], side: frozenset[int]) -> bool:
-    return (pair[0] in side) != (pair[1] in side)
+def _across(book: Mapping[tuple[int, int], Fraction], side: frozenset[int],
+            directed: bool = False) -> Fraction:
+    """Sum ``book`` over the pairs crossing the cut; a directed book counts
+    only the pairs (from, to) leaving ``side``."""
+    if directed:
+        return sum((v for (a, b), v in book.items() if a in side and b not in side), Fraction(0))
+    return sum((v for (a, b), v in book.items() if (a in side) != (b in side)), Fraction(0))
+
+
+def _joined(ev: Event) -> tuple[int, ...]:
+    """The parties an event acts across at once: an oracle's, or both ends of a relocation."""
+    if isinstance(ev, CollectiveOracle):
+        return ev.parties
+    if isinstance(ev, Relocate):
+        return (ev.qubit.party, ev.to_party)
+    return ()
+
+
+def _spans(parties: Sequence[int], side: frozenset[int]) -> bool:
+    return any(p in side for p in parties) and not all(p in side for p in parties)
+
+
+def _nonzero(graph, pairs) -> dict[tuple[int, int], Fraction]:
+    """The graph's nonzero weights over ``pairs``; a missing graph is an empty book."""
+    if graph is None:
+        return {}
+    return {(a, b): graph.weight(a, b) for a, b in pairs if graph.weight(a, b)}
 
 
 def replay_events(initial: BranchEnsemble, events: Sequence[Event]):
@@ -138,22 +159,17 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
     n = trace.n_parties
     if resources.n != n:
         raise ValueError(f"trace has {n} parties but graphs describe {resources.n}")
-    ent = resources.entanglement or EntanglementGraph(
-        n, tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n)))
-    comm = resources.communication or CommunicationGraph(
-        n, tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n)))
-    report = AuditReport(n_parties=n)
+    parties = range(1, n + 1)
+    granted = _nonzero(resources.entanglement, itertools.combinations(parties, 2))
+    capacity = _nonzero(resources.communication, itertools.permutations(parties, 2))
+    report = AuditReport(n_parties=n, checks_run=["held-nonnegative", "locality"])
 
-    # -- running ledger reconstruction -------------------------------------
-    report.checks_run.append("held-nonnegative")
-    held: dict[tuple[int, int], Fraction] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            held[(i, j)] = ent.weight(i, j)
-    consumed: dict[tuple[int, int], Fraction] = {}
-    created: dict[tuple[int, int], Fraction] = {}
-    sent: dict[tuple[int, int], Fraction] = {}
-    decoded: dict[tuple[int, int], Fraction] = {}  # (from, at)
+    # -- one pass over the events: books, locality and cuts spanned ---------
+    consumed: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
+    created: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
+    sent: dict[tuple[int, int], Fraction] = defaultdict(Fraction)  # (from, to)
+    decoded: dict[tuple[int, int], Fraction] = defaultdict(Fraction)  # (from, at)
+    locality: list[Violation] = []
     spanned_by_oracle: set[frozenset[int]] = set()
     spanned_by_conveyance: set[frozenset[int]] = set()
     cuts = _cuts(n)
@@ -161,121 +177,96 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
     for step, ev in enumerate(trace.events):
         if isinstance(ev, EbitConsume):
             key = pair_key(*ev.pair)
-            held[key] -= 1
-            consumed[key] = consumed.get(key, Fraction(0)) + 1
-            if held[key] < 0:
+            consumed[key] += 1
+            if consumed[key] > granted.get(key, 0):
                 report.violations.append(Violation(
                     "held-nonnegative",
-                    f"pair {key} consumed beyond its {ent.weight(*key)} held ebits",
+                    f"pair {key} consumed beyond its {granted.get(key, Fraction(0))} held ebits",
                     step,
                 ))
         elif isinstance(ev, EbitCreate):
-            key = pair_key(*ev.pair)
-            created[key] = created.get(key, Fraction(0)) + 1
+            created[pair_key(*ev.pair)] += 1
         elif isinstance(ev, ClassicalMessage) and not ev.supplementary:
-            sent[(ev.sender, ev.receiver)] = sent.get((ev.sender, ev.receiver), Fraction(0)) + ev.bits
+            sent[(ev.sender, ev.receiver)] += ev.bits
         elif isinstance(ev, DecodedBits):
-            key = (ev.from_party, ev.at_party)
-            decoded[key] = decoded.get(key, Fraction(0)) + ev.bits
-        elif isinstance(ev, CollectiveOracle):
-            for cut in cuts:
-                if any((p in cut) != (q in cut) for p in ev.parties for q in ev.parties):
-                    spanned_by_oracle.add(cut)
-        elif isinstance(ev, Relocate):
-            if ev.qubit.party != ev.to_party:
-                for cut in cuts:
-                    if _crosses((ev.qubit.party, ev.to_party), cut):
-                        spanned_by_conveyance.add(cut)
-
-    report.checks_run.append("locality")
-    for step, ev in enumerate(trace.events):
-        if isinstance(ev, (LocalGate, LocalMeasure)):
+            decoded[(ev.from_party, ev.at_party)] += ev.bits
+        elif isinstance(ev, (LocalGate, LocalMeasure)):
             strangers = [q for q in ev.targets if q.party != ev.party]
             if strangers:
-                report.violations.append(Violation(
+                locality.append(Violation(
                     "locality",
                     f"event declared local to party {ev.party} targets {strangers}",
                     step,
                 ))
         elif isinstance(ev, Relabel) and ev.old.party != ev.new.party:
-            report.violations.append(Violation(
+            locality.append(Violation(
                 "locality",
                 f"relabel moves {ev.old} to party {ev.new.party}; "
                 "qubit conveyance must be a relocate event",
                 step,
             ))
+        joined = _joined(ev)
+        if joined:
+            spanned = spanned_by_oracle if isinstance(ev, CollectiveOracle) else spanned_by_conveyance
+            spanned.update(cut for cut in cuts if _spans(joined, cut))
+    report.violations += locality
 
     report.checks_run.append("channel-capacity")
     for (a, b), bits in sorted(sent.items()):
-        if bits > comm.weight(a, b):
+        cap = capacity.get((a, b), Fraction(0))
+        if bits > cap:
             report.violations.append(Violation(
                 "channel-capacity",
-                f"{bits} bits sent {a}->{b} exceed the declared capacity {comm.weight(a, b)}",
+                f"{bits} bits sent {a}->{b} exceed the declared capacity {cap}",
             ))
 
     report.checks_run.append("cut-entanglement")
+    initial = {cut: _across(granted, cut) for cut in cuts}
     for cut in cuts:
         if cut in spanned_by_oracle or cut in spanned_by_conveyance:
             continue
-        made = sum((v for k, v in created.items() if _crosses(k, cut)), Fraction(0))
-        used = sum((v for k, v in consumed.items() if _crosses(k, cut)), Fraction(0))
-        initial = sum(
-            (ent.weight(i, j) for i in cut for j in range(1, n + 1) if j not in cut),
-            Fraction(0),
-        )
-        if made > used + initial:
+        made, used = _across(created, cut), _across(consumed, cut)
+        if made > used + initial[cut]:
             report.violations.append(Violation(
                 "cut-entanglement",
                 f"cut {sorted(cut)}: {made} ebits created exceed {used} consumed "
-                f"+ {initial} initially shared",
+                f"+ {initial[cut]} initially shared",
             ))
 
     report.checks_run.append("cut-communication")
     for cut in cuts:
         if cut in spanned_by_oracle:
             continue
-        used = sum((v for k, v in consumed.items() if _crosses(k, cut)), Fraction(0))
-        for side, name in ((cut, "out of"), (frozenset(range(1, n + 1)) - cut, "into")):
-            got = sum(
-                (v for (frm, at), v in decoded.items() if frm in side and at not in side),
-                Fraction(0),
-            )
-            msg = sum(
-                (v for (a, b), v in sent.items() if a in side and b not in side),
-                Fraction(0),
-            )
-            if got > msg + 2 * used:
+        allowance = 2 * _across(consumed, cut)
+        for side, name in ((cut, "out of"), (frozenset(parties) - cut, "into")):
+            got = _across(decoded, side, directed=True)
+            msg = _across(sent, side, directed=True)
+            if got > msg + allowance:
                 report.violations.append(Violation(
                     "cut-communication",
                     f"cut {sorted(cut)}: {got} bits decoded {name} the cut exceed "
-                    f"{msg} sent + dense-coding allowance {2 * used}",
+                    f"{msg} sent + dense-coding allowance {allowance}",
                 ))
 
     # -- statevector replay -------------------------------------------------
     if replay and trace.initial is not None:
         report.checks_run.append("replay-monotonicity")
         report.replayed = True
-        universe = set(range(1, n + 1))
-        run_held = {k: ent.weight(*k) for k in held}
+        universe = set(parties)
+        held = dict(initial)  # ebits still held across each cut
 
         def monotone(ens: BranchEnsemble, cut: frozenset[int]) -> float:
-            ebits = sum(
-                (run_held[k] for k in run_held if _crosses(k, cut)), Fraction(0))
-            return engine.entanglement_entropy(ens, cut, universe=universe) + float(ebits)
+            return engine.entanglement_entropy(ens, cut, universe=universe) + float(held[cut])
 
         last = {cut: monotone(trace.initial, cut) for cut in cuts}
         try:
             for step, ev, ens in replay_events(trace.initial, trace.events):
-                if isinstance(ev, EbitConsume):
-                    run_held[pair_key(*ev.pair)] -= 1
+                joined = _joined(ev)
                 for cut in cuts:
+                    if isinstance(ev, EbitConsume) and _spans(ev.pair, cut):
+                        held[cut] -= 1
                     value = monotone(ens, cut)
-                    exempt = (
-                        (isinstance(ev, CollectiveOracle)
-                         and any((p in cut) != (q in cut) for p in ev.parties for q in ev.parties))
-                        or (isinstance(ev, Relocate) and _crosses((ev.qubit.party, ev.to_party), cut))
-                    )
-                    if not exempt and value > last[cut] + ENTROPY_TOL:
+                    if not _spans(joined, cut) and value > last[cut] + ENTROPY_TOL:
                         report.violations.append(Violation(
                             "replay-monotonicity",
                             f"cut {sorted(cut)}: monotone rose from {last[cut]:.12f} "

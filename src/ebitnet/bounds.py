@@ -214,22 +214,18 @@ def bound_table(n_max: int) -> list[BoundReport]:
     return [bound_report(n) for n in range(2, n_max + 1)]
 
 
+# Resource columns of the bound table; each has an _e (ebits) and a _c (bits)
+# field on BoundReport.
+RESOURCES = ("teleport", "lower", "half_transfer", "cap", "integer_one_shot")
+
+
 def table_rows(n_max: int) -> list[dict]:
     """Flat rows (one per n and resource kind) for CSV/JSON export."""
-    rows = []
-    for rep in bound_table(n_max):
-        for kind in ("entanglement", "communication"):
-            suffix = "e" if kind == "entanglement" else "c"
-            rows.append({
-                "n": rep.n,
-                "kind": kind,
-                "teleport": getattr(rep, f"teleport_{suffix}"),
-                "lower": getattr(rep, f"lower_{suffix}"),
-                "half_transfer": getattr(rep, f"half_transfer_{suffix}"),
-                "cap": getattr(rep, f"cap_{suffix}"),
-                "integer_one_shot": getattr(rep, f"integer_one_shot_{suffix}"),
-            })
-    return rows
+    return [
+        {"n": rep.n, "kind": kind, **{name: getattr(rep, f"{name}_{suffix}") for name in RESOURCES}}
+        for rep in bound_table(n_max)
+        for kind, suffix in (("entanglement", "e"), ("communication", "c"))
+    ]
 
 
 def integer_comm_boundary(n_max: int) -> int | None:

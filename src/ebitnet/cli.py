@@ -242,37 +242,29 @@ def _print_samples(run, count: int, seed: int) -> None:
 # bounds
 
 
-def _cell(value) -> str:
-    return "" if value is None else str(value)
+def _amount(value):
+    """A bound figure for the JSON table: integers stay numbers, rationals become strings."""
+    return value if isinstance(value, int) else str(value)
 
 
 def cmd_bounds(args) -> int:
     if args.n_max > 64:
         raise CliUsageError(f"--n-max is capped at 64, got {args.n_max}")
-    rows = bounds.table_rows(args.n_max)
     if args.format == "csv":
-        lines = ["n,kind,teleport,lower,half_transfer,cap,integer_one_shot"]
-        for r in rows:
-            lines.append(",".join([
-                str(r["n"]), r["kind"], _cell(r["teleport"]), _cell(r["lower"]),
-                _cell(r["half_transfer"]), _cell(r["cap"]), _cell(r["integer_one_shot"]),
-            ]))
+        lines = [",".join(("n", "kind") + bounds.RESOURCES)]
+        for r in bounds.table_rows(args.n_max):
+            cells = ("" if r[name] is None else str(r[name]) for name in bounds.RESOURCES)
+            lines.append(",".join([str(r["n"]), r["kind"], *cells]))
         text = "\n".join(lines) + "\n"
     else:
         doc = []
         for rep in bounds.bound_table(args.n_max):
-            doc.append({
-                "n": rep.n, "parity": rep.parity,
-                "teleport": {"e": str(rep.teleport_e), "c": str(rep.teleport_c)},
-                "lower": {"e": str(rep.lower_e), "c": str(rep.lower_c)},
-                "cap": {"e": str(rep.cap_e), "c": str(rep.cap_c)},
-                "half_transfer": None if rep.half_transfer_e is None else
-                    {"e": str(rep.half_transfer_e), "c": str(rep.half_transfer_c)},
-                "integer_one_shot": None if rep.integer_one_shot_e is None else
-                    {"e": rep.integer_one_shot_e, "c": rep.integer_one_shot_c},
-                "optimality_open": rep.optimality_open,
-                "half_transfer_conditional": rep.half_transfer_conditional,
-            })
+            entry = {"n": rep.n, "parity": rep.parity, "optimality_open": rep.optimality_open,
+                     "half_transfer_conditional": rep.half_transfer_conditional}
+            for name in bounds.RESOURCES:
+                e, c = getattr(rep, f"{name}_e"), getattr(rep, f"{name}_c")
+                entry[name] = None if e is None else {"e": _amount(e), "c": _amount(c)}
+            doc.append(entry)
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.output:
         Path(args.output).parent.mkdir(parents=True, exist_ok=True)

@@ -131,12 +131,35 @@ def _party_matrix(book: Mapping[tuple[int, int], Fraction], n: int, symmetric: b
 # annotated with it, and the party of every qubit id.
 Party = int
 
+# Events reject values that could never be replayed when they are built, so
+# a trace that holds one fails to load.  Unitarity is left to the replay:
+# checking it costs O(8^t) for a t-qubit matrix.
+
+
+def _check_square(matrix, targets) -> None:
+    dim = 1 << len(targets)
+    if np.shape(matrix) != (dim, dim):
+        raise ValueError(f"a gate on {len(targets)} qubits needs a {dim}x{dim} matrix, "
+                         f"got shape {np.shape(matrix)}")
+
+
+def _check_transfer(what: str, frm: int, to: int, bits: Fraction) -> None:
+    if frm == to:
+        raise ValueError(f"a {what} needs two different parties, got {frm} and {to}")
+    if bits < 0:
+        raise ValueError(f"a {what} carries a nonnegative number of bits, got {bits}")
+
 
 @dataclass(frozen=True)
 class Allocate:
     party: Party
     qubits: tuple[QubitId, ...]
     init: str
+
+    def __post_init__(self):
+        if not self.qubits or len(self.init) != len(self.qubits) or set(self.init) - {"0", "1"}:
+            raise ValueError(f"init {self.init!r} must be one 0/1 character for each of "
+                             f"{len(self.qubits)} qubits (at least one)")
 
 
 @dataclass(frozen=True)
@@ -162,6 +185,9 @@ class LocalGate:
         given = (self.matrix is not None, self.cases is not None, self.conditional_on is not None)
         if given not in ((True, False, False), (False, True, True)):
             raise ValueError("a local gate takes either a matrix or cases with conditional_on")
+        matrices = [self.matrix] if self.cases is None else [m for _, m in self.cases]
+        for matrix in matrices:
+            _check_square(matrix, self.targets)
 
 
 @dataclass(frozen=True)
@@ -173,6 +199,10 @@ class LocalMeasure:
     index: int
     distribution: tuple[tuple[str, float], ...]
 
+    def __post_init__(self):
+        if self.basis not in ("computational", "bell", "povm"):
+            raise ValueError(f"unknown measurement basis {self.basis!r}")
+
 
 @dataclass(frozen=True)
 class ClassicalMessage:
@@ -181,6 +211,9 @@ class ClassicalMessage:
     bits: Fraction
     supplementary: bool = False
 
+    def __post_init__(self):
+        _check_transfer("message", self.sender, self.receiver, self.bits)
+
 
 @dataclass(frozen=True)
 class DecodedBits:
@@ -188,6 +221,9 @@ class DecodedBits:
     from_party: Party
     bits: Fraction
     payload: str = ""
+
+    def __post_init__(self):
+        _check_transfer("decode", self.from_party, self.at_party, self.bits)
 
 
 @dataclass(frozen=True)
@@ -198,6 +234,9 @@ class CollectiveOracle:
     parties: tuple[Party, ...]
     targets: tuple[QubitId, ...]
     matrix: np.ndarray
+
+    def __post_init__(self):
+        _check_square(self.matrix, self.targets)
 
 
 @dataclass(frozen=True)

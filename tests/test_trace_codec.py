@@ -112,7 +112,23 @@ def test_out_of_range_party_is_rejected_with_its_line(kind, key, value):
     {"kind": "local_measure", "party": 1, "targets": [[1, "q1"]], "basis": "bell",
      "discard": True, "index": 0, "distribution": [0.5, 0.5]},
     ["not", "an", "object"],
-], ids=["no-matrix-or-cases", "three-qubit-ebit", "matrix-not-pairs", "distribution-not-object", "not-object"])
+    {"kind": "allocate", "party": 1, "qubits": [[1, "z0"], [1, "z1"]], "init": "22"},
+    {"kind": "allocate", "party": 1, "qubits": [[1, "z0"], [1, "z1"]], "init": "0"},
+    {"kind": "allocate", "party": 1, "qubits": [], "init": ""},
+    {"kind": "local_measure", "party": 1, "targets": [[1, "q1"]], "basis": "diagonal",
+     "discard": True, "index": 0, "distribution": {"0": 0.5, "1": 0.5}},
+    {"kind": "local_gate", "party": 1, "targets": [[1, "q1"]], "matrix": [[[1.0, 0.0]]]},
+    {"kind": "local_gate", "party": 1, "targets": [[1, "q1"]], "conditional_on": 0,
+     "cases": {"0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "1": [[[1.0, 0.0]]]}},
+    {"kind": "oracle", "label": "U", "parties": [1, 2], "targets": [[1, "q1"], [2, "q2"]],
+     "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+    {"kind": "message", "from": 2, "to": 2, "bits": "2"},
+    {"kind": "message", "from": 1, "to": 2, "bits": "-3"},
+    {"kind": "decoded", "at": 2, "from": 2, "bits": "2"},
+    {"kind": "decoded", "at": 2, "from": 1, "bits": "-1/2"},
+], ids=["no-matrix-or-cases", "three-qubit-ebit", "matrix-not-pairs", "distribution-not-object", "not-object",
+        "init-22", "init-too-short", "allocate-nothing", "unknown-basis", "gate-1x1", "case-1x1",
+        "oracle-2x2-on-two", "message-to-self", "negative-message", "decode-from-self", "negative-decode"])
 def test_malformed_event_is_rejected_with_its_line(record):
     records = golden_records()[:3] + [record]
     with pytest.raises(ValueError, match=r"^trace line 4: "):
