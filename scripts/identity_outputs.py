@@ -1,0 +1,253 @@
+#!/usr/bin/env python3
+"""Write everything the CLI produces for a fixed set of runs into one directory.
+
+Usage: python scripts/identity_outputs.py [--output DIR]   (default out/identity)
+
+For each protocol spec at seeds 7 and 11 it keeps the files of ``ebitnet
+simulate`` and the exit code, stdout and stderr of that command and of
+``ebitnet audit`` on its outputs, with and without ``--no-replay``.  It also
+records a few usage errors, and audits seeded mutations of the small runs'
+traces and graph files (dropped, duplicated and swapped events, re-paired
+ebits, changed bits, forged creates, decodes and messages, lowered graph
+weights, shifted distributions, re-pointed consumes and a forged oracle).
+
+The script imports ebitnet from the src/ directory of its own checkout.  To
+check that a change leaves the CLI's behaviour byte-identical, run it from two
+checkouts into two fresh directories and compare them with ``diff -r``.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import random
+import sys
+import traceback
+from collections import Counter
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ebitnet import cli  # noqa: E402
+
+SEEDS = (7, 11)
+# spec name -> simulate arguments after the protocol name
+SPECS = {
+    "teleport": ("teleport", []),
+    "teleport-sample": ("teleport", ["--sample", "3"]),
+    "two-qubit-op": ("two-qubit-op", []),
+    "swap-comm": ("swap-comm", []),
+    "swap-entangle": ("swap-entangle", []),
+    "star-op-n3": ("star-op", ["--n", "3"]),
+    "star-op-n5": ("star-op", ["--n", "5"]),
+    "star-op-n4-hub3": ("star-op", ["--n", "4", "--hub", "3"]),
+    "perm-entangle-n2": ("perm-entangle", ["--n", "2"]),
+    "perm-entangle-n3": ("perm-entangle", ["--n", "3"]),
+    "perm-entangle-n5": ("perm-entangle", ["--n", "5"]),
+    "perm-comm-n3": ("perm-comm", ["--n", "3"]),
+    "perm-comm-n5": ("perm-comm", ["--n", "5"]),
+    "ps-n2": ("ps", ["--n", "2"]),
+    "ps-n4": ("ps", ["--n", "4"]),
+    "ps-cp-n3": ("ps-cp", ["--n", "3"]),
+    "ps-cp-n5": ("ps-cp", ["--n", "5"]),
+}
+USAGE_ERRORS = [
+    ["star-op", "--n", "1"], ["star-op", "--n", "3", "--hub", "4"], ["star-op", "--n", "3", "--hub", "0"],
+    ["ps", "--n", "3"], ["ps", "--n", "0"], ["ps", "--n", "4", "--hub", "5"],
+    ["ps-cp", "--n", "4"], ["ps-cp", "--n", "1"], ["perm-entangle", "--n", "1"], ["perm-comm", "--n", "0"],
+]
+# the seed-7 runs whose outputs are mutated
+MUTATION_BASES = ("teleport", "two-qubit-op", "swap-comm", "swap-entangle", "star-op-n3",
+                  "perm-entangle-n3", "perm-comm-n3", "ps-n2", "ps-cp-n3")
+
+
+def run_cli(argv: list[str]) -> str:
+    """Exit code, stdout and stderr of ``ebitnet <argv>``, run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # an escaped exception is an outcome too; its stack holds checkout paths
+            code = "traceback " + "".join(traceback.format_exception_only(type(exc), exc)).strip()
+    return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+def audit_both(trace: Path, graph: Path, into: Path) -> list[str]:
+    outcomes = []
+    for name, flags in (("audit", []), ("audit-no-replay", ["--no-replay"])):
+        result = run_cli(["audit", "--trace", str(trace), "--graphs", str(graph), *flags])
+        (into / f"{name}.txt").write_text(result, encoding="utf-8")
+        outcomes.append(result)
+    return outcomes
+
+
+# -- mutations: (records, graph document, rng) -> None, in place ----------------
+
+
+def _events(records, kind=None):
+    return [i for i, r in enumerate(records) if i and (kind is None or r["kind"] == kind)]
+
+
+def _pair(rng, n):
+    return sorted(rng.sample(range(1, n + 1), 2))
+
+
+def _drop(records, graph, rng):
+    if _events(records):
+        del records[rng.choice(_events(records))]
+
+
+def _duplicate(records, graph, rng):
+    if _events(records):
+        i = rng.choice(_events(records))
+        records.insert(i, dict(records[i]))
+
+
+def _swap_neighbours(records, graph, rng):
+    if len(records) > 2:
+        i = rng.randrange(1, len(records) - 1)
+        records[i], records[i + 1] = records[i + 1], records[i]
+
+
+def _repair(records, graph, rng):
+    if _events(records, "ebit_consume"):
+        records[rng.choice(_events(records, "ebit_consume"))]["pair"] = _pair(rng, graph["n"])
+
+
+def _repoint_qubit(records, graph, rng):
+    if _events(records, "ebit_consume"):
+        qubit = rng.choice(records[rng.choice(_events(records, "ebit_consume"))]["qubits"])
+        qubit[0] = rng.randint(1, graph["n"])
+
+
+def _rebit(records, graph, rng):
+    if _events(records, "message"):
+        records[rng.choice(_events(records, "message"))]["bits"] = rng.choice(["0", "1", "3", "7/2"])
+
+
+def _insert(record):
+    """A mutation inserting ``record(rng, n)`` at a random position after the header."""
+    def mutate(records, graph, rng):
+        records.insert(rng.randint(1, len(records)), record(rng, graph["n"]))
+    return mutate
+
+
+def _create(rng, n):
+    return {"kind": "ebit_create", "pair": _pair(rng, n)}
+
+
+def _decode(rng, n):
+    at, frm = _pair(rng, n)[::rng.choice((1, -1))]
+    return {"kind": "decoded", "at": at, "from": frm, "bits": rng.choice(["1", "2", "5"])}
+
+
+def _message(rng, n):
+    frm, to = _pair(rng, n)[::rng.choice((1, -1))]
+    return {"kind": "message", "from": frm, "to": to, "bits": rng.choice(["1", "2", "9"])}
+
+
+def _lower_weight(records, graph, rng):
+    kind = rng.choice([k for k in ("entanglement", "communication") if k in graph])
+    cells = [(i, j) for i, row in enumerate(graph[kind]) for j, v in enumerate(row) if v != "0"]
+    if cells:
+        i, j = rng.choice(cells)
+        for a, b in ((i, j), (j, i)) if kind == "entanglement" else ((i, j),):
+            graph[kind][a][b] = "1/2"
+
+
+def _shift_distribution(records, graph, rng):
+    measures = [i for i in _events(records, "local_measure") if len(records[i]["distribution"]) > 1]
+    if measures:
+        dist = records[rng.choice(measures)]["distribution"]
+        first, second = sorted(dist)[:2]
+        dist[first], dist[second] = dist[first] + 0.25, dist[second] - 0.25
+
+
+def _grant_everything(graph, ebits):
+    n = graph["n"]
+    graph["entanglement"] = [["0" if i == j else str(ebits) for j in range(n)] for i in range(n)]
+
+
+def _repoint_first_consume(records, graph, rng):
+    """The first consume charged to another pair, against a graph granting every pair 4 ebits."""
+    consumes = _events(records, "ebit_consume")
+    if not consumes:
+        return
+    first = records[consumes[0]]
+    first["pair"] = [1, 3] if first["pair"] != [1, 3] else [1, 2]
+    _grant_everything(graph, 4)
+
+
+def _forged_oracle(records, graph, rng):
+    """20 forged creates between parties 2 and 3, then an identity oracle on party 1's
+    qubit q1 that declares every party."""
+    records += [{"kind": "ebit_create", "pair": [2, 3]}] * 20
+    records.append({"kind": "oracle", "label": "I", "parties": list(range(1, graph["n"] + 1)),
+                    "targets": [[1, "q1"]], "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
+
+
+MUTATIONS = {
+    "drop": _drop,
+    "duplicate": _duplicate,
+    "swap-neighbours": _swap_neighbours,
+    "repair": _repair,
+    "repoint-qubit": _repoint_qubit,
+    "rebit": _rebit,
+    "insert-create": _insert(_create),
+    "insert-decode": _insert(_decode),
+    "insert-message": _insert(_message),
+    "lower-weight": _lower_weight,
+    "shift-distribution": _shift_distribution,
+}
+# single probes, applied to the n >= 3 bases only
+PROBES = {"repoint-first-consume": _repoint_first_consume, "forged-oracle": _forged_oracle}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--output", default="out/identity", help="output directory (default out/identity)")
+    args = ap.parse_args()
+    root = Path(args.output)
+    outcomes = []
+
+    for spec, (protocol, flags) in SPECS.items():
+        for seed in SEEDS:
+            into = root / "simulate" / f"{spec}-s{seed}"
+            into.mkdir(parents=True, exist_ok=True)
+            result = run_cli(["simulate", protocol, "--seed", str(seed), "--output", str(into), *flags])
+            (into / "simulate.txt").write_text(result, encoding="utf-8")
+            outcomes.append(result)
+            outcomes += audit_both(into / f"{protocol}_trace.jsonl", into / f"{protocol}_graphs.json", into)
+
+    for i, argv in enumerate(USAGE_ERRORS):
+        into = root / "usage" / f"{i:02d}"
+        into.mkdir(parents=True, exist_ok=True)
+        result = run_cli(["simulate", *argv, "--output", str(into)])
+        (into / "simulate.txt").write_text(result, encoding="utf-8")
+        outcomes.append(result)
+
+    for b, base in enumerate(MUTATION_BASES):
+        protocol = SPECS[base][0]
+        source = root / "simulate" / f"{base}-s7"
+        text = (source / f"{protocol}_trace.jsonl").read_text(encoding="utf-8")
+        graph_text = (source / f"{protocol}_graphs.json").read_text(encoding="utf-8")
+        mutations = dict(MUTATIONS, **(PROBES if json.loads(graph_text)["n"] >= 3 else {}))
+        for m, (name, mutate) in enumerate(mutations.items()):
+            records = [json.loads(line) for line in text.splitlines()]
+            graph = json.loads(graph_text)
+            mutate(records, graph, random.Random(1000 * b + m))
+            into = root / "mutations" / f"{base}-{name}"
+            into.mkdir(parents=True, exist_ok=True)
+            (into / "trace.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+            (into / "graphs.json").write_text(json.dumps(graph, sort_keys=True) + "\n", encoding="utf-8")
+            outcomes += audit_both(into / "trace.jsonl", into / "graphs.json", into)
+
+    exits = Counter(result.split("\n", 1)[0] for result in outcomes)
+    print(f"{len(outcomes)} commands written to {root}: "
+          + ", ".join(f"{count} x {code}" for code, count in sorted(exits.items())))
+
+
+if __name__ == "__main__":
+    main()

@@ -26,12 +26,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import engine
-from .engine import BranchEnsemble, Gate
+from .engine import BranchEnsemble
 from .graphs import GraphBundle
 from .ledger import (
-    Allocate,
     ClassicalMessage,
-    Coalesce,
     CollectiveOracle,
     DecodedBits,
     EbitConsume,
@@ -42,6 +40,7 @@ from .ledger import (
     ProtocolTrace,
     Relabel,
     Relocate,
+    apply_event,
     pair_key,
 )
 
@@ -110,48 +109,11 @@ def replay_events(initial: BranchEnsemble, events: Sequence[Event]):
     """
     ens = initial.copy()
     for step, ev in enumerate(events):
-        if isinstance(ev, Allocate):
-            ens, _ = engine.allocate_qubits(
-                ens, ev.party, len(ev.qubits), init=ev.init,
-                labels=[q.label for q in ev.qubits],
-            )
-        elif isinstance(ev, EbitConsume):
-            ens = engine.insert_bell_pair(ens, *ev.qubits)
-        elif isinstance(ev, LocalGate):
-            if ev.matrix is not None:
-                ens = engine.apply_gate(ens, Gate(ev.targets, ev.matrix))
-            else:
-                ens = engine.apply_conditional(ens, ev.targets, dict(ev.cases), ev.conditional_on)
-        elif isinstance(ev, CollectiveOracle):
-            ens = engine.apply_gate(ens, Gate(ev.targets, ev.matrix))
-        elif isinstance(ev, LocalMeasure):
-            if ev.basis == "computational":
-                ens, dist = engine.measure_computational(ens, ev.targets, discard=ev.discard)
-            elif ev.basis == "bell":
-                ens, dist = engine.bell_measure(ens, ev.targets, discard=ev.discard)
-            elif ev.basis == "povm":
-                dist = dict(ev.distribution)  # statistics-only query; state untouched
-            else:
-                raise ValueError(f"step {step}: unknown measurement basis {ev.basis!r}")
-            if ev.basis != "povm":
-                recorded = dict(ev.distribution)
-                if set(recorded) != set(dist) or any(
-                    abs(recorded[k] - dist[k]) > 1e-9 for k in dist
-                ):
-                    raise ValueError(
-                        f"step {step}: recorded distribution {recorded} "
-                        f"disagrees with replay {dist}"
-                    )
-        elif isinstance(ev, Relocate):
-            ens, _ = engine.relocate_qubit(ens, ev.qubit, ev.to_party)
-        elif isinstance(ev, Relabel):
-            ens = engine.relabel_qubit(ens, ev.old, ev.new)
-        elif isinstance(ev, Coalesce):
-            ens = engine.coalesce(ens)
-        elif isinstance(ev, (ClassicalMessage, DecodedBits, EbitCreate)):
-            pass  # bookkeeping only
-        else:
-            raise ValueError(f"step {step}: unknown event {type(ev).__name__}")
+        ens, dist = apply_event(ens, ev)
+        if dist is not None:
+            recorded = dict(ev.distribution)
+            if set(recorded) != set(dist) or any(abs(recorded[k] - dist[k]) > 1e-9 for k in dist):
+                raise ValueError(f"step {step}: recorded distribution {recorded} disagrees with replay {dist}")
         yield step, ev, ens
 
 

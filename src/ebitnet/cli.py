@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -58,8 +59,7 @@ def _max_qubits() -> int:
 # simulate
 
 
-def _check(report: dict, name: str, ok: bool, detail: str) -> None:
-    report["checks"].append({"name": name, "ok": bool(ok), "detail": detail})
+# Each simulator returns the run and its checks as (name, ok, detail) tuples.
 
 
 def _simulate_teleport(n: int, rng: np.random.Generator, hub: int, cap: int):
@@ -71,12 +71,13 @@ def _simulate_teleport(n: int, rng: np.random.Generator, hub: int, cap: int):
     run.ledger.grant(1, 2, 1)
     run.snapshot_initial()
     moved = protocols.teleport(run, q1, to=2)
-    report = {"checks": []}
     fid = engine.ensemble_fidelity(run.ensemble, [moved], state)
-    _check(report, "fidelity", fid >= 1 - 1e-10, f"teleported state fidelity {fid:.15f}")
-    _check(report, "ledger", run.ledger.total_consumed() == 1 and run.ledger.total_bits_sent() == 2,
-           f"consumed {run.ledger.total_consumed()} ebits, sent {run.ledger.total_bits_sent()} bits")
-    return run, report
+    led = run.ledger
+    return run, [
+        ("fidelity", fid >= 1 - 1e-10, f"teleported state fidelity {fid:.15f}"),
+        ("ledger", led.total_consumed() == 1 and led.total_bits_sent() == 2,
+         f"consumed {led.total_consumed()} ebits, sent {led.total_bits_sent()} bits"),
+    ]
 
 
 def _simulate_two_qubit(n: int, rng: np.random.Generator, hub: int, cap: int):
@@ -87,106 +88,80 @@ def _simulate_two_qubit(n: int, rng: np.random.Generator, hub: int, cap: int):
     run.ledger.grant(1, 2, 2)
     run.snapshot_initial()
     protocols.collective_op_two_qubit(run, protocols.CollectiveOp(unitary=u))
-    report = {"checks": []}
     fid = engine.ensemble_fidelity(run.ensemble, protocols.data_order(run), u @ state)
-    _check(report, "fidelity", fid >= 1 - 1e-10, f"output state fidelity {fid:.15f}")
     led = run.ledger
-    ok = (led.total_consumed() == 2
-          and led.bits_sent.get((1, 2)) == 2 and led.bits_sent.get((2, 1)) == 2)
-    _check(report, "ledger", ok,
-           f"consumed {led.total_consumed()} ebits, bits {dict(led.bits_sent)}")
-    return run, report
+    ok = led.total_consumed() == 2 and led.bits_sent.get((1, 2)) == 2 and led.bits_sent.get((2, 1)) == 2
+    return run, [
+        ("fidelity", fid >= 1 - 1e-10, f"output state fidelity {fid:.15f}"),
+        ("ledger", ok, f"consumed {led.total_consumed()} ebits, bits {dict(led.bits_sent)}"),
+    ]
 
 
-def _simulate_star(n: int, rng: np.random.Generator, hub: int, cap: int,
-                   unitary: np.ndarray | None = None, label: str = "star-op"):
-    if n < 2:
-        raise CliUsageError(f"{label} needs --n >= 2")
-    if not 1 <= hub <= n:
-        raise CliUsageError(f"--hub {hub} out of range 1..{n}")
+def _simulate_star(n: int, rng: np.random.Generator, hub: int, cap: int, unitary_of=None):
+    """The hub-star run of ``unitary_of(n)``, or of a Haar unitary when None."""
     run = protocols.new_run(n, cap)
     state = gates.random_state(1 << n, rng)
-    u = gates.haar_unitary(1 << n, rng) if unitary is None else unitary
+    u = gates.haar_unitary(1 << n, rng) if unitary_of is None else unitary_of(n)
     protocols.add_data_qubits(run, state)
     for i in range(1, n + 1):
         if i != hub:
             run.ledger.grant(i, hub, 2)
     run.snapshot_initial()
     protocols.collective_op_star(run, protocols.CollectiveOp(unitary=u), hub=hub)
-    report = {"checks": []}
     fid = engine.ensemble_fidelity(run.ensemble, protocols.data_order(run), u @ state)
-    _check(report, "fidelity", fid >= 1 - 1e-9, f"output state fidelity {fid:.15f}")
+    led = run.ledger
     ent_star, comm_star = graphs.star_graphs(n, hub)
-    ok_e = run.ledger.consumed_matrix(n) == [list(r) for r in ent_star.weights]
-    ok_c = run.ledger.bits_matrix(n) == [list(r) for r in comm_star.weights]
-    _check(report, "ledger-matrix", ok_e and ok_c,
-           "per-pair usage equals the hub star pattern" if ok_e and ok_c
-           else "per-pair usage deviates from the hub star pattern")
-    totals_ok = (run.ledger.total_consumed() == 2 * (n - 1)
-                 and run.ledger.total_bits_sent() == 4 * (n - 1))
-    _check(report, "ledger-totals", totals_ok,
-           f"consumed {run.ledger.total_consumed()}, sent {run.ledger.total_bits_sent()}")
-    return run, report
+    star = (led.consumed_matrix(n) == [list(r) for r in ent_star.weights]
+            and led.bits_matrix(n) == [list(r) for r in comm_star.weights])
+    return run, [
+        ("fidelity", fid >= 1 - 1e-9, f"output state fidelity {fid:.15f}"),
+        ("ledger-matrix", star, "per-pair usage equals the hub star pattern" if star
+         else "per-pair usage deviates from the hub star pattern"),
+        ("ledger-totals", led.total_consumed() == 2 * (n - 1) and led.total_bits_sent() == 4 * (n - 1),
+         f"consumed {led.total_consumed()}, sent {led.total_bits_sent()}"),
+    ]
 
 
 def _simulate_swap_comm(n: int, rng: np.random.Generator, hub: int, cap: int):
     msg_ab = "".join(str(b) for b in rng.integers(0, 2, size=2))
     msg_ba = "".join(str(b) for b in rng.integers(0, 2, size=2))
     result = protocols.swap_communicate_demo(msg_ab, msg_ba, cap)
-    report = {"checks": []}
-    _check(report, "decode", result.decoded == result.sent,
-           f"sent {result.sent}, decoded {result.decoded}")
     led = result.run.ledger
-    _check(report, "ledger", led.total_consumed() == 2 and led.total_bits_sent() == 0,
-           f"consumed {led.total_consumed()} ebits, {led.total_bits_sent()} channel bits")
-    return result.run, report
+    return result.run, [
+        ("decode", result.decoded == result.sent, f"sent {result.sent}, decoded {result.decoded}"),
+        ("ledger", led.total_consumed() == 2 and led.total_bits_sent() == 0,
+         f"consumed {led.total_consumed()} ebits, {led.total_bits_sent()} channel bits"),
+    ]
 
 
 def _simulate_swap_entangle(n: int, rng: np.random.Generator, hub: int, cap: int):
     result = protocols.swap_entangle_demo(cap)
-    report = {"checks": []}
-    _check(report, "entropy", abs(result.entropy - 2.0) <= 1e-9,
-           f"entanglement across the cut: {result.entropy:.12f} ebits")
-    _check(report, "ledger", result.run.ledger.total_created() == 2,
-           f"created {result.run.ledger.total_created()} ebits")
-    return result.run, report
+    created = result.run.ledger.total_created()
+    return result.run, [
+        ("entropy", abs(result.entropy - 2.0) <= 1e-9,
+         f"entanglement across the cut: {result.entropy:.12f} ebits"),
+        ("ledger", created == 2, f"created {created} ebits"),
+    ]
 
 
 def _simulate_perm_entangle(n: int, rng: np.random.Generator, hub: int, cap: int):
-    if n < 2:
-        raise CliUsageError("perm-entangle needs --n >= 2")
     result = protocols.permutation_entangle(Permutation.cyclic_shift(n), cap)
-    report = {"checks": []}
-    _check(report, "created", result.run.ledger.total_created() == n,
-           f"created {result.run.ledger.total_created()} shared ebits")
+    created = result.run.ledger.total_created()
     ents = [engine.entropy_of_qubits(result.run.ensemble, [a]) for a, _ in result.pair_qubits]
-    _check(report, "pair-entropy", all(abs(x - 1.0) <= 1e-9 for x in ents),
-           f"per-pair entropies {['%.9f' % x for x in ents]}")
-    return result.run, report
+    return result.run, [
+        ("created", created == n, f"created {created} shared ebits"),
+        ("pair-entropy", all(abs(x - 1.0) <= 1e-9 for x in ents),
+         f"per-pair entropies {['%.9f' % x for x in ents]}"),
+    ]
 
 
 def _simulate_perm_comm(n: int, rng: np.random.Generator, hub: int, cap: int):
-    if n < 2:
-        raise CliUsageError("perm-comm needs --n >= 2")
     messages = {i: "".join(str(b) for b in rng.integers(0, 2, size=2)) for i in range(1, n + 1)}
     result = protocols.permutation_communicate(Permutation.cyclic_shift(n), messages, cap)
-    report = {"checks": []}
-    _check(report, "decode", result.decoded == result.sent,
-           f"{2 * n} bits conveyed, {sum(result.decoded[i] == result.sent[i] for i in result.sent)}"
-           f"/{n} messages correct")
-    return result.run, report
-
-
-def _simulate_ps(n: int, rng: np.random.Generator, hub: int, cap: int):
-    if n < 2 or n % 2:
-        raise CliUsageError(f"ps needs an even --n >= 2, got {n}")
-    return _simulate_star(n, rng, hub, cap, unitary=gates.ps_unitary(n), label="ps")
-
-
-def _simulate_ps_cp(n: int, rng: np.random.Generator, hub: int, cap: int):
-    if n < 3 or n % 2 == 0:
-        raise CliUsageError(f"ps-cp needs an odd --n >= 3, got {n}")
-    return _simulate_star(n, rng, hub, cap, unitary=gates.ps_cp_unitary(n), label="ps-cp")
+    correct = sum(result.decoded[i] == result.sent[i] for i in result.sent)
+    return result.run, [
+        ("decode", result.decoded == result.sent, f"{2 * n} bits conveyed, {correct}/{n} messages correct"),
+    ]
 
 
 _SIMULATORS = {
@@ -197,21 +172,38 @@ _SIMULATORS = {
     "swap-entangle": _simulate_swap_entangle,
     "perm-entangle": _simulate_perm_entangle,
     "perm-comm": _simulate_perm_comm,
-    "ps": _simulate_ps,
-    "ps-cp": _simulate_ps_cp,
+    "ps": partial(_simulate_star, unitary_of=gates.ps_unitary),
+    "ps-cp": partial(_simulate_star, unitary_of=gates.ps_cp_unitary),
 }
+# protocol -> (smallest --n, the parity --n must have or None); the others ignore --n
+_N_RULES = {"star-op": (2, None), "perm-entangle": (2, None), "perm-comm": (2, None),
+            "ps": (2, 0), "ps-cp": (3, 1)}
+_HUB_PROTOCOLS = ("star-op", "ps", "ps-cp")
+
+
+def _simulate(protocol: str, n: int, rng: np.random.Generator, hub: int, cap: int):
+    """Run ``protocol`` after checking --n and --hub; returns (run, checks)."""
+    if protocol in _N_RULES:
+        least, parity = _N_RULES[protocol]
+        if parity is None and n < least:
+            raise CliUsageError(f"{protocol} needs --n >= {least}")
+        if parity is not None and (n < least or n % 2 != parity):
+            raise CliUsageError(f"{protocol} needs an {('even', 'odd')[parity]} --n >= {least}, got {n}")
+    if protocol in _HUB_PROTOCOLS and not 1 <= hub <= n:
+        raise CliUsageError(f"--hub {hub} out of range 1..{n}")
+    return _SIMULATORS[protocol](n, rng, hub, cap)
 
 
 def cmd_simulate(args) -> int:
     cap = _max_qubits()
     rng = np.random.default_rng(args.seed)
-    run, report = _SIMULATORS[args.protocol](args.n, rng, args.hub, cap)
+    run, checks = _simulate(args.protocol, args.n, rng, args.hub, cap)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     stem = args.protocol
     (outdir / f"{stem}_trace.jsonl").write_text(dump_trace(run.trace), encoding="utf-8")
     ledger_doc = dict(run.ledger.summary())
-    ledger_doc["checks"] = report["checks"]
+    ledger_doc["checks"] = [{"name": name, "ok": bool(ok), "detail": detail} for name, ok, detail in checks]
     (outdir / f"{stem}_ledger.json").write_text(
         json.dumps(ledger_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     n = run.n_parties
@@ -221,12 +213,11 @@ def cmd_simulate(args) -> int:
         graphs.CommunicationGraph(n, tuple(tuple(r) for r in run.ledger.bits_matrix(n))),
     )
     (outdir / f"{stem}_graphs.json").write_text(graphs.export_json(bundle), encoding="utf-8")
-    for check in report["checks"]:
-        status = "ok" if check["ok"] else "FAIL"
-        print(f"{stem}: {check['name']}: {status} ({check['detail']})")
+    for name, ok, detail in checks:
+        print(f"{stem}: {name}: {'ok' if ok else 'FAIL'} ({detail})")
     if args.sample:
         _print_samples(run, args.sample, args.seed)
-    return 0 if all(c["ok"] for c in report["checks"]) else 1
+    return 0 if all(ok for _, ok, _ in checks) else 1
 
 
 def _print_samples(run, count: int, seed: int) -> None:

@@ -6,7 +6,9 @@ A trace is the ordered, replayable log of everything a protocol did:
 local gates and measurements, classical messages, ebit consumption and
 creation, plus the registry plumbing (allocation, relocation, relabeling,
 branch coalescing) and collective-oracle events needed to re-execute the
-run from its recorded initial state.
+run from its recorded initial state.  ``apply_event`` is the one mapping
+from an event to the engine: protocols run through it and the audit
+replays through it, and ``ResourceLedger.book`` charges the same events.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .engine import DEFAULT_MAX_QUBITS, Branch, BranchEnsemble, QubitId
+from . import engine
+from .engine import DEFAULT_MAX_QUBITS, Branch, BranchEnsemble, Gate, QubitId
 
 
 class InsufficientResources(RuntimeError):
@@ -65,6 +68,16 @@ class ResourceLedger:
         if sender == receiver:
             raise ValueError("sender and receiver must differ")
         _book(self.bits_sent, (sender, receiver), amount)
+
+    def book(self, event: Event) -> None:
+        """Charge a traced event: consumed and created ebits, and the bits of
+        every message that is not supplementary."""
+        if isinstance(event, EbitConsume):
+            self.consume_ebit(*event.pair)
+        elif isinstance(event, EbitCreate):
+            self.create_ebit(*event.pair)
+        elif isinstance(event, ClassicalMessage) and not event.supplementary:
+            self.send_bits(event.sender, event.receiver, event.bits)
 
     def add_supplementary(self, bits: float) -> None:
         if bits < 0:
@@ -143,6 +156,12 @@ def _check_square(matrix, targets) -> None:
                          f"got shape {np.shape(matrix)}")
 
 
+def _check_parties(what: str, parties, qubits) -> None:
+    if set(parties) != {q.party for q in qubits}:
+        raise ValueError(f"{what} names parties {sorted(set(parties))} "
+                         f"but its qubits are at {sorted({q.party for q in qubits})}")
+
+
 def _check_transfer(what: str, frm: int, to: int, bits: Fraction) -> None:
     if frm == to:
         raise ValueError(f"a {what} needs two different parties, got {frm} and {to}")
@@ -166,6 +185,9 @@ class Allocate:
 class EbitConsume:
     pair: tuple[Party, Party]
     qubits: tuple[QubitId, QubitId]  # the instantiated phi+ pair
+
+    def __post_init__(self):
+        _check_parties("an ebit consumption", self.pair, self.qubits)
 
 
 @dataclass(frozen=True)
@@ -236,6 +258,7 @@ class CollectiveOracle:
     matrix: np.ndarray
 
     def __post_init__(self):
+        _check_parties("an oracle", self.parties, self.targets)
         _check_square(self.matrix, self.targets)
 
 
@@ -269,6 +292,38 @@ Event = (
     | Relabel
     | Coalesce
 )
+
+
+def apply_event(ens: BranchEnsemble, event: Event) -> tuple[BranchEnsemble, dict[str, float] | None]:
+    """The ensemble after ``event``, and a measurement's outcome distribution.
+
+    A POVM's distribution is the recorded one: the trace does not keep the
+    POVM elements, and the state is left as it was.  Messages, decodes and
+    creations are bookkeeping only.
+    """
+    if isinstance(event, Allocate):
+        ens, _ = engine.allocate_qubits(ens, event.party, len(event.qubits), init=event.init,
+                                        labels=[q.label for q in event.qubits])
+    elif isinstance(event, EbitConsume):
+        ens = engine.insert_bell_pair(ens, *event.qubits)
+    elif isinstance(event, (LocalGate, CollectiveOracle)) and event.matrix is not None:
+        ens = engine.apply_gate(ens, Gate(event.targets, event.matrix))
+    elif isinstance(event, LocalGate):
+        ens = engine.apply_conditional(ens, event.targets, dict(event.cases), event.conditional_on)
+    elif isinstance(event, LocalMeasure):
+        if event.basis == "povm":
+            return ens, dict(event.distribution)
+        measure = engine.bell_measure if event.basis == "bell" else engine.measure_computational
+        return measure(ens, event.targets, discard=event.discard)
+    elif isinstance(event, Relocate):
+        ens, _ = engine.relocate_qubit(ens, event.qubit, event.to_party)
+    elif isinstance(event, Relabel):
+        ens = engine.relabel_qubit(ens, event.old, event.new)
+    elif isinstance(event, Coalesce):
+        ens = engine.coalesce(ens)
+    elif not isinstance(event, (ClassicalMessage, DecodedBits, EbitCreate)):
+        raise ValueError(f"unknown event {type(event).__name__}")
+    return ens, None
 
 
 @dataclass

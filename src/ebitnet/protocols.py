@@ -1,7 +1,8 @@
 """Teleportation-based protocols with full resource accounting.
 
-Every operation here runs on the exact ensemble engine and charges each
-ebit and classical bit to a ledger while appending a replayable trace.
+Every traced step goes through ``ProtocolRun.step``: the ledger books the
+event, ``ledger.apply_event`` runs it on the exact ensemble engine (the
+same function the audit replays with) and the trace records it.
 Held ebits are realized lazily: a phi+ pair enters the statevector only
 when a step consumes it, which keeps the registry small.  The SWAP and
 permutation demos apply the operation under study as an uncharged
@@ -11,14 +12,14 @@ collective oracle; everything else is strictly local plus messages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import engine, gates
-from .engine import BranchEnsemble, Gate, Povm, QubitId
+from .engine import BranchEnsemble, Povm, QubitId
 from .gates import Permutation
 from .ledger import (
     Allocate,
@@ -28,6 +29,7 @@ from .ledger import (
     DecodedBits,
     EbitConsume,
     EbitCreate,
+    Event,
     InsufficientResources,
     LocalGate,
     LocalMeasure,
@@ -35,6 +37,8 @@ from .ledger import (
     Relabel,
     Relocate,
     ResourceLedger,
+    apply_event,
+    pair_key,
 )
 
 
@@ -72,6 +76,20 @@ class ProtocolRun:
         """Record the current ensemble as the trace's replay starting point."""
         self.trace.initial = self.ensemble.copy()
 
+    def step(self, event: Event) -> dict[str, float] | None:
+        """Book ``event``, apply it and append it to the trace.
+
+        Booking comes first, so a step the ledger cannot pay for raises
+        InsufficientResources with the ensemble and the trace untouched.  A
+        measurement is recorded with, and returns, the distribution it produced.
+        """
+        self.ledger.book(event)
+        self.ensemble, dist = apply_event(self.ensemble, event)
+        if dist is not None:
+            event = replace(event, distribution=tuple(sorted(dist.items())))
+        self.trace.append(event)
+        return dist
+
 
 def new_run(n_parties: int, max_qubits: int = engine.DEFAULT_MAX_QUBITS) -> ProtocolRun:
     run = ProtocolRun(n_parties, BranchEnsemble.vacuum(max_qubits))
@@ -102,26 +120,20 @@ def data_order(run: ProtocolRun) -> list[QubitId]:
 
 def _consume_pair(run: ProtocolRun, a: int, b: int) -> tuple[QubitId, QubitId]:
     """Turn one held ebit into a live phi+ pair (first qubit at a, second at b)."""
-    run.ledger.consume_ebit(a, b)
     qa = QubitId(a, run.fresh_label())
     qb = QubitId(b, run.fresh_label())
-    run.ensemble = engine.insert_bell_pair(run.ensemble, qa, qb)
-    key = (a, b) if a < b else (b, a)
-    run.trace.append(EbitConsume(key, (qa, qb)))
+    run.step(EbitConsume(pair_key(a, b), (qa, qb)))
     return qa, qb
 
 
 def _local_gate(run: ProtocolRun, party: int, targets: Sequence[QubitId], matrix: np.ndarray) -> None:
     if any(q.party != party for q in targets):
         raise ValueError(f"gate targets {targets} are not all at party {party}")
-    run.ensemble = engine.apply_gate(run.ensemble, Gate(tuple(targets), matrix))
-    run.trace.append(LocalGate(party, tuple(targets), matrix=matrix))
+    run.step(LocalGate(party, tuple(targets), matrix=matrix))
 
 
 def _oracle(run: ProtocolRun, label: str, targets: Sequence[QubitId], matrix: np.ndarray) -> None:
-    parties = tuple(sorted({q.party for q in targets}))
-    run.ensemble = engine.apply_gate(run.ensemble, Gate(tuple(targets), matrix))
-    run.trace.append(CollectiveOracle(label, parties, tuple(targets), matrix))
+    run.step(CollectiveOracle(label, tuple(sorted({q.party for q in targets})), tuple(targets), matrix))
 
 
 def _bell_measure_local(
@@ -130,11 +142,16 @@ def _bell_measure_local(
     if any(q.party != party for q in pair):
         raise ValueError(f"bell measurement of {pair} is not local to party {party}")
     midx = run.ensemble.measurement_count
-    run.ensemble, dist = engine.bell_measure(run.ensemble, pair, discard=discard)
-    run.trace.append(
-        LocalMeasure(party, tuple(pair), "bell", discard, midx, tuple(sorted(dist.items())))
-    )
-    return midx, dist
+    return midx, run.step(LocalMeasure(party, tuple(pair), "bell", discard, midx, ()))
+
+
+def _local_pair(run: ProtocolRun, party: int) -> tuple[QubitId, QubitId]:
+    """Allocate qubits k<party> and m<party> at ``party`` and entangle them into phi+."""
+    keep, move = QubitId(party, f"k{party}"), QubitId(party, f"m{party}")
+    run.step(Allocate(party, (keep, move), "00"))
+    _local_gate(run, party, (keep,), gates.HADAMARD)
+    _local_gate(run, party, (keep, move), gates.cnot_unitary())
+    return keep, move
 
 
 def teleport(run: ProtocolRun, qubit: QubitId, to: int) -> QubitId:
@@ -153,19 +170,12 @@ def teleport(run: ProtocolRun, qubit: QubitId, to: int) -> QubitId:
         )
     anc_src, anc_dst = _consume_pair(run, source, to)
     midx, _ = _bell_measure_local(run, source, (qubit, anc_src), discard=True)
-    run.ledger.send_bits(source, to, 2)
-    run.trace.append(ClassicalMessage(source, to, Fraction(2)))
-    cases = dict(gates.TELEPORT_CORRECTIONS)
-    run.ensemble = engine.apply_conditional(run.ensemble, (anc_dst,), cases, midx)
-    run.trace.append(
-        LocalGate(to, (anc_dst,), cases=tuple(sorted(cases.items(), key=lambda kv: kv[0])),
-                  conditional_on=midx)
-    )
+    run.step(ClassicalMessage(source, to, Fraction(2)))
+    run.step(LocalGate(to, (anc_dst,), cases=tuple(sorted(gates.TELEPORT_CORRECTIONS.items())),
+                       conditional_on=midx))
     new_id = QubitId(to, qubit.label)
-    run.ensemble = engine.relabel_qubit(run.ensemble, anc_dst, new_id)
-    run.trace.append(Relabel(anc_dst, new_id))
-    run.ensemble = engine.coalesce(run.ensemble)
-    run.trace.append(Coalesce())
+    run.step(Relabel(anc_dst, new_id))
+    run.step(Coalesce())
     for party, q in run.data_qubits.items():
         if q == qubit:
             run.data_qubits[party] = new_id
@@ -186,15 +196,13 @@ def superdense_send(run: ProtocolRun, sender: int, receiver: int, message: str) 
         )
     q_send, q_recv = _consume_pair(run, sender, receiver)
     _local_gate(run, sender, (q_send,), gates.BELL_ENCODERS[message])
-    run.ensemble, moved = engine.relocate_qubit(run.ensemble, q_send, receiver)
-    run.trace.append(Relocate(q_send, receiver))
-    _, dist = _bell_measure_local(run, receiver, (moved, q_recv), discard=True)
+    run.step(Relocate(q_send, receiver))
+    _, dist = _bell_measure_local(run, receiver, (QubitId(receiver, q_send.label), q_recv), discard=True)
     decoded = max(dist, key=dist.get)
     if dist[decoded] < 1.0 - 1e-9:
         raise AssertionError(f"dense coding outcome not deterministic: {dist}")
-    run.trace.append(DecodedBits(receiver, sender, Fraction(2), decoded))
-    run.ensemble = engine.coalesce(run.ensemble)
-    run.trace.append(Coalesce())
+    run.step(DecodedBits(receiver, sender, Fraction(2), decoded))
+    run.step(Coalesce())
     return decoded
 
 
@@ -211,17 +219,14 @@ def _apply_collective(run: ProtocolRun, op: CollectiveOp, at: int, targets: Sequ
         _local_gate(run, at, targets, op.unitary)
         return
     probs = engine.measure_povm(run.ensemble, op.povm, targets)
-    midx = run.ensemble.measurement_count
-    dist = {str(r): p for r, p in enumerate(probs) if p > 0.0}
-    run.trace.append(
-        LocalMeasure(at, tuple(targets), "povm", False, midx, tuple(sorted(dist.items())))
-    )
+    dist = tuple(sorted((str(r), p) for r, p in enumerate(probs) if p > 0.0))
+    run.step(LocalMeasure(at, tuple(targets), "povm", False, run.ensemble.measurement_count, dist))
     if op.record:
         c_s = engine.shannon_entropy(probs)
         run.ledger.add_supplementary(c_s)
         # the trace carries whole bits; the ledger keeps the exact entropy
         for other in inform:
-            run.trace.append(ClassicalMessage(at, other, Fraction(math.ceil(c_s)), supplementary=True))
+            run.step(ClassicalMessage(at, other, Fraction(math.ceil(c_s)), supplementary=True))
 
 
 def collective_op_two_qubit(run: ProtocolRun, op: CollectiveOp) -> None:
@@ -295,8 +300,8 @@ def swap_communicate_demo(message_ab: str, message_ba: str,
     decoded_a = max(dist_a, key=dist_a.get)
     if min(dist_b[decoded_b], dist_a[decoded_a]) < 1.0 - 1e-9:
         raise AssertionError(f"demo outcomes not deterministic: {dist_a}, {dist_b}")
-    run.trace.append(DecodedBits(2, 1, Fraction(2), decoded_b))
-    run.trace.append(DecodedBits(1, 2, Fraction(2), decoded_a))
+    run.step(DecodedBits(2, 1, Fraction(2), decoded_b))
+    run.step(DecodedBits(1, 2, Fraction(2), decoded_a))
     return SwapCommResult((message_ab, message_ba), (decoded_b, decoded_a), run)
 
 
@@ -314,20 +319,10 @@ def swap_entangle_demo(max_qubits: int = engine.DEFAULT_MAX_QUBITS) -> SwapEntan
     """
     run = new_run(2, max_qubits)
     run.snapshot_initial()
-    pairs = {}
-    for party in (1, 2):
-        run.ensemble, ids = engine.allocate_qubits(
-            run.ensemble, party, 2, labels=(f"k{party}", f"m{party}")
-        )
-        run.trace.append(Allocate(party, ids, "00"))
-        keep, move = ids
-        _local_gate(run, party, (keep,), gates.HADAMARD)
-        _local_gate(run, party, (keep, move), gates.cnot_unitary())
-        pairs[party] = (keep, move)
+    pairs = {party: _local_pair(run, party) for party in (1, 2)}
     _oracle(run, "swap", (pairs[1][1], pairs[2][1]), gates.swap_unitary())
-    run.ledger.create_ebit(1, 2, 2)
-    run.trace.append(EbitCreate((1, 2)))
-    run.trace.append(EbitCreate((1, 2)))
+    run.step(EbitCreate((1, 2)))
+    run.step(EbitCreate((1, 2)))
     entropy = engine.entanglement_entropy(run.ensemble, {1})
     return SwapEntangleResult(entropy, run)
 
@@ -359,20 +354,15 @@ def permutation_entangle(p: Permutation,
     keeps: dict[int, QubitId] = {}
     moves: dict[int, QubitId] = {}
     for i in range(1, n + 1):
-        run.ensemble, ids = engine.allocate_qubits(run.ensemble, i, 2, labels=(f"k{i}", f"m{i}"))
-        run.trace.append(Allocate(i, ids, "00"))
-        keeps[i], moves[i] = ids
-        _local_gate(run, i, (keeps[i],), gates.HADAMARD)
-        _local_gate(run, i, (keeps[i], moves[i]), gates.cnot_unitary())
+        keeps[i], moves[i] = _local_pair(run, i)
     targets = tuple(moves[i] for i in range(1, n + 1))
     _oracle(run, "permutation", targets, gates.permutation_unitary(p))
     created: dict[tuple[int, int], Fraction] = {}
     pair_qubits = []
     for i in range(1, n + 1):
         j = p(i)
-        key = (i, j) if i < j else (j, i)
-        run.ledger.create_ebit(i, j)
-        run.trace.append(EbitCreate(key))
+        key = pair_key(i, j)
+        run.step(EbitCreate(key))
         created[key] = created.get(key, Fraction(0)) + 1
         pair_qubits.append((keeps[i], moves[j]))
     return PermutationEntangleResult(created, pair_qubits, run)
@@ -426,5 +416,5 @@ def permutation_communicate(p: Permutation, messages: Mapping[int, str],
         if dist[best] < 1.0 - 1e-9:
             raise AssertionError(f"receiver {i} outcome not deterministic: {dist}")
         decoded[i] = best
-        run.trace.append(DecodedBits(i, pinv(i), Fraction(2), best))
+        run.step(DecodedBits(i, pinv(i), Fraction(2), best))
     return PermutationCommResult(dict(messages), decoded, run)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebitnet import audit, engine, gates, graphs, protocols
+from ebitnet import audit, cli, engine, gates, graphs, protocols
 from ebitnet.engine import QubitId
 from ebitnet.gates import Permutation
 from ebitnet.ledger import (
@@ -471,3 +471,20 @@ class TestReplay:
             assert a.registry == b.registry
             for ba, bb in zip(a.branches, b.branches):
                 assert np.array_equal(ba.amplitudes, bb.amplitudes)
+
+
+# the --n each protocol is simulated at; the others take no --n
+REPLAY_N = {"star-op": 3, "perm-entangle": 3, "perm-comm": 3, "ps": 4, "ps-cp": 3}
+
+
+@pytest.mark.parametrize("protocol", cli.PROTOCOLS)
+def test_replay_reproduces_the_simulation_bit_for_bit(protocol):
+    run, _ = cli._SIMULATORS[protocol](REPLAY_N.get(protocol, 3), np.random.default_rng(7), 1,
+                                       engine.DEFAULT_MAX_QUBITS)
+    *_, (_, _, final) = audit.replay_events(run.trace.initial, run.trace.events)
+    want = run.ensemble
+    assert final.registry == want.registry
+    assert final.measurement_count == want.measurement_count
+    assert [b.probability for b in final.branches] == [b.probability for b in want.branches]
+    assert [b.record for b in final.branches] == [b.record for b in want.branches]
+    assert all(np.array_equal(got.amplitudes, exp.amplitudes) for got, exp in zip(final.branches, want.branches))

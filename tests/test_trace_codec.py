@@ -126,9 +126,13 @@ def test_out_of_range_party_is_rejected_with_its_line(kind, key, value):
     {"kind": "message", "from": 1, "to": 2, "bits": "-3"},
     {"kind": "decoded", "at": 2, "from": 2, "bits": "2"},
     {"kind": "decoded", "at": 2, "from": 1, "bits": "-1/2"},
+    {"kind": "ebit_consume", "pair": [1, 3], "qubits": [[1, "x"], [2, "y"]]},
+    {"kind": "oracle", "label": "I", "parties": [1, 2, 3], "targets": [[1, "q1"]],
+     "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
 ], ids=["no-matrix-or-cases", "three-qubit-ebit", "matrix-not-pairs", "distribution-not-object", "not-object",
         "init-22", "init-too-short", "allocate-nothing", "unknown-basis", "gate-1x1", "case-1x1",
-        "oracle-2x2-on-two", "message-to-self", "negative-message", "decode-from-self", "negative-decode"])
+        "oracle-2x2-on-two", "message-to-self", "negative-message", "decode-from-self", "negative-decode",
+        "consume-qubits-off-pair", "oracle-parties-off-targets"])
 def test_malformed_event_is_rejected_with_its_line(record):
     records = golden_records()[:3] + [record]
     with pytest.raises(ValueError, match=r"^trace line 4: "):
@@ -145,11 +149,26 @@ def _pair_1_7(records):
     next(r for r in records if r["kind"] == "ebit_consume")["pair"] = [1, 7]
 
 
+def _pair_1_3(records):
+    """The first consume (qubits at parties 1 and 2) charged to the pair 1-3."""
+    next(r for r in records if r["kind"] == "ebit_consume")["pair"] = [1, 3]
+
+
+def _forged_oracle(records):
+    """20 forged creates between parties 2 and 3, then an identity oracle on
+    party 1's qubit that declares every party, so as to exempt every cut."""
+    records += [{"kind": "ebit_create", "pair": [2, 3]}] * 20
+    records.append({"kind": "oracle", "label": "I", "parties": [1, 2, 3], "targets": [[1, "q1"]],
+                    "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
+
+
 @pytest.mark.parametrize("mutate,line", [
     (lambda records: _drop_n_parties(records[0]), 1),
     (lambda records: _truncate_amplitudes(records[0]), 1),
     (_pair_1_7, 2),
-], ids=["no-n_parties", "truncated-amplitudes", "pair-1-7"])
+    (_pair_1_3, 2),
+    (_forged_oracle, 47),
+], ids=["no-n_parties", "truncated-amplitudes", "pair-1-7", "pair-1-3", "forged-oracle"])
 @pytest.mark.parametrize("flags", [[], ["--no-replay"]], ids=["replay", "no-replay"])
 def test_audit_of_malformed_trace_exits_two_without_traceback(tmp_path, capsys, mutate, line, flags):
     records, graphs_file = _star_trace(tmp_path)
