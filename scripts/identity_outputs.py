@@ -9,7 +9,8 @@ simulate`` and the exit code, stdout and stderr of that command and of
 records a few usage errors, and audits seeded mutations of the small runs'
 traces and graph files (dropped, duplicated and swapped events, re-paired
 ebits, changed bits, forged creates, decodes and messages, lowered graph
-weights, shifted distributions, re-pointed consumes and a forged oracle).
+weights, shifted distributions, a relabel moved across parties, re-pointed
+consumes and a forged oracle).
 
 The script imports ebitnet from the src/ directory of its own checkout.  To
 check that a change leaves the CLI's behaviour byte-identical, run it from two
@@ -188,6 +189,24 @@ def _forged_oracle(records, graph, rng):
                     "targets": [[1, "q1"]], "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
 
 
+def _move_first_relabel(records, graph, rng):
+    """The first relabel renames its qubit onto the next party (label "moved"), and the
+    later events name the moved qubit: a cross-party relabel that still loads."""
+    relabels = _events(records, "relabel")
+    if not relabels:
+        return
+    first = records[relabels[0]]
+    old, moved = first["new"], [first["old"][0] % graph["n"] + 1, "moved"]
+    first["new"] = moved
+
+    def rename(value):
+        if isinstance(value, list):
+            return moved if value == old else [rename(v) for v in value]
+        return {k: rename(v) for k, v in value.items()} if isinstance(value, dict) else value
+
+    records[relabels[0] + 1:] = [rename(r) for r in records[relabels[0] + 1:]]
+
+
 MUTATIONS = {
     "drop": _drop,
     "duplicate": _duplicate,
@@ -200,6 +219,7 @@ MUTATIONS = {
     "insert-message": _insert(_message),
     "lower-weight": _lower_weight,
     "shift-distribution": _shift_distribution,
+    "move-first-relabel": _move_first_relabel,
 }
 # single probes, applied to the n >= 3 bases only
 PROBES = {"repoint-first-consume": _repoint_first_consume, "forged-oracle": _forged_oracle}

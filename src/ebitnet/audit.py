@@ -94,6 +94,11 @@ def _spans(parties: Sequence[int], side: frozenset[int]) -> bool:
     return any(p in side for p in parties) and not all(p in side for p in parties)
 
 
+def _owners(ens: BranchEnsemble) -> list[int]:
+    """The party of every registry position."""
+    return [q.party for q in ens.registry]
+
+
 def _nonzero(graph, pairs) -> dict[tuple[int, int], Fraction]:
     """The graph's nonzero weights over ``pairs``; a missing graph is an empty book."""
     if graph is None:
@@ -105,9 +110,11 @@ def replay_events(initial: BranchEnsemble, events: Sequence[Event]):
     """Re-execute a trace deterministically, yielding the ensemble after each event.
 
     Raises ValueError when an event cannot be applied or a recorded
-    measurement distribution disagrees with the replayed one.
+    measurement distribution disagrees with the replayed one.  ``initial``
+    is left as it was: engine operations return fresh ensembles, and an
+    event that leaves the state alone yields the ensemble it was given.
     """
-    ens = initial.copy()
+    ens = initial
     for step, ev in enumerate(events):
         ens, dist = apply_event(ens, ev)
         if dist is not None:
@@ -221,12 +228,20 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
             return engine.entanglement_entropy(ens, cut, universe=universe) + float(held[cut])
 
         last = {cut: monotone(trace.initial, cut) for cut in cuts}
+        before = trace.initial
         try:
             for step, ev, ens in replay_events(trace.initial, trace.events):
                 joined = _joined(ev)
+                # the same branches under the same party of every position give the
+                # same entropies: messages, decodes, creates, POVM records and
+                # same-party relabels keep every cut's last value
+                reuse = ens.branches is before.branches and _owners(ens) == _owners(before)
+                before = ens
                 for cut in cuts:
                     if isinstance(ev, EbitConsume) and _spans(ev.pair, cut):
                         held[cut] -= 1
+                    if reuse:
+                        continue
                     value = monotone(ens, cut)
                     if not _spans(joined, cut) and value > last[cut] + ENTROPY_TOL:
                         report.violations.append(Violation(

@@ -218,11 +218,14 @@ def _block(vec: np.ndarray, positions: Sequence[int], k: int) -> np.ndarray:
     """A 2**k statevector as a (2**m, rest) block for the m registry ``positions``.
 
     Row index bit j is the qubit at ``positions[j]``; columns run over the
-    other qubits in their original index order.
+    other qubits in their original index order.  A stack of statevectors,
+    shape (..., 2**k), gives the stack of their blocks.
     """
-    axes = [k - 1 - p for p in reversed(positions)]
-    order = axes + [a for a in range(k) if a not in axes]
-    return np.transpose(vec.reshape((2,) * k), order).reshape(1 << len(positions), -1)
+    lead = vec.ndim - 1
+    axes = [lead + k - 1 - p for p in reversed(positions)]
+    order = [*range(lead), *axes, *(a for a in range(lead, lead + k) if a not in axes)]
+    tensor = vec.reshape(vec.shape[:-1] + (2,) * k)
+    return np.transpose(tensor, order).reshape(*vec.shape[:-1], 1 << len(positions), -1)
 
 
 def _reduced_from_vec(vec: np.ndarray, keep_positions: Sequence[int], k: int) -> np.ndarray:
@@ -478,18 +481,27 @@ def reduced_density(ensemble: BranchEnsemble, subset: Sequence[QubitId]) -> np.n
     return rho
 
 
-def entropy_of_qubits(ensemble: BranchEnsemble, subset: Sequence[QubitId]) -> float:
-    """Probability-weighted per-branch von Neumann entropy of ``subset`` (base 2)."""
-    subset = list(subset)
-    if not subset or len(subset) == ensemble.num_qubits:
-        return 0.0
-    positions = sorted(ensemble.position(q) for q in subset)
+def entropy_of_qubits(ensemble: BranchEnsemble, subset: Iterable[QubitId]) -> float:
+    """Probability-weighted per-branch von Neumann entropy of ``subset`` (base 2).
+
+    Every branch is pure, so ``subset`` and the rest of the registry share
+    one Schmidt spectrum.  It is read from the reduced densities of the
+    smaller side, all branches in one stacked eigensolve.
+    """
+    wanted = set(subset)
+    missing = wanted.difference(ensemble.registry)
+    if missing:
+        raise ValueError(f"unknown target qubit {min(missing)!r}")
     k = ensemble.num_qubits
-    total = 0.0
-    for b in ensemble.branches:
-        rho = _reduced_from_vec(b.amplitudes, positions, k)
-        total += b.probability * _vn_entropy(rho)
-    return total
+    inside = 2 * len(wanted) <= k  # whether the smaller side is the subset itself
+    side = [p for p, q in enumerate(ensemble.registry) if (q in wanted) == inside]
+    if not side:
+        return 0.0
+    blocks = _block(np.stack([b.amplitudes for b in ensemble.branches]), side, k)
+    eigs = np.linalg.eigvalsh(blocks @ blocks.conj().swapaxes(-1, -2))
+    logs = np.log2(eigs, out=np.zeros_like(eigs), where=eigs > EIG_TOL)
+    per_branch = -np.sum(eigs * logs, axis=-1)
+    return float(sum(b.probability * s for b, s in zip(ensemble.branches, per_branch)))
 
 
 def entanglement_entropy(
@@ -502,12 +514,6 @@ def entanglement_entropy(
         raise ValueError(f"partition {sorted(parts)} is not a proper nonempty subset of {sorted(all_parties)}")
     qubits = [q for q in ensemble.registry if q.party in parts]
     return entropy_of_qubits(ensemble, qubits)
-
-
-def _vn_entropy(rho: np.ndarray) -> float:
-    eigs = np.linalg.eigvalsh(rho)
-    eigs = eigs[eigs > EIG_TOL]
-    return float(-np.sum(eigs * np.log2(eigs)))
 
 
 def shannon_entropy(distribution) -> float:

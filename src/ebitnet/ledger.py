@@ -326,6 +326,35 @@ def apply_event(ens: BranchEnsemble, event: Event) -> tuple[BranchEnsemble, dict
     return ens, None
 
 
+def _follow_registry(ids: set[QubitId], event: Event) -> None:
+    """Update the registry ids ``ids`` past ``event``, as ``apply_event`` would.
+
+    Every qubit the event names must be registered and every qubit it adds
+    must be new; this needs no amplitudes, so a trace is checked at load.
+    """
+    named, removed, added = (), (), ()
+    if isinstance(event, (Allocate, EbitConsume)):
+        added = event.qubits
+    elif isinstance(event, (LocalGate, CollectiveOracle, LocalMeasure)):
+        named = event.targets
+        if isinstance(event, LocalMeasure) and event.discard and event.basis != "povm":
+            removed = event.targets
+    elif isinstance(event, Relabel):
+        named, removed, added = (event.old,), (event.old,), (event.new,)
+    elif isinstance(event, Relocate):
+        named, removed, added = (event.qubit,), (event.qubit,), (QubitId(event.to_party, event.qubit.label),)
+    for q in named:
+        if q not in ids:
+            raise ValueError(f"qubit {q!r} is not in the registry")
+    if len(set(named)) != len(named):
+        raise ValueError(f"targets {list(named)} name a qubit twice")
+    ids.difference_update(removed)
+    for q in added:
+        if q in ids:
+            raise ValueError(f"qubit {q!r} is already in the registry")
+        ids.add(q)
+
+
 @dataclass
 class ProtocolTrace:
     """Append-only event log, with the initial ensemble for replay."""
@@ -480,7 +509,11 @@ def dump_trace(trace: ProtocolTrace) -> str:
 
 
 def load_trace(text: str) -> ProtocolTrace:
-    """Parse a trace; malformed input raises ValueError("trace line N: ...")."""
+    """Parse a trace; malformed input raises ValueError("trace line N: ...").
+
+    With an initial state in the header, the qubits of every event are
+    followed through the registry (``_follow_registry``).
+    """
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("trace line 1: empty trace")
@@ -491,8 +524,12 @@ def load_trace(text: str) -> ProtocolTrace:
                 raise ValueError("expected a JSON object")
             if i == lines[0][0]:
                 trace = _header_trace(rec)
+                ids = None if trace.initial is None else set(trace.initial.registry)
             else:
-                trace.append(event_from_record(rec, trace.n_parties))
+                event = event_from_record(rec, trace.n_parties)
+                if ids is not None:
+                    _follow_registry(ids, event)
+                trace.append(event)
         except json.JSONDecodeError as exc:
             raise ValueError(f"trace line {i}: invalid JSON ({exc.msg})") from None
         except (KeyError, ValueError, TypeError, AttributeError) as exc:

@@ -1,6 +1,7 @@
 import itertools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,16 +12,23 @@ from ebitnet import audit, cli, engine, gates, graphs, protocols
 from ebitnet.engine import QubitId
 from ebitnet.gates import Permutation
 from ebitnet.ledger import (
+    Allocate,
     ClassicalMessage,
+    Coalesce,
     CollectiveOracle,
     DecodedBits,
     EbitConsume,
     EbitCreate,
+    LocalGate,
+    LocalMeasure,
     ProtocolTrace,
+    Relabel,
     Relocate,
     dump_trace,
     load_trace,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def star_bundle(run):
@@ -488,3 +496,152 @@ def test_replay_reproduces_the_simulation_bit_for_bit(protocol):
     assert [b.probability for b in final.branches] == [b.probability for b in want.branches]
     assert [b.record for b in final.branches] == [b.record for b in want.branches]
     assert all(np.array_equal(got.amplitudes, exp.amplitudes) for got, exp in zip(final.branches, want.branches))
+
+
+def reference_entropy(ens, parties):
+    """The cut entropy by the older formula: one ``eigvalsh`` per branch on the
+    reduced density of the partition side, zero eigenvalues (below 1e-12) dropped."""
+    k = ens.num_qubits
+    positions = [i for i, q in enumerate(ens.registry) if q.party in parties]
+    if not positions or len(positions) == k:
+        return 0.0
+    total = 0.0
+    for b in ens.branches:
+        tensor = b.amplitudes.reshape((2,) * k)
+        mat = np.moveaxis(tensor, [k - 1 - p for p in positions], range(len(positions)))
+        mat = mat.reshape(1 << len(positions), -1)
+        eigs = np.linalg.eigvalsh(mat @ mat.conj().T)
+        eigs = eigs[eigs > 1e-12]
+        total += b.probability * float(-np.sum(eigs * np.log2(eigs)))
+    return total
+
+
+def audit_monotone_series(monkeypatch, trace, bundle):
+    """Audit ``trace`` with replay.  Return the ensemble at each point of the
+    replay (the initial one, then one after each event) and, for each point,
+    the number of cut entropies the audit evaluated there and the entropy of
+    every cut as the audit then held it."""
+    calls = [0]
+    latest = {}
+    series = []
+    states = [trace.initial]
+    counted, replay_events = engine.entanglement_entropy, audit.replay_events
+
+    def counting(ens, partition, universe=None):
+        calls[0] += 1
+        latest[frozenset(partition)] = value = counted(ens, partition, universe=universe)
+        return value
+
+    def recording(initial, events):
+        for step, ev, ens in replay_events(initial, events):
+            series.append((calls[0], dict(latest)))  # the point before this event is complete
+            calls[0] = 0
+            states.append(ens)
+            yield step, ev, ens
+        series.append((calls[0], dict(latest)))
+
+    monkeypatch.setattr(engine, "entanglement_entropy", counting)
+    monkeypatch.setattr(audit, "replay_events", recording)
+    report = audit.audit_trace(trace, bundle)
+    assert report.replayed
+    return states, series
+
+
+@pytest.mark.parametrize("protocol", cli.PROTOCOLS)
+def test_monotone_series_matches_the_per_branch_formula(monkeypatch, protocol):
+    run, _ = cli._SIMULATORS[protocol](REPLAY_N.get(protocol, 3), np.random.default_rng(7), 1,
+                                       engine.DEFAULT_MAX_QUBITS)
+    states, series = audit_monotone_series(monkeypatch, run.trace, star_bundle(run))
+    assert len(states) == len(series) == len(run.trace.events) + 1
+    for step, (ens, (_, entropies)) in enumerate(zip(states, series)):
+        assert set(entropies) == set(audit._cuts(run.n_parties))
+        for cut, value in entropies.items():
+            assert abs(value - reference_entropy(ens, cut)) <= 1e-12, (step, sorted(cut))
+
+
+@st.composite
+def party_ensembles(draw):
+    """A random ensemble of pure branches over 1..6 qubits held by parties 1..n;
+    some branches are basis states, whose spectra are mostly zeros."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    owners = draw(st.lists(st.integers(min_value=1, max_value=n), min_size=1, max_size=6))
+    registry = tuple(QubitId(p, f"x{i}") for i, p in enumerate(owners))
+    basis_states = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    weights = rng.random(len(basis_states)) + 0.1
+    branches = []
+    for basis_state, weight in zip(basis_states, weights / weights.sum()):
+        if basis_state:
+            vec = np.zeros(1 << len(registry), dtype=complex)
+            vec[rng.integers(len(vec))] = 1.0
+        else:
+            vec = gates.random_state(1 << len(registry), rng)
+        branches.append(engine.Branch(float(weight), vec))
+    return n, engine.BranchEnsemble(registry, branches)
+
+
+@given(party_ensembles())
+@settings(max_examples=200, deadline=None)
+def test_cut_entropy_matches_the_per_branch_formula(case):
+    n, ens = case
+    for cut in audit._cuts(n):
+        value = engine.entanglement_entropy(ens, cut, universe=range(1, n + 1))
+        assert abs(value - reference_entropy(ens, cut)) <= 1e-12
+
+
+STATE_CHANGING = (EbitConsume, LocalGate, LocalMeasure, CollectiveOracle, Relocate, Relabel, Coalesce,
+                  Allocate)
+
+
+def test_monotone_is_evaluated_once_per_cut_after_every_state_change_only(monkeypatch):
+    # the golden trace holds every event kind, a same-party relabel, a POVM record
+    # and a relocation across parties; a relabel across parties is appended
+    text = (ROOT / "fixtures" / "golden_trace.jsonl").read_text(encoding="utf-8")
+    trace = load_trace(text + '{"kind": "relabel", "old": [3, "q3"], "new": [1, "q3"]}\n')
+    n_cuts = len(audit._cuts(trace.n_parties))
+    _, series = audit_monotone_series(monkeypatch, trace, graphs.GraphBundle(trace.n_parties, None, None))
+    assert series[0][0] == n_cuts  # the initial values
+    kinds = set()
+    for ev, (calls, _) in zip(trace.events, series[1:]):
+        bookkeeping = (isinstance(ev, (ClassicalMessage, DecodedBits, EbitCreate))
+                       or (isinstance(ev, LocalMeasure) and ev.basis == "povm")
+                       or (isinstance(ev, Relabel) and ev.old.party == ev.new.party))
+        assert calls == (0 if bookkeeping else n_cuts), ev
+        kinds.add((type(ev).__name__, bookkeeping))
+    assert {name for name, bookkeeping in kinds if bookkeeping} == {
+        "ClassicalMessage", "DecodedBits", "EbitCreate", "LocalMeasure", "Relabel"}
+    assert {name for name, bookkeeping in kinds if not bookkeeping} == {c.__name__ for c in STATE_CHANGING}
+
+
+def move_first_relabel(records, party):
+    """Point the first relabel's new id at ``party`` (label "moved"), and every
+    later reference to that qubit at the moved one, so the trace still loads."""
+    first = next(r for r in records if r["kind"] == "relabel")
+    old, moved = first["new"], [party, "moved"]
+    first["new"] = moved
+
+    def rename(value):
+        if isinstance(value, list):
+            return moved if value == old else [rename(v) for v in value]
+        return {k: rename(v) for k, v in value.items()} if isinstance(value, dict) else value
+
+    at = records.index(first)
+    records[at + 1:] = [rename(r) for r in records[at + 1:]]
+
+
+def test_cross_party_relabel_report_is_exact(tmp_path):
+    assert cli.main(["simulate", "star-op", "--n", "3", "--seed", "7", "--output", str(tmp_path)]) == 0
+    records = [json.loads(ln) for ln in (tmp_path / "star-op_trace.jsonl").read_text(encoding="utf-8").splitlines()]
+    move_first_relabel(records, 2)
+    trace = load_trace("".join(json.dumps(r) + "\n" for r in records))
+    bundle = graphs.import_json((tmp_path / "star-op_graphs.json").read_text(encoding="utf-8"))
+    report = audit.audit_trace(trace, bundle)
+    assert report.checks_run == STATIC_CHECKS + ["replay-monotonicity"]
+    assert [(v.check, v.detail, v.step) for v in report.violations] == [
+        ("locality", "relabel moves 1:a1 to party 2; qubit conveyance must be a relocate event", 4),
+        ("locality", "event declared local to party 1 targets [2:moved]", 12),
+        ("locality", "event declared local to party 1 targets [2:moved]", 14),
+        ("replay-monotonicity", "cut [1, 3]: monotone rose from 1.000000000000 to 1.335798095618", 4),
+        ("replay-monotonicity", "cut [1]: monotone rose from 2.335798095618 to 2.888747130175", 12),
+        ("replay-monotonicity", "cut [1, 3]: monotone rose from 1.335798095618 to 1.888747130175", 12),
+    ]

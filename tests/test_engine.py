@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebitnet import engine, gates
 from ebitnet.engine import BranchEnsemble, Gate, Povm, QubitId, RegistryCapacityError
@@ -252,6 +254,19 @@ class TestEntropy:
         for q in ids + ids2:
             ens = engine.apply_gate(ens, Gate((q,), gates.haar_unitary(2, rng)))
         assert abs(engine.entanglement_entropy(ens, {1}) - before) < 1e-9
+
+    @given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_both_sides_of_a_cut_have_one_entropy(self, k, n_branches, seed, data):
+        rng = np.random.default_rng(seed)
+        registry = tuple(QubitId(1, f"x{i}") for i in range(k))
+        weights = rng.random(n_branches) + 0.1
+        branches = [engine.Branch(float(w), gates.random_state(1 << k, rng)) for w in weights / weights.sum()]
+        ens = BranchEnsemble(registry, branches)
+        subset = data.draw(st.sets(st.sampled_from(registry)))
+        rest = [q for q in registry if q not in subset]
+        assert abs(engine.entropy_of_qubits(ens, subset) - engine.entropy_of_qubits(ens, rest)) <= 1e-12
 
     def test_measurement_cannot_raise_average_entropy(self):
         rng = np.random.default_rng(29)

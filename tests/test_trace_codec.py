@@ -129,10 +129,13 @@ def test_out_of_range_party_is_rejected_with_its_line(kind, key, value):
     {"kind": "ebit_consume", "pair": [1, 3], "qubits": [[1, "x"], [2, "y"]]},
     {"kind": "oracle", "label": "I", "parties": [1, 2, 3], "targets": [[1, "q1"]],
      "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+    {"kind": "relabel", "old": [1, "nowhere"], "new": [1, "q9"]},
+    {"kind": "allocate", "party": 2, "qubits": [[2, "q2"]], "init": "0"},
 ], ids=["no-matrix-or-cases", "three-qubit-ebit", "matrix-not-pairs", "distribution-not-object", "not-object",
         "init-22", "init-too-short", "allocate-nothing", "unknown-basis", "gate-1x1", "case-1x1",
         "oracle-2x2-on-two", "message-to-self", "negative-message", "decode-from-self", "negative-decode",
-        "consume-qubits-off-pair", "oracle-parties-off-targets"])
+        "consume-qubits-off-pair", "oracle-parties-off-targets", "relabel-unknown-qubit",
+        "allocate-existing-qubit"])
 def test_malformed_event_is_rejected_with_its_line(record):
     records = golden_records()[:3] + [record]
     with pytest.raises(ValueError, match=r"^trace line 4: "):
@@ -162,13 +165,25 @@ def _forged_oracle(records):
                     "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
 
 
+def _nowhere(records):
+    """The first relabel renames a qubit that is not in the registry."""
+    next(r for r in records if r["kind"] == "relabel")["old"] = [1, "nowhere"]
+
+
+def _allocate_existing(records):
+    records.insert(1, {"kind": "allocate", "party": 1, "qubits": [[1, "q1"]], "init": "0"})
+
+
 @pytest.mark.parametrize("mutate,line", [
     (lambda records: _drop_n_parties(records[0]), 1),
     (lambda records: _truncate_amplitudes(records[0]), 1),
     (_pair_1_7, 2),
     (_pair_1_3, 2),
     (_forged_oracle, 47),
-], ids=["no-n_parties", "truncated-amplitudes", "pair-1-7", "pair-1-3", "forged-oracle"])
+    (_nowhere, 6),
+    (_allocate_existing, 2),
+], ids=["no-n_parties", "truncated-amplitudes", "pair-1-7", "pair-1-3", "forged-oracle", "relabel-nowhere",
+        "allocate-existing"])
 @pytest.mark.parametrize("flags", [[], ["--no-replay"]], ids=["replay", "no-replay"])
 def test_audit_of_malformed_trace_exits_two_without_traceback(tmp_path, capsys, mutate, line, flags):
     records, graphs_file = _star_trace(tmp_path)
