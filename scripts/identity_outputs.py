@@ -10,7 +10,7 @@ records a few usage errors, and audits seeded mutations of the small runs'
 traces and graph files (dropped, duplicated and swapped events, re-paired
 ebits, changed bits, forged creates, decodes and messages, lowered graph
 weights, shifted distributions, a relabel moved across parties, re-pointed
-consumes and a forged oracle).
+consumes, a forged oracle and a header registry cap below the trace's needs).
 
 The script imports ebitnet from the src/ directory of its own checkout.  To
 check that a change leaves the CLI's behaviour byte-identical, run it from two
@@ -207,6 +207,14 @@ def _move_first_relabel(records, graph, rng):
     records[relabels[0] + 1:] = [rename(r) for r in records[relabels[0] + 1:]]
 
 
+def _max_qubits(extra):
+    """The header's registry cap set to its registry size plus ``extra``: -1 is below
+    the header's own registry, +1 below the first consume or allocation (each adds 2)."""
+    def mutate(records, graph, rng):
+        records[0]["max_qubits"] = len(records[0]["registry"]) + extra
+    return mutate
+
+
 MUTATIONS = {
     "drop": _drop,
     "duplicate": _duplicate,
@@ -222,7 +230,8 @@ MUTATIONS = {
     "move-first-relabel": _move_first_relabel,
 }
 # single probes, applied to the n >= 3 bases only
-PROBES = {"repoint-first-consume": _repoint_first_consume, "forged-oracle": _forged_oracle}
+PROBES = {"repoint-first-consume": _repoint_first_consume, "forged-oracle": _forged_oracle,
+          "max-qubits-below-registry": _max_qubits(-1), "max-qubits-below-first-add": _max_qubits(1)}
 
 
 def main() -> None:

@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Check that the tests notice a broken check: one single-line mutant per row.
+
+Usage: python scripts/mutants.py [--quick]
+
+Each row of ``MUTANTS`` names a file, an exact piece of its text, the text
+to put in its place, and the tests expected to fail once it is there.  For
+each row the script copies the tree (src, tests, fixtures, pyproject.toml)
+into a temporary directory, applies the edit and runs only the named tests.
+The mutant is killed when one of them fails, and survives when they all pass.
+The named tests are first run once on an unmutated copy; they must pass.
+
+Exit codes: 0 when every mutant is killed, 1 when one survives, 2 when the
+table is stale (a piece of old text not found exactly once) or a named test
+fails on the unmutated tree.  ``--quick`` runs only the rows marked quick.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TREE = ("src", "tests", "fixtures", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    quick: bool = False
+
+
+PROTOCOLS = "tests/test_protocols.py::"
+AUDIT = "tests/test_audit.py::"
+CODEC = "tests/test_trace_codec.py::"
+MUTANTS = (
+    Mutant("step refuses only below zero", "src/ebitnet/protocols.py",
+           "self.ledger.held(*event.pair) < 1:", "self.ledger.held(*event.pair) < 0:",
+           (PROTOCOLS + "TestResourceBook::test_step_refuses_a_consume_without_a_held_ebit",
+            PROTOCOLS + "TestTeleport::test_without_ebits_refuses_and_leaves_ledger",
+            PROTOCOLS + "TestSuperdense::test_insufficient_ebits"), quick=True),
+    Mutant("held-nonnegative one ebit late", "src/ebitnet/audit.py",
+           "books.held(*ev.pair) < 0", "books.held(*ev.pair) < -1",
+           (AUDIT + "TestAuditViolations::test_overconsumption_flagged",
+            AUDIT + "test_forged_trace_report_is_exact")),
+    Mutant("supplementary messages charged", "src/ebitnet/ledger.py",
+           "isinstance(event, ClassicalMessage) and not event.supplementary:",
+           "isinstance(event, ClassicalMessage):",
+           (PROTOCOLS + "TestCollectiveTwoQubit::test_recorded_uniform_povm_supplementary",
+            AUDIT + "test_cut_checks_match_brute_force_reference"), quick=True),
+    Mutant("decoded bits keyed (at, from)", "src/ebitnet/ledger.py",
+           "(event.from_party, event.at_party)", "(event.at_party, event.from_party)",
+           (PROTOCOLS + "TestResourceBook::test_decoded_bits_are_booked_from_sender_to_receiver",
+            AUDIT + "test_forged_trace_report_is_exact")),
+    Mutant("dense-coding allowance of 3 bits", "src/ebitnet/audit.py",
+           "allowance = 2 * _across(", "allowance = 3 * _across(",
+           (AUDIT + "test_forged_trace_report_is_exact",
+            AUDIT + "test_cut_checks_match_brute_force_reference")),
+    Mutant("channel capacity reached counts as exceeded", "src/ebitnet/audit.py",
+           "if bits > cap:", "if bits >= cap:",
+           (AUDIT + "TestAuditCleanRuns::test_star_run_is_clean",)),
+    Mutant("registry cap one qubit short at load", "src/ebitnet/ledger.py",
+           "len(ids) + len(added) > max_qubits", "len(ids) + len(added) >= max_qubits",
+           (CODEC + "test_registry_may_reach_max_qubits_but_not_pass_it",), quick=True),
+)
+
+
+def copy_tree(into: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in TREE:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, into / name, ignore=ignore)
+        else:
+            shutil.copy2(source, into / name)
+
+
+def run_tests(tree: Path, tests) -> int:
+    """The pytest exit code of ``tests`` run in ``tree``, stopping at the first failure."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    return proc.returncode
+
+
+def fail(message: str) -> None:
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--quick", action="store_true", help="run only the rows marked quick")
+    args = ap.parse_args()
+    rows = [row for row in MUTANTS if row.quick or not args.quick]
+
+    for row in rows:
+        count = (ROOT / row.path).read_text(encoding="utf-8").count(row.old)
+        if count != 1:
+            fail(f"stale row {row.name!r}: {row.old!r} occurs {count} times in {row.path}")
+
+    with tempfile.TemporaryDirectory() as scratch:
+        clean = Path(scratch) / "clean"
+        copy_tree(clean)
+        if run_tests(clean, sorted({test for row in rows for test in row.tests})) != 0:
+            fail("the named tests do not all pass on the unmutated tree")
+
+        survivors = 0
+        for i, row in enumerate(rows):
+            tree = Path(scratch) / f"mutant{i}"
+            copy_tree(tree)
+            path = tree / row.path
+            path.write_text(path.read_text(encoding="utf-8").replace(row.old, row.new), encoding="utf-8")
+            start = time.perf_counter()
+            code = run_tests(tree, row.tests)
+            if code not in (0, 1, 2):  # 2: the mutant broke collection, which kills it too
+                fail(f"pytest exited {code} on row {row.name!r}; check its test names")
+            survivors += code == 0
+            print(f"{'survived' if code == 0 else 'killed':<8}  {row.name}  ({row.path}, "
+                  f"{time.perf_counter() - start:.1f} s)")
+            shutil.rmtree(tree)
+
+    print(f"{len(rows) - survivors} of {len(rows)} mutants killed")
+    if survivors:
+        raise SystemExit(1)
+
+
+if __name__ == "__main__":
+    main()

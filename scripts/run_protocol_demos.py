@@ -1,78 +1,41 @@
 #!/usr/bin/env python3
-"""Run each protocol once and print what it cost and what it achieved.
+"""Run each protocol once through ``ebitnet simulate`` and print its checks.
 
 Usage: python scripts/run_protocol_demos.py [--seed N] [--n N]
+
+The n-party protocols run at ``--n``; ps and ps-cp take the nearest larger
+party count of the parity they need.  Output files go to a temporary
+directory and are discarded.
 """
 
 import argparse
+import tempfile
 
-import numpy as np
+from ebitnet import cli
 
-from ebitnet import engine, gates, graphs, protocols
-from ebitnet.gates import Permutation
+
+def party_count(protocol: str, n: int) -> int:
+    """The smallest valid --n for ``protocol`` that is at least ``n``."""
+    least, parity = cli._N_RULES.get(protocol, (1, None))
+    n = max(n, least)
+    return n + 1 if parity is not None and n % 2 != parity else n
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--n", type=int, default=4, help="party count for the n-party demos")
+    ap.add_argument("--n", type=int, default=4, help="party count for the n-party protocols")
     args = ap.parse_args()
-    rng = np.random.default_rng(args.seed)
-    n = args.n
 
-    state = gates.random_state(2, rng)
-    run = protocols.new_run(2)
-    run.ensemble, (q1,) = engine.allocate_qubits(run.ensemble, 1, 1, labels=("q1",))
-    run.ensemble = engine.BranchEnsemble.from_amplitudes((q1,), state)
-    run.ledger.grant(1, 2, 1)
-    run.snapshot_initial()
-    moved = protocols.teleport(run, q1, to=2)
-    fid = engine.ensemble_fidelity(run.ensemble, [moved], state)
-    print(f"teleport:          fidelity {fid:.12f}, "
-          f"{run.ledger.total_consumed()} ebit + {run.ledger.total_bits_sent()} bits")
-
-    run = protocols.new_run(2)
-    joint = gates.random_state(4, rng)
-    u = gates.haar_unitary(4, rng)
-    protocols.add_data_qubits(run, joint)
-    run.ledger.grant(1, 2, 2)
-    run.snapshot_initial()
-    protocols.collective_op_two_qubit(run, protocols.CollectiveOp(unitary=u))
-    fid = engine.ensemble_fidelity(run.ensemble, protocols.data_order(run), u @ joint)
-    print(f"two-qubit op:      fidelity {fid:.12f}, "
-          f"{run.ledger.total_consumed()} ebits + {run.ledger.total_bits_sent()} bits")
-
-    comm = protocols.swap_communicate_demo("01", "10")
-    print(f"swap communicate:  sent {comm.sent} decoded {comm.decoded}, "
-          f"{comm.run.ledger.total_consumed()} ebits, 0 channel bits")
-
-    ent = protocols.swap_entangle_demo()
-    print(f"swap entangle:     {ent.entropy:.9f} ebits across the cut "
-          f"({ent.run.ledger.total_created()} booked)")
-
-    p = Permutation.cyclic_shift(n)
-    pe = protocols.permutation_entangle(p)
-    print(f"perm entangle n={n}: {pe.run.ledger.total_created()} shared ebits "
-          f"over pairs {sorted(pe.created)}")
-
-    msgs = {i: f"{rng.integers(0, 2)}{rng.integers(0, 2)}" for i in range(1, n + 1)}
-    pc = protocols.permutation_communicate(p, msgs)
-    correct = sum(pc.decoded[i] == msgs[i] for i in msgs)
-    print(f"perm communicate:  {2 * n} bits conveyed, {correct}/{n} messages correct")
-
-    run = protocols.new_run(n)
-    joint = gates.random_state(1 << n, rng)
-    u = gates.haar_unitary(1 << n, rng)
-    protocols.add_data_qubits(run, joint)
-    for i in range(2, n + 1):
-        run.ledger.grant(i, 1, 2)
-    run.snapshot_initial()
-    protocols.collective_op_star(run, protocols.CollectiveOp(unitary=u))
-    fid = engine.ensemble_fidelity(run.ensemble, protocols.data_order(run), u @ joint)
-    ge, gc = graphs.star_graphs(n)
-    star_ok = run.ledger.consumed_matrix(n) == [list(r) for r in ge.weights]
-    print(f"star op n={n}:       fidelity {fid:.12f}, ledger matches the hub star: {star_ok}, "
-          f"{run.ledger.total_consumed()} ebits + {run.ledger.total_bits_sent()} bits")
+    failed = []
+    with tempfile.TemporaryDirectory() as out:
+        for protocol in cli.PROTOCOLS:
+            rc = cli.main(["simulate", protocol, "--seed", str(args.seed),
+                           "--n", str(party_count(protocol, args.n)), "--output", out])
+            if rc:
+                failed.append(protocol)
+    if failed:
+        raise SystemExit(f"failed: {', '.join(failed)}")
 
 
 if __name__ == "__main__":

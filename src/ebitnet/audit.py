@@ -20,7 +20,6 @@ Checks, per trace:
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -29,17 +28,15 @@ from . import engine
 from .engine import BranchEnsemble
 from .graphs import GraphBundle
 from .ledger import (
-    ClassicalMessage,
     CollectiveOracle,
-    DecodedBits,
     EbitConsume,
-    EbitCreate,
     Event,
     LocalGate,
     LocalMeasure,
     ProtocolTrace,
     Relabel,
     Relocate,
+    ResourceLedger,
     apply_event,
     pair_key,
 )
@@ -134,31 +131,21 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
     report = AuditReport(n_parties=n, checks_run=["held-nonnegative", "locality"])
 
     # -- one pass over the events: books, locality and cuts spanned ---------
-    consumed: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
-    created: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
-    sent: dict[tuple[int, int], Fraction] = defaultdict(Fraction)  # (from, to)
-    decoded: dict[tuple[int, int], Fraction] = defaultdict(Fraction)  # (from, at)
+    books = ResourceLedger(granted=granted)
     locality: list[Violation] = []
     spanned_by_oracle: set[frozenset[int]] = set()
     spanned_by_conveyance: set[frozenset[int]] = set()
     cuts = _cuts(n)
 
     for step, ev in enumerate(trace.events):
-        if isinstance(ev, EbitConsume):
+        books.book(ev)
+        if isinstance(ev, EbitConsume) and books.held(*ev.pair) < 0:
             key = pair_key(*ev.pair)
-            consumed[key] += 1
-            if consumed[key] > granted.get(key, 0):
-                report.violations.append(Violation(
-                    "held-nonnegative",
-                    f"pair {key} consumed beyond its {granted.get(key, Fraction(0))} held ebits",
-                    step,
-                ))
-        elif isinstance(ev, EbitCreate):
-            created[pair_key(*ev.pair)] += 1
-        elif isinstance(ev, ClassicalMessage) and not ev.supplementary:
-            sent[(ev.sender, ev.receiver)] += ev.bits
-        elif isinstance(ev, DecodedBits):
-            decoded[(ev.from_party, ev.at_party)] += ev.bits
+            report.violations.append(Violation(
+                "held-nonnegative",
+                f"pair {key} consumed beyond its {granted.get(key, Fraction(0))} held ebits",
+                step,
+            ))
         elif isinstance(ev, (LocalGate, LocalMeasure)):
             strangers = [q for q in ev.targets if q.party != ev.party]
             if strangers:
@@ -181,7 +168,7 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
     report.violations += locality
 
     report.checks_run.append("channel-capacity")
-    for (a, b), bits in sorted(sent.items()):
+    for (a, b), bits in sorted(books.bits_sent.items()):
         cap = capacity.get((a, b), Fraction(0))
         if bits > cap:
             report.violations.append(Violation(
@@ -194,7 +181,7 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
     for cut in cuts:
         if cut in spanned_by_oracle or cut in spanned_by_conveyance:
             continue
-        made, used = _across(created, cut), _across(consumed, cut)
+        made, used = _across(books.ebits_created, cut), _across(books.ebits_consumed, cut)
         if made > used + initial[cut]:
             report.violations.append(Violation(
                 "cut-entanglement",
@@ -206,10 +193,10 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
     for cut in cuts:
         if cut in spanned_by_oracle:
             continue
-        allowance = 2 * _across(consumed, cut)
+        allowance = 2 * _across(books.ebits_consumed, cut)
         for side, name in ((cut, "out of"), (frozenset(parties) - cut, "into")):
-            got = _across(decoded, side, directed=True)
-            msg = _across(sent, side, directed=True)
+            got = _across(books.bits_decoded, side, directed=True)
+            msg = _across(books.bits_sent, side, directed=True)
             if got > msg + allowance:
                 report.violations.append(Violation(
                     "cut-communication",

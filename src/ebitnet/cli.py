@@ -38,7 +38,7 @@ PROTOCOLS = (
 )
 
 
-class CliUsageError(Exception):
+class CliUsageError(ValueError):
     pass
 
 
@@ -336,10 +336,7 @@ def cmd_audit(args) -> int:
         bundle = graphs.import_json(Path(args.graphs).read_text(encoding="utf-8"))
     except (OSError, graphs.GraphFormatError) as exc:
         raise CliUsageError(f"graphs: {exc}") from None
-    try:
-        report = audit_mod.audit_trace(trace, bundle, replay=not args.no_replay)
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from None
+    report = audit_mod.audit_trace(trace, bundle, replay=not args.no_replay)
     doc = {
         "n_parties": report.n_parties,
         "checks_run": report.checks_run,
@@ -399,10 +396,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (graphs.GraphFormatError, engine.RegistryCapacityError, ValueError) as exc:
+    except (ValueError, engine.RegistryCapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -109,9 +109,6 @@ class BranchEnsemble:
     def parties(self) -> set[int]:
         return {q.party for q in self.registry}
 
-    def qubits_of(self, party: int) -> tuple[QubitId, ...]:
-        return tuple(q for q in self.registry if q.party == party)
-
     def position(self, qubit: QubitId) -> int:
         try:
             return self.registry.index(qubit)

@@ -8,7 +8,8 @@ creation, plus the registry plumbing (allocation, relocation, relabeling,
 branch coalescing) and collective-oracle events needed to re-execute the
 run from its recorded initial state.  ``apply_event`` is the one mapping
 from an event to the engine: protocols run through it and the audit
-replays through it, and ``ResourceLedger.book`` charges the same events.
+replays through it.  ``ResourceLedger.book`` is the one rule that charges
+an event to the resource books, for protocols and the audit alike.
 """
 
 from __future__ import annotations
@@ -36,48 +37,43 @@ def pair_key(a: int, b: int) -> tuple[int, int]:
 
 @dataclass
 class ResourceLedger:
-    """Per-pair ebit and per-direction bit accounting in exact rationals."""
+    """Per-pair ebit and per-direction bit accounting in exact rationals.
 
-    ebits_held: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    ``book`` is the one rule that charges a trace event, for protocols and
+    the audit alike.  It never refuses: a pair consumed beyond its grant
+    holds a negative amount, and refusing is left to the caller.
+    """
+
     ebits_consumed: dict[tuple[int, int], Fraction] = field(default_factory=dict)
     ebits_created: dict[tuple[int, int], Fraction] = field(default_factory=dict)
-    bits_sent: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    bits_sent: dict[tuple[int, int], Fraction] = field(default_factory=dict)  # (from, to)
+    bits_decoded: dict[tuple[int, int], Fraction] = field(default_factory=dict)  # (from, at)
     granted: dict[tuple[int, int], Fraction] = field(default_factory=dict)
     supplementary_bits: float = 0.0
 
     def grant(self, a: int, b: int, amount: int | Fraction = 1) -> None:
         """Endow the pair {a,b} with initially held ebits."""
-        key = pair_key(a, b)
-        self.ebits_held[key] = self.held(a, b) + _book(self.granted, key, amount)
+        _book(self.granted, pair_key(a, b), amount)
 
     def held(self, a: int, b: int) -> Fraction:
-        return self.ebits_held.get(pair_key(a, b), Fraction(0))
-
-    def consume_ebit(self, a: int, b: int, amount: int | Fraction = 1) -> None:
         key = pair_key(a, b)
-        if self.held(a, b) < amount:
-            raise InsufficientResources(
-                f"pair {key} holds {self.held(a, b)} ebits, needs {amount}"
-            )
-        self.ebits_held[key] = self.held(a, b) - _book(self.ebits_consumed, key, amount)
+        return self.granted.get(key, Fraction(0)) - self.ebits_consumed.get(key, Fraction(0))
 
-    def create_ebit(self, a: int, b: int, amount: int | Fraction = 1) -> None:
-        _book(self.ebits_created, pair_key(a, b), amount)
-
-    def send_bits(self, sender: int, receiver: int, amount: int | Fraction) -> None:
-        if sender == receiver:
-            raise ValueError("sender and receiver must differ")
-        _book(self.bits_sent, (sender, receiver), amount)
+    @property
+    def ebits_held(self) -> dict[tuple[int, int], Fraction]:
+        return {key: self.held(*key) for key in self.granted.keys() | self.ebits_consumed.keys()}
 
     def book(self, event: Event) -> None:
-        """Charge a traced event: consumed and created ebits, and the bits of
-        every message that is not supplementary."""
+        """Charge a traced event: consumed and created ebits, the bits of every
+        message that is not supplementary, and decoded bits."""
         if isinstance(event, EbitConsume):
-            self.consume_ebit(*event.pair)
+            _book(self.ebits_consumed, pair_key(*event.pair), 1)
         elif isinstance(event, EbitCreate):
-            self.create_ebit(*event.pair)
+            _book(self.ebits_created, pair_key(*event.pair), 1)
         elif isinstance(event, ClassicalMessage) and not event.supplementary:
-            self.send_bits(event.sender, event.receiver, event.bits)
+            _book(self.bits_sent, (event.sender, event.receiver), event.bits)
+        elif isinstance(event, DecodedBits):
+            _book(self.bits_decoded, (event.from_party, event.at_party), event.bits)
 
     def add_supplementary(self, bits: float) -> None:
         if bits < 0:
@@ -326,11 +322,12 @@ def apply_event(ens: BranchEnsemble, event: Event) -> tuple[BranchEnsemble, dict
     return ens, None
 
 
-def _follow_registry(ids: set[QubitId], event: Event) -> None:
+def _follow_registry(ids: set[QubitId], event: Event, max_qubits: int) -> None:
     """Update the registry ids ``ids`` past ``event``, as ``apply_event`` would.
 
-    Every qubit the event names must be registered and every qubit it adds
-    must be new; this needs no amplitudes, so a trace is checked at load.
+    Every qubit the event names must be registered, every qubit it adds
+    must be new, and the registry may not grow past ``max_qubits``; this
+    needs no amplitudes, so a trace is checked at load.
     """
     named, removed, added = (), (), ()
     if isinstance(event, (Allocate, EbitConsume)):
@@ -349,6 +346,8 @@ def _follow_registry(ids: set[QubitId], event: Event) -> None:
     if len(set(named)) != len(named):
         raise ValueError(f"targets {list(named)} name a qubit twice")
     ids.difference_update(removed)
+    if len(ids) + len(added) > max_qubits:
+        raise ValueError(f"adding {len(added)} qubits to {len(ids)} would exceed the registry cap of {max_qubits}")
     for q in added:
         if q in ids:
             raise ValueError(f"qubit {q!r} is already in the registry")
@@ -365,14 +364,6 @@ class ProtocolTrace:
 
     def append(self, event: Event) -> None:
         self.events.append(event)
-
-    def messages_total(self, sender: int, receiver: int) -> Fraction:
-        return sum(
-            (e.bits for e in self.events
-             if isinstance(e, ClassicalMessage) and not e.supplementary
-             and e.sender == sender and e.receiver == receiver),
-            Fraction(0),
-        )
 
 
 # --------------------------------------------------------------------------
@@ -494,7 +485,10 @@ def _header_trace(rec: Mapping) -> ProtocolTrace:
     branches = [Branch(float(b["p"]), _complex_in(b["amplitudes"])) for b in rec["branches"]]
     if any(b.amplitudes.shape != (1 << len(registry),) for b in branches):
         raise ValueError(f"every branch needs {1 << len(registry)} amplitudes")
-    initial = BranchEnsemble(registry, branches, int(rec.get("max_qubits", DEFAULT_MAX_QUBITS)))
+    max_qubits = int(rec.get("max_qubits", DEFAULT_MAX_QUBITS))
+    if len(registry) > max_qubits:
+        raise ValueError(f"a registry of {len(registry)} qubits exceeds max_qubits {max_qubits}")
+    initial = BranchEnsemble(registry, branches, max_qubits)
     try:
         initial.check()
     except AssertionError as exc:
@@ -512,7 +506,8 @@ def load_trace(text: str) -> ProtocolTrace:
     """Parse a trace; malformed input raises ValueError("trace line N: ...").
 
     With an initial state in the header, the qubits of every event are
-    followed through the registry (``_follow_registry``).
+    followed through the registry and counted against its ``max_qubits``
+    (``_follow_registry``).
     """
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
@@ -528,7 +523,7 @@ def load_trace(text: str) -> ProtocolTrace:
             else:
                 event = event_from_record(rec, trace.n_parties)
                 if ids is not None:
-                    _follow_registry(ids, event)
+                    _follow_registry(ids, event, trace.initial.max_qubits)
                 trace.append(event)
         except json.JSONDecodeError as exc:
             raise ValueError(f"trace line {i}: invalid JSON ({exc.msg})") from None

@@ -1,8 +1,9 @@
 """Teleportation-based protocols with full resource accounting.
 
 Every traced step goes through ``ProtocolRun.step``: the ledger books the
-event, ``ledger.apply_event`` runs it on the exact ensemble engine (the
-same function the audit replays with) and the trace records it.
+event (by the same rule the audit charges with), ``ledger.apply_event``
+runs it on the exact ensemble engine (the same function the audit replays
+with) and the trace records it.
 Held ebits are realized lazily: a phi+ pair enters the statevector only
 when a step consumes it, which keeps the registry small.  The SWAP and
 permutation demos apply the operation under study as an uncharged
@@ -79,10 +80,14 @@ class ProtocolRun:
     def step(self, event: Event) -> dict[str, float] | None:
         """Book ``event``, apply it and append it to the trace.
 
-        Booking comes first, so a step the ledger cannot pay for raises
-        InsufficientResources with the ensemble and the trace untouched.  A
-        measurement is recorded with, and returns, the distribution it produced.
+        An ebit consumption on a pair that holds less than one ebit raises
+        InsufficientResources first, with the ledger, the ensemble and the
+        trace untouched.  A measurement is recorded with, and returns, the
+        distribution it produced.
         """
+        if isinstance(event, EbitConsume) and self.ledger.held(*event.pair) < 1:
+            raise InsufficientResources(
+                f"pair {pair_key(*event.pair)} holds {self.ledger.held(*event.pair)} ebits, needs 1")
         self.ledger.book(event)
         self.ensemble, dist = apply_event(self.ensemble, event)
         if dist is not None:
@@ -164,10 +169,6 @@ def teleport(run: ProtocolRun, qubit: QubitId, to: int) -> QubitId:
     source = qubit.party
     if to == source:
         raise ValueError("teleport destination must be a different party")
-    if run.ledger.held(source, to) < 1:
-        raise InsufficientResources(
-            f"teleport {source}->{to} needs 1 held ebit, have {run.ledger.held(source, to)}"
-        )
     anc_src, anc_dst = _consume_pair(run, source, to)
     midx, _ = _bell_measure_local(run, source, (qubit, anc_src), discard=True)
     run.step(ClassicalMessage(source, to, Fraction(2)))
@@ -190,10 +191,6 @@ def superdense_send(run: ProtocolRun, sender: int, receiver: int, message: str) 
     """
     if message not in gates.BELL_ENCODERS:
         raise ValueError(f"message must be 2 bits, got {message!r}")
-    if run.ledger.held(sender, receiver) < 1:
-        raise InsufficientResources(
-            f"superdense {sender}->{receiver} needs 1 held ebit, have {run.ledger.held(sender, receiver)}"
-        )
     q_send, q_recv = _consume_pair(run, sender, receiver)
     _local_gate(run, sender, (q_send,), gates.BELL_ENCODERS[message])
     run.step(Relocate(q_send, receiver))

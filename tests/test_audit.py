@@ -158,6 +158,13 @@ FORGED = {
     "channel-capacity": ([
         {"kind": "message", "from": 1, "to": 2, "bits": "5"},
     ], 2, '{"n": 2, "communication": [["0","2"],["0","0"]]}'),
+    # one consumed ebit allows 2 decoded bits across the cut: exactly met one
+    # way, exceeded by one bit the other way
+    "dense-coding-allowance": ([
+        {"kind": "ebit_consume", "pair": [1, 2], "qubits": [[1, "x"], [2, "y"]]},
+        {"kind": "decoded", "at": 2, "from": 1, "bits": "2"},
+        {"kind": "decoded", "at": 1, "from": 2, "bits": "3"},
+    ], 2, '{"n": 2, "entanglement": [["0","1"],["1","0"]]}'),
     # a two-party gate smuggled in as a local event
     "nonlocal-gate": ([
         {"kind": "ebit_consume", "pair": [1, 2], "qubits": [[1, "x"], [2, "y"]]},
@@ -263,6 +270,10 @@ PINNED = {
          "cut [1]: 3 bits decoded out of the cut exceed 0 sent + dense-coding allowance 0", None),
     ],
     "channel-capacity": [("channel-capacity", "5 bits sent 1->2 exceed the declared capacity 2", None)],
+    "dense-coding-allowance": [
+        ("cut-communication",
+         "cut [1]: 3 bits decoded into the cut exceed 0 sent + dense-coding allowance 2", None),
+    ],
     "nonlocal-gate": [("locality", "event declared local to party 1 targets [2:y]", 1)],
     "cross-party-relabel": [
         ("locality", "relabel moves 1:x to party 2; qubit conveyance must be a relocate event", 1),

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -5,10 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ebitnet import engine, gates, protocols
+from ebitnet import cli, engine, gates, protocols
 from ebitnet.engine import BranchEnsemble, Povm
 from ebitnet.gates import Permutation
-from ebitnet.ledger import ClassicalMessage, InsufficientResources, LocalMeasure
+from ebitnet.ledger import (
+    ClassicalMessage,
+    DecodedBits,
+    EbitConsume,
+    InsufficientResources,
+    LocalMeasure,
+    ResourceLedger,
+)
 
 
 def single_qubit_run(state, ebits=1):
@@ -379,17 +387,66 @@ class TestLedgerInvariants:
         protocols.collective_op_two_qubit(run, protocols.CollectiveOp(unitary=np.eye(4)))
         assert all(v >= 0 for v in run.ledger.ebits_held.values())
         with pytest.raises(InsufficientResources):
-            run.ledger.consume_ebit(1, 2)
+            run.step(EbitConsume((1, 2), (engine.QubitId(1, "x"), engine.QubitId(2, "y"))))
 
     def test_every_message_event_has_a_ledger_increment(self):
         rng = np.random.default_rng(22)
         run = star_run(3, gates.random_state(8, rng))
         protocols.collective_op_star(run, protocols.CollectiveOp(unitary=gates.haar_unitary(8, rng)))
-        for (a, b), total in run.ledger.bits_sent.items():
-            assert run.trace.messages_total(a, b) == total
+        per_direction = {}
+        for e in run.trace.events:
+            if isinstance(e, ClassicalMessage) and not e.supplementary:
+                per_direction[(e.sender, e.receiver)] = per_direction.get((e.sender, e.receiver), 0) + e.bits
+        assert per_direction == run.ledger.bits_sent
         traced = sum(
             (e.bits for e in run.trace.events
              if isinstance(e, ClassicalMessage) and not e.supplementary),
             Fraction(0),
         )
         assert traced == run.ledger.total_bits_sent()
+
+
+# the --n each protocol is simulated at; the others take no --n
+BOOK_N = {"star-op": 3, "perm-entangle": 3, "perm-comm": 3, "ps": 4, "ps-cp": 3}
+
+
+class TestResourceBook:
+    def test_consume_beyond_the_grant_is_booked_and_goes_negative(self):
+        ledger = ResourceLedger()
+        ledger.grant(1, 2, 1)
+        consume = EbitConsume((1, 2), (engine.QubitId(1, "x"), engine.QubitId(2, "y")))
+        ledger.book(consume)
+        ledger.book(consume)
+        assert ledger.held(1, 2) == -1
+        assert ledger.ebits_consumed == {(1, 2): 2}
+        assert ledger.summary()["ebits_held"] == {"1-2": "-1"}
+
+    def test_decoded_bits_are_booked_from_sender_to_receiver(self):
+        ledger = ResourceLedger()
+        ledger.book(DecodedBits(at_party=2, from_party=3, bits=Fraction(2)))
+        ledger.book(DecodedBits(at_party=2, from_party=3, bits=Fraction(1, 2)))
+        assert ledger.bits_decoded == {(3, 2): Fraction(5, 2)}
+        assert ledger.bits_sent == {}
+
+    @pytest.mark.parametrize("ebits", [0, 1])
+    def test_step_refuses_a_consume_without_a_held_ebit(self, ebits):
+        rng = np.random.default_rng(23)
+        run, q1 = single_qubit_run(gates.random_state(2, rng), ebits=ebits)
+        if ebits:
+            protocols.teleport(run, q1, to=2)
+        ensemble, events, books = run.ensemble, list(run.trace.events), copy.deepcopy(run.ledger)
+        with pytest.raises(InsufficientResources, match=r"^pair \(1, 2\) holds 0 ebits, needs 1$"):
+            run.step(EbitConsume((2, 1), (engine.QubitId(2, "x"), engine.QubitId(1, "y"))))
+        assert run.ensemble is ensemble
+        assert run.trace.events == events
+        assert run.ledger == books
+
+    @pytest.mark.parametrize("protocol", cli.PROTOCOLS)
+    def test_booking_the_trace_reproduces_the_run_ledger(self, protocol):
+        run, _ = cli._SIMULATORS[protocol](BOOK_N.get(protocol, 3), np.random.default_rng(7), 1,
+                                           engine.DEFAULT_MAX_QUBITS)
+        books = ResourceLedger(granted=dict(run.ledger.granted))
+        for event in run.trace.events:
+            books.book(event)
+        assert books.summary() == run.ledger.summary()
+        assert books == run.ledger

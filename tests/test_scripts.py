@@ -1,4 +1,5 @@
-"""Each demo script under scripts/ runs to completion with its default arguments."""
+"""Each script under scripts/ runs to completion with its default arguments
+(``mutants.py`` with ``--quick``: its full set runs pytest once per row)."""
 
 import os
 import subprocess
@@ -9,12 +10,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+ARGS = {"mutants.py": ["--quick"]}
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
 def test_script_exits_zero_with_defaults(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, str(script), *ARGS.get(script.name, [])], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

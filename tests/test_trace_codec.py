@@ -74,6 +74,7 @@ HEADER_FAULTS = {
     "duplicate-qubit": _duplicate_qubit,
     "stranger-qubit": _stranger_qubit,
     "no-branches": lambda h: h.update(branches=[]),
+    "registry-over-cap": lambda h: h.update(max_qubits=2),
 }
 
 
@@ -131,15 +132,35 @@ def test_out_of_range_party_is_rejected_with_its_line(kind, key, value):
      "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
     {"kind": "relabel", "old": [1, "nowhere"], "new": [1, "q9"]},
     {"kind": "allocate", "party": 2, "qubits": [[2, "q2"]], "init": "0"},
+    {"kind": "allocate", "party": 1, "qubits": [[1, f"z{i}"] for i in range(22)], "init": "0" * 22},
 ], ids=["no-matrix-or-cases", "three-qubit-ebit", "matrix-not-pairs", "distribution-not-object", "not-object",
         "init-22", "init-too-short", "allocate-nothing", "unknown-basis", "gate-1x1", "case-1x1",
         "oracle-2x2-on-two", "message-to-self", "negative-message", "decode-from-self", "negative-decode",
         "consume-qubits-off-pair", "oracle-parties-off-targets", "relabel-unknown-qubit",
-        "allocate-existing-qubit"])
+        "allocate-existing-qubit", "allocate-over-cap"])
 def test_malformed_event_is_rejected_with_its_line(record):
     records = golden_records()[:3] + [record]
     with pytest.raises(ValueError, match=r"^trace line 4: "):
         load_trace(as_text(records))
+
+
+def test_registry_may_reach_max_qubits_but_not_pass_it():
+    """The golden trace holds 3 qubits after its line 3, under a cap of 24."""
+    records = golden_records()
+    assert len(records[0]["registry"]) == 3 and records[0]["max_qubits"] == 24
+    records[0]["max_qubits"] = 3
+    load_trace(as_text(records[:1]))
+    records[0]["max_qubits"] = 2
+    with pytest.raises(ValueError, match=r"^trace line 1: a registry of 3 qubits exceeds max_qubits 2$"):
+        load_trace(as_text(records[:1]))
+
+    def allocate(k):
+        return {"kind": "allocate", "party": 1, "qubits": [[1, f"z{i}"] for i in range(k)], "init": "0" * k}
+
+    records[0]["max_qubits"] = 24
+    load_trace(as_text(records[:3] + [allocate(21)]))
+    with pytest.raises(ValueError, match=r"^trace line 4: adding 22 qubits to 3 would exceed the registry cap of 24$"):
+        load_trace(as_text(records[:3] + [allocate(22)]))
 
 
 def _star_trace(tmp_path) -> tuple[list[dict], Path]:
@@ -174,6 +195,14 @@ def _allocate_existing(records):
     records.insert(1, {"kind": "allocate", "party": 1, "qubits": [[1, "q1"]], "init": "0"})
 
 
+def _max_qubits(cap):
+    """The header's registry cap set to ``cap``; the star-op n=3 header holds 3 qubits
+    and its first consume, on line 2, adds 2."""
+    def mutate(records):
+        records[0]["max_qubits"] = cap
+    return mutate
+
+
 @pytest.mark.parametrize("mutate,line", [
     (lambda records: _drop_n_parties(records[0]), 1),
     (lambda records: _truncate_amplitudes(records[0]), 1),
@@ -182,8 +211,10 @@ def _allocate_existing(records):
     (_forged_oracle, 47),
     (_nowhere, 6),
     (_allocate_existing, 2),
+    (_max_qubits(2), 1),
+    (_max_qubits(4), 2),
 ], ids=["no-n_parties", "truncated-amplitudes", "pair-1-7", "pair-1-3", "forged-oracle", "relabel-nowhere",
-        "allocate-existing"])
+        "allocate-existing", "max-qubits-2", "max-qubits-4"])
 @pytest.mark.parametrize("flags", [[], ["--no-replay"]], ids=["replay", "no-replay"])
 def test_audit_of_malformed_trace_exits_two_without_traceback(tmp_path, capsys, mutate, line, flags):
     records, graphs_file = _star_trace(tmp_path)
