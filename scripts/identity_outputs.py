@@ -11,6 +11,9 @@ traces and graph files (dropped, duplicated and swapped events, re-paired
 ebits, changed bits, forged creates, decodes and messages, lowered graph
 weights, shifted distributions, a relabel moved across parties, re-pointed
 consumes, a forged oracle and a header registry cap below the trace's needs).
+Load probes of single values that must make both audits exit 2 come last: a
+permutation that is not a bijection or is longer than its targets, a header of
+another format, and parties, integers and booleans given as another JSON type.
 
 The script imports ebitnet from the src/ directory of its own checkout.  To
 check that a change leaves the CLI's behaviour byte-identical, run it from two
@@ -185,8 +188,8 @@ def _forged_oracle(records, graph, rng):
     """20 forged creates between parties 2 and 3, then an identity oracle on party 1's
     qubit q1 that declares every party."""
     records += [{"kind": "ebit_create", "pair": [2, 3]}] * 20
-    records.append({"kind": "oracle", "label": "I", "parties": list(range(1, graph["n"] + 1)),
-                    "targets": [[1, "q1"]], "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
+    records.append({"kind": "oracle", "parties": list(range(1, graph["n"] + 1)),
+                    "targets": [[1, "q1"]], "permutation": [1]})
 
 
 def _move_first_relabel(records, graph, rng):
@@ -215,6 +218,13 @@ def _max_qubits(extra):
     return mutate
 
 
+def _set_first(kind, key, value):
+    """The first record of ``kind`` (the header included) with ``key`` set to ``value``."""
+    def mutate(records, graph, rng):
+        next(r for r in records if r["kind"] == kind)[key] = value
+    return mutate
+
+
 MUTATIONS = {
     "drop": _drop,
     "duplicate": _duplicate,
@@ -232,6 +242,38 @@ MUTATIONS = {
 # single probes, applied to the n >= 3 bases only
 PROBES = {"repoint-first-consume": _repoint_first_consume, "forged-oracle": _forged_oracle,
           "max-qubits-below-registry": _max_qubits(-1), "max-qubits-below-first-add": _max_qubits(1)}
+
+# (base, name, mutation): single values that must fail to load, so both audits exit 2
+LOAD_PROBES = (
+    ("perm-comm-n3", "permutation-not-bijective", _set_first("oracle", "permutation", [1, 1, 2])),
+    ("perm-comm-n3", "permutation-longer-than-targets", _set_first("oracle", "permutation", [2, 3, 1, 4])),
+    ("swap-comm", "permutation-float-entry", _set_first("oracle", "permutation", [2, 1.0])),
+    ("swap-entangle", "permutation-bool-entry", _set_first("oracle", "permutation", [2, True])),
+    ("teleport", "format-1", _set_first("header", "format", "ebitnet-trace/1")),
+    ("teleport", "max-qubits-float", _set_first("header", "max_qubits", 30.7)),
+    ("teleport", "party-float", _set_first("local_measure", "party", 1.5)),
+    ("teleport", "party-string", _set_first("local_measure", "party", "1")),
+    ("teleport", "party-bool", _set_first("local_measure", "party", True)),
+    ("teleport", "discard-string", _set_first("local_measure", "discard", "false")),
+    ("teleport", "index-float", _set_first("local_measure", "index", 0.0)),
+    ("teleport", "message-to-float", _set_first("message", "to", 2.9)),
+    ("teleport", "supplementary-string", _set_first("message", "supplementary", "false")),
+)
+
+
+def mutate_and_audit(root: Path, base: str, name: str, mutate, rng) -> list[str]:
+    """Audit the seed-7 run of ``base`` after ``mutate``; its files go to mutations/<base>-<name>."""
+    protocol = SPECS[base][0]
+    source = root / "simulate" / f"{base}-s7"
+    records = [json.loads(line) for line in (source / f"{protocol}_trace.jsonl").read_text(encoding="utf-8")
+               .splitlines()]
+    graph = json.loads((source / f"{protocol}_graphs.json").read_text(encoding="utf-8"))
+    mutate(records, graph, rng)
+    into = root / "mutations" / f"{base}-{name}"
+    into.mkdir(parents=True, exist_ok=True)
+    (into / "trace.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    (into / "graphs.json").write_text(json.dumps(graph, sort_keys=True) + "\n", encoding="utf-8")
+    return audit_both(into / "trace.jsonl", into / "graphs.json", into)
 
 
 def main() -> None:
@@ -259,19 +301,13 @@ def main() -> None:
 
     for b, base in enumerate(MUTATION_BASES):
         protocol = SPECS[base][0]
-        source = root / "simulate" / f"{base}-s7"
-        text = (source / f"{protocol}_trace.jsonl").read_text(encoding="utf-8")
-        graph_text = (source / f"{protocol}_graphs.json").read_text(encoding="utf-8")
-        mutations = dict(MUTATIONS, **(PROBES if json.loads(graph_text)["n"] >= 3 else {}))
+        graph_file = root / "simulate" / f"{base}-s7" / f"{protocol}_graphs.json"
+        graph = json.loads(graph_file.read_text(encoding="utf-8"))
+        mutations = dict(MUTATIONS, **(PROBES if graph["n"] >= 3 else {}))
         for m, (name, mutate) in enumerate(mutations.items()):
-            records = [json.loads(line) for line in text.splitlines()]
-            graph = json.loads(graph_text)
-            mutate(records, graph, random.Random(1000 * b + m))
-            into = root / "mutations" / f"{base}-{name}"
-            into.mkdir(parents=True, exist_ok=True)
-            (into / "trace.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-            (into / "graphs.json").write_text(json.dumps(graph, sort_keys=True) + "\n", encoding="utf-8")
-            outcomes += audit_both(into / "trace.jsonl", into / "graphs.json", into)
+            outcomes += mutate_and_audit(root, base, name, mutate, random.Random(1000 * b + m))
+    for base, name, mutate in LOAD_PROBES:
+        outcomes += mutate_and_audit(root, base, name, mutate, None)
 
     exits = Counter(result.split("\n", 1)[0] for result in outcomes)
     print(f"{len(outcomes)} commands written to {root}: "

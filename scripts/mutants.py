@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 PROTOCOLS = "tests/test_protocols.py::"
 AUDIT = "tests/test_audit.py::"
 CODEC = "tests/test_trace_codec.py::"
+ENGINE = "tests/test_engine.py::"
 MUTANTS = (
     Mutant("step refuses only below zero", "src/ebitnet/protocols.py",
            "self.ledger.held(*event.pair) < 1:", "self.ledger.held(*event.pair) < 0:",
@@ -70,6 +71,29 @@ MUTANTS = (
     Mutant("registry cap one qubit short at load", "src/ebitnet/ledger.py",
            "len(ids) + len(added) > max_qubits", "len(ids) + len(added) >= max_qubits",
            (CODEC + "test_registry_may_reach_max_qubits_but_not_pass_it",), quick=True),
+    Mutant("cut values reused after any rename", "src/ebitnet/audit.py",
+           " and _owners(ens) == _owners(before)", "",
+           (AUDIT + "test_monotone_series_matches_the_per_branch_formula[swap-entangle]",
+            AUDIT + "test_monotone_series_matches_the_per_branch_formula[perm-comm]",
+            AUDIT + "test_monotone_is_evaluated_once_per_cut_after_every_state_change_only",
+            AUDIT + "test_cross_party_relabel_report_is_exact")),
+    Mutant("a cut is spanned by nothing", "src/ebitnet/audit.py",
+           "return any(p in side for p in parties) and not all(p in side for p in parties)",
+           "return all(p in side for p in parties) and not any(p in side for p in parties)",
+           (AUDIT + "test_forged_trace_report_is_exact",
+            AUDIT + "test_cut_checks_match_brute_force_reference",
+            AUDIT + "TestAuditCleanRuns::test_permutation_protocols_clean")),
+    Mutant("permutation size not checked at load", "src/ebitnet/ledger.py",
+           "if self.permutation.n != len(self.targets):", "if False:",
+           (CODEC + "test_malformed_event_is_rejected_with_its_line",)),
+    Mutant("trace format /1 still read", "src/ebitnet/ledger.py",
+           'if rec.get("format") != TRACE_FORMAT:',
+           'if rec.get("format") not in (TRACE_FORMAT, "ebitnet-trace/1"):',
+           (CODEC + "test_malformed_header_is_rejected_on_line_1",
+            CODEC + "test_audit_of_malformed_trace_exits_two_without_traceback")),
+    Mutant("renames may collide", "src/ebitnet/engine.py",
+           'raise ValueError(f"qubit id {twice!r} already in use")', "pass",
+           (ENGINE + "TestRelabel::test_renames_must_give_distinct_ids",)),
 )
 
 

@@ -57,8 +57,6 @@ from .protocols import (
     permutation_entangle,
     superdense_send,
     supplementary_information,
-    swap_communicate_demo,
-    swap_entangle_demo,
     teleport,
 )
 from .bounds import (

@@ -221,7 +221,7 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
                 joined = _joined(ev)
                 # the same branches under the same party of every position give the
                 # same entropies: messages, decodes, creates, POVM records and
-                # same-party relabels keep every cut's last value
+                # same-party relabels and permutations keep every cut's last value
                 reuse = ens.branches is before.branches and _owners(ens) == _owners(before)
                 before = ens
                 for cut in cuts:

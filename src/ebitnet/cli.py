@@ -93,7 +93,8 @@ def _simulate_two_qubit(n: int, rng: np.random.Generator, hub: int, cap: int):
     ok = led.total_consumed() == 2 and led.bits_sent.get((1, 2)) == 2 and led.bits_sent.get((2, 1)) == 2
     return run, [
         ("fidelity", fid >= 1 - 1e-10, f"output state fidelity {fid:.15f}"),
-        ("ledger", ok, f"consumed {led.total_consumed()} ebits, bits {dict(led.bits_sent)}"),
+        ("ledger", ok, f"consumed {led.total_consumed()} ebits, sent "
+         + ", ".join(f"{a}>{b}: {bits}" for (a, b), bits in sorted(led.bits_sent.items()))),
     ]
 
 
@@ -125,21 +126,22 @@ def _simulate_star(n: int, rng: np.random.Generator, hub: int, cap: int, unitary
 def _simulate_swap_comm(n: int, rng: np.random.Generator, hub: int, cap: int):
     msg_ab = "".join(str(b) for b in rng.integers(0, 2, size=2))
     msg_ba = "".join(str(b) for b in rng.integers(0, 2, size=2))
-    result = protocols.swap_communicate_demo(msg_ab, msg_ba, cap)
+    result = protocols.permutation_communicate(Permutation.two_cycle(), {2: msg_ab, 1: msg_ba}, cap)
+    sent, decoded = (result.sent[2], result.sent[1]), (result.decoded[2], result.decoded[1])
     led = result.run.ledger
     return result.run, [
-        ("decode", result.decoded == result.sent, f"sent {result.sent}, decoded {result.decoded}"),
+        ("decode", decoded == sent, f"sent {sent}, decoded {decoded}"),
         ("ledger", led.total_consumed() == 2 and led.total_bits_sent() == 0,
          f"consumed {led.total_consumed()} ebits, {led.total_bits_sent()} channel bits"),
     ]
 
 
 def _simulate_swap_entangle(n: int, rng: np.random.Generator, hub: int, cap: int):
-    result = protocols.swap_entangle_demo(cap)
+    result = protocols.permutation_entangle(Permutation.two_cycle(), cap)
+    entropy = engine.entanglement_entropy(result.run.ensemble, {1})
     created = result.run.ledger.total_created()
     return result.run, [
-        ("entropy", abs(result.entropy - 2.0) <= 1e-9,
-         f"entanglement across the cut: {result.entropy:.12f} ebits"),
+        ("entropy", abs(entropy - 2.0) <= 1e-9, f"entanglement across the cut: {entropy:.12f} ebits"),
         ("ledger", created == 2, f"created {created} ebits"),
     ]
 

@@ -289,20 +289,20 @@ def _append(ensemble: BranchEnsemble, new_ids: tuple[QubitId, ...], block: np.nd
     return BranchEnsemble(ensemble.registry + new_ids, branches, ensemble.max_qubits, ensemble.measurement_count)
 
 
-def relabel_qubit(ensemble: BranchEnsemble, old: QubitId, new: QubitId) -> BranchEnsemble:
-    """Rename a registry entry (party and/or label); the state is untouched."""
-    pos = ensemble.position(old)
-    if new != old and new in ensemble.registry:
-        raise ValueError(f"qubit id {new!r} already in use")
-    registry = list(ensemble.registry)
-    registry[pos] = new
-    return BranchEnsemble(tuple(registry), ensemble.branches, ensemble.max_qubits, ensemble.measurement_count)
+def relabel_qubits(ensemble: BranchEnsemble, renames: Mapping[QubitId, QubitId]) -> BranchEnsemble:
+    """Rename registry entries (party and/or label), all at once; no amplitude moves.
 
-
-def relocate_qubit(ensemble: BranchEnsemble, qubit: QubitId, to_party: int) -> tuple[BranchEnsemble, QubitId]:
-    """Move a qubit to another party, keeping its label."""
-    new = QubitId(to_party, qubit.label)
-    return relabel_qubit(ensemble, qubit, new), new
+    A qubit permutation is such a rename: the state of ``q`` moves to
+    ``renames[q]``.  The ids produced must be distinct, and the branches are
+    shared with ``ensemble``.
+    """
+    for old in renames:
+        ensemble.position(old)
+    registry = tuple(renames.get(q, q) for q in ensemble.registry)
+    if len(set(registry)) != len(registry):
+        twice = next(q for q in registry if registry.count(q) > 1)
+        raise ValueError(f"qubit id {twice!r} already in use")
+    return BranchEnsemble(registry, ensemble.branches, ensemble.max_qubits, ensemble.measurement_count)
 
 
 # --------------------------------------------------------------------------

@@ -23,6 +23,9 @@ import numpy as np
 
 from . import engine
 from .engine import DEFAULT_MAX_QUBITS, Branch, BranchEnsemble, Gate, QubitId
+from .gates import Permutation
+
+TRACE_FORMAT = "ebitnet-trace/2"
 
 
 class InsufficientResources(RuntimeError):
@@ -141,8 +144,9 @@ def _party_matrix(book: Mapping[tuple[int, int], Fraction], n: int, symmetric: b
 Party = int
 
 # Events reject values that could never be replayed when they are built, so
-# a trace that holds one fails to load.  Unitarity is left to the replay:
-# checking it costs O(8^t) for a t-qubit matrix.
+# a trace that holds one fails to load.  Only local gates carry matrices;
+# their unitarity is left to the replay, as checking it costs O(8^t) for a
+# t-qubit matrix.
 
 
 def _check_square(matrix, targets) -> None:
@@ -246,16 +250,20 @@ class DecodedBits:
 
 @dataclass(frozen=True)
 class CollectiveOracle:
-    """A joint unitary applied as the operation under study, not charged as LQCC."""
+    """A qubit permutation applied as the operation under study, not charged as
+    LQCC: the state at ``targets[i-1]`` moves to ``targets[P(i)-1]``."""
 
-    label: str
     parties: tuple[Party, ...]
     targets: tuple[QubitId, ...]
-    matrix: np.ndarray
+    permutation: Permutation
 
     def __post_init__(self):
         _check_parties("an oracle", self.parties, self.targets)
-        _check_square(self.matrix, self.targets)
+        if len(set(self.targets)) != len(self.targets):
+            raise ValueError(f"oracle targets {list(self.targets)} name a qubit twice")
+        if self.permutation.n != len(self.targets):
+            raise ValueError(f"a permutation of {self.permutation.n} slots cannot act on "
+                             f"{len(self.targets)} targets")
 
 
 @dataclass(frozen=True)
@@ -302,19 +310,22 @@ def apply_event(ens: BranchEnsemble, event: Event) -> tuple[BranchEnsemble, dict
                                         labels=[q.label for q in event.qubits])
     elif isinstance(event, EbitConsume):
         ens = engine.insert_bell_pair(ens, *event.qubits)
-    elif isinstance(event, (LocalGate, CollectiveOracle)) and event.matrix is not None:
+    elif isinstance(event, LocalGate) and event.matrix is not None:
         ens = engine.apply_gate(ens, Gate(event.targets, event.matrix))
     elif isinstance(event, LocalGate):
         ens = engine.apply_conditional(ens, event.targets, dict(event.cases), event.conditional_on)
+    elif isinstance(event, CollectiveOracle):
+        ens = engine.relabel_qubits(ens, {q: event.targets[event.permutation(i) - 1]
+                                          for i, q in enumerate(event.targets, start=1)})
     elif isinstance(event, LocalMeasure):
         if event.basis == "povm":
             return ens, dict(event.distribution)
         measure = engine.bell_measure if event.basis == "bell" else engine.measure_computational
         return measure(ens, event.targets, discard=event.discard)
     elif isinstance(event, Relocate):
-        ens, _ = engine.relocate_qubit(ens, event.qubit, event.to_party)
+        ens = engine.relabel_qubits(ens, {event.qubit: QubitId(event.to_party, event.qubit.label)})
     elif isinstance(event, Relabel):
-        ens = engine.relabel_qubit(ens, event.old, event.new)
+        ens = engine.relabel_qubits(ens, {event.old: event.new})
     elif isinstance(event, Coalesce):
         ens = engine.coalesce(ens)
     elif not isinstance(event, (ClassicalMessage, DecodedBits, EbitCreate)):
@@ -387,10 +398,22 @@ def _complex_in(raw) -> np.ndarray:
     return pairs.view(complex)[..., 0]
 
 
+def _int(raw) -> int:
+    if type(raw) is not int:  # a JSON integer; not a float, a string or a bool
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return raw
+
+
+def _bool(raw) -> bool:
+    if type(raw) is not bool:
+        raise ValueError(f"expected true or false, got {raw!r}")
+    return raw
+
+
 def _party(raw, n_parties: int) -> int:
-    if not 1 <= int(raw) <= n_parties:
+    if not 1 <= _int(raw) <= n_parties:
         raise ValueError(f"party {raw} is outside 1..{n_parties}")
-    return int(raw)
+    return raw
 
 
 def _qubit(raw, n_parties: int) -> QubitId:
@@ -406,12 +429,13 @@ def _two(raw):
 
 _CODECS = {
     "Party": (int, _party),
-    "int": (int, lambda raw, n: int(raw)),
+    "int": (int, lambda raw, n: _int(raw)),
     "str": (str, lambda raw, n: str(raw)),
-    "bool": (bool, lambda raw, n: bool(raw)),
+    "bool": (bool, lambda raw, n: _bool(raw)),
     "Fraction": (str, lambda raw, n: Fraction(raw)),
     "QubitId": (lambda q: [q.party, q.label], _qubit),
     "np.ndarray": (_complex_out, lambda raw, n: _complex_in(raw)),
+    "Permutation": (lambda p: list(p.mapping), lambda raw, n: Permutation(tuple(_int(v) for v in raw))),
     "tuple[Party, ...]": (list, lambda raw, n: tuple(_party(p, n) for p in raw)),
     "tuple[Party, Party]": (list, lambda raw, n: pair_key(*(_party(p, n) for p in _two(raw)))),
     "tuple[QubitId, ...]": (
@@ -459,7 +483,7 @@ def event_from_record(rec: Mapping, n_parties: int) -> Event:
 
 
 def _header_record(trace: ProtocolTrace) -> dict:
-    rec = {"kind": "header", "format": "ebitnet-trace/1", "n_parties": trace.n_parties}
+    rec = {"kind": "header", "format": TRACE_FORMAT, "n_parties": trace.n_parties}
     if trace.initial is not None:
         ens = trace.initial
         rec["max_qubits"] = ens.max_qubits
@@ -474,6 +498,8 @@ def _header_trace(rec: Mapping) -> ProtocolTrace:
     """The empty trace a header record describes, with its checked initial state."""
     if rec.get("kind") != "header":
         raise ValueError("expected a header record")
+    if rec.get("format") != TRACE_FORMAT:
+        raise ValueError(f"trace format {rec.get('format')!r} is not {TRACE_FORMAT!r}")
     n_parties = rec.get("n_parties")
     if type(n_parties) is not int or n_parties < 1:
         raise ValueError(f"n_parties must be a positive integer, got {n_parties!r}")
@@ -485,7 +511,7 @@ def _header_trace(rec: Mapping) -> ProtocolTrace:
     branches = [Branch(float(b["p"]), _complex_in(b["amplitudes"])) for b in rec["branches"]]
     if any(b.amplitudes.shape != (1 << len(registry),) for b in branches):
         raise ValueError(f"every branch needs {1 << len(registry)} amplitudes")
-    max_qubits = int(rec.get("max_qubits", DEFAULT_MAX_QUBITS))
+    max_qubits = _int(rec.get("max_qubits", DEFAULT_MAX_QUBITS))
     if len(registry) > max_qubits:
         raise ValueError(f"a registry of {len(registry)} qubits exceeds max_qubits {max_qubits}")
     initial = BranchEnsemble(registry, branches, max_qubits)

@@ -5,9 +5,10 @@ event (by the same rule the audit charges with), ``ledger.apply_event``
 runs it on the exact ensemble engine (the same function the audit replays
 with) and the trace records it.
 Held ebits are realized lazily: a phi+ pair enters the statevector only
-when a step consumes it, which keeps the registry small.  The SWAP and
-permutation demos apply the operation under study as an uncharged
-collective oracle; everything else is strictly local plus messages.
+when a step consumes it, which keeps the registry small.  The permutation
+protocols (SWAP is their two-party case) apply the operation under study as
+an uncharged collective oracle; everything else is strictly local plus
+messages.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ def _local_gate(run: ProtocolRun, party: int, targets: Sequence[QubitId], matrix
     run.step(LocalGate(party, tuple(targets), matrix=matrix))
 
 
-def _oracle(run: ProtocolRun, label: str, targets: Sequence[QubitId], matrix: np.ndarray) -> None:
-    run.step(CollectiveOracle(label, tuple(sorted({q.party for q in targets})), tuple(targets), matrix))
+def _oracle(run: ProtocolRun, targets: Sequence[QubitId], p: Permutation) -> None:
+    run.step(CollectiveOracle(tuple(sorted({q.party for q in targets})), tuple(targets), p))
 
 
 def _bell_measure_local(
@@ -264,68 +265,7 @@ def collective_op_star(run: ProtocolRun, op: CollectiveOp, hub: int = 1) -> None
 
 
 # --------------------------------------------------------------------------
-# SWAP demos (section-II style, 2 parties)
-
-
-@dataclass
-class SwapCommResult:
-    sent: tuple[str, str]          # (message A->B, message B->A)
-    decoded: tuple[str, str]       # (decoded at B, decoded at A)
-    run: ProtocolRun
-
-
-def swap_communicate_demo(message_ab: str, message_ba: str,
-                          max_qubits: int = engine.DEFAULT_MAX_QUBITS) -> SwapCommResult:
-    """Communicate 2 bits each way through a single SWAP oracle.
-
-    Both parties dense-code onto their half of a shared pair; the SWAP of
-    the two encoded qubits hands each party the other's full Bell state,
-    which a local Bell measurement then reads out.  Consumes the 2 held
-    ebits and sends nothing over the classical channel.
-    """
-    run = new_run(2, max_qubits)
-    run.ledger.grant(1, 2, 2)
-    run.snapshot_initial()
-    a1, b1 = _consume_pair(run, 1, 2)   # pair 1: encoded by A on a1
-    a2, b2 = _consume_pair(run, 1, 2)   # pair 2: encoded by B on b2
-    _local_gate(run, 1, (a1,), gates.BELL_ENCODERS[message_ab])
-    _local_gate(run, 2, (b2,), gates.BELL_ENCODERS[message_ba])
-    _oracle(run, "swap", (a1, b2), gates.swap_unitary())
-    _, dist_b = _bell_measure_local(run, 2, (b2, b1), discard=True)
-    _, dist_a = _bell_measure_local(run, 1, (a2, a1), discard=True)
-    decoded_b = max(dist_b, key=dist_b.get)
-    decoded_a = max(dist_a, key=dist_a.get)
-    if min(dist_b[decoded_b], dist_a[decoded_a]) < 1.0 - 1e-9:
-        raise AssertionError(f"demo outcomes not deterministic: {dist_a}, {dist_b}")
-    run.step(DecodedBits(2, 1, Fraction(2), decoded_b))
-    run.step(DecodedBits(1, 2, Fraction(2), decoded_a))
-    return SwapCommResult((message_ab, message_ba), (decoded_b, decoded_a), run)
-
-
-@dataclass
-class SwapEntangleResult:
-    entropy: float
-    run: ProtocolRun
-
-
-def swap_entangle_demo(max_qubits: int = engine.DEFAULT_MAX_QUBITS) -> SwapEntangleResult:
-    """Establish 2 shared ebits from two local pairs through a single SWAP.
-
-    Each party prepares one local phi+ pair; swapping one qubit state from
-    each side stretches both pairs across the cut.
-    """
-    run = new_run(2, max_qubits)
-    run.snapshot_initial()
-    pairs = {party: _local_pair(run, party) for party in (1, 2)}
-    _oracle(run, "swap", (pairs[1][1], pairs[2][1]), gates.swap_unitary())
-    run.step(EbitCreate((1, 2)))
-    run.step(EbitCreate((1, 2)))
-    entropy = engine.entanglement_entropy(run.ensemble, {1})
-    return SwapEntangleResult(entropy, run)
-
-
-# --------------------------------------------------------------------------
-# permutation protocols (section-III style, N parties)
+# permutation protocols (section-III style, N parties; SWAP is the case N = 2)
 
 
 @dataclass
@@ -353,7 +293,7 @@ def permutation_entangle(p: Permutation,
     for i in range(1, n + 1):
         keeps[i], moves[i] = _local_pair(run, i)
     targets = tuple(moves[i] for i in range(1, n + 1))
-    _oracle(run, "permutation", targets, gates.permutation_unitary(p))
+    _oracle(run, targets, p)
     created: dict[tuple[int, int], Fraction] = {}
     pair_qubits = []
     for i in range(1, n + 1):
@@ -404,7 +344,7 @@ def permutation_communicate(p: Permutation, messages: Mapping[int, str],
         sender = pinv(i)
         _local_gate(run, sender, (hollows[sender],), gates.BELL_ENCODERS[messages[i]])
     targets = tuple(hollows[j] for j in range(1, n + 1))
-    _oracle(run, "permutation", targets, gates.permutation_unitary(p))
+    _oracle(run, targets, p)
     decoded: dict[int, str] = {}
     for i in range(1, n + 1):
         # the oracle moved the encoded half into the hollow qubit resident at lab i

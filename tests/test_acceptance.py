@@ -78,10 +78,10 @@ def test_c03_swap_demos():
     with criterion(3, "SWAP communicates 16/16 pairs and establishes 2 ebits", 1.0):
         labels = ["00", "01", "10", "11"]
         for ma, mb in itertools.product(labels, labels):
-            result = protocols.swap_communicate_demo(ma, mb)
-            assert result.decoded == (ma, mb)
-        entangle = protocols.swap_entangle_demo()
-        assert abs(entangle.entropy - 2.0) <= 1e-9
+            result = protocols.permutation_communicate(Permutation.two_cycle(), {2: ma, 1: mb})
+            assert (result.decoded[2], result.decoded[1]) == (ma, mb)
+        entangle = protocols.permutation_entangle(Permutation.two_cycle())
+        assert abs(engine.entanglement_entropy(entangle.run.ensemble, {1}) - 2.0) <= 1e-9
 
 
 def test_c04_permutation_maximality():

@@ -88,13 +88,13 @@ class TestAuditCleanRuns:
         assert report.replayed
 
     def test_swap_comm_consistent_without_channel_bits(self):
-        result = protocols.swap_communicate_demo("01", "10")
+        result = protocols.permutation_communicate(Permutation.two_cycle(), {2: "01", 1: "10"})
         run = result.run
         report = audit.audit_trace(run.trace, star_bundle(run))
         assert report.ok  # SWAP is the oracle under study, not an LQCC step
 
     def test_swap_entangle_consistent(self):
-        result = protocols.swap_entangle_demo()
+        result = protocols.permutation_entangle(Permutation.two_cycle())
         report = audit.audit_trace(result.run.trace, star_bundle(result.run))
         assert report.ok
 
@@ -127,7 +127,7 @@ class TestAuditCleanRuns:
 
 
 def forged_trace(events, n=3):
-    lines = [json.dumps({"kind": "header", "format": "ebitnet-trace/1", "n_parties": n})]
+    lines = [json.dumps({"kind": "header", "format": "ebitnet-trace/2", "n_parties": n})]
     lines += [json.dumps(e) for e in events]
     return load_trace("\n".join(lines) + "\n")
 
@@ -190,8 +190,7 @@ FORGED = {
         {"kind": "ebit_create", "pair": [1, 4]},
         {"kind": "decoded", "at": 4, "from": 1, "bits": "5"},
         {"kind": "decoded", "at": 1, "from": 3, "bits": "2"},
-        {"kind": "oracle", "label": "U", "parties": [2, 3], "targets": [[2, "o"], [3, "p"]],
-         "matrix": IDENTITY_4},
+        {"kind": "oracle", "parties": [2, 3], "targets": [[2, "o"], [3, "p"]], "permutation": [1, 2]},
         {"kind": "relocate", "qubit": [1, "r"], "to": 4},
         {"kind": "relocate", "qubit": [2, "s"], "to": 2},
         {"kind": "relabel", "old": [4, "z"], "new": [3, "z"]},
@@ -354,7 +353,7 @@ def bookkeeping_cases(draw):
 
     def oracle(parties):
         targets = tuple(QubitId(p, "o") for p in sorted(parties))
-        return CollectiveOracle("U", tuple(sorted(parties)), targets, np.eye(1 << len(targets)))
+        return CollectiveOracle(tuple(sorted(parties)), targets, Permutation.identity(len(targets)))
 
     event = st.one_of(
         pair.map(lambda p: EbitConsume(p, (QubitId(p[0], "x"), QubitId(p[1], "y")))),

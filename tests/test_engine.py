@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebitnet import engine, gates
+from ebitnet import audit, engine, gates
 from ebitnet.engine import BranchEnsemble, Gate, Povm, QubitId, RegistryCapacityError
+from ebitnet.ledger import CollectiveOracle, apply_event
 
 
 def bell_pair_ensemble(party_a=1, party_b=1):
@@ -468,3 +469,50 @@ class TestBlockKernelAgainstMasks:
     def test_nan_amplitude_is_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             BranchEnsemble.from_amplitudes((QubitId(1, "a"),), [float("nan"), 0.0])
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random ensemble of 1..2 branches over 2..7 qubits held by parties 1..n
+    (n <= 3), and a permutation oracle on a random ordered subset of its qubits."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    owners = draw(st.lists(st.integers(min_value=1, max_value=n), min_size=2, max_size=7))
+    registry = tuple(QubitId(p, f"x{i}") for i, p in enumerate(owners))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    weights = rng.random(draw(st.integers(min_value=1, max_value=2))) + 0.1
+    branches = [engine.Branch(float(w), gates.random_state(1 << len(registry), rng))
+                for w in weights / weights.sum()]
+    order = draw(st.permutations(registry))
+    targets = tuple(order[:draw(st.integers(min_value=1, max_value=len(registry)))])
+    p = gates.Permutation(tuple(draw(st.permutations(range(1, len(targets) + 1)))))
+    oracle = CollectiveOracle(tuple(sorted({q.party for q in targets})), targets, p)
+    return n, BranchEnsemble(registry, branches), oracle
+
+
+class TestRelabel:
+    @given(oracle_cases())
+    @settings(max_examples=240, deadline=None)
+    def test_permutation_oracle_equals_the_dense_permutation_unitary(self, case):
+        n, ens, oracle = case
+        renamed, _ = apply_event(ens, oracle)
+        dense = engine.apply_gate(ens, Gate(oracle.targets, gates.permutation_unitary(oracle.permutation)))
+        assert renamed.branches is ens.branches
+        order = list(ens.registry)
+        for (p_renamed, v_renamed), (p_dense, v_dense) in zip(engine.branch_vectors(renamed, order),
+                                                              engine.branch_vectors(dense, order)):
+            assert p_renamed == p_dense
+            assert np.array_equal(v_renamed, v_dense)
+        for cut in audit._cuts(n):
+            got = engine.entanglement_entropy(renamed, cut, universe=range(1, n + 1))
+            want = engine.entanglement_entropy(dense, cut, universe=range(1, n + 1))
+            assert abs(got - want) <= 1e-12
+
+    def test_renames_must_give_distinct_ids(self):
+        ens, a, b = bell_pair_ensemble(1, 2)
+        with pytest.raises(ValueError, match="already in use"):
+            engine.relabel_qubits(ens, {a: b})
+
+    def test_unknown_qubit_is_rejected(self):
+        ens, a, b = bell_pair_ensemble(1, 2)
+        with pytest.raises(ValueError, match="unknown target qubit"):
+            engine.relabel_qubits(ens, {QubitId(1, "nowhere"): QubitId(1, "c")})

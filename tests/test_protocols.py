@@ -233,14 +233,14 @@ class TestSwapDemos:
     def test_all_sixteen_message_pairs(self):
         msgs = ["00", "01", "10", "11"]
         for ma, mb in itertools.product(msgs, msgs):
-            result = protocols.swap_communicate_demo(ma, mb)
-            assert result.decoded == (ma, mb)
+            result = protocols.permutation_communicate(Permutation.two_cycle(), {2: ma, 1: mb})
+            assert (result.decoded[2], result.decoded[1]) == (ma, mb)
             assert result.run.ledger.total_consumed() == 2
             assert result.run.ledger.total_bits_sent() == 0
 
     def test_entangle_demo_two_ebits(self):
-        result = protocols.swap_entangle_demo()
-        assert result.entropy == pytest.approx(2.0, abs=1e-9)
+        result = protocols.permutation_entangle(Permutation.two_cycle())
+        assert engine.entanglement_entropy(result.run.ensemble, {1}) == pytest.approx(2.0, abs=1e-9)
         assert result.run.ledger.total_created() == 2
 
     def test_without_swap_no_entanglement(self):

@@ -13,7 +13,8 @@ from ebitnet import cli
 from ebitnet.ledger import dump_trace, load_trace
 
 ROOT = Path(__file__).resolve().parent.parent
-# Written by the trace writer that predates the field-driven codec; kept frozen.
+# Written by the trace writer that predates the field-driven codec; kept frozen apart
+# from the header's format (line 1) and the oracle record (line 15) of ebitnet-trace/2.
 GOLDEN = ROOT / "fixtures" / "golden_trace.jsonl"
 EVENT_KINDS = {
     "allocate", "ebit_consume", "ebit_create", "local_gate", "local_measure", "message",
@@ -75,6 +76,10 @@ HEADER_FAULTS = {
     "stranger-qubit": _stranger_qubit,
     "no-branches": lambda h: h.update(branches=[]),
     "registry-over-cap": lambda h: h.update(max_qubits=2),
+    "float-max_qubits": lambda h: h.update(max_qubits=30.7),
+    "string-max_qubits": lambda h: h.update(max_qubits="24"),
+    "format-1": lambda h: h.update(format="ebitnet-trace/1"),
+    "no-format": lambda h: h.pop("format"),
 }
 
 
@@ -121,23 +126,47 @@ def test_out_of_range_party_is_rejected_with_its_line(kind, key, value):
     {"kind": "local_gate", "party": 1, "targets": [[1, "q1"]], "matrix": [[[1.0, 0.0]]]},
     {"kind": "local_gate", "party": 1, "targets": [[1, "q1"]], "conditional_on": 0,
      "cases": {"0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "1": [[[1.0, 0.0]]]}},
-    {"kind": "oracle", "label": "U", "parties": [1, 2], "targets": [[1, "q1"], [2, "q2"]],
-     "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+    {"kind": "oracle", "parties": [2, 3], "targets": [[2, "q2"], [3, "q3"]], "permutation": [1]},
     {"kind": "message", "from": 2, "to": 2, "bits": "2"},
     {"kind": "message", "from": 1, "to": 2, "bits": "-3"},
     {"kind": "decoded", "at": 2, "from": 2, "bits": "2"},
     {"kind": "decoded", "at": 2, "from": 1, "bits": "-1/2"},
     {"kind": "ebit_consume", "pair": [1, 3], "qubits": [[1, "x"], [2, "y"]]},
-    {"kind": "oracle", "label": "I", "parties": [1, 2, 3], "targets": [[1, "q1"]],
-     "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+    {"kind": "oracle", "parties": [1, 2, 3], "targets": [[2, "q2"]], "permutation": [1]},
     {"kind": "relabel", "old": [1, "nowhere"], "new": [1, "q9"]},
     {"kind": "allocate", "party": 2, "qubits": [[2, "q2"]], "init": "0"},
     {"kind": "allocate", "party": 1, "qubits": [[1, f"z{i}"] for i in range(22)], "init": "0" * 22},
+    {"kind": "oracle", "parties": [2, 3], "targets": [[2, "q2"], [3, "q3"]], "permutation": [2, 1, 3]},
+    {"kind": "oracle", "parties": [2, 3], "targets": [[2, "q2"], [3, "q3"]], "permutation": [1, 1]},
+    {"kind": "oracle", "parties": [2, 3], "targets": [[2, "q2"], [3, "q3"]], "permutation": [2, 1.0]},
+    {"kind": "oracle", "parties": [2, 3], "targets": [[2, "q2"], [3, "q3"]], "permutation": [2, True]},
+    {"kind": "oracle", "parties": [2, 3], "targets": [[2, "q2"], [3, "q3"]], "permutation": "21"},
+    {"kind": "oracle", "parties": [2], "targets": [[2, "q2"], [2, "q2"]], "permutation": [2, 1]},
+    {"kind": "local_measure", "party": 2.0, "targets": [[2, "q2"]], "basis": "computational",
+     "discard": False, "index": 1, "distribution": {"0": 0.5, "1": 0.5}},
+    {"kind": "local_measure", "party": "2", "targets": [[2, "q2"]], "basis": "computational",
+     "discard": False, "index": 1, "distribution": {"0": 0.5, "1": 0.5}},
+    {"kind": "local_measure", "party": True, "targets": [[2, "q2"]], "basis": "computational",
+     "discard": False, "index": 1, "distribution": {"0": 0.5, "1": 0.5}},
+    {"kind": "local_measure", "party": 2, "targets": [[2, "q2"]], "basis": "computational",
+     "discard": "false", "index": 1, "distribution": {"0": 0.5, "1": 0.5}},
+    {"kind": "local_measure", "party": 2, "targets": [[2, "q2"]], "basis": "computational",
+     "discard": False, "index": 1.0, "distribution": {"0": 0.5, "1": 0.5}},
+    {"kind": "message", "from": 1, "to": 2.9, "bits": "2"},
+    {"kind": "message", "from": 1, "to": 2, "bits": "2", "supplementary": "false"},
+    {"kind": "local_gate", "party": 2, "targets": [[2, "q2"]], "conditional_on": "0",
+     "cases": {"0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}},
+    {"kind": "ebit_consume", "pair": [1, 2.0], "qubits": [[1, "x"], [2, "y"]]},
+    {"kind": "allocate", "party": 2, "qubits": [[2.0, "z0"]], "init": "0"},
 ], ids=["no-matrix-or-cases", "three-qubit-ebit", "matrix-not-pairs", "distribution-not-object", "not-object",
         "init-22", "init-too-short", "allocate-nothing", "unknown-basis", "gate-1x1", "case-1x1",
         "oracle-2x2-on-two", "message-to-self", "negative-message", "decode-from-self", "negative-decode",
         "consume-qubits-off-pair", "oracle-parties-off-targets", "relabel-unknown-qubit",
-        "allocate-existing-qubit", "allocate-over-cap"])
+        "allocate-existing-qubit", "allocate-over-cap", "permutation-longer-than-targets",
+        "permutation-not-bijective", "permutation-float-entry", "permutation-bool-entry",
+        "permutation-string", "oracle-target-twice", "party-float", "party-string", "party-bool",
+        "discard-string", "index-float", "message-to-float", "supplementary-string",
+        "conditional-on-string", "pair-float-party", "qubit-float-party"])
 def test_malformed_event_is_rejected_with_its_line(record):
     records = golden_records()[:3] + [record]
     with pytest.raises(ValueError, match=r"^trace line 4: "):
@@ -182,8 +211,7 @@ def _forged_oracle(records):
     """20 forged creates between parties 2 and 3, then an identity oracle on
     party 1's qubit that declares every party, so as to exempt every cut."""
     records += [{"kind": "ebit_create", "pair": [2, 3]}] * 20
-    records.append({"kind": "oracle", "label": "I", "parties": [1, 2, 3], "targets": [[1, "q1"]],
-                    "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
+    records.append({"kind": "oracle", "parties": [1, 2, 3], "targets": [[1, "q1"]], "permutation": [1]})
 
 
 def _nowhere(records):
@@ -193,6 +221,13 @@ def _nowhere(records):
 
 def _allocate_existing(records):
     records.insert(1, {"kind": "allocate", "party": 1, "qubits": [[1, "q1"]], "init": "0"})
+
+
+def _first(kind, key, value):
+    """The first record of ``kind`` with ``key`` set to ``value``."""
+    def mutate(records):
+        next(r for r in records if r["kind"] == kind)[key] = value
+    return mutate
 
 
 def _max_qubits(cap):
@@ -213,8 +248,16 @@ def _max_qubits(cap):
     (_allocate_existing, 2),
     (_max_qubits(2), 1),
     (_max_qubits(4), 2),
+    (_max_qubits(30.7), 1),
+    (_first("header", "format", "ebitnet-trace/1"), 1),
+    (_first("local_measure", "party", 2.5), 3),
+    (_first("local_measure", "party", "2"), 3),
+    (_first("local_measure", "party", True), 3),
+    (_first("local_measure", "discard", "false"), 3),
+    (_first("message", "to", 1.9), 4),
 ], ids=["no-n_parties", "truncated-amplitudes", "pair-1-7", "pair-1-3", "forged-oracle", "relabel-nowhere",
-        "allocate-existing", "max-qubits-2", "max-qubits-4"])
+        "allocate-existing", "max-qubits-2", "max-qubits-4", "max-qubits-30.7", "format-1", "party-2.5",
+        "party-string", "party-true", "discard-string", "to-1.9"])
 @pytest.mark.parametrize("flags", [[], ["--no-replay"]], ids=["replay", "no-replay"])
 def test_audit_of_malformed_trace_exits_two_without_traceback(tmp_path, capsys, mutate, line, flags):
     records, graphs_file = _star_trace(tmp_path)
