@@ -13,7 +13,8 @@ weights, shifted distributions, a relabel moved across parties, re-pointed
 consumes, a forged oracle and a header registry cap below the trace's needs).
 Load probes of single values that must make both audits exit 2 come last: a
 permutation that is not a bijection or is longer than its targets, a header of
-another format, and parties, integers and booleans given as another JSON type.
+another format; parties, integers, booleans, strings and probabilities given as
+another JSON type; and message bits that are not an exact string amount.
 
 The script imports ebitnet from the src/ directory of its own checkout.  To
 check that a change leaves the CLI's behaviour byte-identical, run it from two
@@ -218,6 +219,12 @@ def _max_qubits(extra):
     return mutate
 
 
+def _string_distribution(records, graph, rng):
+    """The first measurement's outcome probabilities written as JSON strings."""
+    measure = next(r for r in records if r["kind"] == "local_measure")
+    measure["distribution"] = {k: str(v) for k, v in measure["distribution"].items()}
+
+
 def _set_first(kind, key, value):
     """The first record of ``kind`` (the header included) with ``key`` set to ``value``."""
     def mutate(records, graph, rng):
@@ -258,6 +265,11 @@ LOAD_PROBES = (
     ("teleport", "index-float", _set_first("local_measure", "index", 0.0)),
     ("teleport", "message-to-float", _set_first("message", "to", 2.9)),
     ("teleport", "supplementary-string", _set_first("message", "supplementary", "false")),
+    ("teleport", "bits-float", _set_first("message", "bits", 0.1)),
+    ("teleport", "bits-integer", _set_first("message", "bits", 2)),
+    ("teleport", "bits-divide-by-zero", _set_first("message", "bits", "1/0")),
+    ("teleport", "distribution-strings", _string_distribution),
+    ("perm-comm-n3", "payload-integer", _set_first("decoded", "payload", 1)),
 )
 
 

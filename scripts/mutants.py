@@ -94,6 +94,26 @@ MUTANTS = (
     Mutant("renames may collide", "src/ebitnet/engine.py",
            'raise ValueError(f"qubit id {twice!r} already in use")', "pass",
            (ENGINE + "TestRelabel::test_renames_must_give_distinct_ids",)),
+    Mutant("unitarity tolerance 100x looser", "src/ebitnet/engine.py",
+           "if err > UNITARY_TOL:", "if err > 100 * UNITARY_TOL:",
+           (ENGINE + "TestGates::test_unitarity_tolerance",)),
+    Mutant("branch-norm tolerance 1000x looser", "src/ebitnet/engine.py",
+           "if not abs(norm - 1.0) <= 1e-9:\n                raise AssertionError",
+           "if not abs(norm - 1.0) <= 1e-6:\n                raise AssertionError",
+           (ENGINE + "TestBlockKernelAgainstMasks::test_branch_norm_tolerance",)),
+    Mutant("replay distribution tolerance 1000x looser", "src/ebitnet/audit.py",
+           "abs(recorded[k] - dist[k]) <= 1e-9", "abs(recorded[k] - dist[k]) <= 1e-6",
+           (AUDIT + "test_replay_distribution_tolerance",)),
+    Mutant("monotone tolerance 1000x looser", "src/ebitnet/audit.py",
+           "ENTROPY_TOL = 1e-9", "ENTROPY_TOL = 1e-6",
+           (AUDIT + "test_monotone_tolerance",)),
+    Mutant("held ebits not dropped on a consume", "src/ebitnet/audit.py",
+           "held[cut] -= 1", "held[cut] -= 0",
+           (AUDIT + "TestAuditCleanRuns::test_star_run_is_clean",
+            AUDIT + "test_cross_party_relabel_report_is_exact")),
+    Mutant("message bits coerced from any JSON value", "src/ebitnet/ledger.py",
+           "return Fraction(_str(raw))", "return Fraction(raw)",
+           (CODEC + "test_malformed_event_is_rejected_with_its_line",)),
 )
 
 

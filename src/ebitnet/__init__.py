@@ -52,7 +52,6 @@ from .protocols import (
     CollectiveOp,
     ProtocolRun,
     collective_op_star,
-    collective_op_two_qubit,
     permutation_communicate,
     permutation_entangle,
     superdense_send,

@@ -116,7 +116,8 @@ def replay_events(initial: BranchEnsemble, events: Sequence[Event]):
         ens, dist = apply_event(ens, ev)
         if dist is not None:
             recorded = dict(ev.distribution)
-            if set(recorded) != set(dist) or any(abs(recorded[k] - dist[k]) > 1e-9 for k in dist):
+            # negated so that a NaN probability fails
+            if set(recorded) != set(dist) or any(not abs(recorded[k] - dist[k]) <= 1e-9 for k in dist):
                 raise ValueError(f"step {step}: recorded distribution {recorded} disagrees with replay {dist}")
         yield step, ev, ens
 

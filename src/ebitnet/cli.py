@@ -1,7 +1,9 @@
 """Batch command-line front-end.
 
 Subcommands: ``simulate`` runs a named protocol with a deterministic seed
-and writes its trace, ledger summary and initial resource graphs;
+and writes its trace, ledger summary and initial resource graphs (the
+two-party names two-qubit-op, swap-comm and swap-entangle run star-op,
+perm-comm and perm-entangle at N = 2);
 ``bounds`` tabulates every closed-form bound as CSV or JSON; ``symmetrise``
 symmetrises a graph file and cross-checks the closed form against the
 explicit permutation sum; ``audit`` replays a trace against its resource
@@ -9,7 +11,8 @@ graphs and reports violations.
 
 Exit codes: 0 on success with all postconditions held, 1 when a
 postcondition or audit check fails, 2 on invalid arguments or malformed
-input.  Identical flags and seed produce byte-identical output files; the
+input, 141 (128 + SIGPIPE) when stdout is closed before the output is
+written.  Identical flags and seed produce byte-identical output files; the
 optional ``--sample`` mode only prints illustrative draws and never
 affects exit codes.  The environment variable EBITNET_MAX_QUBITS overrides
 the default registry cap of 24.
@@ -80,24 +83,6 @@ def _simulate_teleport(n: int, rng: np.random.Generator, hub: int, cap: int):
     ]
 
 
-def _simulate_two_qubit(n: int, rng: np.random.Generator, hub: int, cap: int):
-    run = protocols.new_run(2, cap)
-    state = gates.random_state(4, rng)
-    u = gates.haar_unitary(4, rng)
-    protocols.add_data_qubits(run, state)
-    run.ledger.grant(1, 2, 2)
-    run.snapshot_initial()
-    protocols.collective_op_two_qubit(run, protocols.CollectiveOp(unitary=u))
-    fid = engine.ensemble_fidelity(run.ensemble, protocols.data_order(run), u @ state)
-    led = run.ledger
-    ok = led.total_consumed() == 2 and led.bits_sent.get((1, 2)) == 2 and led.bits_sent.get((2, 1)) == 2
-    return run, [
-        ("fidelity", fid >= 1 - 1e-10, f"output state fidelity {fid:.15f}"),
-        ("ledger", ok, f"consumed {led.total_consumed()} ebits, sent "
-         + ", ".join(f"{a}>{b}: {bits}" for (a, b), bits in sorted(led.bits_sent.items()))),
-    ]
-
-
 def _simulate_star(n: int, rng: np.random.Generator, hub: int, cap: int, unitary_of=None):
     """The hub-star run of ``unitary_of(n)``, or of a Haar unitary when None."""
     run = protocols.new_run(n, cap)
@@ -123,37 +108,17 @@ def _simulate_star(n: int, rng: np.random.Generator, hub: int, cap: int, unitary
     ]
 
 
-def _simulate_swap_comm(n: int, rng: np.random.Generator, hub: int, cap: int):
-    msg_ab = "".join(str(b) for b in rng.integers(0, 2, size=2))
-    msg_ba = "".join(str(b) for b in rng.integers(0, 2, size=2))
-    result = protocols.permutation_communicate(Permutation.two_cycle(), {2: msg_ab, 1: msg_ba}, cap)
-    sent, decoded = (result.sent[2], result.sent[1]), (result.decoded[2], result.decoded[1])
-    led = result.run.ledger
-    return result.run, [
-        ("decode", decoded == sent, f"sent {sent}, decoded {decoded}"),
-        ("ledger", led.total_consumed() == 2 and led.total_bits_sent() == 0,
-         f"consumed {led.total_consumed()} ebits, {led.total_bits_sent()} channel bits"),
-    ]
-
-
-def _simulate_swap_entangle(n: int, rng: np.random.Generator, hub: int, cap: int):
-    result = protocols.permutation_entangle(Permutation.two_cycle(), cap)
-    entropy = engine.entanglement_entropy(result.run.ensemble, {1})
-    created = result.run.ledger.total_created()
-    return result.run, [
-        ("entropy", abs(entropy - 2.0) <= 1e-9, f"entanglement across the cut: {entropy:.12f} ebits"),
-        ("ledger", created == 2, f"created {created} ebits"),
-    ]
-
-
 def _simulate_perm_entangle(n: int, rng: np.random.Generator, hub: int, cap: int):
     result = protocols.permutation_entangle(Permutation.cyclic_shift(n), cap)
     created = result.run.ledger.total_created()
     ents = [engine.entropy_of_qubits(result.run.ensemble, [a]) for a, _ in result.pair_qubits]
+    # party 1 shares one pair with party 2 and one with party n
+    cut = engine.entanglement_entropy(result.run.ensemble, {1})
     return result.run, [
         ("created", created == n, f"created {created} shared ebits"),
         ("pair-entropy", all(abs(x - 1.0) <= 1e-9 for x in ents),
          f"per-pair entropies {['%.9f' % x for x in ents]}"),
+        ("entropy", abs(cut - 2.0) <= 1e-9, f"entanglement across the cut {{1}}: {cut:.12f} ebits"),
     ]
 
 
@@ -161,17 +126,17 @@ def _simulate_perm_comm(n: int, rng: np.random.Generator, hub: int, cap: int):
     messages = {i: "".join(str(b) for b in rng.integers(0, 2, size=2)) for i in range(1, n + 1)}
     result = protocols.permutation_communicate(Permutation.cyclic_shift(n), messages, cap)
     correct = sum(result.decoded[i] == result.sent[i] for i in result.sent)
+    led = result.run.ledger
     return result.run, [
         ("decode", result.decoded == result.sent, f"{2 * n} bits conveyed, {correct}/{n} messages correct"),
+        ("ledger", led.total_consumed() == n and led.total_bits_sent() == 0,
+         f"consumed {led.total_consumed()} ebits, {led.total_bits_sent()} channel bits"),
     ]
 
 
 _SIMULATORS = {
     "teleport": _simulate_teleport,
-    "two-qubit-op": _simulate_two_qubit,
     "star-op": _simulate_star,
-    "swap-comm": _simulate_swap_comm,
-    "swap-entangle": _simulate_swap_entangle,
     "perm-entangle": _simulate_perm_entangle,
     "perm-comm": _simulate_perm_comm,
     "ps": partial(_simulate_star, unitary_of=gates.ps_unitary),
@@ -181,10 +146,14 @@ _SIMULATORS = {
 _N_RULES = {"star-op": (2, None), "perm-entangle": (2, None), "perm-comm": (2, None),
             "ps": (2, 0), "ps-cp": (3, 1)}
 _HUB_PROTOCOLS = ("star-op", "ps", "ps-cp")
+# the two-party runs, which ignore --n and --hub: protocol -> (protocol, n, hub) run instead
+_TWO_PARTY = {"two-qubit-op": ("star-op", 2, 2), "swap-comm": ("perm-comm", 2, 1),
+              "swap-entangle": ("perm-entangle", 2, 1)}
 
 
 def _simulate(protocol: str, n: int, rng: np.random.Generator, hub: int, cap: int):
     """Run ``protocol`` after checking --n and --hub; returns (run, checks)."""
+    protocol, n, hub = _TWO_PARTY.get(protocol, (protocol, n, hub))
     if protocol in _N_RULES:
         least, parity = _N_RULES[protocol]
         if parity is None and n < least:
@@ -397,7 +366,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; the interpreter's exit flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, engine.RegistryCapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

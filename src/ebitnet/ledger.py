@@ -398,16 +398,28 @@ def _complex_in(raw) -> np.ndarray:
     return pairs.view(complex)[..., 0]
 
 
-def _int(raw) -> int:
-    if type(raw) is not int:  # a JSON integer; not a float, a string or a bool
-        raise ValueError(f"expected an integer, got {raw!r}")
-    return raw
+def _exactly(*kinds: type, what: str):
+    """A decoder that passes only values of the exact JSON ``kinds``: a float is
+    not an integer, a bool is not a number and nothing is coerced."""
+    def decode(raw):
+        if type(raw) not in kinds:
+            raise ValueError(f"expected {what}, got {raw!r}")
+        return raw
+    return decode
 
 
-def _bool(raw) -> bool:
-    if type(raw) is not bool:
-        raise ValueError(f"expected true or false, got {raw!r}")
-    return raw
+_int = _exactly(int, what="an integer")
+_bool = _exactly(bool, what="true or false")
+_str = _exactly(str, what="a string")
+_number = _exactly(int, float, what="a number")
+
+
+def _fraction(raw) -> Fraction:
+    """An exact amount written as a string such as "2" or "7/2"."""
+    try:
+        return Fraction(_str(raw))
+    except ZeroDivisionError:
+        raise ValueError(f"amount {raw!r} divides by zero") from None
 
 
 def _party(raw, n_parties: int) -> int:
@@ -418,7 +430,7 @@ def _party(raw, n_parties: int) -> int:
 
 def _qubit(raw, n_parties: int) -> QubitId:
     party, label = raw
-    return QubitId(_party(party, n_parties), str(label))
+    return QubitId(_party(party, n_parties), _str(label))
 
 
 def _two(raw):
@@ -430,9 +442,9 @@ def _two(raw):
 _CODECS = {
     "Party": (int, _party),
     "int": (int, lambda raw, n: _int(raw)),
-    "str": (str, lambda raw, n: str(raw)),
+    "str": (str, lambda raw, n: _str(raw)),
     "bool": (bool, lambda raw, n: _bool(raw)),
-    "Fraction": (str, lambda raw, n: Fraction(raw)),
+    "Fraction": (str, lambda raw, n: _fraction(raw)),
     "QubitId": (lambda q: [q.party, q.label], _qubit),
     "np.ndarray": (_complex_out, lambda raw, n: _complex_in(raw)),
     "Permutation": (lambda p: list(p.mapping), lambda raw, n: Permutation(tuple(_int(v) for v in raw))),
@@ -446,7 +458,7 @@ _CODECS = {
         lambda cases: {k: _complex_out(m) for k, m in cases},
         lambda raw, n: tuple(sorted((str(k), _complex_in(m)) for k, m in raw.items()))),
     "tuple[tuple[str, float], ...]": (
-        dict, lambda raw, n: tuple(sorted((str(k), float(v)) for k, v in raw.items()))),
+        dict, lambda raw, n: tuple(sorted((k, float(_number(v))) for k, v in raw.items()))),
 }
 _KINDS = {
     Allocate: "allocate", EbitConsume: "ebit_consume", EbitCreate: "ebit_create",

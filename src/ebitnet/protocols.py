@@ -184,22 +184,33 @@ def teleport(run: ProtocolRun, qubit: QubitId, to: int) -> QubitId:
     return new_id
 
 
+def _check_message(message: str) -> None:
+    if message not in gates.BELL_ENCODERS:
+        raise ValueError(f"message must be 2 bits, got {message!r}")
+
+
+def _dense_decode(run: ProtocolRun, receiver: int, sender: int, pair: Sequence[QubitId]) -> str:
+    """The receiving half of dense coding: Bell-measure ``pair`` at ``receiver``
+    and record the deterministic outcome as 2 bits decoded from ``sender``."""
+    _, dist = _bell_measure_local(run, receiver, pair, discard=True)
+    decoded = max(dist, key=dist.get)
+    if dist[decoded] < 1.0 - 1e-9:
+        raise AssertionError(f"dense coding outcome at {receiver} not deterministic: {dist}")
+    run.step(DecodedBits(receiver, sender, Fraction(2), decoded))
+    return decoded
+
+
 def superdense_send(run: ProtocolRun, sender: int, receiver: int, message: str) -> str:
     """Convey 2 classical bits by dense coding over one held ebit.
 
     The sender Pauli-encodes its half of a shared pair, physically conveys
     that qubit (a relocation event), and the receiver Bell-measures.
     """
-    if message not in gates.BELL_ENCODERS:
-        raise ValueError(f"message must be 2 bits, got {message!r}")
+    _check_message(message)
     q_send, q_recv = _consume_pair(run, sender, receiver)
     _local_gate(run, sender, (q_send,), gates.BELL_ENCODERS[message])
     run.step(Relocate(q_send, receiver))
-    _, dist = _bell_measure_local(run, receiver, (QubitId(receiver, q_send.label), q_recv), discard=True)
-    decoded = max(dist, key=dist.get)
-    if dist[decoded] < 1.0 - 1e-9:
-        raise AssertionError(f"dense coding outcome not deterministic: {dist}")
-    run.step(DecodedBits(receiver, sender, Fraction(2), decoded))
+    decoded = _dense_decode(run, receiver, sender, (QubitId(receiver, q_send.label), q_recv))
     run.step(Coalesce())
     return decoded
 
@@ -227,35 +238,21 @@ def _apply_collective(run: ProtocolRun, op: CollectiveOp, at: int, targets: Sequ
             run.step(ClassicalMessage(at, other, Fraction(math.ceil(c_s)), supplementary=True))
 
 
-def collective_op_two_qubit(run: ProtocolRun, op: CollectiveOp) -> None:
-    """Perform an arbitrary 2-qubit collective operation between parties 1 and 2.
-
-    Party 1 teleports its qubit to party 2, the op runs locally there, and
-    the qubit is teleported back: 2 ebits plus 2 bits each way, plus the
-    outcome entropy for recorded measurements.
-    """
-    if run.n_parties != 2:
-        raise ValueError("the two-qubit protocol runs on exactly 2 parties")
-    if run.ledger.held(1, 2) < 2:
-        raise InsufficientResources(f"need 2 held ebits between 1 and 2, have {run.ledger.held(1, 2)}")
-    moved = teleport(run, run.data_qubits[1], to=2)
-    _apply_collective(run, op, at=2, targets=(moved, run.data_qubits[2]), inform=(1,))
-    teleport(run, moved, to=1)
-
-
 def collective_op_star(run: ProtocolRun, op: CollectiveOp, hub: int = 1) -> None:
     """Perform an arbitrary N-qubit collective operation via a hub laboratory.
 
     Every spoke teleports its qubit to the hub, the op runs locally there,
     and the qubits are teleported back, consuming 2 ebits and 2 bits each
-    way per spoke.  The hub defaults to party 1 but any party serves.
+    way per spoke.  The hub defaults to party 1 but any party serves; at
+    N = 2 this is the two-qubit protocol (2 ebits and 2 bits each way).
     """
     if not 1 <= hub <= run.n_parties:
         raise ValueError(f"hub {hub} out of range")
     spokes = [i for i in range(1, run.n_parties + 1) if i != hub]
     for i in spokes:
         if run.ledger.held(i, hub) < 2:
-            raise InsufficientResources(f"spoke {i} needs 2 held ebits with hub {hub}")
+            raise InsufficientResources(
+                f"spoke {i} needs 2 held ebits with hub {hub}, have {run.ledger.held(i, hub)}")
     for i in spokes:
         teleport(run, run.data_qubits[i], to=hub)
     targets = data_order(run)
@@ -326,8 +323,7 @@ def permutation_communicate(p: Permutation, messages: Mapping[int, str],
     if sorted(messages) != list(range(1, n + 1)):
         raise ValueError("need one 2-bit message per receiving party")
     for msg in messages.values():
-        if msg not in gates.BELL_ENCODERS:
-            raise ValueError(f"message must be 2 bits, got {msg!r}")
+        _check_message(msg)
     run = new_run(n, max_qubits)
     pinv = p.inverse()
     for i in range(1, n + 1):
@@ -345,13 +341,6 @@ def permutation_communicate(p: Permutation, messages: Mapping[int, str],
         _local_gate(run, sender, (hollows[sender],), gates.BELL_ENCODERS[messages[i]])
     targets = tuple(hollows[j] for j in range(1, n + 1))
     _oracle(run, targets, p)
-    decoded: dict[int, str] = {}
-    for i in range(1, n + 1):
-        # the oracle moved the encoded half into the hollow qubit resident at lab i
-        _, dist = _bell_measure_local(run, i, (firsts[i], hollows[i]), discard=True)
-        best = max(dist, key=dist.get)
-        if dist[best] < 1.0 - 1e-9:
-            raise AssertionError(f"receiver {i} outcome not deterministic: {dist}")
-        decoded[i] = best
-        run.step(DecodedBits(i, pinv(i), Fraction(2), best))
+    # the oracle moved each encoded half into the hollow qubit resident at its receiver
+    decoded = {i: _dense_decode(run, i, pinv(i), (firsts[i], hollows[i])) for i in range(1, n + 1)}
     return PermutationCommResult(dict(messages), decoded, run)

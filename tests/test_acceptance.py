@@ -60,7 +60,7 @@ def test_c02_two_qubit_protocol_accounting():
             protocols.add_data_qubits(run, state)
             run.ledger.grant(1, 2, 2)
             run.snapshot_initial()
-            protocols.collective_op_two_qubit(run, protocols.CollectiveOp(unitary=u))
+            protocols.collective_op_star(run, protocols.CollectiveOp(unitary=u), hub=2)
             assert run.ledger.total_consumed() == 2
             assert run.ledger.bits_sent[(1, 2)] == 2
             assert run.ledger.bits_sent[(2, 1)] == 2
@@ -70,7 +70,7 @@ def test_c02_two_qubit_protocol_accounting():
         run.ledger.grant(1, 2, 2)
         run.snapshot_initial()
         povm = Povm(tuple(np.eye(4) / 4 for _ in range(4)))
-        protocols.collective_op_two_qubit(run, protocols.CollectiveOp(povm=povm, record=True))
+        protocols.collective_op_star(run, protocols.CollectiveOp(povm=povm, record=True), hub=2)
         assert abs(run.ledger.supplementary_bits - 2.0) <= 1e-12
 
 

@@ -120,7 +120,7 @@ class TestAuditCleanRuns:
         run.ledger.grant(1, 2, 2)
         run.snapshot_initial()
         povm = engine.Povm(tuple(np.eye(4) / 4 for _ in range(4)))
-        protocols.collective_op_two_qubit(run, protocols.CollectiveOp(povm=povm, record=True))
+        protocols.collective_op_star(run, protocols.CollectiveOp(povm=povm, record=True), hub=2)
         report = audit.audit_trace(run.trace, star_bundle(run))
         assert report.ok
         assert report.replayed
@@ -331,6 +331,29 @@ def test_star_report_with_shifted_distribution_is_exact():
     ]
 
 
+@pytest.mark.parametrize("shift,caught", [(1e-8, True), (1e-11, False), (float("nan"), True)])
+def test_replay_distribution_tolerance(shift, caught):
+    """A recorded probability 1e-8 off the replayed one is a violation, and so is a NaN;
+    1e-11 off is rounding."""
+    run = run_star()
+    tampered = tamper_first_bell_distribution(
+        run.trace, lambda dist: {k: v + shift if i == 0 else v for i, (k, v) in enumerate(sorted(dist.items()))})
+    report = audit.audit_trace(tampered, star_bundle(run))
+    assert [v.check for v in report.violations] == (["replay"] if caught else [])
+
+
+@pytest.mark.parametrize("p,rises", [(1e-9, True), (1e-11, False)])
+def test_monotone_tolerance(p, rises):
+    """Relabelling half of a weakly entangled local pair onto party 2 raises the
+    monotone across {1} by h(p): about 3e-8 ebits at p = 1e-9 (a violation) and
+    4e-10 at p = 1e-11 (inside ENTROPY_TOL)."""
+    q1, q2 = QubitId(1, "q1"), QubitId(1, "q2")
+    initial = engine.BranchEnsemble.from_amplitudes((q1, q2), [np.sqrt(1 - p), 0, 0, np.sqrt(p)])
+    trace = ProtocolTrace(2, initial, [Relabel(q2, QubitId(2, "q2"))])
+    report = audit.audit_trace(trace, graphs.import_json(NO_EBITS_2))
+    assert ("replay-monotonicity" in [v.check for v in report.violations]) == rises
+
+
 amounts = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 3)])
 
 
@@ -497,8 +520,8 @@ REPLAY_N = {"star-op": 3, "perm-entangle": 3, "perm-comm": 3, "ps": 4, "ps-cp": 
 
 @pytest.mark.parametrize("protocol", cli.PROTOCOLS)
 def test_replay_reproduces_the_simulation_bit_for_bit(protocol):
-    run, _ = cli._SIMULATORS[protocol](REPLAY_N.get(protocol, 3), np.random.default_rng(7), 1,
-                                       engine.DEFAULT_MAX_QUBITS)
+    run, _ = cli._simulate(protocol, REPLAY_N.get(protocol, 3), np.random.default_rng(7), 1,
+                           engine.DEFAULT_MAX_QUBITS)
     *_, (_, _, final) = audit.replay_events(run.trace.initial, run.trace.events)
     want = run.ensemble
     assert final.registry == want.registry
@@ -559,8 +582,8 @@ def audit_monotone_series(monkeypatch, trace, bundle):
 
 @pytest.mark.parametrize("protocol", cli.PROTOCOLS)
 def test_monotone_series_matches_the_per_branch_formula(monkeypatch, protocol):
-    run, _ = cli._SIMULATORS[protocol](REPLAY_N.get(protocol, 3), np.random.default_rng(7), 1,
-                                       engine.DEFAULT_MAX_QUBITS)
+    run, _ = cli._simulate(protocol, REPLAY_N.get(protocol, 3), np.random.default_rng(7), 1,
+                           engine.DEFAULT_MAX_QUBITS)
     states, series = audit_monotone_series(monkeypatch, run.trace, star_bundle(run))
     assert len(states) == len(series) == len(run.trace.events) + 1
     for step, (ens, (_, entropies)) in enumerate(zip(states, series)):

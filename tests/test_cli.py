@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from ebitnet import cli
 
-FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "four_lab_example.json"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "fixtures" / "four_lab_example.json"
 
 
 def run_cli(*argv):
@@ -102,6 +106,20 @@ class TestSimulate:
             "audit", "--trace", str(out / f"{protocol}_trace.jsonl"),
             "--graphs", str(out / f"{protocol}_graphs.json"),
         ) == 0
+
+    @pytest.mark.parametrize("two_party,general", [
+        ("two-qubit-op", ["star-op", "--n", "2", "--hub", "2"]),
+        ("swap-entangle", ["perm-entangle", "--n", "2"]),
+        ("swap-comm", ["perm-comm", "--n", "2"]),
+    ])
+    def test_two_party_names_are_the_general_runs_at_n_2(self, two_party, general, tmp_path, capsys):
+        # seed 7 draws the same message for both receivers, so swap-comm's draw order does not show
+        assert run_cli("simulate", two_party, "--seed", "7", "--n", "5", "--hub", "3",
+                       "--output", str(tmp_path / "a")) == 0
+        assert run_cli("simulate", *general, "--seed", "7", "--output", str(tmp_path / "b")) == 0
+        for suffix in ("trace.jsonl", "ledger.json", "graphs.json"):
+            assert ((tmp_path / "a" / f"{two_party}_{suffix}").read_bytes()
+                    == (tmp_path / "b" / f"{general[0]}_{suffix}").read_bytes())
 
 
 class TestBounds:
@@ -221,3 +239,22 @@ class TestDeterminism:
         assert run_cli("bounds", "--n-max", "16", "--output", str(a)) == 0
         assert run_cli("bounds", "--n-max", "16", "--output", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--n-max", "64"], ["audit"]], ids=["bounds", "audit"])
+def test_closed_stdout_exits_141_without_traceback(argv, tmp_path, capsys):
+    if argv == ["audit"]:
+        assert run_cli("simulate", "star-op", "--seed", "7", "--output", str(tmp_path)) == 0
+        argv = ["audit", "--trace", str(tmp_path / "star-op_trace.jsonl"),
+                "--graphs", str(tmp_path / "star-op_graphs.json")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ebitnet.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""

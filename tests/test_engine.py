@@ -81,6 +81,13 @@ class TestGates:
         with pytest.raises(ValueError, match="unitary"):
             Gate((QubitId(1, "a"),), np.array([[1, 0], [0, 2]]))
 
+    def test_unitarity_tolerance(self):
+        """A deviation from unitarity ten times UNITARY_TOL is refused; a hundredth of it passes."""
+        target = (QubitId(1, "a"),)
+        with pytest.raises(ValueError, match="unitary"):
+            Gate(target, np.sqrt(1 + 10 * engine.UNITARY_TOL) * np.eye(2))
+        Gate(target, np.sqrt(1 + engine.UNITARY_TOL / 100) * np.eye(2))
+
     def test_unknown_target_rejected(self):
         ens, a, b = bell_pair_ensemble()
         with pytest.raises(ValueError, match="unknown target"):
@@ -465,6 +472,15 @@ class TestBlockKernelAgainstMasks:
             weight, ref = expected[b.record[0]]
             assert b.probability == weight
             assert b.amplitudes.tobytes() == ref.tobytes()
+
+    def test_branch_norm_tolerance(self):
+        """check() refuses a branch whose norm drifted by 1e-8 and accepts a drift of 1e-11."""
+        ens = BranchEnsemble.from_amplitudes((QubitId(1, "a"),), [1.0, 0.0])
+        ens.branches[0].amplitudes[0] = 1 + 1e-8
+        with pytest.raises(AssertionError, match="branch norm"):
+            ens.check()
+        ens.branches[0].amplitudes[0] = 1 + 1e-11
+        ens.check()
 
     def test_nan_amplitude_is_rejected(self):
         with pytest.raises(ValueError, match="normalized"):

@@ -121,13 +121,15 @@ class TestSuperdense:
 
 
 class TestCollectiveTwoQubit:
+    """The hub protocol on two parties with hub 2: the two-qubit construction."""
+
     def test_swap_op_on_product_input(self):
         rng = np.random.default_rng(7)
         a = gates.random_state(2, rng)
         b = gates.random_state(2, rng)
         state = np.kron(b, a)  # party 1 = bit 0
         run = two_party_run(state)
-        protocols.collective_op_two_qubit(run, protocols.CollectiveOp(unitary=gates.swap_unitary()))
+        protocols.collective_op_star(run, protocols.CollectiveOp(unitary=gates.swap_unitary()), hub=2)
         expected = np.kron(a, b)
         assert engine.ensemble_fidelity(run.ensemble, protocols.data_order(run), expected) >= 1 - 1e-10
         assert run.ledger.total_consumed() == 2
@@ -138,7 +140,7 @@ class TestCollectiveTwoQubit:
         rng = np.random.default_rng(8)
         state = gates.random_state(4, rng)
         run = two_party_run(state)
-        protocols.collective_op_two_qubit(run, protocols.CollectiveOp(unitary=np.eye(4)))
+        protocols.collective_op_star(run, protocols.CollectiveOp(unitary=np.eye(4)), hub=2)
         assert engine.ensemble_fidelity(run.ensemble, protocols.data_order(run), state) >= 1 - 1e-10
         assert run.ledger.total_consumed() == 2
         assert run.ledger.total_bits_sent() == 4
@@ -147,7 +149,7 @@ class TestCollectiveTwoQubit:
         rng = np.random.default_rng(9)
         run = two_party_run(gates.random_state(4, rng))
         povm = Povm(tuple(np.eye(4) / 4 for _ in range(4)))
-        protocols.collective_op_two_qubit(run, protocols.CollectiveOp(povm=povm, record=True))
+        protocols.collective_op_star(run, protocols.CollectiveOp(povm=povm, record=True), hub=2)
         assert run.ledger.supplementary_bits == pytest.approx(2.0, abs=1e-12)
         supp = [e for e in run.trace.events if isinstance(e, ClassicalMessage) and e.supplementary]
         assert len(supp) == 1
@@ -160,13 +162,13 @@ class TestCollectiveTwoQubit:
         rng = np.random.default_rng(10)
         run = two_party_run(gates.random_state(4, rng))
         povm = Povm(tuple(np.eye(4) / 4 for _ in range(4)))
-        protocols.collective_op_two_qubit(run, protocols.CollectiveOp(povm=povm, record=False))
+        protocols.collective_op_star(run, protocols.CollectiveOp(povm=povm, record=False), hub=2)
         assert run.ledger.supplementary_bits == 0.0
 
     def test_insufficient_resources(self):
         run = two_party_run(ebits=1)
-        with pytest.raises(InsufficientResources):
-            protocols.collective_op_two_qubit(run, protocols.CollectiveOp(unitary=np.eye(4)))
+        with pytest.raises(InsufficientResources, match="have 1$"):
+            protocols.collective_op_star(run, protocols.CollectiveOp(unitary=np.eye(4)), hub=2)
 
 
 class TestCollectiveStar:
@@ -180,15 +182,15 @@ class TestCollectiveStar:
         assert run.ledger.total_consumed() == 4
         assert run.ledger.total_bits_sent() == 8
 
-    def test_n2_matches_two_qubit_ledger(self):
+    def test_n2_ledger_is_the_same_at_either_hub(self):
         rng = np.random.default_rng(12)
         state = gates.random_state(4, rng)
-        run_star = star_run(2, state)
-        run_two = two_party_run(state)
+        run_hub1 = star_run(2, state)
+        run_hub2 = star_run(2, state, hub=2)
         op = protocols.CollectiveOp(unitary=gates.swap_unitary())
-        protocols.collective_op_star(run_star, op)
-        protocols.collective_op_two_qubit(run_two, op)
-        assert run_star.ledger.summary() == run_two.ledger.summary()
+        protocols.collective_op_star(run_hub1, op)
+        protocols.collective_op_star(run_hub2, op, hub=2)
+        assert run_hub1.ledger.summary() == run_hub2.ledger.summary()
 
     def test_n4_ps_matches_star_pattern(self):
         from ebitnet import graphs
@@ -384,7 +386,7 @@ class TestLedgerInvariants:
 
     def test_held_never_negative(self):
         run = two_party_run(ebits=2)
-        protocols.collective_op_two_qubit(run, protocols.CollectiveOp(unitary=np.eye(4)))
+        protocols.collective_op_star(run, protocols.CollectiveOp(unitary=np.eye(4)), hub=2)
         assert all(v >= 0 for v in run.ledger.ebits_held.values())
         with pytest.raises(InsufficientResources):
             run.step(EbitConsume((1, 2), (engine.QubitId(1, "x"), engine.QubitId(2, "y"))))
@@ -443,8 +445,8 @@ class TestResourceBook:
 
     @pytest.mark.parametrize("protocol", cli.PROTOCOLS)
     def test_booking_the_trace_reproduces_the_run_ledger(self, protocol):
-        run, _ = cli._SIMULATORS[protocol](BOOK_N.get(protocol, 3), np.random.default_rng(7), 1,
-                                           engine.DEFAULT_MAX_QUBITS)
+        run, _ = cli._simulate(protocol, BOOK_N.get(protocol, 3), np.random.default_rng(7), 1,
+                               engine.DEFAULT_MAX_QUBITS)
         books = ResourceLedger(granted=dict(run.ledger.granted))
         for event in run.trace.events:
             books.book(event)

@@ -158,6 +158,16 @@ def test_out_of_range_party_is_rejected_with_its_line(kind, key, value):
      "cases": {"0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}},
     {"kind": "ebit_consume", "pair": [1, 2.0], "qubits": [[1, "x"], [2, "y"]]},
     {"kind": "allocate", "party": 2, "qubits": [[2.0, "z0"]], "init": "0"},
+    {"kind": "message", "from": 1, "to": 2, "bits": 0.1},
+    {"kind": "message", "from": 1, "to": 2, "bits": 2},
+    {"kind": "message", "from": 1, "to": 2, "bits": "1/0"},
+    {"kind": "decoded", "at": 2, "from": 1, "bits": "2", "payload": 11},
+    {"kind": "allocate", "party": 1, "qubits": [[1, "z0"]], "init": 0},
+    {"kind": "allocate", "party": 1, "qubits": [[1, 5]], "init": "0"},
+    {"kind": "local_measure", "party": 2, "targets": [[2, "q2"]], "basis": "computational",
+     "discard": False, "index": 1, "distribution": {"0": "0.5", "1": "0.5"}},
+    {"kind": "local_measure", "party": 2, "targets": [[2, "q2"]], "basis": "computational",
+     "discard": False, "index": 1, "distribution": {"0": True, "1": False}},
 ], ids=["no-matrix-or-cases", "three-qubit-ebit", "matrix-not-pairs", "distribution-not-object", "not-object",
         "init-22", "init-too-short", "allocate-nothing", "unknown-basis", "gate-1x1", "case-1x1",
         "oracle-2x2-on-two", "message-to-self", "negative-message", "decode-from-self", "negative-decode",
@@ -166,7 +176,9 @@ def test_out_of_range_party_is_rejected_with_its_line(kind, key, value):
         "permutation-not-bijective", "permutation-float-entry", "permutation-bool-entry",
         "permutation-string", "oracle-target-twice", "party-float", "party-string", "party-bool",
         "discard-string", "index-float", "message-to-float", "supplementary-string",
-        "conditional-on-string", "pair-float-party", "qubit-float-party"])
+        "conditional-on-string", "pair-float-party", "qubit-float-party", "bits-float", "bits-integer",
+        "bits-divide-by-zero", "payload-integer", "init-integer", "label-integer", "distribution-strings",
+        "distribution-bool"])
 def test_malformed_event_is_rejected_with_its_line(record):
     records = golden_records()[:3] + [record]
     with pytest.raises(ValueError, match=r"^trace line 4: "):
@@ -230,6 +242,12 @@ def _first(kind, key, value):
     return mutate
 
 
+def _string_distribution(records):
+    """The first measurement's outcome probabilities written as JSON strings."""
+    measure = next(r for r in records if r["kind"] == "local_measure")
+    measure["distribution"] = {k: str(v) for k, v in measure["distribution"].items()}
+
+
 def _max_qubits(cap):
     """The header's registry cap set to ``cap``; the star-op n=3 header holds 3 qubits
     and its first consume, on line 2, adds 2."""
@@ -255,9 +273,14 @@ def _max_qubits(cap):
     (_first("local_measure", "party", True), 3),
     (_first("local_measure", "discard", "false"), 3),
     (_first("message", "to", 1.9), 4),
+    (_first("message", "bits", 0.1), 4),
+    (_first("message", "bits", 2), 4),
+    (_first("message", "bits", "1/0"), 4),
+    (_string_distribution, 3),
 ], ids=["no-n_parties", "truncated-amplitudes", "pair-1-7", "pair-1-3", "forged-oracle", "relabel-nowhere",
         "allocate-existing", "max-qubits-2", "max-qubits-4", "max-qubits-30.7", "format-1", "party-2.5",
-        "party-string", "party-true", "discard-string", "to-1.9"])
+        "party-string", "party-true", "discard-string", "to-1.9", "bits-0.1", "bits-2", "bits-1/0",
+        "distribution-strings"])
 @pytest.mark.parametrize("flags", [[], ["--no-replay"]], ids=["replay", "no-replay"])
 def test_audit_of_malformed_trace_exits_two_without_traceback(tmp_path, capsys, mutate, line, flags):
     records, graphs_file = _star_trace(tmp_path)
