@@ -15,6 +15,11 @@ Load probes of single values that must make both audits exit 2 come last: a
 permutation that is not a bijection or is longer than its targets, a header of
 another format; parties, integers, booleans, strings and probabilities given as
 another JSON type; and message bits that are not an exact string amount.
+Then ``ebitnet symmetrise`` runs on the four-lab fixture and on seeded rational
+graphs up to n = 9 (the brute-force cap is 8), and graph-file probes put one
+value that is not a JSON integer or string (``1e400``, ``0.5``, ``true``, a row
+given as a string, an ``n`` of ``"2"``) into the teleport graphs: ``symmetrise``
+and both audits must exit 2 on each.
 
 The script imports ebitnet from the src/ directory of its own checkout.  To
 check that a change leaves the CLI's behaviour byte-identical, run it from two
@@ -34,6 +39,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ebitnet import cli  # noqa: E402
+
+FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "four_lab_example.json"
 
 SEEDS = (7, 11)
 # spec name -> simulate arguments after the protocol name
@@ -273,6 +280,59 @@ LOAD_PROBES = (
 )
 
 
+# party counts of the seeded rational graphs given to symmetrise
+SYMMETRISE_SIZES = (3, 7, 8, 9)
+# (name, path to one value of the teleport seed-7 graphs file, the JSON text put there)
+GRAPH_PROBES = (
+    ("cell-1e400", ("entanglement", 0, 1), "1e400"),
+    ("cell-float", ("communication", 1, 0), "0.5"),
+    ("cell-bool", ("communication", 0, 1), "true"),
+    ("cell-null", ("entanglement", 1, 0), "null"),
+    ("row-string", ("communication", 1), '"00"'),
+    ("n-bool", ("n",), "true"),
+    ("n-string", ("n",), '"2"'),
+    ("n-float", ("n",), "2.0"),
+)
+
+
+def rational_graph(n: int, rng: random.Random) -> dict:
+    """A graphs document with weights p/q, 0 <= p <= 12 and 1 <= q <= 6, as strings."""
+    def weight() -> str:
+        return f"{rng.randint(0, 12)}/{rng.randint(1, 6)}"
+
+    ent = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            ent[i][j] = ent[j][i] = weight()
+    comm = [["0" if i == j else weight() for j in range(n)] for i in range(n)]
+    return {"n": n, "entanglement": ent, "communication": comm}
+
+
+def symmetrise(graph_file: Path, into: Path) -> str:
+    """``ebitnet symmetrise`` of ``graph_file``; its stdout and files go to ``into``."""
+    result = run_cli(["symmetrise", "--input", str(graph_file), "--output", str(into / "symmetrised")])
+    (into / "symmetrise.txt").write_text(result, encoding="utf-8")
+    return result
+
+
+def graph_probe(root: Path, name: str, path: tuple, literal: str) -> list[str]:
+    """symmetrise and both audits of the teleport seed-7 run, its graphs file carrying
+    ``literal`` at ``path``; the files go to graph-probes/<name>."""
+    source = root / "simulate" / "teleport-s7"
+    graph = json.loads((source / "teleport_graphs.json").read_text(encoding="utf-8"))
+    *keys, last = path
+    target = graph
+    for key in keys:
+        target = target[key]
+    target[last] = "@probe@"
+    into = root / "graph-probes" / name
+    into.mkdir(parents=True, exist_ok=True)
+    graph_file = into / "graphs.json"
+    graph_file.write_text(json.dumps(graph, sort_keys=True).replace('"@probe@"', literal) + "\n",
+                          encoding="utf-8")
+    return [symmetrise(graph_file, into), *audit_both(source / "teleport_trace.jsonl", graph_file, into)]
+
+
 def mutate_and_audit(root: Path, base: str, name: str, mutate, rng) -> list[str]:
     """Audit the seed-7 run of ``base`` after ``mutate``; its files go to mutations/<base>-<name>."""
     protocol = SPECS[base][0]
@@ -320,6 +380,18 @@ def main() -> None:
             outcomes += mutate_and_audit(root, base, name, mutate, random.Random(1000 * b + m))
     for base, name, mutate in LOAD_PROBES:
         outcomes += mutate_and_audit(root, base, name, mutate, None)
+
+    into = root / "symmetrise" / "four-lab"
+    into.mkdir(parents=True, exist_ok=True)
+    outcomes.append(symmetrise(FIXTURE, into))
+    for n in SYMMETRISE_SIZES:
+        into = root / "symmetrise" / f"rational-n{n}"
+        into.mkdir(parents=True, exist_ok=True)
+        (into / "graphs.json").write_text(json.dumps(rational_graph(n, random.Random(n)), indent=1) + "\n",
+                                          encoding="utf-8")
+        outcomes.append(symmetrise(into / "graphs.json", into))
+    for name, path, literal in GRAPH_PROBES:
+        outcomes += graph_probe(root, name, path, literal)
 
     exits = Counter(result.split("\n", 1)[0] for result in outcomes)
     print(f"{len(outcomes)} commands written to {root}: "

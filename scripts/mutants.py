@@ -42,6 +42,7 @@ PROTOCOLS = "tests/test_protocols.py::"
 AUDIT = "tests/test_audit.py::"
 CODEC = "tests/test_trace_codec.py::"
 ENGINE = "tests/test_engine.py::"
+GRAPHS = "tests/test_graphs.py::"
 MUTANTS = (
     Mutant("step refuses only below zero", "src/ebitnet/protocols.py",
            "self.ledger.held(*event.pair) < 1:", "self.ledger.held(*event.pair) < 0:",
@@ -95,8 +96,17 @@ MUTANTS = (
            'raise ValueError(f"qubit id {twice!r} already in use")', "pass",
            (ENGINE + "TestRelabel::test_renames_must_give_distinct_ids",)),
     Mutant("unitarity tolerance 100x looser", "src/ebitnet/engine.py",
-           "if err > UNITARY_TOL:", "if err > 100 * UNITARY_TOL:",
+           "if not err <= UNITARY_TOL:", "if not err <= 100 * UNITARY_TOL:",
            (ENGINE + "TestGates::test_unitarity_tolerance",)),
+    Mutant("NaN unitarity deviation passes", "src/ebitnet/engine.py",
+           "if not err <= UNITARY_TOL:", "if err > UNITARY_TOL:",
+           (ENGINE + "TestGates::test_nan_and_inf_entries_rejected",)),
+    Mutant("probability-sum tolerance 1000x looser", "src/ebitnet/engine.py",
+           "NORM_TOL = 1e-12", "NORM_TOL = 1e-9",
+           (ENGINE + "TestBlockKernelAgainstMasks::test_probability_sum_tolerance",)),
+    Mutant("entropy eigenvalue cutoff 1000x higher", "src/ebitnet/engine.py",
+           "EIG_TOL = 1e-12", "EIG_TOL = 1e-9",
+           (ENGINE + "TestEntropy::test_eigenvalue_cutoff",)),
     Mutant("branch-norm tolerance 1000x looser", "src/ebitnet/engine.py",
            "if not abs(norm - 1.0) <= 1e-9:\n                raise AssertionError",
            "if not abs(norm - 1.0) <= 1e-6:\n                raise AssertionError",
@@ -114,6 +124,9 @@ MUTANTS = (
     Mutant("message bits coerced from any JSON value", "src/ebitnet/ledger.py",
            "return Fraction(_str(raw))", "return Fraction(raw)",
            (CODEC + "test_malformed_event_is_rejected_with_its_line",)),
+    Mutant("symmetrise sums in int64 past its range", "src/ebitnet/graphs.py",
+           "2**63", "2**200",
+           (GRAPHS + "TestSymmetrise::test_sums_past_int64_match_reference",), quick=True),
 )
 
 

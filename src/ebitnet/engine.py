@@ -156,7 +156,7 @@ def _checked_unitary(targets: Sequence[QubitId], matrix) -> np.ndarray:
     if mat.shape != (dim, dim):
         raise ValueError(f"gate on {len(targets)} qubits needs a {dim}x{dim} matrix")
     err = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
-    if err > UNITARY_TOL:
+    if not err <= UNITARY_TOL:  # negated so that a NaN deviation fails
         raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
     return mat
 

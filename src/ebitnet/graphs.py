@@ -5,18 +5,26 @@ communication graphs are directed.  Symmetrising a graph sums it over all
 vertex permutations, yielding a regular complete graph whose single edge
 weight also follows from a closed form; both routes are kept so one can
 check the other.  All arithmetic is in fractions so factorial scalings
-and partition counts are exact.
+and partition counts are exact; the explicit permutation sum runs on
+integers over the weights' common denominator (numpy int64, or Python ints
+where int64 could overflow), so it is exact too.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-BRUTE_FORCE_MAX = 8  # 8! = 40320 permutations; beyond that use the closed form
+import numpy as np
+
+# 8! = 40320 permutations; beyond that use the closed form.  Raising the cap to 9
+# would make `ebitnet symmetrise` at n = 9 (the perm-wide benchmark workload) run
+# the explicit sum: its stdout would change and it would take about 9x the n = 8 time.
+BRUTE_FORCE_MAX = 8
 
 
 class GraphFormatError(ValueError):
@@ -37,7 +45,7 @@ def _to_weights(raw: Sequence[Sequence], n: int, where: str) -> Weights:
         for j, cell in enumerate(row):
             try:
                 val = Fraction(cell)
-            except (ValueError, TypeError, ZeroDivisionError):
+            except (ValueError, TypeError, ZeroDivisionError, OverflowError):
                 raise GraphFormatError(f"{where}[{i}][{j}]: not a rational: {cell!r}") from None
             if val < 0:
                 raise GraphFormatError(f"{where}[{i}][{j}]: negative weight {val}")
@@ -128,7 +136,7 @@ class DeltaMatrix:
             for j, cell in enumerate(r):
                 try:
                     out.append(Fraction(cell))
-                except (ValueError, TypeError, ZeroDivisionError):
+                except (ValueError, TypeError, ZeroDivisionError, OverflowError):
                     raise GraphFormatError(f"delta[{i}][{j}]: not a rational: {cell!r}") from None
             rows.append(tuple(out))
         rows = tuple(rows)
@@ -177,6 +185,8 @@ def symmetrise(g: Graph) -> Graph:
 
     The result is regular and complete with total n! times the input total.
     Refuses above the brute-force cap; use symmetrised_edge_weight there.
+    The sum runs on the integer numerators over the common denominator,
+    one row of the result per gather over the n x n! permutation table.
     """
     n = g.n
     if n > BRUTE_FORCE_MAX:
@@ -184,15 +194,15 @@ def symmetrise(g: Graph) -> Graph:
             f"explicit symmetrisation is capped at n = {BRUTE_FORCE_MAX}; "
             "use symmetrised_edge_weight for the closed form"
         )
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    for perm in itertools.permutations(range(n)):
-        w = g.weights
-        for i in range(n):
-            wi = w[perm[i]]
-            row = acc[i]
-            for j in range(n):
-                row[j] += wi[perm[j]]
-    mat = tuple(tuple(row) for row in acc)
+    fact = math.factorial(n)
+    den = math.lcm(*(x.denominator for row in g.weights for x in row))
+    nums = [[x.numerator * (den // x.denominator) for x in row] for row in g.weights]
+    # no cell of the sum passes max(W) * n!; beyond int64 the sum runs on Python ints
+    W = np.array(nums, dtype=object if max(map(max, nums), default=0) * fact >= 2**63 else np.int64)
+    P = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))), np.int8,
+                    n * fact).reshape(fact, n)
+    acc = [W[P[:, i, None], P].sum(axis=0) for i in range(n)]
+    mat = tuple(tuple(Fraction(int(v), den) for v in row) for row in acc)
     return type(g)(n, mat)
 
 
@@ -354,8 +364,6 @@ class GraphBundle:
 
 
 def export_json(bundle: GraphBundle) -> str:
-    import json
-
     doc: dict = {"n": bundle.n}
     if bundle.entanglement is not None:
         doc["entanglement"] = [[str(x) for x in row] for row in bundle.entanglement.weights]
@@ -364,9 +372,21 @@ def export_json(bundle: GraphBundle) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def import_json(text: str) -> GraphBundle:
-    import json
+def _json_matrix(raw, where: str) -> list:
+    """``raw`` once it is a list of rows whose cells are JSON integers (not
+    booleans) or strings; floats never reach ``Fraction``."""
+    if not isinstance(raw, list):
+        raise GraphFormatError(f"{where}: expected a list of rows, got {json.dumps(raw)}")
+    for i, row in enumerate(raw):
+        if not isinstance(row, list):
+            raise GraphFormatError(f"{where}[{i}]: expected a list of entries, got {json.dumps(row)}")
+        for j, cell in enumerate(row):
+            if isinstance(cell, bool) or not isinstance(cell, (int, str)):
+                raise GraphFormatError(f"{where}[{i}][{j}]: not an integer or a string: {json.dumps(cell)}")
+    return raw
 
+
+def import_json(text: str) -> GraphBundle:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -375,17 +395,16 @@ def import_json(text: str) -> GraphBundle:
         raise GraphFormatError("top level: expected a JSON object")
     if "n" not in doc:
         raise GraphFormatError('top level: missing "n"')
-    try:
-        n = int(doc["n"])
-    except (TypeError, ValueError):
-        raise GraphFormatError(f'"n": not an integer: {doc["n"]!r}') from None
+    n = doc["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise GraphFormatError(f'"n": not an integer: {json.dumps(n)}')
     if n < 1:
         raise GraphFormatError(f'"n": must be positive, got {n}')
     ent = comm = None
     if "entanglement" in doc:
-        ent = EntanglementGraph(n, doc["entanglement"])
+        ent = EntanglementGraph(n, _json_matrix(doc["entanglement"], "entanglement"))
     if "communication" in doc:
-        comm = CommunicationGraph(n, doc["communication"])
+        comm = CommunicationGraph(n, _json_matrix(doc["communication"], "communication"))
     if ent is None and comm is None:
         raise GraphFormatError('top level: need "entanglement" and/or "communication"')
     return GraphBundle(n, ent, comm)

@@ -88,6 +88,11 @@ class TestGates:
             Gate(target, np.sqrt(1 + 10 * engine.UNITARY_TOL) * np.eye(2))
         Gate(target, np.sqrt(1 + engine.UNITARY_TOL / 100) * np.eye(2))
 
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+    def test_nan_and_inf_entries_rejected(self, entry):
+        with pytest.raises(ValueError, match="unitary"), np.errstate(invalid="ignore"):
+            Gate((QubitId(1, "a"),), np.array([[entry, 0], [0, 1]]))
+
     def test_unknown_target_rejected(self):
         ens, a, b = bell_pair_ensemble()
         with pytest.raises(ValueError, match="unknown target"):
@@ -244,6 +249,14 @@ class TestEntropy:
             ens = engine.apply_gate(ens, Gate((x,), gates.HADAMARD))
             ens = engine.apply_gate(ens, Gate((x, y), gates.cnot_unitary()))
         assert engine.entanglement_entropy(ens, {1}) == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("p,counted", [(1e-11, True), (1e-14, False)])
+    def test_eigenvalue_cutoff(self, p, counted):
+        """A Schmidt weight of 1e-11 adds its -p log2 p (about 36.5 p) to the entropy;
+        one of 1e-14 is below EIG_TOL and dropped, leaving about 1.4 p."""
+        q1, q2 = QubitId(1, "q1"), QubitId(2, "q2")
+        ens = BranchEnsemble.from_amplitudes((q1, q2), [np.sqrt(1 - p), 0, 0, np.sqrt(p)])
+        assert (engine.entropy_of_qubits(ens, [q1]) > 10 * p) == counted
 
     def test_improper_partition_rejected(self):
         ens, a, b = bell_pair_ensemble(party_a=1, party_b=2)
@@ -480,6 +493,16 @@ class TestBlockKernelAgainstMasks:
         with pytest.raises(AssertionError, match="branch norm"):
             ens.check()
         ens.branches[0].amplitudes[0] = 1 + 1e-11
+        ens.check()
+
+    def test_probability_sum_tolerance(self):
+        """check() refuses branch probabilities summing to 1 + 1e-11 and accepts 1 + 1e-14."""
+        ens = BranchEnsemble((QubitId(1, "a"),), [engine.Branch(0.5, np.array([1, 0], dtype=complex)),
+                                                  engine.Branch(0.5, np.array([0, 1], dtype=complex))])
+        ens.branches[1].probability = 0.5 + 1e-11
+        with pytest.raises(AssertionError, match="sum to"):
+            ens.check()
+        ens.branches[1].probability = 0.5 + 1e-14
         ens.check()
 
     def test_nan_amplitude_is_rejected(self):

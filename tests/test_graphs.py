@@ -1,12 +1,13 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebitnet import graphs
+from ebitnet import cli, graphs
 from ebitnet.graphs import (
     CommunicationGraph,
     DeltaMatrix,
@@ -34,6 +35,21 @@ def communication_graphs(draw, min_n=2, max_n=5):
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     w = [[draw(small_fractions) if i != j else Fraction(0) for j in range(n)] for i in range(n)]
     return CommunicationGraph(n, tuple(tuple(r) for r in w))
+
+
+def reference_symmetrise(g):
+    """The explicit sum over all n! vertex permutations in Fraction arithmetic,
+    cell by cell: the oracle for the integer kernel of graphs.symmetrise."""
+    n = g.n
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for perm in itertools.permutations(range(n)):
+        w = g.weights
+        for i in range(n):
+            wi = w[perm[i]]
+            row = acc[i]
+            for j in range(n):
+                row[j] += wi[perm[j]]
+    return tuple(tuple(row) for row in acc)
 
 
 def permute_graph(g, perm):
@@ -117,6 +133,7 @@ class TestSymmetrise:
         assert all(
             sym.weights[i][j] == w for i in range(g.n) for j in range(g.n) if i != j
         )
+        assert sym.weights == reference_symmetrise(g)
 
     @given(communication_graphs())
     @settings(max_examples=40, deadline=None)
@@ -126,6 +143,7 @@ class TestSymmetrise:
         assert all(
             sym.weights[i][j] == w for i in range(g.n) for j in range(g.n) if i != j
         )
+        assert sym.weights == reference_symmetrise(g)
 
     def test_already_regular_self_consistency(self):
         for n in (2, 3, 4, 5):
@@ -151,6 +169,27 @@ class TestSymmetrise:
             twice.weights[i][j] == f * once.weights[i][j]
             for i in range(g.n) for j in range(g.n)
         )
+
+    def test_n8_rational_graph_matches_reference(self):
+        rng = random.Random(8)
+        w = [[Fraction(0) if i == j else Fraction(rng.randint(0, 12), rng.randint(1, 6))
+              for j in range(8)] for i in range(8)]
+        g = CommunicationGraph(8, tuple(map(tuple, w)))
+        assert graphs.symmetrise(g).weights == reference_symmetrise(g)
+
+    def test_sums_past_int64_match_reference(self):
+        """Scaled numerators near 2**55 fit int64, but 7! of them do not: the sum
+        must run on Python ints (int64 sums wrap silently)."""
+        n = 7
+        w = [[Fraction(0)] * n for _ in range(n)]
+        for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+            w[i][j] = w[j][i] = Fraction(2**55 + 7919 * k, 3)
+        g = EntanglementGraph(n, tuple(map(tuple, w)))
+        top = max(x.numerator for row in g.weights for x in row)
+        assert top < 2**63 <= top * math.factorial(n)
+        sym = graphs.symmetrise(g)
+        assert sym.weights == reference_symmetrise(g)
+        assert sym.weights[0][1] == graphs.symmetrised_edge_weight("entanglement", graphs.total_entanglement(g), n)
 
     def test_brute_force_cap(self):
         big = regular_complete(9, 1)
@@ -354,6 +393,38 @@ class TestSerialization:
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(GraphFormatError, match="diagonal"):
             graphs.import_json('{"n": 2, "communication": [["1", "0"], ["0", "0"]]}')
+
+    @pytest.mark.parametrize("doc,where", [
+        ('{"n": 2, "entanglement": [[0, 1e400], [1e400, 0]]}', r"entanglement\[0\]\[1\]: .*Infinity"),
+        ('{"n": 2, "communication": [[0, 0.5], [0, 0]]}', r"communication\[0\]\[1\]: .*0\.5"),
+        ('{"n": 2, "communication": [[0, 0], [true, 0]]}', r"communication\[1\]\[0\]: .*true"),
+        ('{"n": 2, "communication": [[0, null], [0, 0]]}', r"communication\[0\]\[1\]: .*null"),
+        ('{"n": 2, "communication": [[0, 0], "00"]}', r"communication\[1\]: expected a list"),
+        ('{"n": 2, "communication": "0000"}', r"communication: expected a list"),
+        ('{"n": true, "communication": [[0, 1], [1, 0]]}', r'"n": not an integer: true'),
+        ('{"n": "2", "communication": [[0, 1], [1, 0]]}', r'"n": not an integer: "2"'),
+        ('{"n": 2.0, "communication": [[0, 1], [1, 0]]}', r'"n": not an integer: 2\.0'),
+    ])
+    def test_cells_and_n_must_be_json_integers_or_strings(self, doc, where):
+        with pytest.raises(GraphFormatError, match=where):
+            graphs.import_json(doc)
+
+    def test_integer_and_string_cells_mix(self):
+        g = graphs.import_json('{"n": 2, "communication": [[0, 3], ["1/2", "0"]]}').communication
+        assert g.weights == ((0, 3), (Fraction(1, 2), 0))
+
+    def test_symmetrise_of_an_overflowing_cell_exits_two(self, tmp_path, capsys):
+        src = tmp_path / "g.json"
+        src.write_text('{"n": 2, "entanglement": [[0, 1e400], [1e400, 0]]}')
+        assert cli.main(["symmetrise", "--input", str(src), "--output", str(tmp_path / "o")]) == 2
+        assert "entanglement[0][1]" in capsys.readouterr().err
+
+    def test_infinite_weight_in_memory_rejected(self):
+        inf = float("inf")
+        with pytest.raises(GraphFormatError, match=r"entanglement\[0\]\[1\]"):
+            EntanglementGraph(2, ((0, inf), (inf, 0)))
+        with pytest.raises(GraphFormatError, match=r"delta\[0\]\[1\]"):
+            DeltaMatrix(2, ((0, inf), (inf, 0)))
 
     def test_fraction_cells(self):
         doc = '{"n": 2, "entanglement": [["0", "3/2"], ["3/2", "0"]]}'
