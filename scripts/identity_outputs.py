@@ -14,12 +14,14 @@ consumes, a forged oracle and a header registry cap below the trace's needs).
 Load probes of single values that must make both audits exit 2 come last: a
 permutation that is not a bijection or is longer than its targets, a header of
 another format; parties, integers, booleans, strings and probabilities given as
-another JSON type; and message bits that are not an exact string amount.
+another JSON type; message bits that are not an exact string amount; and a
+local gate matrix that is not unitary (a NaN or a doubled entry).
 Then ``ebitnet symmetrise`` runs on the four-lab fixture and on seeded rational
 graphs up to n = 9 (the brute-force cap is 8), and graph-file probes put one
 value that is not a JSON integer or string (``1e400``, ``0.5``, ``true``, a row
-given as a string, an ``n`` of ``"2"``) into the teleport graphs: ``symmetrise``
-and both audits must exit 2 on each.
+given as a string, an ``n`` of ``"2"``), or a cell too long or not an integer
+or ``"p/q"`` (``"1e5000"``, a 5000-digit integer), into the teleport graphs:
+``symmetrise`` and both audits must exit 2 on each.
 
 The script imports ebitnet from the src/ directory of its own checkout.  To
 check that a change leaves the CLI's behaviour byte-identical, run it from two
@@ -239,6 +241,15 @@ def _set_first(kind, key, value):
     return mutate
 
 
+def _first_gate_entry(value):
+    """The first entry of the first local gate's matrix, or of its first case matrix, set to ``value``."""
+    def mutate(records, graph, rng):
+        gate = next(r for r in records if r["kind"] == "local_gate")
+        matrix = gate["matrix"] if "matrix" in gate else gate["cases"][min(gate["cases"])]
+        matrix[0][0] = value
+    return mutate
+
+
 MUTATIONS = {
     "drop": _drop,
     "duplicate": _duplicate,
@@ -277,6 +288,8 @@ LOAD_PROBES = (
     ("teleport", "bits-divide-by-zero", _set_first("message", "bits", "1/0")),
     ("teleport", "distribution-strings", _string_distribution),
     ("perm-comm-n3", "payload-integer", _set_first("decoded", "payload", 1)),
+    ("teleport", "gate-entry-nan", _first_gate_entry([float("nan"), 0.0])),
+    ("star-op-n3", "gate-entry-doubled", _first_gate_entry([2.0, 0.0])),
 )
 
 
@@ -292,6 +305,8 @@ GRAPH_PROBES = (
     ("n-bool", ("n",), "true"),
     ("n-string", ("n",), '"2"'),
     ("n-float", ("n",), "2.0"),
+    ("cell-1e5000", ("entanglement", 0, 1), '"1e5000"'),
+    ("cell-5000-digits", ("entanglement", 0, 1), "1" + "0" * 4999),
 )
 
 

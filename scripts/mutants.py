@@ -43,6 +43,7 @@ AUDIT = "tests/test_audit.py::"
 CODEC = "tests/test_trace_codec.py::"
 ENGINE = "tests/test_engine.py::"
 GRAPHS = "tests/test_graphs.py::"
+SERIES = AUDIT + "test_monotone_series_matches_the_per_branch_formula"
 MUTANTS = (
     Mutant("step refuses only below zero", "src/ebitnet/protocols.py",
            "self.ledger.held(*event.pair) < 1:", "self.ledger.held(*event.pair) < 0:",
@@ -127,6 +128,28 @@ MUTANTS = (
     Mutant("symmetrise sums in int64 past its range", "src/ebitnet/graphs.py",
            "2**63", "2**200",
            (GRAPHS + "TestSymmetrise::test_sums_past_int64_match_reference",), quick=True),
+    Mutant("unitarity not checked at load", "src/ebitnet/ledger.py",
+           "    _check_unitary(gates)\n    return trace", "    return trace",
+           (CODEC + "test_malformed_event_is_rejected_with_its_line",
+            CODEC + "test_first_non_unitary_gate_is_reported_across_matrix_sizes")),
+    # the product groups of the replay, one row per rule
+    Mutant("a gate joins no groups", "src/ebitnet/audit.py",
+           'if isinstance(ev, LocalGate) or ev.basis == "bell":',
+           'if isinstance(ev, LocalMeasure) and ev.basis == "bell":',
+           (SERIES + "[perm-entangle]", SERIES + "[swap-entangle]")),
+    Mutant("a Bell measurement joins no groups", "src/ebitnet/audit.py",
+           'if isinstance(ev, LocalGate) or ev.basis == "bell":', "if isinstance(ev, LocalGate):",
+           (SERIES + "[star-op]", AUDIT + "TestAuditCleanRuns::test_star_run_is_clean")),
+    Mutant("discarded qubits stay in their group", "src/ebitnet/audit.py",
+           'if isinstance(ev, LocalMeasure) and ev.discard and ev.basis != "povm":', "if False:",
+           (SERIES + "[star-op]",
+            AUDIT + "test_monotone_is_evaluated_once_per_cut_after_every_state_change_only")),
+    Mutant("a consumed pair split into two groups", "src/ebitnet/audit.py",
+           "return groups + [frozenset(ev.qubits)]", "return groups + [frozenset({q}) for q in ev.qubits]",
+           (SERIES + "[teleport]", SERIES + "[perm-comm]")),
+    Mutant("relabels, relocations and oracles rename no group member", "src/ebitnet/audit.py",
+           "return [frozenset(renames.get(q, q) for q in g) for g in groups]", "return groups",
+           (SERIES + "[perm-comm]", AUDIT + "test_cross_party_relabel_report_is_exact")),
 )
 
 

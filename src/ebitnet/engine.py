@@ -155,10 +155,16 @@ def _checked_unitary(targets: Sequence[QubitId], matrix) -> np.ndarray:
     dim = 1 << len(targets)
     if mat.shape != (dim, dim):
         raise ValueError(f"gate on {len(targets)} qubits needs a {dim}x{dim} matrix")
-    err = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
+    err = unitarity_deviation(mat)
     if not err <= UNITARY_TOL:  # negated so that a NaN deviation fails
         raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
     return mat
+
+
+def unitarity_deviation(matrices: np.ndarray) -> np.ndarray:
+    """The largest entry of |U^dagger U - 1| for each matrix U of a (..., d, d) stack."""
+    identity = np.eye(matrices.shape[-1])
+    return np.max(np.abs(matrices.conj().swapaxes(-1, -2) @ matrices - identity), axis=(-2, -1))
 
 
 @dataclass(frozen=True)

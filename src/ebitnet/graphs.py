@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -372,23 +373,52 @@ def export_json(bundle: GraphBundle) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+# A graph file's cell is a JSON integer, or a string holding an integer or
+# "p/q", of at most CELL_MAX_CHARS characters.  Fraction alone would also read
+# "1e5000", and much longer cells would make exact totals too long to print
+# (Python refuses to convert integers of more than 4300 digits to text).
+CELL_MAX_CHARS = 64
+_CELL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+class _LongInt(str):
+    """The digits of a JSON integer longer than CELL_MAX_CHARS, left unconverted."""
+
+
+def _json_int(digits: str) -> int | _LongInt:
+    return int(digits) if len(digits) <= CELL_MAX_CHARS else _LongInt(digits)
+
+
+def _shown(value) -> str:
+    """``value`` as it reads in the file, cut short when long."""
+    text = str(value) if isinstance(value, _LongInt) else json.dumps(value)
+    return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+
+
 def _json_matrix(raw, where: str) -> list:
     """``raw`` once it is a list of rows whose cells are JSON integers (not
-    booleans) or strings; floats never reach ``Fraction``."""
+    booleans) or integer or "p/q" strings, none longer than CELL_MAX_CHARS;
+    floats never reach ``Fraction``."""
     if not isinstance(raw, list):
-        raise GraphFormatError(f"{where}: expected a list of rows, got {json.dumps(raw)}")
+        raise GraphFormatError(f"{where}: expected a list of rows, got {_shown(raw)}")
     for i, row in enumerate(raw):
         if not isinstance(row, list):
-            raise GraphFormatError(f"{where}[{i}]: expected a list of entries, got {json.dumps(row)}")
+            raise GraphFormatError(f"{where}[{i}]: expected a list of entries, got {_shown(row)}")
         for j, cell in enumerate(row):
+            if isinstance(cell, _LongInt):
+                raise GraphFormatError(f"{where}[{i}][{j}]: an integer of {len(cell)} digits is longer "
+                                       f"than {CELL_MAX_CHARS}: {_shown(cell)}")
             if isinstance(cell, bool) or not isinstance(cell, (int, str)):
-                raise GraphFormatError(f"{where}[{i}][{j}]: not an integer or a string: {json.dumps(cell)}")
+                raise GraphFormatError(f"{where}[{i}][{j}]: not an integer or a string: {_shown(cell)}")
+            if isinstance(cell, str) and not (len(cell) <= CELL_MAX_CHARS and _CELL.fullmatch(cell)):
+                raise GraphFormatError(f'{where}[{i}][{j}]: not an integer or "p/q" string of at most '
+                                       f"{CELL_MAX_CHARS} characters: {_shown(cell)}")
     return raw
 
 
 def import_json(text: str) -> GraphBundle:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"line {exc.lineno}, column {exc.colno}: invalid JSON") from None
     if not isinstance(doc, Mapping):
@@ -397,7 +427,7 @@ def import_json(text: str) -> GraphBundle:
         raise GraphFormatError('top level: missing "n"')
     n = doc["n"]
     if isinstance(n, bool) or not isinstance(n, int):
-        raise GraphFormatError(f'"n": not an integer: {json.dumps(n)}')
+        raise GraphFormatError(f'"n": not an integer: {_shown(n)}')
     if n < 1:
         raise GraphFormatError(f'"n": must be positive, got {n}')
     ent = comm = None

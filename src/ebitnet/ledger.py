@@ -145,8 +145,9 @@ Party = int
 
 # Events reject values that could never be replayed when they are built, so
 # a trace that holds one fails to load.  Only local gates carry matrices;
-# their unitarity is left to the replay, as checking it costs O(8^t) for a
-# t-qubit matrix.
+# their unitarity is checked once the whole trace is read (``_check_unitary``),
+# one stacked product per matrix size, and not when a gate is built, as
+# simulations build gates of their own.
 
 
 def _check_square(matrix, targets) -> None:
@@ -207,9 +208,13 @@ class LocalGate:
         given = (self.matrix is not None, self.cases is not None, self.conditional_on is not None)
         if given not in ((True, False, False), (False, True, True)):
             raise ValueError("a local gate takes either a matrix or cases with conditional_on")
-        matrices = [self.matrix] if self.cases is None else [m for _, m in self.cases]
-        for matrix in matrices:
+        for matrix in self.matrices:
             _check_square(matrix, self.targets)
+
+    @property
+    def matrices(self) -> list[np.ndarray]:
+        """The matrix, or every case matrix."""
+        return [self.matrix] if self.cases is None else [m for _, m in self.cases]
 
 
 @dataclass(frozen=True)
@@ -314,23 +319,29 @@ def apply_event(ens: BranchEnsemble, event: Event) -> tuple[BranchEnsemble, dict
         ens = engine.apply_gate(ens, Gate(event.targets, event.matrix))
     elif isinstance(event, LocalGate):
         ens = engine.apply_conditional(ens, event.targets, dict(event.cases), event.conditional_on)
-    elif isinstance(event, CollectiveOracle):
-        ens = engine.relabel_qubits(ens, {q: event.targets[event.permutation(i) - 1]
-                                          for i, q in enumerate(event.targets, start=1)})
+    elif isinstance(event, (CollectiveOracle, Relocate, Relabel)):
+        ens = engine.relabel_qubits(ens, event_renames(event))
     elif isinstance(event, LocalMeasure):
         if event.basis == "povm":
             return ens, dict(event.distribution)
         measure = engine.bell_measure if event.basis == "bell" else engine.measure_computational
         return measure(ens, event.targets, discard=event.discard)
-    elif isinstance(event, Relocate):
-        ens = engine.relabel_qubits(ens, {event.qubit: QubitId(event.to_party, event.qubit.label)})
-    elif isinstance(event, Relabel):
-        ens = engine.relabel_qubits(ens, {event.old: event.new})
     elif isinstance(event, Coalesce):
         ens = engine.coalesce(ens)
     elif not isinstance(event, (ClassicalMessage, DecodedBits, EbitCreate)):
         raise ValueError(f"unknown event {type(event).__name__}")
     return ens, None
+
+
+def event_renames(event: CollectiveOracle | Relocate | Relabel) -> dict[QubitId, QubitId]:
+    """The registry renames an oracle, a relocation or a relabel makes: an
+    oracle's permutation moves the state at ``targets[i-1]`` to
+    ``targets[P(i)-1]``, so that id is what the qubit is called afterwards."""
+    if isinstance(event, CollectiveOracle):
+        return {q: event.targets[event.permutation(i) - 1] for i, q in enumerate(event.targets, start=1)}
+    if isinstance(event, Relocate):
+        return {event.qubit: QubitId(event.to_party, event.qubit.label)}
+    return {event.old: event.new}
 
 
 def _follow_registry(ids: set[QubitId], event: Event, max_qubits: int) -> None:
@@ -347,10 +358,9 @@ def _follow_registry(ids: set[QubitId], event: Event, max_qubits: int) -> None:
         named = event.targets
         if isinstance(event, LocalMeasure) and event.discard and event.basis != "povm":
             removed = event.targets
-    elif isinstance(event, Relabel):
-        named, removed, added = (event.old,), (event.old,), (event.new,)
-    elif isinstance(event, Relocate):
-        named, removed, added = (event.qubit,), (event.qubit,), (QubitId(event.to_party, event.qubit.label),)
+    elif isinstance(event, (Relabel, Relocate)):
+        [(old, new)] = event_renames(event).items()
+        named, removed, added = (old,), (old,), (new,)
     for q in named:
         if q not in ids:
             raise ValueError(f"qubit {q!r} is not in the registry")
@@ -534,6 +544,23 @@ def _header_trace(rec: Mapping) -> ProtocolTrace:
     return ProtocolTrace(n_parties, initial)
 
 
+def _check_unitary(gates: list[tuple[int, np.ndarray]]) -> None:
+    """Raise ValueError("trace line N: ...") for the first of the (line, matrix)
+    pairs whose matrix is not unitary; each matrix size is one stacked product."""
+    by_size: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for line, matrix in gates:
+        by_size.setdefault(len(matrix), []).append((line, matrix))
+    bad = []
+    for same_size in by_size.values():
+        deviations = engine.unitarity_deviation(np.stack([matrix for _, matrix in same_size]))
+        # negated so that a NaN deviation fails
+        bad += [(line, err) for (line, _), err in zip(same_size, deviations.tolist())
+                if not err <= engine.UNITARY_TOL]
+    if bad:
+        line, err = min(bad, key=lambda pair: pair[0])
+        raise ValueError(f"trace line {line}: matrix is not unitary (deviation {err:.3e})")
+
+
 def dump_trace(trace: ProtocolTrace) -> str:
     lines = [json.dumps(_header_record(trace), sort_keys=True)]
     lines += [json.dumps(event_record(e), sort_keys=True) for e in trace.events]
@@ -545,11 +572,12 @@ def load_trace(text: str) -> ProtocolTrace:
 
     With an initial state in the header, the qubits of every event are
     followed through the registry and counted against its ``max_qubits``
-    (``_follow_registry``).
+    (``_follow_registry``).  Every local gate matrix must be unitary.
     """
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("trace line 1: empty trace")
+    gates = []  # (line, matrix) of every local gate matrix and case matrix
     for i, ln in lines:
         try:
             rec = json.loads(ln)
@@ -563,8 +591,11 @@ def load_trace(text: str) -> ProtocolTrace:
                 if ids is not None:
                     _follow_registry(ids, event, trace.initial.max_qubits)
                 trace.append(event)
+                if isinstance(event, LocalGate):
+                    gates += [(i, matrix) for matrix in event.matrices]
         except json.JSONDecodeError as exc:
             raise ValueError(f"trace line {i}: invalid JSON ({exc.msg})") from None
         except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise ValueError(f"trace line {i}: {exc}") from None
+    _check_unitary(gates)
     return trace

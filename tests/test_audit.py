@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -24,6 +25,7 @@ from ebitnet.ledger import (
     ProtocolTrace,
     Relabel,
     Relocate,
+    apply_event,
     dump_trace,
     load_trace,
 )
@@ -552,44 +554,142 @@ def reference_entropy(ens, parties):
 def audit_monotone_series(monkeypatch, trace, bundle):
     """Audit ``trace`` with replay.  Return the ensemble at each point of the
     replay (the initial one, then one after each event) and, for each point,
-    the number of cut entropies the audit evaluated there and the entropy of
-    every cut as the audit then held it."""
-    calls = [0]
+    how often the audit evaluated its cuts there, how many entropies it
+    solved there, and the entropy of every cut as the audit then held it."""
+    counts = [0, 0]  # cut evaluations, entropy solves
     latest = {}
     series = []
     states = [trace.initial]
-    counted, replay_events = engine.entanglement_entropy, audit.replay_events
+    cut_entropies, solve, replay_events = audit._cut_entropies, engine.entropy_of_qubits, audit.replay_events
+    parties = range(1, trace.n_parties + 1)
 
-    def counting(ens, partition, universe=None):
-        calls[0] += 1
-        latest[frozenset(partition)] = value = counted(ens, partition, universe=universe)
-        return value
+    def evaluating(ens, groups, cut_masks):
+        counts[0] += 1
+        entropies = cut_entropies(ens, groups, cut_masks)
+        for mask, value in zip(cut_masks, entropies):
+            latest[frozenset(p for p in parties if mask >> p & 1)] = value
+        return entropies
+
+    def solving(ens, subset):
+        counts[1] += 1
+        return solve(ens, subset)
 
     def recording(initial, events):
         for step, ev, ens in replay_events(initial, events):
-            series.append((calls[0], dict(latest)))  # the point before this event is complete
-            calls[0] = 0
+            series.append((*counts, dict(latest)))  # the point before this event is complete
+            counts[:] = [0, 0]
             states.append(ens)
             yield step, ev, ens
-        series.append((calls[0], dict(latest)))
+        series.append((*counts, dict(latest)))
 
-    monkeypatch.setattr(engine, "entanglement_entropy", counting)
+    monkeypatch.setattr(audit, "_cut_entropies", evaluating)
+    monkeypatch.setattr(engine, "entropy_of_qubits", solving)
     monkeypatch.setattr(audit, "replay_events", recording)
     report = audit.audit_trace(trace, bundle)
     assert report.replayed
-    return states, series
+    return report, states, series
+
+
+def assert_series_matches_the_per_branch_formula(trace, states, series):
+    assert len(states) == len(series) == len(trace.events) + 1
+    for step, (ens, (_, _, entropies)) in enumerate(zip(states, series)):
+        assert set(entropies) == set(audit._cuts(trace.n_parties))
+        for cut, value in entropies.items():
+            assert abs(value - reference_entropy(ens, cut)) <= 1e-12, (step, sorted(cut))
 
 
 @pytest.mark.parametrize("protocol", cli.PROTOCOLS)
 def test_monotone_series_matches_the_per_branch_formula(monkeypatch, protocol):
     run, _ = cli._simulate(protocol, REPLAY_N.get(protocol, 3), np.random.default_rng(7), 1,
                            engine.DEFAULT_MAX_QUBITS)
-    states, series = audit_monotone_series(monkeypatch, run.trace, star_bundle(run))
-    assert len(states) == len(series) == len(run.trace.events) + 1
-    for step, (ens, (_, entropies)) in enumerate(zip(states, series)):
-        assert set(entropies) == set(audit._cuts(run.n_parties))
-        for cut, value in entropies.items():
-            assert abs(value - reference_entropy(ens, cut)) <= 1e-12, (step, sorted(cut))
+    _, states, series = audit_monotone_series(monkeypatch, run.trace, star_bundle(run))
+    assert_series_matches_the_per_branch_formula(run.trace, states, series)
+
+
+def random_trace(data):
+    """A replayable trace on 2..4 parties: a random initial state over up to four
+    qubits, then random events of every kind that changes the state.  Each event
+    is applied as it is drawn, so a measurement records its true distribution."""
+    n = data.draw(st.integers(min_value=2, max_value=4), label="n")
+    party = st.integers(min_value=1, max_value=n)
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1), label="seed"))
+    owners = data.draw(st.lists(party, max_size=4), label="initial owners")
+    registry = tuple(QubitId(p, f"i{j}") for j, p in enumerate(owners))
+    initial = engine.BranchEnsemble.from_amplitudes(registry, gates.random_state(1 << len(registry), rng))
+    ens, events, labels = initial, [], iter(f"x{i}" for i in itertools.count())
+    measured = []  # (index, outcome length) of measurements every branch records
+
+    def local(minimum):
+        """Up to two distinct qubits of one party, when some party holds ``minimum``."""
+        parties = sorted({q.party for q in ens.registry
+                          if sum(r.party == q.party for r in ens.registry) >= minimum})
+        if not parties:
+            return None
+        p = data.draw(st.sampled_from(parties))
+        held = [q for q in ens.registry if q.party == p]
+        return p, tuple(data.draw(st.permutations(held))[:data.draw(st.integers(minimum, min(2, len(held))))])
+
+    for _ in range(data.draw(st.integers(min_value=6, max_value=16), label="length")):
+        kind = data.draw(st.sampled_from(["allocate", "consume", "gate", "conditional", "measure", "bell",
+                                          "relabel", "relocate", "oracle", "coalesce", "message"]))
+        room = ens.num_qubits <= 6
+        picked = local(2 if kind == "bell" else 1)
+        ev = None
+        if kind == "allocate" and room:
+            p = data.draw(party)
+            count = data.draw(st.integers(1, 2))
+            ev = Allocate(p, tuple(QubitId(p, next(labels)) for _ in range(count)),
+                          "".join(data.draw(st.sampled_from("01")) for _ in range(count)))
+        elif kind == "consume" and room:
+            a, b = data.draw(st.permutations(range(1, n + 1)))[:2]
+            ev = EbitConsume((a, b), (QubitId(a, next(labels)), QubitId(b, next(labels))))
+        elif kind == "gate" and picked:
+            p, targets = picked
+            ev = LocalGate(p, targets, gates.haar_unitary(1 << len(targets), rng))
+        elif kind == "conditional" and picked and measured:
+            (p, targets), (index, width) = picked, data.draw(st.sampled_from(measured))
+            cases = tuple((format(code, f"0{width}b"), gates.haar_unitary(1 << len(targets), rng))
+                          for code in range(1 << width))
+            ev = LocalGate(p, targets, cases=cases, conditional_on=index)
+        elif kind in ("measure", "bell") and picked:
+            p, targets = picked
+            targets = targets[:2] if kind == "bell" else targets
+            ev = LocalMeasure(p, targets, "bell" if kind == "bell" else "computational",
+                              data.draw(st.booleans()), ens.measurement_count, ())
+            measured.append((ens.measurement_count, len(targets)))
+        elif kind == "relabel" and ens.registry:
+            old = data.draw(st.sampled_from(ens.registry))
+            ev = Relabel(old, QubitId(old.party, next(labels)))
+        elif kind == "relocate" and ens.registry:
+            ev = Relocate(data.draw(st.sampled_from(ens.registry)), data.draw(party))
+        elif kind == "oracle" and ens.num_qubits >= 2:
+            size = data.draw(st.integers(2, min(3, ens.num_qubits)))
+            targets = tuple(data.draw(st.permutations(ens.registry))[:size])
+            ev = CollectiveOracle(tuple(sorted({q.party for q in targets})), targets,
+                                  Permutation(tuple(data.draw(st.permutations(range(1, len(targets) + 1))))))
+        elif kind == "coalesce":
+            ev, measured = Coalesce(), []  # merged branches may forget their records
+        elif kind == "message":
+            a, b = data.draw(st.permutations(range(1, n + 1)))[:2]
+            ev = ClassicalMessage(a, b, Fraction(1))
+        if ev is None:
+            continue
+        ens, dist = apply_event(ens, ev)
+        if dist is not None:
+            ev = dataclasses.replace(ev, distribution=tuple(sorted(dist.items())))
+        events.append(ev)
+    return ProtocolTrace(n, initial, events)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_monotone_series_of_random_traces_matches_the_per_branch_formula(data):
+    trace = random_trace(data)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        report, states, series = audit_monotone_series(
+            monkeypatch, trace, graphs.GraphBundle(trace.n_parties, None, None))
+    assert "replay" not in [v.check for v in report.violations]
+    assert_series_matches_the_per_branch_formula(trace, states, series)
 
 
 @st.composite
@@ -631,16 +731,19 @@ def test_monotone_is_evaluated_once_per_cut_after_every_state_change_only(monkey
     # and a relocation across parties; a relabel across parties is appended
     text = (ROOT / "fixtures" / "golden_trace.jsonl").read_text(encoding="utf-8")
     trace = load_trace(text + '{"kind": "relabel", "old": [3, "q3"], "new": [1, "q3"]}\n')
-    n_cuts = len(audit._cuts(trace.n_parties))
-    _, series = audit_monotone_series(monkeypatch, trace, graphs.GraphBundle(trace.n_parties, None, None))
-    assert series[0][0] == n_cuts  # the initial values
+    _, _, series = audit_monotone_series(monkeypatch, trace, graphs.GraphBundle(trace.n_parties, None, None))
+    assert series[0][0] == 1  # the initial values
     kinds = set()
-    for ev, (calls, _) in zip(trace.events, series[1:]):
+    for ev, (evaluations, solves, entropies) in zip(trace.events, series[1:]):
         bookkeeping = (isinstance(ev, (ClassicalMessage, DecodedBits, EbitCreate))
                        or (isinstance(ev, LocalMeasure) and ev.basis == "povm")
                        or (isinstance(ev, Relabel) and ev.old.party == ev.new.party))
-        assert calls == (0 if bookkeeping else n_cuts), ev
+        assert evaluations == (0 if bookkeeping else 1), ev
+        assert set(entropies) == set(audit._cuts(trace.n_parties))
+        if bookkeeping:
+            assert solves == 0, ev
         kinds.add((type(ev).__name__, bookkeeping))
+    assert sum(solves for _, solves, _ in series) > 0
     assert {name for name, bookkeeping in kinds if bookkeeping} == {
         "ClassicalMessage", "DecodedBits", "EbitCreate", "LocalMeasure", "Relabel"}
     assert {name for name, bookkeeping in kinds if not bookkeeping} == {c.__name__ for c in STATE_CHANGING}

@@ -409,6 +409,38 @@ class TestSerialization:
         with pytest.raises(GraphFormatError, match=where):
             graphs.import_json(doc)
 
+    @pytest.mark.parametrize("cell,message", [
+        ('"1e5000"', r'\[0\]\[1\]: not an integer or "p/q" string of at most 64 characters: "1e5000"$'),
+        ("1" + "0" * 4999, r"\[0\]\[1\]: an integer of 5000 digits is longer than 64: 10{19}\.\.\. "
+                           r"\(5000 characters\)$"),
+        ('"' + "1" * 65 + '"', r'\[0\]\[1\]: not an integer or "p/q" string of at most 64 characters'),
+        ('"0.5"', r'\[0\]\[1\]: not an integer or "p/q" string'),
+        ('" 1/2"', r'\[0\]\[1\]: not an integer or "p/q" string'),
+        ('"1/-2"', r'\[0\]\[1\]: not an integer or "p/q" string'),
+    ])
+    def test_cells_are_bounded_integer_or_p_q_strings(self, cell, message):
+        with pytest.raises(GraphFormatError, match=r"^communication" + message):
+            graphs.import_json('{"n": 2, "communication": [[0, %s], [0, 0]]}' % cell)
+
+    def test_cells_of_64_characters_load(self):
+        big, ratio = "9" * 64, "1" * 31 + "/" + "3" * 32
+        g = graphs.import_json('{"n": 2, "communication": [[0, %s], ["%s", 0]]}' % (big, ratio)).communication
+        assert g.weights == ((0, int(big)), (Fraction(ratio), 0))
+
+    @pytest.mark.parametrize("cell", ['"1e5000"', "1" + "0" * 4999], ids=["exponent", "5000-digits"])
+    def test_overlong_cells_exit_two_from_symmetrise_and_audit(self, tmp_path, capsys, cell):
+        assert cli.main(["simulate", "teleport", "--seed", "7", "--output", str(tmp_path)]) == 0
+        src = tmp_path / "g.json"
+        src.write_text('{"n": 2, "entanglement": [[0, %s], [1, 0]]}' % cell, encoding="utf-8")
+        capsys.readouterr()
+        trace = str(tmp_path / "teleport_trace.jsonl")
+        for argv in (["symmetrise", "--input", str(src), "--output", str(tmp_path / "o")],
+                     ["audit", "--trace", trace, "--graphs", str(src)],
+                     ["audit", "--trace", trace, "--graphs", str(src), "--no-replay"]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert "entanglement[0][1]: " in err and len(err) < 200, err
+
     def test_integer_and_string_cells_mix(self):
         g = graphs.import_json('{"n": 2, "communication": [[0, 3], ["1/2", "0"]]}').communication
         assert g.weights == ((0, 3), (Fraction(1, 2), 0))

@@ -168,6 +168,13 @@ def test_out_of_range_party_is_rejected_with_its_line(kind, key, value):
      "discard": False, "index": 1, "distribution": {"0": "0.5", "1": "0.5"}},
     {"kind": "local_measure", "party": 2, "targets": [[2, "q2"]], "basis": "computational",
      "discard": False, "index": 1, "distribution": {"0": True, "1": False}},
+    {"kind": "local_gate", "party": 2, "targets": [[2, "q2"]], "matrix": [[[2.0, 0.0], [0.0, 0.0]],
+                                                                          [[0.0, 0.0], [1.0, 0.0]]]},
+    {"kind": "local_gate", "party": 2, "targets": [[2, "q2"]], "matrix": [[[float("nan"), 0.0], [0.0, 0.0]],
+                                                                          [[0.0, 0.0], [1.0, 0.0]]]},
+    {"kind": "local_gate", "party": 2, "targets": [[2, "q2"]], "conditional_on": 0,
+     "cases": {"0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+               "1": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}},
 ], ids=["no-matrix-or-cases", "three-qubit-ebit", "matrix-not-pairs", "distribution-not-object", "not-object",
         "init-22", "init-too-short", "allocate-nothing", "unknown-basis", "gate-1x1", "case-1x1",
         "oracle-2x2-on-two", "message-to-self", "negative-message", "decode-from-self", "negative-decode",
@@ -178,10 +185,28 @@ def test_out_of_range_party_is_rejected_with_its_line(kind, key, value):
         "discard-string", "index-float", "message-to-float", "supplementary-string",
         "conditional-on-string", "pair-float-party", "qubit-float-party", "bits-float", "bits-integer",
         "bits-divide-by-zero", "payload-integer", "init-integer", "label-integer", "distribution-strings",
-        "distribution-bool"])
+        "distribution-bool", "gate-not-unitary", "gate-nan", "case-not-unitary"])
 def test_malformed_event_is_rejected_with_its_line(record):
     records = golden_records()[:3] + [record]
     with pytest.raises(ValueError, match=r"^trace line 4: "):
+        load_trace(as_text(records))
+
+
+def _scaled_identity(dim, first):
+    """The dim x dim identity with ``first`` as its first entry, as [re, im] pairs."""
+    return [[[first if i == j == 0 else float(i == j), 0.0] for j in range(dim)] for i in range(dim)]
+
+
+def test_first_non_unitary_gate_is_reported_across_matrix_sizes():
+    """The unitarity check at load batches the matrices by size (2x2 first here),
+    and still names the earliest line: the 4x4 matrix on line 5."""
+    gate = {"kind": "local_gate", "party": 2}
+    records = golden_records()[:3] + [
+        dict(gate, targets=[[2, "q2"]], matrix=_scaled_identity(2, 1.0)),
+        dict(gate, targets=[[2, "q2"], [2, "a1"]], matrix=_scaled_identity(4, 1.5)),
+        dict(gate, targets=[[2, "q2"]], matrix=_scaled_identity(2, 2.0)),
+    ]
+    with pytest.raises(ValueError, match=r"^trace line 5: matrix is not unitary \(deviation 1\.250e\+00\)$"):
         load_trace(as_text(records))
 
 
@@ -248,6 +273,16 @@ def _string_distribution(records):
     measure["distribution"] = {k: str(v) for k, v in measure["distribution"].items()}
 
 
+def _nan_in_gate(cases: bool):
+    """A NaN in the first entry of the first local gate's matrix, or of its first case matrix;
+    the star-op n=3 trace has a conditional gate on line 5 and a matrix on line 14."""
+    def mutate(records):
+        gate = next(r for r in records if r["kind"] == "local_gate" and ("cases" in r) == cases)
+        matrix = next(iter(gate["cases"].values())) if cases else gate["matrix"]
+        matrix[0][0] = [float("nan"), 0.0]
+    return mutate
+
+
 def _max_qubits(cap):
     """The header's registry cap set to ``cap``; the star-op n=3 header holds 3 qubits
     and its first consume, on line 2, adds 2."""
@@ -277,10 +312,12 @@ def _max_qubits(cap):
     (_first("message", "bits", 2), 4),
     (_first("message", "bits", "1/0"), 4),
     (_string_distribution, 3),
+    (_nan_in_gate(cases=True), 5),
+    (_nan_in_gate(cases=False), 14),
 ], ids=["no-n_parties", "truncated-amplitudes", "pair-1-7", "pair-1-3", "forged-oracle", "relabel-nowhere",
         "allocate-existing", "max-qubits-2", "max-qubits-4", "max-qubits-30.7", "format-1", "party-2.5",
         "party-string", "party-true", "discard-string", "to-1.9", "bits-0.1", "bits-2", "bits-1/0",
-        "distribution-strings"])
+        "distribution-strings", "case-nan", "gate-nan"])
 @pytest.mark.parametrize("flags", [[], ["--no-replay"]], ids=["replay", "no-replay"])
 def test_audit_of_malformed_trace_exits_two_without_traceback(tmp_path, capsys, mutate, line, flags):
     records, graphs_file = _star_trace(tmp_path)
