@@ -62,8 +62,10 @@ SPECS = {
     "perm-comm-n5": ("perm-comm", ["--n", "5"]),
     "ps-n2": ("ps", ["--n", "2"]),
     "ps-n4": ("ps", ["--n", "4"]),
+    "ps-n8": ("ps", ["--n", "8"]),
     "ps-cp-n3": ("ps-cp", ["--n", "3"]),
     "ps-cp-n5": ("ps-cp", ["--n", "5"]),
+    "ps-cp-n7": ("ps-cp", ["--n", "7"]),
 }
 USAGE_ERRORS = [
     ["star-op", "--n", "1"], ["star-op", "--n", "3", "--hub", "4"], ["star-op", "--n", "3", "--hub", "0"],

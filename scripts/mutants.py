@@ -85,6 +85,9 @@ MUTANTS = (
            (AUDIT + "test_forged_trace_report_is_exact",
             AUDIT + "test_cut_checks_match_brute_force_reference",
             AUDIT + "TestAuditCleanRuns::test_permutation_protocols_clean")),
+    Mutant("a one-party oracle spans the cuts around its party", "src/ebitnet/audit.py",
+           "return ev.parties", "return (*ev.parties, 0)",
+           (AUDIT + "test_one_party_oracle_exempts_no_cut",)),
     Mutant("permutation size not checked at load", "src/ebitnet/ledger.py",
            "if self.permutation.n != len(self.targets):", "if False:",
            (CODEC + "test_malformed_event_is_rejected_with_its_line",)),

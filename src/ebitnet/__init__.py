@@ -24,10 +24,7 @@ from .gates import (
     local_equivalence_conjugate,
     permutation_unitary,
     ps_cp_permutation,
-    ps_cp_unitary,
     ps_permutation,
-    ps_unitary,
-    swap_unitary,
 )
 from .graphs import (
     CommunicationGraph,

@@ -83,18 +83,24 @@ def _simulate_teleport(n: int, rng: np.random.Generator, hub: int, cap: int):
     ]
 
 
-def _simulate_star(n: int, rng: np.random.Generator, hub: int, cap: int, unitary_of=None):
-    """The hub-star run of ``unitary_of(n)``, or of a Haar unitary when None."""
+def _simulate_star(n: int, rng: np.random.Generator, hub: int, cap: int, permutation_of=None):
+    """The hub-star run of the permutation ``permutation_of(n)``, or of a Haar unitary when None."""
     run = protocols.new_run(n, cap)
     state = gates.random_state(1 << n, rng)
-    u = gates.haar_unitary(1 << n, rng) if unitary_of is None else unitary_of(n)
+    if permutation_of is None:
+        u = gates.haar_unitary(1 << n, rng)
+        op, slots, want = protocols.CollectiveOp(unitary=u), range(1, n + 1), u @ state
+    else:
+        # slot p(i) ends up holding what slot i held: read in that order, the output is the input
+        p = permutation_of(n)
+        op, slots, want = protocols.CollectiveOp(permutation=p), [p(i) for i in range(1, n + 1)], state
     protocols.add_data_qubits(run, state)
     for i in range(1, n + 1):
         if i != hub:
             run.ledger.grant(i, hub, 2)
     run.snapshot_initial()
-    protocols.collective_op_star(run, protocols.CollectiveOp(unitary=u), hub=hub)
-    fid = engine.ensemble_fidelity(run.ensemble, protocols.data_order(run), u @ state)
+    protocols.collective_op_star(run, op, hub=hub)
+    fid = engine.ensemble_fidelity(run.ensemble, [run.data_qubits[i] for i in slots], want)
     led = run.ledger
     ent_star, comm_star = graphs.star_graphs(n, hub)
     star = (led.consumed_matrix(n) == [list(r) for r in ent_star.weights]
@@ -139,8 +145,8 @@ _SIMULATORS = {
     "star-op": _simulate_star,
     "perm-entangle": _simulate_perm_entangle,
     "perm-comm": _simulate_perm_comm,
-    "ps": partial(_simulate_star, unitary_of=gates.ps_unitary),
-    "ps-cp": partial(_simulate_star, unitary_of=gates.ps_cp_unitary),
+    "ps": partial(_simulate_star, permutation_of=gates.ps_permutation),
+    "ps-cp": partial(_simulate_star, permutation_of=gates.ps_cp_permutation),
 }
 # protocol -> (smallest --n, the parity --n must have or None); the others ignore --n
 _N_RULES = {"star-op": (2, None), "perm-entangle": (2, None), "perm-comm": (2, None),

@@ -1,4 +1,4 @@
-"""Operator constructors: Paulis, Bell states, SWAP and permutation unitaries.
+"""Operator constructors: Paulis, Bell states, permutations and their unitaries.
 
 Matrices follow the engine convention that the first target qubit is the
 least significant bit of the operator index.  Permutations act on party
@@ -103,25 +103,12 @@ def permutation_unitary(p: Permutation) -> np.ndarray:
     return mat
 
 
-def swap_unitary() -> np.ndarray:
-    """Exchange of two qubit states; the 2-slot case of a permutation."""
-    return permutation_unitary(Permutation.two_cycle())
-
-
 def cnot_unitary() -> np.ndarray:
     """Controlled-NOT with the first target as control, the second as target."""
     mat = np.zeros((4, 4), dtype=complex)
     for g in range(4):
         mat[g ^ ((g & 1) << 1), g] = 1.0
     return mat
-
-
-def ps_unitary(n: int) -> np.ndarray:
-    return permutation_unitary(ps_permutation(n))
-
-
-def ps_cp_unitary(n: int) -> np.ndarray:
-    return permutation_unitary(ps_cp_permutation(n))
 
 
 def bell_state(label: str) -> np.ndarray:

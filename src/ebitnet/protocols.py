@@ -8,7 +8,7 @@ Held ebits are realized lazily: a phi+ pair enters the statevector only
 when a step consumes it, which keeps the registry small.  The permutation
 protocols (SWAP is their two-party case) apply the operation under study as
 an uncharged collective oracle; everything else is strictly local plus
-messages.
+messages (a permutation run at a star's hub is an oracle held by one party).
 """
 
 from __future__ import annotations
@@ -46,15 +46,19 @@ from .ledger import (
 
 @dataclass(frozen=True)
 class CollectiveOp:
-    """Either a joint unitary on the data qubits or a POVM (optionally recorded)."""
+    """One of: a joint unitary on the data qubits, a permutation of their slots
+    (moving the state at slot i to slot P(i)), or a POVM (optionally recorded)."""
 
     unitary: np.ndarray | None = None
     povm: Povm | None = None
+    permutation: Permutation | None = None
     record: bool = False
 
     def __post_init__(self):
-        if (self.unitary is None) == (self.povm is None):
-            raise ValueError("specify exactly one of unitary or povm")
+        if sum(op is not None for op in (self.unitary, self.povm, self.permutation)) != 1:
+            raise ValueError("specify exactly one of unitary, permutation or povm")
+        if self.record and self.povm is None:
+            raise ValueError("only a POVM outcome can be recorded")
         if self.unitary is not None:
             object.__setattr__(self, "unitary", np.asarray(self.unitary, dtype=complex))
 
@@ -222,10 +226,14 @@ def supplementary_information(povm: Povm, ensemble: BranchEnsemble, targets: Seq
 
 def _apply_collective(run: ProtocolRun, op: CollectiveOp, at: int, targets: Sequence[QubitId],
                       inform: Sequence[int]) -> None:
-    """Apply the collective op locally at ``at``; recorded POVMs send their
-    outcome entropy to every party in ``inform``."""
+    """Apply the collective op locally at ``at``: a permutation as a one-party
+    oracle (a rename), and recorded POVMs send their outcome entropy to every
+    party in ``inform``."""
     if op.unitary is not None:
         _local_gate(run, at, targets, op.unitary)
+        return
+    if op.permutation is not None:
+        _oracle(run, targets, op.permutation)
         return
     probs = engine.measure_povm(run.ensemble, op.povm, targets)
     dist = tuple(sorted((str(r), p) for r, p in enumerate(probs) if p > 0.0))

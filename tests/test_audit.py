@@ -781,3 +781,21 @@ def test_cross_party_relabel_report_is_exact(tmp_path):
         ("replay-monotonicity", "cut [1]: monotone rose from 2.335798095618 to 2.888747130175", 12),
         ("replay-monotonicity", "cut [1, 3]: monotone rose from 1.335798095618 to 1.888747130175", 12),
     ]
+
+
+@pytest.mark.parametrize("replay", [True, False])
+def test_one_party_oracle_exempts_no_cut(tmp_path, replay):
+    # ps runs its permutation as an oracle held by the hub alone; forged creates on
+    # every hub pair must then be caught across every cut
+    assert cli.main(["simulate", "ps", "--n", "4", "--seed", "7", "--output", str(tmp_path)]) == 0
+    text = (tmp_path / "ps_trace.jsonl").read_text(encoding="utf-8")
+    trace = load_trace(text + "".join(f'{{"kind": "ebit_create", "pair": [1, {spoke}]}}\n' * 13
+                                      for spoke in (2, 3, 4)))
+    assert [(ev.parties, ev.targets[0].party) for ev in trace.events if isinstance(ev, CollectiveOracle)] == [
+        ((1,), 1)]
+    bundle = graphs.import_json((tmp_path / "ps_graphs.json").read_text(encoding="utf-8"))
+    report = audit.audit_trace(trace, bundle, replay=replay)
+    assert report.replayed == replay
+    assert [v.check for v in report.violations] == ["cut-entanglement"] * 7
+    assert sorted(v.detail.split(":")[0] for v in report.violations) == sorted(
+        f"cut {sorted(cut)}" for cut in audit._cuts(4))

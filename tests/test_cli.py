@@ -107,6 +107,21 @@ class TestSimulate:
             "--graphs", str(out / f"{protocol}_graphs.json"),
         ) == 0
 
+    def test_ps_runs_at_n_12_without_a_dense_matrix(self, tmp_path, capsys):
+        # the hub permutation is a rename, so no 2^n x 2^n matrix enters the trace
+        assert run_cli("simulate", "ps", "--n", "12", "--seed", "1", "--output", str(tmp_path)) == 0
+        trace = tmp_path / "ps_trace.jsonl"
+        assert trace.stat().st_size < 1 << 20
+        records = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+        widths = {max(len(matrix), *(len(row) for row in matrix))
+                  for rec in records if rec["kind"] == "local_gate"
+                  for matrix in ([rec["matrix"]] if "matrix" in rec else rec["cases"].values())}
+        assert widths and max(widths) <= 4
+        assert [(rec["parties"], len(rec["targets"])) for rec in records if rec["kind"] == "oracle"] == [([1], 12)]
+        assert run_cli("audit", "--no-replay", "--trace", str(trace),
+                       "--graphs", str(tmp_path / "ps_graphs.json")) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("two_party,general", [
         ("two-qubit-op", ["star-op", "--n", "2", "--hub", "2"]),
         ("swap-entangle", ["perm-entangle", "--n", "2"]),

@@ -9,6 +9,8 @@ from ebitnet import audit, engine, gates
 from ebitnet.engine import BranchEnsemble, Gate, Povm, QubitId, RegistryCapacityError
 from ebitnet.ledger import CollectiveOracle, apply_event
 
+import dense_permutations as dense
+
 
 def bell_pair_ensemble(party_a=1, party_b=1):
     ens = BranchEnsemble.vacuum()
@@ -63,7 +65,7 @@ class TestGates:
     def test_swap_on_basis_state(self):
         ens = BranchEnsemble.vacuum()
         ens, (a, b) = engine.allocate_qubits(ens, 1, 2, init="10")
-        ens = engine.apply_gate(ens, Gate((a, b), gates.swap_unitary()))
+        ens = engine.apply_gate(ens, Gate((a, b), dense.swap_unitary()))
         assert np.argmax(np.abs(ens.branches[0].amplitudes)) == 2
 
     def test_identity_leaves_state(self):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from ebitnet import gates
 from ebitnet.gates import Permutation
 
+import dense_permutations as dense
+
 
 def apply_to_basis(u: np.ndarray, bits: list[int]) -> list[int]:
     """Send a computational basis state through u; u must be a permutation matrix."""
@@ -51,14 +53,14 @@ class TestPermutationUnitary:
         assert apply_to_basis(u, [1, 1, 0]) == [0, 1, 1]
 
     def test_swap_is_two_slot_permutation(self):
-        assert np.allclose(gates.swap_unitary(), gates.permutation_unitary(Permutation.two_cycle()))
+        assert np.allclose(dense.swap_unitary(), gates.permutation_unitary(Permutation.two_cycle()))
 
     def test_swap_exchanges_product_states(self):
         rng = np.random.default_rng(3)
         a = gates.random_state(2, rng)
         b = gates.random_state(2, rng)
         joint = np.kron(b, a)  # slot 1 is bit 0 (least significant kron factor)
-        swapped = gates.swap_unitary() @ joint
+        swapped = dense.swap_unitary() @ joint
         assert np.allclose(swapped, np.kron(a, b))
 
     @given(permutations(max_n=4))
@@ -78,14 +80,14 @@ class TestPermutationUnitary:
 
 class TestPsOperations:
     def test_ps4_swaps_adjacent_pairs(self):
-        u = gates.ps_unitary(4)
+        u = dense.ps_unitary(4)
         # |abcd> -> |badc>
         assert apply_to_basis(u, [1, 0, 0, 0]) == [0, 1, 0, 0]
         assert apply_to_basis(u, [0, 0, 1, 0]) == [0, 0, 0, 1]
         assert apply_to_basis(u, [1, 0, 1, 1]) == [0, 1, 1, 1]
 
     def test_ps_cp3_is_three_cycle(self):
-        u = gates.ps_cp_unitary(3)
+        u = dense.ps_cp_unitary(3)
         assert apply_to_basis(u, [1, 0, 0]) == [0, 1, 0]
 
     def test_ps_cp7_leaves_no_slot_fixed(self):
@@ -111,12 +113,12 @@ class TestLocalEquivalence:
     def test_hadamard_dressed_swap_recovers(self):
         locals1 = [gates.HADAMARD, gates.HADAMARD]
         locals2 = [gates.HADAMARD, gates.HADAMARD]
-        t = gates.dress_with_locals(gates.swap_unitary(), locals1, locals2)
+        t = gates.dress_with_locals(dense.swap_unitary(), locals1, locals2)
         back = gates.local_equivalence_conjugate(t, locals1, locals2)
-        assert np.max(np.abs(back - gates.swap_unitary())) < 1e-10
+        assert np.max(np.abs(back - dense.swap_unitary())) < 1e-10
 
     def test_identity_locals_leave_operator(self):
-        t = gates.ps_unitary(4)
+        t = dense.ps_unitary(4)
         back = gates.local_equivalence_conjugate(t, [np.eye(2)] * 4, [np.eye(2)] * 4)
         assert np.allclose(back, t)
 

@@ -11,12 +11,15 @@ from ebitnet.engine import BranchEnsemble, Povm
 from ebitnet.gates import Permutation
 from ebitnet.ledger import (
     ClassicalMessage,
+    CollectiveOracle,
     DecodedBits,
     EbitConsume,
     InsufficientResources,
     LocalMeasure,
     ResourceLedger,
 )
+
+import dense_permutations as dense
 
 
 def single_qubit_run(state, ebits=1):
@@ -129,7 +132,7 @@ class TestCollectiveTwoQubit:
         b = gates.random_state(2, rng)
         state = np.kron(b, a)  # party 1 = bit 0
         run = two_party_run(state)
-        protocols.collective_op_star(run, protocols.CollectiveOp(unitary=gates.swap_unitary()), hub=2)
+        protocols.collective_op_star(run, protocols.CollectiveOp(unitary=dense.swap_unitary()), hub=2)
         expected = np.kron(a, b)
         assert engine.ensemble_fidelity(run.ensemble, protocols.data_order(run), expected) >= 1 - 1e-10
         assert run.ledger.total_consumed() == 2
@@ -187,7 +190,7 @@ class TestCollectiveStar:
         state = gates.random_state(4, rng)
         run_hub1 = star_run(2, state)
         run_hub2 = star_run(2, state, hub=2)
-        op = protocols.CollectiveOp(unitary=gates.swap_unitary())
+        op = protocols.CollectiveOp(unitary=dense.swap_unitary())
         protocols.collective_op_star(run_hub1, op)
         protocols.collective_op_star(run_hub2, op, hub=2)
         assert run_hub1.ledger.summary() == run_hub2.ledger.summary()
@@ -198,12 +201,61 @@ class TestCollectiveStar:
         rng = np.random.default_rng(13)
         state = gates.random_state(16, rng)
         run = star_run(4, state)
-        protocols.collective_op_star(run, protocols.CollectiveOp(unitary=gates.ps_unitary(4)))
+        protocols.collective_op_star(run, protocols.CollectiveOp(unitary=dense.ps_unitary(4)))
         ent, comm = graphs.star_graphs(4, hub=1)
         assert run.ledger.consumed_matrix(4) == [list(r) for r in ent.weights]
         assert run.ledger.bits_matrix(4) == [list(r) for r in comm.weights]
         assert run.ledger.total_consumed() == 6
         assert run.ledger.total_bits_sent() == 12
+
+    @pytest.mark.parametrize("p", [gates.ps_permutation(2), gates.ps_permutation(4), gates.ps_permutation(6),
+                                   gates.ps_cp_permutation(3), gates.ps_cp_permutation(5)],
+                             ids=lambda p: f"{'ps' if p.n % 2 == 0 else 'ps-cp'}-n{p.n}")
+    def test_permutation_rename_matches_its_dense_unitary(self, p):
+        from ebitnet import audit, graphs
+
+        n = p.n
+        state = gates.random_state(1 << n, np.random.default_rng(15))
+        renamed, dense_run = star_run(n, state), star_run(n, state)
+        protocols.collective_op_star(renamed, protocols.CollectiveOp(permutation=p))
+        u = gates.permutation_unitary(p)
+        protocols.collective_op_star(dense_run, protocols.CollectiveOp(unitary=u))
+        assert renamed.ledger.summary() == dense_run.ledger.summary()
+        # slot p(i) holds what slot i held
+        order = [renamed.data_qubits[p(i)] for i in range(1, n + 1)]
+        assert engine.ensemble_fidelity(renamed.ensemble, order, state) >= 1 - 1e-12
+        assert engine.ensemble_fidelity(dense_run.ensemble, protocols.data_order(dense_run), u @ state) >= 1 - 1e-12
+        [oracle] = [e for e in renamed.trace.events if isinstance(e, CollectiveOracle)]
+        assert oracle.parties == (1,) and oracle.permutation == p
+        ent, comm = graphs.star_graphs(n, hub=1)
+        bundle = graphs.GraphBundle(n, ent, comm)
+        reports = [audit.audit_trace(r.trace, bundle) for r in (renamed, dense_run)]
+        assert reports[0].replayed and reports[0].ok
+        assert reports[0] == reports[1]
+
+    def test_permutation_direction_is_pinned(self):
+        # read in the order of the inverse, the 3-cycle's output is not the input
+        p = gates.ps_cp_permutation(3)
+        state = gates.random_state(8, np.random.default_rng(16))
+        run = star_run(3, state)
+        protocols.collective_op_star(run, protocols.CollectiveOp(permutation=p))
+        backwards = [run.data_qubits[p.inverse()(i)] for i in range(1, 4)]
+        assert engine.ensemble_fidelity(run.ensemble, backwards, state) < 0.5
+
+    def test_op_is_exactly_one_of_unitary_permutation_or_povm(self):
+        povm = Povm(tuple(np.eye(4) / 4 for _ in range(4)))
+        p = Permutation.two_cycle()
+        for kwargs in ({}, {"unitary": np.eye(4), "permutation": p}, {"povm": povm, "permutation": p},
+                       {"unitary": np.eye(4), "povm": povm}):
+            with pytest.raises(ValueError, match="exactly one of unitary, permutation or povm"):
+                protocols.CollectiveOp(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"unitary": np.eye(4)}, {"permutation": Permutation.two_cycle()}],
+                             ids=["unitary", "permutation"])
+    def test_only_a_povm_can_be_recorded(self, kwargs):
+        with pytest.raises(ValueError, match="only a POVM outcome can be recorded"):
+            protocols.CollectiveOp(record=True, **kwargs)
+        assert not protocols.CollectiveOp(**kwargs).record
 
     def test_alternative_hub(self):
         from ebitnet import graphs
@@ -261,7 +313,7 @@ class TestSwapDemos:
         ens = engine.apply_gate(ens, engine.Gate((k,), gates.HADAMARD))
         ens = engine.apply_gate(ens, engine.Gate((k, m), gates.cnot_unitary()))
         ens, (b,) = engine.allocate_qubits(ens, 2, 1, labels=("b",))
-        ens = engine.apply_gate(ens, engine.Gate((m, b), gates.swap_unitary()))
+        ens = engine.apply_gate(ens, engine.Gate((m, b), dense.swap_unitary()))
         assert engine.entanglement_entropy(ens, {1}) == pytest.approx(1.0, abs=1e-9)
 
 
