@@ -132,9 +132,16 @@ MUTANTS = (
            "2**63", "2**200",
            (GRAPHS + "TestSymmetrise::test_sums_past_int64_match_reference",), quick=True),
     Mutant("unitarity not checked at load", "src/ebitnet/ledger.py",
-           "    _check_unitary(gates)\n    return trace", "    return trace",
+           "for i, matrix in gates:", "for i, matrix in []:",
            (CODEC + "test_malformed_event_is_rejected_with_its_line",
             CODEC + "test_first_non_unitary_gate_is_reported_across_matrix_sizes")),
+    Mutant("unitarity not checked when a protocol steps a gate", "src/ebitnet/protocols.py",
+           "engine.check_unitary(matrix)", "pass",
+           (PROTOCOLS + "TestResourceBook::test_step_refuses_a_non_unitary_gate",
+            AUDIT + "test_unitarity_is_checked_once_per_path")),
+    Mutant("coalesce tolerance 1000x looser", "src/ebitnet/engine.py",
+           "COALESCE_TOL = 1e-10", "COALESCE_TOL = 1e-7",
+           (ENGINE + "TestCoalesce::test_tolerance",)),
     # the product groups of the replay, one row per rule
     Mutant("a gate joins no groups", "src/ebitnet/audit.py",
            'if isinstance(ev, LocalGate) or ev.basis == "bell":',

@@ -21,6 +21,7 @@ the default registry cap of 24.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -172,6 +173,8 @@ def _simulate(protocol: str, n: int, rng: np.random.Generator, hub: int, cap: in
 
 
 def cmd_simulate(args) -> int:
+    if args.sample < 0:
+        raise CliUsageError(f"--sample must be >= 0, got {args.sample}")
     cap = _max_qubits()
     rng = np.random.default_rng(args.seed)
     run, checks = _simulate(args.protocol, args.n, rng, args.hub, cap)
@@ -260,7 +263,7 @@ def cmd_symmetrise(args) -> int:
     n = bundle.n
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    sym_ent = sym_comm = None
+    symmetrised = {}  # kind -> symmetrised graph
     for kind, g in (("entanglement", bundle.entanglement), ("communication", bundle.communication)):
         if g is None:
             continue
@@ -276,22 +279,18 @@ def cmd_symmetrise(args) -> int:
                   f"permutations: {'ok' if ok else 'MISMATCH ' + str(sorted(entries))}")
             if not ok:
                 return 1
-            if kind == "entanglement":
-                sym_ent = sym
-            else:
-                sym_comm = sym
+            symmetrised[kind] = sym
         else:
             print(f"{kind}: brute-force cross-check skipped "
                   f"(n = {n} exceeds the cap of {graphs.BRUTE_FORCE_MAX})")
         (outdir / f"{kind}.dot").write_text(
             graphs.export_dot(g, name=kind), encoding="utf-8")
-    if sym_ent is not None or sym_comm is not None:
-        sym_bundle = graphs.GraphBundle(n, sym_ent, sym_comm)
+    if symmetrised:
+        sym_bundle = graphs.GraphBundle(n, **symmetrised)
         (outdir / "symmetrised.json").write_text(graphs.export_json(sym_bundle), encoding="utf-8")
-        for kind, g in (("entanglement", sym_ent), ("communication", sym_comm)):
-            if g is not None:
-                (outdir / f"symmetrised_{kind}.dot").write_text(
-                    graphs.export_dot(g, name=f"symmetrised_{kind}"), encoding="utf-8")
+        for kind, g in symmetrised.items():
+            (outdir / f"symmetrised_{kind}.dot").write_text(
+                graphs.export_dot(g, name=f"symmetrised_{kind}"), encoding="utf-8")
     example = graphs.four_lab_example()
     if bundle.entanglement is not None and bundle.entanglement == example.entanglement:
         print("note: the symmetrised edge weight of this four-lab example is sometimes "
@@ -314,15 +313,7 @@ def cmd_audit(args) -> int:
     except (OSError, graphs.GraphFormatError) as exc:
         raise CliUsageError(f"graphs: {exc}") from None
     report = audit_mod.audit_trace(trace, bundle, replay=not args.no_replay)
-    doc = {
-        "n_parties": report.n_parties,
-        "checks_run": report.checks_run,
-        "replayed": report.replayed,
-        "violations": [
-            {"check": v.check, "detail": v.detail, "step": v.step} for v in report.violations
-        ],
-    }
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2))
     return 0 if report.ok else 1
 
 

@@ -33,6 +33,7 @@ NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
 POVM_TOL = 1e-10
 PRUNE_TOL = 1e-14
+COALESCE_TOL = 1e-10
 EIG_TOL = 1e-12
 
 
@@ -144,27 +145,26 @@ class Gate:
     def __post_init__(self):
         targets = tuple(self.targets)
         object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "matrix", _checked_unitary(targets, self.matrix))
+        dim = 1 << len(targets)
+        if np.shape(self.matrix) != (dim, dim):
+            raise ValueError(f"gate on {len(targets)} qubits needs a {dim}x{dim} matrix")
+        object.__setattr__(self, "matrix", check_unitary(self.matrix))
 
 
-def _checked_unitary(targets: Sequence[QubitId], matrix) -> np.ndarray:
-    """``matrix`` as a complex array, once it is a unitary on the distinct ``targets``."""
-    if len(set(targets)) != len(targets):
-        raise ValueError("gate targets must be distinct")
+def check_unitary(matrix) -> np.ndarray:
+    """``matrix`` as a complex array, once it is square and unitary to within UNITARY_TOL.
+
+    This is the one unitarity rule.  It runs once on each path: when a
+    ``Gate`` is built, when a protocol steps a local gate, and when a trace
+    is loaded.  The evolution functions trust the matrices they are given.
+    """
     mat = np.asarray(matrix, dtype=complex)
-    dim = 1 << len(targets)
-    if mat.shape != (dim, dim):
-        raise ValueError(f"gate on {len(targets)} qubits needs a {dim}x{dim} matrix")
-    err = unitarity_deviation(mat)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"a unitary needs a square matrix, got shape {mat.shape}")
+    err = np.max(np.abs(mat.conj().T @ mat - np.eye(len(mat))))
     if not err <= UNITARY_TOL:  # negated so that a NaN deviation fails
         raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
     return mat
-
-
-def unitarity_deviation(matrices: np.ndarray) -> np.ndarray:
-    """The largest entry of |U^dagger U - 1| for each matrix U of a (..., d, d) stack."""
-    identity = np.eye(matrices.shape[-1])
-    return np.max(np.abs(matrices.conj().swapaxes(-1, -2) @ matrices - identity), axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -316,7 +316,11 @@ def relabel_qubits(ensemble: BranchEnsemble, renames: Mapping[QubitId, QubitId])
 
 
 def apply_gate(ensemble: BranchEnsemble, gate: Gate) -> BranchEnsemble:
-    """Apply a unitary to every branch; norms are preserved to 1e-12."""
+    """Apply a unitary to every branch; norms are preserved to 1e-12.
+
+    Only ``gate.targets`` and ``gate.matrix`` are read, so a traced local gate
+    with a matrix serves as well as a ``Gate``; its unitarity is not checked again.
+    """
     return _evolve(ensemble, gate.targets, lambda branch: gate.matrix)
 
 
@@ -329,24 +333,24 @@ def apply_conditional(
     """Apply an outcome-dependent unitary per branch.
 
     ``cases`` maps the outcome string of measurement ``measurement_index``
-    (as stored in each branch record) to the matrix applied on that branch.
+    (as stored in each branch record) to the matrix applied on that branch;
+    the matrices are trusted to be unitaries on ``targets``.
     """
-    targets = tuple(targets)
-    checked = {outcome: _checked_unitary(targets, mat) for outcome, mat in cases.items()}
-
     def case_of(branch: Branch) -> np.ndarray:
         if measurement_index not in branch.record:
             raise ValueError(f"branch has no outcome recorded for measurement {measurement_index}")
         outcome = branch.record[measurement_index]
-        if outcome not in checked:
+        if outcome not in cases:
             raise ValueError(f"no case for outcome {outcome!r}")
-        return checked[outcome]
+        return cases[outcome]
 
     return _evolve(ensemble, targets, case_of)
 
 
 def _evolve(ensemble: BranchEnsemble, targets: Sequence[QubitId], matrix_of) -> BranchEnsemble:
     """Apply ``matrix_of(branch)`` to ``targets`` of every branch."""
+    if len(set(targets)) != len(targets):
+        raise ValueError("gate targets must be distinct")
     k = ensemble.num_qubits
     positions = [ensemble.position(q) for q in targets]
     branches = [
@@ -419,10 +423,10 @@ def bell_measure(
     """
     if len(pair) != 2:
         raise ValueError("bell_measure targets exactly 2 qubits")
-    ens = apply_gate(ensemble, Gate(tuple(pair), _BELL_BASIS_CHANGE))
+    ens = _evolve(ensemble, pair, lambda branch: _BELL_BASIS_CHANGE)
     ens, dist = measure_computational(ens, pair, discard=discard)
     if not discard:
-        ens = apply_gate(ens, Gate(tuple(pair), _BELL_BASIS_CHANGE.conj().T))
+        ens = _evolve(ens, pair, lambda branch: _BELL_BASIS_CHANGE.conj().T)
     return ens, dist
 
 
@@ -438,7 +442,7 @@ def measure_povm(ensemble: BranchEnsemble, povm: Povm, targets: Sequence[QubitId
     return probs
 
 
-def coalesce(ensemble: BranchEnsemble, tol: float = 1e-10) -> BranchEnsemble:
+def coalesce(ensemble: BranchEnsemble) -> BranchEnsemble:
     """Merge branches whose states agree up to a global phase.
 
     Classical records survive only where merged branches agree, so
@@ -451,7 +455,7 @@ def coalesce(ensemble: BranchEnsemble, tol: float = 1e-10) -> BranchEnsemble:
         phase = vec[anchor] / abs(vec[anchor])
         canon = vec * np.conj(phase)
         for canon_g, merged in groups:
-            if canon_g.shape == canon.shape and np.allclose(canon_g, canon, atol=tol):
+            if canon_g.shape == canon.shape and np.allclose(canon_g, canon, atol=COALESCE_TOL):
                 merged.probability += b.probability
                 merged.record = {k: v for k, v in merged.record.items() if b.record.get(k) == v}
                 break

@@ -35,7 +35,9 @@ class GraphFormatError(ValueError):
 Weights = tuple[tuple[Fraction, ...], ...]
 
 
-def _to_weights(raw: Sequence[Sequence], n: int, where: str) -> Weights:
+def _to_weights(raw: Sequence[Sequence], n: int, where: str, signed: bool = False) -> Weights:
+    """``raw`` as an n x n matrix of Fractions with a zero diagonal; negative
+    cells only when ``signed``."""
     if len(raw) != n:
         raise GraphFormatError(f"{where}: expected {n} rows, got {len(raw)}")
     rows = []
@@ -48,7 +50,7 @@ def _to_weights(raw: Sequence[Sequence], n: int, where: str) -> Weights:
                 val = Fraction(cell)
             except (ValueError, TypeError, ZeroDivisionError, OverflowError):
                 raise GraphFormatError(f"{where}[{i}][{j}]: not a rational: {cell!r}") from None
-            if val < 0:
+            if val < 0 and not signed:
                 raise GraphFormatError(f"{where}[{i}][{j}]: negative weight {val}")
             out.append(val)
         rows.append(tuple(out))
@@ -56,6 +58,13 @@ def _to_weights(raw: Sequence[Sequence], n: int, where: str) -> Weights:
         if rows[i][i] != 0:
             raise GraphFormatError(f"{where}[{i}][{i}]: diagonal must be zero")
     return tuple(rows)
+
+
+def _check_symmetric(w: Weights, where: str) -> None:
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
+            if w[i][j] != w[j][i]:
+                raise GraphFormatError(f"{where}[{i}][{j}]: matrix must be symmetric ({w[i][j]} != {w[j][i]})")
 
 
 @dataclass(frozen=True)
@@ -68,12 +77,7 @@ class EntanglementGraph:
     def __post_init__(self):
         w = _to_weights(self.weights, self.n, "entanglement")
         object.__setattr__(self, "weights", w)
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if w[i][j] != w[j][i]:
-                    raise GraphFormatError(
-                        f"entanglement[{i}][{j}]: matrix must be symmetric ({w[i][j]} != {w[j][i]})"
-                    )
+        _check_symmetric(w, "entanglement")
 
     def weight(self, a: int, b: int) -> Fraction:
         return self.weights[a - 1][b - 1]
@@ -128,26 +132,9 @@ class DeltaMatrix:
     entries: Weights
 
     def __post_init__(self):
-        raw = self.entries
-        if len(raw) != self.n or any(len(r) != self.n for r in raw):
-            raise GraphFormatError(f"delta: expected a {self.n}x{self.n} matrix")
-        rows = []
-        for i, r in enumerate(raw):
-            out = []
-            for j, cell in enumerate(r):
-                try:
-                    out.append(Fraction(cell))
-                except (ValueError, TypeError, ZeroDivisionError, OverflowError):
-                    raise GraphFormatError(f"delta[{i}][{j}]: not a rational: {cell!r}") from None
-            rows.append(tuple(out))
-        rows = tuple(rows)
+        rows = _to_weights(self.entries, self.n, "delta", signed=True)
         object.__setattr__(self, "entries", rows)
-        for i in range(self.n):
-            if rows[i][i] != 0:
-                raise GraphFormatError(f"delta[{i}][{i}]: diagonal must be zero")
-            for j in range(self.n):
-                if rows[i][j] != rows[j][i]:
-                    raise GraphFormatError(f"delta[{i}][{j}]: matrix must be symmetric")
+        _check_symmetric(rows, "delta")
 
 
 def regular_complete(n: int, weight: int | Fraction, kind: str = "entanglement") -> Graph:
@@ -265,19 +252,11 @@ def expendable_resources(g: Graph, gain_set: Iterable) -> Fraction:
     communication graphs it holds ordered (sender, receiver) tuples.
     """
     gain = set(gain_set)
-    n = g.n
-    if isinstance(g, EntanglementGraph):
-        tot = sum(
-            (g.weight(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-             if i != j and frozenset((i, j)) not in gain),
-            Fraction(0),
-        )
-        return tot / 2
-    return sum(
-        (g.weight(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-         if i != j and (i, j) not in gain),
-        Fraction(0),
-    )
+    undirected = isinstance(g, EntanglementGraph)
+    edge = frozenset if undirected else tuple
+    total = sum((g.weight(i, j) for i, j in itertools.permutations(range(1, g.n + 1), 2)
+                 if edge((i, j)) not in gain), Fraction(0))
+    return total / 2 if undirected else total
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from . import engine
-from .engine import DEFAULT_MAX_QUBITS, Branch, BranchEnsemble, Gate, QubitId
+from .engine import DEFAULT_MAX_QUBITS, Branch, BranchEnsemble, QubitId
 from .gates import Permutation
 
 TRACE_FORMAT = "ebitnet-trace/2"
@@ -144,10 +144,7 @@ def _party_matrix(book: Mapping[tuple[int, int], Fraction], n: int, symmetric: b
 Party = int
 
 # Events reject values that could never be replayed when they are built, so
-# a trace that holds one fails to load.  Only local gates carry matrices;
-# their unitarity is checked once the whole trace is read (``_check_unitary``),
-# one stacked product per matrix size, and not when a gate is built, as
-# simulations build gates of their own.
+# a trace that holds one fails to load.
 
 
 def _check_square(matrix, targets) -> None:
@@ -316,7 +313,7 @@ def apply_event(ens: BranchEnsemble, event: Event) -> tuple[BranchEnsemble, dict
     elif isinstance(event, EbitConsume):
         ens = engine.insert_bell_pair(ens, *event.qubits)
     elif isinstance(event, LocalGate) and event.matrix is not None:
-        ens = engine.apply_gate(ens, Gate(event.targets, event.matrix))
+        ens = engine.apply_gate(ens, event)
     elif isinstance(event, LocalGate):
         ens = engine.apply_conditional(ens, event.targets, dict(event.cases), event.conditional_on)
     elif isinstance(event, (CollectiveOracle, Relocate, Relabel)):
@@ -544,23 +541,6 @@ def _header_trace(rec: Mapping) -> ProtocolTrace:
     return ProtocolTrace(n_parties, initial)
 
 
-def _check_unitary(gates: list[tuple[int, np.ndarray]]) -> None:
-    """Raise ValueError("trace line N: ...") for the first of the (line, matrix)
-    pairs whose matrix is not unitary; each matrix size is one stacked product."""
-    by_size: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for line, matrix in gates:
-        by_size.setdefault(len(matrix), []).append((line, matrix))
-    bad = []
-    for same_size in by_size.values():
-        deviations = engine.unitarity_deviation(np.stack([matrix for _, matrix in same_size]))
-        # negated so that a NaN deviation fails
-        bad += [(line, err) for (line, _), err in zip(same_size, deviations.tolist())
-                if not err <= engine.UNITARY_TOL]
-    if bad:
-        line, err = min(bad, key=lambda pair: pair[0])
-        raise ValueError(f"trace line {line}: matrix is not unitary (deviation {err:.3e})")
-
-
 def dump_trace(trace: ProtocolTrace) -> str:
     lines = [json.dumps(_header_record(trace), sort_keys=True)]
     lines += [json.dumps(event_record(e), sort_keys=True) for e in trace.events]
@@ -572,7 +552,8 @@ def load_trace(text: str) -> ProtocolTrace:
 
     With an initial state in the header, the qubits of every event are
     followed through the registry and counted against its ``max_qubits``
-    (``_follow_registry``).  Every local gate matrix must be unitary.
+    (``_follow_registry``).  Every local gate matrix must be unitary; that is
+    checked here, once the whole trace is read, and not again in a replay.
     """
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
@@ -597,5 +578,9 @@ def load_trace(text: str) -> ProtocolTrace:
             raise ValueError(f"trace line {i}: invalid JSON ({exc.msg})") from None
         except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise ValueError(f"trace line {i}: {exc}") from None
-    _check_unitary(gates)
+    for i, matrix in gates:
+        try:
+            engine.check_unitary(matrix)
+        except ValueError as exc:
+            raise ValueError(f"trace line {i}: {exc}") from None
     return trace

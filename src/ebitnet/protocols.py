@@ -86,13 +86,17 @@ class ProtocolRun:
         """Book ``event``, apply it and append it to the trace.
 
         An ebit consumption on a pair that holds less than one ebit raises
-        InsufficientResources first, with the ledger, the ensemble and the
-        trace untouched.  A measurement is recorded with, and returns, the
-        distribution it produced.
+        InsufficientResources, and a local gate with a matrix that is not
+        unitary raises ValueError; both are raised first, with the ledger,
+        the ensemble and the trace untouched.  A measurement is recorded
+        with, and returns, the distribution it produced.
         """
         if isinstance(event, EbitConsume) and self.ledger.held(*event.pair) < 1:
             raise InsufficientResources(
                 f"pair {pair_key(*event.pair)} holds {self.ledger.held(*event.pair)} ebits, needs 1")
+        if isinstance(event, LocalGate):
+            for matrix in event.matrices:
+                engine.check_unitary(matrix)
         self.ledger.book(event)
         self.ensemble, dist = apply_event(self.ensemble, event)
         if dist is not None:

@@ -515,6 +515,29 @@ class TestReplay:
             for ba, bb in zip(a.branches, b.branches):
                 assert np.array_equal(ba.amplitudes, bb.amplitudes)
 
+    def test_apply_event_refuses_a_gate_whose_targets_repeat(self):
+        run = run_star()
+        q = run.data_qubits[1]
+        with pytest.raises(ValueError, match=r"^gate targets must be distinct$"):
+            apply_event(run.ensemble, LocalGate(1, (q, q), matrix=np.eye(4, dtype=complex)))
+
+
+def test_unitarity_is_checked_once_per_path(monkeypatch, tmp_path):
+    """The star-op n=3 seed-7 trace holds 17 gate matrices: simulate checks each
+    once, the load checks each once and the replay checks none."""
+    checked = []
+    check = engine.check_unitary
+    monkeypatch.setattr(engine, "check_unitary", lambda matrix: checked.append(matrix) or check(matrix))
+    assert cli.main(["simulate", "star-op", "--n", "3", "--seed", "7", "--output", str(tmp_path)]) == 0
+    simulated, checked[:] = len(checked), []
+    trace = load_trace((tmp_path / "star-op_trace.jsonl").read_text(encoding="utf-8"))
+    loaded, checked[:] = len(checked), []
+    bundle = graphs.import_json((tmp_path / "star-op_graphs.json").read_text(encoding="utf-8"))
+    report = audit.audit_trace(trace, bundle)
+    assert report.ok and report.replayed
+    matrices = sum(len(ev.matrices) for ev in trace.events if isinstance(ev, LocalGate))
+    assert (matrices, simulated, loaded, len(checked)) == (17, 17, 17, 0)
+
 
 # the --n each protocol is simulated at; the others take no --n
 REPLAY_N = {"star-op": 3, "perm-entangle": 3, "perm-comm": 3, "ps": 4, "ps-cp": 3}

@@ -88,6 +88,14 @@ class TestSimulate:
         assert run_cli("simulate", "teleport", "--sample", "3", "--output", str(out)) == 0
         assert "sample: measurement" in capsys.readouterr().out
 
+    def test_negative_sample_is_a_usage_error_before_the_run(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        out.mkdir()
+        assert run_cli("simulate", "teleport", "--sample", "-1", "--output", str(out)) == 2
+        captured = capsys.readouterr()
+        assert "--sample" in captured.err and captured.out == ""
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("protocol,extra", [
         ("teleport", []),
         ("two-qubit-op", []),

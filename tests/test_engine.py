@@ -438,6 +438,16 @@ class TestCoalesce:
         )
         assert len(engine.coalesce(two).branches) == 1
 
+    @pytest.mark.parametrize("gap,merges", [(1e-8, False), (1e-12, True)])
+    def test_tolerance(self, gap, merges):
+        """Branches ``gap`` apart in an amplitude that one of them leaves zero:
+        1e-8 is past COALESCE_TOL and stays apart, 1e-12 is within it and merges."""
+        ens, (a,) = engine.allocate_qubits(BranchEnsemble.vacuum(), 1, 1)
+        near = np.array([math.sqrt(1 - gap**2), gap], dtype=complex)
+        two = BranchEnsemble(ens.registry, [engine.Branch(0.5, np.array([1, 0], dtype=complex)),
+                                            engine.Branch(0.5, near)])
+        assert len(engine.coalesce(two).branches) == (1 if merges else 2)
+
     def test_conditioning_without_a_record_is_rejected(self):
         ens, a, b = bell_pair_ensemble()
         with pytest.raises(ValueError, match="no outcome recorded"):

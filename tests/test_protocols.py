@@ -15,6 +15,7 @@ from ebitnet.ledger import (
     DecodedBits,
     EbitConsume,
     InsufficientResources,
+    LocalGate,
     LocalMeasure,
     ResourceLedger,
 )
@@ -491,6 +492,20 @@ class TestResourceBook:
         ensemble, events, books = run.ensemble, list(run.trace.events), copy.deepcopy(run.ledger)
         with pytest.raises(InsufficientResources, match=r"^pair \(1, 2\) holds 0 ebits, needs 1$"):
             run.step(EbitConsume((2, 1), (engine.QubitId(2, "x"), engine.QubitId(1, "y"))))
+        assert run.ensemble is ensemble
+        assert run.trace.events == events
+        assert run.ledger == books
+
+    @pytest.mark.parametrize("form", ["matrix", "cases"])
+    def test_step_refuses_a_non_unitary_gate(self, form):
+        rng = np.random.default_rng(23)
+        run, q1 = single_qubit_run(gates.random_state(2, rng))
+        bad = np.diag([1, 2]).astype(complex)
+        gate = (LocalGate(1, (q1,), matrix=bad) if form == "matrix"
+                else LocalGate(1, (q1,), cases=(("0", gates.ID2), ("1", bad)), conditional_on=0))
+        ensemble, events, books = run.ensemble, list(run.trace.events), copy.deepcopy(run.ledger)
+        with pytest.raises(ValueError, match=r"^matrix is not unitary \(deviation 3\.000e\+00\)$"):
+            run.step(gate)
         assert run.ensemble is ensemble
         assert run.trace.events == events
         assert run.ledger == books

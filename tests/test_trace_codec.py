@@ -198,8 +198,8 @@ def _scaled_identity(dim, first):
 
 
 def test_first_non_unitary_gate_is_reported_across_matrix_sizes():
-    """The unitarity check at load batches the matrices by size (2x2 first here),
-    and still names the earliest line: the 4x4 matrix on line 5."""
+    """The load checks every matrix once the trace is read, in line order, and
+    names the earliest bad one: the 4x4 matrix on line 5, not the 2x2 on line 6."""
     gate = {"kind": "local_gate", "party": 2}
     records = golden_records()[:3] + [
         dict(gate, targets=[[2, "q2"]], matrix=_scaled_identity(2, 1.0)),
