@@ -10,12 +10,14 @@ records a few usage errors, and audits seeded mutations of the small runs'
 traces and graph files (dropped, duplicated and swapped events, re-paired
 ebits, changed bits, forged creates, decodes and messages, lowered graph
 weights, shifted distributions, a relabel moved across parties, re-pointed
-consumes, a forged oracle and a header registry cap below the trace's needs).
+consumes, a forged oracle, a header registry cap below the trace's needs, and
+every message marked supplementary against graphs that grant no communication).
 Load probes of single values that must make both audits exit 2 come last: a
 permutation that is not a bijection or is longer than its targets, a header of
 another format; parties, integers, booleans, strings and probabilities given as
-another JSON type; message bits that are not an exact string amount; and a
-local gate matrix that is not unitary (a NaN or a doubled entry).
+another JSON type; message bits that are not an exact string amount; a
+local gate matrix that is not unitary (a NaN or a doubled entry); and an
+allocation at a party other than its qubits'.
 Then ``ebitnet symmetrise`` runs on the four-lab fixture and on seeded rational
 graphs up to n = 9 (the brute-force cap is 8), and graph-file probes put one
 value that is not a JSON integer or string (``1e400``, ``0.5``, ``true``, a row
@@ -237,6 +239,15 @@ def _string_distribution(records, graph, rng):
     measure["distribution"] = {k: str(v) for k, v in measure["distribution"].items()}
 
 
+def _supplementary_without_cover(records, graph, rng):
+    """Every message marked supplementary, with no POVM record to cover it, and a
+    communication graph of zero capacity."""
+    for r in records:
+        if r["kind"] == "message":
+            r["supplementary"] = True
+    graph["communication"] = [["0"] * graph["n"] for _ in range(graph["n"])]
+
+
 def _set_first(kind, key, value):
     """The first record of ``kind`` (the header included) with ``key`` set to ``value``."""
     def mutate(records, graph, rng):
@@ -269,7 +280,8 @@ MUTATIONS = {
 }
 # single probes, applied to the n >= 3 bases only
 PROBES = {"repoint-first-consume": _repoint_first_consume, "forged-oracle": _forged_oracle,
-          "max-qubits-below-registry": _max_qubits(-1), "max-qubits-below-first-add": _max_qubits(1)}
+          "max-qubits-below-registry": _max_qubits(-1), "max-qubits-below-first-add": _max_qubits(1),
+          "supplementary-without-cover": _supplementary_without_cover}
 
 # (base, name, mutation): single values that must fail to load, so both audits exit 2
 LOAD_PROBES = (
@@ -293,6 +305,7 @@ LOAD_PROBES = (
     ("perm-comm-n3", "payload-integer", _set_first("decoded", "payload", 1)),
     ("teleport", "gate-entry-nan", _first_gate_entry([float("nan"), 0.0])),
     ("star-op-n3", "gate-entry-doubled", _first_gate_entry([2.0, 0.0])),
+    ("perm-entangle-n3", "allocate-at-other-party", _set_first("allocate", "party", 2)),
 )
 
 

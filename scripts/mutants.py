@@ -54,11 +54,26 @@ MUTANTS = (
            "books.held(*ev.pair) < 0", "books.held(*ev.pair) < -1",
            (AUDIT + "TestAuditViolations::test_overconsumption_flagged",
             AUDIT + "test_forged_trace_report_is_exact")),
-    Mutant("supplementary messages charged", "src/ebitnet/ledger.py",
+    Mutant("supplementary messages charged in full, past their POVM cover", "src/ebitnet/ledger.py",
            "isinstance(event, ClassicalMessage) and not event.supplementary:",
            "isinstance(event, ClassicalMessage):",
            (PROTOCOLS + "TestCollectiveTwoQubit::test_recorded_uniform_povm_supplementary",
             AUDIT + "test_cut_checks_match_brute_force_reference"), quick=True),
+    Mutant("supplementary bits beyond the POVM cover go free", "src/ebitnet/ledger.py",
+           "            if beyond:", "            if False:",
+           (AUDIT + "test_supplementary_messages_beyond_the_povm_cover_are_charged",
+            AUDIT + "test_cut_checks_match_brute_force_reference"), quick=True),
+    Mutant("POVM distribution taken from the record", "src/ebitnet/ledger.py",
+           "return ens, {str(r): p for r, p in enumerate(probs) if p > 0.0}",
+           "return ens, dict(event.distribution)",
+           (AUDIT + "TestAuditViolations::test_tampered_povm_distribution_caught_by_replay",)),
+    Mutant("a POVM may discard its targets", "src/ebitnet/ledger.py",
+           "if self.povm is not None and self.discard:", "if False:",
+           (CODEC + "test_audit_of_malformed_golden_trace_exits_two_with_its_line[replay-povm-discard]",)),
+    Mutant("an allocation may name qubits at another party", "src/ebitnet/ledger.py",
+           '_check_parties("an allocation", (self.party,), self.qubits)', "pass",
+           (CODEC + "test_malformed_event_is_rejected_with_its_line[allocate-off-party]",
+            CODEC + "test_audit_of_malformed_golden_trace_exits_two_with_its_line[no-replay-allocate-off-party]")),
     Mutant("decoded bits keyed (at, from)", "src/ebitnet/ledger.py",
            "(event.from_party, event.at_party)", "(event.at_party, event.from_party)",
            (PROTOCOLS + "TestResourceBook::test_decoded_bits_are_booked_from_sender_to_receiver",
@@ -142,6 +157,15 @@ MUTANTS = (
     Mutant("coalesce tolerance 1000x looser", "src/ebitnet/engine.py",
            "COALESCE_TOL = 1e-10", "COALESCE_TOL = 1e-7",
            (ENGINE + "TestCoalesce::test_tolerance",)),
+    Mutant("coalesce tolerance grows with the amplitudes", "src/ebitnet/engine.py",
+           "np.allclose(canon_g, canon, rtol=0, atol=COALESCE_TOL)", "np.allclose(canon_g, canon, atol=COALESCE_TOL)",
+           (ENGINE + "TestCoalesce::test_tolerance[rotated-1e-06-False]",)),
+    Mutant("NaN POVM element passes the Hermitian check", "src/ebitnet/engine.py",
+           "if not np.max(np.abs(e - e.conj().T)) <= POVM_TOL:", "if np.max(np.abs(e - e.conj().T)) > POVM_TOL:",
+           (ENGINE + "TestPovm::test_nan_and_inf_elements_rejected",)),
+    Mutant("NaN POVM probability sum passes", "src/ebitnet/engine.py",
+           "if not abs(total - 1.0) <= 1e-10:", "if abs(total - 1.0) > 1e-10:",
+           (ENGINE + "TestPovm::test_nan_probability_sum_rejected",)),
     # the product groups of the replay, one row per rule
     Mutant("a gate joins no groups", "src/ebitnet/audit.py",
            'if isinstance(ev, LocalGate) or ev.basis == "bell":',
@@ -151,7 +175,7 @@ MUTANTS = (
            'if isinstance(ev, LocalGate) or ev.basis == "bell":', "if isinstance(ev, LocalGate):",
            (SERIES + "[star-op]", AUDIT + "TestAuditCleanRuns::test_star_run_is_clean")),
     Mutant("discarded qubits stay in their group", "src/ebitnet/audit.py",
-           'if isinstance(ev, LocalMeasure) and ev.discard and ev.basis != "povm":', "if False:",
+           "if isinstance(ev, LocalMeasure) and ev.discard:", "if False:",
            (SERIES + "[star-op]",
             AUDIT + "test_monotone_is_evaluated_once_per_cut_after_every_state_change_only")),
     Mutant("a consumed pair split into two groups", "src/ebitnet/audit.py",

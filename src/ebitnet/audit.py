@@ -129,7 +129,7 @@ def _regroup(groups: Groups, ev: Event) -> Groups:
     or a Bell measurement joins its targets' groups, discarded qubits leave
     their group, and renames move membership with the state.  The
     computational measurements leave the groups alone: a projection acts
-    within each qubit's group.
+    within each qubit's group.  So does a POVM, which leaves the state as it was.
     """
     if isinstance(ev, Allocate):
         return groups + [frozenset({q}) for q in ev.qubits]
@@ -144,7 +144,7 @@ def _regroup(groups: Groups, ev: Event) -> Groups:
     if isinstance(ev, LocalGate) or ev.basis == "bell":
         apart = [g for g in groups if targets.isdisjoint(g)]
         groups = apart + [frozenset().union(*(g for g in groups if not targets.isdisjoint(g)))]
-    if isinstance(ev, LocalMeasure) and ev.discard and ev.basis != "povm":
+    if isinstance(ev, LocalMeasure) and ev.discard:
         groups = [g - targets for g in groups if not g <= targets]
     return groups
 

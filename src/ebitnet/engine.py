@@ -183,12 +183,13 @@ class Povm:
         for i, e in enumerate(elems):
             if e.shape != (dim, dim):
                 raise ValueError(f"POVM element {i} has shape {e.shape}, expected {(dim, dim)}")
-            if np.max(np.abs(e - e.conj().T)) > POVM_TOL:
+            # each comparison is negated so that a NaN entry fails it
+            if not np.max(np.abs(e - e.conj().T)) <= POVM_TOL:
                 raise ValueError(f"POVM element {i} is not Hermitian")
-            if np.min(np.linalg.eigvalsh(e)) < -POVM_TOL:
+            if not np.min(np.linalg.eigvalsh(e)) >= -POVM_TOL:
                 raise ValueError(f"POVM element {i} is not positive semidefinite")
             total += e
-        if np.max(np.abs(total - np.eye(dim))) > POVM_TOL:
+        if not np.max(np.abs(total - np.eye(dim))) <= POVM_TOL:
             raise ValueError("POVM elements do not sum to the identity")
 
     @property
@@ -437,7 +438,7 @@ def measure_povm(ensemble: BranchEnsemble, povm: Povm, targets: Sequence[QubitId
     rho = reduced_density(ensemble, targets)
     probs = [float(np.real(np.trace(rho @ e))) for e in povm.elements]
     total = sum(probs)
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:  # negated so that a NaN sum fails
         raise AssertionError(f"POVM probabilities sum to {total}")
     return probs
 
@@ -455,7 +456,7 @@ def coalesce(ensemble: BranchEnsemble) -> BranchEnsemble:
         phase = vec[anchor] / abs(vec[anchor])
         canon = vec * np.conj(phase)
         for canon_g, merged in groups:
-            if canon_g.shape == canon.shape and np.allclose(canon_g, canon, atol=COALESCE_TOL):
+            if canon_g.shape == canon.shape and np.allclose(canon_g, canon, rtol=0, atol=COALESCE_TOL):
                 merged.probability += b.probability
                 merged.record = {k: v for k, v in merged.record.items() if b.record.get(k) == v}
                 break

@@ -15,6 +15,7 @@ an event to the resource books, for protocols and the audit alike.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Mapping
@@ -22,10 +23,10 @@ from typing import Mapping
 import numpy as np
 
 from . import engine
-from .engine import DEFAULT_MAX_QUBITS, Branch, BranchEnsemble, QubitId
+from .engine import DEFAULT_MAX_QUBITS, Branch, BranchEnsemble, Povm, QubitId
 from .gates import Permutation
 
-TRACE_FORMAT = "ebitnet-trace/2"
+TRACE_FORMAT = "ebitnet-trace/3"
 
 
 class InsufficientResources(RuntimeError):
@@ -53,6 +54,10 @@ class ResourceLedger:
     bits_decoded: dict[tuple[int, int], Fraction] = field(default_factory=dict)  # (from, at)
     granted: dict[tuple[int, int], Fraction] = field(default_factory=dict)
     supplementary_bits: float = 0.0
+    # bits of POVM outcomes a party may broadcast on each of its streams, and
+    # how much of that each stream (from, to) has used
+    outcome_cover: dict[int, Fraction] = field(default_factory=dict)
+    cover_used: dict[tuple[int, int], Fraction] = field(default_factory=dict)
 
     def grant(self, a: int, b: int, amount: int | Fraction = 1) -> None:
         """Endow the pair {a,b} with initially held ebits."""
@@ -67,14 +72,27 @@ class ResourceLedger:
         return {key: self.held(*key) for key in self.granted.keys() | self.ebits_consumed.keys()}
 
     def book(self, event: Event) -> None:
-        """Charge a traced event: consumed and created ebits, the bits of every
-        message that is not supplementary, and decoded bits."""
+        """Charge a traced event: consumed and created ebits, sent bits and
+        decoded bits.
+
+        A POVM record at party a covers ``outcome_bits`` of its distribution
+        on every stream (a, b); supplementary messages draw on that cover,
+        and the bits beyond it are charged as sent like any other message.
+        """
         if isinstance(event, EbitConsume):
             _book(self.ebits_consumed, pair_key(*event.pair), 1)
         elif isinstance(event, EbitCreate):
             _book(self.ebits_created, pair_key(*event.pair), 1)
+        elif isinstance(event, LocalMeasure) and event.povm is not None:
+            _book(self.outcome_cover, event.party, outcome_bits(p for _, p in event.distribution))
         elif isinstance(event, ClassicalMessage) and not event.supplementary:
             _book(self.bits_sent, (event.sender, event.receiver), event.bits)
+        elif isinstance(event, ClassicalMessage):
+            stream = (event.sender, event.receiver)
+            unused = self.outcome_cover.get(event.sender, Fraction(0)) - self.cover_used.get(stream, Fraction(0))
+            beyond = event.bits - _book(self.cover_used, stream, min(event.bits, unused))
+            if beyond:
+                _book(self.bits_sent, stream, beyond)
         elif isinstance(event, DecodedBits):
             _book(self.bits_decoded, (event.from_party, event.at_party), event.bits)
 
@@ -118,7 +136,17 @@ class ResourceLedger:
         }
 
 
-def _book(book: dict[tuple[int, int], Fraction], key: tuple[int, int], amount) -> Fraction:
+def outcome_bits(probabilities) -> int:
+    """The whole bits that broadcast one outcome of a recorded distribution: the
+    ceiling of its Shannon entropy.  The sum is exact, so the order of the
+    probabilities does not matter.  It never raises, because the audit books a
+    recorded distribution before the replay checks it: entries that are not
+    positive add nothing."""
+    entropy = -math.fsum(p * math.log2(p) for p in probabilities if p > 0.0)
+    return math.ceil(entropy) if entropy > 0.0 else 0
+
+
+def _book(book: dict, key, amount) -> Fraction:
     """Add a nonnegative ``amount`` to ``book[key]`` and return it as a Fraction."""
     amount = Fraction(amount)
     if amount < 0:
@@ -177,6 +205,7 @@ class Allocate:
         if not self.qubits or len(self.init) != len(self.qubits) or set(self.init) - {"0", "1"}:
             raise ValueError(f"init {self.init!r} must be one 0/1 character for each of "
                              f"{len(self.qubits)} qubits (at least one)")
+        _check_parties("an allocation", (self.party,), self.qubits)
 
 
 @dataclass(frozen=True)
@@ -222,10 +251,19 @@ class LocalMeasure:
     discard: bool
     index: int
     distribution: tuple[tuple[str, float], ...]
+    povm: Povm | None = None  # the elements, exactly when the basis is "povm"
 
     def __post_init__(self):
         if self.basis not in ("computational", "bell", "povm"):
             raise ValueError(f"unknown measurement basis {self.basis!r}")
+        if (self.povm is None) == (self.basis == "povm"):
+            raise ValueError(f"a {self.basis} measurement {'needs' if self.povm is None else 'takes no'} "
+                             "POVM elements")
+        if self.povm is not None and self.povm.dim != 1 << len(self.targets):
+            raise ValueError(f"a POVM on {len(self.targets)} qubits needs {1 << len(self.targets)}"
+                             f"x{1 << len(self.targets)} elements, got dimension {self.povm.dim}")
+        if self.povm is not None and self.discard:
+            raise ValueError("a POVM leaves the state as it was, so it cannot discard its targets")
 
 
 @dataclass(frozen=True)
@@ -303,9 +341,9 @@ Event = (
 def apply_event(ens: BranchEnsemble, event: Event) -> tuple[BranchEnsemble, dict[str, float] | None]:
     """The ensemble after ``event``, and a measurement's outcome distribution.
 
-    A POVM's distribution is the recorded one: the trace does not keep the
-    POVM elements, and the state is left as it was.  Messages, decodes and
-    creations are bookkeeping only.
+    A POVM leaves the state as it was; its distribution lists the outcomes of
+    positive probability by element index.  Messages, decodes and creations
+    are bookkeeping only.
     """
     if isinstance(event, Allocate):
         ens, _ = engine.allocate_qubits(ens, event.party, len(event.qubits), init=event.init,
@@ -318,9 +356,10 @@ def apply_event(ens: BranchEnsemble, event: Event) -> tuple[BranchEnsemble, dict
         ens = engine.apply_conditional(ens, event.targets, dict(event.cases), event.conditional_on)
     elif isinstance(event, (CollectiveOracle, Relocate, Relabel)):
         ens = engine.relabel_qubits(ens, event_renames(event))
+    elif isinstance(event, LocalMeasure) and event.povm is not None:
+        probs = engine.measure_povm(ens, event.povm, event.targets)
+        return ens, {str(r): p for r, p in enumerate(probs) if p > 0.0}
     elif isinstance(event, LocalMeasure):
-        if event.basis == "povm":
-            return ens, dict(event.distribution)
         measure = engine.bell_measure if event.basis == "bell" else engine.measure_computational
         return measure(ens, event.targets, discard=event.discard)
     elif isinstance(event, Coalesce):
@@ -353,7 +392,7 @@ def _follow_registry(ids: set[QubitId], event: Event, max_qubits: int) -> None:
         added = event.qubits
     elif isinstance(event, (LocalGate, CollectiveOracle, LocalMeasure)):
         named = event.targets
-        if isinstance(event, LocalMeasure) and event.discard and event.basis != "povm":
+        if isinstance(event, LocalMeasure) and event.discard:
             removed = event.targets
     elif isinstance(event, (Relabel, Relocate)):
         [(old, new)] = event_renames(event).items()
@@ -455,6 +494,8 @@ _CODECS = {
     "QubitId": (lambda q: [q.party, q.label], _qubit),
     "np.ndarray": (_complex_out, lambda raw, n: _complex_in(raw)),
     "Permutation": (lambda p: list(p.mapping), lambda raw, n: Permutation(tuple(_int(v) for v in raw))),
+    "Povm": (lambda povm: [_complex_out(e) for e in povm.elements],
+             lambda raw, n: Povm(tuple(_complex_in(e) for e in raw))),
     "tuple[Party, ...]": (list, lambda raw, n: tuple(_party(p, n) for p in raw)),
     "tuple[Party, Party]": (list, lambda raw, n: pair_key(*(_party(p, n) for p in _two(raw)))),
     "tuple[QubitId, ...]": (

@@ -1,9 +1,9 @@
 """Teleportation-based protocols with full resource accounting.
 
-Every traced step goes through ``ProtocolRun.step``: the ledger books the
-event (by the same rule the audit charges with), ``ledger.apply_event``
+Every traced step goes through ``ProtocolRun.step``: ``ledger.apply_event``
 runs it on the exact ensemble engine (the same function the audit replays
-with) and the trace records it.
+with), the ledger books it (by the same rule the audit charges with) and
+the trace records it.
 Held ebits are realized lazily: a phi+ pair enters the statevector only
 when a step consumes it, which keeps the registry small.  The permutation
 protocols (SWAP is their two-party case) apply the operation under study as
@@ -13,7 +13,6 @@ messages (a permutation run at a star's hub is an oracle held by one party).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -40,6 +39,7 @@ from .ledger import (
     Relocate,
     ResourceLedger,
     apply_event,
+    outcome_bits,
     pair_key,
 )
 
@@ -83,13 +83,14 @@ class ProtocolRun:
         self.trace.initial = self.ensemble.copy()
 
     def step(self, event: Event) -> dict[str, float] | None:
-        """Book ``event``, apply it and append it to the trace.
+        """Apply ``event``, then book it and append it to the trace.
 
         An ebit consumption on a pair that holds less than one ebit raises
         InsufficientResources, and a local gate with a matrix that is not
-        unitary raises ValueError; both are raised first, with the ledger,
-        the ensemble and the trace untouched.  A measurement is recorded
-        with, and returns, the distribution it produced.
+        unitary raises ValueError; both are raised first, and an event that
+        fails to apply raises too, each with the ledger, the ensemble and the
+        trace untouched.  A measurement is booked and recorded with, and
+        returns, the distribution it produced.
         """
         if isinstance(event, EbitConsume) and self.ledger.held(*event.pair) < 1:
             raise InsufficientResources(
@@ -97,10 +98,10 @@ class ProtocolRun:
         if isinstance(event, LocalGate):
             for matrix in event.matrices:
                 engine.check_unitary(matrix)
-        self.ledger.book(event)
         self.ensemble, dist = apply_event(self.ensemble, event)
         if dist is not None:
             event = replace(event, distribution=tuple(sorted(dist.items())))
+        self.ledger.book(event)
         self.trace.append(event)
         return dist
 
@@ -232,22 +233,19 @@ def _apply_collective(run: ProtocolRun, op: CollectiveOp, at: int, targets: Sequ
                       inform: Sequence[int]) -> None:
     """Apply the collective op locally at ``at``: a permutation as a one-party
     oracle (a rename), and recorded POVMs send their outcome entropy to every
-    party in ``inform``."""
+    party in ``inform``, in the whole bits the ledger's cover allows."""
     if op.unitary is not None:
         _local_gate(run, at, targets, op.unitary)
         return
     if op.permutation is not None:
         _oracle(run, targets, op.permutation)
         return
-    probs = engine.measure_povm(run.ensemble, op.povm, targets)
-    dist = tuple(sorted((str(r), p) for r, p in enumerate(probs) if p > 0.0))
-    run.step(LocalMeasure(at, tuple(targets), "povm", False, run.ensemble.measurement_count, dist))
+    dist = run.step(LocalMeasure(at, tuple(targets), "povm", False, run.ensemble.measurement_count, (), op.povm))
     if op.record:
-        c_s = engine.shannon_entropy(probs)
-        run.ledger.add_supplementary(c_s)
+        run.ledger.add_supplementary(engine.shannon_entropy(dist))
         # the trace carries whole bits; the ledger keeps the exact entropy
         for other in inform:
-            run.step(ClassicalMessage(at, other, Fraction(math.ceil(c_s)), supplementary=True))
+            run.step(ClassicalMessage(at, other, Fraction(outcome_bits(dist.values())), supplementary=True))
 
 
 def collective_op_star(run: ProtocolRun, op: CollectiveOp, hub: int = 1) -> None:

@@ -129,7 +129,7 @@ class TestAuditCleanRuns:
 
 
 def forged_trace(events, n=3):
-    lines = [json.dumps({"kind": "header", "format": "ebitnet-trace/2", "n_parties": n})]
+    lines = [json.dumps({"kind": "header", "format": "ebitnet-trace/3", "n_parties": n})]
     lines += [json.dumps(e) for e in events]
     return load_trace("\n".join(lines) + "\n")
 
@@ -244,6 +244,22 @@ class TestAuditViolations:
         report = audit.audit_trace(tampered, star_bundle(run))
         assert any(v.check == "replay" for v in report.violations)
 
+    def test_tampered_povm_distribution_caught_by_replay(self):
+        # the golden trace's POVM record (line 17, step 15) carries its elements
+        records = [json.loads(ln) for ln in (ROOT / "fixtures" / "golden_trace.jsonl").read_text(
+            encoding="utf-8").splitlines()]
+        povm = records[16]
+        assert povm["basis"] == "povm"
+        replayed = dict(sorted(povm["distribution"].items()))
+        povm["distribution"] = {"0": replayed["1"], "1": replayed["0"]}
+        trace = load_trace("".join(json.dumps(r) + "\n" for r in records))
+        bundle = graphs.GraphBundle(trace.n_parties, None, None)
+        assert "replay" not in [v.check for v in audit.audit_trace(trace, bundle, replay=False).violations]
+        report = audit.audit_trace(trace, bundle)
+        assert [(v.check, v.detail) for v in report.violations if v.check == "replay"] == [
+            ("replay", f"step 15: recorded distribution {povm['distribution']} disagrees with replay {replayed}"),
+        ]
+
     def test_party_count_mismatch_rejected(self):
         run = run_star(n=3)
         bundle = graphs.import_json(NO_EBITS_2)
@@ -333,6 +349,32 @@ def test_star_report_with_shifted_distribution_is_exact():
     ]
 
 
+def test_supplementary_messages_beyond_the_povm_cover_are_charged(tmp_path):
+    """The star-op teleport messages, marked supplementary, have no POVM record to
+    cover them: they are charged as sent and exceed graphs that grant no
+    communication, and fit the run's own graphs."""
+    assert cli.main(["simulate", "star-op", "--n", "3", "--seed", "7", "--output", str(tmp_path)]) == 0
+    records = [json.loads(ln) for ln in (tmp_path / "star-op_trace.jsonl").read_text(encoding="utf-8").splitlines()]
+    graph_file = tmp_path / "star-op_graphs.json"
+    for r in records:
+        if r["kind"] == "message":
+            r["supplementary"] = True
+    trace_file = tmp_path / "forged.jsonl"
+    trace_file.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    silent = json.loads(graph_file.read_text(encoding="utf-8"))
+    del silent["communication"]
+    silent_file = tmp_path / "silent.json"
+    silent_file.write_text(json.dumps(silent), encoding="utf-8")
+    for flags in ([], ["--no-replay"]):
+        assert cli.main(["audit", "--trace", str(trace_file), "--graphs", str(graph_file), *flags]) == 0
+        assert cli.main(["audit", "--trace", str(trace_file), "--graphs", str(silent_file), *flags]) == 1
+    report = audit.audit_trace(load_trace(trace_file.read_text(encoding="utf-8")),
+                               graphs.import_json(silent_file.read_text(encoding="utf-8")))
+    assert [(v.check, v.detail) for v in report.violations] == [
+        ("channel-capacity", f"2 bits sent {a}->{b} exceed the declared capacity 0")
+        for a, b in ((1, 2), (1, 3), (2, 1), (3, 1))]
+
+
 @pytest.mark.parametrize("shift,caught", [(1e-8, True), (1e-11, False), (float("nan"), True)])
 def test_replay_distribution_tolerance(shift, caught):
     """A recorded probability 1e-8 off the replayed one is a violation, and so is a NaN;
@@ -357,6 +399,23 @@ def test_monotone_tolerance(p, rises):
 
 
 amounts = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 3)])
+# recorded POVM distributions, each with the whole bits of its entropy worked by hand
+RECORDED_COVER = {
+    (("0", 1.0),): 0,
+    (("0", 0.5), ("1", 0.5)): 1,
+    (("0", 0.25), ("1", 0.75)): 1,
+    (("0", 0.5), ("1", 0.25), ("2", 0.25)): 2,
+    (("0", 0.25), ("1", 0.25), ("2", 0.25), ("3", 0.25)): 2,
+}
+
+
+def povm_record(party, distribution):
+    """A POVM record at ``party``: computational projectors on one qubit, or on
+    two when ``distribution`` has more than two outcomes."""
+    width = 1 if len(distribution) <= 2 else 2
+    povm = engine.Povm(tuple(np.diag(row) for row in np.eye(1 << width)))
+    return LocalMeasure(party, tuple(QubitId(party, f"m{i}") for i in range(width)), "povm", False, 0,
+                        distribution, povm)
 
 
 @st.composite
@@ -387,6 +446,7 @@ def bookkeeping_cases(draw):
         st.builds(lambda p, bits: DecodedBits(*p, bits), pair, amounts),
         st.sets(party, min_size=1, max_size=n).map(oracle),
         st.builds(lambda frm, to: Relocate(QubitId(frm, "r"), to), party, party),
+        st.builds(povm_record, party, st.sampled_from(sorted(RECORDED_COVER))),
     )
     return n, ent, comm, draw(st.lists(event, max_size=14))
 
@@ -404,9 +464,24 @@ def reference_violations(n, ent, comm, events):
             if used > granted(a, b):
                 out.append(("held-nonnegative", f"pair {(a, b)} consumed beyond its {granted(a, b)} held ebits",
                             step))
-    messages = [e for e in events if isinstance(e, ClassicalMessage) and not e.supplementary]
+
+    def sent(a, b):
+        """The ordinary bits a -> b, plus the supplementary bits beyond the cover of the
+        POVM records at a: the most that the supplementary bits sent so far ever
+        exceeded the cover recorded so far."""
+        bits = sum((e.bits for e in events if isinstance(e, ClassicalMessage) and not e.supplementary
+                    and (e.sender, e.receiver) == (a, b)), Fraction(0))
+        supplementary = cover = beyond = Fraction(0)
+        for e in events:
+            if isinstance(e, LocalMeasure) and e.party == a:
+                cover += RECORDED_COVER[e.distribution]
+            elif isinstance(e, ClassicalMessage) and e.supplementary and (e.sender, e.receiver) == (a, b):
+                supplementary += e.bits
+                beyond = max(beyond, supplementary - cover)
+        return bits + beyond
+
     for a, b in itertools.permutations(parties, 2):
-        bits = sum((e.bits for e in messages if (e.sender, e.receiver) == (a, b)), Fraction(0))
+        bits = sent(a, b)
         if bits > capacity(a, b):
             out.append(("channel-capacity", f"{bits} bits sent {a}->{b} exceed the declared capacity "
                         f"{capacity(a, b)}", None))
@@ -439,7 +514,7 @@ def reference_violations(n, ent, comm, events):
         for side, name in ((cut, "out of"), (set(parties) - cut, "into")):
             got = sum((e.bits for e in events if isinstance(e, DecodedBits)
                        and e.from_party in side and e.at_party not in side), Fraction(0))
-            msg = sum((e.bits for e in messages if e.sender in side and e.receiver not in side), Fraction(0))
+            msg = sum((sent(a, b) for a in side for b in parties if b not in side), Fraction(0))
             if got > msg + 2 * used:
                 out.append(("cut-communication", f"cut {sorted(cut)}: {got} bits decoded {name} the cut "
                             f"exceed {msg} sent + dense-coding allowance {2 * used}", None))
@@ -631,8 +706,9 @@ def test_monotone_series_matches_the_per_branch_formula(monkeypatch, protocol):
 
 def random_trace(data):
     """A replayable trace on 2..4 parties: a random initial state over up to four
-    qubits, then random events of every kind that changes the state.  Each event
-    is applied as it is drawn, so a measurement records its true distribution."""
+    qubits, then random events of every kind that changes the state, POVM
+    records and messages.  Each event is applied as it is drawn, so a
+    measurement records its true distribution."""
     n = data.draw(st.integers(min_value=2, max_value=4), label="n")
     party = st.integers(min_value=1, max_value=n)
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1), label="seed"))
@@ -654,7 +730,7 @@ def random_trace(data):
 
     for _ in range(data.draw(st.integers(min_value=6, max_value=16), label="length")):
         kind = data.draw(st.sampled_from(["allocate", "consume", "gate", "conditional", "measure", "bell",
-                                          "relabel", "relocate", "oracle", "coalesce", "message"]))
+                                          "povm", "relabel", "relocate", "oracle", "coalesce", "message"]))
         room = ens.num_qubits <= 6
         picked = local(2 if kind == "bell" else 1)
         ev = None
@@ -680,6 +756,11 @@ def random_trace(data):
             ev = LocalMeasure(p, targets, "bell" if kind == "bell" else "computational",
                               data.draw(st.booleans()), ens.measurement_count, ())
             measured.append((ens.measurement_count, len(targets)))
+        elif kind == "povm" and picked:
+            p, targets = picked
+            u = gates.haar_unitary(1 << len(targets), rng)
+            povm = engine.Povm(tuple(np.outer(column, column.conj()) for column in u.T))
+            ev = LocalMeasure(p, targets, "povm", False, ens.measurement_count, (), povm)
         elif kind == "relabel" and ens.registry:
             old = data.draw(st.sampled_from(ens.registry))
             ev = Relabel(old, QubitId(old.party, next(labels)))

@@ -223,7 +223,7 @@ class TestAuditCommand:
     def test_forged_trace_exits_one(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         trace.write_text("\n".join([
-            json.dumps({"kind": "header", "format": "ebitnet-trace/2", "n_parties": 2}),
+            json.dumps({"kind": "header", "format": "ebitnet-trace/3", "n_parties": 2}),
             json.dumps({"kind": "ebit_create", "pair": [1, 2]}),
         ]) + "\n")
         g = tmp_path / "g.json"

@@ -178,6 +178,18 @@ class TestPovm:
         with pytest.raises(ValueError):
             Povm((np.array([[1, 0], [0, -0.5]]), np.array([[0, 0], [0, 1.5]])))
 
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+    def test_nan_and_inf_elements_rejected(self, entry):
+        """The first check an element meets names it; no comparison lets a NaN through."""
+        with pytest.raises(ValueError, match="^POVM element 0 is not Hermitian$"), np.errstate(invalid="ignore"):
+            Povm((np.diag([entry, 0.0]), np.diag([0.0, 1.0])))
+
+    def test_nan_probability_sum_rejected(self):
+        ens, a, b = bell_pair_ensemble()
+        ens.branches[0].amplitudes[0] = np.nan
+        with pytest.raises(AssertionError, match="^POVM probabilities sum to nan$"):
+            engine.measure_povm(ens, Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))), (a,))
+
     def test_dimension_mismatch(self):
         ens, a, b = bell_pair_ensemble()
         povm = Povm((np.eye(2) / 2, np.eye(2) / 2))
@@ -438,14 +450,20 @@ class TestCoalesce:
         )
         assert len(engine.coalesce(two).branches) == 1
 
-    @pytest.mark.parametrize("gap,merges", [(1e-8, False), (1e-12, True)])
-    def test_tolerance(self, gap, merges):
-        """Branches ``gap`` apart in an amplitude that one of them leaves zero:
-        1e-8 is past COALESCE_TOL and stays apart, 1e-12 is within it and merges."""
+    @pytest.mark.parametrize("first,second,merges", [
+        ([1, 0], [math.sqrt(1 - 1e-16), 1e-8], False),
+        ([1, 0], [math.sqrt(1 - 1e-24), 1e-12], True),
+        ([0.6, 0.8], [0.6 * math.cos(1e-6) - 0.8 * math.sin(1e-6), 0.6 * math.sin(1e-6) + 0.8 * math.cos(1e-6)],
+         False),
+    ], ids=["1e-08-False", "1e-12-True", "rotated-1e-06-False"])
+    def test_tolerance(self, first, second, merges):
+        """Branches 1e-8 apart in an amplitude that one of them leaves zero are past
+        COALESCE_TOL and stay apart, and 1e-12 apart are within it and merge.  The
+        tolerance is absolute: [0.6, 0.8] and the same state rotated by 1e-6 differ
+        by 8e-7 and stay apart, however large their amplitudes."""
         ens, (a,) = engine.allocate_qubits(BranchEnsemble.vacuum(), 1, 1)
-        near = np.array([math.sqrt(1 - gap**2), gap], dtype=complex)
-        two = BranchEnsemble(ens.registry, [engine.Branch(0.5, np.array([1, 0], dtype=complex)),
-                                            engine.Branch(0.5, near)])
+        two = BranchEnsemble(ens.registry, [engine.Branch(0.5, np.array(first, dtype=complex)),
+                                            engine.Branch(0.5, np.array(second, dtype=complex))])
         assert len(engine.coalesce(two).branches) == (1 if merges else 2)
 
     def test_conditioning_without_a_record_is_rejected(self):

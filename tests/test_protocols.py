@@ -510,6 +510,16 @@ class TestResourceBook:
         assert run.trace.events == events
         assert run.ledger == books
 
+    def test_step_that_fails_to_apply_books_nothing(self):
+        rng = np.random.default_rng(23)
+        run, q1 = single_qubit_run(gates.random_state(2, rng))
+        ensemble, events, books = run.ensemble, list(run.trace.events), copy.deepcopy(run.ledger)
+        with pytest.raises(ValueError, match="^new qubit ids collide with existing registry entries$"):
+            run.step(EbitConsume((1, 2), (q1, engine.QubitId(2, "y"))))
+        assert run.ensemble is ensemble
+        assert run.trace.events == events
+        assert run.ledger == books
+
     @pytest.mark.parametrize("protocol", cli.PROTOCOLS)
     def test_booking_the_trace_reproduces_the_run_ledger(self, protocol):
         run, _ = cli._simulate(protocol, BOOK_N.get(protocol, 3), np.random.default_rng(7), 1,

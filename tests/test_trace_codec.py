@@ -14,12 +14,18 @@ from ebitnet.ledger import dump_trace, load_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 # Written by the trace writer that predates the field-driven codec; kept frozen apart
-# from the header's format (line 1) and the oracle record (line 15) of ebitnet-trace/2.
+# from the header's format (line 1), the oracle record (line 15) of ebitnet-trace/2 and
+# the POVM elements (line 17) of ebitnet-trace/3.
 GOLDEN = ROOT / "fixtures" / "golden_trace.jsonl"
 EVENT_KINDS = {
     "allocate", "ebit_consume", "ebit_create", "local_gate", "local_measure", "message",
     "decoded", "oracle", "relocate", "relabel", "coalesce",
 }
+
+
+# the computational projectors on one qubit, as [re, im] pairs
+Z0 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+Z1 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
 
 def golden_records() -> list[dict]:
@@ -79,6 +85,7 @@ HEADER_FAULTS = {
     "float-max_qubits": lambda h: h.update(max_qubits=30.7),
     "string-max_qubits": lambda h: h.update(max_qubits="24"),
     "format-1": lambda h: h.update(format="ebitnet-trace/1"),
+    "format-2": lambda h: h.update(format="ebitnet-trace/2"),
     "no-format": lambda h: h.pop("format"),
 }
 
@@ -175,6 +182,11 @@ def test_out_of_range_party_is_rejected_with_its_line(kind, key, value):
     {"kind": "local_gate", "party": 2, "targets": [[2, "q2"]], "conditional_on": 0,
      "cases": {"0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
                "1": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}},
+    {"kind": "allocate", "party": 1, "qubits": [[2, "z0"]], "init": "0"},
+    {"kind": "local_measure", "party": 2, "targets": [[2, "q2"]], "basis": "bell",
+     "discard": False, "index": 1, "distribution": {"0": 1.0}, "povm": [Z0, Z1]},
+    {"kind": "local_measure", "party": 2, "targets": [[2, "q2"]], "basis": "povm",
+     "discard": False, "index": 1, "distribution": {"0": 1.0}, "povm": "Z"},
 ], ids=["no-matrix-or-cases", "three-qubit-ebit", "matrix-not-pairs", "distribution-not-object", "not-object",
         "init-22", "init-too-short", "allocate-nothing", "unknown-basis", "gate-1x1", "case-1x1",
         "oracle-2x2-on-two", "message-to-self", "negative-message", "decode-from-self", "negative-decode",
@@ -185,7 +197,8 @@ def test_out_of_range_party_is_rejected_with_its_line(kind, key, value):
         "discard-string", "index-float", "message-to-float", "supplementary-string",
         "conditional-on-string", "pair-float-party", "qubit-float-party", "bits-float", "bits-integer",
         "bits-divide-by-zero", "payload-integer", "init-integer", "label-integer", "distribution-strings",
-        "distribution-bool", "gate-not-unitary", "gate-nan", "case-not-unitary"])
+        "distribution-bool", "gate-not-unitary", "gate-nan", "case-not-unitary", "allocate-off-party",
+        "bell-with-elements", "povm-string"])
 def test_malformed_event_is_rejected_with_its_line(record):
     records = golden_records()[:3] + [record]
     with pytest.raises(ValueError, match=r"^trace line 4: "):
@@ -335,6 +348,40 @@ def test_audit_of_malformed_trace_exits_two_without_traceback(tmp_path, capsys, 
     assert proc.returncode == 2
     assert f"trace line {line}: " in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _povm_elements(elements):
+    def mutate(records):
+        records[16]["povm"] = elements
+    return mutate
+
+
+def _allocate_off_party(records):
+    """The allocation at party 3 names its qubit at party 2, and the oracle follows it."""
+    records[13]["qubits"] = [[2, "k3"]]
+    records[14].update(parties=[2], targets=[[2, "k3"], [2, "q2"]])
+
+
+@pytest.mark.parametrize("mutate,line", [
+    (lambda records: records[16].pop("povm"), 17),
+    (_povm_elements([[[[0.5, 0.0] if i == j else [0.0, 0.0] for j in range(4)] for i in range(4)]] * 2), 17),
+    (_povm_elements([Z0, Z0]), 17),
+    (_povm_elements([[[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], Z1]), 17),
+    (_povm_elements([]), 17),
+    (lambda records: records[16].update(discard=True), 17),
+    (_allocate_off_party, 14),
+    (lambda records: records[0].update(format="ebitnet-trace/2"), 1),
+], ids=["povm-without-elements", "povm-4x4-on-one-qubit", "povm-not-identity", "povm-nan", "povm-empty",
+        "povm-discard", "allocate-off-party", "format-2"])
+@pytest.mark.parametrize("flags", [[], ["--no-replay"]], ids=["replay", "no-replay"])
+def test_audit_of_malformed_golden_trace_exits_two_with_its_line(tmp_path, capsys, mutate, line, flags):
+    records = golden_records()
+    mutate(records)
+    bad, graphs_file = tmp_path / "bad.jsonl", tmp_path / "graphs.json"
+    bad.write_text(as_text(records), encoding="utf-8")
+    graphs_file.write_text(json.dumps({"n": 3, "entanglement": [["0"] * 3] * 3}), encoding="utf-8")
+    assert cli.main(["audit", "--trace", str(bad), "--graphs", str(graphs_file), *flags]) == 2
+    assert f"trace line {line}: " in capsys.readouterr().err
 
 
 def test_line_numbers_count_blank_lines():
