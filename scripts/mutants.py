@@ -147,9 +147,10 @@ MUTANTS = (
            "2**63", "2**200",
            (GRAPHS + "TestSymmetrise::test_sums_past_int64_match_reference",), quick=True),
     Mutant("unitarity not checked at load", "src/ebitnet/ledger.py",
-           "for i, matrix in gates:", "for i, matrix in []:",
+           "for matrix in event.matrices:", "for matrix in []:",
            (CODEC + "test_malformed_event_is_rejected_with_its_line",
-            CODEC + "test_first_non_unitary_gate_is_reported_across_matrix_sizes")),
+            CODEC + "test_first_non_unitary_gate_is_reported_across_matrix_sizes",
+            CODEC + "test_first_bad_line_is_reported_whatever_its_fault")),
     Mutant("unitarity not checked when a protocol steps a gate", "src/ebitnet/protocols.py",
            "engine.check_unitary(matrix)", "pass",
            (PROTOCOLS + "TestResourceBook::test_step_refuses_a_non_unitary_gate",
@@ -166,22 +167,38 @@ MUTANTS = (
     Mutant("NaN POVM probability sum passes", "src/ebitnet/engine.py",
            "if not abs(total - 1.0) <= 1e-10:", "if abs(total - 1.0) > 1e-10:",
            (ENGINE + "TestPovm::test_nan_probability_sum_rejected",)),
-    # the product groups of the replay, one row per rule
-    Mutant("a gate joins no groups", "src/ebitnet/audit.py",
-           'if isinstance(ev, LocalGate) or ev.basis == "bell":',
-           'if isinstance(ev, LocalMeasure) and ev.basis == "bell":',
+    Mutant("POVM cover counted from the record, not the elements", "src/ebitnet/ledger.py",
+           "(len(event.povm.elements) - 1).bit_length()", "(len(event.distribution) - 1).bit_length()",
+           (AUDIT + "test_povm_cover_is_capped_by_its_element_count",)),
+    Mutant("a Bell record may name 3 targets", "src/ebitnet/ledger.py",
+           'if self.basis == "bell" and len(self.targets) != 2:', "if False:",
+           (CODEC + "test_audit_of_malformed_golden_trace_exits_two_with_its_line[no-replay-bell-on-three]",)),
+    # the registry walk of ledger.regroup, which the load and the replay share
+    Mutant("an unknown qubit passes the load walk", "src/ebitnet/ledger.py",
+           "if q not in ids:", "if False:",
+           (CODEC + "test_malformed_event_is_rejected_with_its_line[relabel-unknown-qubit]",
+            CODEC + "test_audit_of_malformed_trace_exits_two_without_traceback[no-replay-relabel-nowhere]")),
+    Mutant("a reused qubit id passes the load walk", "src/ebitnet/ledger.py",
+           "if q in ids:", "if False:",
+           (CODEC + "test_malformed_event_is_rejected_with_its_line[allocate-existing-qubit]",
+            CODEC + "test_audit_of_malformed_trace_exits_two_without_traceback[no-replay-allocate-existing]")),
+    # the product groups of that walk, one row per rule
+    Mutant("a gate joins no groups", "src/ebitnet/ledger.py",
+           'if isinstance(event, LocalGate) or (isinstance(event, LocalMeasure) and event.basis == "bell"):',
+           'if isinstance(event, LocalMeasure) and event.basis == "bell":',
            (SERIES + "[perm-entangle]", SERIES + "[swap-entangle]")),
-    Mutant("a Bell measurement joins no groups", "src/ebitnet/audit.py",
-           'if isinstance(ev, LocalGate) or ev.basis == "bell":', "if isinstance(ev, LocalGate):",
+    Mutant("a Bell measurement joins no groups", "src/ebitnet/ledger.py",
+           'if isinstance(event, LocalGate) or (isinstance(event, LocalMeasure) and event.basis == "bell"):',
+           "if isinstance(event, LocalGate):",
            (SERIES + "[star-op]", AUDIT + "TestAuditCleanRuns::test_star_run_is_clean")),
-    Mutant("discarded qubits stay in their group", "src/ebitnet/audit.py",
-           "if isinstance(ev, LocalMeasure) and ev.discard:", "if False:",
+    Mutant("discarded qubits stay in their group", "src/ebitnet/ledger.py",
+           "if removed:  # a discard removes exactly the targets", "if False:",
            (SERIES + "[star-op]",
             AUDIT + "test_monotone_is_evaluated_once_per_cut_after_every_state_change_only")),
-    Mutant("a consumed pair split into two groups", "src/ebitnet/audit.py",
-           "return groups + [frozenset(ev.qubits)]", "return groups + [frozenset({q}) for q in ev.qubits]",
+    Mutant("a consumed pair split into two groups", "src/ebitnet/ledger.py",
+           "return groups + [frozenset(added)]", "return groups + [frozenset({q}) for q in added]",
            (SERIES + "[teleport]", SERIES + "[perm-comm]")),
-    Mutant("relabels, relocations and oracles rename no group member", "src/ebitnet/audit.py",
+    Mutant("relabels, relocations and oracles rename no group member", "src/ebitnet/ledger.py",
            "return [frozenset(renames.get(q, q) for q in g) for g in groups]", "return groups",
            (SERIES + "[perm-comm]", AUDIT + "test_cross_party_relabel_report_is_exact")),
 )

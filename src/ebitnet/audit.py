@@ -17,10 +17,11 @@ Checks, per trace:
   excepting oracle and qubit-conveyance steps that span the cut.
 
 The replay follows the product groups of the state from the events alone
-(``_regroup``): every branch is a product over groups of qubits that no
-event has acted on together, so a cut's entropy is the sum, over the groups
-it splits, of the entropy of the group's part on one side
-(``_cut_entropies``), and each such part is solved once per step.
+(``ledger.regroup``, the walk that also checks a trace at load): every
+branch is a product over groups of qubits that no event has acted on
+together, so a cut's entropy is the sum, over the groups it splits, of the
+entropy of the group's part on one side (``_cut_entropies``), and each such
+part is solved once per step.
 """
 
 from __future__ import annotations
@@ -31,13 +32,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import engine
-from .engine import BranchEnsemble, QubitId
+from .engine import BranchEnsemble
 from .graphs import GraphBundle
 from .ledger import (
-    Allocate,
     CollectiveOracle,
     EbitConsume,
     Event,
+    Groups,
     LocalGate,
     LocalMeasure,
     ProtocolTrace,
@@ -45,8 +46,8 @@ from .ledger import (
     Relocate,
     ResourceLedger,
     apply_event,
-    event_renames,
     pair_key,
+    regroup,
 )
 
 ENTROPY_TOL = 1e-9
@@ -117,36 +118,6 @@ def _mask(parties: Iterable[int]) -> int:
     for p in parties:
         mask |= 1 << p
     return mask
-
-
-Groups = list[frozenset[QubitId]]
-
-
-def _regroup(groups: Groups, ev: Event) -> Groups:
-    """The product groups of the state after ``ev``, from the groups before it.
-
-    New qubits start groups of their own (an ebit's pair one group), a gate
-    or a Bell measurement joins its targets' groups, discarded qubits leave
-    their group, and renames move membership with the state.  The
-    computational measurements leave the groups alone: a projection acts
-    within each qubit's group.  So does a POVM, which leaves the state as it was.
-    """
-    if isinstance(ev, Allocate):
-        return groups + [frozenset({q}) for q in ev.qubits]
-    if isinstance(ev, EbitConsume):
-        return groups + [frozenset(ev.qubits)]
-    if isinstance(ev, (CollectiveOracle, Relocate, Relabel)):
-        renames = event_renames(ev)
-        return [frozenset(renames.get(q, q) for q in g) for g in groups]
-    if not isinstance(ev, (LocalGate, LocalMeasure)):
-        return groups
-    targets = set(ev.targets)
-    if isinstance(ev, LocalGate) or ev.basis == "bell":
-        apart = [g for g in groups if targets.isdisjoint(g)]
-        groups = apart + [frozenset().union(*(g for g in groups if not targets.isdisjoint(g)))]
-    if isinstance(ev, LocalMeasure) and ev.discard:
-        groups = [g - targets for g in groups if not g <= targets]
-    return groups
 
 
 def _cut_entropies(ens: BranchEnsemble, groups: Groups, cut_masks: Sequence[int]) -> list[float]:
@@ -290,7 +261,7 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
         before = trace.initial
         try:
             for step, ev, ens in replay_events(trace.initial, trace.events):
-                groups = _regroup(groups, ev)
+                groups = regroup(groups, ev, trace.initial.max_qubits)
                 if isinstance(ev, EbitConsume):
                     for cut in cuts:
                         if _spans(ev.pair, cut):

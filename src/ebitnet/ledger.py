@@ -9,7 +9,9 @@ branch coalescing) and collective-oracle events needed to re-execute the
 run from its recorded initial state.  ``apply_event`` is the one mapping
 from an event to the engine: protocols run through it and the audit
 replays through it.  ``ResourceLedger.book`` is the one rule that charges
-an event to the resource books, for protocols and the audit alike.
+an event to the resource books, for protocols and the audit alike, and
+``regroup`` the one walk of qubit ids and product groups through the
+events, for the load and the replay alike.
 """
 
 from __future__ import annotations
@@ -75,16 +77,18 @@ class ResourceLedger:
         """Charge a traced event: consumed and created ebits, sent bits and
         decoded bits.
 
-        A POVM record at party a covers ``outcome_bits`` of its distribution
-        on every stream (a, b); supplementary messages draw on that cover,
-        and the bits beyond it are charged as sent like any other message.
+        A POVM record at party a covers ``outcome_bits`` of its distribution,
+        but no more than the ceiling of log2 of its element count, on every
+        stream (a, b); supplementary messages draw on that cover, and the bits
+        beyond it are charged as sent like any other message.
         """
         if isinstance(event, EbitConsume):
             _book(self.ebits_consumed, pair_key(*event.pair), 1)
         elif isinstance(event, EbitCreate):
             _book(self.ebits_created, pair_key(*event.pair), 1)
         elif isinstance(event, LocalMeasure) and event.povm is not None:
-            _book(self.outcome_cover, event.party, outcome_bits(p for _, p in event.distribution))
+            _book(self.outcome_cover, event.party, min(outcome_bits(p for _, p in event.distribution),
+                                                       (len(event.povm.elements) - 1).bit_length()))
         elif isinstance(event, ClassicalMessage) and not event.supplementary:
             _book(self.bits_sent, (event.sender, event.receiver), event.bits)
         elif isinstance(event, ClassicalMessage):
@@ -264,6 +268,8 @@ class LocalMeasure:
                              f"x{1 << len(self.targets)} elements, got dimension {self.povm.dim}")
         if self.povm is not None and self.discard:
             raise ValueError("a POVM leaves the state as it was, so it cannot discard its targets")
+        if self.basis == "bell" and len(self.targets) != 2:
+            raise ValueError(f"a Bell measurement targets exactly 2 qubits, got {len(self.targets)}")
 
 
 @dataclass(frozen=True)
@@ -380,13 +386,22 @@ def event_renames(event: CollectiveOracle | Relocate | Relabel) -> dict[QubitId,
     return {event.old: event.new}
 
 
-def _follow_registry(ids: set[QubitId], event: Event, max_qubits: int) -> None:
-    """Update the registry ids ``ids`` past ``event``, as ``apply_event`` would.
+Groups = list[frozenset[QubitId]]
 
-    Every qubit the event names must be registered, every qubit it adds
-    must be new, and the registry may not grow past ``max_qubits``; this
-    needs no amplitudes, so a trace is checked at load.
+
+def regroup(groups: Groups, event: Event, max_qubits: int) -> Groups:
+    """The product groups of the state after ``event``, from the groups before it.
+
+    The groups cover the registry, which is checked without amplitudes as
+    ``apply_event`` would check it: every qubit the event names must be
+    registered, every qubit it adds must be new, and the registry may not grow
+    past ``max_qubits``.  New qubits start groups of their own (an ebit's pair
+    one group), a gate or a Bell measurement joins its targets' groups,
+    discarded qubits leave their group, and renames move membership with the
+    state.  Other measurements act within each qubit's group, and a POVM
+    leaves the state as it was.
     """
+    ids = set().union(*groups)
     named, removed, added = (), (), ()
     if isinstance(event, (Allocate, EbitConsume)):
         added = event.qubits
@@ -400,7 +415,8 @@ def _follow_registry(ids: set[QubitId], event: Event, max_qubits: int) -> None:
     for q in named:
         if q not in ids:
             raise ValueError(f"qubit {q!r} is not in the registry")
-    if len(set(named)) != len(named):
+    targets = set(named)
+    if len(targets) != len(named):
         raise ValueError(f"targets {list(named)} name a qubit twice")
     ids.difference_update(removed)
     if len(ids) + len(added) > max_qubits:
@@ -409,6 +425,20 @@ def _follow_registry(ids: set[QubitId], event: Event, max_qubits: int) -> None:
         if q in ids:
             raise ValueError(f"qubit {q!r} is already in the registry")
         ids.add(q)
+
+    if isinstance(event, Allocate):
+        return groups + [frozenset({q}) for q in added]
+    if isinstance(event, EbitConsume):
+        return groups + [frozenset(added)]
+    if isinstance(event, (CollectiveOracle, Relocate, Relabel)):
+        renames = event_renames(event)
+        return [frozenset(renames.get(q, q) for q in g) for g in groups]
+    if isinstance(event, LocalGate) or (isinstance(event, LocalMeasure) and event.basis == "bell"):
+        apart = [g for g in groups if targets.isdisjoint(g)]
+        groups = apart + [frozenset().union(*(g for g in groups if not targets.isdisjoint(g)))]
+    if removed:  # a discard removes exactly the targets
+        groups = [g - targets for g in groups if not g <= targets]
+    return groups
 
 
 @dataclass
@@ -591,15 +621,15 @@ def dump_trace(trace: ProtocolTrace) -> str:
 def load_trace(text: str) -> ProtocolTrace:
     """Parse a trace; malformed input raises ValueError("trace line N: ...").
 
-    With an initial state in the header, the qubits of every event are
-    followed through the registry and counted against its ``max_qubits``
-    (``_follow_registry``).  Every local gate matrix must be unitary; that is
-    checked here, once the whole trace is read, and not again in a replay.
+    With an initial state in the header, ``regroup`` follows the events from
+    its registry as one group, so their qubits are checked against the registry
+    and its ``max_qubits``.  Every local gate matrix must be unitary; each is
+    checked as its line is read, and not again in a replay.  So the first bad
+    line is the one reported, whatever its fault.
     """
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("trace line 1: empty trace")
-    gates = []  # (line, matrix) of every local gate matrix and case matrix
     for i, ln in lines:
         try:
             rec = json.loads(ln)
@@ -607,21 +637,17 @@ def load_trace(text: str) -> ProtocolTrace:
                 raise ValueError("expected a JSON object")
             if i == lines[0][0]:
                 trace = _header_trace(rec)
-                ids = None if trace.initial is None else set(trace.initial.registry)
-            else:
-                event = event_from_record(rec, trace.n_parties)
-                if ids is not None:
-                    _follow_registry(ids, event, trace.initial.max_qubits)
-                trace.append(event)
-                if isinstance(event, LocalGate):
-                    gates += [(i, matrix) for matrix in event.matrices]
+                groups = None if trace.initial is None else [frozenset(trace.initial.registry)]
+                continue
+            event = event_from_record(rec, trace.n_parties)
+            if groups is not None:
+                groups = regroup(groups, event, trace.initial.max_qubits)
+            if isinstance(event, LocalGate):
+                for matrix in event.matrices:
+                    engine.check_unitary(matrix)
+            trace.append(event)
         except json.JSONDecodeError as exc:
             raise ValueError(f"trace line {i}: invalid JSON ({exc.msg})") from None
         except (KeyError, ValueError, TypeError, AttributeError) as exc:
-            raise ValueError(f"trace line {i}: {exc}") from None
-    for i, matrix in gates:
-        try:
-            engine.check_unitary(matrix)
-        except ValueError as exc:
             raise ValueError(f"trace line {i}: {exc}") from None
     return trace

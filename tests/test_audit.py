@@ -25,6 +25,7 @@ from ebitnet.ledger import (
     ProtocolTrace,
     Relabel,
     Relocate,
+    ResourceLedger,
     apply_event,
     dump_trace,
     load_trace,
@@ -375,6 +376,32 @@ def test_supplementary_messages_beyond_the_povm_cover_are_charged(tmp_path):
         for a, b in ((1, 2), (1, 3), (2, 1), (3, 1))]
 
 
+def test_povm_cover_is_capped_by_its_element_count(tmp_path):
+    """The golden trace's 2-element POVM record (line 17) forged to list 1024 uniform
+    outcomes covers 1 bit, not 10: its two 10-bit supplementary messages (lines 18
+    and 19) are charged 9 bits each, past graphs with no capacity out of party 3."""
+    records = [json.loads(ln) for ln in (ROOT / "fixtures" / "golden_trace.jsonl").read_text(
+        encoding="utf-8").splitlines()]
+    records[16]["distribution"] = {str(r): 1 / 1024 for r in range(1024)}
+    for message in records[17:19]:
+        assert message["supplementary"] and message["from"] == 3
+        message["bits"] = "10"
+    trace_file, graph_file = tmp_path / "forged.jsonl", tmp_path / "graphs.json"
+    trace_file.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    graph_file.write_text(json.dumps({
+        "n": 3, "entanglement": [["0", "1", "0"], ["1", "0", "1"], ["0", "1", "0"]],
+        "communication": [["0", "2", "0"], ["0", "0", "0"], ["0", "0", "0"]]}), encoding="utf-8")
+    trace = load_trace(trace_file.read_text(encoding="utf-8"))
+    books = ResourceLedger()
+    books.book(trace.events[15])
+    assert books.outcome_cover == {3: 1}
+    report = audit.audit_trace(trace, graphs.import_json(graph_file.read_text(encoding="utf-8")), replay=False)
+    assert [(v.check, v.detail) for v in report.violations] == [
+        ("channel-capacity", f"9 bits sent 3->{b} exceed the declared capacity 0") for b in (1, 2)]
+    for flags in ([], ["--no-replay"]):
+        assert cli.main(["audit", "--trace", str(trace_file), "--graphs", str(graph_file), *flags]) == 1
+
+
 @pytest.mark.parametrize("shift,caught", [(1e-8, True), (1e-11, False), (float("nan"), True)])
 def test_replay_distribution_tolerance(shift, caught):
     """A recorded probability 1e-8 off the replayed one is a violation, and so is a NaN;
@@ -653,12 +680,15 @@ def audit_monotone_series(monkeypatch, trace, bundle):
     """Audit ``trace`` with replay.  Return the ensemble at each point of the
     replay (the initial one, then one after each event) and, for each point,
     how often the audit evaluated its cuts there, how many entropies it
-    solved there, and the entropy of every cut as the audit then held it."""
+    solved there, and the entropy of every cut as the audit then held it.
+    Return too the product groups the audit followed to each point."""
     counts = [0, 0]  # cut evaluations, entropy solves
     latest = {}
     series = []
     states = [trace.initial]
+    partitions = [[frozenset(trace.initial.registry)]]
     cut_entropies, solve, replay_events = audit._cut_entropies, engine.entropy_of_qubits, audit.replay_events
+    regroup = audit.regroup
     parties = range(1, trace.n_parties + 1)
 
     def evaluating(ens, groups, cut_masks):
@@ -672,6 +702,10 @@ def audit_monotone_series(monkeypatch, trace, bundle):
         counts[1] += 1
         return solve(ens, subset)
 
+    def grouping(groups, ev, max_qubits):
+        partitions.append(regroup(groups, ev, max_qubits))
+        return partitions[-1]
+
     def recording(initial, events):
         for step, ev, ens in replay_events(initial, events):
             series.append((*counts, dict(latest)))  # the point before this event is complete
@@ -683,9 +717,10 @@ def audit_monotone_series(monkeypatch, trace, bundle):
     monkeypatch.setattr(audit, "_cut_entropies", evaluating)
     monkeypatch.setattr(engine, "entropy_of_qubits", solving)
     monkeypatch.setattr(audit, "replay_events", recording)
+    monkeypatch.setattr(audit, "regroup", grouping)
     report = audit.audit_trace(trace, bundle)
     assert report.replayed
-    return report, states, series
+    return report, states, series, partitions
 
 
 def assert_series_matches_the_per_branch_formula(trace, states, series):
@@ -696,12 +731,21 @@ def assert_series_matches_the_per_branch_formula(trace, states, series):
             assert abs(value - reference_entropy(ens, cut)) <= 1e-12, (step, sorted(cut))
 
 
+def assert_groups_partition_the_registry(states, partitions):
+    """At every point of the replay the groups are disjoint and cover the registry."""
+    assert len(partitions) == len(states)
+    for step, (ens, groups) in enumerate(zip(states, partitions)):
+        covered = frozenset().union(*groups)
+        assert sum(map(len, groups)) == len(covered) and covered == set(ens.registry), step
+
+
 @pytest.mark.parametrize("protocol", cli.PROTOCOLS)
 def test_monotone_series_matches_the_per_branch_formula(monkeypatch, protocol):
     run, _ = cli._simulate(protocol, REPLAY_N.get(protocol, 3), np.random.default_rng(7), 1,
                            engine.DEFAULT_MAX_QUBITS)
-    _, states, series = audit_monotone_series(monkeypatch, run.trace, star_bundle(run))
+    _, states, series, partitions = audit_monotone_series(monkeypatch, run.trace, star_bundle(run))
     assert_series_matches_the_per_branch_formula(run.trace, states, series)
+    assert_groups_partition_the_registry(states, partitions)
 
 
 def random_trace(data):
@@ -788,12 +832,13 @@ def random_trace(data):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_monotone_series_of_random_traces_matches_the_per_branch_formula(data):
-    trace = random_trace(data)
+    trace = load_trace(dump_trace(random_trace(data)))  # the load walks the events the replay walks
     with pytest.MonkeyPatch.context() as monkeypatch:
-        report, states, series = audit_monotone_series(
+        report, states, series, partitions = audit_monotone_series(
             monkeypatch, trace, graphs.GraphBundle(trace.n_parties, None, None))
     assert "replay" not in [v.check for v in report.violations]
     assert_series_matches_the_per_branch_formula(trace, states, series)
+    assert_groups_partition_the_registry(states, partitions)
 
 
 @st.composite
@@ -835,7 +880,7 @@ def test_monotone_is_evaluated_once_per_cut_after_every_state_change_only(monkey
     # and a relocation across parties; a relabel across parties is appended
     text = (ROOT / "fixtures" / "golden_trace.jsonl").read_text(encoding="utf-8")
     trace = load_trace(text + '{"kind": "relabel", "old": [3, "q3"], "new": [1, "q3"]}\n')
-    _, _, series = audit_monotone_series(monkeypatch, trace, graphs.GraphBundle(trace.n_parties, None, None))
+    _, _, series, _ = audit_monotone_series(monkeypatch, trace, graphs.GraphBundle(trace.n_parties, None, None))
     assert series[0][0] == 1  # the initial values
     kinds = set()
     for ev, (evaluations, solves, entropies) in zip(trace.events, series[1:]):

@@ -211,8 +211,8 @@ def _scaled_identity(dim, first):
 
 
 def test_first_non_unitary_gate_is_reported_across_matrix_sizes():
-    """The load checks every matrix once the trace is read, in line order, and
-    names the earliest bad one: the 4x4 matrix on line 5, not the 2x2 on line 6."""
+    """The load checks each matrix as its line is read, and names the earliest
+    bad one: the 4x4 matrix on line 5, not the 2x2 on line 6."""
     gate = {"kind": "local_gate", "party": 2}
     records = golden_records()[:3] + [
         dict(gate, targets=[[2, "q2"]], matrix=_scaled_identity(2, 1.0)),
@@ -220,6 +220,20 @@ def test_first_non_unitary_gate_is_reported_across_matrix_sizes():
         dict(gate, targets=[[2, "q2"]], matrix=_scaled_identity(2, 2.0)),
     ]
     with pytest.raises(ValueError, match=r"^trace line 5: matrix is not unitary \(deviation 1\.250e\+00\)$"):
+        load_trace(as_text(records))
+
+
+def test_first_bad_line_is_reported_whatever_its_fault():
+    """A non-unitary gate on line 4 is reported before a gate on an unknown qubit on line 5."""
+    gate = {"kind": "local_gate", "party": 2}
+    records = golden_records()[:3] + [
+        dict(gate, targets=[[2, "q2"]], matrix=_scaled_identity(2, 2.0)),
+        dict(gate, targets=[[2, "zz"]], matrix=_scaled_identity(2, 1.0)),
+    ]
+    with pytest.raises(ValueError, match=r"^trace line 4: matrix is not unitary \(deviation 3\.000e\+00\)$"):
+        load_trace(as_text(records))
+    records[3]["matrix"] = _scaled_identity(2, 1.0)
+    with pytest.raises(ValueError, match=r"^trace line 5: qubit 2:zz is not in the registry$"):
         load_trace(as_text(records))
 
 
@@ -356,6 +370,17 @@ def _povm_elements(elements):
     return mutate
 
 
+def _bell_on_three(records):
+    """After line 14, an allocation of two more qubits at party 3 and a Bell
+    record on those and the qubit line 14 allocated there."""
+    qubits = [[3, "k3"], [3, "b0"], [3, "b1"]]
+    records[14:] = [
+        {"kind": "allocate", "party": 3, "qubits": qubits[1:], "init": "00"},
+        {"kind": "local_measure", "party": 3, "targets": qubits, "basis": "bell", "discard": True,
+         "index": 2, "distribution": {"000": 1.0}},
+    ]
+
+
 def _allocate_off_party(records):
     """The allocation at party 3 names its qubit at party 2, and the oracle follows it."""
     records[13]["qubits"] = [[2, "k3"]]
@@ -371,8 +396,9 @@ def _allocate_off_party(records):
     (lambda records: records[16].update(discard=True), 17),
     (_allocate_off_party, 14),
     (lambda records: records[0].update(format="ebitnet-trace/2"), 1),
+    (_bell_on_three, 16),
 ], ids=["povm-without-elements", "povm-4x4-on-one-qubit", "povm-not-identity", "povm-nan", "povm-empty",
-        "povm-discard", "allocate-off-party", "format-2"])
+        "povm-discard", "allocate-off-party", "format-2", "bell-on-three"])
 @pytest.mark.parametrize("flags", [[], ["--no-replay"]], ids=["replay", "no-replay"])
 def test_audit_of_malformed_golden_trace_exits_two_with_its_line(tmp_path, capsys, mutate, line, flags):
     records = golden_records()
