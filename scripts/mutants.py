@@ -201,6 +201,18 @@ MUTANTS = (
     Mutant("relabels, relocations and oracles rename no group member", "src/ebitnet/ledger.py",
            "return [frozenset(renames.get(q, q) for q in g) for g in groups]", "return groups",
            (SERIES + "[perm-comm]", AUDIT + "test_cross_party_relabel_report_is_exact")),
+    # the split entropies the replay keeps from step to step, and the batched solve behind them
+    Mutant("reuse a touched group", "src/ebitnet/audit.py",
+           "        return frozenset(ev.targets)", "        return frozenset()",
+           (AUDIT + "test_a_step_solves_only_the_splits_of_the_groups_its_event_named",
+            AUDIT + "test_monotone_series_of_random_traces_matches_the_per_branch_formula")),
+    Mutant("key without the party mask", "src/ebitnet/audit.py",
+           "key = (group, split)", "key = (frozenset(q.label for q in group), split)",
+           (AUDIT + "test_a_relocation_across_parties_solves_its_group_again",)),
+    Mutant("batched results land in the wrong split", "src/ebitnet/engine.py",
+           "for i, per_branch in zip(members,", "for i, per_branch in zip(members[::-1],",
+           (ENGINE + "TestEntropy::test_batched_entropies_land_on_their_subsets",
+            AUDIT + "test_replay_solves_and_eigensolver_calls_are_pinned")),
 )
 
 

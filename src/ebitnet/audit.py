@@ -20,8 +20,11 @@ The replay follows the product groups of the state from the events alone
 (``ledger.regroup``, the walk that also checks a trace at load): every
 branch is a product over groups of qubits that no event has acted on
 together, so a cut's entropy is the sum, over the groups it splits, of the
-entropy of the group's part on one side (``_cut_entropies``), and each such
-part is solved once per step.
+entropy of the group's part on one side (``_cut_entropies``).  Each such
+part is solved once and kept until an event names a qubit of its group
+(``_touched``): a group no event names has the same factor in every branch,
+so its branch-weighted entropies hold through measurement branching and
+``coalesce``.  The parts a step lacks are solved in one batched call.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import engine
-from .engine import BranchEnsemble
+from .engine import BranchEnsemble, QubitId
 from .graphs import GraphBundle
 from .ledger import (
     CollectiveOracle,
@@ -46,6 +49,7 @@ from .ledger import (
     Relocate,
     ResourceLedger,
     apply_event,
+    event_renames,
     pair_key,
     regroup,
 )
@@ -120,31 +124,51 @@ def _mask(parties: Iterable[int]) -> int:
     return mask
 
 
-def _cut_entropies(ens: BranchEnsemble, groups: Groups, cut_masks: Sequence[int]) -> list[float]:
+Solved = dict[tuple[frozenset[QubitId], int], float]
+
+
+def _cut_entropies(ens: BranchEnsemble, groups: Groups, cut_masks: Sequence[int], solved: Solved) -> list[float]:
     """The average entanglement entropy across each cut (given as a party mask), in ebits.
 
     Every branch of ``ens`` is a product over ``groups``, so the entropy of a
     side is the sum over groups of the entropy of the group's qubits on that
     side.  A group held by one party adds nothing to any cut.  The two parts a
     cut splits a group into share one spectrum, so each distinct split is
-    solved once, on its smaller part, however many cuts make it.
+    solved once, on its smaller part, however many cuts make it.  ``solved``
+    holds the entropy of each (group, split) solved so far; the splits it
+    lacks are solved in one ``engine.subset_entropies`` call and added to it.
     """
-    entropies = [0.0] * len(cut_masks)
+    terms = []  # (cut index, key) for each group a cut splits
+    missing: dict[tuple[frozenset[QubitId], int], list[QubitId]] = {}
     for group in groups:
         mask = _mask(q.party for q in group)
         if not mask & (mask - 1):
             continue
-        solved: dict[int, float] = {}
         for i, cut in enumerate(cut_masks):
             split = min(cut & mask, ~cut & mask)  # 0 where the cut keeps the group whole
             if not split:
                 continue
-            if split not in solved:
+            key = (group, split)
+            terms.append((i, key))
+            if key not in solved and key not in missing:
                 part = [q for q in group if split >> q.party & 1]
                 rest = [q for q in group if not split >> q.party & 1]
-                solved[split] = engine.entropy_of_qubits(ens, min(part, rest, key=len))
-            entropies[i] += solved[split]
+                missing[key] = min(part, rest, key=len)
+    solved.update(zip(missing, engine.subset_entropies(ens, missing.values())))
+    entropies = [0.0] * len(cut_masks)
+    for i, key in terms:
+        entropies[i] += solved[key]
     return entropies
+
+
+def _touched(ev: Event) -> frozenset[QubitId]:
+    """The qubits whose groups an event may change: the targets of a gate, a
+    computational or Bell measurement and an oracle, and both ids of a rename."""
+    if isinstance(ev, (LocalGate, CollectiveOracle)) or (isinstance(ev, LocalMeasure) and ev.povm is None):
+        return frozenset(ev.targets)
+    if isinstance(ev, (Relabel, Relocate)):
+        return frozenset(itertools.chain(*event_renames(ev).items()))
+    return frozenset()
 
 
 def replay_events(initial: BranchEnsemble, events: Sequence[Event]):
@@ -257,11 +281,16 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
         remaining = [float(held[cut]) for cut in cuts]
         cut_masks = [_mask(cut) for cut in cuts]
         groups = [frozenset(trace.initial.registry)]
-        last = [e + r for e, r in zip(_cut_entropies(trace.initial, groups, cut_masks), remaining)]
+        solved: Solved = {}
+        last = [e + r for e, r in zip(_cut_entropies(trace.initial, groups, cut_masks, solved), remaining)]
         before = trace.initial
         try:
             for step, ev, ens in replay_events(trace.initial, trace.events):
                 groups = regroup(groups, ev, trace.initial.max_qubits)
+                # a group the event leaves alone has the same factor in every branch,
+                # so its branch-weighted split entropies hold through branching and coalesce
+                touched = _touched(ev)
+                solved = {key: s for key, s in solved.items() if touched.isdisjoint(key[0])}
                 if isinstance(ev, EbitConsume):
                     for cut in cuts:
                         if _spans(ev.pair, cut):
@@ -275,7 +304,7 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
                 if reuse:
                     continue
                 joined = _joined(ev)
-                values = [e + r for e, r in zip(_cut_entropies(ens, groups, cut_masks), remaining)]
+                values = [e + r for e, r in zip(_cut_entropies(ens, groups, cut_masks, solved), remaining)]
                 for cut, value, previous in zip(cuts, values, last):
                     if not _spans(joined, cut) and value > previous + ENTROPY_TOL:
                         report.violations.append(Violation(

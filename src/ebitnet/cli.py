@@ -118,7 +118,7 @@ def _simulate_star(n: int, rng: np.random.Generator, hub: int, cap: int, permuta
 def _simulate_perm_entangle(n: int, rng: np.random.Generator, hub: int, cap: int):
     result = protocols.permutation_entangle(Permutation.cyclic_shift(n), cap)
     created = result.run.ledger.total_created()
-    ents = [engine.entropy_of_qubits(result.run.ensemble, [a]) for a, _ in result.pair_qubits]
+    ents = engine.subset_entropies(result.run.ensemble, [[a] for a, _ in result.pair_qubits])
     # party 1 shares one pair with party 2 and one with party n
     cut = engine.entanglement_entropy(result.run.ensemble, {1})
     return result.run, [

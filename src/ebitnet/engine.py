@@ -489,27 +489,53 @@ def reduced_density(ensemble: BranchEnsemble, subset: Sequence[QubitId]) -> np.n
     return rho
 
 
-def entropy_of_qubits(ensemble: BranchEnsemble, subset: Iterable[QubitId]) -> float:
-    """Probability-weighted per-branch von Neumann entropy of ``subset`` (base 2).
+def subset_entropies(ensemble: BranchEnsemble, subsets: Iterable[Iterable[QubitId]]) -> list[float]:
+    """Probability-weighted per-branch von Neumann entropy (base 2) of each subset.
 
-    Every branch is pure, so ``subset`` and the rest of the registry share
-    one Schmidt spectrum.  It is read from the reduced densities of the
-    smaller side, all branches in one stacked eigensolve.
+    Every branch is pure, so a subset and the rest of the registry share one
+    Schmidt spectrum.  It is read from the reduced densities of the smaller
+    side.  The branches are stacked once, each subset gets one (B, 2^m, 2^m)
+    Gram stack for its side of m qubits, and the Grams of each side size go
+    through one ``eigvalsh`` call.
     """
-    wanted = set(subset)
-    missing = wanted.difference(ensemble.registry)
-    if missing:
-        raise ValueError(f"unknown target qubit {min(missing)!r}")
     k = ensemble.num_qubits
-    inside = 2 * len(wanted) <= k  # whether the smaller side is the subset itself
-    side = [p for p, q in enumerate(ensemble.registry) if (q in wanted) == inside]
-    if not side:
-        return 0.0
-    blocks = _block(np.stack([b.amplitudes for b in ensemble.branches]), side, k)
-    eigs = np.linalg.eigvalsh(blocks @ blocks.conj().swapaxes(-1, -2))
-    logs = np.log2(eigs, out=np.zeros_like(eigs), where=eigs > EIG_TOL)
-    per_branch = -np.sum(eigs * logs, axis=-1)
-    return float(sum(b.probability * s for b, s in zip(ensemble.branches, per_branch)))
+    position = {q: p for p, q in enumerate(ensemble.registry)}
+    sides = []
+    for subset in subsets:
+        wanted = set(subset)
+        missing = wanted.difference(position)
+        if missing:
+            raise ValueError(f"unknown target qubit {min(missing)!r}")
+        held = {position[q] for q in wanted}
+        if 2 * len(held) <= k:  # the smaller side is the subset itself
+            sides.append(sorted(held))
+        else:
+            sides.append([p for p in range(k) if p not in held])
+    by_size: dict[int, list[int]] = {}
+    for i, side in enumerate(sides):
+        if side:  # an empty side is a product cut, of entropy 0
+            by_size.setdefault(len(side), []).append(i)
+    entropies = [0.0] * len(sides)
+    if not by_size:
+        return entropies
+    branches = ensemble.branches
+    vecs = branches[0].amplitudes[np.newaxis] if len(branches) == 1 else np.stack([b.amplitudes for b in branches])
+    for members in by_size.values():
+        grams = []
+        for i in members:
+            blocks = _block(vecs, sides[i], k)
+            grams.append(blocks @ blocks.conj().swapaxes(-1, -2))
+        eigs = np.linalg.eigvalsh(np.stack(grams))
+        logs = np.log2(eigs, out=np.zeros_like(eigs), where=eigs > EIG_TOL)
+        for i, per_branch in zip(members, -np.sum(eigs * logs, axis=-1)):
+            entropies[i] = float(sum(b.probability * s for b, s in zip(branches, per_branch)))
+    return entropies
+
+
+def entropy_of_qubits(ensemble: BranchEnsemble, subset: Iterable[QubitId]) -> float:
+    """Probability-weighted per-branch von Neumann entropy of ``subset`` (base 2);
+    see ``subset_entropies``."""
+    return subset_entropies(ensemble, [subset])[0]
 
 
 def entanglement_entropy(

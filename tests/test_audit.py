@@ -687,20 +687,21 @@ def audit_monotone_series(monkeypatch, trace, bundle):
     series = []
     states = [trace.initial]
     partitions = [[frozenset(trace.initial.registry)]]
-    cut_entropies, solve, replay_events = audit._cut_entropies, engine.entropy_of_qubits, audit.replay_events
+    cut_entropies, solve, replay_events = audit._cut_entropies, engine.subset_entropies, audit.replay_events
     regroup = audit.regroup
     parties = range(1, trace.n_parties + 1)
 
-    def evaluating(ens, groups, cut_masks):
+    def evaluating(ens, groups, cut_masks, solved):
         counts[0] += 1
-        entropies = cut_entropies(ens, groups, cut_masks)
+        entropies = cut_entropies(ens, groups, cut_masks, solved)
         for mask, value in zip(cut_masks, entropies):
             latest[frozenset(p for p in parties if mask >> p & 1)] = value
         return entropies
 
-    def solving(ens, subset):
-        counts[1] += 1
-        return solve(ens, subset)
+    def solving(ens, subsets):
+        subsets = list(subsets)
+        counts[1] += len(subsets)
+        return solve(ens, subsets)
 
     def grouping(groups, ev, max_qubits):
         partitions.append(regroup(groups, ev, max_qubits))
@@ -715,7 +716,7 @@ def audit_monotone_series(monkeypatch, trace, bundle):
         series.append((*counts, dict(latest)))
 
     monkeypatch.setattr(audit, "_cut_entropies", evaluating)
-    monkeypatch.setattr(engine, "entropy_of_qubits", solving)
+    monkeypatch.setattr(engine, "subset_entropies", solving)
     monkeypatch.setattr(audit, "replay_events", recording)
     monkeypatch.setattr(audit, "regroup", grouping)
     report = audit.audit_trace(trace, bundle)
@@ -896,6 +897,65 @@ def test_monotone_is_evaluated_once_per_cut_after_every_state_change_only(monkey
     assert {name for name, bookkeeping in kinds if bookkeeping} == {
         "ClassicalMessage", "DecodedBits", "EbitCreate", "LocalMeasure", "Relabel"}
     assert {name for name, bookkeeping in kinds if not bookkeeping} == {c.__name__ for c in STATE_CHANGING}
+
+
+def distinct_splits(group, n):
+    """The distinct splits the cuts of 1..n make of ``group``, as party masks."""
+    mask = audit._mask(q.party for q in group)
+    return {min(cut & mask, ~cut & mask) for cut in map(audit._mask, audit._cuts(n))} - {0}
+
+
+def test_a_step_solves_only_the_splits_of_the_groups_its_event_named(monkeypatch):
+    # the golden trace's phase gate on 2:a2 acts on the ebit {2:a2, 3:a3}; the
+    # teleported state is a group of its own across parties 2 and 3
+    trace = load_trace((ROOT / "fixtures" / "golden_trace.jsonl").read_text(encoding="utf-8"))
+    bundle = graphs.GraphBundle(trace.n_parties, None, None)
+    _, _, series, partitions = audit_monotone_series(monkeypatch, trace, bundle)
+    step = next(i for i, ev in enumerate(trace.events) if isinstance(ev, LocalGate) and ev.matrix is not None)
+    targets = trace.events[step].targets
+    named = [g for g in partitions[step + 1] if not g.isdisjoint(targets)]
+    others = [g for g in partitions[step + 1] if g.isdisjoint(targets)]
+    assert named == [frozenset({QubitId(2, "a2"), QubitId(3, "a3")})]
+    assert sum(len(distinct_splits(g, trace.n_parties)) for g in others) > 0
+    assert series[step + 1][1] == len(distinct_splits(named[0], trace.n_parties)) == 1
+
+
+def test_a_relocation_across_parties_solves_its_group_again(monkeypatch):
+    # moving 2:b to party 1 keeps every label of the group and its split by the
+    # cut {1} | {2}, but the party-1 part of that split is now {a, b}, not {a}
+    registry = (QubitId(1, "a"), QubitId(2, "b"), QubitId(2, "c"))
+    initial = engine.BranchEnsemble.from_amplitudes(registry, gates.random_state(8, np.random.default_rng(5)))
+    trace = ProtocolTrace(2, initial, [Relocate(QubitId(2, "b"), 1)])
+    _, states, series, _ = audit_monotone_series(monkeypatch, trace, graphs.GraphBundle(2, None, None))
+    assert_series_matches_the_per_branch_formula(trace, states, series)
+    assert [solves for _, solves, _ in series] == [1, 1]
+
+
+@pytest.mark.parametrize("protocol,n,solves,most_calls", [("star-op", 6, 290, 76), ("perm-comm", 9, 18, 18)])
+def test_replay_solves_and_eigensolver_calls_are_pinned(monkeypatch, tmp_path, protocol, n, solves, most_calls):
+    """``--seed 1`` replay audits re-solve only the groups each event touched, and
+    make one ``eigvalsh`` call per side size per step; before both, star-op n=6
+    took 373 solves in 373 calls and perm-comm n=9 126 in 126."""
+    assert cli.main(["simulate", protocol, "--n", str(n), "--seed", "1", "--output", str(tmp_path)]) == 0
+    trace = load_trace((tmp_path / f"{protocol}_trace.jsonl").read_text(encoding="utf-8"))
+    bundle = graphs.import_json((tmp_path / f"{protocol}_graphs.json").read_text(encoding="utf-8"))
+    counts = {"solves": 0, "calls": 0}
+    subset_entropies, eigvalsh = engine.subset_entropies, np.linalg.eigvalsh
+
+    def solving(ens, subsets):
+        subsets = list(subsets)
+        counts["solves"] += len(subsets)
+        return subset_entropies(ens, subsets)
+
+    def calling(matrices):
+        counts["calls"] += 1
+        return eigvalsh(matrices)
+
+    monkeypatch.setattr(engine, "subset_entropies", solving)
+    monkeypatch.setattr(np.linalg, "eigvalsh", calling)
+    report = audit.audit_trace(trace, bundle)
+    assert report.ok and report.replayed
+    assert counts["solves"] == solves and counts["calls"] <= most_calls
 
 
 def move_first_relabel(records, party):

@@ -290,18 +290,35 @@ class TestEntropy:
             ens = engine.apply_gate(ens, Gate((q,), gates.haar_unitary(2, rng)))
         assert abs(engine.entanglement_entropy(ens, {1}) - before) < 1e-9
 
-    @given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=4),
-           st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_both_sides_of_a_cut_have_one_entropy(self, k, n_branches, seed, data):
+    @staticmethod
+    def random_ensemble(k, n_branches, seed):
         rng = np.random.default_rng(seed)
         registry = tuple(QubitId(1, f"x{i}") for i in range(k))
         weights = rng.random(n_branches) + 0.1
         branches = [engine.Branch(float(w), gates.random_state(1 << k, rng)) for w in weights / weights.sum()]
-        ens = BranchEnsemble(registry, branches)
-        subset = data.draw(st.sets(st.sampled_from(registry)))
-        rest = [q for q in registry if q not in subset]
+        return BranchEnsemble(registry, branches)
+
+    @given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_both_sides_of_a_cut_have_one_entropy(self, k, n_branches, seed, data):
+        ens = self.random_ensemble(k, n_branches, seed)
+        subset = data.draw(st.sets(st.sampled_from(ens.registry)))
+        rest = [q for q in ens.registry if q not in subset]
         assert abs(engine.entropy_of_qubits(ens, subset) - engine.entropy_of_qubits(ens, rest)) <= 1e-12
+
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_batched_entropies_land_on_their_subsets(self, k, n_branches, seed, data):
+        """One call over many subsets, whose smaller sides share a size or not,
+        gives each subset the entropy a call of its own gives it."""
+        ens = self.random_ensemble(k, n_branches, seed)
+        subsets = data.draw(st.lists(st.sets(st.sampled_from(ens.registry)), max_size=6))
+        batched = engine.subset_entropies(ens, subsets)
+        assert len(batched) == len(subsets)
+        for subset, value in zip(subsets, batched):
+            assert abs(value - engine.entropy_of_qubits(ens, subset)) <= 1e-12
 
     def test_measurement_cannot_raise_average_entropy(self):
         rng = np.random.default_rng(29)
