@@ -88,12 +88,6 @@ MUTANTS = (
     Mutant("registry cap one qubit short at load", "src/ebitnet/ledger.py",
            "len(ids) + len(added) > max_qubits", "len(ids) + len(added) >= max_qubits",
            (CODEC + "test_registry_may_reach_max_qubits_but_not_pass_it",), quick=True),
-    Mutant("cut values reused after any rename", "src/ebitnet/audit.py",
-           " and _owners(ens) == _owners(before)", "",
-           (AUDIT + "test_monotone_series_matches_the_per_branch_formula[swap-entangle]",
-            AUDIT + "test_monotone_series_matches_the_per_branch_formula[perm-comm]",
-            AUDIT + "test_monotone_is_evaluated_once_per_cut_after_every_state_change_only",
-            AUDIT + "test_cross_party_relabel_report_is_exact")),
     Mutant("a cut is spanned by nothing", "src/ebitnet/audit.py",
            "return any(p in side for p in parties) and not all(p in side for p in parties)",
            "return all(p in side for p in parties) and not any(p in side for p in parties)",
@@ -146,14 +140,11 @@ MUTANTS = (
     Mutant("symmetrise sums in int64 past its range", "src/ebitnet/graphs.py",
            "2**63", "2**200",
            (GRAPHS + "TestSymmetrise::test_sums_past_int64_match_reference",), quick=True),
-    Mutant("unitarity not checked at load", "src/ebitnet/ledger.py",
-           "for matrix in event.matrices:", "for matrix in []:",
-           (CODEC + "test_malformed_event_is_rejected_with_its_line",
-            CODEC + "test_first_non_unitary_gate_is_reported_across_matrix_sizes",
-            CODEC + "test_first_bad_line_is_reported_whatever_its_fault")),
-    Mutant("unitarity not checked when a protocol steps a gate", "src/ebitnet/protocols.py",
+    Mutant("a local gate is built without its unitarity check", "src/ebitnet/ledger.py",
            "engine.check_unitary(matrix)", "pass",
            (PROTOCOLS + "TestResourceBook::test_step_refuses_a_non_unitary_gate",
+            CODEC + "test_malformed_event_is_rejected_with_its_line",
+            CODEC + "test_first_non_unitary_gate_is_reported_across_matrix_sizes",
             AUDIT + "test_unitarity_is_checked_once_per_path")),
     Mutant("coalesce tolerance 1000x looser", "src/ebitnet/engine.py",
            "COALESCE_TOL = 1e-10", "COALESCE_TOL = 1e-7",
@@ -194,18 +185,26 @@ MUTANTS = (
     Mutant("discarded qubits stay in their group", "src/ebitnet/ledger.py",
            "if removed:  # a discard removes exactly the targets", "if False:",
            (SERIES + "[star-op]",
-            AUDIT + "test_monotone_is_evaluated_once_per_cut_after_every_state_change_only")),
+            AUDIT + "test_monotone_values_every_cut_at_every_step_and_solves_only_after_state_changes")),
     Mutant("a consumed pair split into two groups", "src/ebitnet/ledger.py",
            "return groups + [frozenset(added)]", "return groups + [frozenset({q}) for q in added]",
            (SERIES + "[teleport]", SERIES + "[perm-comm]")),
     Mutant("relabels, relocations and oracles rename no group member", "src/ebitnet/ledger.py",
            "return [frozenset(renames.get(q, q) for q in g) for g in groups]", "return groups",
            (SERIES + "[perm-comm]", AUDIT + "test_cross_party_relabel_report_is_exact")),
-    # the split entropies the replay keeps from step to step, and the batched solve behind them
-    Mutant("reuse a touched group", "src/ebitnet/audit.py",
-           "        return frozenset(ev.targets)", "        return frozenset()",
+    # the split entropies the replay carries from step to step (audit._carry), and the batched solve behind them
+    Mutant("keep the groups of gate and measurement targets", "src/ebitnet/audit.py",
+           "changed.update(ev.targets)", "pass",
            (AUDIT + "test_a_step_solves_only_the_splits_of_the_groups_its_event_named",
+            SERIES + "[star-op]",
+            AUDIT + "test_monotone_series_of_random_traces_matches_the_per_branch_formula"), quick=True),
+    Mutant("re-key a rename across parties", "src/ebitnet/audit.py",
+           "if new.party != q.party:", "if False:",
+           (AUDIT + "test_a_relocation_across_parties_solves_its_group_again",
             AUDIT + "test_monotone_series_of_random_traces_matches_the_per_branch_formula")),
+    Mutant("drop the group of a rename within one party", "src/ebitnet/audit.py",
+           "if new.party != q.party:", "if True:",
+           (AUDIT + "test_monotone_values_every_cut_at_every_step_and_solves_only_after_state_changes",)),
     Mutant("key without the party mask", "src/ebitnet/audit.py",
            "key = (group, split)", "key = (frozenset(q.label for q in group), split)",
            (AUDIT + "test_a_relocation_across_parties_solves_its_group_again",)),

@@ -21,10 +21,10 @@ The replay follows the product groups of the state from the events alone
 branch is a product over groups of qubits that no event has acted on
 together, so a cut's entropy is the sum, over the groups it splits, of the
 entropy of the group's part on one side (``_cut_entropies``).  Each such
-part is solved once and kept until an event names a qubit of its group
-(``_touched``): a group no event names has the same factor in every branch,
-so its branch-weighted entropies hold through measurement branching and
-``coalesce``.  The parts a step lacks are solved in one batched call.
+part is solved once and carried from step to step (``_carry``): a group no
+event changed has the same factor in every branch, so its entries hold through
+measurement branching and ``coalesce``.  Every step values every cut from
+these entries, and solves the parts it lacks in one batched call.
 """
 
 from __future__ import annotations
@@ -104,11 +104,6 @@ def _spans(parties: Sequence[int], side: frozenset[int]) -> bool:
     return any(p in side for p in parties) and not all(p in side for p in parties)
 
 
-def _owners(ens: BranchEnsemble) -> list[int]:
-    """The party of every registry position."""
-    return [q.party for q in ens.registry]
-
-
 def _nonzero(graph, pairs) -> dict[tuple[int, int], Fraction]:
     """The graph's nonzero weights over ``pairs``; a missing graph is an empty book."""
     if graph is None:
@@ -154,21 +149,37 @@ def _cut_entropies(ens: BranchEnsemble, groups: Groups, cut_masks: Sequence[int]
                 part = [q for q in group if split >> q.party & 1]
                 rest = [q for q in group if not split >> q.party & 1]
                 missing[key] = min(part, rest, key=len)
-    solved.update(zip(missing, engine.subset_entropies(ens, missing.values())))
+    if missing:
+        solved.update(zip(missing, engine.subset_entropies(ens, missing.values())))
     entropies = [0.0] * len(cut_masks)
     for i, key in terms:
         entropies[i] += solved[key]
     return entropies
 
 
-def _touched(ev: Event) -> frozenset[QubitId]:
-    """The qubits whose groups an event may change: the targets of a gate, a
-    computational or Bell measurement and an oracle, and both ids of a rename."""
-    if isinstance(ev, (LocalGate, CollectiveOracle)) or (isinstance(ev, LocalMeasure) and ev.povm is None):
-        return frozenset(ev.targets)
-    if isinstance(ev, (Relabel, Relocate)):
-        return frozenset(itertools.chain(*event_renames(ev).items()))
-    return frozenset()
+def _carry(solved: Solved, ev: Event) -> Solved:
+    """The entries of ``solved`` that still hold after ``ev``, keyed on the groups after it.
+
+    A group's entries are dropped when it holds a target of a gate or of a
+    computational or Bell measurement, or a qubit a rename moves to another
+    party.  A rename within one party keeps every split mask, so it renames the
+    group in the key.  An event that drops and renames nothing returns ``solved``.
+    """
+    changed, renames = set(), {}
+    if isinstance(ev, LocalGate) or (isinstance(ev, LocalMeasure) and ev.povm is None):
+        changed.update(ev.targets)
+    elif isinstance(ev, (CollectiveOracle, Relocate, Relabel)):
+        for q, new in event_renames(ev).items():
+            if new.party != q.party:
+                changed.add(q)
+            elif new != q:
+                renames[q] = new
+    if not changed and not renames:
+        return solved
+
+    def key(group):
+        return group if renames.keys().isdisjoint(group) else frozenset(renames.get(q, q) for q in group)
+    return {(key(group), split): s for (group, split), s in solved.items() if changed.isdisjoint(group)}
 
 
 def replay_events(initial: BranchEnsemble, events: Sequence[Event]):
@@ -283,30 +294,18 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
         groups = [frozenset(trace.initial.registry)]
         solved: Solved = {}
         last = [e + r for e, r in zip(_cut_entropies(trace.initial, groups, cut_masks, solved), remaining)]
-        before = trace.initial
         try:
             for step, ev, ens in replay_events(trace.initial, trace.events):
                 groups = regroup(groups, ev, trace.initial.max_qubits)
-                # a group the event leaves alone has the same factor in every branch,
-                # so its branch-weighted split entropies hold through branching and coalesce
-                touched = _touched(ev)
-                solved = {key: s for key, s in solved.items() if touched.isdisjoint(key[0])}
+                solved = _carry(solved, ev)
                 if isinstance(ev, EbitConsume):
                     for cut in cuts:
                         if _spans(ev.pair, cut):
                             held[cut] -= 1
                     remaining = [float(held[cut]) for cut in cuts]
-                # the same branches under the same party of every position give the
-                # same entropies: messages, decodes, creates, POVM records and
-                # same-party relabels and permutations keep every cut's last value
-                reuse = ens.branches is before.branches and _owners(ens) == _owners(before)
-                before = ens
-                if reuse:
-                    continue
-                joined = _joined(ev)
                 values = [e + r for e, r in zip(_cut_entropies(ens, groups, cut_masks, solved), remaining)]
                 for cut, value, previous in zip(cuts, values, last):
-                    if not _spans(joined, cut) and value > previous + ENTROPY_TOL:
+                    if value > previous + ENTROPY_TOL and not _spans(_joined(ev), cut):
                         report.violations.append(Violation(
                             "replay-monotonicity",
                             f"cut {sorted(cut)}: monotone rose from {previous:.12f} "

@@ -154,9 +154,9 @@ class Gate:
 def check_unitary(matrix) -> np.ndarray:
     """``matrix`` as a complex array, once it is square and unitary to within UNITARY_TOL.
 
-    This is the one unitarity rule.  It runs once on each path: when a
-    ``Gate`` is built, when a protocol steps a local gate, and when a trace
-    is loaded.  The evolution functions trust the matrices they are given.
+    This is the one unitarity rule.  It runs when a ``Gate`` or a traced
+    ``LocalGate`` is built, so once for each gate a protocol steps or a load
+    reads.  The evolution functions trust the matrices they are given.
     """
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:

@@ -240,6 +240,7 @@ class LocalGate:
             raise ValueError("a local gate takes either a matrix or cases with conditional_on")
         for matrix in self.matrices:
             _check_square(matrix, self.targets)
+            engine.check_unitary(matrix)
 
     @property
     def matrices(self) -> list[np.ndarray]:
@@ -468,10 +469,13 @@ def _complex_out(arr) -> list:
 
 
 def _complex_in(raw) -> np.ndarray:
-    pairs = np.array(raw, dtype=float)
+    """Nested lists ending in [re, im] pairs of JSON numbers as a complex array."""
+    pairs = np.array(raw)
+    if pairs.dtype.kind not in "iuf":
+        raise ValueError(f"complex entries must be JSON numbers, got {pairs.dtype} entries")
     if pairs.ndim == 0 or pairs.shape[-1] != 2:
         raise ValueError("complex entries must be [re, im] pairs")
-    return pairs.view(complex)[..., 0]
+    return pairs.astype(float, copy=False).view(complex)[..., 0]
 
 
 def _exactly(*kinds: type, what: str):
@@ -598,7 +602,9 @@ def _header_trace(rec: Mapping) -> ProtocolTrace:
     registry = _REGISTRY_IN(rec["registry"], n_parties)
     if len(set(registry)) != len(registry):
         raise ValueError("registry contains duplicate qubit ids")
-    branches = [Branch(float(b["p"]), _complex_in(b["amplitudes"])) for b in rec["branches"]]
+    branches = [Branch(float(_number(b["p"])), _complex_in(b["amplitudes"])) for b in rec["branches"]]
+    if not all(b.probability >= 0 for b in branches):  # negated so that a NaN fails
+        raise ValueError(f"branch probabilities must not be negative, got {[b.probability for b in branches]}")
     if any(b.amplitudes.shape != (1 << len(registry),) for b in branches):
         raise ValueError(f"every branch needs {1 << len(registry)} amplitudes")
     max_qubits = _int(rec.get("max_qubits", DEFAULT_MAX_QUBITS))
@@ -624,8 +630,8 @@ def load_trace(text: str) -> ProtocolTrace:
     With an initial state in the header, ``regroup`` follows the events from
     its registry as one group, so their qubits are checked against the registry
     and its ``max_qubits``.  Every local gate matrix must be unitary; each is
-    checked as its line is read, and not again in a replay.  So the first bad
-    line is the one reported, whatever its fault.
+    checked when its event is built from its line, and not again in a replay.
+    So the first bad line is the one reported, whatever its fault.
     """
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
@@ -642,9 +648,6 @@ def load_trace(text: str) -> ProtocolTrace:
             event = event_from_record(rec, trace.n_parties)
             if groups is not None:
                 groups = regroup(groups, event, trace.initial.max_qubits)
-            if isinstance(event, LocalGate):
-                for matrix in event.matrices:
-                    engine.check_unitary(matrix)
             trace.append(event)
         except json.JSONDecodeError as exc:
             raise ValueError(f"trace line {i}: invalid JSON ({exc.msg})") from None

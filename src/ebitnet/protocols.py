@@ -86,18 +86,15 @@ class ProtocolRun:
         """Apply ``event``, then book it and append it to the trace.
 
         An ebit consumption on a pair that holds less than one ebit raises
-        InsufficientResources, and a local gate with a matrix that is not
-        unitary raises ValueError; both are raised first, and an event that
-        fails to apply raises too, each with the ledger, the ensemble and the
-        trace untouched.  A measurement is booked and recorded with, and
-        returns, the distribution it produced.
+        InsufficientResources first, and an event that fails to apply raises
+        too, each with the ledger, the ensemble and the trace untouched.  A
+        local gate is unitary by construction: ``LocalGate`` refuses a matrix
+        that is not.  A measurement is booked and recorded with, and returns,
+        the distribution it produced.
         """
         if isinstance(event, EbitConsume) and self.ledger.held(*event.pair) < 1:
             raise InsufficientResources(
                 f"pair {pair_key(*event.pair)} holds {self.ledger.held(*event.pair)} ebits, needs 1")
-        if isinstance(event, LocalGate):
-            for matrix in event.matrices:
-                engine.check_unitary(matrix)
         self.ensemble, dist = apply_event(self.ensemble, event)
         if dist is not None:
             event = replace(event, distribution=tuple(sorted(dist.items())))

@@ -501,11 +501,10 @@ class TestResourceBook:
         rng = np.random.default_rng(23)
         run, q1 = single_qubit_run(gates.random_state(2, rng))
         bad = np.diag([1, 2]).astype(complex)
-        gate = (LocalGate(1, (q1,), matrix=bad) if form == "matrix"
-                else LocalGate(1, (q1,), cases=(("0", gates.ID2), ("1", bad)), conditional_on=0))
         ensemble, events, books = run.ensemble, list(run.trace.events), copy.deepcopy(run.ledger)
         with pytest.raises(ValueError, match=r"^matrix is not unitary \(deviation 3\.000e\+00\)$"):
-            run.step(gate)
+            run.step(LocalGate(1, (q1,), matrix=bad) if form == "matrix"
+                     else LocalGate(1, (q1,), cases=(("0", gates.ID2), ("1", bad)), conditional_on=0))
         assert run.ensemble is ensemble
         assert run.trace.events == events
         assert run.ledger == books

@@ -71,6 +71,16 @@ def _stranger_qubit(header):
     header["registry"][0][0] = 9
 
 
+def _negative_p(header):
+    """The one branch twice, weighted 1.5 and -0.5: the weights still sum to 1."""
+    branch = header["branches"][0]
+    header["branches"] = [dict(branch, p=1.5), dict(branch, p=-0.5)]
+
+
+def _string_amplitudes(header):
+    header["branches"][0]["amplitudes"] = [[str(re), str(im)] for re, im in header["branches"][0]["amplitudes"]]
+
+
 HEADER_FAULTS = {
     "no-n_parties": _drop_n_parties,
     "string-n_parties": lambda h: h.update(n_parties="3"),
@@ -81,6 +91,10 @@ HEADER_FAULTS = {
     "duplicate-qubit": _duplicate_qubit,
     "stranger-qubit": _stranger_qubit,
     "no-branches": lambda h: h.update(branches=[]),
+    "negative-p": _negative_p,
+    "string-p": lambda h: h["branches"][0].update(p="1.0"),
+    "bool-p": lambda h: h["branches"][0].update(p=True),
+    "string-amplitudes": _string_amplitudes,
     "registry-over-cap": lambda h: h.update(max_qubits=2),
     "float-max_qubits": lambda h: h.update(max_qubits=30.7),
     "string-max_qubits": lambda h: h.update(max_qubits="24"),
@@ -187,6 +201,8 @@ def test_out_of_range_party_is_rejected_with_its_line(kind, key, value):
      "discard": False, "index": 1, "distribution": {"0": 1.0}, "povm": [Z0, Z1]},
     {"kind": "local_measure", "party": 2, "targets": [[2, "q2"]], "basis": "povm",
      "discard": False, "index": 1, "distribution": {"0": 1.0}, "povm": "Z"},
+    {"kind": "local_gate", "party": 2, "targets": [[2, "q2"]], "matrix": [[["1.0", "0.0"], ["0.0", "0.0"]],
+                                                                          [["0.0", "0.0"], ["1.0", "0.0"]]]},
 ], ids=["no-matrix-or-cases", "three-qubit-ebit", "matrix-not-pairs", "distribution-not-object", "not-object",
         "init-22", "init-too-short", "allocate-nothing", "unknown-basis", "gate-1x1", "case-1x1",
         "oracle-2x2-on-two", "message-to-self", "negative-message", "decode-from-self", "negative-decode",
@@ -198,7 +214,7 @@ def test_out_of_range_party_is_rejected_with_its_line(kind, key, value):
         "conditional-on-string", "pair-float-party", "qubit-float-party", "bits-float", "bits-integer",
         "bits-divide-by-zero", "payload-integer", "init-integer", "label-integer", "distribution-strings",
         "distribution-bool", "gate-not-unitary", "gate-nan", "case-not-unitary", "allocate-off-party",
-        "bell-with-elements", "povm-string"])
+        "bell-with-elements", "povm-string", "gate-strings"])
 def test_malformed_event_is_rejected_with_its_line(record):
     records = golden_records()[:3] + [record]
     with pytest.raises(ValueError, match=r"^trace line 4: "):
@@ -321,6 +337,7 @@ def _max_qubits(cap):
 @pytest.mark.parametrize("mutate,line", [
     (lambda records: _drop_n_parties(records[0]), 1),
     (lambda records: _truncate_amplitudes(records[0]), 1),
+    (lambda records: _negative_p(records[0]), 1),
     (_pair_1_7, 2),
     (_pair_1_3, 2),
     (_forged_oracle, 47),
@@ -341,8 +358,8 @@ def _max_qubits(cap):
     (_string_distribution, 3),
     (_nan_in_gate(cases=True), 5),
     (_nan_in_gate(cases=False), 14),
-], ids=["no-n_parties", "truncated-amplitudes", "pair-1-7", "pair-1-3", "forged-oracle", "relabel-nowhere",
-        "allocate-existing", "max-qubits-2", "max-qubits-4", "max-qubits-30.7", "format-1", "party-2.5",
+], ids=["no-n_parties", "truncated-amplitudes", "negative-p", "pair-1-7", "pair-1-3", "forged-oracle",
+        "relabel-nowhere", "allocate-existing", "max-qubits-2", "max-qubits-4", "max-qubits-30.7", "format-1", "party-2.5",
         "party-string", "party-true", "discard-string", "to-1.9", "bits-0.1", "bits-2", "bits-1/0",
         "distribution-strings", "case-nan", "gate-nan"])
 @pytest.mark.parametrize("flags", [[], ["--no-replay"]], ids=["replay", "no-replay"])
