@@ -16,8 +16,10 @@ Load probes of single values that must make both audits exit 2 come last: a
 permutation that is not a bijection or is longer than its targets, a header of
 another format; parties, integers, booleans, strings and probabilities given as
 another JSON type; message bits that are not an exact string amount; a
-local gate matrix that is not unitary (a NaN or a doubled entry); and an
-allocation at a party other than its qubits'.
+local gate matrix that is not unitary (a NaN or a doubled entry in [re, im]
+pairs); the star-op hub's Haar matrix, which the trace writes as base64 of its
+complex128 bytes, with that text truncated or with a NaN written into its
+bytes; and an allocation at a party other than its qubits'.
 Then ``ebitnet symmetrise`` runs on the four-lab fixture and on seeded rational
 graphs up to n = 9 (the brute-force cap is 8), and graph-file probes put one
 value that is not a JSON integer or string (``1e400``, ``0.5``, ``true``, a row
@@ -31,10 +33,12 @@ checkouts into two fresh directories and compare them with ``diff -r``.
 """
 
 import argparse
+import base64
 import contextlib
 import io
 import json
 import random
+import struct
 import sys
 import traceback
 from collections import Counter
@@ -264,6 +268,22 @@ def _first_gate_entry(value):
     return mutate
 
 
+def _base64_gate(change):
+    """The text of the first local gate matrix written as base64 (the hub's Haar
+    matrix in a star-op trace) replaced by ``change(text)``."""
+    def mutate(records, graph, rng):
+        gate = next(r for r in records if r["kind"] == "local_gate" and isinstance(r.get("matrix"), dict))
+        gate["matrix"]["c128"] = change(gate["matrix"]["c128"])
+    return mutate
+
+
+def _nan_first_entry(text):
+    """Base64 of little-endian complex128 entries, the first entry's real part set to NaN."""
+    data = bytearray(base64.b64decode(text))
+    data[:8] = struct.pack("<d", float("nan"))
+    return base64.b64encode(data).decode("ascii")
+
+
 MUTATIONS = {
     "drop": _drop,
     "duplicate": _duplicate,
@@ -305,6 +325,8 @@ LOAD_PROBES = (
     ("perm-comm-n3", "payload-integer", _set_first("decoded", "payload", 1)),
     ("teleport", "gate-entry-nan", _first_gate_entry([float("nan"), 0.0])),
     ("star-op-n3", "gate-entry-doubled", _first_gate_entry([2.0, 0.0])),
+    ("star-op-n3", "haar-base64-truncated", _base64_gate(lambda text: text[:-4])),
+    ("star-op-n3", "haar-base64-nan", _base64_gate(_nan_first_entry)),
     ("perm-entangle-n3", "allocate-at-other-party", _set_first("allocate", "party", 2)),
 )
 

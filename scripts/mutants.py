@@ -146,6 +146,13 @@ MUTANTS = (
             CODEC + "test_malformed_event_is_rejected_with_its_line",
             CODEC + "test_first_non_unitary_gate_is_reported_across_matrix_sizes",
             AUDIT + "test_unitarity_is_checked_once_per_path")),
+    Mutant("decode base64 without the length check", "src/ebitnet/ledger.py",
+           "if len(data) != nbytes:", "if False:",
+           (CODEC + "test_malformed_base64_array_is_rejected_with_its_line",)),
+    Mutant("write every dense array as base64", "src/ebitnet/ledger.py",
+           "if arr.size >= BASE64_MIN_ENTRIES:", "if True:",
+           (CODEC + "test_a_pauli_gate_record_is_written_as_in_format_3",
+            CODEC + "test_golden_trace_round_trips_byte_for_byte")),
     Mutant("coalesce tolerance 1000x looser", "src/ebitnet/engine.py",
            "COALESCE_TOL = 1e-10", "COALESCE_TOL = 1e-7",
            (ENGINE + "TestCoalesce::test_tolerance",)),

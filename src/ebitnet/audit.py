@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from . import engine
 from .engine import BranchEnsemble, QubitId
 from .graphs import GraphBundle
@@ -122,8 +124,29 @@ def _mask(parties: Iterable[int]) -> int:
 Solved = dict[tuple[frozenset[QubitId], int], float]
 
 
-def _cut_entropies(ens: BranchEnsemble, groups: Groups, cut_masks: Sequence[int], solved: Solved) -> list[float]:
-    """The average entanglement entropy across each cut (given as a party mask), in ebits.
+class _Cuts(tuple):
+    """The cuts as party masks.  ``splits(mask)`` gives, for the party mask of a
+    group, each distinct split the cuts make of it (the parties of its smaller
+    part) with the indices of the cuts that make it, worked out once per mask."""
+
+    def __new__(cls, masks: Iterable[int]):
+        cuts = super().__new__(cls, masks)
+        cuts._splits = {}
+        return cuts
+
+    def splits(self, mask: int) -> list[tuple[int, np.ndarray]]:
+        if mask not in self._splits:
+            indices: dict[int, list[int]] = {}
+            for i, cut in enumerate(self):
+                split = min(cut & mask, ~cut & mask)  # 0 where the cut keeps the group whole
+                if split:
+                    indices.setdefault(split, []).append(i)
+            self._splits[mask] = [(split, np.array(cuts)) for split, cuts in indices.items()]
+        return self._splits[mask]
+
+
+def _cut_entropies(ens: BranchEnsemble, groups: Groups, cuts: _Cuts, solved: Solved) -> list[float]:
+    """The average entanglement entropy across each cut, in ebits.
 
     Every branch of ``ens`` is a product over ``groups``, so the entropy of a
     side is the sum over groups of the entropy of the group's qubits on that
@@ -132,29 +155,24 @@ def _cut_entropies(ens: BranchEnsemble, groups: Groups, cut_masks: Sequence[int]
     solved once, on its smaller part, however many cuts make it.  ``solved``
     holds the entropy of each (group, split) solved so far; the splits it
     lacks are solved in one ``engine.subset_entropies`` call and added to it.
+    Each cut sums its groups' terms in group order.
     """
-    terms = []  # (cut index, key) for each group a cut splits
+    terms = []  # (key, indices of the cuts that make its split) for each split of each group
     missing: dict[tuple[frozenset[QubitId], int], list[QubitId]] = {}
     for group in groups:
-        mask = _mask(q.party for q in group)
-        if not mask & (mask - 1):
-            continue
-        for i, cut in enumerate(cut_masks):
-            split = min(cut & mask, ~cut & mask)  # 0 where the cut keeps the group whole
-            if not split:
-                continue
+        for split, indices in cuts.splits(_mask(q.party for q in group)):
             key = (group, split)
-            terms.append((i, key))
+            terms.append((key, indices))
             if key not in solved and key not in missing:
                 part = [q for q in group if split >> q.party & 1]
                 rest = [q for q in group if not split >> q.party & 1]
                 missing[key] = min(part, rest, key=len)
     if missing:
         solved.update(zip(missing, engine.subset_entropies(ens, missing.values())))
-    entropies = [0.0] * len(cut_masks)
-    for i, key in terms:
-        entropies[i] += solved[key]
-    return entropies
+    entropies = np.zeros(len(cuts))
+    for key, indices in terms:
+        entropies[indices] += solved[key]
+    return entropies.tolist()
 
 
 def _carry(solved: Solved, ev: Event) -> Solved:
@@ -290,7 +308,7 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
         report.replayed = True
         held = dict(initial)  # ebits still held across each cut
         remaining = [float(held[cut]) for cut in cuts]
-        cut_masks = [_mask(cut) for cut in cuts]
+        cut_masks = _Cuts(_mask(cut) for cut in cuts)
         groups = [frozenset(trace.initial.registry)]
         solved: Solved = {}
         last = [e + r for e, r in zip(_cut_entropies(trace.initial, groups, cut_masks, solved), remaining)]

@@ -16,6 +16,7 @@ events, for the load and the replay alike.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -28,7 +29,11 @@ from . import engine
 from .engine import DEFAULT_MAX_QUBITS, Branch, BranchEnsemble, Povm, QubitId
 from .gates import Permutation
 
-TRACE_FORMAT = "ebitnet-trace/3"
+TRACE_FORMAT = "ebitnet-trace/4"
+# Complex arrays of at least this many entries are written as base64 of their
+# little-endian complex128 bytes; smaller ones as [re, im] pairs, which are
+# shorter for them (a 2x2 Pauli takes 52 characters as pairs, 88 as base64).
+BASE64_MIN_ENTRIES = 64
 
 
 class InsufficientResources(RuntimeError):
@@ -462,20 +467,49 @@ class ProtocolTrace:
 # take the dataclass defaults.  Decoders get the party count for range checks.
 
 
-def _complex_out(arr) -> list:
-    """A complex array of any shape as nested lists ending in [re, im] pairs."""
+def _complex_out(arr) -> list | dict:
+    """A complex array of any shape: as {"shape": [...], "c128": base64} from
+    ``BASE64_MIN_ENTRIES`` entries on, else as nested lists ending in [re, im] pairs."""
     arr = np.asarray(arr, dtype=complex)
+    if arr.size >= BASE64_MIN_ENTRIES:
+        return {"shape": list(arr.shape), "c128": base64.b64encode(arr.astype("<c16").tobytes()).decode("ascii")}
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def _complex_in(raw) -> np.ndarray:
-    """Nested lists ending in [re, im] pairs of JSON numbers as a complex array."""
+    """A complex array written by ``_complex_out``, in either form."""
+    if isinstance(raw, dict):
+        return _c128_in(raw)
     pairs = np.array(raw)
     if pairs.dtype.kind not in "iuf":
         raise ValueError(f"complex entries must be JSON numbers, got {pairs.dtype} entries")
     if pairs.ndim == 0 or pairs.shape[-1] != 2:
         raise ValueError("complex entries must be [re, im] pairs")
     return pairs.astype(float, copy=False).view(complex)[..., 0]
+
+
+def _c128_in(raw: Mapping) -> np.ndarray:
+    """The array of a {"shape", "c128"} record.  The text must be the canonical
+    base64 of exactly 16 bytes per entry of the shape, which is checked before
+    any array is made, so a shape cannot ask for memory its text does not hold."""
+    if set(raw) != {"shape", "c128"}:
+        raise ValueError(f"a base64 array takes the keys c128 and shape, got {sorted(raw)}")
+    text = _str(raw["c128"])
+    if type(raw["shape"]) is not list:
+        raise ValueError(f"shape must be a list of integers, got {raw['shape']!r}")
+    shape = [_int(d) for d in raw["shape"]]
+    if any(d < 0 for d in shape):
+        raise ValueError(f"shape {shape} has a negative entry")
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"c128 is not base64 ({exc})") from None
+    nbytes = 16 * math.prod(shape)
+    if len(data) != nbytes:
+        raise ValueError(f"c128 holds {len(data)} bytes, shape {shape} needs {nbytes}")
+    if base64.b64encode(data) != text.encode("ascii"):
+        raise ValueError("c128 is not the canonical base64 of its bytes")
+    return np.frombuffer(data, dtype="<c16").astype(complex, copy=False).reshape(shape)
 
 
 def _exactly(*kinds: type, what: str):

@@ -25,6 +25,7 @@ from ebitnet.ledger import (
     ProtocolTrace,
     Relabel,
     Relocate,
+    TRACE_FORMAT,
     ResourceLedger,
     apply_event,
     dump_trace,
@@ -130,7 +131,7 @@ class TestAuditCleanRuns:
 
 
 def forged_trace(events, n=3):
-    lines = [json.dumps({"kind": "header", "format": "ebitnet-trace/3", "n_parties": n})]
+    lines = [json.dumps({"kind": "header", "format": TRACE_FORMAT, "n_parties": n})]
     lines += [json.dumps(e) for e in events]
     return load_trace("\n".join(lines) + "\n")
 
@@ -747,6 +748,35 @@ def test_monotone_series_matches_the_per_branch_formula(monkeypatch, protocol):
     _, states, series, partitions = audit_monotone_series(monkeypatch, run.trace, star_bundle(run))
     assert_series_matches_the_per_branch_formula(run.trace, states, series)
     assert_groups_partition_the_registry(states, partitions)
+
+
+def walked_cut_entropies(groups, cut_masks, solved):
+    """The reference for ``audit._cut_entropies`` given its solved splits: every group
+    walked against every cut, each cut's terms added in group order."""
+    entropies = [0.0] * len(cut_masks)
+    for group in groups:
+        mask = audit._mask(q.party for q in group)
+        for i, cut in enumerate(cut_masks):
+            split = min(cut & mask, ~cut & mask)
+            if split:
+                entropies[i] += solved[(group, split)]
+    return entropies
+
+
+@pytest.mark.parametrize("protocol", cli.PROTOCOLS)
+def test_cut_entropies_equal_the_walk_of_every_group_against_every_cut(protocol):
+    run, _ = cli._simulate(protocol, REPLAY_N.get(protocol, 3), np.random.default_rng(7), 1,
+                           engine.DEFAULT_MAX_QUBITS)
+    trace = run.trace
+    cuts = audit._Cuts(map(audit._mask, audit._cuts(trace.n_parties)))
+    groups, solved = [frozenset(trace.initial.registry)], {}
+    entropies = audit._cut_entropies(trace.initial, groups, cuts, solved)
+    assert entropies == walked_cut_entropies(groups, cuts, solved)
+    for _, ev, ens in audit.replay_events(trace.initial, trace.events):
+        groups = audit.regroup(groups, ev, trace.initial.max_qubits)
+        solved = audit._carry(solved, ev)
+        entropies = audit._cut_entropies(ens, groups, cuts, solved)
+        assert entropies == walked_cut_entropies(groups, cuts, solved), ev
 
 
 def random_trace(data):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ebitnet import cli
+from ebitnet import cli, ledger
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "fixtures" / "four_lab_example.json"
@@ -223,7 +223,7 @@ class TestAuditCommand:
     def test_forged_trace_exits_one(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         trace.write_text("\n".join([
-            json.dumps({"kind": "header", "format": "ebitnet-trace/3", "n_parties": 2}),
+            json.dumps({"kind": "header", "format": ledger.TRACE_FORMAT, "n_parties": 2}),
             json.dumps({"kind": "ebit_create", "pair": [1, 2]}),
         ]) + "\n")
         g = tmp_path / "g.json"

@@ -1,21 +1,27 @@
 """Trace codec: a golden round trip, and malformed traces rejected at load
 with the line number (exit 2 from ``ebitnet audit``, never a traceback)."""
 
+import base64
 import json
 import os
+import re
+import string
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ebitnet import cli
-from ebitnet.ledger import dump_trace, load_trace
+from ebitnet import cli, gates
+from ebitnet.engine import QubitId
+from ebitnet.ledger import LocalGate, ProtocolTrace, _complex_in, _complex_out, dump_trace, event_record, load_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 # Written by the trace writer that predates the field-driven codec; kept frozen apart
 # from the header's format (line 1), the oracle record (line 15) of ebitnet-trace/2 and
-# the POVM elements (line 17) of ebitnet-trace/3.
+# the POVM elements (line 17) of ebitnet-trace/3.  Every array in it has fewer than 64
+# entries, so ebitnet-trace/4 writes all of them as [re, im] pairs, as /3 did.
 GOLDEN = ROOT / "fixtures" / "golden_trace.jsonl"
 EVENT_KINDS = {
     "allocate", "ebit_consume", "ebit_create", "local_gate", "local_measure", "message",
@@ -26,6 +32,20 @@ EVENT_KINDS = {
 # the computational projectors on one qubit, as [re, im] pairs
 Z0 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 Z1 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+def _c128(values) -> dict:
+    """A complex array in the base64 form of a trace, encoded here without the codec."""
+    arr = np.asarray(values, dtype=complex)
+    return {"shape": list(arr.shape), "c128": base64.b64encode(arr.astype("<c16").tobytes()).decode("ascii")}
+
+
+def _entries(array) -> np.ndarray:
+    """The complex entries of an array as a trace writes it, in either form."""
+    if isinstance(array, dict):
+        return np.frombuffer(base64.b64decode(array["c128"]), "<c16").reshape(array["shape"])
+    pairs = np.array(array, dtype=float)
+    return pairs[..., 0] + 1j * pairs[..., 1]
 
 
 def golden_records() -> list[dict]:
@@ -63,6 +83,14 @@ def _nan_amplitude(header):
     header["branches"][0]["amplitudes"][0] = [float("nan"), 0.0]
 
 
+def _nan_amplitude_base64(header):
+    """The first branch's amplitudes in the base64 form, which the load takes at any
+    size, with the first of them NaN."""
+    amplitudes = _entries(header["branches"][0]["amplitudes"]).copy()
+    amplitudes[0] = np.nan
+    header["branches"][0]["amplitudes"] = _c128(amplitudes)
+
+
 def _duplicate_qubit(header):
     header["registry"][1] = header["registry"][0]
 
@@ -88,6 +116,7 @@ HEADER_FAULTS = {
     "truncated-amplitudes": _truncate_amplitudes,
     "doubled-amplitudes": _double_amplitudes,
     "nan-amplitude": _nan_amplitude,
+    "nan-amplitude-base64": _nan_amplitude_base64,
     "duplicate-qubit": _duplicate_qubit,
     "stranger-qubit": _stranger_qubit,
     "no-branches": lambda h: h.update(branches=[]),
@@ -318,12 +347,108 @@ def _string_distribution(records):
 
 def _nan_in_gate(cases: bool):
     """A NaN in the first entry of the first local gate's matrix, or of its first case matrix;
-    the star-op n=3 trace has a conditional gate on line 5 and a matrix on line 14."""
+    the star-op n=3 trace has a conditional gate on line 5, its 2x2 cases as [re, im] pairs,
+    and the hub's 8x8 Haar matrix on line 14, in base64."""
     def mutate(records):
         gate = next(r for r in records if r["kind"] == "local_gate" and ("cases" in r) == cases)
-        matrix = next(iter(gate["cases"].values())) if cases else gate["matrix"]
-        matrix[0][0] = [float("nan"), 0.0]
+        if cases:
+            next(iter(gate["cases"].values()))[0][0] = [float("nan"), 0.0]
+        else:
+            matrix = _entries(gate["matrix"]).copy()
+            matrix[0, 0] = np.nan
+            gate["matrix"] = _c128(matrix)
     return mutate
+
+
+def _padding_bits_set(array):
+    """The last base64 digit before the padding one step on: the same bytes, but
+    padding bits that are not zero.  An 8x8 matrix is 1024 bytes, so its text ends
+    in two padding characters and its last digit carries 4 padding bits."""
+    digits = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+    text = array["c128"]
+    assert text.endswith("==")
+    array["c128"] = text[:-3] + digits[digits.index(text[-3]) + 1] + "=="
+
+
+# faults of a base64 array, each with the start of the message its load fails with: (mutation in
+# place, message); the reason binascii gives for text that is not base64 varies with the Python version
+BASE64_FAULTS = {
+    "c128-truncated": (lambda a: a.update(c128=a["c128"][:-4]), "c128 holds 1023 bytes, shape [8, 8] needs 1024"),
+    "c128-cut-mid-digit": (lambda a: a.update(c128=a["c128"][:-1]), "c128 is not base64 ("),
+    "c128-one-entry-more": (lambda a: a.update(c128=_c128(np.append(_entries(a).ravel(), 0))["c128"]),
+                            "c128 holds 1040 bytes, shape [8, 8] needs 1024"),
+    "c128-non-canonical": (_padding_bits_set, "c128 is not the canonical base64 of its bytes"),
+    "c128-newline": (lambda a: a.update(c128=a["c128"][:8] + "\n" + a["c128"][8:]),
+                     "c128 is not base64 ("),
+    "c128-not-string": (lambda a: a.update(c128=0), "expected a string, got 0"),
+    "shape-missing": (lambda a: a.pop("shape"), "a base64 array takes the keys c128 and shape, got ['c128']"),
+    "extra-key": (lambda a: a.update(dtype="<c16"),
+                  "a base64 array takes the keys c128 and shape, got ['c128', 'dtype', 'shape']"),
+    "shape-string": (lambda a: a.update(shape="8x8"), "shape must be a list of integers, got '8x8'"),
+    "shape-negative": (lambda a: a.update(shape=[-8, -8]), "shape [-8, -8] has a negative entry"),
+    "shape-float": (lambda a: a.update(shape=[8.0, 8]), "expected an integer, got 8.0"),
+    "shape-bool": (lambda a: a.update(shape=[64, True]), "expected an integer, got True"),
+    # the product is 2**68 + 64, which is 64 modulo 2**64: np.prod would wrap it round to
+    # exactly the entries the text holds
+    "shape-past-int64": (lambda a: a.update(shape=[2**62 + 1, 64]),
+                         f"c128 holds 1024 bytes, shape [{2**62 + 1}, 64] needs {16 * (2**68 + 64)}"),
+}
+
+
+def _haar_matrix(fault):
+    """``fault`` applied to the 8x8 Haar matrix of the star-op n=3 trace (line 14)."""
+    def mutate(records):
+        fault(next(r for r in records if r["kind"] == "local_gate" and "matrix" in r)["matrix"])
+    return mutate
+
+
+@pytest.mark.parametrize("fault,message", BASE64_FAULTS.values(), ids=BASE64_FAULTS.keys())
+def test_malformed_base64_array_is_rejected_with_its_line(tmp_path, fault, message):
+    records, _ = _star_trace(tmp_path)
+    assert set(records[13]["matrix"]) == {"shape", "c128"}
+    _haar_matrix(fault)(records)
+    with pytest.raises(ValueError, match=rf"^trace line 14: {re.escape(message)}"):
+        load_trace(as_text(records))
+
+
+def test_nan_in_a_base64_gate_fails_the_unitarity_check(tmp_path):
+    records, _ = _star_trace(tmp_path)
+    _nan_in_gate(cases=False)(records)
+    with pytest.raises(ValueError, match=r"^trace line 14: matrix is not unitary \(deviation nan\)$"):
+        load_trace(as_text(records))
+
+
+def test_a_64x64_haar_gate_survives_dump_and_load_bit_for_bit():
+    matrix = gates.haar_unitary(64, np.random.default_rng(3))
+    gate = LocalGate(1, tuple(QubitId(1, f"q{i}") for i in range(6)), matrix)
+    text = dump_trace(ProtocolTrace(1, events=[gate]))
+    assert json.loads(text.splitlines()[1])["matrix"]["shape"] == [64, 64]
+    loaded = load_trace(text).events[0].matrix
+    assert loaded.dtype == complex and loaded.shape == (64, 64)
+    assert loaded.tobytes() == matrix.tobytes()
+    assert dump_trace(load_trace(text)) == text
+
+
+def test_a_pauli_gate_record_is_written_as_in_format_3():
+    gate = LocalGate(1, (QubitId(1, "q"),), gates.PAULI_X)
+    assert json.dumps(event_record(gate), sort_keys=True) == (
+        '{"kind": "local_gate", "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]], '
+        '"party": 1, "targets": [[1, "q"]]}')
+
+
+def test_base64_with_excess_padding_is_not_canonical():
+    """48 bytes are 64 digits without padding; ``b64decode`` also takes them with an "=" after."""
+    array = _c128([1.0, 1j, -1.0])
+    assert _complex_in(array).tobytes() == np.array([1.0, 1j, -1.0]).tobytes()
+    with pytest.raises(ValueError, match=r"^c128 is not the canonical base64 of its bytes$"):
+        _complex_in(dict(array, c128=array["c128"] + "="))
+
+
+def test_the_base64_form_starts_at_64_entries():
+    assert isinstance(_complex_out(np.zeros(32)), list)
+    assert isinstance(_complex_out(np.zeros((4, 8))), list)
+    assert _complex_out(np.zeros(64)) == {"shape": [64], "c128": base64.b64encode(bytes(1024)).decode("ascii")}
+    assert _complex_out(np.eye(8))["shape"] == [8, 8]
 
 
 def _max_qubits(cap):
@@ -332,6 +457,11 @@ def _max_qubits(cap):
     def mutate(records):
         records[0]["max_qubits"] = cap
     return mutate
+
+
+# the base64 faults also run through the CLI, each in a process of its own
+CLI_BASE64_FAULTS = ("c128-truncated", "c128-one-entry-more", "c128-non-canonical", "c128-not-string",
+                     "shape-missing", "shape-negative", "shape-float", "shape-bool", "shape-past-int64")
 
 
 @pytest.mark.parametrize("mutate,line", [
@@ -358,10 +488,12 @@ def _max_qubits(cap):
     (_string_distribution, 3),
     (_nan_in_gate(cases=True), 5),
     (_nan_in_gate(cases=False), 14),
-], ids=["no-n_parties", "truncated-amplitudes", "negative-p", "pair-1-7", "pair-1-3", "forged-oracle",
+    (lambda records: _nan_amplitude_base64(records[0]), 1),
+] + [(_haar_matrix(BASE64_FAULTS[name][0]), 14) for name in CLI_BASE64_FAULTS],
+   ids=["no-n_parties", "truncated-amplitudes", "negative-p", "pair-1-7", "pair-1-3", "forged-oracle",
         "relabel-nowhere", "allocate-existing", "max-qubits-2", "max-qubits-4", "max-qubits-30.7", "format-1", "party-2.5",
         "party-string", "party-true", "discard-string", "to-1.9", "bits-0.1", "bits-2", "bits-1/0",
-        "distribution-strings", "case-nan", "gate-nan"])
+        "distribution-strings", "case-nan", "gate-nan", "nan-amplitude-base64", *CLI_BASE64_FAULTS])
 @pytest.mark.parametrize("flags", [[], ["--no-replay"]], ids=["replay", "no-replay"])
 def test_audit_of_malformed_trace_exits_two_without_traceback(tmp_path, capsys, mutate, line, flags):
     records, graphs_file = _star_trace(tmp_path)
