@@ -202,9 +202,17 @@ MUTANTS = (
     # the split entropies the replay carries from step to step (audit._carry), and the batched solve behind them
     Mutant("keep the groups of gate and measurement targets", "src/ebitnet/audit.py",
            "changed.update(ev.targets)", "pass",
-           (AUDIT + "test_a_step_solves_only_the_splits_of_the_groups_its_event_named",
+           (AUDIT + "test_a_measurement_within_a_group_solves_its_splits_again",
             SERIES + "[star-op]",
             AUDIT + "test_monotone_series_of_random_traces_matches_the_per_branch_formula"), quick=True),
+    Mutant("keep a group through a gate with a target at another party", "src/ebitnet/audit.py",
+           "len({q.party for q in ev.targets}) == 1", "True",
+           (AUDIT + "test_a_gate_with_a_target_at_another_party_is_solved_again",
+            AUDIT + "test_monotone_series_of_random_traces_matches_the_per_branch_formula")),
+    Mutant("keep a group through a gate that joins two groups", "src/ebitnet/audit.py",
+           "any(group.issuperset(ev.targets) for group, _ in solved)",
+           "any(not group.isdisjoint(ev.targets) for group, _ in solved)",
+           (AUDIT + "test_a_gate_that_joins_groups_is_solved_again",)),
     Mutant("re-key a rename across parties", "src/ebitnet/audit.py",
            "if new.party != q.party:", "if False:",
            (AUDIT + "test_a_relocation_across_parties_solves_its_group_again",

@@ -21,10 +21,11 @@ The replay follows the product groups of the state from the events alone
 branch is a product over groups of qubits that no event has acted on
 together, so a cut's entropy is the sum, over the groups it splits, of the
 entropy of the group's part on one side (``_cut_entropies``).  Each such
-part is solved once and carried from step to step (``_carry``): a group no
-event changed has the same factor in every branch, so its entries hold through
-measurement branching and ``coalesce``.  Every step values every cut from
-these entries, and solves the parts it lacks in one batched call.
+part is solved once and carried from step to step (``_carry``) as long as each
+branch keeps the same Schmidt spectrum for it: then its entries hold through
+measurement branching, ``coalesce`` and any unitary that one party applies
+within the group.  Every step values every cut from these entries, and solves
+the parts it lacks in one batched call.
 """
 
 from __future__ import annotations
@@ -178,14 +179,24 @@ def _cut_entropies(ens: BranchEnsemble, groups: Groups, cuts: _Cuts, solved: Sol
 def _carry(solved: Solved, ev: Event) -> Solved:
     """The entries of ``solved`` that still hold after ``ev``, keyed on the groups after it.
 
-    A group's entries are dropped when it holds a target of a gate or of a
-    computational or Bell measurement, or a qubit a rename moves to another
-    party.  A rename within one party keeps every split mask, so it renames the
-    group in the key.  An event that drops and renames nothing returns ``solved``.
+    An entry holds as long as each branch keeps the same Schmidt spectrum for
+    its split: branching and ``coalesce`` then only regroup the branches' weights.
+    A gate, matrix or conditional, whose targets sit at one party and lie in one
+    group with entries is a local unitary in every branch, so it keeps them.
+    Otherwise a group's entries are dropped when it holds a target of a gate
+    (one that joins groups or reaches another party) or of a computational or
+    Bell measurement, or a qubit a rename moves to another party.  A rename
+    within one party keeps every split mask, so it renames the group in the
+    key.  An event that drops and renames nothing returns ``solved``.
     """
     changed, renames = set(), {}
     if isinstance(ev, LocalGate) or (isinstance(ev, LocalMeasure) and ev.povm is None):
-        changed.update(ev.targets)
+        # a gate that joins groups drops them even at one party (no key holds all its
+        # targets): a discard may bring a joined group back whole, with stale entries
+        one_party_unitary = (isinstance(ev, LocalGate) and len({q.party for q in ev.targets}) == 1
+                             and any(group.issuperset(ev.targets) for group, _ in solved))
+        if not one_party_unitary:
+            changed.update(ev.targets)
     elif isinstance(ev, (CollectiveOracle, Relocate, Relabel)):
         for q, new in event_renames(ev).items():
             if new.party != q.party:

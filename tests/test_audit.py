@@ -782,8 +782,9 @@ def test_cut_entropies_equal_the_walk_of_every_group_against_every_cut(protocol)
 def random_trace(data):
     """A replayable trace on 2..4 parties: a random initial state over up to four
     qubits, then random events of every kind that changes the state, POVM
-    records and messages.  Each event is applied as it is drawn, so a
-    measurement records its true distribution."""
+    records and messages, and "stray" gates on two parties declared local to
+    one of them.  Each event is applied as it is drawn, so a measurement
+    records its true distribution."""
     n = data.draw(st.integers(min_value=2, max_value=4), label="n")
     party = st.integers(min_value=1, max_value=n)
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1), label="seed"))
@@ -804,8 +805,9 @@ def random_trace(data):
         return p, tuple(data.draw(st.permutations(held))[:data.draw(st.integers(minimum, min(2, len(held))))])
 
     for _ in range(data.draw(st.integers(min_value=6, max_value=16), label="length")):
-        kind = data.draw(st.sampled_from(["allocate", "consume", "gate", "conditional", "measure", "bell",
-                                          "povm", "relabel", "relocate", "oracle", "coalesce", "message"]))
+        kind = data.draw(st.sampled_from(["allocate", "consume", "gate", "stray", "conditional", "measure",
+                                          "bell", "povm", "relabel", "relocate", "oracle", "coalesce",
+                                          "message"]))
         room = ens.num_qubits <= 6
         picked = local(2 if kind == "bell" else 1)
         ev = None
@@ -820,6 +822,10 @@ def random_trace(data):
         elif kind == "gate" and picked:
             p, targets = picked
             ev = LocalGate(p, targets, gates.haar_unitary(1 << len(targets), rng))
+        elif kind == "stray" and len({q.party for q in ens.registry}) >= 2:
+            first = data.draw(st.sampled_from(ens.registry))
+            second = data.draw(st.sampled_from([q for q in ens.registry if q.party != first.party]))
+            ev = LocalGate(first.party, (first, second), gates.haar_unitary(4, rng))
         elif kind == "conditional" and picked and measured:
             (p, targets), (index, width) = picked, data.draw(st.sampled_from(measured))
             cases = tuple((format(code, f"0{width}b"), gates.haar_unitary(1 << len(targets), rng))
@@ -868,6 +874,9 @@ def test_monotone_series_of_random_traces_matches_the_per_branch_formula(data):
         report, states, series, partitions = audit_monotone_series(
             monkeypatch, trace, graphs.GraphBundle(trace.n_parties, None, None))
     assert "replay" not in [v.check for v in report.violations]
+    strays = [step for step, ev in enumerate(trace.events)
+              if isinstance(ev, LocalGate) and len({q.party for q in ev.targets}) > 1]
+    assert [v.step for v in report.violations if v.check == "locality"] == strays
     assert_series_matches_the_per_branch_formula(trace, states, series)
     assert_groups_partition_the_registry(states, partitions)
 
@@ -903,8 +912,9 @@ def test_cut_entropy_matches_the_per_branch_formula(case):
 
 
 def test_monotone_values_every_cut_at_every_step_and_solves_only_after_state_changes(monkeypatch):
-    # the golden trace holds every event kind, a same-party relabel, a POVM record
-    # and a relocation across parties; a relabel across parties is appended
+    # the golden trace holds every event kind, a same-party relabel, a POVM record,
+    # gates at one party within one group and a relocation across parties; a
+    # relabel across parties is appended
     text = (ROOT / "fixtures" / "golden_trace.jsonl").read_text(encoding="utf-8")
     trace = load_trace(text + '{"kind": "relabel", "old": [3, "q3"], "new": [1, "q3"]}\n')
     _, _, series, _ = audit_monotone_series(monkeypatch, trace, graphs.GraphBundle(trace.n_parties, None, None))
@@ -914,10 +924,12 @@ def test_monotone_values_every_cut_at_every_step_and_solves_only_after_state_cha
     for ev, (_, solves, _) in zip(trace.events, series[1:]):
         if (isinstance(ev, (ClassicalMessage, DecodedBits, EbitCreate, Coalesce))
                 or (isinstance(ev, LocalMeasure) and ev.basis == "povm")
-                or (isinstance(ev, Relabel) and ev.old.party == ev.new.party)):
+                or (isinstance(ev, Relabel) and ev.old.party == ev.new.party)
+                or (isinstance(ev, LocalGate) and len({q.party for q in ev.targets}) == 1)):
             assert solves == 0, ev
             kept.add(type(ev).__name__)
-    assert kept == {"ClassicalMessage", "DecodedBits", "EbitCreate", "Coalesce", "LocalMeasure", "Relabel"}
+    assert kept == {"ClassicalMessage", "DecodedBits", "EbitCreate", "Coalesce", "LocalMeasure", "Relabel",
+                    "LocalGate"}
     assert series[-1][1] > 0  # the relabel across parties solves its group again
 
 
@@ -928,8 +940,10 @@ def distinct_splits(group, n):
 
 
 def test_a_step_solves_only_the_splits_of_the_groups_its_event_named(monkeypatch):
-    # the golden trace's phase gate on 2:a2 acts on the ebit {2:a2, 3:a3}; the
-    # teleported state is a group of its own across parties 2 and 3
+    # the golden trace's phase gate on 2:a2 acts within the ebit {2:a2, 3:a3}; the
+    # teleported state is a group of its own across parties 2 and 3.  A unitary at
+    # one party keeps every spectrum, so the gate solves nothing; the first Bell
+    # measurement joins the initial state with an ebit and solves the group it leaves
     trace = load_trace((ROOT / "fixtures" / "golden_trace.jsonl").read_text(encoding="utf-8"))
     bundle = graphs.GraphBundle(trace.n_parties, None, None)
     _, _, series, partitions = audit_monotone_series(monkeypatch, trace, bundle)
@@ -939,7 +953,66 @@ def test_a_step_solves_only_the_splits_of_the_groups_its_event_named(monkeypatch
     others = [g for g in partitions[step + 1] if g.isdisjoint(targets)]
     assert named == [frozenset({QubitId(2, "a2"), QubitId(3, "a3")})]
     assert sum(len(distinct_splits(g, trace.n_parties)) for g in others) > 0
-    assert series[step + 1][1] == len(distinct_splits(named[0], trace.n_parties)) == 1
+    assert len(distinct_splits(named[0], trace.n_parties)) == 1 and series[step + 1][1] == 0
+
+    step = next(i for i, ev in enumerate(trace.events) if isinstance(ev, LocalMeasure) and ev.basis == "bell")
+    [left] = [g for g in partitions[step + 1] if g not in partitions[step]]
+    assert left == frozenset({QubitId(2, "q2"), QubitId(3, "q3"), QubitId(2, "a1")})
+    assert series[step + 1][1] == len(distinct_splits(left, trace.n_parties)) == 1
+
+
+def measured_trace(n, initial, events):
+    """The trace of ``events`` from ``initial``, each measurement recording the
+    distribution its replay gives."""
+    ens, recorded = initial, []
+    for ev in events:
+        ens, dist = apply_event(ens, ev)
+        recorded.append(ev if dist is None else dataclasses.replace(ev, distribution=tuple(sorted(dist.items()))))
+    return ProtocolTrace(n, initial, recorded)
+
+
+@pytest.mark.parametrize("basis,targets", [("computational", ("a",)), ("bell", ("a", "d"))])
+def test_a_measurement_within_a_group_solves_its_splits_again(monkeypatch, basis, targets):
+    # the measurement keeps every qubit, so its group keeps its key; its spectra
+    # change, so it is solved again, while the ebit between parties 2 and 3 is kept
+    registry = (QubitId(1, "a"), QubitId(1, "d"), QubitId(2, "b"), QubitId(3, "c"))
+    initial = engine.BranchEnsemble.from_amplitudes(registry, gates.random_state(16, np.random.default_rng(11)))
+    trace = measured_trace(3, initial, [
+        EbitConsume((2, 3), (QubitId(2, "x"), QubitId(3, "y"))),
+        LocalMeasure(1, tuple(QubitId(1, label) for label in targets), basis, False, 0, ()),
+    ])
+    _, states, series, _ = audit_monotone_series(monkeypatch, trace, graphs.GraphBundle(3, None, None))
+    assert_series_matches_the_per_branch_formula(trace, states, series)
+    # the 3 splits of the initial group, the ebit's 1, the initial group's 3 again
+    assert [solves for _, solves, _ in series] == [3, 1, 3]
+
+
+def test_a_gate_with_a_target_at_another_party_is_solved_again():
+    # a CNOT from 1:a to 2:b declared local to party 1 makes |+>|0> a Bell pair
+    registry = (QubitId(1, "a"), QubitId(2, "b"))
+    initial = engine.BranchEnsemble.from_amplitudes(registry, np.array([1, 1, 0, 0]) / np.sqrt(2))
+    trace = ProtocolTrace(2, initial, [LocalGate(1, registry, gates.cnot_unitary())])
+    report = audit.audit_trace(trace, graphs.GraphBundle(2, None, None))
+    assert [(v.check, v.step) for v in report.violations] == [("locality", 0), ("replay-monotonicity", 0)]
+    assert report.violations[0].detail == "event declared local to party 1 targets [2:b]"
+    assert report.violations[1].detail.startswith("cut [1]: monotone rose from ")
+    assert report.violations[1].detail.endswith(" to 1.000000000000")
+
+
+def test_a_gate_that_joins_groups_is_solved_again(monkeypatch):
+    # a party-1 CNOT joins the ebit {1:a, 2:b} with 1:c; discarding 1:c brings the
+    # group {1:a, 2:b} back, now in a product state in each branch
+    a, b, c = QubitId(1, "a"), QubitId(2, "b"), QubitId(1, "c")
+    initial = engine.BranchEnsemble.from_amplitudes((), np.ones(1))
+    trace = measured_trace(2, initial, [
+        EbitConsume((1, 2), (a, b)),
+        Allocate(1, (c,), "0"),
+        LocalGate(1, (a, c), gates.cnot_unitary()),
+        LocalMeasure(1, (c,), "computational", True, 0, ()),
+    ])
+    _, states, series, _ = audit_monotone_series(monkeypatch, trace, graphs.GraphBundle(2, None, None))
+    assert_series_matches_the_per_branch_formula(trace, states, series)
+    assert [entropies[frozenset({1})] for _, _, entropies in series] == pytest.approx([0, 1, 1, 1, 0])
 
 
 def test_a_relocation_across_parties_solves_its_group_again(monkeypatch):
@@ -953,11 +1026,11 @@ def test_a_relocation_across_parties_solves_its_group_again(monkeypatch):
     assert [solves for _, solves, _ in series] == [1, 1]
 
 
-@pytest.mark.parametrize("protocol,n,solves,most_calls", [("star-op", 6, 207, 55), ("perm-comm", 9, 18, 18)])
+@pytest.mark.parametrize("protocol,n,solves,most_calls", [("star-op", 6, 124, 34), ("perm-comm", 9, 9, 9)])
 def test_replay_solves_and_eigensolver_calls_are_pinned(monkeypatch, tmp_path, protocol, n, solves, most_calls):
     """``--seed 1`` replay audits solve a split again only after an event that may
-    change its spectrum or its party mask, and make one ``eigvalsh`` call per side
-    size per step."""
+    change its spectrum or its party mask (not after a unitary at one party within
+    one group), and make one ``eigvalsh`` call per side size per step."""
     assert cli.main(["simulate", protocol, "--n", str(n), "--seed", "1", "--output", str(tmp_path)]) == 0
     trace = load_trace((tmp_path / f"{protocol}_trace.jsonl").read_text(encoding="utf-8"))
     bundle = graphs.import_json((tmp_path / f"{protocol}_graphs.json").read_text(encoding="utf-8"))

@@ -459,7 +459,7 @@ def _max_qubits(cap):
     return mutate
 
 
-# the base64 faults also run through the CLI, each in a process of its own
+# the base64 faults also run through the CLI
 CLI_BASE64_FAULTS = ("c128-truncated", "c128-one-entry-more", "c128-non-canonical", "c128-not-string",
                      "shape-missing", "shape-negative", "shape-float", "shape-bool", "shape-past-int64")
 
@@ -496,20 +496,29 @@ CLI_BASE64_FAULTS = ("c128-truncated", "c128-one-entry-more", "c128-non-canonica
         "distribution-strings", "case-nan", "gate-nan", "nan-amplitude-base64", *CLI_BASE64_FAULTS])
 @pytest.mark.parametrize("flags", [[], ["--no-replay"]], ids=["replay", "no-replay"])
 def test_audit_of_malformed_trace_exits_two_without_traceback(tmp_path, capsys, mutate, line, flags):
+    # in process, an exception that escapes cli.main fails the test
     records, graphs_file = _star_trace(tmp_path)
     capsys.readouterr()
     mutate(records)
     bad = tmp_path / "bad.jsonl"
     bad.write_text(as_text(records), encoding="utf-8")
+    assert cli.main(["audit", "--trace", str(bad), "--graphs", str(graphs_file), *flags]) == 2
+    assert f"trace line {line}: " in capsys.readouterr().err
+
+
+def test_audit_of_malformed_trace_prints_no_traceback_from_the_command_line(tmp_path):
+    records, graphs_file = _star_trace(tmp_path)
+    _nowhere(records)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(as_text(records), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
-        [sys.executable, "-m", "ebitnet.cli", "audit", "--trace", str(bad), "--graphs", str(graphs_file),
-         *flags],
+        [sys.executable, "-m", "ebitnet.cli", "audit", "--trace", str(bad), "--graphs", str(graphs_file)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 2
-    assert f"trace line {line}: " in proc.stderr
+    assert "trace line 6: " in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
