@@ -10,8 +10,9 @@ records a few usage errors, and audits seeded mutations of the small runs'
 traces and graph files (dropped, duplicated and swapped events, re-paired
 ebits, changed bits, forged creates, decodes and messages, lowered graph
 weights, shifted distributions, a relabel moved across parties, re-pointed
-consumes, a forged oracle, a header registry cap below the trace's needs, and
-every message marked supplementary against graphs that grant no communication).
+consumes, a forged oracle, a header registry cap below the trace's needs,
+every message marked supplementary against graphs that grant no communication,
+and every measurement index raised by 5, its corrections left as they were).
 Load probes of single values that must make both audits exit 2 come last: a
 permutation that is not a bijection or is longer than its targets, a header of
 another format; parties, integers, booleans, strings and probabilities given as
@@ -252,6 +253,13 @@ def _supplementary_without_cover(records, graph, rng):
     graph["communication"] = [["0"] * graph["n"] for _ in range(graph["n"])]
 
 
+def _renumber_measurements(records, graph, rng):
+    """Every measurement's index raised by 5; the corrections still name the old indices."""
+    for r in records:
+        if r["kind"] == "local_measure":
+            r["index"] += 5
+
+
 def _set_first(kind, key, value):
     """The first record of ``kind`` (the header included) with ``key`` set to ``value``."""
     def mutate(records, graph, rng):
@@ -301,7 +309,8 @@ MUTATIONS = {
 # single probes, applied to the n >= 3 bases only
 PROBES = {"repoint-first-consume": _repoint_first_consume, "forged-oracle": _forged_oracle,
           "max-qubits-below-registry": _max_qubits(-1), "max-qubits-below-first-add": _max_qubits(1),
-          "supplementary-without-cover": _supplementary_without_cover}
+          "supplementary-without-cover": _supplementary_without_cover,
+          "renumber-measurements": _renumber_measurements}
 
 # (base, name, mutation): single values that must fail to load, so both audits exit 2
 LOAD_PROBES = (

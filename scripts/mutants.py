@@ -82,6 +82,10 @@ MUTANTS = (
            "allowance = 2 * _across(", "allowance = 3 * _across(",
            (AUDIT + "test_forged_trace_report_is_exact",
             AUDIT + "test_cut_checks_match_brute_force_reference")),
+    Mutant("decodes into the cut counted as out of it", "src/ebitnet/audit.py",
+           '(~cut, "into")', '(cut, "into")',
+           (AUDIT + "test_forged_trace_report_is_exact",
+            AUDIT + "test_cut_checks_match_brute_force_reference")),
     Mutant("channel capacity reached counts as exceeded", "src/ebitnet/audit.py",
            "if bits > cap:", "if bits >= cap:",
            (AUDIT + "TestAuditCleanRuns::test_star_run_is_clean",)),
@@ -89,13 +93,12 @@ MUTANTS = (
            "len(ids) + len(added) > max_qubits", "len(ids) + len(added) >= max_qubits",
            (CODEC + "test_registry_may_reach_max_qubits_but_not_pass_it",), quick=True),
     Mutant("a cut is spanned by nothing", "src/ebitnet/audit.py",
-           "return any(p in side for p in parties) and not all(p in side for p in parties)",
-           "return all(p in side for p in parties) and not any(p in side for p in parties)",
+           "return 0 != mask & cut != mask", "return False",
            (AUDIT + "test_forged_trace_report_is_exact",
             AUDIT + "test_cut_checks_match_brute_force_reference",
             AUDIT + "TestAuditCleanRuns::test_permutation_protocols_clean")),
     Mutant("a one-party oracle spans the cuts around its party", "src/ebitnet/audit.py",
-           "return ev.parties", "return (*ev.parties, 0)",
+           "return _mask(ev.parties)", "return _mask((*ev.parties, 0))",
            (AUDIT + "test_one_party_oracle_exempts_no_cut",)),
     Mutant("permutation size not checked at load", "src/ebitnet/ledger.py",
            "if self.permutation.n != len(self.targets):", "if False:",
@@ -124,6 +127,9 @@ MUTANTS = (
            "if not abs(norm - 1.0) <= 1e-9:\n                raise AssertionError",
            "if not abs(norm - 1.0) <= 1e-6:\n                raise AssertionError",
            (ENGINE + "TestBlockKernelAgainstMasks::test_branch_norm_tolerance",)),
+    Mutant("measurement index not checked", "src/ebitnet/audit.py",
+           "if isinstance(ev, LocalMeasure) and ev.index != ens.measurement_count:", "if False:",
+           (AUDIT + "TestAuditViolations::test_tampered_measurement_index_caught_by_replay",)),
     Mutant("replay distribution tolerance 1000x looser", "src/ebitnet/audit.py",
            "abs(recorded[k] - dist[k]) <= 1e-9", "abs(recorded[k] - dist[k]) <= 1e-6",
            (AUDIT + "test_replay_distribution_tolerance",)),
@@ -131,7 +137,7 @@ MUTANTS = (
            "ENTROPY_TOL = 1e-9", "ENTROPY_TOL = 1e-6",
            (AUDIT + "test_monotone_tolerance",)),
     Mutant("held ebits not dropped on a consume", "src/ebitnet/audit.py",
-           "held[cut] -= 1", "held[cut] -= 0",
+           "h - _spans(pair, cut)", "h - 0 * _spans(pair, cut)",
            (AUDIT + "TestAuditCleanRuns::test_star_run_is_clean",
             AUDIT + "test_cross_party_relabel_report_is_exact")),
     Mutant("message bits coerced from any JSON value", "src/ebitnet/ledger.py",
@@ -212,7 +218,8 @@ MUTANTS = (
     Mutant("keep a group through a gate that joins two groups", "src/ebitnet/audit.py",
            "any(group.issuperset(ev.targets) for group, _ in solved)",
            "any(not group.isdisjoint(ev.targets) for group, _ in solved)",
-           (AUDIT + "test_a_gate_that_joins_groups_is_solved_again",)),
+           (AUDIT + "test_a_gate_that_joins_groups_is_solved_again",
+            AUDIT + "test_monotone_series_of_random_traces_matches_the_per_branch_formula")),
     Mutant("re-key a rename across parties", "src/ebitnet/audit.py",
            "if new.party != q.party:", "if False:",
            (AUDIT + "test_a_relocation_across_parties_solves_its_group_again",

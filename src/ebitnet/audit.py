@@ -79,32 +79,36 @@ class AuditReport:
         return not self.violations
 
 
-def _cuts(n: int) -> list[frozenset[int]]:
-    """All bipartitions of 1..n, each named by the side containing party 1."""
-    rest = range(2, n + 1)
-    return [frozenset({1, *combo}) for r in range(n - 1) for combo in itertools.combinations(rest, r)]
+def _mask(parties: Iterable[int]) -> int:
+    """A set of parties as a bit mask, bit p for party p."""
+    return sum(1 << p for p in set(parties))
 
 
-def _across(book: Mapping[tuple[int, int], Fraction], side: frozenset[int],
-            directed: bool = False) -> Fraction:
+def _parties(mask: int) -> list[int]:
+    """The parties of a mask in increasing order, as a report names a cut."""
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
+
+
+def _spans(mask: int, cut: int) -> bool:
+    """Whether the parties of ``mask`` lie on both sides of ``cut``."""
+    return 0 != mask & cut != mask
+
+
+def _across(book: Mapping[tuple[int, int], Fraction], cut: int, directed: bool = False) -> Fraction:
     """Sum ``book`` over the pairs crossing the cut; a directed book counts
-    only the pairs (from, to) leaving ``side``."""
+    only the pairs (from, to) leaving the side ``cut``."""
     if directed:
-        return sum((v for (a, b), v in book.items() if a in side and b not in side), Fraction(0))
-    return sum((v for (a, b), v in book.items() if (a in side) != (b in side)), Fraction(0))
+        return sum((v for (a, b), v in book.items() if cut >> a & ~cut >> b & 1), Fraction(0))
+    return sum((v for (a, b), v in book.items() if (cut >> a ^ cut >> b) & 1), Fraction(0))
 
 
-def _joined(ev: Event) -> tuple[int, ...]:
-    """The parties an event acts across at once: an oracle's, or both ends of a relocation."""
+def _joined(ev: Event) -> int:
+    """The parties an event acts across at once as a mask: an oracle's, or both ends of a relocation."""
     if isinstance(ev, CollectiveOracle):
-        return ev.parties
+        return _mask(ev.parties)
     if isinstance(ev, Relocate):
-        return (ev.qubit.party, ev.to_party)
-    return ()
-
-
-def _spans(parties: Sequence[int], side: frozenset[int]) -> bool:
-    return any(p in side for p in parties) and not all(p in side for p in parties)
+        return _mask((ev.qubit.party, ev.to_party))
+    return 0
 
 
 def _nonzero(graph, pairs) -> dict[tuple[int, int], Fraction]:
@@ -114,24 +118,18 @@ def _nonzero(graph, pairs) -> dict[tuple[int, int], Fraction]:
     return {(a, b): graph.weight(a, b) for a, b in pairs if graph.weight(a, b)}
 
 
-def _mask(parties: Iterable[int]) -> int:
-    """A set of parties as a bit mask, bit p for party p."""
-    mask = 0
-    for p in parties:
-        mask |= 1 << p
-    return mask
-
-
 Solved = dict[tuple[frozenset[QubitId], int], float]
 
 
 class _Cuts(tuple):
-    """The cuts as party masks.  ``splits(mask)`` gives, for the party mask of a
-    group, each distinct split the cuts make of it (the parties of its smaller
-    part) with the indices of the cuts that make it, worked out once per mask."""
+    """The bipartitions of parties 1..n as masks of the side holding party 1.
+    ``splits(mask)`` gives, for the party mask of a group, each distinct split the
+    cuts make of it (the smaller mask of its two parts, which need not hold fewer
+    qubits) with the indices of the cuts that make it, worked out once per mask."""
 
-    def __new__(cls, masks: Iterable[int]):
-        cuts = super().__new__(cls, masks)
+    def __new__(cls, n: int):
+        cuts = super().__new__(cls, (_mask((1, *rest)) for r in range(n - 1)
+                                     for rest in itertools.combinations(range(2, n + 1), r)))
         cuts._splits = {}
         return cuts
 
@@ -214,13 +212,16 @@ def _carry(solved: Solved, ev: Event) -> Solved:
 def replay_events(initial: BranchEnsemble, events: Sequence[Event]):
     """Re-execute a trace deterministically, yielding the ensemble after each event.
 
-    Raises ValueError when an event cannot be applied or a recorded
-    measurement distribution disagrees with the replayed one.  ``initial``
+    Raises ValueError when an event cannot be applied, a measurement's index is
+    not the number of measurements replayed before it (which a POVM does not
+    advance), or a recorded distribution disagrees with the replayed one.  ``initial``
     is left as it was: engine operations return fresh ensembles, and an
     event that leaves the state alone yields the ensemble it was given.
     """
     ens = initial
     for step, ev in enumerate(events):
+        if isinstance(ev, LocalMeasure) and ev.index != ens.measurement_count:
+            raise ValueError(f"step {step}: measurement index {ev.index}, expected {ens.measurement_count}")
         ens, dist = apply_event(ens, ev)
         if dist is not None:
             recorded = dict(ev.distribution)
@@ -242,9 +243,9 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
     # -- one pass over the events: books, locality and cuts spanned ---------
     books = ResourceLedger(granted=granted)
     locality: list[Violation] = []
-    spanned_by_oracle: set[frozenset[int]] = set()
-    spanned_by_conveyance: set[frozenset[int]] = set()
-    cuts = _cuts(n)
+    spanned_by_oracle: set[int] = set()
+    spanned_by_conveyance: set[int] = set()
+    cuts = _Cuts(n)
 
     for step, ev in enumerate(trace.events):
         books.book(ev)
@@ -286,16 +287,16 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
             ))
 
     report.checks_run.append("cut-entanglement")
-    initial = {cut: _across(granted, cut) for cut in cuts}
-    for cut in cuts:
+    initial = [_across(granted, cut) for cut in cuts]
+    for cut, shared in zip(cuts, initial):
         if cut in spanned_by_oracle or cut in spanned_by_conveyance:
             continue
         made, used = _across(books.ebits_created, cut), _across(books.ebits_consumed, cut)
-        if made > used + initial[cut]:
+        if made > used + shared:
             report.violations.append(Violation(
                 "cut-entanglement",
-                f"cut {sorted(cut)}: {made} ebits created exceed {used} consumed "
-                f"+ {initial[cut]} initially shared",
+                f"cut {_parties(cut)}: {made} ebits created exceed {used} consumed "
+                f"+ {shared} initially shared",
             ))
 
     report.checks_run.append("cut-communication")
@@ -303,13 +304,13 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
         if cut in spanned_by_oracle:
             continue
         allowance = 2 * _across(books.ebits_consumed, cut)
-        for side, name in ((cut, "out of"), (frozenset(parties) - cut, "into")):
+        for side, name in ((cut, "out of"), (~cut, "into")):
             got = _across(books.bits_decoded, side, directed=True)
             msg = _across(books.bits_sent, side, directed=True)
             if got > msg + allowance:
                 report.violations.append(Violation(
                     "cut-communication",
-                    f"cut {sorted(cut)}: {got} bits decoded {name} the cut exceed "
+                    f"cut {_parties(cut)}: {got} bits decoded {name} the cut exceed "
                     f"{msg} sent + dense-coding allowance {allowance}",
                 ))
 
@@ -317,27 +318,25 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
     if replay and trace.initial is not None:
         report.checks_run.append("replay-monotonicity")
         report.replayed = True
-        held = dict(initial)  # ebits still held across each cut
-        remaining = [float(held[cut]) for cut in cuts]
-        cut_masks = _Cuts(_mask(cut) for cut in cuts)
+        held = initial  # ebits still held across each cut
+        remaining = [float(h) for h in held]
         groups = [frozenset(trace.initial.registry)]
         solved: Solved = {}
-        last = [e + r for e, r in zip(_cut_entropies(trace.initial, groups, cut_masks, solved), remaining)]
+        last = [e + r for e, r in zip(_cut_entropies(trace.initial, groups, cuts, solved), remaining)]
         try:
             for step, ev, ens in replay_events(trace.initial, trace.events):
                 groups = regroup(groups, ev, trace.initial.max_qubits)
                 solved = _carry(solved, ev)
                 if isinstance(ev, EbitConsume):
-                    for cut in cuts:
-                        if _spans(ev.pair, cut):
-                            held[cut] -= 1
-                    remaining = [float(held[cut]) for cut in cuts]
-                values = [e + r for e, r in zip(_cut_entropies(ens, groups, cut_masks, solved), remaining)]
+                    pair = _mask(ev.pair)
+                    held = [h - _spans(pair, cut) for h, cut in zip(held, cuts)]
+                    remaining = [float(h) for h in held]
+                values = [e + r for e, r in zip(_cut_entropies(ens, groups, cuts, solved), remaining)]
                 for cut, value, previous in zip(cuts, values, last):
                     if value > previous + ENTROPY_TOL and not _spans(_joined(ev), cut):
                         report.violations.append(Violation(
                             "replay-monotonicity",
-                            f"cut {sorted(cut)}: monotone rose from {previous:.12f} "
+                            f"cut {_parties(cut)}: monotone rose from {previous:.12f} "
                             f"to {value:.12f}",
                             step,
                         ))

@@ -527,7 +527,8 @@ def subset_entropies(ensemble: BranchEnsemble, subsets: Iterable[Iterable[QubitI
             grams.append(blocks @ blocks.conj().swapaxes(-1, -2))
         eigs = np.linalg.eigvalsh(np.stack(grams))
         logs = np.log2(eigs, out=np.zeros_like(eigs), where=eigs > EIG_TOL)
-        for i, per_branch in zip(members, -np.sum(eigs * logs, axis=-1)):
+        # clamped at 0: an eigenvalue a rounding error above 1 has a small negative term
+        for i, per_branch in zip(members, np.maximum(-np.sum(eigs * logs, axis=-1), 0.0)):
             entropies[i] = float(sum(b.probability * s for b, s in zip(branches, per_branch)))
     return entropies
 

@@ -298,15 +298,12 @@ def permutation_entangle(p: Permutation,
         keeps[i], moves[i] = _local_pair(run, i)
     targets = tuple(moves[i] for i in range(1, n + 1))
     _oracle(run, targets, p)
-    created: dict[tuple[int, int], Fraction] = {}
     pair_qubits = []
     for i in range(1, n + 1):
         j = p(i)
-        key = pair_key(i, j)
-        run.step(EbitCreate(key))
-        created[key] = created.get(key, Fraction(0)) + 1
+        run.step(EbitCreate(pair_key(i, j)))
         pair_qubits.append((keeps[i], moves[j]))
-    return PermutationEntangleResult(created, pair_qubits, run)
+    return PermutationEntangleResult(dict(run.ledger.ebits_created), pair_qubits, run)
 
 
 @dataclass

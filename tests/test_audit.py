@@ -262,6 +262,24 @@ class TestAuditViolations:
             ("replay", f"step 15: recorded distribution {povm['distribution']} disagrees with replay {replayed}"),
         ]
 
+    def test_tampered_measurement_index_caught_by_replay(self, tmp_path, capsys):
+        # the golden trace's Bell measurements (steps 1 and 9) renumbered 5 and 7, while
+        # its correction still reads outcome 0; the graphs grant what its run uses
+        golden = ROOT / "fixtures" / "golden_trace.jsonl"
+        tampered, graph_file = tmp_path / "tampered.jsonl", tmp_path / "graphs.json"
+        tampered.write_text(golden.read_text(encoding="utf-8").replace('"index": 0,', '"index": 5,')
+                            .replace('"index": 1,', '"index": 7,'), encoding="utf-8")
+        graph_file.write_text('{"n": 3, "entanglement": [["0","1","0"],["1","0","1"],["0","1","0"]], '
+                              '"communication": [["0","2","0"],["0","0","0"],["1","1","0"]]}', encoding="utf-8")
+
+        def audited(trace, *flags):
+            code = cli.main(["audit", "--trace", str(trace), "--graphs", str(graph_file), *flags])
+            return code, json.loads(capsys.readouterr().out)["violations"]
+
+        assert audited(golden) == audited(tampered, "--no-replay") == (0, [])
+        assert audited(tampered) == (1, [
+            {"check": "replay", "detail": "step 1: measurement index 5, expected 0", "step": None}])
+
     def test_party_count_mismatch_rejected(self):
         run = run_star(n=3)
         bundle = graphs.import_json(NO_EBITS_2)
@@ -659,6 +677,11 @@ def test_replay_reproduces_the_simulation_bit_for_bit(protocol):
     assert all(np.array_equal(got.amplitudes, exp.amplitudes) for got, exp in zip(final.branches, want.branches))
 
 
+def party_cuts(n):
+    """Every bipartition of parties 1..n, as the set of parties on the side of party 1."""
+    return [frozenset({1, *rest}) for r in range(n - 1) for rest in itertools.combinations(range(2, n + 1), r)]
+
+
 def reference_entropy(ens, parties):
     """The cut entropy by the older formula: one ``eigvalsh`` per branch on the
     reduced density of the partition side, zero eigenvalues (below 1e-12) dropped."""
@@ -728,7 +751,7 @@ def audit_monotone_series(monkeypatch, trace, bundle):
 def assert_series_matches_the_per_branch_formula(trace, states, series):
     assert len(states) == len(series) == len(trace.events) + 1
     for step, (ens, (_, _, entropies)) in enumerate(zip(states, series)):
-        assert set(entropies) == set(audit._cuts(trace.n_parties))
+        assert set(entropies) == set(party_cuts(trace.n_parties))
         for cut, value in entropies.items():
             assert abs(value - reference_entropy(ens, cut)) <= 1e-12, (step, sorted(cut))
 
@@ -768,7 +791,7 @@ def test_cut_entropies_equal_the_walk_of_every_group_against_every_cut(protocol)
     run, _ = cli._simulate(protocol, REPLAY_N.get(protocol, 3), np.random.default_rng(7), 1,
                            engine.DEFAULT_MAX_QUBITS)
     trace = run.trace
-    cuts = audit._Cuts(map(audit._mask, audit._cuts(trace.n_parties)))
+    cuts = audit._Cuts(trace.n_parties)
     groups, solved = [frozenset(trace.initial.registry)], {}
     entropies = audit._cut_entropies(trace.initial, groups, cuts, solved)
     assert entropies == walked_cut_entropies(groups, cuts, solved)
@@ -782,9 +805,11 @@ def test_cut_entropies_equal_the_walk_of_every_group_against_every_cut(protocol)
 def random_trace(data):
     """A replayable trace on 2..4 parties: a random initial state over up to four
     qubits, then random events of every kind that changes the state, POVM
-    records and messages, and "stray" gates on two parties declared local to
-    one of them.  Each event is applied as it is drawn, so a measurement
-    records its true distribution."""
+    records and messages, "stray" gates on two parties declared local to one of
+    them, and "joins": a one-party gate that joins a fresh qubit to the group of
+    another, then a discard of the fresh qubit that brings that group back whole.
+    Each event is applied as it is drawn, so a measurement records its true
+    distribution."""
     n = data.draw(st.integers(min_value=2, max_value=4), label="n")
     party = st.integers(min_value=1, max_value=n)
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1), label="seed"))
@@ -805,12 +830,13 @@ def random_trace(data):
         return p, tuple(data.draw(st.permutations(held))[:data.draw(st.integers(minimum, min(2, len(held))))])
 
     for _ in range(data.draw(st.integers(min_value=6, max_value=16), label="length")):
-        kind = data.draw(st.sampled_from(["allocate", "consume", "gate", "stray", "conditional", "measure",
-                                          "bell", "povm", "relabel", "relocate", "oracle", "coalesce",
-                                          "message"]))
+        kind = data.draw(st.sampled_from(["allocate", "consume", "gate", "stray", "join", "conditional",
+                                          "measure", "bell", "povm", "relabel", "relocate", "oracle",
+                                          "coalesce", "message"]))
         room = ens.num_qubits <= 6
         picked = local(2 if kind == "bell" else 1)
         ev = None
+        drawn = []  # the events of a join
         if kind == "allocate" and room:
             p = data.draw(party)
             count = data.draw(st.integers(1, 2))
@@ -826,6 +852,12 @@ def random_trace(data):
             first = data.draw(st.sampled_from(ens.registry))
             second = data.draw(st.sampled_from([q for q in ens.registry if q.party != first.party]))
             ev = LocalGate(first.party, (first, second), gates.haar_unitary(4, rng))
+        elif kind == "join" and room and ens.registry:
+            a = data.draw(st.sampled_from(ens.registry))
+            fresh = QubitId(a.party, next(labels))
+            drawn = [Allocate(a.party, (fresh,), "0"), LocalGate(a.party, (a, fresh), gates.haar_unitary(4, rng)),
+                     LocalMeasure(a.party, (fresh,), "computational", True, ens.measurement_count, ())]
+            measured.append((ens.measurement_count, 1))
         elif kind == "conditional" and picked and measured:
             (p, targets), (index, width) = picked, data.draw(st.sampled_from(measured))
             cases = tuple((format(code, f"0{width}b"), gates.haar_unitary(1 << len(targets), rng))
@@ -857,12 +889,11 @@ def random_trace(data):
         elif kind == "message":
             a, b = data.draw(st.permutations(range(1, n + 1)))[:2]
             ev = ClassicalMessage(a, b, Fraction(1))
-        if ev is None:
-            continue
-        ens, dist = apply_event(ens, ev)
-        if dist is not None:
-            ev = dataclasses.replace(ev, distribution=tuple(sorted(dist.items())))
-        events.append(ev)
+        for ev in drawn if ev is None else [ev]:
+            ens, dist = apply_event(ens, ev)
+            if dist is not None:
+                ev = dataclasses.replace(ev, distribution=tuple(sorted(dist.items())))
+            events.append(ev)
     return ProtocolTrace(n, initial, events)
 
 
@@ -906,7 +937,7 @@ def party_ensembles(draw):
 @settings(max_examples=200, deadline=None)
 def test_cut_entropy_matches_the_per_branch_formula(case):
     n, ens = case
-    for cut in audit._cuts(n):
+    for cut in party_cuts(n):
         value = engine.entanglement_entropy(ens, cut, universe=range(1, n + 1))
         assert abs(value - reference_entropy(ens, cut)) <= 1e-12
 
@@ -919,7 +950,7 @@ def test_monotone_values_every_cut_at_every_step_and_solves_only_after_state_cha
     trace = load_trace(text + '{"kind": "relabel", "old": [3, "q3"], "new": [1, "q3"]}\n')
     _, _, series, _ = audit_monotone_series(monkeypatch, trace, graphs.GraphBundle(trace.n_parties, None, None))
     assert [evaluations for evaluations, _, _ in series] == [1] * len(series)
-    assert all(set(entropies) == set(audit._cuts(trace.n_parties)) for _, _, entropies in series)
+    assert all(set(entropies) == set(party_cuts(trace.n_parties)) for _, _, entropies in series)
     kept = set()  # the kinds of event after which every split entropy is carried over
     for ev, (_, solves, _) in zip(trace.events, series[1:]):
         if (isinstance(ev, (ClassicalMessage, DecodedBits, EbitCreate, Coalesce))
@@ -936,7 +967,7 @@ def test_monotone_values_every_cut_at_every_step_and_solves_only_after_state_cha
 def distinct_splits(group, n):
     """The distinct splits the cuts of 1..n make of ``group``, as party masks."""
     mask = audit._mask(q.party for q in group)
-    return {min(cut & mask, ~cut & mask) for cut in map(audit._mask, audit._cuts(n))} - {0}
+    return {min(cut & mask, ~cut & mask) for cut in audit._Cuts(n)} - {0}
 
 
 def test_a_step_solves_only_the_splits_of_the_groups_its_event_named(monkeypatch):
@@ -995,8 +1026,7 @@ def test_a_gate_with_a_target_at_another_party_is_solved_again():
     report = audit.audit_trace(trace, graphs.GraphBundle(2, None, None))
     assert [(v.check, v.step) for v in report.violations] == [("locality", 0), ("replay-monotonicity", 0)]
     assert report.violations[0].detail == "event declared local to party 1 targets [2:b]"
-    assert report.violations[1].detail.startswith("cut [1]: monotone rose from ")
-    assert report.violations[1].detail.endswith(" to 1.000000000000")
+    assert report.violations[1].detail == "cut [1]: monotone rose from 0.000000000000 to 1.000000000000"
 
 
 def test_a_gate_that_joins_groups_is_solved_again(monkeypatch):
@@ -1102,4 +1132,4 @@ def test_one_party_oracle_exempts_no_cut(tmp_path, replay):
     assert report.replayed == replay
     assert [v.check for v in report.violations] == ["cut-entanglement"] * 7
     assert sorted(v.detail.split(":")[0] for v in report.violations) == sorted(
-        f"cut {sorted(cut)}" for cut in audit._cuts(4))
+        f"cut {sorted(cut)}" for cut in party_cuts(4))

@@ -252,6 +252,12 @@ class TestEntropy:
         ens = engine.apply_gate(ens, Gate((b,), gates.HADAMARD))
         assert engine.entanglement_entropy(ens, {1}) == pytest.approx(0.0, abs=1e-9)
 
+    def test_rounding_gives_no_negative_entropy(self):
+        # the party-1 spectrum of |+>|0> solves to an eigenvalue a rounding error above 1
+        ens = BranchEnsemble.from_amplitudes((QubitId(1, "a"), QubitId(2, "b")), np.array([1, 1, 0, 0]) / np.sqrt(2))
+        value = engine.entanglement_entropy(ens, {1})
+        assert value == 0.0 and f"{value:.12f}" == "0.000000000000"
+
     def test_two_cross_pairs_two_ebits(self):
         # two Bell pairs, each stretched between parties 1 and 2
         ens = BranchEnsemble.vacuum()
@@ -588,7 +594,7 @@ class TestRelabel:
                                                               engine.branch_vectors(dense, order)):
             assert p_renamed == p_dense
             assert np.array_equal(v_renamed, v_dense)
-        for cut in audit._cuts(n):
+        for cut in map(audit._parties, audit._Cuts(n)):
             got = engine.entanglement_entropy(renamed, cut, universe=range(1, n + 1))
             want = engine.entanglement_entropy(dense, cut, universe=range(1, n + 1))
             assert abs(got - want) <= 1e-12
