@@ -323,6 +323,7 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
         groups = [frozenset(trace.initial.registry)]
         solved: Solved = {}
         last = [e + r for e, r in zip(_cut_entropies(trace.initial, groups, cuts, solved), remaining)]
+        at = 0  # the step being replayed: replay_events raises before it yields that step
         try:
             for step, ev, ens in replay_events(trace.initial, trace.events):
                 groups = regroup(groups, ev, trace.initial.max_qubits)
@@ -341,6 +342,7 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
                             step,
                         ))
                 last = values
+                at = step + 1
         except (ValueError, AssertionError) as exc:
-            report.violations.append(Violation("replay", str(exc)))
+            report.violations.append(Violation("replay", str(exc), at))
     return report

@@ -11,11 +11,8 @@ claims optimality for it.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-
-from . import graphs
 
 
 def _require_n(n: int, minimum: int = 2) -> None:
@@ -106,55 +103,6 @@ def min_teleportation_count(n: int) -> int:
     others: 2(n-1)."""
     _require_n(n)
     return 2 * (n - 1)
-
-
-def min_teleportation_search(n: int) -> int:
-    """Exhaustive oracle for the teleportation count.
-
-    Models a teleport x -> y as unioning x's known-lab set into y's and
-    breadth-first searches for the shortest schedule after which every lab
-    knows every other.  State space is factorial-ish, so capped at n = 4.
-    """
-    _require_n(n)
-    if n > 4:
-        raise ValueError("the exhaustive schedule search is capped at n = 4")
-    full = (1 << n) - 1
-    start = tuple(1 << i for i in range(n))
-    seen = {start}
-    queue = deque([(start, 0)])
-    moves = [(x, y) for x in range(n) for y in range(n) if x != y]
-    while queue:
-        state, depth = queue.popleft()
-        if all(x == full for x in state):
-            return depth
-        for x, y in moves:
-            nxt = list(state)
-            nxt[y] |= nxt[x]
-            nxt = tuple(nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, depth + 1))
-    raise AssertionError("information-flow search failed to terminate")
-
-
-def rederive_lower_bounds(n: int) -> tuple[Fraction, Fraction]:
-    """Recompute the lower bounds through the graph machinery.
-
-    Builds the even/odd partition, reads the unit cross-partition weight off
-    a regular complete graph, solves the symmetrised-edge inequality for the
-    minimum edge weight, and maps back to a total through the closed-form
-    scale factor.  Must agree with lower_bounds exactly.
-    """
-    _require_n(n, 3)
-    part = graphs.Partition.even_odd(n)
-    created = Fraction(math.factorial(n)) * (n if n % 2 == 0 else n - 1)
-    unit_e = graphs.cross_partition(graphs.regular_complete(n, 1, "entanglement"), part)
-    unit_c = graphs.cross_partition(graphs.regular_complete(n, 1, "communication"), part, "a_to_b")
-    e_min = created / unit_e
-    c_min = created / unit_c
-    scale_e = graphs.symmetrised_edge_weight("entanglement", 1, n)
-    scale_c = graphs.symmetrised_edge_weight("communication", 1, n)
-    return e_min / scale_e, c_min / scale_c
 
 
 @dataclass(frozen=True)

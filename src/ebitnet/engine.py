@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,8 +41,7 @@ class RegistryCapacityError(RuntimeError):
     """Raised when an allocation would exceed the registry qubit cap."""
 
 
-@dataclass(frozen=True, order=True)
-class QubitId:
+class QubitId(NamedTuple):
     """A qubit resident at a party, identified by an opaque local tag."""
 
     party: int

@@ -1,4 +1,4 @@
-"""Operator constructors: Paulis, Bell states, permutations and their unitaries.
+"""Operator constructors: Paulis, Bell states, permutations, CNOT and Haar unitaries.
 
 Matrices follow the engine convention that the first target qubit is the
 least significant bit of the operator index.  Permutations act on party
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import Sequence
 
 import numpy as np
 
@@ -90,19 +88,6 @@ def ps_cp_permutation(n: int) -> Permutation:
     return Permutation(tuple(mapping))
 
 
-def permutation_unitary(p: Permutation) -> np.ndarray:
-    """Unitary on n qubits moving the state at slot i to slot P(i)."""
-    n = p.n
-    dim = 1 << n
-    mat = np.zeros((dim, dim), dtype=complex)
-    for old in range(dim):
-        new = 0
-        for i in range(1, n + 1):
-            new |= ((old >> (i - 1)) & 1) << (p(i) - 1)
-        mat[new, old] = 1.0
-    return mat
-
-
 def cnot_unitary() -> np.ndarray:
     """Controlled-NOT with the first target as control, the second as target."""
     mat = np.zeros((4, 4), dtype=complex)
@@ -123,37 +108,6 @@ def bell_state(label: str) -> np.ndarray:
 
 def bell_states() -> dict[str, np.ndarray]:
     return {label: bell_state(label) for label in ("00", "01", "10", "11")}
-
-
-def tensor_each(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Tensor product with ``mats[0]`` acting on the least significant qubit."""
-    return reduce(np.kron, reversed(list(mats)))
-
-
-def local_equivalence_conjugate(
-    t: np.ndarray, pre_locals: Sequence[np.ndarray], post_locals: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Undo a dressing by per-slot locals: returns (tensor of post^dag) T (tensor of pre^dag).
-
-    If ``t`` was built as (tensor of post) U (tensor of pre), this recovers U.
-    """
-    n = len(pre_locals)
-    if len(post_locals) != n:
-        raise ValueError("need one pre and one post local per slot")
-    dim = 1 << n
-    t = np.asarray(t, dtype=complex)
-    if t.shape != (dim, dim):
-        raise ValueError(f"operator shape {t.shape} does not match {n} slots")
-    pre_dag = tensor_each([np.asarray(u).conj().T for u in pre_locals])
-    post_dag = tensor_each([np.asarray(u).conj().T for u in post_locals])
-    return post_dag @ t @ pre_dag
-
-
-def dress_with_locals(
-    u: np.ndarray, pre_locals: Sequence[np.ndarray], post_locals: Sequence[np.ndarray]
-) -> np.ndarray:
-    """(tensor of post) U (tensor of pre): a local-unitary equivalent of U."""
-    return tensor_each(list(post_locals)) @ np.asarray(u, dtype=complex) @ tensor_each(list(pre_locals))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

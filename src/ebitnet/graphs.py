@@ -232,18 +232,6 @@ def cross_partition(g: Graph, partition: Partition, direction: str | None = None
     return sum((g.weight(i, j) for i, j in pairs), Fraction(0))
 
 
-def permutation_gain_edges(mapping: Sequence[int], kind: str) -> set:
-    """Edges that gain resources when the permutation (slot i -> slot
-    mapping[i-1]) is the target operation: {i,P(i)} pairs, directed i->P(i)
-    for communication."""
-    n = len(mapping)
-    if kind == "entanglement":
-        return {frozenset((i, mapping[i - 1])) for i in range(1, n + 1)}
-    if kind == "communication":
-        return {(i, mapping[i - 1]) for i in range(1, n + 1)}
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def expendable_resources(g: Graph, gain_set: Iterable) -> Fraction:
     """Total weight on edges outside the gaining set.
 

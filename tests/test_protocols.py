@@ -20,7 +20,7 @@ from ebitnet.ledger import (
     ResourceLedger,
 )
 
-import dense_permutations as dense
+import oracles
 
 
 def single_qubit_run(state, ebits=1):
@@ -133,7 +133,7 @@ class TestCollectiveTwoQubit:
         b = gates.random_state(2, rng)
         state = np.kron(b, a)  # party 1 = bit 0
         run = two_party_run(state)
-        protocols.collective_op_star(run, protocols.CollectiveOp(unitary=dense.swap_unitary()), hub=2)
+        protocols.collective_op_star(run, protocols.CollectiveOp(unitary=oracles.swap_unitary()), hub=2)
         expected = np.kron(a, b)
         assert engine.ensemble_fidelity(run.ensemble, protocols.data_order(run), expected) >= 1 - 1e-10
         assert run.ledger.total_consumed() == 2
@@ -180,7 +180,7 @@ class TestCollectiveStar:
         rng = np.random.default_rng(11)
         state = gates.random_state(8, rng)
         run = star_run(3, state)
-        u = gates.permutation_unitary(Permutation.cyclic_shift(3))
+        u = oracles.permutation_unitary(Permutation.cyclic_shift(3))
         protocols.collective_op_star(run, protocols.CollectiveOp(unitary=u))
         assert engine.ensemble_fidelity(run.ensemble, protocols.data_order(run), u @ state) >= 1 - 1e-9
         assert run.ledger.total_consumed() == 4
@@ -191,7 +191,7 @@ class TestCollectiveStar:
         state = gates.random_state(4, rng)
         run_hub1 = star_run(2, state)
         run_hub2 = star_run(2, state, hub=2)
-        op = protocols.CollectiveOp(unitary=dense.swap_unitary())
+        op = protocols.CollectiveOp(unitary=oracles.swap_unitary())
         protocols.collective_op_star(run_hub1, op)
         protocols.collective_op_star(run_hub2, op, hub=2)
         assert run_hub1.ledger.summary() == run_hub2.ledger.summary()
@@ -202,7 +202,7 @@ class TestCollectiveStar:
         rng = np.random.default_rng(13)
         state = gates.random_state(16, rng)
         run = star_run(4, state)
-        protocols.collective_op_star(run, protocols.CollectiveOp(unitary=dense.ps_unitary(4)))
+        protocols.collective_op_star(run, protocols.CollectiveOp(unitary=oracles.ps_unitary(4)))
         ent, comm = graphs.star_graphs(4, hub=1)
         assert run.ledger.consumed_matrix(4) == [list(r) for r in ent.weights]
         assert run.ledger.bits_matrix(4) == [list(r) for r in comm.weights]
@@ -219,7 +219,7 @@ class TestCollectiveStar:
         state = gates.random_state(1 << n, np.random.default_rng(15))
         renamed, dense_run = star_run(n, state), star_run(n, state)
         protocols.collective_op_star(renamed, protocols.CollectiveOp(permutation=p))
-        u = gates.permutation_unitary(p)
+        u = oracles.permutation_unitary(p)
         protocols.collective_op_star(dense_run, protocols.CollectiveOp(unitary=u))
         assert renamed.ledger.summary() == dense_run.ledger.summary()
         # slot p(i) holds what slot i held
@@ -273,10 +273,10 @@ class TestCollectiveStar:
     def test_local_dressing_does_not_change_costs(self):
         rng = np.random.default_rng(15)
         state = gates.random_state(8, rng)
-        u = gates.permutation_unitary(Permutation.cyclic_shift(3))
+        u = oracles.permutation_unitary(Permutation.cyclic_shift(3))
         pre = [gates.haar_unitary(2, rng) for _ in range(3)]
         post = [gates.haar_unitary(2, rng) for _ in range(3)]
-        dressed = gates.dress_with_locals(u, pre, post)
+        dressed = oracles.dress_with_locals(u, pre, post)
         run_plain = star_run(3, state)
         run_dressed = star_run(3, state)
         protocols.collective_op_star(run_plain, protocols.CollectiveOp(unitary=u))
@@ -314,7 +314,7 @@ class TestSwapDemos:
         ens = engine.apply_gate(ens, engine.Gate((k,), gates.HADAMARD))
         ens = engine.apply_gate(ens, engine.Gate((k, m), gates.cnot_unitary()))
         ens, (b,) = engine.allocate_qubits(ens, 2, 1, labels=("b",))
-        ens = engine.apply_gate(ens, engine.Gate((m, b), dense.swap_unitary()))
+        ens = engine.apply_gate(ens, engine.Gate((m, b), oracles.swap_unitary()))
         assert engine.entanglement_entropy(ens, {1}) == pytest.approx(1.0, abs=1e-9)
 
 
