@@ -17,10 +17,12 @@ Checks, per trace:
   excepting oracle and qubit-conveyance steps that span the cut.
 
 The replay follows the product groups of the state from the events alone
-(``ledger.regroup``, the walk that also checks a trace at load): every
-branch is a product over groups of qubits that no event has acted on
-together, so a cut's entropy is the sum, over the groups it splits, of the
-entropy of the group's part on one side (``_cut_entropies``).  Each such
+(``ledger.regroup``, the walk that also checks a trace at load, by the
+grouping rule of the engine's factors): every branch is a product over
+groups of qubits that no event has acted on together, one engine factor per
+group, so a cut's entropy is the sum, over the groups it splits, of the
+entropy of the group's part on one side (``_cut_entropies``), which the
+engine solves on that group's factor alone.  Each such
 part is solved once and carried from step to step (``_carry``) as long as each
 branch keeps the same Schmidt spectrum for it: then its entries hold through
 measurement branching, ``coalesce`` and any unitary that one party applies
@@ -152,13 +154,14 @@ def _cut_entropies(ens: BranchEnsemble, groups: Groups, cuts: _Cuts, solved: Sol
     side.  A group held by one party adds nothing to any cut.  The two parts a
     cut splits a group into share one spectrum, so each distinct split is
     solved once, on its smaller part, however many cuts make it.  ``solved``
-    holds the entropy of each (group, split) solved so far; the splits it
-    lacks are solved in one ``engine.subset_entropies`` call and added to it.
-    Each cut sums its groups' terms in group order.
+    holds the entropy of each (group, split) solved so far, the group as a
+    frozenset, whose hash is kept with it; the splits it lacks are solved in
+    one ``engine.subset_entropies`` call and added to it.  Each cut sums its
+    groups' terms in group order.
     """
     terms = []  # (key, indices of the cuts that make its split) for each split of each group
     missing: dict[tuple[frozenset[QubitId], int], list[QubitId]] = {}
-    for group in groups:
+    for group in map(frozenset, groups):
         for split, indices in cuts.splits(_mask(q.party for q in group)):
             key = (group, split)
             terms.append((key, indices))
@@ -320,7 +323,7 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
         report.replayed = True
         held = initial  # ebits still held across each cut
         remaining = [float(h) for h in held]
-        groups = [frozenset(trace.initial.registry)]
+        groups = trace.initial.groups
         solved: Solved = {}
         last = [e + r for e, r in zip(_cut_entropies(trace.initial, groups, cuts, solved), remaining)]
         at = 0  # the step being replayed: replay_events raises before it yields that step

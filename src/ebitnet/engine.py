@@ -1,13 +1,26 @@
 """Exact pure-state simulation over a dynamic, party-tagged qubit registry.
 
-States are kept as ensembles of weighted pure statevectors: measurements
-split branches instead of sampling, so outcome distributions, entropies and
+States are kept as ensembles of weighted pure states: measurements split
+branches instead of sampling, so outcome distributions, entropies and
 fidelities are exact up to float arithmetic.  Qubits are allocated and
 discarded dynamically; every qubit belongs to one party (laboratory).
 
+Every branch is a product over the ensemble's product groups, ordered tuples
+of qubit ids that partition the registry.  A branch holds one amplitude
+factor per group, and bit j of a factor is the group's j-th qubit.
+``product_groups`` is the one rule that carries the groups through an
+operation, for the engine and for ``ledger.regroup`` alike: new qubits start
+groups of their own (a phi+ pair one group), a gate or a Bell measurement
+joins its targets' groups into one whose factor is the kron of theirs,
+discarded qubits leave their group, and renames rename its members.  A
+computational measurement acts within each target's factor and joins
+nothing.  Branches share every factor an operation did not touch, and no
+operation writes into a factor.  ``Branch.amplitudes`` builds the dense
+vector over the whole registry on demand.
+
 Conventions, fixed once:
 
-* registry position 0 is the least significant bit of the amplitude index;
+* registry position 0 is the least significant bit of the dense amplitude index;
 * a gate matrix indexes its targets the same way (first target = bit 0);
 * Bell labels "00"/"01"/"10"/"11" are (I, X, Z, XZ) applied to the second
   qubit of the standard maximally entangled pair, i.e. phi+, psi+, phi-,
@@ -21,8 +34,11 @@ reduced density, branch vectors) are safe on any snapshot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,28 +67,76 @@ class QubitId(NamedTuple):
         return f"{self.party}:{self.label}"
 
 
-@dataclass
+Group = tuple[QubitId, ...]
+
+
+class Layout:
+    """Where the registry qubits sit among the bits of a branch's factors, taken
+    factor by factor: ``bits[r]`` holds registry qubit r.  It is worked out from
+    the registry and the groups the first time a dense vector needs it, and a
+    rename leaves it valid, as it moves no qubit."""
+
+    __slots__ = ("_registry", "_groups", "_bits")
+
+    def __init__(self, registry: Sequence[QubitId] = (), groups: Sequence[Group] = (),
+                 bits: tuple[int, ...] | None = None):
+        self._registry, self._groups, self._bits = registry, groups, bits
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        if self._bits is None:
+            order = [q for group in self._groups for q in group]
+            self._bits = tuple(map(dict(zip(order, range(len(order)))).__getitem__, self._registry))
+        return self._bits
+
+
 class Branch:
-    """One pure-state component of an ensemble.
+    """One pure-state component of an ensemble: the product of ``factors``, one
+    per product group of the owning ensemble.
 
     ``record`` holds classical measurement outcomes keyed by the global
     measurement counter of the owning ensemble; conditional corrections
-    look outcomes up through it.
+    look outcomes up through it.  ``layout`` places the registry qubits among
+    the factors' bits; the branches of an ensemble share it.  ``Branch(p, vec)``
+    is the one-factor branch of a dense vector over the registry.
     """
 
-    probability: float
-    amplitudes: np.ndarray
-    record: dict[int, str] = field(default_factory=dict)
+    __slots__ = ("probability", "factors", "record", "layout")
+
+    def __init__(self, probability: float, amplitudes=None, record: dict[int, str] | None = None, *,
+                 factors: tuple[np.ndarray, ...] | None = None, layout: Layout | None = None):
+        if factors is None:
+            vec = np.asarray(amplitudes, dtype=complex)
+            factors, layout = (vec,), Layout(bits=tuple(range(vec.size.bit_length() - 1)))
+        self.probability = probability
+        self.factors = factors
+        self.layout = layout
+        self.record = {} if record is None else record
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The dense statevector, registry qubit r as index bit r; a new array each call."""
+        bits = self.layout.bits
+        return _block(_kron(self.factors), bits, len(bits)).reshape(-1).copy()
 
 
 @dataclass
 class BranchEnsemble:
-    """Probability-weighted set of pure statevectors over a shared registry."""
+    """Probability-weighted set of pure product states over a shared registry.
+
+    ``groups`` defaults to the whole registry as one group, which is what a
+    list of one-factor branches ``Branch(p, vec)`` describes.
+    """
 
     registry: tuple[QubitId, ...]
     branches: list[Branch]
     max_qubits: int = DEFAULT_MAX_QUBITS
     measurement_count: int = 0
+    groups: tuple[Group, ...] | None = None
+
+    def __post_init__(self):
+        if self.groups is None:
+            self.groups = (self.registry,)
 
     @classmethod
     def vacuum(cls, max_qubits: int = DEFAULT_MAX_QUBITS) -> "BranchEnsemble":
@@ -115,23 +179,42 @@ class BranchEnsemble:
         except ValueError:
             raise ValueError(f"unknown target qubit {qubit!r}") from None
 
+    def locate(self, qubit: QubitId) -> tuple[int, int]:
+        """The index of ``qubit``'s group and its bit in that group's factor."""
+        for i, group in enumerate(self.groups):
+            if qubit in group:
+                return i, group.index(qubit)
+        raise ValueError(f"unknown target qubit {qubit!r}")
+
     def copy(self) -> "BranchEnsemble":
+        """A new ensemble with new branches and records; the factors are shared,
+        as no operation writes into one."""
         return BranchEnsemble(
             registry=self.registry,
-            branches=[Branch(b.probability, b.amplitudes.copy(), dict(b.record)) for b in self.branches],
+            branches=[Branch(b.probability, record=dict(b.record), factors=b.factors, layout=b.layout)
+                      for b in self.branches],
             max_qubits=self.max_qubits,
             measurement_count=self.measurement_count,
+            groups=self.groups,
         )
 
-    def check(self) -> None:
+    def check(self, fresh: Iterable[int] | None = None) -> None:
+        """Refuse probabilities that do not sum to 1, and factors whose norm drifted.
+
+        Only the factors at the group indices ``fresh`` are checked, all of
+        them when it is None: an operation names the factors it produced, as
+        the ones it shares were checked when they were made.
+        """
         # the comparisons are negated so that a NaN fails them
         total = sum(b.probability for b in self.branches)
         if not abs(total - 1.0) <= NORM_TOL:
             raise AssertionError(f"branch probabilities sum to {total}")
+        indices = range(len(self.groups)) if fresh is None else list(fresh)
         for b in self.branches:
-            norm = np.linalg.norm(b.amplitudes)
-            if not abs(norm - 1.0) <= 1e-9:
-                raise AssertionError(f"branch norm {norm} drifted from 1")
+            for i in indices:
+                norm = math.sqrt(np.vdot(b.factors[i], b.factors[i]).real)
+                if not abs(norm - 1.0) <= 1e-9:
+                    raise AssertionError(f"branch norm {norm} drifted from 1")
 
 
 @dataclass(frozen=True)
@@ -201,7 +284,7 @@ class Povm:
 
 
 def _apply_matrix(vec: np.ndarray, positions: Sequence[int], matrix: np.ndarray, k: int) -> np.ndarray:
-    """Apply ``matrix`` to the registry ``positions`` of a 2**k statevector.
+    """Apply ``matrix`` to the bits ``positions`` of a 2**k statevector.
 
     This stays on tensordot: a matmul over ``_block`` sums in another order,
     moves the last digit of recorded distributions and so changes traces.
@@ -218,7 +301,7 @@ def _apply_matrix(vec: np.ndarray, positions: Sequence[int], matrix: np.ndarray,
 
 
 def _block(vec: np.ndarray, positions: Sequence[int], k: int) -> np.ndarray:
-    """A 2**k statevector as a (2**m, rest) block for the m registry ``positions``.
+    """A 2**k statevector as a (2**m, rest) block for the m bits ``positions``.
 
     Row index bit j is the qubit at ``positions[j]``; columns run over the
     other qubits in their original index order.  A stack of statevectors,
@@ -231,13 +314,64 @@ def _block(vec: np.ndarray, positions: Sequence[int], k: int) -> np.ndarray:
     return np.transpose(tensor, order).reshape(*vec.shape[:-1], 1 << len(positions), -1)
 
 
-def _reduced_from_vec(vec: np.ndarray, keep_positions: Sequence[int], k: int) -> np.ndarray:
-    """Density matrix of the qubits at ``keep_positions`` (ascending order).
+def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """The product state of ``factors``, factor 0 on the least significant bits.
 
-    Row index bit j of the result is the qubit at ``keep_positions[j]``.
+    One factor is returned as it is, so the caller must not write into the result.
     """
-    mat = _block(vec, keep_positions, k)
-    return mat @ mat.conj().T
+    if not factors:
+        return np.ones(1, dtype=complex)
+    vec = factors[0]
+    for f in factors[1:]:
+        vec = np.multiply.outer(f, vec).reshape(-1)  # np.kron(f, vec), without its overhead for any shape
+    return vec
+
+
+def _offsets(groups: Sequence[Group], indices: Iterable[int]) -> dict[int, int]:
+    """For the groups at ``indices``, taken in that order, the first bit each takes in the kron of their factors."""
+    offsets, bit = {}, 0
+    for i in indices:
+        offsets[i], bit = bit, bit + len(groups[i])
+    return offsets
+
+
+# --------------------------------------------------------------------------
+# product groups
+
+
+def product_groups(
+    groups: Sequence[Group],
+    joined: Collection[QubitId] | None = None,
+    discarded: Collection[QubitId] = frozenset(),
+    renames: Mapping[QubitId, QubitId] | None = None,
+    added: Sequence[Group] = (),
+) -> tuple[tuple[Group, ...], list[tuple[int, ...]]]:
+    """The product groups after an operation, from the groups before it, and for
+    each group after it the indices of the groups before it that it holds.
+
+    This is the one grouping rule, of the engine's factors and of
+    ``ledger.regroup``.  ``renames`` maps a qubit to the id it has afterwards.
+    A gate or a Bell measurement acts on the set ``joined`` at once: the groups
+    holding any of those qubits become one group, placed last, that lists their
+    qubits group by group, so its factor is the kron of theirs.  The set
+    ``discarded`` then leaves its groups, and a group left with none of its
+    qubits is gone.  The ``added`` groups come last.  Every other group keeps
+    its place, its order and its factor.
+    """
+    sources = list(zip(range(len(groups))))
+    if renames:
+        groups = [g if renames.keys().isdisjoint(g) else tuple(map(renames.get, g, g)) for g in groups]
+    hit = () if joined is None else tuple([i for i, g in enumerate(groups) if not joined.isdisjoint(g)])
+    if joined is not None and hit != (len(groups) - 1,):  # a join of the last group alone moves nothing
+        apart = [i for i in range(len(groups)) if i not in hit]
+        sources = [(i,) for i in apart] + [hit]
+        groups = [groups[i] for i in apart] + [tuple([q for i in hit for q in groups[i]])]
+    if discarded:
+        kept = [j for j, g in enumerate(groups) if not discarded.issuperset(g)]
+        sources = [sources[j] for j in kept]
+        groups = [groups[j] if discarded.isdisjoint(groups[j]) else tuple([q for q in groups[j] if q not in discarded])
+                  for j in kept]
+    return (*groups, *added), sources + [()] * len(added)
 
 
 # --------------------------------------------------------------------------
@@ -253,8 +387,9 @@ def allocate_qubits(
 ) -> tuple[BranchEnsemble, tuple[QubitId, ...]]:
     """Append ``count`` fresh qubits at ``party`` in the basis state ``init``.
 
-    New qubits occupy the highest registry positions.  ``init`` is a string
-    of '0'/'1' characters, one per new qubit, defaulting to all zeros.
+    New qubits occupy the highest registry positions, each in a group of its
+    own.  ``init`` is a string of '0'/'1' characters, one per new qubit,
+    defaulting to all zeros.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -267,9 +402,10 @@ def allocate_qubits(
     new_ids = tuple(QubitId(party, lbl) for lbl in labels)
     if len(new_ids) != count:
         raise ValueError(f"{len(new_ids)} labels given for {count} qubits")
-    block = np.zeros(1 << count, dtype=complex)
-    block[sum(int(c) << j for j, c in enumerate(init))] = 1.0
-    return _append(ensemble, new_ids, block), new_ids
+    blocks = [np.zeros(2, dtype=complex) for _ in new_ids]
+    for block, c in zip(blocks, init):
+        block[int(c)] = 1.0
+    return _append(ensemble, [(q,) for q in new_ids], blocks), new_ids
 
 
 def insert_bell_pair(ensemble: BranchEnsemble, first: QubitId, second: QubitId) -> BranchEnsemble:
@@ -278,21 +414,25 @@ def insert_bell_pair(ensemble: BranchEnsemble, first: QubitId, second: QubitId) 
     This is the resource primitive that realizes a held ebit in the
     statevector; it is not a local operation.
     """
-    return _append(ensemble, (first, second), np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
+    return _append(ensemble, [(first, second)], [np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)])
 
 
-def _append(ensemble: BranchEnsemble, new_ids: tuple[QubitId, ...], block: np.ndarray) -> BranchEnsemble:
-    """Append the qubits ``new_ids`` (``new_ids[j]`` = bit j of ``block``) to every branch."""
+def _append(ensemble: BranchEnsemble, new_groups: Sequence[Group], blocks: Sequence[np.ndarray]) -> BranchEnsemble:
+    """Append the groups ``new_groups`` to the registry, ``blocks[i]`` the factor of
+    ``new_groups[i]`` in every branch."""
+    new_ids = tuple(q for group in new_groups for q in group)
     if ensemble.num_qubits + len(new_ids) > ensemble.max_qubits:
         raise RegistryCapacityError(
             f"allocating {len(new_ids)} qubits would exceed the registry cap of {ensemble.max_qubits}"
         )
     if len(set(new_ids)) != len(new_ids) or set(new_ids) & set(ensemble.registry):
         raise ValueError("new qubit ids collide with existing registry entries")
-    branches = [
-        Branch(b.probability, np.kron(block, b.amplitudes), dict(b.record)) for b in ensemble.branches
-    ]
-    return BranchEnsemble(ensemble.registry + new_ids, branches, ensemble.max_qubits, ensemble.measurement_count)
+    registry = ensemble.registry + new_ids
+    groups, _ = product_groups(ensemble.groups, added=new_groups)
+    layout = Layout(registry, groups)
+    branches = [Branch(b.probability, record=dict(b.record), factors=(*b.factors, *blocks), layout=layout)
+                for b in ensemble.branches]
+    return BranchEnsemble(registry, branches, ensemble.max_qubits, ensemble.measurement_count, groups)
 
 
 def relabel_qubits(ensemble: BranchEnsemble, renames: Mapping[QubitId, QubitId]) -> BranchEnsemble:
@@ -304,11 +444,12 @@ def relabel_qubits(ensemble: BranchEnsemble, renames: Mapping[QubitId, QubitId])
     """
     for old in renames:
         ensemble.position(old)
-    registry = tuple(renames.get(q, q) for q in ensemble.registry)
+    registry = tuple(map(renames.get, ensemble.registry, ensemble.registry))
     if len(set(registry)) != len(registry):
         twice = next(q for q in registry if registry.count(q) > 1)
         raise ValueError(f"qubit id {twice!r} already in use")
-    return BranchEnsemble(registry, ensemble.branches, ensemble.max_qubits, ensemble.measurement_count)
+    groups, _ = product_groups(ensemble.groups, renames=renames)
+    return BranchEnsemble(registry, ensemble.branches, ensemble.max_qubits, ensemble.measurement_count, groups)
 
 
 # --------------------------------------------------------------------------
@@ -348,17 +489,26 @@ def apply_conditional(
 
 
 def _evolve(ensemble: BranchEnsemble, targets: Sequence[QubitId], matrix_of) -> BranchEnsemble:
-    """Apply ``matrix_of(branch)`` to ``targets`` of every branch."""
-    if len(set(targets)) != len(targets):
+    """Apply ``matrix_of(branch)`` to ``targets`` of every branch, in the factor of
+    their joined groups; the other factors are shared."""
+    joined = set(targets)
+    if len(joined) != len(targets):
         raise ValueError("gate targets must be distinct")
-    k = ensemble.num_qubits
-    positions = [ensemble.position(q) for q in targets]
-    branches = [
-        Branch(b.probability, _apply_matrix(b.amplitudes, positions, matrix_of(b), k), dict(b.record))
-        for b in ensemble.branches
-    ]
-    out = BranchEnsemble(ensemble.registry, branches, ensemble.max_qubits, ensemble.measurement_count)
-    out.check()
+    located = [ensemble.locate(q) for q in targets]
+    groups, sources = product_groups(ensemble.groups, joined=joined)
+    *apart, hit = sources
+    offsets = _offsets(ensemble.groups, hit)
+    positions = [offsets[i] + j for i, j in located]
+    size = len(groups[-1])
+    # a gate within the last group moves no group, and no bit of the layout
+    layout = ensemble.branches[0].layout if groups == ensemble.groups else Layout(ensemble.registry, groups)
+    branches = []
+    for b in ensemble.branches:
+        factor = _apply_matrix(_kron([b.factors[i] for i in hit]), positions, matrix_of(b), size)
+        factors = (*(b.factors[i] for (i,) in apart), factor)
+        branches.append(Branch(b.probability, record=dict(b.record), factors=factors, layout=layout))
+    out = BranchEnsemble(ensemble.registry, branches, ensemble.max_qubits, ensemble.measurement_count, groups)
+    out.check(fresh=(len(groups) - 1,))
     return out
 
 
@@ -368,44 +518,73 @@ def measure_computational(
     """Projective measurement in the computational basis.
 
     Every branch splits into its nonzero outcomes with Born-rule weights;
-    branches below the pruning threshold are dropped.  With ``discard`` the
-    measured qubits leave the registry.  The outcome string lists target
-    values in target order.  Returns the post-measurement ensemble and the
-    aggregate outcome distribution.
+    branches below the pruning threshold are dropped.  The measurement acts
+    within each target's factor: an outcome's weight is the product of the
+    weights of its parts in those factors.  With ``discard`` the measured
+    qubits leave the registry.  The outcome string lists target values in
+    target order.  Returns the post-measurement ensemble and the aggregate
+    outcome distribution.
     """
-    k = ensemble.num_qubits
-    positions = [ensemble.position(q) for q in targets]
+    located = [ensemble.locate(q) for q in targets]
     m = len(targets)
-    if len(set(positions)) != m:
+    if len(set(located)) != m:
         raise ValueError("measurement targets must be distinct")
     midx = ensemble.measurement_count
-    outcomes = ["".join(str((code >> j) & 1) for j in range(m)) for code in range(1 << m)]
-    # row ``code`` of the index block lists the amplitude indices of that outcome
-    index_rows = None if discard else _block(np.arange(1 << k), positions, k)
+    outcomes = _outcome_strings(m)
+    # each measured group, in the order of its first target, with the bits of its targets in target order
+    touched: dict[int, list[int]] = {}
+    for i, j in located:
+        touched.setdefault(i, []).append(j)
+    measured = [(i, bits, len(ensemble.groups[i])) for i, bits in touched.items()]
+    first = list(touched)
+    codes = _group_codes(tuple(first.index(i) for i, _ in located))
+    # row ``code`` of a group's index block lists the factor indices of that outcome
+    index_rows = None if discard else [_block(np.arange(1 << size), bits, size) for _, bits, size in measured]
+    gone = set(targets)
+    groups, sources = product_groups(ensemble.groups, discarded=gone if discard else frozenset())
+    kept = [i for (i,) in sources]
+    registry = tuple([q for q in ensemble.registry if q not in gone]) if discard else ensemble.registry
+    layout = Layout(registry, groups)
     dist: dict[str, float] = {}
     branches: list[Branch] = []
     for b in ensemble.branches:
-        for code, row in enumerate(_block(b.amplitudes, positions, k)):
-            weight = float(np.sum(np.abs(row) ** 2))
-            prob = b.probability * weight
+        blocks = [_block(b.factors[i], bits, size) for i, bits, size in measured]
+        # np.add.reduce is np.sum without its wrapper: the same pairwise sum
+        weights = [[float(np.add.reduce(np.abs(row) ** 2)) for row in block] for block in blocks]
+        for outcome, parts in zip(outcomes, codes):
+            prob = b.probability * math.prod(map(list.__getitem__, weights, parts))
             if prob <= PRUNE_TOL:
                 continue
-            outcome = outcomes[code]
             dist[outcome] = dist.get(outcome, 0.0) + prob
-            if discard:
-                vec = row / math.sqrt(weight)
-            else:
-                vec = np.zeros(1 << k, dtype=complex)
-                vec[index_rows[code]] = row / math.sqrt(weight)
+            factors = list(b.factors)
+            for g, ((i, _, size), block, code) in enumerate(zip(measured, blocks, parts)):
+                if discard:
+                    factors[i] = block[code] / math.sqrt(weights[g][code])
+                else:
+                    factors[i] = np.zeros(1 << size, dtype=complex)
+                    factors[i][index_rows[g][code]] = block[code] / math.sqrt(weights[g][code])
             record = dict(b.record)
             record[midx] = outcome
-            branches.append(Branch(prob, vec, record))
-    registry = ensemble.registry
-    if discard:
-        registry = tuple(q for q in registry if q not in set(targets))
-    out = BranchEnsemble(registry, branches, ensemble.max_qubits, midx + 1)
-    out.check()
+            branches.append(Branch(prob, record=record, factors=tuple(map(factors.__getitem__, kept)), layout=layout))
+    out = BranchEnsemble(registry, branches, ensemble.max_qubits, midx + 1, groups)
+    out.check(fresh=[n for n, i in enumerate(kept) if i in touched])
     return out, dict(sorted(dist.items()))
+
+
+@lru_cache
+def _group_codes(owners: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """For each outcome code of the targets, target t in group ``owners[t]`` (the
+    groups numbered 0, 1, ... by their first target), the code of each group's
+    targets, its first target at bit 0."""
+    members = [[t for t, o in enumerate(owners) if o == g] for g in range(len(set(owners)))]
+    return [tuple(sum(((code >> t) & 1) << s for s, t in enumerate(ts)) for ts in members)
+            for code in range(1 << len(owners))]
+
+
+@lru_cache
+def _outcome_strings(m: int) -> list[str]:
+    """The outcome string of each code of an m-target measurement, target j as character j."""
+    return ["".join(str((code >> j) & 1) for j in range(m)) for code in range(1 << m)]
 
 
 # Two-qubit unitary sending each Bell state to its label's basis state:
@@ -442,28 +621,31 @@ def measure_povm(ensemble: BranchEnsemble, povm: Povm, targets: Sequence[QubitId
     return probs
 
 
+def _canonical(vec: np.ndarray) -> np.ndarray:
+    """``vec`` with the global phase that makes its first nonzero amplitude real and positive."""
+    anchor = int(np.argmax(np.abs(vec) > 1e-9))
+    return vec * np.conj(vec[anchor] / abs(vec[anchor]))
+
+
 def coalesce(ensemble: BranchEnsemble) -> BranchEnsemble:
-    """Merge branches whose states agree up to a global phase.
+    """Merge branches whose states agree up to a global phase, factor by factor.
 
     Classical records survive only where merged branches agree, so
     conditioning across a coalesce is rejected loudly by apply_conditional.
     """
-    groups: list[tuple[np.ndarray, Branch]] = []
+    kept: list[tuple[list[np.ndarray], Branch]] = []
     for b in ensemble.branches:
-        vec = b.amplitudes
-        anchor = int(np.argmax(np.abs(vec) > 1e-9))
-        phase = vec[anchor] / abs(vec[anchor])
-        canon = vec * np.conj(phase)
-        for canon_g, merged in groups:
-            if canon_g.shape == canon.shape and np.allclose(canon_g, canon, rtol=0, atol=COALESCE_TOL):
+        canon = [_canonical(f) for f in b.factors]
+        for canon_k, merged in kept:
+            # np.allclose(x, y, rtol=0, atol=COALESCE_TOL), without its overhead; a NaN fails it
+            if all(x.shape == y.shape and (np.abs(x - y) <= COALESCE_TOL).all() for x, y in zip(canon_k, canon)):
                 merged.probability += b.probability
                 merged.record = {k: v for k, v in merged.record.items() if b.record.get(k) == v}
                 break
         else:
-            groups.append((canon, Branch(b.probability, vec.copy(), dict(b.record))))
-    return BranchEnsemble(
-        ensemble.registry, [g[1] for g in groups], ensemble.max_qubits, ensemble.measurement_count
-    )
+            kept.append((canon, Branch(b.probability, record=dict(b.record), factors=b.factors, layout=b.layout)))
+    return BranchEnsemble(ensemble.registry, [merged for _, merged in kept], ensemble.max_qubits,
+                          ensemble.measurement_count, ensemble.groups)
 
 
 # --------------------------------------------------------------------------
@@ -471,7 +653,7 @@ def coalesce(ensemble: BranchEnsemble) -> BranchEnsemble:
 
 
 def reduced_density(ensemble: BranchEnsemble, subset: Sequence[QubitId]) -> np.ndarray:
-    """Ensemble-averaged density matrix of ``subset``.
+    """Ensemble-averaged density matrix of ``subset``, from the factors that hold it.
 
     The basis orders the subset by registry position, least significant
     first; trace is 1 and the result Hermitian to 1e-10.
@@ -481,55 +663,65 @@ def reduced_density(ensemble: BranchEnsemble, subset: Sequence[QubitId]) -> np.n
     positions = sorted(ensemble.position(q) for q in subset)
     if len(set(positions)) != len(subset):
         raise ValueError("subset qubits must be distinct")
-    k = ensemble.num_qubits
+    located = [ensemble.locate(ensemble.registry[p]) for p in positions]
+    held = sorted({i for i, _ in located})
+    offsets = _offsets(ensemble.groups, held)
+    bits = [offsets[i] + j for i, j in located]
+    size = sum(len(ensemble.groups[i]) for i in held)
     rho = np.zeros((1 << len(subset),) * 2, dtype=complex)
     for b in ensemble.branches:
-        rho += b.probability * _reduced_from_vec(b.amplitudes, positions, k)
+        # row index bit j of the block is the qubit at positions[j]
+        mat = _block(_kron([b.factors[i] for i in held]), bits, size)
+        rho += b.probability * (mat @ mat.conj().T)
     return rho
 
 
 def subset_entropies(ensemble: BranchEnsemble, subsets: Iterable[Iterable[QubitId]]) -> list[float]:
     """Probability-weighted per-branch von Neumann entropy (base 2) of each subset.
 
-    Every branch is pure, so a subset and the rest of the registry share one
-    Schmidt spectrum.  It is read from the reduced densities of the smaller
-    side.  The branches are stacked once, each subset gets one (B, 2^m, 2^m)
-    Gram stack for its side of m qubits, and the Grams of each side size go
-    through one ``eigvalsh`` call.
+    Every branch is a product over the groups, so its entropy of a subset is
+    the sum, over the groups the subset splits, of the entropy of the
+    subset's part of that group's factor.  The factor is pure, so the part and
+    the rest of the group share one Schmidt spectrum; it is read from the
+    reduced densities of the smaller side.  Each group's factors are stacked
+    over the branches once, each split gets one (B, 2^m, 2^m) Gram stack for
+    its side of m qubits, and the Grams of each side size go through one
+    ``eigvalsh`` call.
     """
-    k = ensemble.num_qubits
-    position = {q: p for p, q in enumerate(ensemble.registry)}
-    sides = []
-    for subset in subsets:
+    groups, branches = ensemble.groups, ensemble.branches
+    where = {q: (i, j) for i, group in enumerate(groups) for j, q in enumerate(group)}
+    # side size -> (subset index, group index, smaller side as bits of the group's factor)
+    by_size: dict[int, list[tuple[int, int, list[int]]]] = {}
+    count = 0
+    for count, subset in enumerate(subsets, start=1):
         wanted = set(subset)
-        missing = wanted.difference(position)
+        missing = wanted.difference(where)
         if missing:
             raise ValueError(f"unknown target qubit {min(missing)!r}")
-        held = {position[q] for q in wanted}
-        if 2 * len(held) <= k:  # the smaller side is the subset itself
-            sides.append(sorted(held))
-        else:
-            sides.append([p for p in range(k) if p not in held])
-    by_size: dict[int, list[int]] = {}
-    for i, side in enumerate(sides):
-        if side:  # an empty side is a product cut, of entropy 0
-            by_size.setdefault(len(side), []).append(i)
-    entropies = [0.0] * len(sides)
-    if not by_size:
-        return entropies
-    branches = ensemble.branches
-    vecs = branches[0].amplitudes[np.newaxis] if len(branches) == 1 else np.stack([b.amplitudes for b in branches])
-    for members in by_size.values():
+        # the (group, bit) pairs sorted: group by group, each group's bits ascending
+        for i, located in groupby(sorted(map(where.__getitem__, wanted)), key=itemgetter(0)):
+            bits = [j for _, j in located]
+            size = len(groups[i])
+            side = bits if 2 * len(bits) <= size else [j for j in range(size) if j not in bits]
+            if side:  # an empty side is a product cut, of entropy 0
+                by_size.setdefault(len(side), []).append((count - 1, i, side))
+    per_subset: list[np.ndarray | None] = [None] * count
+    stacks: dict[int, np.ndarray] = {}
+    for splits in by_size.values():
         grams = []
-        for i in members:
-            blocks = _block(vecs, sides[i], k)
+        for _, i, side in splits:
+            if i not in stacks:
+                stacks[i] = (branches[0].factors[i][np.newaxis] if len(branches) == 1
+                             else np.stack([b.factors[i] for b in branches]))
+            blocks = _block(stacks[i], side, len(groups[i]))
             grams.append(blocks @ blocks.conj().swapaxes(-1, -2))
         eigs = np.linalg.eigvalsh(np.stack(grams))
         logs = np.log2(eigs, out=np.zeros_like(eigs), where=eigs > EIG_TOL)
         # clamped at 0: an eigenvalue a rounding error above 1 has a small negative term
-        for i, per_branch in zip(members, np.maximum(-np.sum(eigs * logs, axis=-1), 0.0)):
-            entropies[i] = float(sum(b.probability * s for b, s in zip(branches, per_branch)))
-    return entropies
+        for (k, _, _), per_branch in zip(splits, np.maximum(-np.sum(eigs * logs, axis=-1), 0.0)):
+            per_subset[k] = per_branch if per_subset[k] is None else per_subset[k] + per_branch
+    return [0.0 if per_branch is None else float(sum(b.probability * s for b, s in zip(branches, per_branch)))
+            for per_branch in per_subset]
 
 
 def entropy_of_qubits(ensemble: BranchEnsemble, subset: Iterable[QubitId]) -> float:
@@ -562,18 +754,15 @@ def shannon_entropy(distribution) -> float:
 
 
 def branch_vectors(ensemble: BranchEnsemble, order: Sequence[QubitId]) -> list[tuple[float, np.ndarray]]:
-    """Branch statevectors with qubit ``order[j]`` as amplitude-index bit j."""
+    """Dense branch statevectors with qubit ``order[j]`` as amplitude-index bit j."""
     if sorted(order) != sorted(ensemble.registry):
         raise ValueError("order must list every registry qubit exactly once")
     k = ensemble.num_qubits
     positions = [ensemble.position(q) for q in order]
-    return [(b.probability, _block(b.amplitudes, positions, k).reshape(-1)) for b in ensemble.branches]
-
-
-def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    return float(abs(np.vdot(np.asarray(a), np.asarray(b))) ** 2)
+    return [(b.probability, _block(_kron(b.factors), [b.layout.bits[p] for p in positions], k).reshape(-1).copy())
+            for b in ensemble.branches]
 
 
 def ensemble_fidelity(ensemble: BranchEnsemble, order: Sequence[QubitId], reference: np.ndarray) -> float:
     """Worst-case branch fidelity against a reference pure state."""
-    return min(state_fidelity(vec, reference) for _, vec in branch_vectors(ensemble, order))
+    return min(float(abs(np.vdot(vec, reference)) ** 2) for _, vec in branch_vectors(ensemble, order))

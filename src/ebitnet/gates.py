@@ -106,10 +106,6 @@ def bell_state(label: str) -> np.ndarray:
     return np.kron(enc, ID2) @ phi_plus
 
 
-def bell_states() -> dict[str, np.ndarray]:
-    return {label: bell_state(label) for label in ("00", "01", "10", "11")}
-
-
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -11,7 +11,9 @@ from an event to the engine: protocols run through it and the audit
 replays through it.  ``ResourceLedger.book`` is the one rule that charges
 an event to the resource books, for protocols and the audit alike, and
 ``regroup`` the one walk of qubit ids and product groups through the
-events, for the load and the replay alike.
+events, for the load and the replay alike; it groups by the rule the
+engine's factors follow (``engine.product_groups``), so its groups are the
+factors of the ensemble ``apply_event`` makes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -392,22 +394,23 @@ def event_renames(event: CollectiveOracle | Relocate | Relabel) -> dict[QubitId,
     return {event.old: event.new}
 
 
-Groups = list[frozenset[QubitId]]
+Groups = Sequence[engine.Group]
 
 
-def regroup(groups: Groups, event: Event, max_qubits: int) -> Groups:
+def regroup(groups: Groups, event: Event, max_qubits: int) -> tuple[engine.Group, ...]:
     """The product groups of the state after ``event``, from the groups before it.
 
     The groups cover the registry, which is checked without amplitudes as
     ``apply_event`` would check it: every qubit the event names must be
     registered, every qubit it adds must be new, and the registry may not grow
-    past ``max_qubits``.  New qubits start groups of their own (an ebit's pair
-    one group), a gate or a Bell measurement joins its targets' groups,
-    discarded qubits leave their group, and renames move membership with the
-    state.  Other measurements act within each qubit's group, and a POVM
-    leaves the state as it was.
+    past ``max_qubits``.  The groups are then those ``engine.product_groups``
+    gives, so they are the engine's factors after ``apply_event``: an
+    allocation adds a group for each qubit and an ebit's pair one group, a gate
+    or a Bell measurement joins its targets' groups, discarded qubits leave
+    their group, and renames move membership with the state.  Other
+    measurements act within each qubit's group, and a POVM leaves the state as
+    it was.
     """
-    ids = set().union(*groups)
     named, removed, added = (), (), ()
     if isinstance(event, (Allocate, EbitConsume)):
         added = event.qubits
@@ -418,6 +421,9 @@ def regroup(groups: Groups, event: Event, max_qubits: int) -> Groups:
     elif isinstance(event, (Relabel, Relocate)):
         [(old, new)] = event_renames(event).items()
         named, removed, added = (old,), (old,), (new,)
+    if not named and not added:  # messages, decodes, creations and coalescing
+        return groups
+    ids = set().union(*groups)
     for q in named:
         if q not in ids:
             raise ValueError(f"qubit {q!r} is not in the registry")
@@ -433,18 +439,14 @@ def regroup(groups: Groups, event: Event, max_qubits: int) -> Groups:
         ids.add(q)
 
     if isinstance(event, Allocate):
-        return groups + [frozenset({q}) for q in added]
+        return engine.product_groups(groups, added=[(q,) for q in added])[0]
     if isinstance(event, EbitConsume):
-        return groups + [frozenset(added)]
+        return engine.product_groups(groups, added=[added])[0]
     if isinstance(event, (CollectiveOracle, Relocate, Relabel)):
-        renames = event_renames(event)
-        return [frozenset(renames.get(q, q) for q in g) for g in groups]
-    if isinstance(event, LocalGate) or (isinstance(event, LocalMeasure) and event.basis == "bell"):
-        apart = [g for g in groups if targets.isdisjoint(g)]
-        groups = apart + [frozenset().union(*(g for g in groups if not targets.isdisjoint(g)))]
-    if removed:  # a discard removes exactly the targets
-        groups = [g - targets for g in groups if not g <= targets]
-    return groups
+        return engine.product_groups(groups, renames=event_renames(event))[0]
+    joins = isinstance(event, LocalGate) or (isinstance(event, LocalMeasure) and event.basis == "bell")
+    return engine.product_groups(groups, joined=targets if joins else None,
+                                 discarded=targets if removed else frozenset())[0]
 
 
 @dataclass
@@ -636,11 +638,12 @@ def _header_trace(rec: Mapping) -> ProtocolTrace:
     registry = _REGISTRY_IN(rec["registry"], n_parties)
     if len(set(registry)) != len(registry):
         raise ValueError("registry contains duplicate qubit ids")
-    branches = [Branch(float(_number(b["p"])), _complex_in(b["amplitudes"])) for b in rec["branches"]]
-    if not all(b.probability >= 0 for b in branches):  # negated so that a NaN fails
-        raise ValueError(f"branch probabilities must not be negative, got {[b.probability for b in branches]}")
-    if any(b.amplitudes.shape != (1 << len(registry),) for b in branches):
+    raw = [(float(_number(b["p"])), _complex_in(b["amplitudes"])) for b in rec["branches"]]
+    if not all(p >= 0 for p, _ in raw):  # negated so that a NaN fails
+        raise ValueError(f"branch probabilities must not be negative, got {[p for p, _ in raw]}")
+    if any(vec.shape != (1 << len(registry),) for _, vec in raw):
         raise ValueError(f"every branch needs {1 << len(registry)} amplitudes")
+    branches = [Branch(p, vec) for p, vec in raw]
     max_qubits = _int(rec.get("max_qubits", DEFAULT_MAX_QUBITS))
     if len(registry) > max_qubits:
         raise ValueError(f"a registry of {len(registry)} qubits exceeds max_qubits {max_qubits}")
@@ -677,7 +680,7 @@ def load_trace(text: str) -> ProtocolTrace:
                 raise ValueError("expected a JSON object")
             if i == lines[0][0]:
                 trace = _header_trace(rec)
-                groups = None if trace.initial is None else [frozenset(trace.initial.registry)]
+                groups = None if trace.initial is None else trace.initial.groups
                 continue
             event = event_from_record(rec, trace.n_parties)
             if groups is not None:

@@ -16,6 +16,13 @@
 - ``permutation_gain_edges`` lists the edges a permutation gains on, from which
   the tests rebuild ``graphs.expendable_resources`` and
   ``bounds.half_transfer_bounds``.
+- ``bell_states`` lists the four Bell states by label, the basis
+  ``engine.bell_measure`` reads out.
+- ``DenseEnsemble`` runs trace events on one dense 2^k vector per branch, as
+  the engine did before it kept each branch as a product of factors: kron on
+  allocation, one tensordot over the whole vector per gate, index masks per
+  measurement outcome.  The tests run the factored engine against it event by
+  event.
 """
 
 import math
@@ -26,8 +33,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ebitnet import gates, graphs
+from ebitnet import gates, graphs, ledger
 from ebitnet.gates import Permutation
+from ebitnet.ledger import Allocate, Coalesce, CollectiveOracle, EbitConsume, LocalGate, LocalMeasure, Relabel, Relocate
 
 
 def permutation_unitary(p: Permutation) -> np.ndarray:
@@ -54,6 +62,11 @@ def ps_unitary(n: int) -> np.ndarray:
 
 def ps_cp_unitary(n: int) -> np.ndarray:
     return permutation_unitary(gates.ps_cp_permutation(n))
+
+
+def bell_states() -> dict[str, np.ndarray]:
+    """The four Bell states by label, the basis ``engine.bell_measure`` reads out."""
+    return {label: gates.bell_state(label) for label in ("00", "01", "10", "11")}
 
 
 def tensor_each(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -146,3 +159,106 @@ def permutation_gain_edges(mapping: Sequence[int], kind: str) -> set:
     if kind == "communication":
         return {(i, mapping[i - 1]) for i in range(1, n + 1)}
     raise ValueError(f"unknown kind {kind!r}")
+
+
+# CNOT from the first qubit (bit 0), then a Hadamard on it: Bell state "ab" to basis state "ab"
+_BELL_TO_BASIS = np.kron(np.eye(2), gates.HADAMARD) @ gates.cnot_unitary()
+
+
+class DenseEnsemble:
+    """Weighted branches (probability, dense vector, record), registry qubit r at
+    amplitude-index bit r, that ``apply`` evolves event by event."""
+
+    def __init__(self, ensemble):
+        self.registry = list(ensemble.registry)
+        self.branches = [(b.probability, b.amplitudes, dict(b.record)) for b in ensemble.branches]
+        self.measurement_count = ensemble.measurement_count
+
+    def apply(self, event) -> dict[str, float] | None:
+        """Run ``event``; return a measurement's outcome distribution."""
+        if isinstance(event, Allocate):
+            block = np.zeros(1 << len(event.qubits), dtype=complex)
+            block[int(event.init[::-1], 2)] = 1.0
+            self._append(event.qubits, block)
+        elif isinstance(event, EbitConsume):
+            self._append(event.qubits, np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
+        elif isinstance(event, LocalGate):
+            cases = dict(event.cases or ())
+            self.branches = [(p, self._gate(vec, event.targets, event.matrix if event.cases is None
+                                            else cases[record[event.conditional_on]]), record)
+                             for p, vec, record in self.branches]
+        elif isinstance(event, (CollectiveOracle, Relocate, Relabel)):
+            renames = ledger.event_renames(event)
+            self.registry = [renames.get(q, q) for q in self.registry]
+        elif isinstance(event, LocalMeasure) and event.povm is not None:
+            rho = sum(p * self._reduced(vec, event.targets) for p, vec, _ in self.branches)
+            probs = [float(np.real(np.trace(rho @ e))) for e in event.povm.elements]
+            return {str(r): p for r, p in enumerate(probs) if p > 0.0}
+        elif isinstance(event, LocalMeasure):
+            return self._measure(event.targets, event.basis == "bell", event.discard)
+        elif isinstance(event, Coalesce):
+            self._coalesce()
+        return None
+
+    def _append(self, qubits, block):
+        self.registry += list(qubits)
+        self.branches = [(p, np.kron(block, vec), record) for p, vec, record in self.branches]
+
+    def _gate(self, vec, targets, matrix):
+        k, m = len(self.registry), len(targets)
+        axes = [k - 1 - self.registry.index(q) for q in targets]  # state axis of gate bit j
+        op = np.asarray(matrix).reshape((2,) * (2 * m))
+        out = np.tensordot(op, vec.reshape((2,) * k), axes=([2 * m - 1 - j for j in range(m)], axes))
+        return np.moveaxis(out, [m - 1 - j for j in range(m)], axes).reshape(-1)
+
+    def _bits(self, targets):
+        """For each amplitude index, the value of ``targets`` as a number, target j at bit j."""
+        index = np.arange(1 << len(self.registry))
+        return sum(((index >> self.registry.index(q)) & 1) << j for j, q in enumerate(targets))
+
+    def _reduced(self, vec, targets):
+        """Density matrix of ``targets`` ordered by registry position, the first at bit 0."""
+        ordered = sorted(targets, key=self.registry.index)
+        kept, rest = self._bits(ordered), self._bits([q for q in self.registry if q not in targets])
+        mat = np.zeros((1 << len(ordered), 1 << (len(self.registry) - len(ordered))), dtype=complex)
+        mat[kept, rest] = vec
+        return mat @ mat.conj().T
+
+    def _measure(self, targets, bell, discard):
+        if bell:
+            self.branches = [(p, self._gate(vec, targets, _BELL_TO_BASIS), r) for p, vec, r in self.branches]
+        values = self._bits(targets)
+        index = self.measurement_count
+        dist, branches = {}, []
+        for p, vec, record in self.branches:
+            for code in range(1 << len(targets)):
+                mask = values == code
+                weight = float(np.sum(np.abs(vec[mask]) ** 2))
+                if p * weight <= 1e-14:
+                    continue
+                outcome = "".join(str((code >> j) & 1) for j in range(len(targets)))
+                dist[outcome] = dist.get(outcome, 0.0) + p * weight
+                kept = vec[mask] if discard else np.where(mask, vec, 0)
+                branches.append((p * weight, kept / math.sqrt(weight), {**record, index: outcome}))
+        self.branches, self.measurement_count = branches, index + 1
+        if discard:
+            self.registry = [q for q in self.registry if q not in targets]
+        elif bell:
+            self.branches = [(p, self._gate(vec, targets, _BELL_TO_BASIS.conj().T), r) for p, vec, r in self.branches]
+        return dict(sorted(dist.items()))
+
+    def _coalesce(self):
+        """Merge branches equal up to a global phase to within 1e-10, keeping the first;
+        a record keeps the outcomes all merged branches agree on."""
+        merged = []
+        for p, vec, record in self.branches:
+            anchor = int(np.argmax(np.abs(vec) > 1e-9))
+            canon = vec * np.conj(vec[anchor] / abs(vec[anchor]))
+            for entry in merged:
+                if np.allclose(entry[0], canon, rtol=0, atol=1e-10):
+                    entry[1] += p
+                    entry[3] = {k: v for k, v in entry[3].items() if record.get(k) == v}
+                    break
+            else:
+                merged.append([canon, p, vec, dict(record)])
+        self.branches = [(p, vec, record) for _, p, vec, record in merged]

@@ -722,7 +722,7 @@ def audit_monotone_series(monkeypatch, trace, bundle):
     latest = {}
     series = []
     states = [trace.initial]
-    partitions = [[frozenset(trace.initial.registry)]]
+    partitions = [trace.initial.groups]
     cut_entropies, solve, replay_events = audit._cut_entropies, engine.subset_entropies, audit.replay_events
     regroup = audit.regroup
     parties = range(1, trace.n_parties + 1)
@@ -769,11 +769,15 @@ def assert_series_matches_the_per_branch_formula(trace, states, series):
 
 
 def assert_groups_partition_the_registry(states, partitions):
-    """At every point of the replay the groups are disjoint and cover the registry."""
+    """At every point of the replay the groups are disjoint and cover the registry,
+    and they are the engine's factors: the replayed ensemble has the same groups,
+    and each of its branches holds one factor of the group's size per group."""
     assert len(partitions) == len(states)
     for step, (ens, groups) in enumerate(zip(states, partitions)):
         covered = frozenset().union(*groups)
         assert sum(map(len, groups)) == len(covered) and covered == set(ens.registry), step
+        assert tuple(ens.groups) == tuple(groups), step
+        assert all([f.shape for f in b.factors] == [(1 << len(g),) for g in groups] for b in ens.branches), step
 
 
 @pytest.mark.parametrize("protocol", cli.PROTOCOLS)
@@ -794,7 +798,7 @@ def walked_cut_entropies(groups, cut_masks, solved):
         for i, cut in enumerate(cut_masks):
             split = min(cut & mask, ~cut & mask)
             if split:
-                entropies[i] += solved[(group, split)]
+                entropies[i] += solved[(frozenset(group), split)]
     return entropies
 
 
@@ -804,7 +808,7 @@ def test_cut_entropies_equal_the_walk_of_every_group_against_every_cut(protocol)
                            engine.DEFAULT_MAX_QUBITS)
     trace = run.trace
     cuts = audit._Cuts(trace.n_parties)
-    groups, solved = [frozenset(trace.initial.registry)], {}
+    groups, solved = trace.initial.groups, {}
     entropies = audit._cut_entropies(trace.initial, groups, cuts, solved)
     assert entropies == walked_cut_entropies(groups, cuts, solved)
     for _, ev, ens in audit.replay_events(trace.initial, trace.events):
@@ -992,15 +996,15 @@ def test_a_step_solves_only_the_splits_of_the_groups_its_event_named(monkeypatch
     _, _, series, partitions = audit_monotone_series(monkeypatch, trace, bundle)
     step = next(i for i, ev in enumerate(trace.events) if isinstance(ev, LocalGate) and ev.matrix is not None)
     targets = trace.events[step].targets
-    named = [g for g in partitions[step + 1] if not g.isdisjoint(targets)]
-    others = [g for g in partitions[step + 1] if g.isdisjoint(targets)]
-    assert named == [frozenset({QubitId(2, "a2"), QubitId(3, "a3")})]
+    named = [g for g in partitions[step + 1] if not set(g).isdisjoint(targets)]
+    others = [g for g in partitions[step + 1] if set(g).isdisjoint(targets)]
+    assert [frozenset(g) for g in named] == [frozenset({QubitId(2, "a2"), QubitId(3, "a3")})]
     assert sum(len(distinct_splits(g, trace.n_parties)) for g in others) > 0
     assert len(distinct_splits(named[0], trace.n_parties)) == 1 and series[step + 1][1] == 0
 
     step = next(i for i, ev in enumerate(trace.events) if isinstance(ev, LocalMeasure) and ev.basis == "bell")
     [left] = [g for g in partitions[step + 1] if g not in partitions[step]]
-    assert left == frozenset({QubitId(2, "q2"), QubitId(3, "q3"), QubitId(2, "a1")})
+    assert frozenset(left) == frozenset({QubitId(2, "q2"), QubitId(3, "q3"), QubitId(2, "a1")})
     assert series[step + 1][1] == len(distinct_splits(left, trace.n_parties)) == 1
 
 

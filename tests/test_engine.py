@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebitnet import audit, engine, gates
+from ebitnet import audit, cli, engine, gates
 from ebitnet.engine import BranchEnsemble, Gate, Povm, QubitId, RegistryCapacityError
-from ebitnet.ledger import CollectiveOracle, apply_event
+from ebitnet.ledger import CollectiveOracle, LocalGate, LocalMeasure, Relabel, Relocate, apply_event
 
 import oracles
+from test_audit import REPLAY_N, random_trace
 
 
 def bell_pair_ensemble(party_a=1, party_b=1):
@@ -186,7 +187,8 @@ class TestPovm:
 
     def test_nan_probability_sum_rejected(self):
         ens, a, b = bell_pair_ensemble()
-        ens.branches[0].amplitudes[0] = np.nan
+        group, _ = ens.locate(a)
+        ens.branches[0].factors[group][0] = np.nan  # amplitudes is a copy; the factor is the state
         with pytest.raises(AssertionError, match="^POVM probabilities sum to nan$"):
             engine.measure_povm(ens, Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))), (a,))
 
@@ -356,7 +358,7 @@ class TestShannon:
 
 class TestBellTools:
     def test_bell_states_orthonormal(self):
-        vecs = gates.bell_states()
+        vecs = oracles.bell_states()
         labels = sorted(vecs)
         for i, li in enumerate(labels):
             for lj in labels[i:]:
@@ -364,7 +366,7 @@ class TestBellTools:
                 assert ip == pytest.approx(1.0 if li == lj else 0.0, abs=1e-12)
 
     def test_bell_measure_identifies_each_state(self):
-        for label, vec in gates.bell_states().items():
+        for label, vec in oracles.bell_states().items():
             ens = BranchEnsemble.vacuum()
             ens, ids = engine.allocate_qubits(ens, 1, 2)
             ens = BranchEnsemble.from_amplitudes(ids, vec)
@@ -489,6 +491,16 @@ class TestCoalesce:
                                             engine.Branch(0.5, np.array(second, dtype=complex))])
         assert len(engine.coalesce(two).branches) == (1 if merges else 2)
 
+    def test_branches_that_differ_in_a_later_factor_stay_apart(self):
+        # b is measured out of |+>, so the branches agree in every factor but b's
+        ens = BranchEnsemble.vacuum()
+        ens, (a,) = engine.allocate_qubits(ens, 1, 1, labels=("a",))
+        ens, (b,) = engine.allocate_qubits(ens, 1, 1, labels=("b",))
+        ens = engine.apply_gate(ens, Gate((b,), gates.HADAMARD))
+        ens, _ = engine.measure_computational(ens, (b,))
+        assert len(ens.groups) == 3 and ens.locate(b)[0] == 2
+        assert len(engine.coalesce(ens).branches) == 2
+
     def test_conditioning_without_a_record_is_rejected(self):
         ens, a, b = bell_pair_ensemble()
         with pytest.raises(ValueError, match="no outcome recorded"):
@@ -542,10 +554,11 @@ class TestBlockKernelAgainstMasks:
     def test_branch_norm_tolerance(self):
         """check() refuses a branch whose norm drifted by 1e-8 and accepts a drift of 1e-11."""
         ens = BranchEnsemble.from_amplitudes((QubitId(1, "a"),), [1.0, 0.0])
-        ens.branches[0].amplitudes[0] = 1 + 1e-8
+        [factor] = ens.branches[0].factors
+        factor[0] = 1 + 1e-8
         with pytest.raises(AssertionError, match="branch norm"):
             ens.check()
-        ens.branches[0].amplitudes[0] = 1 + 1e-11
+        factor[0] = 1 + 1e-11
         ens.check()
 
     def test_probability_sum_tolerance(self):
@@ -608,3 +621,55 @@ class TestRelabel:
         ens, a, b = bell_pair_ensemble(1, 2)
         with pytest.raises(ValueError, match="unknown target qubit"):
             engine.relabel_qubits(ens, {QubitId(1, "nowhere"): QubitId(1, "c")})
+
+
+class TestFactoredAgainstDense:
+    """The factored engine against ``oracles.DenseEnsemble``, event by event."""
+
+    @staticmethod
+    def assert_untouched_factors_shared(before, after, ev):
+        """Every factor of a group the event did not act on is the factor it was,
+        not a copy: a rename shares the branches whole, and any other event shares
+        the factors of the groups that hold none of its targets."""
+        if isinstance(ev, (CollectiveOracle, Relocate, Relabel)):
+            assert after.branches is before.branches
+            return
+        touched = set(ev.targets) if isinstance(ev, (LocalGate, LocalMeasure)) else set()
+        old = {frozenset(g): i for i, g in enumerate(before.groups)}
+        for j, group in enumerate(after.groups):
+            i = old.get(frozenset(group))
+            if i is not None and touched.isdisjoint(group):
+                was = {id(b.factors[i]) for b in before.branches}
+                assert all(id(b.factors[j]) in was for b in after.branches), (ev, group)
+
+    def assert_engines_agree(self, initial, events):
+        ens, dense = initial, oracles.DenseEnsemble(initial)
+        for step, ev in enumerate(events):
+            before = ens
+            ens, dist = apply_event(ens, ev)
+            want = dense.apply(ev)
+            assert ens.registry == tuple(dense.registry), step
+            assert len(ens.branches) == len(dense.branches), step
+            assert [b.record for b in ens.branches] == [record for _, _, record in dense.branches], step
+            for branch, (p, vec, _) in zip(ens.branches, dense.branches):
+                assert abs(branch.probability - p) <= 1e-12, step
+                assert abs(np.vdot(vec, branch.amplitudes)) ** 2 >= 1 - 1e-12, step
+            assert (dist is None) == (want is None), step
+            if dist is not None:
+                assert set(dist) == set(want) and all(abs(dist[k] - want[k]) <= 1e-12 for k in dist), step
+            assert [len(b.factors) for b in ens.branches] == [len(ens.groups)] * len(ens.branches)
+            assert sorted(q for g in ens.groups for q in g) == sorted(ens.registry)
+            self.assert_untouched_factors_shared(before, ens, ev)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_traces(self, data):
+        trace = random_trace(data)
+        self.assert_engines_agree(trace.initial, trace.events)
+
+    @pytest.mark.parametrize("protocol", cli.PROTOCOLS)
+    def test_protocol_runs(self, protocol):
+        run, _ = cli._simulate(protocol, REPLAY_N.get(protocol, 3), np.random.default_rng(7), 1,
+                               engine.DEFAULT_MAX_QUBITS)
+        self.assert_engines_agree(run.trace.initial, run.trace.events)
+
