@@ -79,12 +79,21 @@ MUTANTS = (
            (PROTOCOLS + "TestResourceBook::test_decoded_bits_are_booked_from_sender_to_receiver",
             AUDIT + "test_forged_trace_report_is_exact")),
     Mutant("dense-coding allowance of 3 bits", "src/ebitnet/audit.py",
-           "allowance = 2 * _across(", "allowance = 3 * _across(",
+           "allowance = 2 * _leaving(", "allowance = 3 * _leaving(",
            (AUDIT + "test_forged_trace_report_is_exact",
             AUDIT + "test_cut_checks_match_brute_force_reference")),
     Mutant("decodes into the cut counted as out of it", "src/ebitnet/audit.py",
            '(~cut, "into")', '(cut, "into")',
            (AUDIT + "test_forged_trace_report_is_exact",
+            AUDIT + "test_cut_checks_match_brute_force_reference")),
+    Mutant("an undirected book drops its reversed terms", "src/ebitnet/audit.py",
+           "terms.append((1 << b, 1 << a, num))", "pass",
+           (AUDIT + "test_cut_sums_match_the_cross_partition_oracle",
+            AUDIT + "test_forged_trace_report_is_exact",
+            AUDIT + "test_cut_checks_match_brute_force_reference")),
+    Mutant("book terms not scaled to the common denominator", "src/ebitnet/audit.py",
+           "num = v.numerator * (den // v.denominator)", "num = v.numerator",
+           (AUDIT + "test_cut_sums_match_the_cross_partition_oracle",
             AUDIT + "test_cut_checks_match_brute_force_reference")),
     Mutant("channel capacity reached counts as exceeded", "src/ebitnet/audit.py",
            "if bits > cap:", "if bits >= cap:",
@@ -137,7 +146,7 @@ MUTANTS = (
            "ENTROPY_TOL = 1e-9", "ENTROPY_TOL = 1e-6",
            (AUDIT + "test_monotone_tolerance",)),
     Mutant("held ebits not dropped on a consume", "src/ebitnet/audit.py",
-           "h - _spans(pair, cut)", "h - 0 * _spans(pair, cut)",
+           "h - den * _spans(pair, cut)", "h - 0 * den * _spans(pair, cut)",
            (AUDIT + "TestAuditCleanRuns::test_star_run_is_clean",
             AUDIT + "test_cross_party_relabel_report_is_exact")),
     Mutant("message bits coerced from any JSON value", "src/ebitnet/ledger.py",

@@ -16,6 +16,13 @@ Checks, per trace:
   across each cut) is checked to be non-increasing step by step, again
   excepting oracle and qubit-conveyance steps that span the cut.
 
+The cut sums are the program's one count of resources across a bipartition.
+Every book is put over one common denominator as integer (from-bit, to-bit,
+numerator) terms, an undirected book giving each pair in both directions, and
+``_leaving`` sums the terms that leave a side mask, only for the cuts a check
+runs on.  The checks compare integers; a violation's text prints them as
+fractions again, and the replay's held ebits divide them into floats.
+
 The replay follows the product groups of the state from the events alone
 (``ledger.regroup``, the walk that also checks a trace at load, by the
 grouping rule of the engine's factors): every branch is a product over
@@ -33,6 +40,7 @@ the parts it lacks in one batched call.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -96,12 +104,26 @@ def _spans(mask: int, cut: int) -> bool:
     return 0 != mask & cut != mask
 
 
-def _across(book: Mapping[tuple[int, int], Fraction], cut: int, directed: bool = False) -> Fraction:
-    """Sum ``book`` over the pairs crossing the cut; a directed book counts
-    only the pairs (from, to) leaving the side ``cut``."""
-    if directed:
-        return sum((v for (a, b), v in book.items() if cut >> a & ~cut >> b & 1), Fraction(0))
-    return sum((v for (a, b), v in book.items() if (cut >> a ^ cut >> b) & 1), Fraction(0))
+Terms = list[tuple[int, int, int]]
+
+
+def _terms(book: Mapping[tuple[int, int], Fraction], den: int, directed: bool) -> Terms:
+    """``book`` as integer (from-bit, to-bit, numerator) terms over the common
+    denominator ``den``; an undirected book gives each pair in both directions."""
+    terms = []
+    for (a, b), v in book.items():
+        num = v.numerator * (den // v.denominator)
+        terms.append((1 << a, 1 << b, num))
+        if not directed:
+            terms.append((1 << b, 1 << a, num))
+    return terms
+
+
+def _leaving(terms: Terms, side: int) -> int:
+    """The sum of the terms that leave the side mask ``side``: from a party in
+    it to one outside.  Over an undirected book's terms, this is the weight of
+    the pairs that cross the cut."""
+    return sum(num for a, b, num in terms if a & side and not b & side)
 
 
 def _joined(ev: Event) -> int:
@@ -289,40 +311,46 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
                 f"{bits} bits sent {a}->{b} exceed the declared capacity {cap}",
             ))
 
+    # every book over one denominator, so that each cut check compares integers
+    den = math.lcm(*(v.denominator for book in (granted, books.ebits_created, books.ebits_consumed,
+                                                books.bits_sent, books.bits_decoded) for v in book.values()))
+    shared, made, used = (_terms(book, den, directed=False)
+                          for book in (granted, books.ebits_created, books.ebits_consumed))
+    sent, decoded = (_terms(book, den, directed=True) for book in (books.bits_sent, books.bits_decoded))
+
     report.checks_run.append("cut-entanglement")
-    initial = [_across(granted, cut) for cut in cuts]
-    for cut, shared in zip(cuts, initial):
+    initial = [_leaving(shared, cut) for cut in cuts]
+    for cut, held in zip(cuts, initial):
         if cut in spanned_by_oracle or cut in spanned_by_conveyance:
             continue
-        made, used = _across(books.ebits_created, cut), _across(books.ebits_consumed, cut)
-        if made > used + shared:
+        created, consumed = _leaving(made, cut), _leaving(used, cut)
+        if created > consumed + held:
             report.violations.append(Violation(
                 "cut-entanglement",
-                f"cut {_parties(cut)}: {made} ebits created exceed {used} consumed "
-                f"+ {shared} initially shared",
+                f"cut {_parties(cut)}: {Fraction(created, den)} ebits created exceed "
+                f"{Fraction(consumed, den)} consumed + {Fraction(held, den)} initially shared",
             ))
 
     report.checks_run.append("cut-communication")
     for cut in cuts:
         if cut in spanned_by_oracle:
             continue
-        allowance = 2 * _across(books.ebits_consumed, cut)
+        allowance = 2 * _leaving(used, cut)
         for side, name in ((cut, "out of"), (~cut, "into")):
-            got = _across(books.bits_decoded, side, directed=True)
-            msg = _across(books.bits_sent, side, directed=True)
+            got, msg = _leaving(decoded, side), _leaving(sent, side)
             if got > msg + allowance:
                 report.violations.append(Violation(
                     "cut-communication",
-                    f"cut {_parties(cut)}: {got} bits decoded {name} the cut exceed "
-                    f"{msg} sent + dense-coding allowance {allowance}",
+                    f"cut {_parties(cut)}: {Fraction(got, den)} bits decoded {name} the cut exceed "
+                    f"{Fraction(msg, den)} sent + dense-coding allowance {Fraction(allowance, den)}",
                 ))
 
     # -- statevector replay -------------------------------------------------
     if replay and trace.initial is not None:
         report.checks_run.append("replay-monotonicity")
         report.replayed = True
-        held = initial  # ebits still held across each cut
-        remaining = [float(h) for h in held]
+        held = initial  # ebits still held across each cut, over den
+        remaining = [h / den for h in held]  # correctly rounded, as float(Fraction(h, den)) is
         groups = trace.initial.groups
         solved: Solved = {}
         last = [e + r for e, r in zip(_cut_entropies(trace.initial, groups, cuts, solved), remaining)]
@@ -333,8 +361,8 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
                 solved = _carry(solved, ev)
                 if isinstance(ev, EbitConsume):
                     pair = _mask(ev.pair)
-                    held = [h - _spans(pair, cut) for h, cut in zip(held, cuts)]
-                    remaining = [float(h) for h in held]
+                    held = [h - den * _spans(pair, cut) for h, cut in zip(held, cuts)]
+                    remaining = [h / den for h in held]
                 values = [e + r for e, r in zip(_cut_entropies(ens, groups, cuts, solved), remaining)]
                 for cut, value, previous in zip(cuts, values, last):
                     if value > previous + ENTROPY_TOL and not _spans(_joined(ev), cut):

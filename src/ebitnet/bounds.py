@@ -98,13 +98,6 @@ def comparison_predicates(n: int) -> ComparisonReport:
     )
 
 
-def min_teleportation_count(n: int) -> int:
-    """Fewest single-qubit teleportations that let every lab learn about all
-    others: 2(n-1)."""
-    _require_n(n)
-    return 2 * (n - 1)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """All bound figures for one party count, exact and cross-checked."""

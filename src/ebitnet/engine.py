@@ -166,10 +166,6 @@ class BranchEnsemble:
     def num_qubits(self) -> int:
         return len(self.registry)
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
-
     def parties(self) -> set[int]:
         return {q.party for q in self.registry}
 

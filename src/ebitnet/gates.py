@@ -96,16 +96,6 @@ def cnot_unitary() -> np.ndarray:
     return mat
 
 
-def bell_state(label: str) -> np.ndarray:
-    """Amplitudes of the Bell state with the given 2-bit label."""
-    if label not in BELL_ENCODERS:
-        raise ValueError(f"unknown Bell label {label!r}")
-    phi_plus = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
-    enc = BELL_ENCODERS[label]
-    # operator on the second qubit (bit 1): kron puts bit 0 last
-    return np.kron(enc, ID2) @ phi_plus
-
-
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -5,9 +5,15 @@ communication graphs are directed.  Symmetrising a graph sums it over all
 vertex permutations, yielding a regular complete graph whose single edge
 weight also follows from a closed form; both routes are kept so one can
 check the other.  All arithmetic is in fractions so factorial scalings
-and partition counts are exact; the explicit permutation sum runs on
-integers over the weights' common denominator (numpy int64, or Python ints
-where int64 could overflow), so it is exact too.
+are exact; the explicit permutation sum runs on integers over the weights'
+common denominator (numpy int64, or Python ints where int64 could
+overflow), so it is exact too.
+
+The weight a graph carries across a bipartition is counted by the audit's
+cut sums (``audit._leaving``), the program's one count of it.  The rest of
+the paper's calculus (partitions, cross-partition weights, expendable
+resources, the half-transfer and three-lab conditions) is test oracles, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,9 +41,8 @@ class GraphFormatError(ValueError):
 Weights = tuple[tuple[Fraction, ...], ...]
 
 
-def _to_weights(raw: Sequence[Sequence], n: int, where: str, signed: bool = False) -> Weights:
-    """``raw`` as an n x n matrix of Fractions with a zero diagonal; negative
-    cells only when ``signed``."""
+def _to_weights(raw: Sequence[Sequence], n: int, where: str) -> Weights:
+    """``raw`` as an n x n matrix of nonnegative Fractions with a zero diagonal."""
     if len(raw) != n:
         raise GraphFormatError(f"{where}: expected {n} rows, got {len(raw)}")
     rows = []
@@ -50,7 +55,7 @@ def _to_weights(raw: Sequence[Sequence], n: int, where: str, signed: bool = Fals
                 val = Fraction(cell)
             except (ValueError, TypeError, ZeroDivisionError, OverflowError):
                 raise GraphFormatError(f"{where}[{i}][{j}]: not a rational: {cell!r}") from None
-            if val < 0 and not signed:
+            if val < 0:
                 raise GraphFormatError(f"{where}[{i}][{j}]: negative weight {val}")
             out.append(val)
         rows.append(tuple(out))
@@ -98,50 +103,6 @@ class CommunicationGraph:
 
 
 Graph = EntanglementGraph | CommunicationGraph
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A bipartition of parties 1..n into two nonempty sides."""
-
-    n: int
-    side_a: frozenset[int]
-
-    def __post_init__(self):
-        side = frozenset(self.side_a)
-        object.__setattr__(self, "side_a", side)
-        universe = set(range(1, self.n + 1))
-        if not side or not side < universe:
-            raise ValueError(f"side {sorted(side)} is not a proper nonempty subset of 1..{self.n}")
-
-    @property
-    def side_b(self) -> frozenset[int]:
-        return frozenset(range(1, self.n + 1)) - self.side_a
-
-    @classmethod
-    def even_odd(cls, n: int) -> "Partition":
-        """Even-indexed parties on side a, odd-indexed on side b."""
-        return cls(n, frozenset(range(2, n + 1, 2)))
-
-
-@dataclass(frozen=True)
-class DeltaMatrix:
-    """Difference of target minus resource entanglement, pair by pair."""
-
-    n: int
-    entries: Weights
-
-    def __post_init__(self):
-        rows = _to_weights(self.entries, self.n, "delta", signed=True)
-        object.__setattr__(self, "entries", rows)
-        _check_symmetric(rows, "delta")
-
-
-def regular_complete(n: int, weight: int | Fraction, kind: str = "entanglement") -> Graph:
-    w = Fraction(weight)
-    mat = tuple(tuple(Fraction(0) if i == j else w for j in range(n)) for i in range(n))
-    cls = EntanglementGraph if kind == "entanglement" else CommunicationGraph
-    return cls(n, mat)
 
 
 def total_entanglement(g: EntanglementGraph) -> Fraction:
@@ -208,116 +169,6 @@ def symmetrised_edge_weight(kind: str, total: int | Fraction, n: int) -> Fractio
     if kind == "communication":
         return fact * total
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def cross_partition(g: Graph, partition: Partition, direction: str | None = None) -> Fraction:
-    """Resource weight crossing the partition.
-
-    For entanglement graphs: the ebits shared between the two sides.  For
-    communication graphs a direction is required: "a_to_b" or "b_to_a".
-    """
-    if partition.n != g.n:
-        raise ValueError("partition and graph disagree on the party count")
-    a, b = partition.side_a, partition.side_b
-    if isinstance(g, EntanglementGraph):
-        if direction is not None:
-            raise ValueError("direction applies to communication graphs only")
-        return sum((g.weight(i, j) for i in a for j in b), Fraction(0))
-    if direction == "a_to_b":
-        pairs = ((i, j) for i in a for j in b)
-    elif direction == "b_to_a":
-        pairs = ((j, i) for i in a for j in b)
-    else:
-        raise ValueError('communication graphs need direction "a_to_b" or "b_to_a"')
-    return sum((g.weight(i, j) for i, j in pairs), Fraction(0))
-
-
-def expendable_resources(g: Graph, gain_set: Iterable) -> Fraction:
-    """Total weight on edges outside the gaining set.
-
-    For entanglement graphs ``gain_set`` holds unordered pairs (frozensets);
-    both matrix orders of a non-gaining edge are summed and halved.  For
-    communication graphs it holds ordered (sender, receiver) tuples.
-    """
-    gain = set(gain_set)
-    undirected = isinstance(g, EntanglementGraph)
-    edge = frozenset if undirected else tuple
-    total = sum((g.weight(i, j) for i, j in itertools.permutations(range(1, g.n + 1), 2)
-                 if edge((i, j)) not in gain), Fraction(0))
-    return total / 2 if undirected else total
-
-
-@dataclass(frozen=True)
-class HalfTransferCheck:
-    satisfied: bool
-    slack: Fraction           # expendable/2 - (created - direct); >= 0 when satisfied
-    created: Fraction
-    direct: Fraction          # resource already sitting on the gaining edges
-    expendable: Fraction
-
-
-def half_transfer_check(edge_weight: int | Fraction, n: int, created: int | Fraction,
-                        kind: str = "entanglement") -> HalfTransferCheck:
-    """Check that the resource gain stays within half of the expendable pool.
-
-    Assumes a regular complete graph of the given edge weight and the
-    pairwise-swap gaining pattern on an even number of parties: the gain
-    beyond what the gaining edges already carry must not exceed half the
-    weight on all other edges.
-    """
-    if n < 2 or n % 2:
-        raise ValueError("the pairwise-swap pattern needs an even party count")
-    w = Fraction(edge_weight)
-    created = Fraction(created)
-    direct = Fraction(n) * w / 2
-    if kind == "entanglement":
-        expendable = Fraction(n * n - 2 * n) * w / 2
-    elif kind == "communication":
-        expendable = Fraction(n * n - 2 * n) * w
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    slack = expendable / 2 - (created - direct)
-    return HalfTransferCheck(slack >= 0, slack, created, direct, expendable)
-
-
-@dataclass(frozen=True)
-class DeltaVerdict:
-    row_sums_ok: bool            # no lab's total shared entanglement grew
-    single_gain_ok: bool         # at most one pair gained
-    half_loss_ok: bool | None    # gain <= half of total loss (None if nothing gained)
-    half_loss_slack: Fraction | None
-    gaining_pair: tuple[int, int] | None
-
-    @property
-    def all_hold(self) -> bool:
-        return self.row_sums_ok and self.single_gain_ok and self.half_loss_ok is not False
-
-
-def delta_three_lab_bound(delta: DeltaMatrix) -> DeltaVerdict:
-    """Three-lab entanglement-transfer conditions on a difference matrix.
-
-    (a) every row sums to at most zero, (b) at most one off-diagonal pair is
-    positive, and (c) that pair's gain is at most half the loss on the other
-    two pairs.  The classic entanglement-swapping difference meets (c) with
-    equality.
-    """
-    if delta.n != 3:
-        raise ValueError("this bound is specific to 3 laboratories")
-    e = delta.entries
-    row_sums_ok = all(sum(e[i]) <= 0 for i in range(3))
-    positive = [(i, j) for i in range(3) for j in range(i + 1, 3) if e[i][j] > 0]
-    single_gain_ok = len(positive) <= 1
-    half_loss_ok: bool | None = None
-    slack: Fraction | None = None
-    gaining: tuple[int, int] | None = None
-    if len(positive) == 1:
-        i, j = positive[0]
-        k = 3 - i - j
-        gaining = (i + 1, j + 1)
-        loss = abs(e[i][k] + e[j][k])
-        slack = loss / 2 - e[i][j]
-        half_loss_ok = slack >= 0
-    return DeltaVerdict(row_sums_ok, single_gain_ok, half_loss_ok, slack, gaining)
 
 
 # --------------------------------------------------------------------------

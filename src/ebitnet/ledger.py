@@ -530,6 +530,14 @@ _str = _exactly(str, what="a string")
 _number = _exactly(int, float, what="a number")
 
 
+def _float(raw) -> float:
+    """A JSON number as a float; an integer too large for one is a ValueError."""
+    try:
+        return float(_number(raw))
+    except OverflowError:
+        raise ValueError(f"an integer of {len(str(raw))} digits is too large for a float") from None
+
+
 def _fraction(raw) -> Fraction:
     """An exact amount written as a string such as "2" or "7/2"."""
     try:
@@ -576,7 +584,7 @@ _CODECS = {
         lambda cases: {k: _complex_out(m) for k, m in cases},
         lambda raw, n: tuple(sorted((str(k), _complex_in(m)) for k, m in raw.items()))),
     "tuple[tuple[str, float], ...]": (
-        dict, lambda raw, n: tuple(sorted((k, float(_number(v))) for k, v in raw.items()))),
+        dict, lambda raw, n: tuple(sorted((k, _float(v)) for k, v in raw.items()))),
 }
 _KINDS = {
     Allocate: "allocate", EbitConsume: "ebit_consume", EbitCreate: "ebit_create",
@@ -638,7 +646,7 @@ def _header_trace(rec: Mapping) -> ProtocolTrace:
     registry = _REGISTRY_IN(rec["registry"], n_parties)
     if len(set(registry)) != len(registry):
         raise ValueError("registry contains duplicate qubit ids")
-    raw = [(float(_number(b["p"])), _complex_in(b["amplitudes"])) for b in rec["branches"]]
+    raw = [(_float(b["p"]), _complex_in(b["amplitudes"])) for b in rec["branches"]]
     if not all(p >= 0 for p, _ in raw):  # negated so that a NaN fails
         raise ValueError(f"branch probabilities must not be negative, got {[p for p, _ in raw]}")
     if any(vec.shape != (1 << len(registry),) for _, vec in raw):

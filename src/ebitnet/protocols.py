@@ -221,11 +221,6 @@ def superdense_send(run: ProtocolRun, sender: int, receiver: int, message: str) 
     return decoded
 
 
-def supplementary_information(povm: Povm, ensemble: BranchEnsemble, targets: Sequence[QubitId]) -> float:
-    """Bits a recorded measurement generates: Shannon entropy of its outcomes."""
-    return engine.shannon_entropy(engine.measure_povm(ensemble, povm, targets))
-
-
 def _apply_collective(run: ProtocolRun, op: CollectiveOp, at: int, targets: Sequence[QubitId],
                       inform: Sequence[int]) -> None:
     """Apply the collective op locally at ``at``: a permutation as a one-party

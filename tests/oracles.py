@@ -10,14 +10,22 @@
   unitaries around an operator and take them off again, so a test can run a
   locally dressed permutation through ``CollectiveOp(unitary=...)`` and recover it.
 - ``min_teleportation_search`` is the exhaustive schedule search behind the
-  closed form ``bounds.min_teleportation_count`` = 2(n-1).
-- ``rederive_lower_bounds`` recomputes ``bounds.lower_bounds`` through the graph
-  machinery (partitions, cross-partition weights, symmetrised edge weights).
+  closed form 2(n-1), the ebit count ``bounds.teleport_resources(n)[0]`` of the
+  hub protocol, one ebit per teleportation.
+- The paper's resource-graph calculus on frozenset partitions: ``Partition``,
+  ``regular_complete``, ``cross_partition``, ``expendable_resources``,
+  ``half_transfer_check`` and, on a signed ``DeltaMatrix``, the three-lab
+  conditions ``delta_three_lab_bound``.  ``cross_partition`` is the brute-force
+  oracle for the audit's integer cut sums (``audit._terms`` and
+  ``audit._leaving``), the program's one count across a bipartition.
+- ``rederive_lower_bounds`` recomputes ``bounds.lower_bounds`` through that
+  calculus (partitions, cross-partition weights, symmetrised edge weights).
 - ``permutation_gain_edges`` lists the edges a permutation gains on, from which
-  the tests rebuild ``graphs.expendable_resources`` and
-  ``bounds.half_transfer_bounds``.
-- ``bell_states`` lists the four Bell states by label, the basis
-  ``engine.bell_measure`` reads out.
+  the tests rebuild ``expendable_resources`` and ``bounds.half_transfer_bounds``.
+- ``bell_state`` gives a Bell state's amplitudes by label, and ``bell_states``
+  all four, the basis ``engine.bell_measure`` reads out.
+- ``supplementary_information`` is the Shannon entropy of a POVM's outcomes,
+  which ``protocols`` books as supplementary bits.
 - ``DenseEnsemble`` runs trace events on one dense 2^k vector per branch, as
   the engine did before it kept each branch as a product of factors: kron on
   allocation, one tensordot over the whole vector per gate, index masks per
@@ -25,15 +33,17 @@
   event.
 """
 
+import itertools
 import math
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from ebitnet import gates, graphs, ledger
+from ebitnet import engine, gates, graphs, ledger
 from ebitnet.gates import Permutation
 from ebitnet.ledger import Allocate, Coalesce, CollectiveOracle, EbitConsume, LocalGate, LocalMeasure, Relabel, Relocate
 
@@ -64,9 +74,23 @@ def ps_cp_unitary(n: int) -> np.ndarray:
     return permutation_unitary(gates.ps_cp_permutation(n))
 
 
+def bell_state(label: str) -> np.ndarray:
+    """Amplitudes of the Bell state with the given 2-bit label."""
+    if label not in gates.BELL_ENCODERS:
+        raise ValueError(f"unknown Bell label {label!r}")
+    phi_plus = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
+    # operator on the second qubit (bit 1): kron puts bit 0 last
+    return np.kron(gates.BELL_ENCODERS[label], gates.ID2) @ phi_plus
+
+
 def bell_states() -> dict[str, np.ndarray]:
     """The four Bell states by label, the basis ``engine.bell_measure`` reads out."""
-    return {label: gates.bell_state(label) for label in ("00", "01", "10", "11")}
+    return {label: bell_state(label) for label in ("00", "01", "10", "11")}
+
+
+def supplementary_information(povm, ensemble, targets) -> float:
+    """Bits a recorded measurement generates: Shannon entropy of its outcomes."""
+    return engine.shannon_entropy(engine.measure_povm(ensemble, povm, targets))
 
 
 def tensor_each(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -138,10 +162,10 @@ def rederive_lower_bounds(n: int) -> tuple[Fraction, Fraction]:
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    part = graphs.Partition.even_odd(n)
+    part = Partition.even_odd(n)
     created = Fraction(math.factorial(n)) * (n if n % 2 == 0 else n - 1)
-    unit_e = graphs.cross_partition(graphs.regular_complete(n, 1, "entanglement"), part)
-    unit_c = graphs.cross_partition(graphs.regular_complete(n, 1, "communication"), part, "a_to_b")
+    unit_e = cross_partition(regular_complete(n, 1, "entanglement"), part)
+    unit_c = cross_partition(regular_complete(n, 1, "communication"), part, "a_to_b")
     e_min = created / unit_e
     c_min = created / unit_c
     scale_e = graphs.symmetrised_edge_weight("entanglement", 1, n)
@@ -159,6 +183,177 @@ def permutation_gain_edges(mapping: Sequence[int], kind: str) -> set:
     if kind == "communication":
         return {(i, mapping[i - 1]) for i in range(1, n + 1)}
     raise ValueError(f"unknown kind {kind!r}")
+
+
+# -- the resource-graph calculus of the paper, on frozenset partitions ---------
+
+
+@dataclass(frozen=True)
+class Partition:
+    """A bipartition of parties 1..n into two nonempty sides."""
+
+    n: int
+    side_a: frozenset[int]
+
+    def __post_init__(self):
+        side = frozenset(self.side_a)
+        object.__setattr__(self, "side_a", side)
+        universe = set(range(1, self.n + 1))
+        if not side or not side < universe:
+            raise ValueError(f"side {sorted(side)} is not a proper nonempty subset of 1..{self.n}")
+
+    @property
+    def side_b(self) -> frozenset[int]:
+        return frozenset(range(1, self.n + 1)) - self.side_a
+
+    @classmethod
+    def even_odd(cls, n: int) -> "Partition":
+        """Even-indexed parties on side a, odd-indexed on side b."""
+        return cls(n, frozenset(range(2, n + 1, 2)))
+
+
+@dataclass(frozen=True)
+class DeltaMatrix:
+    """Difference of target minus resource entanglement, pair by pair: a
+    symmetric n x n matrix of rationals of either sign with a zero diagonal."""
+
+    n: int
+    entries: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        if len(self.entries) != self.n or any(len(row) != self.n for row in self.entries):
+            raise graphs.GraphFormatError(f"delta: expected {self.n} rows of {self.n} entries")
+        rows = []
+        for i, row in enumerate(self.entries):
+            out = []
+            for j, cell in enumerate(row):
+                try:
+                    out.append(Fraction(cell))
+                except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+                    raise graphs.GraphFormatError(f"delta[{i}][{j}]: not a rational: {cell!r}") from None
+            rows.append(tuple(out))
+        if any(rows[i][i] for i in range(self.n)):
+            raise graphs.GraphFormatError("delta: diagonal must be zero")
+        graphs._check_symmetric(rows, "delta")
+        object.__setattr__(self, "entries", tuple(rows))
+
+
+def regular_complete(n: int, weight: int | Fraction, kind: str = "entanglement") -> graphs.Graph:
+    w = Fraction(weight)
+    mat = tuple(tuple(Fraction(0) if i == j else w for j in range(n)) for i in range(n))
+    cls = graphs.EntanglementGraph if kind == "entanglement" else graphs.CommunicationGraph
+    return cls(n, mat)
+
+
+def cross_partition(g: graphs.Graph, partition: Partition, direction: str | None = None) -> Fraction:
+    """Resource weight crossing the partition: the brute-force oracle for the
+    audit's cut sums (``audit._leaving``).
+
+    For entanglement graphs: the ebits shared between the two sides.  For
+    communication graphs a direction is required: "a_to_b" or "b_to_a".
+    """
+    if partition.n != g.n:
+        raise ValueError("partition and graph disagree on the party count")
+    a, b = partition.side_a, partition.side_b
+    if isinstance(g, graphs.EntanglementGraph):
+        if direction is not None:
+            raise ValueError("direction applies to communication graphs only")
+        return sum((g.weight(i, j) for i in a for j in b), Fraction(0))
+    if direction == "a_to_b":
+        pairs = ((i, j) for i in a for j in b)
+    elif direction == "b_to_a":
+        pairs = ((j, i) for i in a for j in b)
+    else:
+        raise ValueError('communication graphs need direction "a_to_b" or "b_to_a"')
+    return sum((g.weight(i, j) for i, j in pairs), Fraction(0))
+
+
+def expendable_resources(g: graphs.Graph, gain_set: Iterable) -> Fraction:
+    """Total weight on edges outside the gaining set.
+
+    For entanglement graphs ``gain_set`` holds unordered pairs (frozensets);
+    both matrix orders of a non-gaining edge are summed and halved.  For
+    communication graphs it holds ordered (sender, receiver) tuples.
+    """
+    gain = set(gain_set)
+    undirected = isinstance(g, graphs.EntanglementGraph)
+    edge = frozenset if undirected else tuple
+    total = sum((g.weight(i, j) for i, j in itertools.permutations(range(1, g.n + 1), 2)
+                 if edge((i, j)) not in gain), Fraction(0))
+    return total / 2 if undirected else total
+
+
+@dataclass(frozen=True)
+class HalfTransferCheck:
+    satisfied: bool
+    slack: Fraction           # expendable/2 - (created - direct); >= 0 when satisfied
+    created: Fraction
+    direct: Fraction          # resource already sitting on the gaining edges
+    expendable: Fraction
+
+
+def half_transfer_check(edge_weight: int | Fraction, n: int, created: int | Fraction,
+                        kind: str = "entanglement") -> HalfTransferCheck:
+    """Check that the resource gain stays within half of the expendable pool.
+
+    Assumes a regular complete graph of the given edge weight and the
+    pairwise-swap gaining pattern on an even number of parties: the gain
+    beyond what the gaining edges already carry must not exceed half the
+    weight on all other edges.
+    """
+    if n < 2 or n % 2:
+        raise ValueError("the pairwise-swap pattern needs an even party count")
+    w = Fraction(edge_weight)
+    created = Fraction(created)
+    direct = Fraction(n) * w / 2
+    if kind == "entanglement":
+        expendable = Fraction(n * n - 2 * n) * w / 2
+    elif kind == "communication":
+        expendable = Fraction(n * n - 2 * n) * w
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    slack = expendable / 2 - (created - direct)
+    return HalfTransferCheck(slack >= 0, slack, created, direct, expendable)
+
+
+@dataclass(frozen=True)
+class DeltaVerdict:
+    row_sums_ok: bool            # no lab's total shared entanglement grew
+    single_gain_ok: bool         # at most one pair gained
+    half_loss_ok: bool | None    # gain <= half of total loss (None if nothing gained)
+    half_loss_slack: Fraction | None
+    gaining_pair: tuple[int, int] | None
+
+    @property
+    def all_hold(self) -> bool:
+        return self.row_sums_ok and self.single_gain_ok and self.half_loss_ok is not False
+
+
+def delta_three_lab_bound(delta: DeltaMatrix) -> DeltaVerdict:
+    """Three-lab entanglement-transfer conditions on a difference matrix.
+
+    (a) every row sums to at most zero, (b) at most one off-diagonal pair is
+    positive, and (c) that pair's gain is at most half the loss on the other
+    two pairs.  The classic entanglement-swapping difference meets (c) with
+    equality.
+    """
+    if delta.n != 3:
+        raise ValueError("this bound is specific to 3 laboratories")
+    e = delta.entries
+    row_sums_ok = all(sum(e[i]) <= 0 for i in range(3))
+    positive = [(i, j) for i in range(3) for j in range(i + 1, 3) if e[i][j] > 0]
+    single_gain_ok = len(positive) <= 1
+    half_loss_ok: bool | None = None
+    slack: Fraction | None = None
+    gaining: tuple[int, int] | None = None
+    if len(positive) == 1:
+        i, j = positive[0]
+        k = 3 - i - j
+        gaining = (i + 1, j + 1)
+        loss = abs(e[i][k] + e[j][k])
+        slack = loss / 2 - e[i][j]
+        half_loss_ok = slack >= 0
+    return DeltaVerdict(row_sums_ok, single_gain_ok, half_loss_ok, slack, gaining)
 
 
 # CNOT from the first qubit (bit 0), then a Hadamard on it: Bell state "ab" to basis state "ab"

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +32,8 @@ from ebitnet.ledger import (
     dump_trace,
     load_trace,
 )
+
+import oracles
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -586,6 +589,49 @@ def test_cut_checks_match_brute_force_reference(case):
     report = audit.audit_trace(ProtocolTrace(n, events=events), graphs.GraphBundle(n, ent, comm), replay=False)
     assert report.checks_run == STATIC_CHECKS
     assert [(v.check, v.detail, v.step) for v in report.violations] == reference_violations(n, ent, comm, events)
+
+
+# a graph cell: an integer of up to CELL_MAX_CHARS digits, or "p/q" of up to CELL_MAX_CHARS characters
+cells = st.one_of(
+    st.integers(min_value=0, max_value=10**graphs.CELL_MAX_CHARS - 1).map(str),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(min_value=0, max_value=10**31 - 1),
+              st.integers(min_value=1, max_value=10**32 - 1)),
+)
+
+
+@st.composite
+def rational_books(draw):
+    """A party count and entanglement and communication graphs read from a graph
+    file whose cells are drawn from ``cells``, with zero cells mixed in."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    cell = st.one_of(st.just("0"), cells)
+    ent = [["0"] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        ent[i][j] = ent[j][i] = draw(cell)
+    comm = [["0" if i == j else draw(cell) for j in range(n)] for i in range(n)]
+    assert max(len(c) for row in ent + comm for c in row) <= graphs.CELL_MAX_CHARS
+    bundle = graphs.import_json(json.dumps({"n": n, "entanglement": ent, "communication": comm}))
+    return n, bundle.entanglement, bundle.communication
+
+
+@given(rational_books())
+@settings(max_examples=100, deadline=None)
+def test_cut_sums_match_the_cross_partition_oracle(case):
+    """The audit's integer cut sums over one common denominator, against the
+    frozenset oracle: an undirected book across each cut, a directed one out of
+    the side of party 1 and into it."""
+    n, ent, comm = case
+    parties = range(1, n + 1)
+    undirected = audit._nonzero(ent, itertools.combinations(parties, 2))
+    directed = audit._nonzero(comm, itertools.permutations(parties, 2))
+    den = math.lcm(*(v.denominator for v in (*undirected.values(), *directed.values())))
+    shared = audit._terms(undirected, den, directed=False)
+    sent = audit._terms(directed, den, directed=True)
+    for cut in audit._Cuts(n):
+        part = oracles.Partition(n, frozenset(audit._parties(cut)))
+        assert Fraction(audit._leaving(shared, cut), den) == oracles.cross_partition(ent, part)
+        assert Fraction(audit._leaving(sent, cut), den) == oracles.cross_partition(comm, part, "a_to_b")
+        assert Fraction(audit._leaving(sent, ~cut), den) == oracles.cross_partition(comm, part, "b_to_a")
 
 
 class TestComposition:

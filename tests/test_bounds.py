@@ -37,8 +37,7 @@ class TestClosedForms:
         assert bounds.lower_bounds(n) == (e, c)
 
     def test_small_n_rejected(self):
-        for fn in (bounds.teleport_resources, bounds.distillation_caps, bounds.lower_bounds,
-                   bounds.min_teleportation_count):
+        for fn in (bounds.teleport_resources, bounds.distillation_caps, bounds.lower_bounds):
             with pytest.raises(ValueError):
                 fn(1)
 
@@ -136,11 +135,12 @@ class TestComparisonPredicates:
 class TestTeleportationCount:
     @pytest.mark.parametrize("n,count", [(2, 2), (3, 4), (5, 8)])
     def test_formula(self, n, count):
-        assert bounds.min_teleportation_count(n) == count
+        # one ebit per teleportation: the count is the protocol's ebit total
+        assert bounds.teleport_resources(n)[0] == count
 
     def test_search_matches_formula(self):
         for n in (2, 3, 4):
-            assert oracles.min_teleportation_search(n) == 2 * (n - 1)
+            assert oracles.min_teleportation_search(n) == bounds.teleport_resources(n)[0]
 
     def test_search_cap(self):
         with pytest.raises(ValueError):
@@ -162,9 +162,9 @@ class TestRederivation:
         from ebitnet.gates import ps_cp_permutation
 
         gain = oracles.permutation_gain_edges(ps_cp_permutation(n).mapping, "entanglement")
-        unit = graphs.regular_complete(n, 1, "entanglement")
+        unit = oracles.regular_complete(n, 1, "entanglement")
         direct_per_e = Fraction(len(gain))          # gaining edges hold e each
-        expendable_per_e = graphs.expendable_resources(unit, gain)
+        expendable_per_e = oracles.expendable_resources(unit, gain)
         created = Fraction(math.factorial(n) * n)
         e_min = created / (direct_per_e + expendable_per_e / 2)
         scale = graphs.symmetrised_edge_weight("entanglement", 1, n)

@@ -78,7 +78,7 @@ class TestGates:
     def test_x_on_second_qubit_of_phi_plus(self):
         ens, a, b = bell_pair_ensemble()
         ens = engine.apply_gate(ens, Gate((b,), gates.PAULI_X))
-        assert np.allclose(ens.branches[0].amplitudes, gates.bell_state("01"))
+        assert np.allclose(ens.branches[0].amplitudes, oracles.bell_state("01"))
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -226,7 +226,7 @@ class TestReducedDensity:
     def test_whole_system_rank_one(self):
         ens, a, b = bell_pair_ensemble()
         rho = engine.reduced_density(ens, (a, b))
-        phi = gates.bell_state("00")
+        phi = oracles.bell_state("00")
         assert np.allclose(rho, np.outer(phi, phi.conj()))
         assert abs(np.trace(rho) - 1) < 1e-10
 
@@ -383,7 +383,7 @@ class TestBellTools:
         ens, a, b = bell_pair_ensemble()
         ens, dist = engine.bell_measure(ens, (a, b))
         assert dist == {"00": pytest.approx(1.0)}
-        assert np.allclose(ens.branches[0].amplitudes, gates.bell_state("00"))
+        assert np.allclose(ens.branches[0].amplitudes, oracles.bell_state("00"))
 
 
 class TestEmbeddingOracle:

@@ -69,7 +69,7 @@ class TestTeleport:
         ens = run.ensemble
         ens, (a,) = engine.allocate_qubits(ens, 1, 1, labels=("h1",))
         ens, (b,) = engine.allocate_qubits(ens, 1, 1, labels=("h2",))
-        ens = BranchEnsemble.from_amplitudes((a, b), gates.bell_state("00"))
+        ens = BranchEnsemble.from_amplitudes((a, b), oracles.bell_state("00"))
         run.ensemble = ens
         run.ledger.grant(1, 2, 1)
         run.snapshot_initial()
@@ -334,7 +334,7 @@ class TestPermutationEntangle:
         assert result.created == {(1, 2): 2, (3, 4): 2}
         for a, b in result.pair_qubits:
             rho = engine.reduced_density(result.run.ensemble, [a, b])
-            phi = gates.bell_state("00")
+            phi = oracles.bell_state("00")
             assert float(np.real(phi.conj() @ rho @ phi)) == pytest.approx(1.0, abs=1e-9)
 
     def test_every_lab_cut_carries_two_ebits(self):
@@ -412,19 +412,19 @@ class TestSupplementaryInformation:
         ens = BranchEnsemble.from_amplitudes(ids, gates.random_state(4, rng))
         for m in (2, 4, 8):
             povm = Povm(tuple(np.eye(4) / m for _ in range(m)))
-            assert protocols.supplementary_information(povm, ens, ids) == pytest.approx(math.log2(m))
+            assert oracles.supplementary_information(povm, ens, ids) == pytest.approx(math.log2(m))
 
     def test_projective_on_eigenstate_zero(self):
         ens = engine.BranchEnsemble.vacuum()
         ens, (a,) = engine.allocate_qubits(ens, 1, 1, init="1")
         povm = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-        assert protocols.supplementary_information(povm, ens, (a,)) == pytest.approx(0.0)
+        assert oracles.supplementary_information(povm, ens, (a,)) == pytest.approx(0.0)
 
     def test_two_outcome_uniform_one_bit(self):
         ens = engine.BranchEnsemble.vacuum()
         ens, (a,) = engine.allocate_qubits(ens, 1, 1)
         povm = Povm((np.eye(2) / 2, np.eye(2) / 2))
-        assert protocols.supplementary_information(povm, ens, (a,)) == pytest.approx(1.0)
+        assert oracles.supplementary_information(povm, ens, (a,)) == pytest.approx(1.0)
 
 
 class TestLedgerInvariants:

@@ -123,6 +123,7 @@ HEADER_FAULTS = {
     "negative-p": _negative_p,
     "string-p": lambda h: h["branches"][0].update(p="1.0"),
     "bool-p": lambda h: h["branches"][0].update(p=True),
+    "p-too-large-for-a-float": lambda h: h["branches"][0].update(p=10**400),
     "string-amplitudes": _string_amplitudes,
     "registry-over-cap": lambda h: h.update(max_qubits=2),
     "float-max_qubits": lambda h: h.update(max_qubits=30.7),
@@ -232,6 +233,8 @@ def test_out_of_range_party_is_rejected_with_its_line(kind, key, value):
      "discard": False, "index": 1, "distribution": {"0": 1.0}, "povm": "Z"},
     {"kind": "local_gate", "party": 2, "targets": [[2, "q2"]], "matrix": [[["1.0", "0.0"], ["0.0", "0.0"]],
                                                                           [["0.0", "0.0"], ["1.0", "0.0"]]]},
+    {"kind": "local_measure", "party": 2, "targets": [[2, "q2"]], "basis": "computational",
+     "discard": False, "index": 1, "distribution": {"0": 10**400, "1": 0.5}},
 ], ids=["no-matrix-or-cases", "three-qubit-ebit", "matrix-not-pairs", "distribution-not-object", "not-object",
         "init-22", "init-too-short", "allocate-nothing", "unknown-basis", "gate-1x1", "case-1x1",
         "oracle-2x2-on-two", "message-to-self", "negative-message", "decode-from-self", "negative-decode",
@@ -243,7 +246,7 @@ def test_out_of_range_party_is_rejected_with_its_line(kind, key, value):
         "conditional-on-string", "pair-float-party", "qubit-float-party", "bits-float", "bits-integer",
         "bits-divide-by-zero", "payload-integer", "init-integer", "label-integer", "distribution-strings",
         "distribution-bool", "gate-not-unitary", "gate-nan", "case-not-unitary", "allocate-off-party",
-        "bell-with-elements", "povm-string", "gate-strings"])
+        "bell-with-elements", "povm-string", "gate-strings", "distribution-too-large-for-a-float"])
 def test_malformed_event_is_rejected_with_its_line(record):
     records = golden_records()[:3] + [record]
     with pytest.raises(ValueError, match=r"^trace line 4: "):
@@ -343,6 +346,13 @@ def _string_distribution(records):
     """The first measurement's outcome probabilities written as JSON strings."""
     measure = next(r for r in records if r["kind"] == "local_measure")
     measure["distribution"] = {k: str(v) for k, v in measure["distribution"].items()}
+
+
+def _huge_distribution(records):
+    """The first measurement's first outcome probability written as a 401-digit JSON integer,
+    which no float holds."""
+    measure = next(r for r in records if r["kind"] == "local_measure")
+    measure["distribution"][min(measure["distribution"])] = 10**400
 
 
 def _nan_in_gate(cases: bool):
@@ -486,6 +496,8 @@ CLI_BASE64_FAULTS = ("c128-truncated", "c128-one-entry-more", "c128-non-canonica
     (_first("message", "bits", 2), 4),
     (_first("message", "bits", "1/0"), 4),
     (_string_distribution, 3),
+    (_huge_distribution, 3),
+    (lambda records: records[0]["branches"][0].update(p=10**400), 1),
     (_nan_in_gate(cases=True), 5),
     (_nan_in_gate(cases=False), 14),
     (lambda records: _nan_amplitude_base64(records[0]), 1),
@@ -493,7 +505,7 @@ CLI_BASE64_FAULTS = ("c128-truncated", "c128-one-entry-more", "c128-non-canonica
    ids=["no-n_parties", "truncated-amplitudes", "negative-p", "pair-1-7", "pair-1-3", "forged-oracle",
         "relabel-nowhere", "allocate-existing", "max-qubits-2", "max-qubits-4", "max-qubits-30.7", "format-1", "party-2.5",
         "party-string", "party-true", "discard-string", "to-1.9", "bits-0.1", "bits-2", "bits-1/0",
-        "distribution-strings", "case-nan", "gate-nan", "nan-amplitude-base64", *CLI_BASE64_FAULTS])
+        "distribution-strings", "distribution-too-large-for-a-float", "p-too-large-for-a-float", "case-nan", "gate-nan", "nan-amplitude-base64", *CLI_BASE64_FAULTS])
 @pytest.mark.parametrize("flags", [[], ["--no-replay"]], ids=["replay", "no-replay"])
 def test_audit_of_malformed_trace_exits_two_without_traceback(tmp_path, capsys, mutate, line, flags):
     # in process, an exception that escapes cli.main fails the test
