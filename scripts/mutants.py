@@ -186,7 +186,7 @@ MUTANTS = (
     Mutant("a Bell record may name 3 targets", "src/ebitnet/ledger.py",
            'if self.basis == "bell" and len(self.targets) != 2:', "if False:",
            (CODEC + "test_audit_of_malformed_golden_trace_exits_two_with_its_line[no-replay-bell-on-three]",)),
-    # the registry walk of ledger.regroup, which the load and the replay share
+    # the registry walk of ledger.track_ids at load
     Mutant("an unknown qubit passes the load walk", "src/ebitnet/ledger.py",
            "if q not in ids:", "if False:",
            (CODEC + "test_malformed_event_is_rejected_with_its_line[relabel-unknown-qubit]",
@@ -195,51 +195,50 @@ MUTANTS = (
            "if q in ids:", "if False:",
            (CODEC + "test_malformed_event_is_rejected_with_its_line[allocate-existing-qubit]",
             CODEC + "test_audit_of_malformed_trace_exits_two_without_traceback[no-replay-allocate-existing]")),
-    # the product groups of that walk, one row per rule; the engine's factors keep the rule, so the
-    # walk and the replayed ensemble part ways
-    Mutant("a gate joins no groups", "src/ebitnet/ledger.py",
-           'joins = isinstance(event, LocalGate) or (isinstance(event, LocalMeasure) and event.basis == "bell")',
-           'joins = isinstance(event, LocalMeasure) and event.basis == "bell"',
+    # the product groups at the engine's product_groups call sites, one row per rule; the replay
+    # reads the groups from the ensemble, so its cuts are valued on groups that miss the factors
+    Mutant("a gate joins no groups", "src/ebitnet/engine.py",
+           "groups, sources = product_groups(ensemble.groups, joined=joined)",
+           "groups, sources = product_groups(ensemble.groups)",
            (SERIES + "[perm-entangle]", SERIES + "[swap-entangle]")),
-    Mutant("a Bell measurement joins no groups", "src/ebitnet/ledger.py",
-           'joins = isinstance(event, LocalGate) or (isinstance(event, LocalMeasure) and event.basis == "bell")',
-           "joins = isinstance(event, LocalGate)",
+    Mutant("a Bell measurement skips the join of its pair's groups and its basis change", "src/ebitnet/engine.py",
+           "ens = _evolve(ensemble, pair, lambda branch: _BELL_BASIS_CHANGE)", "ens = ensemble",
            (SERIES + "[star-op]", AUDIT + "TestAuditCleanRuns::test_star_run_is_clean")),
-    Mutant("discarded qubits stay in their group", "src/ebitnet/ledger.py",
-           "discarded=targets if removed else frozenset())", "discarded=frozenset())",
+    Mutant("discarded qubits stay in their group", "src/ebitnet/engine.py",
+           "discarded=gone if discard else frozenset())", "discarded=frozenset())",
            (SERIES + "[star-op]",
             AUDIT + "test_monotone_values_every_cut_at_every_step_and_solves_only_after_state_changes")),
-    Mutant("a consumed pair split into two groups", "src/ebitnet/ledger.py",
-           "product_groups(groups, added=[added])", "product_groups(groups, added=[(q,) for q in added])",
+    Mutant("a consumed pair split into two groups", "src/ebitnet/engine.py",
+           "product_groups(ensemble.groups, added=new_groups)",
+           "product_groups(ensemble.groups, added=[(q,) for group in new_groups for q in group])",
            (SERIES + "[teleport]", SERIES + "[perm-comm]")),
-    Mutant("relabels, relocations and oracles rename no group member", "src/ebitnet/ledger.py",
-           "return engine.product_groups(groups, renames=event_renames(event))[0]", "return groups",
+    Mutant("relabels, relocations and oracles rename no group member", "src/ebitnet/engine.py",
+           "groups, _ = product_groups(ensemble.groups, renames=renames)", "groups = ensemble.groups",
            (SERIES + "[perm-comm]", AUDIT + "test_cross_party_relabel_report_is_exact")),
     # the split entropies the replay carries from step to step (audit._carry), and the batched solve behind them
-    Mutant("keep the groups of gate and measurement targets", "src/ebitnet/audit.py",
-           "changed.update(ev.targets)", "pass",
+    Mutant("keep a measured group's splits that do not straddle its targets", "src/ebitnet/audit.py",
+           "elif isinstance(ev, LocalGate) and key.issuperset(named):",
+           "elif isinstance(ev, (LocalGate, LocalMeasure)) and key.issuperset(named):",
            (AUDIT + "test_a_measurement_within_a_group_solves_its_splits_again",
-            SERIES + "[star-op]",
-            AUDIT + "test_monotone_series_of_random_traces_matches_the_per_branch_formula"), quick=True),
-    Mutant("keep a group through a gate with a target at another party", "src/ebitnet/audit.py",
-           "len({q.party for q in ev.targets}) == 1", "True",
+            SERIES + "[star-op]"), quick=True),
+    Mutant("keep a split that a gate straddles", "src/ebitnet/audit.py",
+           "if split & targets in (0, targets)}", "if True}",
            (AUDIT + "test_a_gate_with_a_target_at_another_party_is_solved_again",
-            AUDIT + "test_monotone_series_of_random_traces_matches_the_per_branch_formula")),
-    Mutant("keep a group through a gate that joins two groups", "src/ebitnet/audit.py",
-           "any(group.issuperset(ev.targets) for group, _ in solved)",
-           "any(not group.isdisjoint(ev.targets) for group, _ in solved)",
-           (AUDIT + "test_a_gate_that_joins_groups_is_solved_again",
-            AUDIT + "test_monotone_series_of_random_traces_matches_the_per_branch_formula")),
-    Mutant("re-key a rename across parties", "src/ebitnet/audit.py",
-           "if new.party != q.party:", "if False:",
-           (AUDIT + "test_a_relocation_across_parties_solves_its_group_again",
-            AUDIT + "test_monotone_series_of_random_traces_matches_the_per_branch_formula")),
-    Mutant("drop the group of a rename within one party", "src/ebitnet/audit.py",
-           "if new.party != q.party:", "if True:",
-           (AUDIT + "test_monotone_values_every_cut_at_every_step_and_solves_only_after_state_changes",)),
-    Mutant("key without the party mask", "src/ebitnet/audit.py",
-           "key = (group, split)", "key = (frozenset(q.label for q in group), split)",
-           (AUDIT + "test_a_relocation_across_parties_solves_its_group_again",)),
+            AUDIT + "test_replay_solves_and_eigensolver_calls_are_pinned")),
+    Mutant("keep the groups a gate joins", "src/ebitnet/audit.py",
+           "if key.isdisjoint(named):",
+           "if key.isdisjoint(named) or isinstance(ev, LocalGate) and not key.issuperset(named):",
+           (AUDIT + "test_a_gate_that_joins_groups_is_solved_again",)),
+    Mutant("a touched pair half treated as fresh", "src/ebitnet/audit.py",
+           "if q in fresh:", "if False:",
+           (AUDIT + "test_only_a_bell_discard_with_a_fresh_half_is_a_teleport",)),
+    Mutant("a teleport rename on a Bell measurement without discard", "src/ebitnet/audit.py",
+           'ev.basis == "bell" and ev.discard:', 'ev.basis == "bell":',
+           (AUDIT + "test_only_a_bell_discard_with_a_fresh_half_is_a_teleport",)),
+    Mutant("a rename not applied to the slots", "src/ebitnet/audit.py",
+           "slots = tuple(map(renames.get, slots, slots))", "pass",
+           (AUDIT + "test_only_a_bell_discard_with_a_fresh_half_is_a_teleport",
+            AUDIT + "test_replay_solves_and_eigensolver_calls_are_pinned")),
     # the factored engine: a gate in the kron of its targets' factors, the other factors shared,
     # and coalesce comparing factor by factor
     Mutant("a gate across two factors applied to the first factor only", "src/ebitnet/engine.py",

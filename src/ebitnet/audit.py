@@ -23,18 +23,20 @@ numerator) terms, an undirected book giving each pair in both directions, and
 runs on.  The checks compare integers; a violation's text prints them as
 fractions again, and the replay's held ebits divide them into floats.
 
-The replay follows the product groups of the state from the events alone
-(``ledger.regroup``, the walk that also checks a trace at load, by the
-grouping rule of the engine's factors): every branch is a product over
-groups of qubits that no event has acted on together, one engine factor per
-group, so a cut's entropy is the sum, over the groups it splits, of the
+The replay reads the product groups from each replayed ensemble
+(``ens.groups``, which only the engine works out): every branch is a product
+over groups of qubits that no event has acted on together, one engine factor
+per group, so a cut's entropy is the sum, over the groups it splits, of the
 entropy of the group's part on one side (``_cut_entropies``), which the
-engine solves on that group's factor alone.  Each such
-part is solved once and carried from step to step (``_carry``) as long as each
-branch keeps the same Schmidt spectrum for it: then its entries hold through
-measurement branching, ``coalesce`` and any unitary that one party applies
-within the group.  Every step values every cut from these entries, and solves
-the parts it lacks in one batched call.
+engine solves on that group's factor alone.  The replay keeps one entry per
+group: its qubits in a fixed slot order and the entropy of each split solved,
+keyed on the split's mask over the slots, so the masks a cut makes follow the
+slots' current parties.  One rule (``_carry``) carries the entries from step
+to step as long as each branch keeps the same Schmidt spectrum for them:
+renames, teleports among them, rewrite the slots; a unitary within a group
+keeps the splits it does not straddle; any other event that acts on a group
+drops its entries.  Every step values every cut from these entries, and
+solves the splits it lacks in one batched call.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .ledger import (
     CollectiveOracle,
     EbitConsume,
     Event,
-    Groups,
     LocalGate,
     LocalMeasure,
     ProtocolTrace,
@@ -64,7 +65,6 @@ from .ledger import (
     apply_event,
     event_renames,
     pair_key,
-    regroup,
 )
 
 ENTROPY_TOL = 1e-9
@@ -142,14 +142,18 @@ def _nonzero(graph, pairs) -> dict[tuple[int, int], Fraction]:
     return {(a, b): graph.weight(a, b) for a, b in pairs if graph.weight(a, b)}
 
 
-Solved = dict[tuple[frozenset[QubitId], int], float]
+# a group's qubits in slot order, and the entropy of each split solved so far, keyed on
+# its mask over the slots (the smaller of the mask and its complement)
+Entry = tuple[engine.Group, dict[int, float]]
+Cache = dict[frozenset[QubitId], Entry]
 
 
 class _Cuts(tuple):
     """The bipartitions of parties 1..n as masks of the side holding party 1.
-    ``splits(mask)`` gives, for the party mask of a group, each distinct split the
-    cuts make of it (the smaller mask of its two parts, which need not hold fewer
-    qubits) with the indices of the cuts that make it, worked out once per mask."""
+    ``splits(slots)`` gives, for a group's qubits in slot order, each distinct
+    split the cuts make of them as a slot mask (the smaller of the side's mask
+    and its complement) with the indices of the cuts that make it, worked out
+    from the slots' parties once per slot tuple."""
 
     def __new__(cls, n: int):
         cuts = super().__new__(cls, (_mask((1, *rest)) for r in range(n - 1)
@@ -157,81 +161,108 @@ class _Cuts(tuple):
         cuts._splits = {}
         return cuts
 
-    def splits(self, mask: int) -> list[tuple[int, np.ndarray]]:
-        if mask not in self._splits:
+    def splits(self, slots: engine.Group) -> list[tuple[int, np.ndarray]]:
+        if slots not in self._splits:
+            at: dict[int, int] = {}  # the slots of each party, as a mask
+            for j, q in enumerate(slots):
+                at[q.party] = at.get(q.party, 0) | 1 << j
+            sides = {0: 0}  # the slots of each set of those parties, keyed on its party mask
+            for p, mask in at.items():
+                sides.update([(parties | 1 << p, side | mask) for parties, side in sides.items()])
+            whole, full = _mask(at), (1 << len(slots)) - 1
             indices: dict[int, list[int]] = {}
             for i, cut in enumerate(self):
-                split = min(cut & mask, ~cut & mask)  # 0 where the cut keeps the group whole
+                side = sides[cut & whole]
+                split = min(side, full ^ side)  # 0 where the cut keeps the group whole
                 if split:
                     indices.setdefault(split, []).append(i)
-            self._splits[mask] = [(split, np.array(cuts)) for split, cuts in indices.items()]
-        return self._splits[mask]
+            self._splits[slots] = [(split, np.array(cuts)) for split, cuts in indices.items()]
+        return self._splits[slots]
 
 
-def _cut_entropies(ens: BranchEnsemble, groups: Groups, cuts: _Cuts, solved: Solved) -> list[float]:
+def _cut_entropies(ens: BranchEnsemble, cuts: _Cuts, cache: Cache) -> list[float]:
     """The average entanglement entropy across each cut, in ebits.
 
-    Every branch of ``ens`` is a product over ``groups``, so the entropy of a
-    side is the sum over groups of the entropy of the group's qubits on that
+    Every branch of ``ens`` is a product over ``ens.groups``, so the entropy of
+    a side is the sum over groups of the entropy of the group's qubits on that
     side.  A group held by one party adds nothing to any cut.  The two parts a
     cut splits a group into share one spectrum, so each distinct split is
-    solved once, on its smaller part, however many cuts make it.  ``solved``
-    holds the entropy of each (group, split) solved so far, the group as a
-    frozenset, whose hash is kept with it; the splits it lacks are solved in
-    one ``engine.subset_entropies`` call and added to it.  Each cut sums its
-    groups' terms in group order.
+    solved once, however many cuts make it.  ``cache`` holds an entry for each
+    group, keyed on its qubits as a frozenset; a group without one gets one
+    whose slots are its qubits in the engine's order.  The splits the entries
+    lack are solved in one ``engine.subset_entropies`` call and added to them.
+    Each cut sums its groups' terms in the order of ``ens.groups``.
     """
-    terms = []  # (key, indices of the cuts that make its split) for each split of each group
-    missing: dict[tuple[frozenset[QubitId], int], list[QubitId]] = {}
-    for group in map(frozenset, groups):
-        for split, indices in cuts.splits(_mask(q.party for q in group)):
-            key = (group, split)
-            terms.append((key, indices))
-            if key not in solved and key not in missing:
-                part = [q for q in group if split >> q.party & 1]
-                rest = [q for q in group if not split >> q.party & 1]
-                missing[key] = min(part, rest, key=len)
+    terms = []  # (entropies, splits) of each group
+    missing, sides = [], []  # (entropies, split) of each split to solve, and its qubits
+    for group in ens.groups:
+        slots, entropies = cache.setdefault(frozenset(group), (group, {}))
+        splits = cuts.splits(slots)
+        terms.append((entropies, splits))
+        for split, _ in splits:
+            if split not in entropies:
+                missing.append((entropies, split))
+                sides.append([q for j, q in enumerate(slots) if split >> j & 1])
     if missing:
-        solved.update(zip(missing, engine.subset_entropies(ens, missing.values())))
-    entropies = np.zeros(len(cuts))
-    for key, indices in terms:
-        entropies[indices] += solved[key]
-    return entropies.tolist()
+        for (entropies, split), s in zip(missing, engine.subset_entropies(ens, sides)):
+            entropies[split] = s
+    values = np.zeros(len(cuts))
+    for entropies, splits in terms:
+        for split, indices in splits:
+            values[indices] += entropies[split]
+    return values.tolist()
 
 
-def _carry(solved: Solved, ev: Event) -> Solved:
-    """The entries of ``solved`` that still hold after ``ev``, keyed on the groups after it.
+def _teleport(ev: LocalMeasure, fresh: Mapping[QubitId, QubitId]) -> dict[QubitId, QubitId]:
+    """The rename a Bell measurement that discards its targets makes when one of
+    them, a, is half of a fresh pair (a, b) and the other, q, is not b: each
+    branch then holds q's state at b, up to a Pauli, so q is renamed b."""
+    for q, a in (ev.targets, ev.targets[::-1]):
+        if a in fresh and fresh[a] != q:
+            return {q: fresh[a]}
+    return {}
+
+
+def _carry(cache: Cache, ev: Event, fresh: dict[QubitId, QubitId]) -> Cache:
+    """The entries of ``cache`` that still hold after ``ev``, keyed on the groups after it.
 
     An entry holds as long as each branch keeps the same Schmidt spectrum for
-    its split: branching and ``coalesce`` then only regroup the branches' weights.
-    A gate, matrix or conditional, whose targets sit at one party and lie in one
-    group with entries is a local unitary in every branch, so it keeps them.
-    Otherwise a group's entries are dropped when it holds a target of a gate
-    (one that joins groups or reaches another party) or of a computational or
-    Bell measurement, or a qubit a rename moves to another party.  A rename
-    within one party keeps every split mask, so it renames the group in the
-    key.  An event that drops and renames nothing returns ``solved``.
+    its split: branching and ``coalesce`` then only regroup the branches'
+    weights, and a POVM leaves the state as it was.  A rename (a relabel, a
+    relocation, an oracle or a teleport) moves states intact, so it rewrites
+    the slots and the key once and keeps every mask.  A gate, matrix or
+    conditional, whose targets lie in one group keeps the masks that hold all
+    of them or none.  Any other event that names a qubit of a group (a
+    computational or Bell measurement, or a gate that joins groups) drops that
+    group's entries.  ``fresh`` maps each half of a consumed ebit to the other
+    half while no event has named either, and is updated here.
     """
-    changed, renames = set(), {}
-    if isinstance(ev, LocalGate) or (isinstance(ev, LocalMeasure) and ev.povm is None):
-        # a gate that joins groups drops them even at one party (no key holds all its
-        # targets): a discard may bring a joined group back whole, with stale entries
-        one_party_unitary = (isinstance(ev, LocalGate) and len({q.party for q in ev.targets}) == 1
-                             and any(group.issuperset(ev.targets) for group, _ in solved))
-        if not one_party_unitary:
-            changed.update(ev.targets)
-    elif isinstance(ev, (CollectiveOracle, Relocate, Relabel)):
-        for q, new in event_renames(ev).items():
-            if new.party != q.party:
-                changed.add(q)
-            elif new != q:
-                renames[q] = new
-    if not changed and not renames:
-        return solved
-
-    def key(group):
-        return group if renames.keys().isdisjoint(group) else frozenset(renames.get(q, q) for q in group)
-    return {(key(group), split): s for (group, split), s in solved.items() if changed.isdisjoint(group)}
+    renames, named = {}, ()
+    if isinstance(ev, (CollectiveOracle, Relocate, Relabel)):
+        renames = named = event_renames(ev)
+    elif isinstance(ev, LocalGate) or (isinstance(ev, LocalMeasure) and ev.povm is None):
+        named = ev.targets
+        if isinstance(ev, LocalMeasure) and ev.basis == "bell" and ev.discard:
+            renames = _teleport(ev, fresh)
+    elif isinstance(ev, EbitConsume):
+        a, b = ev.qubits
+        fresh[a], fresh[b] = b, a
+    for q in named:
+        if q in fresh:
+            del fresh[fresh.pop(q)]
+    if not named:
+        return cache
+    carried = {}
+    for key, (slots, entropies) in cache.items():
+        if key.isdisjoint(named):
+            carried[key] = slots, entropies
+        elif not key.isdisjoint(renames):
+            slots = tuple(map(renames.get, slots, slots))
+            carried[frozenset(slots)] = slots, entropies
+        elif isinstance(ev, LocalGate) and key.issuperset(named):
+            targets = sum(1 << slots.index(q) for q in named)
+            carried[key] = slots, {split: s for split, s in entropies.items() if split & targets in (0, targets)}
+    return carried
 
 
 def replay_events(initial: BranchEnsemble, events: Sequence[Event]):
@@ -351,19 +382,18 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
         report.replayed = True
         held = initial  # ebits still held across each cut, over den
         remaining = [h / den for h in held]  # correctly rounded, as float(Fraction(h, den)) is
-        groups = trace.initial.groups
-        solved: Solved = {}
-        last = [e + r for e, r in zip(_cut_entropies(trace.initial, groups, cuts, solved), remaining)]
+        cache: Cache = {}
+        fresh: dict[QubitId, QubitId] = {}
+        last = [e + r for e, r in zip(_cut_entropies(trace.initial, cuts, cache), remaining)]
         at = 0  # the step being replayed: replay_events raises before it yields that step
         try:
             for step, ev, ens in replay_events(trace.initial, trace.events):
-                groups = regroup(groups, ev, trace.initial.max_qubits)
-                solved = _carry(solved, ev)
+                cache = _carry(cache, ev, fresh)
                 if isinstance(ev, EbitConsume):
                     pair = _mask(ev.pair)
                     held = [h - den * _spans(pair, cut) for h, cut in zip(held, cuts)]
                     remaining = [h / den for h in held]
-                values = [e + r for e, r in zip(_cut_entropies(ens, groups, cuts, solved), remaining)]
+                values = [e + r for e, r in zip(_cut_entropies(ens, cuts, cache), remaining)]
                 for cut, value, previous in zip(cuts, values, last):
                     if value > previous + ENTROPY_TOL and not _spans(_joined(ev), cut):
                         report.violations.append(Violation(

@@ -9,14 +9,14 @@ Every branch is a product over the ensemble's product groups, ordered tuples
 of qubit ids that partition the registry.  A branch holds one amplitude
 factor per group, and bit j of a factor is the group's j-th qubit.
 ``product_groups`` is the one rule that carries the groups through an
-operation, for the engine and for ``ledger.regroup`` alike: new qubits start
-groups of their own (a phi+ pair one group), a gate or a Bell measurement
-joins its targets' groups into one whose factor is the kron of theirs,
-discarded qubits leave their group, and renames rename its members.  A
-computational measurement acts within each target's factor and joins
-nothing.  Branches share every factor an operation did not touch, and no
-operation writes into a factor.  ``Branch.amplitudes`` builds the dense
-vector over the whole registry on demand.
+operation; only the engine calls it, and the audit's replay reads the
+groups from each ensemble.  New qubits start groups of their own (a phi+
+pair one group), a gate or a Bell measurement joins its targets' groups
+into one whose factor is the kron of theirs, discarded qubits leave their
+group, and renames rename its members.  A computational measurement acts
+within each target's factor and joins nothing.  Branches share every factor
+an operation did not touch, and no operation writes into a factor.
+``Branch.amplitudes`` builds the dense vector over the registry on demand.
 
 Conventions, fixed once:
 
@@ -345,8 +345,8 @@ def product_groups(
     """The product groups after an operation, from the groups before it, and for
     each group after it the indices of the groups before it that it holds.
 
-    This is the one grouping rule, of the engine's factors and of
-    ``ledger.regroup``.  ``renames`` maps a qubit to the id it has afterwards.
+    This is the one grouping rule of the engine's factors; only the engine
+    calls it.  ``renames`` maps a qubit to the id it has afterwards.
     A gate or a Bell measurement acts on the set ``joined`` at once: the groups
     holding any of those qubits become one group, placed last, that lists their
     qubits group by group, so its factor is the kron of theirs.  The set

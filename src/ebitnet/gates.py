@@ -56,17 +56,9 @@ class Permutation:
         return Permutation(tuple(inv))
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
     def cyclic_shift(cls, n: int) -> "Permutation":
         """The n-cycle sending slot i to slot i+1 (and n back to 1)."""
         return cls(tuple(i % n + 1 for i in range(1, n + 1)))
-
-    @classmethod
-    def two_cycle(cls) -> "Permutation":
-        return cls((2, 1))
 
 
 def ps_permutation(n: int) -> Permutation:

@@ -239,6 +239,8 @@ def import_json(text: str) -> GraphBundle:
         doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"line {exc.lineno}, column {exc.colno}: invalid JSON") from None
+    except RecursionError:
+        raise GraphFormatError("top level: JSON nested too deeply") from None
     if not isinstance(doc, Mapping):
         raise GraphFormatError("top level: expected a JSON object")
     if "n" not in doc:

@@ -10,10 +10,9 @@ run from its recorded initial state.  ``apply_event`` is the one mapping
 from an event to the engine: protocols run through it and the audit
 replays through it.  ``ResourceLedger.book`` is the one rule that charges
 an event to the resource books, for protocols and the audit alike, and
-``regroup`` the one walk of qubit ids and product groups through the
-events, for the load and the replay alike; it groups by the rule the
-engine's factors follow (``engine.product_groups``), so its groups are the
-factors of the ensemble ``apply_event`` makes.
+``track_ids`` the load's walk of qubit ids and the registry cap through the
+events.  The product groups of the state are the engine's alone: a replay
+reads them from each ensemble ``apply_event`` makes.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -394,22 +393,11 @@ def event_renames(event: CollectiveOracle | Relocate | Relabel) -> dict[QubitId,
     return {event.old: event.new}
 
 
-Groups = Sequence[engine.Group]
-
-
-def regroup(groups: Groups, event: Event, max_qubits: int) -> tuple[engine.Group, ...]:
-    """The product groups of the state after ``event``, from the groups before it.
-
-    The groups cover the registry, which is checked without amplitudes as
-    ``apply_event`` would check it: every qubit the event names must be
-    registered, every qubit it adds must be new, and the registry may not grow
-    past ``max_qubits``.  The groups are then those ``engine.product_groups``
-    gives, so they are the engine's factors after ``apply_event``: an
-    allocation adds a group for each qubit and an ebit's pair one group, a gate
-    or a Bell measurement joins its targets' groups, discarded qubits leave
-    their group, and renames move membership with the state.  Other
-    measurements act within each qubit's group, and a POVM leaves the state as
-    it was.
+def track_ids(ids: set[QubitId], event: Event, max_qubits: int) -> None:
+    """Move the registry's qubit ids ``ids`` past ``event``, checked without
+    amplitudes as ``apply_event`` would check them: every qubit the event names
+    must be registered, no target named twice, every qubit it adds must be new,
+    and the registry may not grow past ``max_qubits``.
     """
     named, removed, added = (), (), ()
     if isinstance(event, (Allocate, EbitConsume)):
@@ -421,14 +409,10 @@ def regroup(groups: Groups, event: Event, max_qubits: int) -> tuple[engine.Group
     elif isinstance(event, (Relabel, Relocate)):
         [(old, new)] = event_renames(event).items()
         named, removed, added = (old,), (old,), (new,)
-    if not named and not added:  # messages, decodes, creations and coalescing
-        return groups
-    ids = set().union(*groups)
     for q in named:
         if q not in ids:
             raise ValueError(f"qubit {q!r} is not in the registry")
-    targets = set(named)
-    if len(targets) != len(named):
+    if len(set(named)) != len(named):
         raise ValueError(f"targets {list(named)} name a qubit twice")
     ids.difference_update(removed)
     if len(ids) + len(added) > max_qubits:
@@ -437,16 +421,6 @@ def regroup(groups: Groups, event: Event, max_qubits: int) -> tuple[engine.Group
         if q in ids:
             raise ValueError(f"qubit {q!r} is already in the registry")
         ids.add(q)
-
-    if isinstance(event, Allocate):
-        return engine.product_groups(groups, added=[(q,) for q in added])[0]
-    if isinstance(event, EbitConsume):
-        return engine.product_groups(groups, added=[added])[0]
-    if isinstance(event, (CollectiveOracle, Relocate, Relabel)):
-        return engine.product_groups(groups, renames=event_renames(event))[0]
-    joins = isinstance(event, LocalGate) or (isinstance(event, LocalMeasure) and event.basis == "bell")
-    return engine.product_groups(groups, joined=targets if joins else None,
-                                 discarded=targets if removed else frozenset())[0]
 
 
 @dataclass
@@ -672,9 +646,9 @@ def dump_trace(trace: ProtocolTrace) -> str:
 def load_trace(text: str) -> ProtocolTrace:
     """Parse a trace; malformed input raises ValueError("trace line N: ...").
 
-    With an initial state in the header, ``regroup`` follows the events from
-    its registry as one group, so their qubits are checked against the registry
-    and its ``max_qubits``.  Every local gate matrix must be unitary; each is
+    With an initial state in the header, ``track_ids`` follows the events from
+    its registry, so their qubits are checked against the registry and its
+    ``max_qubits``.  Every local gate matrix must be unitary; each is
     checked when its event is built from its line, and not again in a replay.
     So the first bad line is the one reported, whatever its fault.
     """
@@ -688,14 +662,16 @@ def load_trace(text: str) -> ProtocolTrace:
                 raise ValueError("expected a JSON object")
             if i == lines[0][0]:
                 trace = _header_trace(rec)
-                groups = None if trace.initial is None else trace.initial.groups
+                ids = None if trace.initial is None else set(trace.initial.registry)
                 continue
             event = event_from_record(rec, trace.n_parties)
-            if groups is not None:
-                groups = regroup(groups, event, trace.initial.max_qubits)
+            if ids is not None:
+                track_ids(ids, event, trace.initial.max_qubits)
             trace.append(event)
         except json.JSONDecodeError as exc:
             raise ValueError(f"trace line {i}: invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise ValueError(f"trace line {i}: JSON nested too deeply") from None
         except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise ValueError(f"trace line {i}: {exc}") from None
     return trace

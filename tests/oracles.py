@@ -1,6 +1,7 @@
 """Independent oracles the tests check the program against; the program never calls them.
 
-- ``permutation_unitary`` builds the dense unitary of a permutation (the state
+- ``identity_permutation`` and ``two_cycle`` build the permutations the tests
+  name; ``permutation_unitary`` builds the dense unitary of a permutation (the state
   at slot i moves to slot P(i)); ``swap_unitary``, ``ps_unitary`` and
   ``ps_cp_unitary`` are the permutations the protocols run.  The program applies
   every permutation as a registry rename (``engine.relabel_qubits``, through
@@ -61,9 +62,18 @@ def permutation_unitary(p: Permutation) -> np.ndarray:
     return mat
 
 
+def identity_permutation(n: int) -> Permutation:
+    return Permutation(tuple(range(1, n + 1)))
+
+
+def two_cycle() -> Permutation:
+    """The exchange of two slots."""
+    return Permutation((2, 1))
+
+
 def swap_unitary() -> np.ndarray:
     """Exchange of two qubit states; the 2-slot case of a permutation."""
-    return permutation_unitary(Permutation.two_cycle())
+    return permutation_unitary(two_cycle())
 
 
 def ps_unitary(n: int) -> np.ndarray:

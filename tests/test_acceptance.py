@@ -80,9 +80,9 @@ def test_c03_swap_demos():
     with criterion(3, "SWAP communicates 16/16 pairs and establishes 2 ebits", 1.0):
         labels = ["00", "01", "10", "11"]
         for ma, mb in itertools.product(labels, labels):
-            result = protocols.permutation_communicate(Permutation.two_cycle(), {2: ma, 1: mb})
+            result = protocols.permutation_communicate(oracles.two_cycle(), {2: ma, 1: mb})
             assert (result.decoded[2], result.decoded[1]) == (ma, mb)
-        entangle = protocols.permutation_entangle(Permutation.two_cycle())
+        entangle = protocols.permutation_entangle(oracles.two_cycle())
         assert abs(engine.entanglement_entropy(entangle.run.ensemble, {1}) - 2.0) <= 1e-9
 
 

@@ -30,6 +30,7 @@ from ebitnet.ledger import (
     ResourceLedger,
     apply_event,
     dump_trace,
+    event_record,
     load_trace,
 )
 
@@ -95,13 +96,13 @@ class TestAuditCleanRuns:
         assert report.replayed
 
     def test_swap_comm_consistent_without_channel_bits(self):
-        result = protocols.permutation_communicate(Permutation.two_cycle(), {2: "01", 1: "10"})
+        result = protocols.permutation_communicate(oracles.two_cycle(), {2: "01", 1: "10"})
         run = result.run
         report = audit.audit_trace(run.trace, star_bundle(run))
         assert report.ok  # SWAP is the oracle under study, not an LQCC step
 
     def test_swap_entangle_consistent(self):
-        result = protocols.permutation_entangle(Permutation.two_cycle())
+        result = protocols.permutation_entangle(oracles.two_cycle())
         report = audit.audit_trace(result.run.trace, star_bundle(result.run))
         assert report.ok
 
@@ -498,7 +499,7 @@ def bookkeeping_cases(draw):
 
     def oracle(parties):
         targets = tuple(QubitId(p, "o") for p in sorted(parties))
-        return CollectiveOracle(tuple(sorted(parties)), targets, Permutation.identity(len(targets)))
+        return CollectiveOracle(tuple(sorted(parties)), targets, oracles.identity_permutation(len(targets)))
 
     event = st.one_of(
         pair.map(lambda p: EbitConsume(p, (QubitId(p[0], "x"), QubitId(p[1], "y")))),
@@ -763,19 +764,24 @@ def audit_monotone_series(monkeypatch, trace, bundle):
     replay (the initial one, then one after each event) and, for each point,
     how often the audit evaluated its cuts there, how many entropies it
     solved there, and the entropy of every cut as the audit then held it.
-    Return too the product groups the audit followed to each point."""
+    Return too the product groups the audit valued each point on, read from the
+    ensemble it was given there.  No point may keep a split entropy of a group
+    that its ensemble does not have."""
     counts = [0, 0]  # cut evaluations, entropy solves
+    stale = []  # (point, group) of the entries that outlive their group
     latest = {}
     series = []
     states = [trace.initial]
-    partitions = [trace.initial.groups]
+    partitions = []
     cut_entropies, solve, replay_events = audit._cut_entropies, engine.subset_entropies, audit.replay_events
-    regroup = audit.regroup
     parties = range(1, trace.n_parties + 1)
 
-    def evaluating(ens, groups, cut_masks, solved):
+    def evaluating(ens, cut_masks, cache):
         counts[0] += 1
-        entropies = cut_entropies(ens, groups, cut_masks, solved)
+        partitions.append(ens.groups)
+        entropies = cut_entropies(ens, cut_masks, cache)
+        groups = set(map(frozenset, ens.groups))
+        stale.extend((len(partitions) - 1, key) for key, (_, solved) in cache.items() if solved and key not in groups)
         for mask, value in zip(cut_masks, entropies):
             latest[frozenset(p for p in parties if mask >> p & 1)] = value
         return entropies
@@ -784,10 +790,6 @@ def audit_monotone_series(monkeypatch, trace, bundle):
         subsets = list(subsets)
         counts[1] += len(subsets)
         return solve(ens, subsets)
-
-    def grouping(groups, ev, max_qubits):
-        partitions.append(regroup(groups, ev, max_qubits))
-        return partitions[-1]
 
     def recording(initial, events):
         for step, ev, ens in replay_events(initial, events):
@@ -800,9 +802,9 @@ def audit_monotone_series(monkeypatch, trace, bundle):
     monkeypatch.setattr(audit, "_cut_entropies", evaluating)
     monkeypatch.setattr(engine, "subset_entropies", solving)
     monkeypatch.setattr(audit, "replay_events", recording)
-    monkeypatch.setattr(audit, "regroup", grouping)
     report = audit.audit_trace(trace, bundle)
     assert report.replayed
+    assert stale == []
     return report, states, series, partitions
 
 
@@ -835,16 +837,23 @@ def test_monotone_series_matches_the_per_branch_formula(monkeypatch, protocol):
     assert_groups_partition_the_registry(states, partitions)
 
 
-def walked_cut_entropies(groups, cut_masks, solved):
-    """The reference for ``audit._cut_entropies`` given its solved splits: every group
+def slot_split(slots, cut):
+    """The split ``cut`` makes of a group's ``slots``: the mask over the slots of
+    the side holding party 1 or of the other side, whichever is smaller."""
+    side = sum(1 << j for j, q in enumerate(slots) if cut >> q.party & 1)
+    return min(side, ((1 << len(slots)) - 1) ^ side)
+
+
+def walked_cut_entropies(groups, cut_masks, cache):
+    """The reference for ``audit._cut_entropies`` given its cache: every group
     walked against every cut, each cut's terms added in group order."""
     entropies = [0.0] * len(cut_masks)
     for group in groups:
-        mask = audit._mask(q.party for q in group)
+        slots, solved = cache[frozenset(group)]
         for i, cut in enumerate(cut_masks):
-            split = min(cut & mask, ~cut & mask)
+            split = slot_split(slots, cut)
             if split:
-                entropies[i] += solved[(frozenset(group), split)]
+                entropies[i] += solved[split]
     return entropies
 
 
@@ -854,24 +863,29 @@ def test_cut_entropies_equal_the_walk_of_every_group_against_every_cut(protocol)
                            engine.DEFAULT_MAX_QUBITS)
     trace = run.trace
     cuts = audit._Cuts(trace.n_parties)
-    groups, solved = trace.initial.groups, {}
-    entropies = audit._cut_entropies(trace.initial, groups, cuts, solved)
-    assert entropies == walked_cut_entropies(groups, cuts, solved)
+    cache, fresh = {}, {}
+    entropies = audit._cut_entropies(trace.initial, cuts, cache)
+    assert entropies == walked_cut_entropies(trace.initial.groups, cuts, cache)
     for _, ev, ens in audit.replay_events(trace.initial, trace.events):
-        groups = audit.regroup(groups, ev, trace.initial.max_qubits)
-        solved = audit._carry(solved, ev)
-        entropies = audit._cut_entropies(ens, groups, cuts, solved)
-        assert entropies == walked_cut_entropies(groups, cuts, solved), ev
+        cache = audit._carry(cache, ev, fresh)
+        entropies = audit._cut_entropies(ens, cuts, cache)
+        assert entropies == walked_cut_entropies(ens.groups, cuts, cache), ev
+        # no entry outlives its group with a solved split
+        assert {key for key, (_, solved) in cache.items() if solved} <= set(map(frozenset, ens.groups)), ev
 
 
 def random_trace(data):
     """A replayable trace on 2..4 parties: a random initial state over up to four
     qubits, then random events of every kind that changes the state, POVM
     records and messages, "stray" gates on two parties declared local to one of
-    them, and "joins": a one-party gate that joins a fresh qubit to the group of
-    another, then a discard of the fresh qubit that brings that group back whole.
-    Each event is applied as it is drawn, so a measurement records its true
-    distribution."""
+    them, "joins": a one-party gate that joins a fresh qubit to the group of
+    another, then a discard of the fresh qubit that brings that group back whole,
+    and "teleports": a consumed ebit (a, b), a Bell measurement that discards a
+    qubit q of the party of a with a, in either order, then a correction at b.  A
+    teleport may be a near miss, which the replay must not take for one: a gate on
+    q and a, or a measurement of a or b, before the Bell measurement, or a Bell
+    measurement that keeps its targets.  Each event is applied as it is drawn, so
+    a measurement records its true distribution."""
     n = data.draw(st.integers(min_value=2, max_value=4), label="n")
     party = st.integers(min_value=1, max_value=n)
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1), label="seed"))
@@ -892,9 +906,9 @@ def random_trace(data):
         return p, tuple(data.draw(st.permutations(held))[:data.draw(st.integers(minimum, min(2, len(held))))])
 
     for _ in range(data.draw(st.integers(min_value=6, max_value=16), label="length")):
-        kind = data.draw(st.sampled_from(["allocate", "consume", "gate", "stray", "join", "conditional",
-                                          "measure", "bell", "povm", "relabel", "relocate", "oracle",
-                                          "coalesce", "message"]))
+        kind = data.draw(st.sampled_from(["allocate", "consume", "gate", "stray", "join", "teleport",
+                                          "conditional", "measure", "bell", "povm", "relabel", "relocate",
+                                          "oracle", "coalesce", "message"]))
         room = ens.num_qubits <= 6
         picked = local(2 if kind == "bell" else 1)
         ev = None
@@ -920,6 +934,24 @@ def random_trace(data):
             drawn = [Allocate(a.party, (fresh,), "0"), LocalGate(a.party, (a, fresh), gates.haar_unitary(4, rng)),
                      LocalMeasure(a.party, (fresh,), "computational", True, ens.measurement_count, ())]
             measured.append((ens.measurement_count, 1))
+        elif kind == "teleport" and room and ens.registry:
+            q = data.draw(st.sampled_from(ens.registry))
+            r = data.draw(st.sampled_from([p for p in range(1, n + 1) if p != q.party]))
+            a, b = QubitId(q.party, next(labels)), QubitId(r, next(labels))
+            miss = data.draw(st.sampled_from(["none", "gate", "measure", "keep"]), label="near miss")
+            drawn = [EbitConsume((q.party, r), (a, b))]
+            if miss == "gate":
+                drawn.append(LocalGate(q.party, (q, a), gates.haar_unitary(4, rng)))
+            elif miss == "measure":
+                half = data.draw(st.sampled_from([a, b]))
+                drawn.append(LocalMeasure(half.party, (half,), "computational", False, ens.measurement_count, ()))
+                measured.append((ens.measurement_count, 1))
+            index = ens.measurement_count + (miss == "measure")
+            drawn += [LocalMeasure(q.party, tuple(data.draw(st.permutations([q, a]))), "bell", miss != "keep",
+                                   index, ()),
+                      LocalGate(r, (b,), cases=tuple(sorted(gates.TELEPORT_CORRECTIONS.items())),
+                                conditional_on=index)]
+            measured.append((index, 2))
         elif kind == "conditional" and picked and measured:
             (p, targets), (index, width) = picked, data.draw(st.sampled_from(measured))
             cases = tuple((format(code, f"0{width}b"), gates.haar_unitary(1 << len(targets), rng))
@@ -1006,24 +1038,31 @@ def test_cut_entropy_matches_the_per_branch_formula(case):
 
 def test_monotone_values_every_cut_at_every_step_and_solves_only_after_state_changes(monkeypatch):
     # the golden trace holds every event kind, a same-party relabel, a POVM record,
-    # gates at one party within one group and a relocation across parties; a
-    # relabel across parties is appended
+    # gates at one party within one group and a relocation across parties.  Appended:
+    # a party-3 gate joins a new qubit 3:k4 to the group of 3:q3, whose cuts split off
+    # 2:q1 alone, and a relocation of 3:k4 to party 1 then makes sides no step solved
     text = (ROOT / "fixtures" / "golden_trace.jsonl").read_text(encoding="utf-8")
-    trace = load_trace(text + '{"kind": "relabel", "old": [3, "q3"], "new": [1, "q3"]}\n')
-    _, _, series, _ = audit_monotone_series(monkeypatch, trace, graphs.GraphBundle(trace.n_parties, None, None))
+    q3, k4 = QubitId(3, "q3"), QubitId(3, "k4")
+    appended = [Allocate(3, (k4,), "0"), LocalGate(3, (q3, k4), gates.cnot_unitary()), Relocate(k4, 1)]
+    trace = load_trace(text + "".join(json.dumps(event_record(ev)) + "\n" for ev in appended))
+    _, _, series, partitions = audit_monotone_series(
+        monkeypatch, trace, graphs.GraphBundle(trace.n_parties, None, None))
     assert [evaluations for evaluations, _, _ in series] == [1] * len(series)
     assert all(set(entropies) == set(party_cuts(trace.n_parties)) for _, _, entropies in series)
     kept = set()  # the kinds of event after which every split entropy is carried over
-    for ev, (_, solves, _) in zip(trace.events, series[1:]):
+    for ev, groups, (_, solves, _) in zip(trace.events, partitions, series[1:]):
         if (isinstance(ev, (ClassicalMessage, DecodedBits, EbitCreate, Coalesce))
                 or (isinstance(ev, LocalMeasure) and ev.basis == "povm")
                 or (isinstance(ev, Relabel) and ev.old.party == ev.new.party)
-                or (isinstance(ev, LocalGate) and len({q.party for q in ev.targets}) == 1)):
+                or (isinstance(ev, LocalGate) and len({q.party for q in ev.targets}) == 1
+                    and any(set(ev.targets) <= set(g) for g in groups))):
             assert solves == 0, ev
             kept.add(type(ev).__name__)
     assert kept == {"ClassicalMessage", "DecodedBits", "EbitCreate", "Coalesce", "LocalMeasure", "Relabel",
                     "LocalGate"}
-    assert series[-1][1] > 0  # the relabel across parties solves its group again
+    # the joining gate solves the split {2:q1} of its new group, the relocation the
+    # sides {1:k4} and {2:q1, 1:k4} that it makes
+    assert [solves for _, solves, _ in series[-2:]] == [1, 2]
 
 
 def distinct_splits(group, n):
@@ -1035,8 +1074,10 @@ def distinct_splits(group, n):
 def test_a_step_solves_only_the_splits_of_the_groups_its_event_named(monkeypatch):
     # the golden trace's phase gate on 2:a2 acts within the ebit {2:a2, 3:a3}; the
     # teleported state is a group of its own across parties 2 and 3.  A unitary at
-    # one party keeps every spectrum, so the gate solves nothing; the first Bell
-    # measurement joins the initial state with an ebit and solves the group it leaves
+    # one party keeps every spectrum, so the gate solves nothing.  The first Bell
+    # measurement teleports 1:q1 with the fresh half 1:a0 of the ebit (1:a0, 2:a1): it
+    # renames 1:q1 to 2:a1 in the initial group, so the cut {1, 2} | {3} now splits
+    # that group as {2:a1, 2:q2} | {3:q3}, a split solved before the event; it solves nothing
     trace = load_trace((ROOT / "fixtures" / "golden_trace.jsonl").read_text(encoding="utf-8"))
     bundle = graphs.GraphBundle(trace.n_parties, None, None)
     _, _, series, partitions = audit_monotone_series(monkeypatch, trace, bundle)
@@ -1051,7 +1092,7 @@ def test_a_step_solves_only_the_splits_of_the_groups_its_event_named(monkeypatch
     step = next(i for i, ev in enumerate(trace.events) if isinstance(ev, LocalMeasure) and ev.basis == "bell")
     [left] = [g for g in partitions[step + 1] if g not in partitions[step]]
     assert frozenset(left) == frozenset({QubitId(2, "q2"), QubitId(3, "q3"), QubitId(2, "a1")})
-    assert series[step + 1][1] == len(distinct_splits(left, trace.n_parties)) == 1
+    assert len(distinct_splits(left, trace.n_parties)) == 1 and series[step + 1][1] == 0
 
 
 def measured_trace(n, initial, events):
@@ -1078,6 +1119,36 @@ def test_a_measurement_within_a_group_solves_its_splits_again(monkeypatch, basis
     assert_series_matches_the_per_branch_formula(trace, states, series)
     # the 3 splits of the initial group, the ebit's 1, the initial group's 3 again
     assert [solves for _, solves, _ in series] == [3, 1, 3]
+
+
+TELEPORTED, KEPT, HALF, FAR = QubitId(1, "q"), QubitId(2, "x"), QubitId(1, "a"), QubitId(3, "b")
+
+
+@pytest.mark.parametrize("near_miss,discard", [
+    ((), True),
+    ((LocalGate(1, (TELEPORTED, HALF), gates.cnot_unitary()),), True),
+    ((LocalMeasure(1, (HALF,), "computational", False, 0, ()),), True),
+    ((LocalMeasure(3, (FAR,), "computational", False, 0, ()),), True),
+    ((), False),
+], ids=["teleport", "gate-on-q-and-a", "measure-a", "measure-b", "bell-keeps-its-targets"])
+def test_only_a_bell_discard_with_a_fresh_half_is_a_teleport(monkeypatch, near_miss, discard):
+    # 1:q is entangled with 2:x, and (1:a, 3:b) is a consumed ebit.  A Bell measurement
+    # that discards q with a leaves q's state at b, up to a Pauli, so it renames q to b
+    # and solves nothing.  After a gate or a measurement on a half, or without the
+    # discard, it acts on q's group like any other measurement
+    initial = engine.BranchEnsemble.from_amplitudes((TELEPORTED, KEPT),
+                                                    gates.random_state(4, np.random.default_rng(3)))
+    index = sum(isinstance(ev, LocalMeasure) for ev in near_miss)  # of the Bell measurement
+    trace = measured_trace(3, initial, [
+        EbitConsume((1, 3), (HALF, FAR)),
+        *near_miss,
+        LocalMeasure(1, (TELEPORTED, HALF), "bell", discard, index, ()),
+        LocalGate(3, (FAR,), cases=tuple(sorted(gates.TELEPORT_CORRECTIONS.items())), conditional_on=index),
+    ])
+    _, states, series, _ = audit_monotone_series(monkeypatch, trace, graphs.GraphBundle(3, None, None))
+    assert_series_matches_the_per_branch_formula(trace, states, series)
+    bell_solves = series[-2][1]
+    assert (bell_solves == 0) == (near_miss == () and discard), bell_solves
 
 
 def test_a_gate_with_a_target_at_another_party_is_solved_again():
@@ -1118,11 +1189,12 @@ def test_a_relocation_across_parties_solves_its_group_again(monkeypatch):
     assert [solves for _, solves, _ in series] == [1, 1]
 
 
-@pytest.mark.parametrize("protocol,n,solves,most_calls", [("star-op", 6, 124, 34), ("perm-comm", 9, 9, 9)])
+@pytest.mark.parametrize("protocol,n,solves,most_calls", [("star-op", 6, 72, 25), ("perm-comm", 9, 9, 9),
+                                                          ("ps", 4, 13, 8)])
 def test_replay_solves_and_eigensolver_calls_are_pinned(monkeypatch, tmp_path, protocol, n, solves, most_calls):
     """``--seed 1`` replay audits solve a split again only after an event that may
-    change its spectrum or its party mask (not after a unitary at one party within
-    one group), and make one ``eigvalsh`` call per side size per step."""
+    change its spectrum (not after a rename, a teleport among them, or a unitary on
+    one side of it), and make one ``eigvalsh`` call per side size per step."""
     assert cli.main(["simulate", protocol, "--n", str(n), "--seed", "1", "--output", str(tmp_path)]) == 0
     trace = load_trace((tmp_path / f"{protocol}_trace.jsonl").read_text(encoding="utf-8"))
     bundle = graphs.import_json((tmp_path / f"{protocol}_graphs.json").read_text(encoding="utf-8"))

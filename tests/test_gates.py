@@ -53,7 +53,7 @@ class TestPermutationUnitary:
         assert apply_to_basis(u, [1, 1, 0]) == [0, 1, 1]
 
     def test_swap_is_two_slot_permutation(self):
-        assert np.allclose(oracles.swap_unitary(), oracles.permutation_unitary(Permutation.two_cycle()))
+        assert np.allclose(oracles.swap_unitary(), oracles.permutation_unitary(oracles.two_cycle()))
 
     def test_swap_exchanges_product_states(self):
         rng = np.random.default_rng(3)

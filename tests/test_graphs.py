@@ -423,11 +423,16 @@ class TestSerialization:
         g = graphs.import_json('{"n": 2, "communication": [[0, %s], ["%s", 0]]}' % (big, ratio)).communication
         assert g.weights == ((0, int(big)), (Fraction(ratio), 0))
 
-    @pytest.mark.parametrize("cell", ['"1e5000"', "1" + "0" * 4999], ids=["exponent", "5000-digits"])
-    def test_overlong_cells_exit_two_from_symmetrise_and_audit(self, tmp_path, capsys, cell):
+    @pytest.mark.parametrize("doc,where", [
+        ('{"n": 2, "entanglement": [[0, "1e5000"], [1, 0]]}', "entanglement[0][1]: "),
+        ('{"n": 2, "entanglement": [[0, 1%s], [1, 0]]}' % ("0" * 4999), "entanglement[0][1]: "),
+        ("[" * 100_000 + "]" * 100_000, "top level: JSON nested too deeply"),
+    ], ids=["exponent", "5000-digits", "nested-too-deeply"])
+    def test_overlong_cells_exit_two_from_symmetrise_and_audit(self, tmp_path, capsys, doc, where):
+        # a cell past the length bound, or a file nested past the decoder's recursion limit
         assert cli.main(["simulate", "teleport", "--seed", "7", "--output", str(tmp_path)]) == 0
         src = tmp_path / "g.json"
-        src.write_text('{"n": 2, "entanglement": [[0, %s], [1, 0]]}' % cell, encoding="utf-8")
+        src.write_text(doc, encoding="utf-8")
         capsys.readouterr()
         trace = str(tmp_path / "teleport_trace.jsonl")
         for argv in (["symmetrise", "--input", str(src), "--output", str(tmp_path / "o")],
@@ -435,7 +440,7 @@ class TestSerialization:
                      ["audit", "--trace", trace, "--graphs", str(src), "--no-replay"]):
             assert cli.main(argv) == 2
             err = capsys.readouterr().err
-            assert "entanglement[0][1]: " in err and len(err) < 200, err
+            assert where in err and len(err) < 200, err
 
     def test_integer_and_string_cells_mix(self):
         g = graphs.import_json('{"n": 2, "communication": [[0, 3], ["1/2", "0"]]}').communication

@@ -245,13 +245,13 @@ class TestCollectiveStar:
 
     def test_op_is_exactly_one_of_unitary_permutation_or_povm(self):
         povm = Povm(tuple(np.eye(4) / 4 for _ in range(4)))
-        p = Permutation.two_cycle()
+        p = oracles.two_cycle()
         for kwargs in ({}, {"unitary": np.eye(4), "permutation": p}, {"povm": povm, "permutation": p},
                        {"unitary": np.eye(4), "povm": povm}):
             with pytest.raises(ValueError, match="exactly one of unitary, permutation or povm"):
                 protocols.CollectiveOp(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [{"unitary": np.eye(4)}, {"permutation": Permutation.two_cycle()}],
+    @pytest.mark.parametrize("kwargs", [{"unitary": np.eye(4)}, {"permutation": oracles.two_cycle()}],
                              ids=["unitary", "permutation"])
     def test_only_a_povm_can_be_recorded(self, kwargs):
         with pytest.raises(ValueError, match="only a POVM outcome can be recorded"):
@@ -288,13 +288,13 @@ class TestSwapDemos:
     def test_all_sixteen_message_pairs(self):
         msgs = ["00", "01", "10", "11"]
         for ma, mb in itertools.product(msgs, msgs):
-            result = protocols.permutation_communicate(Permutation.two_cycle(), {2: ma, 1: mb})
+            result = protocols.permutation_communicate(oracles.two_cycle(), {2: ma, 1: mb})
             assert (result.decoded[2], result.decoded[1]) == (ma, mb)
             assert result.run.ledger.total_consumed() == 2
             assert result.run.ledger.total_bits_sent() == 0
 
     def test_entangle_demo_two_ebits(self):
-        result = protocols.permutation_entangle(Permutation.two_cycle())
+        result = protocols.permutation_entangle(oracles.two_cycle())
         assert engine.entanglement_entropy(result.run.ensemble, {1}) == pytest.approx(2.0, abs=1e-9)
         assert result.run.ledger.total_created() == 2
 
@@ -325,7 +325,7 @@ class TestPermutationEntangle:
         assert sum(result.created.values()) == 6
 
     def test_n2_swap_creates_two(self):
-        result = protocols.permutation_entangle(Permutation.two_cycle())
+        result = protocols.permutation_entangle(oracles.two_cycle())
         assert result.created == {(1, 2): 2}
         assert engine.entanglement_entropy(result.run.ensemble, {1}) == pytest.approx(2.0, abs=1e-9)
 

@@ -53,7 +53,8 @@ def golden_records() -> list[dict]:
 
 
 def as_text(records) -> str:
-    return "".join(json.dumps(r) + "\n" for r in records)
+    """The trace lines of ``records``; a record that is a string is written as it is."""
+    return "".join((r if isinstance(r, str) else json.dumps(r)) + "\n" for r in records)
 
 
 def test_golden_trace_round_trips_byte_for_byte():
@@ -335,6 +336,11 @@ def _allocate_existing(records):
     records.insert(1, {"kind": "allocate", "party": 1, "qubits": [[1, "q1"]], "init": "0"})
 
 
+def _nested(records):
+    """A second line of 100,000 nested JSON arrays, deeper than the decoder recurses."""
+    records.insert(1, "[" * 100_000 + "]" * 100_000)
+
+
 def _first(kind, key, value):
     """The first record of ``kind`` with ``key`` set to ``value``."""
     def mutate(records):
@@ -483,6 +489,7 @@ CLI_BASE64_FAULTS = ("c128-truncated", "c128-one-entry-more", "c128-non-canonica
     (_forged_oracle, 47),
     (_nowhere, 6),
     (_allocate_existing, 2),
+    (_nested, 2),
     (_max_qubits(2), 1),
     (_max_qubits(4), 2),
     (_max_qubits(30.7), 1),
@@ -503,7 +510,7 @@ CLI_BASE64_FAULTS = ("c128-truncated", "c128-one-entry-more", "c128-non-canonica
     (lambda records: _nan_amplitude_base64(records[0]), 1),
 ] + [(_haar_matrix(BASE64_FAULTS[name][0]), 14) for name in CLI_BASE64_FAULTS],
    ids=["no-n_parties", "truncated-amplitudes", "negative-p", "pair-1-7", "pair-1-3", "forged-oracle",
-        "relabel-nowhere", "allocate-existing", "max-qubits-2", "max-qubits-4", "max-qubits-30.7", "format-1", "party-2.5",
+        "relabel-nowhere", "allocate-existing", "nested-too-deeply", "max-qubits-2", "max-qubits-4", "max-qubits-30.7", "format-1", "party-2.5",
         "party-string", "party-true", "discard-string", "to-1.9", "bits-0.1", "bits-2", "bits-1/0",
         "distribution-strings", "distribution-too-large-for-a-float", "p-too-large-for-a-float", "case-nan", "gate-nan", "nan-amplitude-base64", *CLI_BASE64_FAULTS])
 @pytest.mark.parametrize("flags", [[], ["--no-replay"]], ids=["replay", "no-replay"])
@@ -518,9 +525,10 @@ def test_audit_of_malformed_trace_exits_two_without_traceback(tmp_path, capsys, 
     assert f"trace line {line}: " in capsys.readouterr().err
 
 
-def test_audit_of_malformed_trace_prints_no_traceback_from_the_command_line(tmp_path):
+@pytest.mark.parametrize("mutate,line", [(_nowhere, 6), (_nested, 2)], ids=["relabel-nowhere", "nested-too-deeply"])
+def test_audit_of_malformed_trace_prints_no_traceback_from_the_command_line(tmp_path, mutate, line):
     records, graphs_file = _star_trace(tmp_path)
-    _nowhere(records)
+    mutate(records)
     bad = tmp_path / "bad.jsonl"
     bad.write_text(as_text(records), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -530,7 +538,7 @@ def test_audit_of_malformed_trace_prints_no_traceback_from_the_command_line(tmp_
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 2
-    assert "trace line 6: " in proc.stderr
+    assert f"trace line {line}: " in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
