@@ -26,7 +26,10 @@ graphs up to n = 9 (the brute-force cap is 8), and graph-file probes put one
 value that is not a JSON integer or string (``1e400``, ``0.5``, ``true``, a row
 given as a string, an ``n`` of ``"2"``), or a cell too long or not an integer
 or ``"p/q"`` (``"1e5000"``, a 5000-digit integer), into the teleport graphs:
-``symmetrise`` and both audits must exit 2 on each.
+``symmetrise`` and both audits must exit 2 on each.  Last, ``simulate``,
+``symmetrise`` and ``bounds`` write to output paths that cannot be written (a
+regular file or a directory where the other is needed, a path under
+``/dev/null``); each must exit 2 with an ``error:`` line.
 
 The script imports ebitnet from the src/ directory of its own checkout.  To
 check that a change leaves the CLI's behaviour byte-identical, run it from two
@@ -80,6 +83,14 @@ USAGE_ERRORS = [
     ["ps-cp", "--n", "4"], ["ps-cp", "--n", "1"], ["perm-entangle", "--n", "1"], ["perm-comm", "--n", "0"],
     ["teleport", "--sample", "-1"],
 ]
+# commands whose output path cannot be written, {file} a regular file and {directory} a directory
+UNWRITABLE_OUTPUTS = {
+    "simulate-to-a-file": ["simulate", "teleport", "--output", "{file}"],
+    "simulate-under-dev-null": ["simulate", "teleport", "--output", "/dev/null/x"],
+    "symmetrise-under-dev-null": ["symmetrise", "--input", str(FIXTURE), "--output", "/dev/null/x"],
+    "bounds-under-dev-null": ["bounds", "--output", "/dev/null/x/b.csv"],
+    "bounds-to-a-directory": ["bounds", "--output", "{directory}"],
+}
 # the seed-7 runs whose outputs are mutated
 MUTATION_BASES = ("teleport", "two-qubit-op", "swap-comm", "swap-entangle", "star-op-n3",
                   "perm-entangle-n3", "perm-comm-n3", "ps-n2", "ps-cp-n3")
@@ -454,6 +465,16 @@ def main() -> None:
         outcomes.append(symmetrise(into / "graphs.json", into))
     for name, path, literal in GRAPH_PROBES:
         outcomes += graph_probe(root, name, path, literal)
+
+    into = root / "unwritable"
+    into.mkdir(parents=True, exist_ok=True)
+    (into / "file").write_text("", encoding="utf-8")
+    for name, argv in UNWRITABLE_OUTPUTS.items():
+        # the messages name the paths; the output directory differs from run to run
+        result = run_cli([arg.format(file=into / "file", directory=into) for arg in argv])
+        result = result.replace(str(root), "<output>")
+        (into / f"{name}.txt").write_text(result, encoding="utf-8")
+        outcomes.append(result)
 
     exits = Counter(result.split("\n", 1)[0] for result in outcomes)
     print(f"{len(outcomes)} commands written to {root}: "

@@ -155,6 +155,17 @@ MUTANTS = (
     Mutant("symmetrise sums in int64 past its range", "src/ebitnet/graphs.py",
            "2**63", "2**200",
            (GRAPHS + "TestSymmetrise::test_sums_past_int64_match_reference",), quick=True),
+    Mutant("the permutation table misses the last insert position", "src/ebitnet/graphs.py",
+           "for pos in range(k + 1):", "for pos in range(k):",
+           (GRAPHS + "TestSymmetrise::test_permutation_table_holds_every_permutation_once",
+            GRAPHS + "TestSymmetrise::test_n8_rational_graph_matches_reference"), quick=True),
+    Mutant("the pair counts skip the last chunk of permutations", "src/ebitnet/graphs.py",
+           "range(0, len(table), _CHUNK)", "range(0, len(table) - _CHUNK, _CHUNK)",
+           (GRAPHS + "TestSymmetrise::test_pair_counts_over_several_chunks",
+            GRAPHS + "TestSymmetrise::test_n8_rational_graph_matches_reference")),
+    Mutant("a header branch over no qubits loads with any amplitude", "src/ebitnet/ledger.py",
+           "    if not registry:  # a branch over no qubits", "    if False:  # a branch over no qubits",
+           (CODEC + "test_a_branch_over_no_qubits_needs_an_amplitude_of_modulus_one",)),
     Mutant("a local gate is built without its unitarity check", "src/ebitnet/ledger.py",
            "engine.check_unitary(matrix)", "pass",
            (PROTOCOLS + "TestResourceBook::test_step_refuses_a_non_unitary_gate",

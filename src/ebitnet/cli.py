@@ -10,12 +10,12 @@ explicit permutation sum; ``audit`` replays a trace against its resource
 graphs and reports violations.
 
 Exit codes: 0 on success with all postconditions held, 1 when a
-postcondition or audit check fails, 2 on invalid arguments or malformed
-input, 141 (128 + SIGPIPE) when stdout is closed before the output is
-written.  Identical flags and seed produce byte-identical output files; the
-optional ``--sample`` mode only prints illustrative draws and never
-affects exit codes.  The environment variable EBITNET_MAX_QUBITS overrides
-the default registry cap of 24.
+postcondition or audit check fails, 2 on invalid arguments, malformed
+input or an output path that cannot be written, 141 (128 + SIGPIPE) when
+stdout is closed before the output is written.  Identical flags and seed
+produce byte-identical output files; the optional ``--sample`` mode only
+prints illustrative draws and never affects exit codes.  The environment
+variable EBITNET_MAX_QUBITS overrides the default registry cap of 24.
 """
 
 from __future__ import annotations
@@ -57,6 +57,22 @@ def _max_qubits() -> int:
     if value < 1:
         raise CliUsageError(f"EBITNET_MAX_QUBITS must be positive, got {value}")
     return value
+
+
+def _output_dir(path: str | Path) -> Path:
+    """The directory ``path``, made with its parents if missing."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliUsageError(f"cannot make the directory {path}: {exc}") from None
+    return Path(path)
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliUsageError(f"cannot write {path}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -177,22 +193,20 @@ def cmd_simulate(args) -> int:
         raise CliUsageError(f"--sample must be >= 0, got {args.sample}")
     cap = _max_qubits()
     rng = np.random.default_rng(args.seed)
+    outdir = _output_dir(args.output)  # a path that cannot be written fails before the run
     run, checks = _simulate(args.protocol, args.n, rng, args.hub, cap)
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
     stem = args.protocol
-    (outdir / f"{stem}_trace.jsonl").write_text(dump_trace(run.trace), encoding="utf-8")
+    _write(outdir / f"{stem}_trace.jsonl", dump_trace(run.trace))
     ledger_doc = dict(run.ledger.summary())
     ledger_doc["checks"] = [{"name": name, "ok": bool(ok), "detail": detail} for name, ok, detail in checks]
-    (outdir / f"{stem}_ledger.json").write_text(
-        json.dumps(ledger_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write(outdir / f"{stem}_ledger.json", json.dumps(ledger_doc, sort_keys=True, indent=2) + "\n")
     n = run.n_parties
     bundle = graphs.GraphBundle(
         n,
         graphs.EntanglementGraph(n, tuple(tuple(r) for r in run.ledger.granted_matrix(n))),
         graphs.CommunicationGraph(n, tuple(tuple(r) for r in run.ledger.bits_matrix(n))),
     )
-    (outdir / f"{stem}_graphs.json").write_text(graphs.export_json(bundle), encoding="utf-8")
+    _write(outdir / f"{stem}_graphs.json", graphs.export_json(bundle))
     for name, ok, detail in checks:
         print(f"{stem}: {name}: {'ok' if ok else 'FAIL'} ({detail})")
     if args.sample:
@@ -238,8 +252,9 @@ def cmd_bounds(args) -> int:
             doc.append(entry)
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.output:
-        Path(args.output).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.output).write_text(text, encoding="utf-8")
+        path = Path(args.output)
+        _output_dir(path.parent)
+        _write(path, text)
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(text)
@@ -261,8 +276,7 @@ def cmd_symmetrise(args) -> int:
         raise CliUsageError(f"cannot read {args.input}: {exc}") from None
     bundle = graphs.import_json(text)
     n = bundle.n
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args.output)
     symmetrised = {}  # kind -> symmetrised graph
     for kind, g in (("entanglement", bundle.entanglement), ("communication", bundle.communication)):
         if g is None:
@@ -283,14 +297,12 @@ def cmd_symmetrise(args) -> int:
         else:
             print(f"{kind}: brute-force cross-check skipped "
                   f"(n = {n} exceeds the cap of {graphs.BRUTE_FORCE_MAX})")
-        (outdir / f"{kind}.dot").write_text(
-            graphs.export_dot(g, name=kind), encoding="utf-8")
+        _write(outdir / f"{kind}.dot", graphs.export_dot(g, name=kind))
     if symmetrised:
         sym_bundle = graphs.GraphBundle(n, **symmetrised)
-        (outdir / "symmetrised.json").write_text(graphs.export_json(sym_bundle), encoding="utf-8")
+        _write(outdir / "symmetrised.json", graphs.export_json(sym_bundle))
         for kind, g in symmetrised.items():
-            (outdir / f"symmetrised_{kind}.dot").write_text(
-                graphs.export_dot(g, name=f"symmetrised_{kind}"), encoding="utf-8")
+            _write(outdir / f"symmetrised_{kind}.dot", graphs.export_dot(g, name=f"symmetrised_{kind}"))
     example = graphs.four_lab_example()
     if bundle.entanglement is not None and bundle.entanglement == example.entanglement:
         print("note: the symmetrised edge weight of this four-lab example is sometimes "

@@ -98,7 +98,8 @@ class Branch:
     measurement counter of the owning ensemble; conditional corrections
     look outcomes up through it.  ``layout`` places the registry qubits among
     the factors' bits; the branches of an ensemble share it.  ``Branch(p, vec)``
-    is the one-factor branch of a dense vector over the registry.
+    is the one-factor branch of a dense vector over the registry; over an
+    empty registry ``vec`` is one amplitude, a phase, and the branch has no factor.
     """
 
     __slots__ = ("probability", "factors", "record", "layout")
@@ -107,7 +108,8 @@ class Branch:
                  factors: tuple[np.ndarray, ...] | None = None, layout: Layout | None = None):
         if factors is None:
             vec = np.asarray(amplitudes, dtype=complex)
-            factors, layout = (vec,), Layout(bits=tuple(range(vec.size.bit_length() - 1)))
+            factors = (vec,) if vec.size > 1 else ()
+            layout = Layout(bits=tuple(range(vec.size.bit_length() - 1)))
         self.probability = probability
         self.factors = factors
         self.layout = layout
@@ -125,7 +127,8 @@ class BranchEnsemble:
     """Probability-weighted set of pure product states over a shared registry.
 
     ``groups`` defaults to the whole registry as one group, which is what a
-    list of one-factor branches ``Branch(p, vec)`` describes.
+    list of one-factor branches ``Branch(p, vec)`` describes; an empty
+    registry has no group.
     """
 
     registry: tuple[QubitId, ...]
@@ -136,7 +139,7 @@ class BranchEnsemble:
 
     def __post_init__(self):
         if self.groups is None:
-            self.groups = (self.registry,)
+            self.groups = (self.registry,) if self.registry else ()
 
     @classmethod
     def vacuum(cls, max_qubits: int = DEFAULT_MAX_QUBITS) -> "BranchEnsemble":

@@ -5,9 +5,11 @@ communication graphs are directed.  Symmetrising a graph sums it over all
 vertex permutations, yielding a regular complete graph whose single edge
 weight also follows from a closed form; both routes are kept so one can
 check the other.  All arithmetic is in fractions so factorial scalings
-are exact; the explicit permutation sum runs on integers over the weights'
-common denominator (numpy int64, or Python ints where int64 could
-overflow), so it is exact too.
+are exact.  The explicit sum enumerates every permutation into one n! x n
+table, counts how many send each pair of vertices to each pair, and weights
+those counts by the graph's integer numerators over their common
+denominator (numpy int64, or Python ints where int64 could overflow), so it
+is exact too.
 
 The weight a graph carries across a bipartition is counted by the audit's
 cut sums (``audit._leaving``), the program's one count of it.  The rest of
@@ -18,7 +20,6 @@ resources, the half-transfer and three-lab conditions) is test oracles, in
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
@@ -32,6 +33,9 @@ import numpy as np
 # would make `ebitnet symmetrise` at n = 9 (the perm-wide benchmark workload) run
 # the explicit sum: its stdout would change and it would take about 9x the n = 8 time.
 BRUTE_FORCE_MAX = 8
+# Permutations whose one-hot rows go into one product in _pair_counts: a count
+# in a chunk stays below 2**24, so the float32 sums are exact.
+_CHUNK = 512
 
 
 class GraphFormatError(ValueError):
@@ -129,13 +133,38 @@ def star_graphs(n: int, hub: int = 1) -> tuple[EntanglementGraph, CommunicationG
     return EntanglementGraph(n, mat), CommunicationGraph(n, mat)
 
 
+def _permutation_table(n: int) -> np.ndarray:
+    """All n! permutations of range(n), one per row (int8): each row of the
+    (n-1)! table with n - 1 inserted at every position."""
+    table = np.zeros((1, 0), np.int8)
+    for k in range(n):
+        out = np.zeros((k + 1, len(table), k + 1), np.int8)
+        for pos in range(k + 1):
+            out[pos, :, :pos], out[pos, :, pos], out[pos, :, pos + 1:] = table[:, :pos], k, table[:, pos:]
+        table = out.reshape(-1, k + 1)
+    return table
+
+
+def _pair_counts(table: np.ndarray) -> np.ndarray:
+    """C[i, a, j, b], the number of rows of ``table`` that send i to a and j to b,
+    summed as the Gram product of the rows' one-hot codes, _CHUNK rows at a time."""
+    n = table.shape[1]
+    one_hot = np.eye(n, dtype=np.float32)
+    counts = np.zeros((n * n, n * n), np.int64)
+    for start in range(0, len(table), _CHUNK):
+        e = one_hot[table[start:start + _CHUNK]].reshape(-1, n * n)
+        counts += (e.T @ e).astype(np.int64)
+    return counts.reshape(n, n, n, n)
+
+
 def symmetrise(g: Graph) -> Graph:
     """Sum the graph over all n! vertex permutations (explicit enumeration).
 
     The result is regular and complete with total n! times the input total.
     Refuses above the brute-force cap; use symmetrised_edge_weight there.
-    The sum runs on the integer numerators over the common denominator,
-    one row of the result per gather over the n x n! permutation table.
+    Cell (i, j) of the sum is sum over (a, b) of C[i, a, j, b] W[a, b]: the
+    pair counts of the permutation table times the integer numerators W over
+    the common denominator.
     """
     n = g.n
     if n > BRUTE_FORCE_MAX:
@@ -146,11 +175,9 @@ def symmetrise(g: Graph) -> Graph:
     fact = math.factorial(n)
     den = math.lcm(*(x.denominator for row in g.weights for x in row))
     nums = [[x.numerator * (den // x.denominator) for x in row] for row in g.weights]
-    # no cell of the sum passes max(W) * n!; beyond int64 the sum runs on Python ints
+    # every term is >= 0 and no cell of the sum passes max(W) * n!; beyond int64 it runs on Python ints
     W = np.array(nums, dtype=object if max(map(max, nums), default=0) * fact >= 2**63 else np.int64)
-    P = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))), np.int8,
-                    n * fact).reshape(fact, n)
-    acc = [W[P[:, i, None], P].sum(axis=0) for i in range(n)]
+    acc = np.tensordot(_pair_counts(_permutation_table(n)), W, axes=([1, 3], [0, 1]))
     mat = tuple(tuple(Fraction(int(v), den) for v in row) for row in acc)
     return type(g)(n, mat)
 

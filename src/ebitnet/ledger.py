@@ -634,6 +634,11 @@ def _header_trace(rec: Mapping) -> ProtocolTrace:
         initial.check()
     except AssertionError as exc:
         raise ValueError(f"initial state: {exc}") from None
+    if not registry:  # a branch over no qubits keeps no factor, so check() did not see its amplitude
+        for _, vec in raw:
+            norm = math.sqrt(np.vdot(vec, vec).real)
+            if not abs(norm - 1.0) <= 1e-9:
+                raise ValueError(f"initial state: branch norm {norm} drifted from 1")
     return ProtocolTrace(n_parties, initial)
 
 

@@ -281,3 +281,21 @@ def test_closed_stdout_exits_141_without_traceback(argv, tmp_path, capsys):
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "teleport", "--output", "{file}"],
+    ["simulate", "teleport", "--output", "/dev/null/x"],
+    ["symmetrise", "--input", str(FIXTURE), "--output", "/dev/null/x"],
+    ["bounds", "--output", "/dev/null/x/b.csv"],
+    ["bounds", "--output", "{directory}"],
+], ids=["simulate-to-a-file", "simulate-under-a-file", "symmetrise-under-a-file",
+        "bounds-under-a-file", "bounds-to-a-directory"])
+def test_unwritable_output_exits_two_without_traceback(argv, tmp_path, monkeypatch, capsys):
+    (tmp_path / "file").write_text("")
+    argv = [arg.format(file=tmp_path / "file", directory=tmp_path) for arg in argv]
+    # simulate refuses the path before it runs the protocol
+    monkeypatch.setattr(cli, "_simulate", lambda *args: pytest.fail("the protocol ran"))
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ") and err.count("\n") == 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebitnet import audit, cli, engine, gates
+from ebitnet import audit, cli, engine, gates, ledger
 from ebitnet.engine import BranchEnsemble, Gate, Povm, QubitId, RegistryCapacityError
 from ebitnet.ledger import CollectiveOracle, LocalGate, LocalMeasure, Relabel, Relocate, apply_event
 
@@ -498,7 +498,7 @@ class TestCoalesce:
         ens, (b,) = engine.allocate_qubits(ens, 1, 1, labels=("b",))
         ens = engine.apply_gate(ens, Gate((b,), gates.HADAMARD))
         ens, _ = engine.measure_computational(ens, (b,))
-        assert len(ens.groups) == 3 and ens.locate(b)[0] == 2
+        assert len(ens.groups) == 2 and ens.locate(b)[0] == 1
         assert len(engine.coalesce(ens).branches) == 2
 
     def test_conditioning_without_a_record_is_rejected(self):
@@ -659,7 +659,22 @@ class TestFactoredAgainstDense:
                 assert set(dist) == set(want) and all(abs(dist[k] - want[k]) <= 1e-12 for k in dist), step
             assert [len(b.factors) for b in ens.branches] == [len(ens.groups)] * len(ens.branches)
             assert sorted(q for g in ens.groups for q in g) == sorted(ens.registry)
+            assert () not in ens.groups, step
             self.assert_untouched_factors_shared(before, ens, ev)
+
+    def test_an_empty_registry_has_no_group_and_no_factor(self):
+        ens = BranchEnsemble.vacuum()
+        assert ens.groups == () and [b.factors for b in ens.branches] == [()]
+        ens, (x0, x1) = engine.allocate_qubits(ens, 1, 2)
+        p, q = QubitId(1, "p"), QubitId(2, "q")
+        ens = engine.insert_bell_pair(ens, p, q)
+        assert ens.groups == ((x0,), (x1,), (p, q))
+        assert [len(b.factors) for b in ens.branches] == [3]
+        run, _ = cli._simulate("perm-comm", 3, np.random.default_rng(7), 1, engine.DEFAULT_MAX_QUBITS)
+        initial = ledger.load_trace(ledger.dump_trace(run.trace)).initial
+        assert initial.registry == () and initial.groups == ()
+        assert [b.factors for b in initial.branches] == [()]
+        assert np.array_equal(initial.branches[0].amplitudes, [1])
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

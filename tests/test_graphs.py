@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,6 +187,32 @@ class TestSymmetrise:
         sym = graphs.symmetrise(g)
         assert sym.weights == reference_symmetrise(g)
         assert sym.weights[0][1] == graphs.symmetrised_edge_weight("entanglement", graphs.total_entanglement(g), n)
+
+    @pytest.mark.parametrize("n", range(1, graphs.BRUTE_FORCE_MAX + 1))
+    def test_permutation_table_holds_every_permutation_once(self, n):
+        table = graphs._permutation_table(n)
+        assert table.shape == (math.factorial(n), n)
+        assert (np.sort(table, axis=1) == np.arange(n)).all()
+        assert len(np.unique(table, axis=0)) == math.factorial(n)
+        if n <= 7:
+            assert {tuple(row) for row in table.tolist()} == set(itertools.permutations(range(n)))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_pair_counts_match_a_count_over_itertools(self, n):
+        want = np.zeros((n, n, n, n), np.int64)
+        for perm in itertools.permutations(range(n)):
+            for i, j in itertools.product(range(n), repeat=2):
+                want[i, perm[i], j, perm[j]] += 1
+        assert (graphs._pair_counts(graphs._permutation_table(n)) == want).all()
+
+    @pytest.mark.parametrize("n", range(6, graphs.BRUTE_FORCE_MAX + 1))
+    def test_pair_counts_over_several_chunks(self, n):
+        """(n-1)! permutations send i to a, and (n-2)! send i to a and j != i to b != a."""
+        counts = graphs._pair_counts(graphs._permutation_table(n))
+        i, a, j, b = np.ix_(range(n), range(n), range(n), range(n))
+        want = np.where((i == j) & (a == b), math.factorial(n - 1),
+                        np.where((i != j) & (a != b), math.factorial(n - 2), 0))
+        assert (counts == want).all()
 
     def test_brute_force_cap(self):
         big = regular_complete(9, 1)

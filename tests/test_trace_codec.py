@@ -143,6 +143,18 @@ def test_malformed_header_is_rejected_on_line_1(mutate):
         load_trace(as_text(records))
 
 
+@pytest.mark.parametrize("amplitude,loads", [([0.6, 0.8], True), ([0.0, -1.0], True), ([0.5, 0.0], False)])
+def test_a_branch_over_no_qubits_needs_an_amplitude_of_modulus_one(amplitude, loads):
+    """The branches of an empty registry keep no factor; the load still checks their one amplitude."""
+    header = {"kind": "header", "format": "ebitnet-trace/4", "n_parties": 2, "registry": [],
+              "branches": [{"p": 1.0, "amplitudes": [amplitude]}]}
+    if loads:
+        assert load_trace(as_text([header])).initial.groups == ()
+    else:
+        with pytest.raises(ValueError, match=r"^trace line 1: initial state: branch norm 0\.5 drifted from 1$"):
+            load_trace(as_text([header]))
+
+
 @pytest.mark.parametrize("kind,key,value", [
     ("allocate", "party", 4),
     ("ebit_consume", "pair", [1, 7]),
