@@ -26,7 +26,9 @@ graphs up to n = 9 (the brute-force cap is 8), and graph-file probes put one
 value that is not a JSON integer or string (``1e400``, ``0.5``, ``true``, a row
 given as a string, an ``n`` of ``"2"``), or a cell too long or not an integer
 or ``"p/q"`` (``"1e5000"``, a 5000-digit integer), into the teleport graphs:
-``symmetrise`` and both audits must exit 2 on each.  Last, ``simulate``,
+``symmetrise`` and both audits must exit 2 on each.  ``bounds`` writes its
+table as CSV and as JSON at ``--n-max`` 2, 3 and 64, once to a file and once to
+stdout (with the half-transfer boundary note at 64).  Last, ``simulate``,
 ``symmetrise`` and ``bounds`` write to output paths that cannot be written (a
 regular file or a directory where the other is needed, a path under
 ``/dev/null``); each must exit 2 with an ``error:`` line.
@@ -83,6 +85,8 @@ USAGE_ERRORS = [
     ["ps-cp", "--n", "4"], ["ps-cp", "--n", "1"], ["perm-entangle", "--n", "1"], ["perm-comm", "--n", "0"],
     ["teleport", "--sample", "-1"],
 ]
+# --n-max values of the bounds tables: the smallest, the first odd n, the cap
+BOUNDS_N_MAX = (2, 3, 64)
 # commands whose output path cannot be written, {file} a regular file and {directory} a directory
 UNWRITABLE_OUTPUTS = {
     "simulate-to-a-file": ["simulate", "teleport", "--output", "{file}"],
@@ -465,6 +469,19 @@ def main() -> None:
         outcomes.append(symmetrise(into / "graphs.json", into))
     for name, path, literal in GRAPH_PROBES:
         outcomes += graph_probe(root, name, path, literal)
+
+    into = root / "bounds"
+    into.mkdir(parents=True, exist_ok=True)
+    for n_max in BOUNDS_N_MAX:
+        for fmt in ("csv", "json"):
+            argv = ["bounds", "--n-max", str(n_max), "--format", fmt]
+            table = into / f"bounds-{n_max}.{fmt}"
+            for name, result in ((f"stdout-{n_max}-{fmt}", run_cli(argv)),
+                                 (f"file-{n_max}-{fmt}", run_cli([*argv, "--output", str(table)]))):
+                # the file run's stdout names its path
+                result = result.replace(str(root), "<output>")
+                (into / f"{name}.txt").write_text(result, encoding="utf-8")
+                outcomes.append(result)
 
     into = root / "unwritable"
     into.mkdir(parents=True, exist_ok=True)

@@ -43,6 +43,7 @@ AUDIT = "tests/test_audit.py::"
 CODEC = "tests/test_trace_codec.py::"
 ENGINE = "tests/test_engine.py::"
 GRAPHS = "tests/test_graphs.py::"
+BOUNDS = "tests/test_bounds.py::"
 SERIES = AUDIT + "test_monotone_series_matches_the_per_branch_formula"
 MUTANTS = (
     Mutant("step refuses only below zero", "src/ebitnet/protocols.py",
@@ -163,6 +164,17 @@ MUTANTS = (
            "range(0, len(table), _CHUNK)", "range(0, len(table) - _CHUNK, _CHUNK)",
            (GRAPHS + "TestSymmetrise::test_pair_counts_over_several_chunks",
             GRAPHS + "TestSymmetrise::test_n8_rational_graph_matches_reference")),
+    Mutant("symmetrise builds the pair counts once per graph", "src/ebitnet/cli.py",
+           "counts = graphs.pair_counts(n) if n <= graphs.BRUTE_FORCE_MAX else None", "counts = None",
+           (GRAPHS + "TestSymmetrise::test_one_symmetrise_command_builds_the_pair_counts_at_most_once",)),
+    Mutant("integer ceilings round down", "src/ebitnet/bounds.py",
+           "return -(-a // b)", "return a // b",
+           (BOUNDS + "TestIntegerRules::test_integer_comm_boundary_equals_the_fraction_scan",
+            BOUNDS + "TestIntegerRules::test_one_shot_ceilings_are_the_ceilings_of_the_lower_bounds"), quick=True),
+    Mutant("the half-transfer bits are the ebit figure", "src/ebitnet/bounds.py",
+           "e = Fraction(2 * n * n * (n - 1), n * n + 3)\n    return e, 2 * e",
+           "e = Fraction(2 * n * n * (n - 1), n * n + 3)\n    return e, e",
+           (BOUNDS + "TestIntegerRules::test_single_fractions_equal_the_scaled_products",)),
     Mutant("a header branch over no qubits loads with any amplitude", "src/ebitnet/ledger.py",
            "    if not registry:  # a branch over no qubits", "    if False:  # a branch over no qubits",
            (CODEC + "test_a_branch_over_no_qubits_needs_an_amplitude_of_modulus_one",)),

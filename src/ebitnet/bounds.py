@@ -1,16 +1,16 @@
 """Closed-form resource bounds for arbitrary collective operations on n qubits.
 
-All arithmetic is exact-rational so near-integer ceiling comparisons are
-reliable.  For even n the teleportation figures are known optimal; for odd
-n the module evaluates the rigorous lower bounds, their integer one-shot
-ceilings, and the tighter bounds conditional on the half-transfer
-hypothesis (flagged as such).  The n = 3 case is marked open: nothing here
-claims optimality for it.
+All arithmetic is exact, so near-integer ceiling comparisons are reliable.
+For even n the teleportation figures are known optimal; for odd n the module
+evaluates the rigorous lower bounds, their integer one-shot ceilings, and the
+tighter bounds conditional on the half-transfer hypothesis (flagged as such).
+Each odd-n figure is one Fraction built from integers, its bit figure twice its
+ebit figure, and each ceiling is an integer ceiling division.  The n = 3 case
+is marked open: nothing here claims optimality for it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,8 +42,13 @@ def lower_bounds(n: int) -> tuple[Fraction, Fraction]:
     _require_n(n)
     if n % 2 == 0:
         return teleport_resources(n)
-    scale = Fraction(n, n + 1)
-    return 2 * scale * (n - 1), 4 * scale * (n - 1)
+    e = Fraction(2 * n * (n - 1), n + 1)
+    return e, 2 * e
+
+
+def _ceil_div(a: int, b: int) -> int:
+    """ceil(a / b) for integers, b > 0."""
+    return -(-a // b)
 
 
 def integer_one_shot_bounds(n: int) -> tuple[int, int]:
@@ -55,8 +60,7 @@ def integer_one_shot_bounds(n: int) -> tuple[int, int]:
     _require_n(n, 3)
     if n % 2 == 0:
         raise ValueError(f"integer one-shot bounds are the odd-n refinement, got n = {n}")
-    e, c = lower_bounds(n)
-    return math.ceil(e), math.ceil(c)
+    return _ceil_div(2 * n * (n - 1), n + 1), _ceil_div(4 * n * (n - 1), n + 1)
 
 
 def half_transfer_bounds(n: int) -> tuple[Fraction, Fraction]:
@@ -65,37 +69,8 @@ def half_transfer_bounds(n: int) -> tuple[Fraction, Fraction]:
     _require_n(n, 3)
     if n % 2 == 0:
         raise ValueError(f"half-transfer bounds are the odd-n refinement, got n = {n}")
-    scale = Fraction(n * n, n * n + 3)
-    return 2 * scale * (n - 1), 4 * scale * (n - 1)
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    n: int
-    odd_bound_vs_cap: Fraction          # 2n(n-1)/(n+1) - n, nonnegative for n >= 3
-    odd_bound_equals_cap: bool          # true only at n = 3
-    half_transfer_vs_integer: Fraction  # 2(n-1)/(1+3/n^2) - (2(n-1)-1)
-    half_transfer_equals_integer: bool  # true only at n = 3
-    integer_comm_equals_teleport: bool  # ceil of conditional comm bound hits 4(n-1)
-
-
-def comparison_predicates(n: int) -> ComparisonReport:
-    """Evaluate the bound-ordering identities at a given n (n >= 3)."""
-    _require_n(n, 3)
-    odd_e = 2 * Fraction(n, n + 1) * (n - 1)
-    cap_e = Fraction(n)
-    ht_e = 2 * Fraction(n * n, n * n + 3) * (n - 1)
-    int_e = Fraction(2 * (n - 1) - 1)
-    ht_c = 4 * Fraction(n * n, n * n + 3) * (n - 1)
-    teleport_c = 4 * (n - 1)
-    return ComparisonReport(
-        n=n,
-        odd_bound_vs_cap=odd_e - cap_e,
-        odd_bound_equals_cap=odd_e == cap_e,
-        half_transfer_vs_integer=ht_e - int_e,
-        half_transfer_equals_integer=ht_e == int_e,
-        integer_comm_equals_teleport=math.ceil(ht_c) == teleport_c,
-    )
+    e = Fraction(2 * n * n * (n - 1), n * n + 3)
+    return e, 2 * e
 
 
 @dataclass(frozen=True)
@@ -174,7 +149,7 @@ def integer_comm_boundary(n_max: int) -> int | None:
     equals the teleportation figure (scanning odd n up to n_max)."""
     boundary = None
     for n in range(3, n_max + 1, 2):
-        if comparison_predicates(n).integer_comm_equals_teleport:
+        if _ceil_div(4 * n * n * (n - 1), n * n + 3) == 4 * (n - 1):
             if boundary is None:
                 boundary = n
         else:

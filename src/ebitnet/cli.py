@@ -278,6 +278,8 @@ def cmd_symmetrise(args) -> int:
     n = bundle.n
     outdir = _output_dir(args.output)
     symmetrised = {}  # kind -> symmetrised graph
+    # every file holds a graph, so below the cap the pair counts are built once for both graphs' sums
+    counts = graphs.pair_counts(n) if n <= graphs.BRUTE_FORCE_MAX else None
     for kind, g in (("entanglement", bundle.entanglement), ("communication", bundle.communication)):
         if g is None:
             continue
@@ -286,7 +288,7 @@ def cmd_symmetrise(args) -> int:
         weight = graphs.symmetrised_edge_weight(kind, total, n)
         print(f"{kind}: total {total}, symmetrised edge weight {letter} = {weight} (closed form)")
         if n <= graphs.BRUTE_FORCE_MAX:
-            sym = graphs.symmetrise(g)
+            sym = graphs.symmetrise(g, counts)
             entries = {sym.weights[i][j] for i in range(n) for j in range(n) if i != j}
             ok = entries == {weight}
             print(f"{kind}: brute-force cross-check over {math.factorial(n)} "

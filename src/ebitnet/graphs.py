@@ -9,7 +9,8 @@ are exact.  The explicit sum enumerates every permutation into one n! x n
 table, counts how many send each pair of vertices to each pair, and weights
 those counts by the graph's integer numerators over their common
 denominator (numpy int64, or Python ints where int64 could overflow), so it
-is exact too.
+is exact too.  ``ebitnet symmetrise`` builds those counts (``pair_counts``)
+once for both graphs of a file.
 
 The weight a graph carries across a bipartition is counted by the audit's
 cut sums (``audit._leaving``), the program's one count of it.  The rest of
@@ -56,7 +57,7 @@ def _to_weights(raw: Sequence[Sequence], n: int, where: str) -> Weights:
         out = []
         for j, cell in enumerate(row):
             try:
-                val = Fraction(cell)
+                val = cell if isinstance(cell, Fraction) else Fraction(cell)
             except (ValueError, TypeError, ZeroDivisionError, OverflowError):
                 raise GraphFormatError(f"{where}[{i}][{j}]: not a rational: {cell!r}") from None
             if val < 0:
@@ -157,14 +158,21 @@ def _pair_counts(table: np.ndarray) -> np.ndarray:
     return counts.reshape(n, n, n, n)
 
 
-def symmetrise(g: Graph) -> Graph:
+def pair_counts(n: int) -> np.ndarray:
+    """C[i, a, j, b] over all n! permutations of n vertices, for ``symmetrise``;
+    a caller symmetrising several graphs on n vertices builds it once."""
+    return _pair_counts(_permutation_table(n))
+
+
+def symmetrise(g: Graph, counts: np.ndarray | None = None) -> Graph:
     """Sum the graph over all n! vertex permutations (explicit enumeration).
 
     The result is regular and complete with total n! times the input total.
     Refuses above the brute-force cap; use symmetrised_edge_weight there.
     Cell (i, j) of the sum is sum over (a, b) of C[i, a, j, b] W[a, b]: the
-    pair counts of the permutation table times the integer numerators W over
-    the common denominator.
+    pair counts ``counts`` (``pair_counts(n)``, built here when not given) of
+    the permutation table times the integer numerators W over the common
+    denominator.
     """
     n = g.n
     if n > BRUTE_FORCE_MAX:
@@ -172,12 +180,14 @@ def symmetrise(g: Graph) -> Graph:
             f"explicit symmetrisation is capped at n = {BRUTE_FORCE_MAX}; "
             "use symmetrised_edge_weight for the closed form"
         )
+    if counts is None:
+        counts = pair_counts(n)
     fact = math.factorial(n)
     den = math.lcm(*(x.denominator for row in g.weights for x in row))
     nums = [[x.numerator * (den // x.denominator) for x in row] for row in g.weights]
     # every term is >= 0 and no cell of the sum passes max(W) * n!; beyond int64 it runs on Python ints
     W = np.array(nums, dtype=object if max(map(max, nums), default=0) * fact >= 2**63 else np.int64)
-    acc = np.tensordot(_pair_counts(_permutation_table(n)), W, axes=([1, 3], [0, 1]))
+    acc = np.tensordot(counts, W, axes=([1, 3], [0, 1]))
     mat = tuple(tuple(Fraction(int(v), den) for v in row) for row in acc)
     return type(g)(n, mat)
 

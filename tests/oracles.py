@@ -23,6 +23,11 @@
   calculus (partitions, cross-partition weights, symmetrised edge weights).
 - ``permutation_gain_edges`` lists the edges a permutation gains on, from which
   the tests rebuild ``expendable_resources`` and ``bounds.half_transfer_bounds``.
+- ``comparison_predicates`` evaluates the bound-ordering identities at one n
+  (odd bound against the cap, half-transfer bound against the integer ceiling,
+  the rounded conditional communication bound against teleportation) as
+  products of Fractions, the oracle for ``bounds.integer_comm_boundary``, which
+  tests the last of them in integers.
 - ``bell_state`` gives a Bell state's amplitudes by label, and ``bell_states``
   all four, the basis ``engine.bell_measure`` reads out.
 - ``supplementary_information`` is the Shannon entropy of a POVM's outcomes,
@@ -193,6 +198,38 @@ def permutation_gain_edges(mapping: Sequence[int], kind: str) -> set:
     if kind == "communication":
         return {(i, mapping[i - 1]) for i in range(1, n + 1)}
     raise ValueError(f"unknown kind {kind!r}")
+
+
+@dataclass(frozen=True)
+class ComparisonReport:
+    n: int
+    odd_bound_vs_cap: Fraction          # 2n(n-1)/(n+1) - n, nonnegative for n >= 3
+    odd_bound_equals_cap: bool          # true only at n = 3
+    half_transfer_vs_integer: Fraction  # 2(n-1)/(1+3/n^2) - (2(n-1)-1)
+    half_transfer_equals_integer: bool  # true only at n = 3
+    integer_comm_equals_teleport: bool  # ceil of conditional comm bound hits 4(n-1)
+
+
+def comparison_predicates(n: int) -> ComparisonReport:
+    """Evaluate the bound-ordering identities at a given n (n >= 3), each figure
+    a product of Fractions: the scan ``bounds.integer_comm_boundary`` makes in
+    integers, done over the rationals."""
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    odd_e = 2 * Fraction(n, n + 1) * (n - 1)
+    cap_e = Fraction(n)
+    ht_e = 2 * Fraction(n * n, n * n + 3) * (n - 1)
+    int_e = Fraction(2 * (n - 1) - 1)
+    ht_c = 4 * Fraction(n * n, n * n + 3) * (n - 1)
+    teleport_c = 4 * (n - 1)
+    return ComparisonReport(
+        n=n,
+        odd_bound_vs_cap=odd_e - cap_e,
+        odd_bound_equals_cap=odd_e == cap_e,
+        half_transfer_vs_integer=ht_e - int_e,
+        half_transfer_equals_integer=ht_e == int_e,
+        integer_comm_equals_teleport=math.ceil(ht_c) == teleport_c,
+    )
 
 
 # -- the resource-graph calculus of the paper, on frozenset partitions ---------

@@ -170,7 +170,7 @@ def test_c07_bound_chain():
                 assert cap_e <= low_e <= ht_e <= tel_e
                 assert low_e == Fraction(2 * n * (n - 1), n + 1)
                 assert ht_e == Fraction(2 * (n - 1) * n * n, n * n + 3)
-                rep = bounds.comparison_predicates(n)
+                rep = oracles.comparison_predicates(n)
                 assert rep.odd_bound_equals_cap == (n == 3)
                 assert rep.half_transfer_equals_integer == (n == 3)
                 int_e, _ = bounds.integer_one_shot_bounds(n)

@@ -111,25 +111,51 @@ class TestBoundChain:
 
 class TestComparisonPredicates:
     def test_n3_both_equalities(self):
-        rep = bounds.comparison_predicates(3)
+        rep = oracles.comparison_predicates(3)
         assert rep.odd_bound_equals_cap
         assert rep.half_transfer_equals_integer
         assert rep.odd_bound_vs_cap == 0 and rep.half_transfer_vs_integer == 0
 
     def test_n4_strict(self):
-        rep = bounds.comparison_predicates(4)
+        rep = oracles.comparison_predicates(4)
         assert rep.odd_bound_vs_cap == Fraction(24, 5) - 4
         assert not rep.odd_bound_equals_cap
 
     def test_n12_integer_comm_reaches_teleport(self):
-        assert bounds.comparison_predicates(12).integer_comm_equals_teleport
+        assert oracles.comparison_predicates(12).integer_comm_equals_teleport
 
     def test_integer_comm_boundary(self):
         # ceil(conditional communication bound) == teleport figure from n = 11 on
         assert bounds.integer_comm_boundary(15) == 11
-        assert not bounds.comparison_predicates(9).integer_comm_equals_teleport
+        assert not oracles.comparison_predicates(9).integer_comm_equals_teleport
         for n in (11, 13, 15, 21):
-            assert bounds.comparison_predicates(n).integer_comm_equals_teleport
+            assert oracles.comparison_predicates(n).integer_comm_equals_teleport
+
+
+class TestIntegerRules:
+    """The bounds build each figure as one Fraction and each ceiling by integer
+    division; the oracles multiply Fractions and take math.ceil."""
+
+    @pytest.mark.parametrize("n_max", range(3, 65))
+    def test_integer_comm_boundary_equals_the_fraction_scan(self, n_max):
+        boundary = None
+        for n in range(3, n_max + 1, 2):
+            if oracles.comparison_predicates(n).integer_comm_equals_teleport:
+                boundary = n if boundary is None else boundary
+            else:
+                boundary = None
+        assert bounds.integer_comm_boundary(n_max) == boundary
+
+    @given(st.integers(min_value=1, max_value=500).map(lambda k: 2 * k + 1))
+    def test_one_shot_ceilings_are_the_ceilings_of_the_lower_bounds(self, n):
+        e, c = bounds.lower_bounds(n)
+        assert bounds.integer_one_shot_bounds(n) == (math.ceil(e), math.ceil(c))
+
+    @given(st.integers(min_value=1, max_value=500).map(lambda k: 2 * k + 1))
+    def test_single_fractions_equal_the_scaled_products(self, n):
+        lower, half = Fraction(n, n + 1), Fraction(n * n, n * n + 3)
+        assert bounds.lower_bounds(n) == (2 * lower * (n - 1), 4 * lower * (n - 1))
+        assert bounds.half_transfer_bounds(n) == (2 * half * (n - 1), 4 * half * (n - 1))
 
 
 class TestTeleportationCount:

@@ -49,6 +49,20 @@ def reference_symmetrise(g):
     return tuple(tuple(row) for row in acc)
 
 
+def rational_graphs(n, rng):
+    """An entanglement and a communication graph on n vertices with weights p/q,
+    0 <= p <= 12 and 1 <= q <= 6."""
+    def weight():
+        return Fraction(rng.randint(0, 12), rng.randint(1, 6))
+
+    ent = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            ent[i][j] = ent[j][i] = weight()
+    comm = [[Fraction(0) if i == j else weight() for j in range(n)] for i in range(n)]
+    return EntanglementGraph(n, tuple(map(tuple, ent))), CommunicationGraph(n, tuple(map(tuple, comm)))
+
+
 def permute_graph(g, perm):
     n = g.n
     w = tuple(tuple(g.weights[perm[i]][perm[j]] for j in range(n)) for i in range(n))
@@ -213,6 +227,28 @@ class TestSymmetrise:
         want = np.where((i == j) & (a == b), math.factorial(n - 1),
                         np.where((i != j) & (a != b), math.factorial(n - 2), 0))
         assert (counts == want).all()
+
+    @pytest.mark.parametrize("n,builds", [(2, 1), (5, 1), (8, 1), (9, 0)])
+    def test_one_symmetrise_command_builds_the_pair_counts_at_most_once(self, n, builds, tmp_path,
+                                                                         monkeypatch, capsys):
+        """Both graphs of a file share one kernel below the cap; at n = 9 only the
+        closed form runs.  The written sums are those of each graph on its own."""
+        sizes, pair_counts = [], graphs._pair_counts
+
+        def counting(table):
+            sizes.append(len(table))
+            return pair_counts(table)
+
+        monkeypatch.setattr(graphs, "_pair_counts", counting)
+        ent, comm = rational_graphs(n, random.Random(n))
+        src = tmp_path / "g.json"
+        src.write_text(graphs.export_json(graphs.GraphBundle(n, ent, comm)), encoding="utf-8")
+        assert cli.main(["symmetrise", "--input", str(src), "--output", str(tmp_path / "o")]) == 0
+        assert "MISMATCH" not in capsys.readouterr().out
+        assert sizes == [math.factorial(n)] * builds
+        if builds:
+            alone = graphs.GraphBundle(n, graphs.symmetrise(ent), graphs.symmetrise(comm))
+            assert (tmp_path / "o" / "symmetrised.json").read_text(encoding="utf-8") == graphs.export_json(alone)
 
     def test_brute_force_cap(self):
         big = regular_complete(9, 1)
@@ -412,10 +448,15 @@ class TestSerialization:
     def test_negative_weight_rejected(self):
         with pytest.raises(GraphFormatError, match="negative"):
             graphs.import_json('{"n": 2, "entanglement": [["0", "-1"], ["-1", "0"]]}')
+        # a cell that is already a Fraction is checked too
+        with pytest.raises(GraphFormatError, match=r"\[0\]\[1\]: negative"):
+            CommunicationGraph(2, ((Fraction(0), Fraction(-1, 2)), (Fraction(0), Fraction(0))))
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(GraphFormatError, match="diagonal"):
             graphs.import_json('{"n": 2, "communication": [["1", "0"], ["0", "0"]]}')
+        with pytest.raises(GraphFormatError, match=r"\[1\]\[1\]: diagonal"):
+            EntanglementGraph(2, ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1, 3))))
 
     @pytest.mark.parametrize("doc,where", [
         ('{"n": 2, "entanglement": [[0, 1e400], [1e400, 0]]}', r"entanglement\[0\]\[1\]: .*Infinity"),
