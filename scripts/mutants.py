@@ -12,7 +12,8 @@ The named tests are first run once on an unmutated copy; they must pass.
 
 Exit codes: 0 when every mutant is killed, 1 when one survives, 2 when the
 table is stale (a piece of old text not found exactly once) or a named test
-fails on the unmutated tree.  ``--quick`` runs only the rows marked quick.
+fails on the unmutated tree.  ``--quick`` runs only the rows marked quick; the
+old text of every row is checked either way, so a stale row fails both.
 """
 
 import argparse
@@ -56,17 +57,16 @@ MUTANTS = (
            (AUDIT + "TestAuditViolations::test_overconsumption_flagged",
             AUDIT + "test_forged_trace_report_is_exact")),
     Mutant("supplementary messages charged in full, past their POVM cover", "src/ebitnet/ledger.py",
-           "isinstance(event, ClassicalMessage) and not event.supplementary:",
-           "isinstance(event, ClassicalMessage):",
+           "if not self.supplementary:", "if True:",
            (PROTOCOLS + "TestCollectiveTwoQubit::test_recorded_uniform_povm_supplementary",
             AUDIT + "test_cut_checks_match_brute_force_reference"), quick=True),
     Mutant("supplementary bits beyond the POVM cover go free", "src/ebitnet/ledger.py",
-           "            if beyond:", "            if False:",
+           "        if beyond:", "        if False:",
            (AUDIT + "test_supplementary_messages_beyond_the_povm_cover_are_charged",
             AUDIT + "test_cut_checks_match_brute_force_reference"), quick=True),
     Mutant("POVM distribution taken from the record", "src/ebitnet/ledger.py",
            "return ens, {str(r): p for r, p in enumerate(probs) if p > 0.0}",
-           "return ens, dict(event.distribution)",
+           "return ens, dict(self.distribution)",
            (AUDIT + "TestAuditViolations::test_tampered_povm_distribution_caught_by_replay",)),
     Mutant("a POVM may discard its targets", "src/ebitnet/ledger.py",
            "if self.povm is not None and self.discard:", "if False:",
@@ -76,7 +76,7 @@ MUTANTS = (
            (CODEC + "test_malformed_event_is_rejected_with_its_line[allocate-off-party]",
             CODEC + "test_audit_of_malformed_golden_trace_exits_two_with_its_line[no-replay-allocate-off-party]")),
     Mutant("decoded bits keyed (at, from)", "src/ebitnet/ledger.py",
-           "(event.from_party, event.at_party)", "(event.at_party, event.from_party)",
+           "(self.from_party, self.at_party)", "(self.at_party, self.from_party)",
            (PROTOCOLS + "TestResourceBook::test_decoded_bits_are_booked_from_sender_to_receiver",
             AUDIT + "test_forged_trace_report_is_exact")),
     Mutant("dense-coding allowance of 3 bits", "src/ebitnet/audit.py",
@@ -107,8 +107,8 @@ MUTANTS = (
            (AUDIT + "test_forged_trace_report_is_exact",
             AUDIT + "test_cut_checks_match_brute_force_reference",
             AUDIT + "TestAuditCleanRuns::test_permutation_protocols_clean")),
-    Mutant("a one-party oracle spans the cuts around its party", "src/ebitnet/audit.py",
-           "return _mask(ev.parties)", "return _mask((*ev.parties, 0))",
+    Mutant("a one-party oracle spans the cuts around its party", "src/ebitnet/ledger.py",
+           "property(lambda self: self.parties)", "property(lambda self: (*self.parties, 0))",
            (AUDIT + "test_one_party_oracle_exempts_no_cut",)),
     Mutant("permutation size not checked at load", "src/ebitnet/ledger.py",
            "if self.permutation.n != len(self.targets):", "if False:",
@@ -204,12 +204,12 @@ MUTANTS = (
            "if not abs(total - 1.0) <= 1e-10:", "if abs(total - 1.0) > 1e-10:",
            (ENGINE + "TestPovm::test_nan_probability_sum_rejected",)),
     Mutant("POVM cover counted from the record, not the elements", "src/ebitnet/ledger.py",
-           "(len(event.povm.elements) - 1).bit_length()", "(len(event.distribution) - 1).bit_length()",
+           "(len(self.povm.elements) - 1).bit_length()", "(len(self.distribution) - 1).bit_length()",
            (AUDIT + "test_povm_cover_is_capped_by_its_element_count",)),
     Mutant("a Bell record may name 3 targets", "src/ebitnet/ledger.py",
            'if self.basis == "bell" and len(self.targets) != 2:', "if False:",
            (CODEC + "test_audit_of_malformed_golden_trace_exits_two_with_its_line[no-replay-bell-on-three]",)),
-    # the registry walk of ledger.track_ids at load
+    # the registry walk of ledger.track_ids at load, and the qubit ids each event names, removes and adds
     Mutant("an unknown qubit passes the load walk", "src/ebitnet/ledger.py",
            "if q not in ids:", "if False:",
            (CODEC + "test_malformed_event_is_rejected_with_its_line[relabel-unknown-qubit]",
@@ -218,6 +218,12 @@ MUTANTS = (
            "if q in ids:", "if False:",
            (CODEC + "test_malformed_event_is_rejected_with_its_line[allocate-existing-qubit]",
             CODEC + "test_audit_of_malformed_trace_exits_two_without_traceback[no-replay-allocate-existing]")),
+    Mutant("a rename adds its old ids, not its new ones", "src/ebitnet/ledger.py",
+           "tuple(self.renames.values())", "tuple(self.renames)",
+           (AUDIT + "test_the_load_walk_of_qubit_ids_follows_the_replayed_registry",)),
+    Mutant("a measurement removes its targets whether or not it discards them", "src/ebitnet/ledger.py",
+           "self.targets if self.discard else ()", "self.targets",
+           (AUDIT + "test_the_load_walk_of_qubit_ids_follows_the_replayed_registry",)),
     # the product groups at the engine's product_groups call sites, one row per rule; the replay
     # reads the groups from the ensemble, so its cuts are valued on groups that miss the factors
     Mutant("a gate joins no groups", "src/ebitnet/engine.py",
@@ -315,7 +321,7 @@ def main() -> None:
     args = ap.parse_args()
     rows = [row for row in MUTANTS if row.quick or not args.quick]
 
-    for row in rows:
+    for row in MUTANTS:
         count = (ROOT / row.path).read_text(encoding="utf-8").count(row.old)
         if count != 1:
             fail(f"stale row {row.name!r}: {row.old!r} occurs {count} times in {row.path}")

@@ -16,6 +16,9 @@ Checks, per trace:
   across each cut) is checked to be non-increasing step by step, again
   excepting oracle and qubit-conveyance steps that span the cut.
 
+The one pass over the events charges each through its ``book`` and exempts
+the cuts its ``joined`` parties span; the replay runs each through ``apply``.
+
 The cut sums are the program's one count of resources across a bipartition.
 Every book is put over one common denominator as integer (from-bit, to-bit,
 numerator) terms, an undirected book giving each pair in both directions, and
@@ -60,10 +63,7 @@ from .ledger import (
     LocalMeasure,
     ProtocolTrace,
     Relabel,
-    Relocate,
     ResourceLedger,
-    apply_event,
-    event_renames,
     pair_key,
 )
 
@@ -124,15 +124,6 @@ def _leaving(terms: Terms, side: int) -> int:
     it to one outside.  Over an undirected book's terms, this is the weight of
     the pairs that cross the cut."""
     return sum(num for a, b, num in terms if a & side and not b & side)
-
-
-def _joined(ev: Event) -> int:
-    """The parties an event acts across at once as a mask: an oracle's, or both ends of a relocation."""
-    if isinstance(ev, CollectiveOracle):
-        return _mask(ev.parties)
-    if isinstance(ev, Relocate):
-        return _mask((ev.qubit.party, ev.to_party))
-    return 0
 
 
 def _nonzero(graph, pairs) -> dict[tuple[int, int], Fraction]:
@@ -237,13 +228,11 @@ def _carry(cache: Cache, ev: Event, fresh: dict[QubitId, QubitId]) -> Cache:
     group's entries.  ``fresh`` maps each half of a consumed ebit to the other
     half while no event has named either, and is updated here.
     """
-    renames, named = {}, ()
-    if isinstance(ev, (CollectiveOracle, Relocate, Relabel)):
-        renames = named = event_renames(ev)
-    elif isinstance(ev, LocalGate) or (isinstance(ev, LocalMeasure) and ev.povm is None):
-        named = ev.targets
-        if isinstance(ev, LocalMeasure) and ev.basis == "bell" and ev.discard:
-            renames = _teleport(ev, fresh)
+    renames, named = ev.renames, ev.named
+    if isinstance(ev, LocalMeasure) and ev.povm is not None:
+        named = ()  # a POVM leaves the state as it was
+    elif isinstance(ev, LocalMeasure) and ev.basis == "bell" and ev.discard:
+        renames = _teleport(ev, fresh)
     elif isinstance(ev, EbitConsume):
         a, b = ev.qubits
         fresh[a], fresh[b] = b, a
@@ -278,7 +267,7 @@ def replay_events(initial: BranchEnsemble, events: Sequence[Event]):
     for step, ev in enumerate(events):
         if isinstance(ev, LocalMeasure) and ev.index != ens.measurement_count:
             raise ValueError(f"step {step}: measurement index {ev.index}, expected {ens.measurement_count}")
-        ens, dist = apply_event(ens, ev)
+        ens, dist = ev.apply(ens)
         if dist is not None:
             recorded = dict(ev.distribution)
             # negated so that a NaN probability fails
@@ -304,7 +293,7 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
     cuts = _Cuts(n)
 
     for step, ev in enumerate(trace.events):
-        books.book(ev)
+        ev.book(books)
         if isinstance(ev, EbitConsume) and books.held(*ev.pair) < 0:
             key = pair_key(*ev.pair)
             report.violations.append(Violation(
@@ -327,7 +316,7 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
                 "qubit conveyance must be a relocate event",
                 step,
             ))
-        joined = _joined(ev)
+        joined = _mask(ev.joined)
         if joined:
             spanned = spanned_by_oracle if isinstance(ev, CollectiveOracle) else spanned_by_conveyance
             spanned.update(cut for cut in cuts if _spans(joined, cut))
@@ -395,7 +384,7 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
                     remaining = [h / den for h in held]
                 values = [e + r for e, r in zip(_cut_entropies(ens, cuts, cache), remaining)]
                 for cut, value, previous in zip(cuts, values, last):
-                    if value > previous + ENTROPY_TOL and not _spans(_joined(ev), cut):
+                    if value > previous + ENTROPY_TOL and not _spans(_mask(ev.joined), cut):
                         report.violations.append(Violation(
                             "replay-monotonicity",
                             f"cut {_parties(cut)}: monotone rose from {previous:.12f} "

@@ -305,8 +305,8 @@ def cmd_symmetrise(args) -> int:
         _write(outdir / "symmetrised.json", graphs.export_json(sym_bundle))
         for kind, g in symmetrised.items():
             _write(outdir / f"symmetrised_{kind}.dot", graphs.export_dot(g, name=f"symmetrised_{kind}"))
-    example = graphs.four_lab_example()
-    if bundle.entanglement is not None and bundle.entanglement == example.entanglement:
+    # only a four-party input can be the example, so no other builds it
+    if n == 4 and bundle.entanglement is not None and bundle.entanglement == graphs.four_lab_example().entanglement:
         print("note: the symmetrised edge weight of this four-lab example is sometimes "
               "quoted as 24; the explicit permutation sum and the closed form both give "
               "48 (the companion communication value, 42, is consistent)")

@@ -6,13 +6,12 @@ A trace is the ordered, replayable log of everything a protocol did:
 local gates and measurements, classical messages, ebit consumption and
 creation, plus the registry plumbing (allocation, relocation, relabeling,
 branch coalescing) and collective-oracle events needed to re-execute the
-run from its recorded initial state.  ``apply_event`` is the one mapping
-from an event to the engine: protocols run through it and the audit
-replays through it.  ``ResourceLedger.book`` is the one rule that charges
-an event to the resource books, for protocols and the audit alike, and
-``track_ids`` the load's walk of qubit ids and the registry cap through the
-events.  The product groups of the state are the engine's alone: a replay
-reads them from each ensemble ``apply_event`` makes.
+run from its recorded initial state.  Each event kind answers for itself,
+over the ``Event`` defaults: ``apply`` is its one engine call, which
+protocols run and the audit replays; ``book`` its one charge to the resource
+books, for both alike; ``named``, ``removed`` and ``added`` the qubit ids
+that ``track_ids`` walks at load.  The product groups of the state are the
+engine's alone: a replay reads them from each ensemble ``apply`` makes.
 """
 
 from __future__ import annotations
@@ -51,8 +50,8 @@ def pair_key(a: int, b: int) -> tuple[int, int]:
 class ResourceLedger:
     """Per-pair ebit and per-direction bit accounting in exact rationals.
 
-    ``book`` is the one rule that charges a trace event, for protocols and
-    the audit alike.  It never refuses: a pair consumed beyond its grant
+    A trace event charges it through its own ``book``, for protocols and the
+    audit alike.  Booking never refuses: a pair consumed beyond its grant
     holds a negative amount, and refusing is left to the caller.
     """
 
@@ -78,33 +77,6 @@ class ResourceLedger:
     @property
     def ebits_held(self) -> dict[tuple[int, int], Fraction]:
         return {key: self.held(*key) for key in self.granted.keys() | self.ebits_consumed.keys()}
-
-    def book(self, event: Event) -> None:
-        """Charge a traced event: consumed and created ebits, sent bits and
-        decoded bits.
-
-        A POVM record at party a covers ``outcome_bits`` of its distribution,
-        but no more than the ceiling of log2 of its element count, on every
-        stream (a, b); supplementary messages draw on that cover, and the bits
-        beyond it are charged as sent like any other message.
-        """
-        if isinstance(event, EbitConsume):
-            _book(self.ebits_consumed, pair_key(*event.pair), 1)
-        elif isinstance(event, EbitCreate):
-            _book(self.ebits_created, pair_key(*event.pair), 1)
-        elif isinstance(event, LocalMeasure) and event.povm is not None:
-            _book(self.outcome_cover, event.party, min(outcome_bits(p for _, p in event.distribution),
-                                                       (len(event.povm.elements) - 1).bit_length()))
-        elif isinstance(event, ClassicalMessage) and not event.supplementary:
-            _book(self.bits_sent, (event.sender, event.receiver), event.bits)
-        elif isinstance(event, ClassicalMessage):
-            stream = (event.sender, event.receiver)
-            unused = self.outcome_cover.get(event.sender, Fraction(0)) - self.cover_used.get(stream, Fraction(0))
-            beyond = event.bits - _book(self.cover_used, stream, min(event.bits, unused))
-            if beyond:
-                _book(self.bits_sent, stream, beyond)
-        elif isinstance(event, DecodedBits):
-            _book(self.bits_decoded, (event.from_party, event.at_party), event.bits)
 
     def add_supplementary(self, bits: float) -> None:
         if bits < 0:
@@ -205,8 +177,29 @@ def _check_transfer(what: str, frm: int, to: int, bits: Fraction) -> None:
         raise ValueError(f"a {what} carries a nonnegative number of bits, got {bits}")
 
 
+class Event:
+    """A trace event.  ``named``, ``removed`` and ``added`` are the qubit ids it
+    names (each registered, none twice), then removes, then adds (each new), and
+    ``joined`` the parties it acts across at once.  By default it does none of
+    these, renames nothing, books nothing and leaves the ensemble as it was."""
+
+    named = removed = added = joined = ()
+
+    @property
+    def renames(self) -> dict[QubitId, QubitId]:
+        """The registry renames the event makes, from old id to new."""
+        return {}
+
+    def apply(self, ens: BranchEnsemble) -> tuple[BranchEnsemble, dict[str, float] | None]:
+        """The ensemble after the event, and a measurement's outcome distribution."""
+        return ens, None
+
+    def book(self, ledger: ResourceLedger) -> None:
+        """Charge the event to the resource books of ``ledger``."""
+
+
 @dataclass(frozen=True)
-class Allocate:
+class Allocate(Event):
     party: Party
     qubits: tuple[QubitId, ...]
     init: str
@@ -217,23 +210,41 @@ class Allocate:
                              f"{len(self.qubits)} qubits (at least one)")
         _check_parties("an allocation", (self.party,), self.qubits)
 
+    added = property(lambda self: self.qubits)
+
+    def apply(self, ens):
+        ens, _ = engine.allocate_qubits(ens, self.party, len(self.qubits), init=self.init,
+                                        labels=[q.label for q in self.qubits])
+        return ens, None
+
 
 @dataclass(frozen=True)
-class EbitConsume:
+class EbitConsume(Event):
     pair: tuple[Party, Party]
     qubits: tuple[QubitId, QubitId]  # the instantiated phi+ pair
 
     def __post_init__(self):
         _check_parties("an ebit consumption", self.pair, self.qubits)
 
+    added = property(lambda self: self.qubits)
+
+    def apply(self, ens):
+        return engine.insert_bell_pair(ens, *self.qubits), None
+
+    def book(self, ledger):
+        _book(ledger.ebits_consumed, pair_key(*self.pair), 1)
+
 
 @dataclass(frozen=True)
-class EbitCreate:
+class EbitCreate(Event):
     pair: tuple[Party, Party]
 
+    def book(self, ledger):
+        _book(ledger.ebits_created, pair_key(*self.pair), 1)
+
 
 @dataclass(frozen=True)
-class LocalGate:
+class LocalGate(Event):
     party: Party
     targets: tuple[QubitId, ...]
     matrix: np.ndarray | None = None
@@ -253,9 +264,16 @@ class LocalGate:
         """The matrix, or every case matrix."""
         return [self.matrix] if self.cases is None else [m for _, m in self.cases]
 
+    named = property(lambda self: self.targets)
+
+    def apply(self, ens):
+        if self.cases is None:
+            return engine.apply_gate(ens, self), None
+        return engine.apply_conditional(ens, self.targets, dict(self.cases), self.conditional_on), None
+
 
 @dataclass(frozen=True)
-class LocalMeasure:
+class LocalMeasure(Event):
     party: Party
     targets: tuple[QubitId, ...]
     basis: str  # "computational" | "bell" | "povm"
@@ -278,9 +296,29 @@ class LocalMeasure:
         if self.basis == "bell" and len(self.targets) != 2:
             raise ValueError(f"a Bell measurement targets exactly 2 qubits, got {len(self.targets)}")
 
+    named = property(lambda self: self.targets)
+    removed = property(lambda self: self.targets if self.discard else ())
+
+    def apply(self, ens):
+        """A POVM leaves the state as it was; its distribution lists the
+        outcomes of positive probability by element index."""
+        if self.povm is not None:
+            probs = engine.measure_povm(ens, self.povm, self.targets)
+            return ens, {str(r): p for r, p in enumerate(probs) if p > 0.0}
+        measure = engine.bell_measure if self.basis == "bell" else engine.measure_computational
+        return measure(ens, self.targets, discard=self.discard)
+
+    def book(self, ledger):
+        """A POVM record at party a covers ``outcome_bits`` of its distribution,
+        but no more than the ceiling of log2 of its element count, on every
+        stream (a, b)."""
+        if self.povm is not None:
+            _book(ledger.outcome_cover, self.party, min(outcome_bits(p for _, p in self.distribution),
+                                                        (len(self.povm.elements) - 1).bit_length()))
+
 
 @dataclass(frozen=True)
-class ClassicalMessage:
+class ClassicalMessage(Event):
     sender: Party
     receiver: Party
     bits: Fraction
@@ -289,9 +327,21 @@ class ClassicalMessage:
     def __post_init__(self):
         _check_transfer("message", self.sender, self.receiver, self.bits)
 
+    def book(self, ledger):
+        """A supplementary message draws on its sender's POVM cover, and the
+        bits beyond it are charged as sent like any other message."""
+        stream = (self.sender, self.receiver)
+        if not self.supplementary:
+            _book(ledger.bits_sent, stream, self.bits)
+            return
+        unused = ledger.outcome_cover.get(self.sender, Fraction(0)) - ledger.cover_used.get(stream, Fraction(0))
+        beyond = self.bits - _book(ledger.cover_used, stream, min(self.bits, unused))
+        if beyond:
+            _book(ledger.bits_sent, stream, beyond)
+
 
 @dataclass(frozen=True)
-class DecodedBits:
+class DecodedBits(Event):
     at_party: Party
     from_party: Party
     bits: Fraction
@@ -300,11 +350,26 @@ class DecodedBits:
     def __post_init__(self):
         _check_transfer("decode", self.from_party, self.at_party, self.bits)
 
+    def book(self, ledger):
+        _book(ledger.bits_decoded, (self.from_party, self.at_party), self.bits)
+
+
+class _Rename(Event):
+    """An event that only renames registry ids, as ``renames`` says: it names
+    and removes the old ids and adds the new ones, and moves no amplitude."""
+
+    named = removed = property(lambda self: tuple(self.renames))
+    added = property(lambda self: tuple(self.renames.values()))
+
+    def apply(self, ens):
+        return engine.relabel_qubits(ens, self.renames), None
+
 
 @dataclass(frozen=True)
-class CollectiveOracle:
+class CollectiveOracle(_Rename):
     """A qubit permutation applied as the operation under study, not charged as
-    LQCC: the state at ``targets[i-1]`` moves to ``targets[P(i)-1]``."""
+    LQCC: the state at ``targets[i-1]`` moves to ``targets[P(i)-1]``, so that id
+    is what the qubit is called afterwards."""
 
     parties: tuple[Party, ...]
     targets: tuple[QubitId, ...]
@@ -318,103 +383,49 @@ class CollectiveOracle:
             raise ValueError(f"a permutation of {self.permutation.n} slots cannot act on "
                              f"{len(self.targets)} targets")
 
+    @property
+    def renames(self):
+        return {q: self.targets[self.permutation(i) - 1] for i, q in enumerate(self.targets, start=1)}
+
+    joined = property(lambda self: self.parties)
+
 
 @dataclass(frozen=True)
-class Relocate:
+class Relocate(_Rename):
     qubit: QubitId
     to_party: Party
 
+    renames = property(lambda self: {self.qubit: QubitId(self.to_party, self.qubit.label)})
+    joined = property(lambda self: (self.qubit.party, self.to_party))
+
 
 @dataclass(frozen=True)
-class Relabel:
+class Relabel(_Rename):
     old: QubitId
     new: QubitId
 
+    renames = property(lambda self: {self.old: self.new})
+
 
 @dataclass(frozen=True)
-class Coalesce:
-    pass
-
-
-Event = (
-    Allocate
-    | EbitConsume
-    | EbitCreate
-    | LocalGate
-    | LocalMeasure
-    | ClassicalMessage
-    | DecodedBits
-    | CollectiveOracle
-    | Relocate
-    | Relabel
-    | Coalesce
-)
-
-
-def apply_event(ens: BranchEnsemble, event: Event) -> tuple[BranchEnsemble, dict[str, float] | None]:
-    """The ensemble after ``event``, and a measurement's outcome distribution.
-
-    A POVM leaves the state as it was; its distribution lists the outcomes of
-    positive probability by element index.  Messages, decodes and creations
-    are bookkeeping only.
-    """
-    if isinstance(event, Allocate):
-        ens, _ = engine.allocate_qubits(ens, event.party, len(event.qubits), init=event.init,
-                                        labels=[q.label for q in event.qubits])
-    elif isinstance(event, EbitConsume):
-        ens = engine.insert_bell_pair(ens, *event.qubits)
-    elif isinstance(event, LocalGate) and event.matrix is not None:
-        ens = engine.apply_gate(ens, event)
-    elif isinstance(event, LocalGate):
-        ens = engine.apply_conditional(ens, event.targets, dict(event.cases), event.conditional_on)
-    elif isinstance(event, (CollectiveOracle, Relocate, Relabel)):
-        ens = engine.relabel_qubits(ens, event_renames(event))
-    elif isinstance(event, LocalMeasure) and event.povm is not None:
-        probs = engine.measure_povm(ens, event.povm, event.targets)
-        return ens, {str(r): p for r, p in enumerate(probs) if p > 0.0}
-    elif isinstance(event, LocalMeasure):
-        measure = engine.bell_measure if event.basis == "bell" else engine.measure_computational
-        return measure(ens, event.targets, discard=event.discard)
-    elif isinstance(event, Coalesce):
-        ens = engine.coalesce(ens)
-    elif not isinstance(event, (ClassicalMessage, DecodedBits, EbitCreate)):
-        raise ValueError(f"unknown event {type(event).__name__}")
-    return ens, None
-
-
-def event_renames(event: CollectiveOracle | Relocate | Relabel) -> dict[QubitId, QubitId]:
-    """The registry renames an oracle, a relocation or a relabel makes: an
-    oracle's permutation moves the state at ``targets[i-1]`` to
-    ``targets[P(i)-1]``, so that id is what the qubit is called afterwards."""
-    if isinstance(event, CollectiveOracle):
-        return {q: event.targets[event.permutation(i) - 1] for i, q in enumerate(event.targets, start=1)}
-    if isinstance(event, Relocate):
-        return {event.qubit: QubitId(event.to_party, event.qubit.label)}
-    return {event.old: event.new}
+class Coalesce(Event):
+    def apply(self, ens):
+        return engine.coalesce(ens), None
 
 
 def track_ids(ids: set[QubitId], event: Event, max_qubits: int) -> None:
     """Move the registry's qubit ids ``ids`` past ``event``, checked without
-    amplitudes as ``apply_event`` would check them: every qubit the event names
+    amplitudes as its ``apply`` would check them: every qubit the event names
     must be registered, no target named twice, every qubit it adds must be new,
     and the registry may not grow past ``max_qubits``.
     """
-    named, removed, added = (), (), ()
-    if isinstance(event, (Allocate, EbitConsume)):
-        added = event.qubits
-    elif isinstance(event, (LocalGate, CollectiveOracle, LocalMeasure)):
-        named = event.targets
-        if isinstance(event, LocalMeasure) and event.discard:
-            removed = event.targets
-    elif isinstance(event, (Relabel, Relocate)):
-        [(old, new)] = event_renames(event).items()
-        named, removed, added = (old,), (old,), (new,)
+    named, added = event.named, event.added
     for q in named:
         if q not in ids:
             raise ValueError(f"qubit {q!r} is not in the registry")
     if len(set(named)) != len(named):
         raise ValueError(f"targets {list(named)} name a qubit twice")
-    ids.difference_update(removed)
+    ids.difference_update(event.removed)
     if len(ids) + len(added) > max_qubits:
         raise ValueError(f"adding {len(added)} qubits to {len(ids)} would exceed the registry cap of {max_qubits}")
     for q in added:

@@ -1,9 +1,9 @@
 """Teleportation-based protocols with full resource accounting.
 
-Every traced step goes through ``ProtocolRun.step``: ``ledger.apply_event``
-runs it on the exact ensemble engine (the same function the audit replays
-with), the ledger books it (by the same rule the audit charges with) and
-the trace records it.
+Every traced step goes through ``ProtocolRun.step``: the event's ``apply``
+runs it on the exact ensemble engine (the same call the audit replays it
+with), its ``book`` charges it to the ledger (by the same rule the audit
+charges with) and the trace records it.
 Held ebits are realized lazily: a phi+ pair enters the statevector only
 when a step consumes it, which keeps the registry small.  The permutation
 protocols (SWAP is their two-party case) apply the operation under study as
@@ -38,7 +38,6 @@ from .ledger import (
     Relabel,
     Relocate,
     ResourceLedger,
-    apply_event,
     outcome_bits,
     pair_key,
 )
@@ -95,10 +94,10 @@ class ProtocolRun:
         if isinstance(event, EbitConsume) and self.ledger.held(*event.pair) < 1:
             raise InsufficientResources(
                 f"pair {pair_key(*event.pair)} holds {self.ledger.held(*event.pair)} ebits, needs 1")
-        self.ensemble, dist = apply_event(self.ensemble, event)
+        self.ensemble, dist = event.apply(self.ensemble)
         if dist is not None:
             event = replace(event, distribution=tuple(sorted(dist.items())))
-        self.ledger.book(event)
+        event.book(self.ledger)
         self.trace.append(event)
         return dist
 

@@ -4,9 +4,9 @@
   name; ``permutation_unitary`` builds the dense unitary of a permutation (the state
   at slot i moves to slot P(i)); ``swap_unitary``, ``ps_unitary`` and
   ``ps_cp_unitary`` are the permutations the protocols run.  The program applies
-  every permutation as a registry rename (``engine.relabel_qubits``, through
-  ``ledger.apply_event`` for an oracle event); these matrices are what the tests
-  compare that rename with.
+  every permutation as a registry rename (``engine.relabel_qubits``, through an
+  oracle event's ``apply``); these matrices are what the tests compare that
+  rename with.
 - ``dress_with_locals`` and ``local_equivalence_conjugate`` put per-slot local
   unitaries around an operator and take them off again, so a test can run a
   locally dressed permutation through ``CollectiveOp(unitary=...)`` and recover it.
@@ -36,7 +36,8 @@
   the engine did before it kept each branch as a product of factors: kron on
   allocation, one tensordot over the whole vector per gate, index masks per
   measurement outcome.  The tests run the factored engine against it event by
-  event.
+  event.  It keeps its own dispatch on the event kind and never calls an
+  event's ``apply``; it reads only the ids a rename event's ``renames`` gives.
 """
 
 import itertools
@@ -49,7 +50,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ebitnet import engine, gates, graphs, ledger
+from ebitnet import engine, gates, graphs
 from ebitnet.gates import Permutation
 from ebitnet.ledger import Allocate, Coalesce, CollectiveOracle, EbitConsume, LocalGate, LocalMeasure, Relabel, Relocate
 
@@ -430,7 +431,7 @@ class DenseEnsemble:
                                             else cases[record[event.conditional_on]]), record)
                              for p, vec, record in self.branches]
         elif isinstance(event, (CollectiveOracle, Relocate, Relabel)):
-            renames = ledger.event_renames(event)
+            renames = event.renames
             self.registry = [renames.get(q, q) for q in self.registry]
         elif isinstance(event, LocalMeasure) and event.povm is not None:
             rho = sum(p * self._reduced(vec, event.targets) for p, vec, _ in self.branches)

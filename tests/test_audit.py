@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ebitnet import audit, cli, engine, gates, graphs, protocols
@@ -28,10 +28,10 @@ from ebitnet.ledger import (
     Relocate,
     TRACE_FORMAT,
     ResourceLedger,
-    apply_event,
     dump_trace,
     event_record,
     load_trace,
+    track_ids,
 )
 
 import oracles
@@ -428,7 +428,7 @@ def test_povm_cover_is_capped_by_its_element_count(tmp_path):
         "communication": [["0", "2", "0"], ["0", "0", "0"], ["0", "0", "0"]]}), encoding="utf-8")
     trace = load_trace(trace_file.read_text(encoding="utf-8"))
     books = ResourceLedger()
-    books.book(trace.events[15])
+    trace.events[15].book(books)
     assert books.outcome_cover == {3: 1}
     report = audit.audit_trace(trace, graphs.import_json(graph_file.read_text(encoding="utf-8")), replay=False)
     assert [(v.check, v.detail) for v in report.violations] == [
@@ -699,7 +699,7 @@ class TestReplay:
         run = run_star()
         q = run.data_qubits[1]
         with pytest.raises(ValueError, match=r"^gate targets must be distinct$"):
-            apply_event(run.ensemble, LocalGate(1, (q, q), matrix=np.eye(4, dtype=complex)))
+            LocalGate(1, (q, q), matrix=np.eye(4, dtype=complex)).apply(run.ensemble)
 
 
 def test_unitarity_is_checked_once_per_path(monkeypatch, tmp_path):
@@ -984,7 +984,7 @@ def random_trace(data):
             a, b = data.draw(st.permutations(range(1, n + 1)))[:2]
             ev = ClassicalMessage(a, b, Fraction(1))
         for ev in drawn if ev is None else [ev]:
-            ens, dist = apply_event(ens, ev)
+            ens, dist = ev.apply(ens)
             if dist is not None:
                 ev = dataclasses.replace(ev, distribution=tuple(sorted(dist.items())))
             events.append(ev)
@@ -1004,6 +1004,22 @@ def test_monotone_series_of_random_traces_matches_the_per_branch_formula(data):
     assert [v.step for v in report.violations if v.check == "locality"] == strays
     assert_series_matches_the_per_branch_formula(trace, states, series)
     assert_groups_partition_the_registry(states, partitions)
+
+
+@given(st.data())
+# without the explain phase, which re-runs a shrunk failure under line tracing and
+# takes several times as long as finding and shrinking it
+@settings(max_examples=60, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+def test_the_load_walk_of_qubit_ids_follows_the_replayed_registry(data):
+    # what each event names, removes and adds, walked without amplitudes, leaves the
+    # ids of the registry its apply makes
+    trace = random_trace(data)
+    ens = trace.initial
+    ids = set(ens.registry)
+    for ev in trace.events:
+        track_ids(ids, ev, ens.max_qubits)
+        ens, _ = ev.apply(ens)
+        assert ids == set(ens.registry), ev
 
 
 @st.composite
@@ -1100,7 +1116,7 @@ def measured_trace(n, initial, events):
     distribution its replay gives."""
     ens, recorded = initial, []
     for ev in events:
-        ens, dist = apply_event(ens, ev)
+        ens, dist = ev.apply(ens)
         recorded.append(ev if dist is None else dataclasses.replace(ev, distribution=tuple(sorted(dist.items()))))
     return ProtocolTrace(n, initial, recorded)
 

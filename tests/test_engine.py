@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ebitnet import audit, cli, engine, gates, ledger
 from ebitnet.engine import BranchEnsemble, Gate, Povm, QubitId, RegistryCapacityError
-from ebitnet.ledger import CollectiveOracle, LocalGate, LocalMeasure, Relabel, Relocate, apply_event
+from ebitnet.ledger import CollectiveOracle, LocalGate, LocalMeasure, Relabel, Relocate
 
 import oracles
 from test_audit import REPLAY_N, random_trace
@@ -599,7 +599,7 @@ class TestRelabel:
     @settings(max_examples=240, deadline=None)
     def test_permutation_oracle_equals_the_dense_permutation_unitary(self, case):
         n, ens, oracle = case
-        renamed, _ = apply_event(ens, oracle)
+        renamed, _ = oracle.apply(ens)
         dense = engine.apply_gate(ens, Gate(oracle.targets, oracles.permutation_unitary(oracle.permutation)))
         assert renamed.branches is ens.branches
         order = list(ens.registry)
@@ -646,7 +646,7 @@ class TestFactoredAgainstDense:
         ens, dense = initial, oracles.DenseEnsemble(initial)
         for step, ev in enumerate(events):
             before = ens
-            ens, dist = apply_event(ens, ev)
+            ens, dist = ev.apply(ens)
             want = dense.apply(ev)
             assert ens.registry == tuple(dense.registry), step
             assert len(ens.branches) == len(dense.branches), step

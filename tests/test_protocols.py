@@ -470,16 +470,16 @@ class TestResourceBook:
         ledger = ResourceLedger()
         ledger.grant(1, 2, 1)
         consume = EbitConsume((1, 2), (engine.QubitId(1, "x"), engine.QubitId(2, "y")))
-        ledger.book(consume)
-        ledger.book(consume)
+        consume.book(ledger)
+        consume.book(ledger)
         assert ledger.held(1, 2) == -1
         assert ledger.ebits_consumed == {(1, 2): 2}
         assert ledger.summary()["ebits_held"] == {"1-2": "-1"}
 
     def test_decoded_bits_are_booked_from_sender_to_receiver(self):
         ledger = ResourceLedger()
-        ledger.book(DecodedBits(at_party=2, from_party=3, bits=Fraction(2)))
-        ledger.book(DecodedBits(at_party=2, from_party=3, bits=Fraction(1, 2)))
+        DecodedBits(at_party=2, from_party=3, bits=Fraction(2)).book(ledger)
+        DecodedBits(at_party=2, from_party=3, bits=Fraction(1, 2)).book(ledger)
         assert ledger.bits_decoded == {(3, 2): Fraction(5, 2)}
         assert ledger.bits_sent == {}
 
@@ -525,6 +525,6 @@ class TestResourceBook:
                                engine.DEFAULT_MAX_QUBITS)
         books = ResourceLedger(granted=dict(run.ledger.granted))
         for event in run.trace.events:
-            books.book(event)
+            event.book(books)
         assert books.summary() == run.ledger.summary()
         assert books == run.ledger
