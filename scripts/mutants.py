@@ -289,6 +289,14 @@ MUTANTS = (
            "zip(splits, np.maximum(", "zip(splits[::-1], np.maximum(",
            (ENGINE + "TestEntropy::test_batched_entropies_land_on_their_subsets",
             AUDIT + "test_replay_solves_and_eigensolver_calls_are_pinned")),
+    # branches are values that ensembles share: no operation writes into its input
+    Mutant("a measurement writes its outcome into the record it shares with its input", "src/ebitnet/engine.py",
+           "record = dict(b.record)", "record = b.record",
+           (ENGINE + "TestFactoredAgainstDense::test_operations_leave_their_input_unchanged",)),
+    Mutant("a reduced density orders its subset by registry position", "src/ebitnet/engine.py",
+           "located = [ensemble.locate(q) for q in subset]",
+           "located = [ensemble.locate(q) for q in sorted(subset, key=ensemble.position)]",
+           (PROTOCOLS + "TestCollectiveStar::test_povm_bits_follow_the_target_order_at_every_hub",)),
 )
 
 

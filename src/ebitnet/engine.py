@@ -14,9 +14,8 @@ groups from each ensemble.  New qubits start groups of their own (a phi+
 pair one group), a gate or a Bell measurement joins its targets' groups
 into one whose factor is the kron of theirs, discarded qubits leave their
 group, and renames rename its members.  A computational measurement acts
-within each target's factor and joins nothing.  Branches share every factor
-an operation did not touch, and no operation writes into a factor.
-``Branch.amplitudes`` builds the dense vector over the registry on demand.
+within each target's factor and joins nothing.  ``branch_vectors`` builds the
+dense vectors over the registry on demand.
 
 Conventions, fixed once:
 
@@ -26,9 +25,11 @@ Conventions, fixed once:
   qubit of the standard maximally entangled pair, i.e. phi+, psi+, phi-,
   psi-.  A Bell measurement reports the phase bit first.
 
-Operations return fresh ensembles rather than mutating their input, so an
-ensemble belongs to one logical owner at a time and pure queries (entropy,
-reduced density, branch vectors) are safe on any snapshot.
+A branch is an immutable value.  Operations return new branches and
+ensembles and never write into their input: branches and ensembles share
+every factor and every record an operation did not change, so any ensemble,
+such as a trace's initial state, stays valid as a snapshot however the run
+goes on.
 """
 
 from __future__ import annotations
@@ -70,56 +71,26 @@ class QubitId(NamedTuple):
 Group = tuple[QubitId, ...]
 
 
-class Layout:
-    """Where the registry qubits sit among the bits of a branch's factors, taken
-    factor by factor: ``bits[r]`` holds registry qubit r.  It is worked out from
-    the registry and the groups the first time a dense vector needs it, and a
-    rename leaves it valid, as it moves no qubit."""
-
-    __slots__ = ("_registry", "_groups", "_bits")
-
-    def __init__(self, registry: Sequence[QubitId] = (), groups: Sequence[Group] = (),
-                 bits: tuple[int, ...] | None = None):
-        self._registry, self._groups, self._bits = registry, groups, bits
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        if self._bits is None:
-            order = [q for group in self._groups for q in group]
-            self._bits = tuple(map(dict(zip(order, range(len(order)))).__getitem__, self._registry))
-        return self._bits
-
-
-class Branch:
+class Branch(NamedTuple):
     """One pure-state component of an ensemble: the product of ``factors``, one
     per product group of the owning ensemble.
 
     ``record`` holds classical measurement outcomes keyed by the global
     measurement counter of the owning ensemble; conditional corrections
-    look outcomes up through it.  ``layout`` places the registry qubits among
-    the factors' bits; the branches of an ensemble share it.  ``Branch(p, vec)``
-    is the one-factor branch of a dense vector over the registry; over an
-    empty registry ``vec`` is one amplitude, a phase, and the branch has no factor.
+    look outcomes up through it.
     """
 
-    __slots__ = ("probability", "factors", "record", "layout")
+    probability: float
+    factors: tuple[np.ndarray, ...]
+    record: Mapping[int, str]
 
-    def __init__(self, probability: float, amplitudes=None, record: dict[int, str] | None = None, *,
-                 factors: tuple[np.ndarray, ...] | None = None, layout: Layout | None = None):
-        if factors is None:
-            vec = np.asarray(amplitudes, dtype=complex)
-            factors = (vec,) if vec.size > 1 else ()
-            layout = Layout(bits=tuple(range(vec.size.bit_length() - 1)))
-        self.probability = probability
-        self.factors = factors
-        self.layout = layout
-        self.record = {} if record is None else record
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """The dense statevector, registry qubit r as index bit r; a new array each call."""
-        bits = self.layout.bits
-        return _block(_kron(self.factors), bits, len(bits)).reshape(-1).copy()
+def dense_branch(probability: float, amplitudes) -> Branch:
+    """The one-factor branch of a dense vector over the registry, registry qubit r
+    as index bit r; over an empty registry ``amplitudes`` is one amplitude, a
+    phase, and the branch has no factor."""
+    vec = np.asarray(amplitudes, dtype=complex)
+    return Branch(probability, (vec,) if vec.size > 1 else (), {})
 
 
 @dataclass
@@ -127,7 +98,7 @@ class BranchEnsemble:
     """Probability-weighted set of pure product states over a shared registry.
 
     ``groups`` defaults to the whole registry as one group, which is what a
-    list of one-factor branches ``Branch(p, vec)`` describes; an empty
+    list of one-factor branches ``dense_branch(p, vec)`` describes; an empty
     registry has no group.
     """
 
@@ -143,7 +114,7 @@ class BranchEnsemble:
 
     @classmethod
     def vacuum(cls, max_qubits: int = DEFAULT_MAX_QUBITS) -> "BranchEnsemble":
-        return cls(registry=(), branches=[Branch(1.0, np.ones(1, dtype=complex))], max_qubits=max_qubits)
+        return cls(registry=(), branches=[dense_branch(1.0, np.ones(1, dtype=complex))], max_qubits=max_qubits)
 
     @classmethod
     def from_amplitudes(
@@ -161,7 +132,7 @@ class BranchEnsemble:
         norm = np.linalg.norm(vec)
         if not abs(norm - 1.0) <= 1e-9:  # negated so that a NaN norm fails
             raise ValueError(f"state is not normalized (norm {norm})")
-        ens = cls(registry=registry, branches=[Branch(1.0, vec / norm)], max_qubits=max_qubits)
+        ens = cls(registry=registry, branches=[dense_branch(1.0, vec / norm)], max_qubits=max_qubits)
         ens.check()
         return ens
 
@@ -184,18 +155,6 @@ class BranchEnsemble:
             if qubit in group:
                 return i, group.index(qubit)
         raise ValueError(f"unknown target qubit {qubit!r}")
-
-    def copy(self) -> "BranchEnsemble":
-        """A new ensemble with new branches and records; the factors are shared,
-        as no operation writes into one."""
-        return BranchEnsemble(
-            registry=self.registry,
-            branches=[Branch(b.probability, record=dict(b.record), factors=b.factors, layout=b.layout)
-                      for b in self.branches],
-            max_qubits=self.max_qubits,
-            measurement_count=self.measurement_count,
-            groups=self.groups,
-        )
 
     def check(self, fresh: Iterable[int] | None = None) -> None:
         """Refuse probabilities that do not sum to 1, and factors whose norm drifted.
@@ -428,9 +387,7 @@ def _append(ensemble: BranchEnsemble, new_groups: Sequence[Group], blocks: Seque
         raise ValueError("new qubit ids collide with existing registry entries")
     registry = ensemble.registry + new_ids
     groups, _ = product_groups(ensemble.groups, added=new_groups)
-    layout = Layout(registry, groups)
-    branches = [Branch(b.probability, record=dict(b.record), factors=(*b.factors, *blocks), layout=layout)
-                for b in ensemble.branches]
+    branches = [Branch(b.probability, (*b.factors, *blocks), b.record) for b in ensemble.branches]
     return BranchEnsemble(registry, branches, ensemble.max_qubits, ensemble.measurement_count, groups)
 
 
@@ -499,13 +456,11 @@ def _evolve(ensemble: BranchEnsemble, targets: Sequence[QubitId], matrix_of) -> 
     offsets = _offsets(ensemble.groups, hit)
     positions = [offsets[i] + j for i, j in located]
     size = len(groups[-1])
-    # a gate within the last group moves no group, and no bit of the layout
-    layout = ensemble.branches[0].layout if groups == ensemble.groups else Layout(ensemble.registry, groups)
     branches = []
     for b in ensemble.branches:
         factor = _apply_matrix(_kron([b.factors[i] for i in hit]), positions, matrix_of(b), size)
         factors = (*(b.factors[i] for (i,) in apart), factor)
-        branches.append(Branch(b.probability, record=dict(b.record), factors=factors, layout=layout))
+        branches.append(Branch(b.probability, factors, b.record))
     out = BranchEnsemble(ensemble.registry, branches, ensemble.max_qubits, ensemble.measurement_count, groups)
     out.check(fresh=(len(groups) - 1,))
     return out
@@ -543,7 +498,6 @@ def measure_computational(
     groups, sources = product_groups(ensemble.groups, discarded=gone if discard else frozenset())
     kept = [i for (i,) in sources]
     registry = tuple([q for q in ensemble.registry if q not in gone]) if discard else ensemble.registry
-    layout = Layout(registry, groups)
     dist: dict[str, float] = {}
     branches: list[Branch] = []
     for b in ensemble.branches:
@@ -564,7 +518,7 @@ def measure_computational(
                     factors[i][index_rows[g][code]] = block[code] / math.sqrt(weights[g][code])
             record = dict(b.record)
             record[midx] = outcome
-            branches.append(Branch(prob, record=record, factors=tuple(map(factors.__getitem__, kept)), layout=layout))
+            branches.append(Branch(prob, tuple(map(factors.__getitem__, kept)), record))
     out = BranchEnsemble(registry, branches, ensemble.max_qubits, midx + 1, groups)
     out.check(fresh=[n for n, i in enumerate(kept) if i in touched])
     return out, dict(sorted(dist.items()))
@@ -632,18 +586,19 @@ def coalesce(ensemble: BranchEnsemble) -> BranchEnsemble:
     Classical records survive only where merged branches agree, so
     conditioning across a coalesce is rejected loudly by apply_conditional.
     """
-    kept: list[tuple[list[np.ndarray], Branch]] = []
+    # each merged branch as its canonical factors and [probability, factors, record]
+    kept: list[tuple[list[np.ndarray], list]] = []
     for b in ensemble.branches:
         canon = [_canonical(f) for f in b.factors]
         for canon_k, merged in kept:
             # np.allclose(x, y, rtol=0, atol=COALESCE_TOL), without its overhead; a NaN fails it
             if all(x.shape == y.shape and (np.abs(x - y) <= COALESCE_TOL).all() for x, y in zip(canon_k, canon)):
-                merged.probability += b.probability
-                merged.record = {k: v for k, v in merged.record.items() if b.record.get(k) == v}
+                merged[0] += b.probability
+                merged[2] = {k: v for k, v in merged[2].items() if b.record.get(k) == v}
                 break
         else:
-            kept.append((canon, Branch(b.probability, record=dict(b.record), factors=b.factors, layout=b.layout)))
-    return BranchEnsemble(ensemble.registry, [merged for _, merged in kept], ensemble.max_qubits,
+            kept.append((canon, list(b)))
+    return BranchEnsemble(ensemble.registry, [Branch(*merged) for _, merged in kept], ensemble.max_qubits,
                           ensemble.measurement_count, ensemble.groups)
 
 
@@ -654,22 +609,21 @@ def coalesce(ensemble: BranchEnsemble) -> BranchEnsemble:
 def reduced_density(ensemble: BranchEnsemble, subset: Sequence[QubitId]) -> np.ndarray:
     """Ensemble-averaged density matrix of ``subset``, from the factors that hold it.
 
-    The basis orders the subset by registry position, least significant
-    first; trace is 1 and the result Hermitian to 1e-10.
+    Basis index bit j is ``subset[j]``, as a gate matrix reads its targets;
+    trace is 1 and the result Hermitian to 1e-10.
     """
     if not subset:
         raise ValueError("subset must be nonempty")
-    positions = sorted(ensemble.position(q) for q in subset)
-    if len(set(positions)) != len(subset):
+    located = [ensemble.locate(q) for q in subset]
+    if len(set(located)) != len(subset):
         raise ValueError("subset qubits must be distinct")
-    located = [ensemble.locate(ensemble.registry[p]) for p in positions]
     held = sorted({i for i, _ in located})
     offsets = _offsets(ensemble.groups, held)
     bits = [offsets[i] + j for i, j in located]
     size = sum(len(ensemble.groups[i]) for i in held)
     rho = np.zeros((1 << len(subset),) * 2, dtype=complex)
     for b in ensemble.branches:
-        # row index bit j of the block is the qubit at positions[j]
+        # row index bit j of the block is subset[j]
         mat = _block(_kron([b.factors[i] for i in held]), bits, size)
         rho += b.probability * (mat @ mat.conj().T)
     return rho
@@ -723,12 +677,6 @@ def subset_entropies(ensemble: BranchEnsemble, subsets: Iterable[Iterable[QubitI
             for per_branch in per_subset]
 
 
-def entropy_of_qubits(ensemble: BranchEnsemble, subset: Iterable[QubitId]) -> float:
-    """Probability-weighted per-branch von Neumann entropy of ``subset`` (base 2);
-    see ``subset_entropies``."""
-    return subset_entropies(ensemble, [subset])[0]
-
-
 def entanglement_entropy(
     ensemble: BranchEnsemble, partition: Iterable[int], universe: Iterable[int] | None = None
 ) -> float:
@@ -737,8 +685,7 @@ def entanglement_entropy(
     all_parties = set(universe) if universe is not None else ensemble.parties()
     if not parts or not parts < all_parties:
         raise ValueError(f"partition {sorted(parts)} is not a proper nonempty subset of {sorted(all_parties)}")
-    qubits = [q for q in ensemble.registry if q.party in parts]
-    return entropy_of_qubits(ensemble, qubits)
+    return subset_entropies(ensemble, [[q for q in ensemble.registry if q.party in parts]])[0]
 
 
 def shannon_entropy(distribution) -> float:
@@ -756,10 +703,9 @@ def branch_vectors(ensemble: BranchEnsemble, order: Sequence[QubitId]) -> list[t
     """Dense branch statevectors with qubit ``order[j]`` as amplitude-index bit j."""
     if sorted(order) != sorted(ensemble.registry):
         raise ValueError("order must list every registry qubit exactly once")
-    k = ensemble.num_qubits
-    positions = [ensemble.position(q) for q in order]
-    return [(b.probability, _block(_kron(b.factors), [b.layout.bits[p] for p in positions], k).reshape(-1).copy())
-            for b in ensemble.branches]
+    # the kron of a branch's factors holds the groups' qubits one group after another
+    bits = list(map([q for group in ensemble.groups for q in group].index, order))
+    return [(b.probability, _block(_kron(b.factors), bits, len(bits)).reshape(-1).copy()) for b in ensemble.branches]
 
 
 def ensemble_fidelity(ensemble: BranchEnsemble, order: Sequence[QubitId], reference: np.ndarray) -> float:

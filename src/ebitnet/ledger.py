@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from . import engine
-from .engine import DEFAULT_MAX_QUBITS, Branch, BranchEnsemble, Povm, QubitId
+from .engine import DEFAULT_MAX_QUBITS, BranchEnsemble, Povm, QubitId
 from .gates import Permutation
 
 TRACE_FORMAT = "ebitnet-trace/4"
@@ -612,7 +612,7 @@ def _header_record(trace: ProtocolTrace) -> dict:
         rec["max_qubits"] = ens.max_qubits
         rec["registry"] = _REGISTRY_OUT(ens.registry)
         rec["branches"] = [
-            {"p": float(b.probability), "amplitudes": _complex_out(b.amplitudes)} for b in ens.branches
+            {"p": float(p), "amplitudes": _complex_out(vec)} for p, vec in engine.branch_vectors(ens, ens.registry)
         ]
     return rec
 
@@ -636,7 +636,7 @@ def _header_trace(rec: Mapping) -> ProtocolTrace:
         raise ValueError(f"branch probabilities must not be negative, got {[p for p, _ in raw]}")
     if any(vec.shape != (1 << len(registry),) for _, vec in raw):
         raise ValueError(f"every branch needs {1 << len(registry)} amplitudes")
-    branches = [Branch(p, vec) for p, vec in raw]
+    branches = [engine.dense_branch(p, vec) for p, vec in raw]
     max_qubits = _int(rec.get("max_qubits", DEFAULT_MAX_QUBITS))
     if len(registry) > max_qubits:
         raise ValueError(f"a registry of {len(registry)} qubits exceeds max_qubits {max_qubits}")

@@ -78,8 +78,9 @@ class ProtocolRun:
         return f"a{self._labels - 1}"
 
     def snapshot_initial(self) -> None:
-        """Record the current ensemble as the trace's replay starting point."""
-        self.trace.initial = self.ensemble.copy()
+        """Record the current ensemble as the trace's replay starting point; no
+        operation writes into it, so it is stored as it is."""
+        self.trace.initial = self.ensemble
 
     def step(self, event: Event) -> dict[str, float] | None:
         """Apply ``event``, then book it and append it to the trace.

@@ -32,6 +32,8 @@
   all four, the basis ``engine.bell_measure`` reads out.
 - ``supplementary_information`` is the Shannon entropy of a POVM's outcomes,
   which ``protocols`` books as supplementary bits.
+- ``dense_vectors`` gives each branch's dense statevector over the registry,
+  through ``engine.branch_vectors``.
 - ``DenseEnsemble`` runs trace events on one dense 2^k vector per branch, as
   the engine did before it kept each branch as a product of factors: kron on
   allocation, one tensordot over the whole vector per gate, index masks per
@@ -404,6 +406,11 @@ def delta_three_lab_bound(delta: DeltaMatrix) -> DeltaVerdict:
     return DeltaVerdict(row_sums_ok, single_gain_ok, half_loss_ok, slack, gaining)
 
 
+def dense_vectors(ensemble) -> list[np.ndarray]:
+    """Each branch's dense statevector, registry qubit r as amplitude-index bit r."""
+    return [vec for _, vec in engine.branch_vectors(ensemble, ensemble.registry)]
+
+
 # CNOT from the first qubit (bit 0), then a Hadamard on it: Bell state "ab" to basis state "ab"
 _BELL_TO_BASIS = np.kron(np.eye(2), gates.HADAMARD) @ gates.cnot_unitary()
 
@@ -414,7 +421,8 @@ class DenseEnsemble:
 
     def __init__(self, ensemble):
         self.registry = list(ensemble.registry)
-        self.branches = [(b.probability, b.amplitudes, dict(b.record)) for b in ensemble.branches]
+        self.branches = [(b.probability, vec, dict(b.record))
+                         for b, vec in zip(ensemble.branches, dense_vectors(ensemble))]
         self.measurement_count = ensemble.measurement_count
 
     def apply(self, event) -> dict[str, float] | None:
@@ -460,10 +468,9 @@ class DenseEnsemble:
         return sum(((index >> self.registry.index(q)) & 1) << j for j, q in enumerate(targets))
 
     def _reduced(self, vec, targets):
-        """Density matrix of ``targets`` ordered by registry position, the first at bit 0."""
-        ordered = sorted(targets, key=self.registry.index)
-        kept, rest = self._bits(ordered), self._bits([q for q in self.registry if q not in targets])
-        mat = np.zeros((1 << len(ordered), 1 << (len(self.registry) - len(ordered))), dtype=complex)
+        """Density matrix of ``targets``, target j at bit j."""
+        kept, rest = self._bits(targets), self._bits([q for q in self.registry if q not in targets])
+        mat = np.zeros((1 << len(targets), 1 << (len(self.registry) - len(targets))), dtype=complex)
         mat[kept, rest] = vec
         return mat @ mat.conj().T
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebitnet import audit, cli, engine, gates, graphs, protocols
@@ -73,8 +73,8 @@ class TestTraceSerialization:
         run = run_star()
         back = load_trace(dump_trace(run.trace))
         assert back.initial.registry == run.trace.initial.registry
-        for a, b in zip(back.initial.branches, run.trace.initial.branches):
-            assert np.allclose(a.amplitudes, b.amplitudes)
+        for a, b in zip(oracles.dense_vectors(back.initial), oracles.dense_vectors(run.trace.initial)):
+            assert np.allclose(a, b)
 
     def test_malformed_lines_are_position_tagged(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -692,8 +692,8 @@ class TestReplay:
         two = [e for _, _, e in audit.replay_events(run.trace.initial, run.trace.events)]
         for a, b in zip(one, two):
             assert a.registry == b.registry
-            for ba, bb in zip(a.branches, b.branches):
-                assert np.array_equal(ba.amplitudes, bb.amplitudes)
+            for va, vb in zip(oracles.dense_vectors(a), oracles.dense_vectors(b)):
+                assert np.array_equal(va, vb)
 
     def test_apply_event_refuses_a_gate_whose_targets_repeat(self):
         run = run_star()
@@ -733,7 +733,7 @@ def test_replay_reproduces_the_simulation_bit_for_bit(protocol):
     assert final.measurement_count == want.measurement_count
     assert [b.probability for b in final.branches] == [b.probability for b in want.branches]
     assert [b.record for b in final.branches] == [b.record for b in want.branches]
-    assert all(np.array_equal(got.amplitudes, exp.amplitudes) for got, exp in zip(final.branches, want.branches))
+    assert all(np.array_equal(got, exp) for got, exp in zip(oracles.dense_vectors(final), oracles.dense_vectors(want)))
 
 
 def party_cuts(n):
@@ -749,13 +749,13 @@ def reference_entropy(ens, parties):
     if not positions or len(positions) == k:
         return 0.0
     total = 0.0
-    for b in ens.branches:
-        tensor = b.amplitudes.reshape((2,) * k)
+    for p, vec in engine.branch_vectors(ens, ens.registry):
+        tensor = vec.reshape((2,) * k)
         mat = np.moveaxis(tensor, [k - 1 - p for p in positions], range(len(positions)))
         mat = mat.reshape(1 << len(positions), -1)
         eigs = np.linalg.eigvalsh(mat @ mat.conj().T)
         eigs = eigs[eigs > 1e-12]
-        total += b.probability * float(-np.sum(eigs * np.log2(eigs)))
+        total += p * float(-np.sum(eigs * np.log2(eigs)))
     return total
 
 
@@ -1007,9 +1007,7 @@ def test_monotone_series_of_random_traces_matches_the_per_branch_formula(data):
 
 
 @given(st.data())
-# without the explain phase, which re-runs a shrunk failure under line tracing and
-# takes several times as long as finding and shrinking it
-@settings(max_examples=60, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+@settings(max_examples=60, deadline=None)
 def test_the_load_walk_of_qubit_ids_follows_the_replayed_registry(data):
     # what each event names, removes and adds, walked without amplitudes, leaves the
     # ids of the registry its apply makes
@@ -1039,7 +1037,7 @@ def party_ensembles(draw):
             vec[rng.integers(len(vec))] = 1.0
         else:
             vec = gates.random_state(1 << len(registry), rng)
-        branches.append(engine.Branch(float(weight), vec))
+        branches.append(engine.dense_branch(float(weight), vec))
     return n, engine.BranchEnsemble(registry, branches)
 
 

@@ -26,11 +26,11 @@ class TestAllocation:
     def test_single_zero_qubit(self):
         ens = BranchEnsemble.vacuum()
         ens, _ = engine.allocate_qubits(ens, 1, 1)
-        assert np.allclose(ens.branches[0].amplitudes, [1, 0])
+        assert np.allclose(oracles.dense_vectors(ens)[0], [1, 0])
 
     def test_bell_construction(self):
         ens, a, b = bell_pair_ensemble()
-        assert np.allclose(ens.branches[0].amplitudes, np.array([1, 0, 0, 1]) / math.sqrt(2))
+        assert np.allclose(oracles.dense_vectors(ens)[0], np.array([1, 0, 0, 1]) / math.sqrt(2))
 
     def test_allocation_extends_every_branch(self):
         ens = BranchEnsemble.vacuum()
@@ -47,7 +47,7 @@ class TestAllocation:
         ens = BranchEnsemble.vacuum()
         ens, _ = engine.allocate_qubits(ens, 1, 2, init="10")
         # first new qubit is bit 0, so "10" is index 1
-        assert np.argmax(np.abs(ens.branches[0].amplitudes)) == 1
+        assert np.argmax(np.abs(oracles.dense_vectors(ens)[0])) == 1
 
     def test_capacity_cap(self):
         ens = BranchEnsemble.vacuum(max_qubits=3)
@@ -67,18 +67,18 @@ class TestGates:
         ens = BranchEnsemble.vacuum()
         ens, (a, b) = engine.allocate_qubits(ens, 1, 2, init="10")
         ens = engine.apply_gate(ens, Gate((a, b), oracles.swap_unitary()))
-        assert np.argmax(np.abs(ens.branches[0].amplitudes)) == 2
+        assert np.argmax(np.abs(oracles.dense_vectors(ens)[0])) == 2
 
     def test_identity_leaves_state(self):
         ens, a, b = bell_pair_ensemble()
-        before = ens.branches[0].amplitudes.copy()
+        before = oracles.dense_vectors(ens)[0]
         ens = engine.apply_gate(ens, Gate((a, b), np.eye(4)))
-        assert np.allclose(ens.branches[0].amplitudes, before)
+        assert np.allclose(oracles.dense_vectors(ens)[0], before)
 
     def test_x_on_second_qubit_of_phi_plus(self):
         ens, a, b = bell_pair_ensemble()
         ens = engine.apply_gate(ens, Gate((b,), gates.PAULI_X))
-        assert np.allclose(ens.branches[0].amplitudes, oracles.bell_state("01"))
+        assert np.allclose(oracles.dense_vectors(ens)[0], oracles.bell_state("01"))
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -111,8 +111,8 @@ class TestGates:
             targets = tuple(rng.choice(len(ids), size=k, replace=False))
             u = gates.haar_unitary(1 << k, rng)
             ens = engine.apply_gate(ens, Gate(tuple(ids[t] for t in targets), u))
-            for b in ens.branches:
-                assert abs(np.linalg.norm(b.amplitudes) - 1) < 1e-12
+            for vec in oracles.dense_vectors(ens):
+                assert abs(np.linalg.norm(vec) - 1) < 1e-12
 
 
 class TestMeasurement:
@@ -140,8 +140,8 @@ class TestMeasurement:
         ens, a, b = bell_pair_ensemble()
         ens, _ = engine.measure_computational(ens, (a,), discard=True)
         assert ens.registry == (b,)
-        for br in ens.branches:
-            assert br.amplitudes.shape == (2,)
+        for vec in oracles.dense_vectors(ens):
+            assert vec.shape == (2,)
 
     def test_record_tracks_outcomes(self):
         ens, a, b = bell_pair_ensemble()
@@ -188,7 +188,7 @@ class TestPovm:
     def test_nan_probability_sum_rejected(self):
         ens, a, b = bell_pair_ensemble()
         group, _ = ens.locate(a)
-        ens.branches[0].factors[group][0] = np.nan  # amplitudes is a copy; the factor is the state
+        ens.branches[0].factors[group][0] = np.nan  # the factor is the state
         with pytest.raises(AssertionError, match="^POVM probabilities sum to nan$"):
             engine.measure_povm(ens, Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))), (a,))
 
@@ -278,7 +278,7 @@ class TestEntropy:
         one of 1e-14 is below EIG_TOL and dropped, leaving about 1.4 p."""
         q1, q2 = QubitId(1, "q1"), QubitId(2, "q2")
         ens = BranchEnsemble.from_amplitudes((q1, q2), [np.sqrt(1 - p), 0, 0, np.sqrt(p)])
-        assert (engine.entropy_of_qubits(ens, [q1]) > 10 * p) == counted
+        assert (engine.subset_entropies(ens, [[q1]])[0] > 10 * p) == counted
 
     def test_improper_partition_rejected(self):
         ens, a, b = bell_pair_ensemble(party_a=1, party_b=2)
@@ -303,7 +303,7 @@ class TestEntropy:
         rng = np.random.default_rng(seed)
         registry = tuple(QubitId(1, f"x{i}") for i in range(k))
         weights = rng.random(n_branches) + 0.1
-        branches = [engine.Branch(float(w), gates.random_state(1 << k, rng)) for w in weights / weights.sum()]
+        branches = [engine.dense_branch(float(w), gates.random_state(1 << k, rng)) for w in weights / weights.sum()]
         return BranchEnsemble(registry, branches)
 
     @given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=4),
@@ -313,7 +313,7 @@ class TestEntropy:
         ens = self.random_ensemble(k, n_branches, seed)
         subset = data.draw(st.sets(st.sampled_from(ens.registry)))
         rest = [q for q in ens.registry if q not in subset]
-        assert abs(engine.entropy_of_qubits(ens, subset) - engine.entropy_of_qubits(ens, rest)) <= 1e-12
+        assert abs(engine.subset_entropies(ens, [subset])[0] - engine.subset_entropies(ens, [rest])[0]) <= 1e-12
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=3),
            st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
@@ -326,7 +326,7 @@ class TestEntropy:
         batched = engine.subset_entropies(ens, subsets)
         assert len(batched) == len(subsets)
         for subset, value in zip(subsets, batched):
-            assert abs(value - engine.entropy_of_qubits(ens, subset)) <= 1e-12
+            assert abs(value - engine.subset_entropies(ens, [subset])[0]) <= 1e-12
 
     def test_measurement_cannot_raise_average_entropy(self):
         rng = np.random.default_rng(29)
@@ -383,7 +383,7 @@ class TestBellTools:
         ens, a, b = bell_pair_ensemble()
         ens, dist = engine.bell_measure(ens, (a, b))
         assert dist == {"00": pytest.approx(1.0)}
-        assert np.allclose(ens.branches[0].amplitudes, oracles.bell_state("00"))
+        assert np.allclose(oracles.dense_vectors(ens)[0], oracles.bell_state("00"))
 
 
 class TestEmbeddingOracle:
@@ -414,7 +414,7 @@ class TestEmbeddingOracle:
             ens, ids = engine.allocate_qubits(ens, 1, k)
             ens = BranchEnsemble.from_amplitudes(ids, vec)
             targets = tuple(ids[p] for p in positions)
-            got = engine.apply_gate(ens, Gate(targets, u)).branches[0].amplitudes
+            got = oracles.dense_vectors(engine.apply_gate(ens, Gate(targets, u)))[0]
             want = self.full_matrix(u, positions, k) @ vec
             assert np.allclose(got, want, atol=1e-12)
 
@@ -469,8 +469,8 @@ class TestCoalesce:
         two = BranchEnsemble(
             ens.registry,
             [
-                engine.Branch(0.5, np.array([1, 0], dtype=complex)),
-                engine.Branch(0.5, np.array([-1, 0], dtype=complex)),
+                engine.dense_branch(0.5, np.array([1, 0], dtype=complex)),
+                engine.dense_branch(0.5, np.array([-1, 0], dtype=complex)),
             ],
         )
         assert len(engine.coalesce(two).branches) == 1
@@ -487,8 +487,8 @@ class TestCoalesce:
         tolerance is absolute: [0.6, 0.8] and the same state rotated by 1e-6 differ
         by 8e-7 and stay apart, however large their amplitudes."""
         ens, (a,) = engine.allocate_qubits(BranchEnsemble.vacuum(), 1, 1)
-        two = BranchEnsemble(ens.registry, [engine.Branch(0.5, np.array(first, dtype=complex)),
-                                            engine.Branch(0.5, np.array(second, dtype=complex))])
+        two = BranchEnsemble(ens.registry, [engine.dense_branch(0.5, np.array(first, dtype=complex)),
+                                            engine.dense_branch(0.5, np.array(second, dtype=complex))])
         assert len(engine.coalesce(two).branches) == (1 if merges else 2)
 
     def test_branches_that_differ_in_a_later_factor_stay_apart(self):
@@ -533,7 +533,7 @@ class TestBlockKernelAgainstMasks:
         ens = BranchEnsemble.from_amplitudes(ids, gates.random_state(32, rng))
         targets = [ids[3], ids[0], ids[4]]
         out, dist = engine.measure_computational(ens, targets, discard=discard)
-        vec = ens.branches[0].amplitudes
+        [vec] = oracles.dense_vectors(ens)
         idx = np.arange(32)
         expected = {}
         for code in range(8):
@@ -546,10 +546,10 @@ class TestBlockKernelAgainstMasks:
             expected["".join(map(str, bits))] = (weight, kept / math.sqrt(weight))
         assert dist == {outcome: weight for outcome, (weight, _) in expected.items()}
         assert len(out.branches) == 8
-        for b in out.branches:
+        for b, vec in zip(out.branches, oracles.dense_vectors(out)):
             weight, ref = expected[b.record[0]]
             assert b.probability == weight
-            assert b.amplitudes.tobytes() == ref.tobytes()
+            assert vec.tobytes() == ref.tobytes()
 
     def test_branch_norm_tolerance(self):
         """check() refuses a branch whose norm drifted by 1e-8 and accepts a drift of 1e-11."""
@@ -563,12 +563,12 @@ class TestBlockKernelAgainstMasks:
 
     def test_probability_sum_tolerance(self):
         """check() refuses branch probabilities summing to 1 + 1e-11 and accepts 1 + 1e-14."""
-        ens = BranchEnsemble((QubitId(1, "a"),), [engine.Branch(0.5, np.array([1, 0], dtype=complex)),
-                                                  engine.Branch(0.5, np.array([0, 1], dtype=complex))])
-        ens.branches[1].probability = 0.5 + 1e-11
+        ens = BranchEnsemble((QubitId(1, "a"),), [engine.dense_branch(0.5, np.array([1, 0], dtype=complex)),
+                                                  engine.dense_branch(0.5, np.array([0, 1], dtype=complex))])
+        ens.branches[1] = ens.branches[1]._replace(probability=0.5 + 1e-11)
         with pytest.raises(AssertionError, match="sum to"):
             ens.check()
-        ens.branches[1].probability = 0.5 + 1e-14
+        ens.branches[1] = ens.branches[1]._replace(probability=0.5 + 1e-14)
         ens.check()
 
     def test_nan_amplitude_is_rejected(self):
@@ -585,7 +585,7 @@ def oracle_cases(draw):
     registry = tuple(QubitId(p, f"x{i}") for i, p in enumerate(owners))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
     weights = rng.random(draw(st.integers(min_value=1, max_value=2))) + 0.1
-    branches = [engine.Branch(float(w), gates.random_state(1 << len(registry), rng))
+    branches = [engine.dense_branch(float(w), gates.random_state(1 << len(registry), rng))
                 for w in weights / weights.sum()]
     order = draw(st.permutations(registry))
     targets = tuple(order[:draw(st.integers(min_value=1, max_value=len(registry)))])
@@ -651,9 +651,9 @@ class TestFactoredAgainstDense:
             assert ens.registry == tuple(dense.registry), step
             assert len(ens.branches) == len(dense.branches), step
             assert [b.record for b in ens.branches] == [record for _, _, record in dense.branches], step
-            for branch, (p, vec, _) in zip(ens.branches, dense.branches):
+            for branch, got, (p, vec, _) in zip(ens.branches, oracles.dense_vectors(ens), dense.branches):
                 assert abs(branch.probability - p) <= 1e-12, step
-                assert abs(np.vdot(vec, branch.amplitudes)) ** 2 >= 1 - 1e-12, step
+                assert abs(np.vdot(vec, got)) ** 2 >= 1 - 1e-12, step
             assert (dist is None) == (want is None), step
             if dist is not None:
                 assert set(dist) == set(want) and all(abs(dist[k] - want[k]) <= 1e-12 for k in dist), step
@@ -674,13 +674,38 @@ class TestFactoredAgainstDense:
         initial = ledger.load_trace(ledger.dump_trace(run.trace)).initial
         assert initial.registry == () and initial.groups == ()
         assert [b.factors for b in initial.branches] == [()]
-        assert np.array_equal(initial.branches[0].amplitudes, [1])
+        assert np.array_equal(oracles.dense_vectors(initial)[0], [1])
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_random_traces(self, data):
         trace = random_trace(data)
         self.assert_engines_agree(trace.initial, trace.events)
+
+    @staticmethod
+    def contents(ens):
+        """What an ensemble holds, by value: its registry, groups and measurement
+        count, and per branch the probability, a copy of the record and the bytes
+        of every factor."""
+        return (ens.registry, ens.groups, ens.measurement_count,
+                [(b.probability, dict(b.record), [f.tobytes() for f in b.factors]) for b in ens.branches])
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_operations_leave_their_input_unchanged(self, data):
+        """No event's ``apply`` writes into the ensemble it is given: its branch
+        list, probabilities, records and factor bytes stay as they were, which is
+        what lets ensembles share branches, factors and records.  The trace is
+        replayed as loaded, so its records start empty."""
+        trace = ledger.load_trace(ledger.dump_trace(random_trace(data)))
+        ens = trace.initial
+        for step, ev in enumerate(trace.events):
+            branches, contents = list(ens.branches), self.contents(ens)
+            after, _ = ev.apply(ens)
+            assert len(ens.branches) == len(branches), step
+            assert all(b is was for b, was in zip(ens.branches, branches)), step
+            assert self.contents(ens) == contents, step
+            ens = after
 
     @pytest.mark.parametrize("protocol", cli.PROTOCOLS)
     def test_protocol_runs(self, protocol):

@@ -74,7 +74,7 @@ class TestTeleport:
         run.ledger.grant(1, 2, 1)
         run.snapshot_initial()
         assert engine.entanglement_entropy(run.ensemble, {1}, universe={1, 2}) == pytest.approx(0.0)
-        before = engine.entropy_of_qubits(run.ensemble, [a])
+        before = engine.subset_entropies(run.ensemble, [[a]])[0]
         moved = protocols.teleport(run, b, to=2)
         after = engine.entanglement_entropy(run.ensemble, {1}, universe={1, 2})
         assert after == pytest.approx(before, abs=1e-9)
@@ -195,6 +195,19 @@ class TestCollectiveStar:
         protocols.collective_op_star(run_hub1, op)
         protocols.collective_op_star(run_hub2, op, hub=2)
         assert run_hub1.ledger.summary() == run_hub2.ledger.summary()
+
+    def test_povm_bits_follow_the_target_order_at_every_hub(self):
+        """POVM element bit j is data qubit j+1 at every hub, as it is for a gate,
+        though the teleports leave the hub's registry out of data order."""
+        state = np.zeros(8)
+        state[1] = 1.0  # q1 = 1, q2 = q3 = 0
+        povm = Povm(tuple(np.diag(row) for row in np.eye(8)))
+        for hub in (1, 2, 3):
+            run = star_run(3, state, hub=hub)
+            protocols.collective_op_star(run, protocols.CollectiveOp(povm=povm), hub=hub)
+            [measure] = [ev for ev in run.trace.events if isinstance(ev, LocalMeasure) and ev.povm is not None]
+            dist = dict(measure.distribution)
+            assert max(dist, key=dist.get) == "1" and dist["1"] == pytest.approx(1.0, abs=1e-9), hub
 
     def test_n4_ps_matches_star_pattern(self):
         from ebitnet import graphs
