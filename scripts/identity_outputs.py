@@ -6,7 +6,8 @@ Usage: python scripts/identity_outputs.py [--output DIR]   (default out/identity
 For each protocol spec at seeds 7 and 11 it keeps the files of ``ebitnet
 simulate`` and the exit code, stdout and stderr of that command and of
 ``ebitnet audit`` on its outputs, with and without ``--no-replay``.  It also
-records a few usage errors, and audits seeded mutations of the small runs'
+records a few usage errors (among them a star run whose n + 2 qubits pass the
+registry cap), and audits seeded mutations of the small runs'
 traces and graph files (dropped, duplicated and swapped events, re-paired
 ebits, changed bits, forged creates, decodes and messages, lowered graph
 weights, shifted distributions, a relabel moved across parties, re-pointed
@@ -20,7 +21,10 @@ another JSON type; message bits that are not an exact string amount; a
 local gate matrix that is not unitary (a NaN or a doubled entry in [re, im]
 pairs); the star-op hub's Haar matrix, which the trace writes as base64 of its
 complex128 bytes, with that text truncated or with a NaN written into its
-bytes; and an allocation at a party other than its qubits'.
+bytes; an allocation at a party other than its qubits'; and a local gate on
+no qubits.  A header-only trace of 40 parties, more than the default registry
+cap, must make both audits exit 2 as well; a checkout whose audit does not
+refuse it lists its 2^39 cuts and does not finish.
 Then ``ebitnet symmetrise`` runs on the four-lab fixture and on seeded rational
 graphs up to n = 9 (the brute-force cap is 8), and graph-file probes put one
 value that is not a JSON integer or string (``1e400``, ``0.5``, ``true``, a row
@@ -83,7 +87,7 @@ USAGE_ERRORS = [
     ["star-op", "--n", "1"], ["star-op", "--n", "3", "--hub", "4"], ["star-op", "--n", "3", "--hub", "0"],
     ["ps", "--n", "3"], ["ps", "--n", "0"], ["ps", "--n", "4", "--hub", "5"],
     ["ps-cp", "--n", "4"], ["ps-cp", "--n", "1"], ["perm-entangle", "--n", "1"], ["perm-comm", "--n", "0"],
-    ["teleport", "--sample", "-1"],
+    ["teleport", "--sample", "-1"], ["star-op", "--n", "25"],
 ]
 # --n-max values of the bounds tables: the smallest, the first odd n, the cap
 BOUNDS_N_MAX = (2, 3, 64)
@@ -300,6 +304,19 @@ def _base64_gate(change):
     return mutate
 
 
+def _gate_without_targets(records, graph, rng):
+    """A local gate on no qubits, with its 1x1 identity, right after the header."""
+    records.insert(1, {"kind": "local_gate", "party": 1, "targets": [], "matrix": [[[1, 0]]]})
+
+
+def _forty_parties(records, graph, rng):
+    """The header alone, without an initial state, for 40 parties (more than the
+    default registry cap), and a 40-party graph of zero ebits."""
+    records[:] = [{"kind": "header", "format": records[0]["format"], "n_parties": 40}]
+    graph.clear()
+    graph.update(n=40, entanglement=[["0"] * 40 for _ in range(40)])
+
+
 def _nan_first_entry(text):
     """Base64 of little-endian complex128 entries, the first entry's real part set to NaN."""
     data = bytearray(base64.b64decode(text))
@@ -327,7 +344,8 @@ PROBES = {"repoint-first-consume": _repoint_first_consume, "forged-oracle": _for
           "supplementary-without-cover": _supplementary_without_cover,
           "renumber-measurements": _renumber_measurements}
 
-# (base, name, mutation): single values that must fail to load, so both audits exit 2
+# (base, name, mutation): single values that must fail to load, and a trace of more parties
+# than its registry cap; both audits must exit 2
 LOAD_PROBES = (
     ("perm-comm-n3", "permutation-not-bijective", _set_first("oracle", "permutation", [1, 1, 2])),
     ("perm-comm-n3", "permutation-longer-than-targets", _set_first("oracle", "permutation", [2, 3, 1, 4])),
@@ -352,6 +370,8 @@ LOAD_PROBES = (
     ("star-op-n3", "haar-base64-truncated", _base64_gate(lambda text: text[:-4])),
     ("star-op-n3", "haar-base64-nan", _base64_gate(_nan_first_entry)),
     ("perm-entangle-n3", "allocate-at-other-party", _set_first("allocate", "party", 2)),
+    ("teleport", "gate-without-targets", _gate_without_targets),
+    ("teleport", "forty-parties", _forty_parties),
 )
 
 

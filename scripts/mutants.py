@@ -167,6 +167,13 @@ MUTANTS = (
     Mutant("symmetrise builds the pair counts once per graph", "src/ebitnet/cli.py",
            "counts = graphs.pair_counts(n) if n <= graphs.BRUTE_FORCE_MAX else None", "counts = None",
            (GRAPHS + "TestSymmetrise::test_one_symmetrise_command_builds_the_pair_counts_at_most_once",)),
+    Mutant("an undirected graph from a book fills one triangle", "src/ebitnet/graphs.py",
+           "            if not cls.directed:", "            if False:",
+           (GRAPHS + "test_graph_book_total_and_closed_form_follow_its_kind",)),
+    Mutant("the closed form doubles a directed graph", "src/ebitnet/graphs.py",
+           "(1 if self.directed else 2) * math.factorial", "2 * math.factorial",
+           (GRAPHS + "test_graph_book_total_and_closed_form_follow_its_kind",
+            GRAPHS + "TestSymmetrise::test_fixture_communication_42")),
     Mutant("integer ceilings round down", "src/ebitnet/bounds.py",
            "return -(-a // b)", "return a // b",
            (BOUNDS + "TestIntegerRules::test_integer_comm_boundary_equals_the_fraction_scan",
@@ -206,6 +213,10 @@ MUTANTS = (
     Mutant("POVM cover counted from the record, not the elements", "src/ebitnet/ledger.py",
            "(len(self.povm.elements) - 1).bit_length()", "(len(self.distribution) - 1).bit_length()",
            (AUDIT + "test_povm_cover_is_capped_by_its_element_count",)),
+    Mutant("a local gate may have no targets", "src/ebitnet/ledger.py",
+           'raise ValueError("a local gate needs at least one target")', "pass",
+           (CODEC + "test_malformed_event_is_rejected_with_its_line[gate-no-targets]",
+            CODEC + "test_malformed_event_is_rejected_with_its_line[case-no-targets]")),
     Mutant("a Bell record may name 3 targets", "src/ebitnet/ledger.py",
            'if self.basis == "bell" and len(self.targets) != 2:', "if False:",
            (CODEC + "test_audit_of_malformed_golden_trace_exits_two_with_its_line[no-replay-bell-on-three]",)),

@@ -20,6 +20,7 @@ The one pass over the events charges each through its ``book`` and exempts
 the cuts its ``joined`` parties span; the replay runs each through ``apply``.
 
 The cut sums are the program's one count of resources across a bipartition.
+The graphs enter as their books (``Graph.book``), keyed as the ledger's are.
 Every book is put over one common denominator as integer (from-bit, to-bit,
 numerator) terms, an undirected book giving each pair in both directions, and
 ``_leaving`` sums the terms that leave a side mask, only for the cuts a check
@@ -124,13 +125,6 @@ def _leaving(terms: Terms, side: int) -> int:
     it to one outside.  Over an undirected book's terms, this is the weight of
     the pairs that cross the cut."""
     return sum(num for a, b, num in terms if a & side and not b & side)
-
-
-def _nonzero(graph, pairs) -> dict[tuple[int, int], Fraction]:
-    """The graph's nonzero weights over ``pairs``; a missing graph is an empty book."""
-    if graph is None:
-        return {}
-    return {(a, b): graph.weight(a, b) for a, b in pairs if graph.weight(a, b)}
 
 
 # a group's qubits in slot order, and the entropy of each split solved so far, keyed on
@@ -280,9 +274,11 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
     n = trace.n_parties
     if resources.n != n:
         raise ValueError(f"trace has {n} parties but graphs describe {resources.n}")
-    parties = range(1, n + 1)
-    granted = _nonzero(resources.entanglement, itertools.combinations(parties, 2))
-    capacity = _nonzero(resources.communication, itertools.permutations(parties, 2))
+    # every party holds a qubit, so no run has more parties than its registry cap: refused before 2^(n-1) cuts
+    cap = engine.DEFAULT_MAX_QUBITS if trace.initial is None else trace.initial.max_qubits
+    if n > cap:
+        raise ValueError(f"trace has {n} parties, more than its registry cap of {cap} qubits")
+    granted, capacity = ({} if g is None else g.book() for g in (resources.entanglement, resources.communication))
     report = AuditReport(n_parties=n, checks_run=["held-nonnegative", "locality"])
 
     # -- one pass over the events: books, locality and cuts spanned ---------

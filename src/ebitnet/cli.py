@@ -119,9 +119,8 @@ def _simulate_star(n: int, rng: np.random.Generator, hub: int, cap: int, permuta
     protocols.collective_op_star(run, op, hub=hub)
     fid = engine.ensemble_fidelity(run.ensemble, [run.data_qubits[i] for i in slots], want)
     led = run.ledger
-    ent_star, comm_star = graphs.star_graphs(n, hub)
-    star = (led.consumed_matrix(n) == [list(r) for r in ent_star.weights]
-            and led.bits_matrix(n) == [list(r) for r in comm_star.weights])
+    star = (graphs.EntanglementGraph.from_book(n, led.ebits_consumed),
+            graphs.CommunicationGraph.from_book(n, led.bits_sent)) == graphs.star_graphs(n, hub)
     return run, [
         ("fidelity", fid >= 1 - 1e-9, f"output state fidelity {fid:.15f}"),
         ("ledger-matrix", star, "per-pair usage equals the hub star pattern" if star
@@ -185,6 +184,9 @@ def _simulate(protocol: str, n: int, rng: np.random.Generator, hub: int, cap: in
             raise CliUsageError(f"{protocol} needs an {('even', 'odd')[parity]} --n >= {least}, got {n}")
     if protocol in _HUB_PROTOCOLS and not 1 <= hub <= n:
         raise CliUsageError(f"--hub {hub} out of range 1..{n}")
+    # a star run holds n + 2 qubits at its peak; refused here, before its 2^n inputs are drawn
+    if protocol in _HUB_PROTOCOLS and n + 2 > cap:
+        raise CliUsageError(f"{protocol} at --n {n} needs {n + 2} qubits, over the registry cap of {cap}")
     return _SIMULATORS[protocol](n, rng, hub, cap)
 
 
@@ -201,11 +203,8 @@ def cmd_simulate(args) -> int:
     ledger_doc["checks"] = [{"name": name, "ok": bool(ok), "detail": detail} for name, ok, detail in checks]
     _write(outdir / f"{stem}_ledger.json", json.dumps(ledger_doc, sort_keys=True, indent=2) + "\n")
     n = run.n_parties
-    bundle = graphs.GraphBundle(
-        n,
-        graphs.EntanglementGraph(n, tuple(tuple(r) for r in run.ledger.granted_matrix(n))),
-        graphs.CommunicationGraph(n, tuple(tuple(r) for r in run.ledger.bits_matrix(n))),
-    )
+    bundle = graphs.GraphBundle(n, graphs.EntanglementGraph.from_book(n, run.ledger.granted),
+                                graphs.CommunicationGraph.from_book(n, run.ledger.bits_sent))
     _write(outdir / f"{stem}_graphs.json", graphs.export_json(bundle))
     for name, ok, detail in checks:
         print(f"{stem}: {name}: {'ok' if ok else 'FAIL'} ({detail})")
@@ -280,13 +279,9 @@ def cmd_symmetrise(args) -> int:
     symmetrised = {}  # kind -> symmetrised graph
     # every file holds a graph, so below the cap the pair counts are built once for both graphs' sums
     counts = graphs.pair_counts(n) if n <= graphs.BRUTE_FORCE_MAX else None
-    for kind, g in (("entanglement", bundle.entanglement), ("communication", bundle.communication)):
-        if g is None:
-            continue
-        total = graphs.total_entanglement(g) if kind == "entanglement" else graphs.total_communication(g)
-        letter = "e" if kind == "entanglement" else "c"
-        weight = graphs.symmetrised_edge_weight(kind, total, n)
-        print(f"{kind}: total {total}, symmetrised edge weight {letter} = {weight} (closed form)")
+    for g in bundle.graphs:
+        kind, weight = g.kind, g.symmetrised_weight()
+        print(f"{kind}: total {g.total()}, symmetrised edge weight {kind[0]} = {weight} (closed form)")
         if n <= graphs.BRUTE_FORCE_MAX:
             sym = graphs.symmetrise(g, counts)
             entries = {sym.weights[i][j] for i in range(n) for j in range(n) if i != j}
@@ -299,10 +294,9 @@ def cmd_symmetrise(args) -> int:
         else:
             print(f"{kind}: brute-force cross-check skipped "
                   f"(n = {n} exceeds the cap of {graphs.BRUTE_FORCE_MAX})")
-        _write(outdir / f"{kind}.dot", graphs.export_dot(g, name=kind))
+        _write(outdir / f"{kind}.dot", graphs.export_dot(g))
     if symmetrised:
-        sym_bundle = graphs.GraphBundle(n, **symmetrised)
-        _write(outdir / "symmetrised.json", graphs.export_json(sym_bundle))
+        _write(outdir / "symmetrised.json", graphs.export_json(graphs.GraphBundle(n, **symmetrised)))
         for kind, g in symmetrised.items():
             _write(outdir / f"symmetrised_{kind}.dot", graphs.export_dot(g, name=f"symmetrised_{kind}"))
     # only a four-party input can be the example, so no other builds it

@@ -448,6 +448,8 @@ def _evolve(ensemble: BranchEnsemble, targets: Sequence[QubitId], matrix_of) -> 
     """Apply ``matrix_of(branch)`` to ``targets`` of every branch, in the factor of
     their joined groups; the other factors are shared."""
     joined = set(targets)
+    if not joined:  # it would add a group of no qubits
+        raise ValueError("a gate needs at least one target")
     if len(joined) != len(targets):
         raise ValueError("gate targets must be distinct")
     located = [ensemble.locate(q) for q in targets]

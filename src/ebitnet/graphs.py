@@ -1,16 +1,18 @@
 """Resource graphs over party vertices, with exact rational weights.
 
 Entanglement graphs are undirected (symmetric matrix, zero diagonal);
-communication graphs are directed.  Symmetrising a graph sums it over all
-vertex permutations, yielding a regular complete graph whose single edge
-weight also follows from a closed form; both routes are kept so one can
-check the other.  All arithmetic is in fractions so factorial scalings
-are exact.  The explicit sum enumerates every permutation into one n! x n
-table, counts how many send each pair of vertices to each pair, and weights
-those counts by the graph's integer numerators over their common
-denominator (numpy int64, or Python ints where int64 could overflow), so it
-is exact too.  ``ebitnet symmetrise`` builds those counts (``pair_counts``)
-once for both graphs of a file.
+communication graphs are directed.  Their one base class, ``Graph``, decides
+from ``directed`` alone their pairs, books (keyed as the ledger's), totals,
+closed forms and file formats.  Symmetrising a graph sums it over all vertex
+permutations, yielding a regular complete graph whose single edge weight
+also follows from a closed form; both routes are kept so one can check the
+other.  All arithmetic is in fractions so factorial scalings are exact.  The
+explicit sum enumerates every permutation into one n! x n table, counts how
+many send each pair of vertices to each pair, and weights those counts by
+the graph's integer numerators over their common denominator (numpy int64,
+or Python ints where int64 could overflow), so it is exact too.  ``ebitnet
+symmetrise`` builds those counts (``pair_counts``) once for both graphs of
+a file.
 
 The weight a graph carries across a bipartition is counted by the audit's
 cut sums (``audit._leaving``), the program's one count of it.  The rest of
@@ -21,12 +23,13 @@ resources, the half-transfer and three-lab conditions) is test oracles, in
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -78,45 +81,63 @@ def _check_symmetric(w: Weights, where: str) -> None:
 
 
 @dataclass(frozen=True)
-class EntanglementGraph:
-    """Shared ebits per unordered pair of parties 1..n."""
+class Graph:
+    """Resource weights over parties 1..n; a subclass sets ``kind``, the graph's
+    name in files and messages, and whether it is ``directed``."""
 
     n: int
     weights: Weights
+    kind: ClassVar[str]
+    directed: ClassVar[bool]
 
     def __post_init__(self):
-        w = _to_weights(self.weights, self.n, "entanglement")
+        w = _to_weights(self.weights, self.n, self.kind)
         object.__setattr__(self, "weights", w)
-        _check_symmetric(w, "entanglement")
+        if not self.directed:
+            _check_symmetric(w, self.kind)
 
     def weight(self, a: int, b: int) -> Fraction:
         return self.weights[a - 1][b - 1]
 
+    def pairs(self) -> Iterator[tuple[int, int]]:
+        """The pairs that carry a weight: a < b when undirected, every ordered pair when directed."""
+        return (itertools.permutations if self.directed else itertools.combinations)(range(1, self.n + 1), 2)
 
-@dataclass(frozen=True)
-class CommunicationGraph:
+    def book(self) -> dict[tuple[int, int], Fraction]:
+        """The nonzero weights, keyed on the pairs as ``pairs`` gives them."""
+        return {(a, b): self.weight(a, b) for a, b in self.pairs() if self.weight(a, b)}
+
+    @classmethod
+    def from_book(cls, n: int, book: Mapping[tuple[int, int], Fraction]) -> Graph:
+        """The graph on n parties with ``book``'s weights, mirrored when undirected."""
+        mat = [[Fraction(0)] * n for _ in range(n)]
+        for (a, b), v in book.items():
+            mat[a - 1][b - 1] = v
+            if not cls.directed:
+                mat[b - 1][a - 1] = v
+        return cls(n, mat)
+
+    def total(self) -> Fraction:
+        """The sum of the weights over ``pairs``: half the matrix sum when undirected."""
+        return sum((self.weight(a, b) for a, b in self.pairs()), Fraction(0))
+
+    def symmetrised_weight(self) -> Fraction:
+        """Closed-form edge weight of the symmetrised graph: (n-2)! total, doubled when undirected."""
+        if self.n < 2:
+            raise ValueError("need at least 2 parties")
+        return (1 if self.directed else 2) * math.factorial(self.n - 2) * self.total()
+
+
+class EntanglementGraph(Graph):
+    """Shared ebits per unordered pair of parties 1..n."""
+
+    kind, directed = "entanglement", False
+
+
+class CommunicationGraph(Graph):
     """Directly sendable classical bits per ordered pair of parties 1..n."""
 
-    n: int
-    weights: Weights
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _to_weights(self.weights, self.n, "communication"))
-
-    def weight(self, sender: int, receiver: int) -> Fraction:
-        return self.weights[sender - 1][receiver - 1]
-
-
-Graph = EntanglementGraph | CommunicationGraph
-
-
-def total_entanglement(g: EntanglementGraph) -> Fraction:
-    """Total shared ebits: half the matrix sum, since each pair is counted twice."""
-    return sum((x for row in g.weights for x in row), Fraction(0)) / 2
-
-
-def total_communication(g: CommunicationGraph) -> Fraction:
-    return sum((x for row in g.weights for x in row), Fraction(0))
+    kind, directed = "communication", True
 
 
 def star_graphs(n: int, hub: int = 1) -> tuple[EntanglementGraph, CommunicationGraph]:
@@ -168,7 +189,7 @@ def symmetrise(g: Graph, counts: np.ndarray | None = None) -> Graph:
     """Sum the graph over all n! vertex permutations (explicit enumeration).
 
     The result is regular and complete with total n! times the input total.
-    Refuses above the brute-force cap; use symmetrised_edge_weight there.
+    Refuses above the brute-force cap; use ``g.symmetrised_weight()`` there.
     Cell (i, j) of the sum is sum over (a, b) of C[i, a, j, b] W[a, b]: the
     pair counts ``counts`` (``pair_counts(n)``, built here when not given) of
     the permutation table times the integer numerators W over the common
@@ -178,7 +199,7 @@ def symmetrise(g: Graph, counts: np.ndarray | None = None) -> Graph:
     if n > BRUTE_FORCE_MAX:
         raise ValueError(
             f"explicit symmetrisation is capped at n = {BRUTE_FORCE_MAX}; "
-            "use symmetrised_edge_weight for the closed form"
+            "use symmetrised_weight() for the closed form"
         )
     if counts is None:
         counts = pair_counts(n)
@@ -192,22 +213,6 @@ def symmetrise(g: Graph, counts: np.ndarray | None = None) -> Graph:
     return type(g)(n, mat)
 
 
-def symmetrised_edge_weight(kind: str, total: int | Fraction, n: int) -> Fraction:
-    """Closed-form edge weight of the symmetrised graph.
-
-    Entanglement: 2 (n-2)! total; communication: (n-2)! total.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 parties")
-    total = Fraction(total)
-    fact = math.factorial(n - 2)
-    if kind == "entanglement":
-        return 2 * fact * total
-    if kind == "communication":
-        return fact * total
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 # --------------------------------------------------------------------------
 # serialization
 
@@ -218,13 +223,16 @@ class GraphBundle:
     entanglement: EntanglementGraph | None = None
     communication: CommunicationGraph | None = None
 
+    @property
+    def graphs(self) -> list[Graph]:
+        """The graphs present, entanglement first."""
+        return [g for g in (self.entanglement, self.communication) if g is not None]
+
 
 def export_json(bundle: GraphBundle) -> str:
     doc: dict = {"n": bundle.n}
-    if bundle.entanglement is not None:
-        doc["entanglement"] = [[str(x) for x in row] for row in bundle.entanglement.weights]
-    if bundle.communication is not None:
-        doc["communication"] = [[str(x) for x in row] for row in bundle.communication.weights]
+    for g in bundle.graphs:
+        doc[g.kind] = [[str(x) for x in row] for row in g.weights]
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -287,33 +295,19 @@ def import_json(text: str) -> GraphBundle:
         raise GraphFormatError(f'"n": not an integer: {_shown(n)}')
     if n < 1:
         raise GraphFormatError(f'"n": must be positive, got {n}')
-    ent = comm = None
-    if "entanglement" in doc:
-        ent = EntanglementGraph(n, _json_matrix(doc["entanglement"], "entanglement"))
-    if "communication" in doc:
-        comm = CommunicationGraph(n, _json_matrix(doc["communication"], "communication"))
-    if ent is None and comm is None:
+    found = {cls.kind: cls(n, _json_matrix(doc[cls.kind], cls.kind))
+             for cls in (EntanglementGraph, CommunicationGraph) if cls.kind in doc}
+    if not found:
         raise GraphFormatError('top level: need "entanglement" and/or "communication"')
-    return GraphBundle(n, ent, comm)
+    return GraphBundle(n, **found)
 
 
 def export_dot(g: Graph, name: str | None = None) -> str:
-    """GraphViz text with edge labels carrying the weights; zero edges omitted."""
-    n = g.n
-    if isinstance(g, EntanglementGraph):
-        head, arrow = "graph", "--"
-        name = name or "entanglement"
-        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    else:
-        head, arrow = "digraph", "->"
-        name = name or "communication"
-        edges = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    lines = [f"{head} {name} {{"]
-    lines += [f"  {i};" for i in range(1, n + 1)]
-    for i, j in edges:
-        w = g.weight(i, j)
-        if w != 0:
-            lines.append(f'  {i} {arrow} {j} [label="{w}"];')
+    """GraphViz text named ``name`` or the graph's kind, its nonzero weights as edge labels."""
+    head, arrow = ("digraph", "->") if g.directed else ("graph", "--")
+    lines = [f"{head} {name or g.kind} {{"]
+    lines += [f"  {i};" for i in range(1, g.n + 1)]
+    lines += [f'  {i} {arrow} {j} [label="{w}"];' for (i, j), w in g.book().items()]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

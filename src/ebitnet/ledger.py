@@ -94,17 +94,6 @@ class ResourceLedger:
     def total_bits_sent(self) -> Fraction:
         return sum(self.bits_sent.values(), Fraction(0))
 
-    def consumed_matrix(self, n: int) -> list[list[Fraction]]:
-        """Symmetric matrix of consumed ebits over parties 1..n."""
-        return _party_matrix(self.ebits_consumed, n, symmetric=True)
-
-    def bits_matrix(self, n: int) -> list[list[Fraction]]:
-        """Directed matrix of sent bits over parties 1..n."""
-        return _party_matrix(self.bits_sent, n, symmetric=False)
-
-    def granted_matrix(self, n: int) -> list[list[Fraction]]:
-        return _party_matrix(self.granted, n, symmetric=True)
-
     def summary(self) -> dict:
         def pairs(d: Mapping[tuple[int, int], Fraction], sep: str) -> dict[str, str]:
             return {f"{a}{sep}{b}": str(v) for (a, b), v in sorted(d.items())}
@@ -135,15 +124,6 @@ def _book(book: dict, key, amount) -> Fraction:
         raise ValueError(f"ledger amounts only grow, got {amount}")
     book[key] = book.get(key, Fraction(0)) + amount
     return amount
-
-
-def _party_matrix(book: Mapping[tuple[int, int], Fraction], n: int, symmetric: bool) -> list[list[Fraction]]:
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for (a, b), v in book.items():
-        mat[a - 1][b - 1] = v
-        if symmetric:
-            mat[b - 1][a - 1] = v
-    return mat
 
 
 # --------------------------------------------------------------------------
@@ -252,6 +232,8 @@ class LocalGate(Event):
     conditional_on: int | None = None
 
     def __post_init__(self):
+        if not self.targets:
+            raise ValueError("a local gate needs at least one target")
         given = (self.matrix is not None, self.cases is not None, self.conditional_on is not None)
         if given not in ((True, False, False), (False, True, True)):
             raise ValueError("a local gate takes either a matrix or cases with conditional_on")
@@ -283,6 +265,8 @@ class LocalMeasure(Event):
     povm: Povm | None = None  # the elements, exactly when the basis is "povm"
 
     def __post_init__(self):
+        if not self.targets:
+            raise ValueError("a measurement needs at least one target")
         if self.basis not in ("computational", "bell", "povm"):
             raise ValueError(f"unknown measurement basis {self.basis!r}")
         if (self.povm is None) == (self.basis == "povm"):

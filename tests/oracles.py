@@ -182,12 +182,12 @@ def rederive_lower_bounds(n: int) -> tuple[Fraction, Fraction]:
         raise ValueError(f"need n >= 3, got {n}")
     part = Partition.even_odd(n)
     created = Fraction(math.factorial(n)) * (n if n % 2 == 0 else n - 1)
-    unit_e = cross_partition(regular_complete(n, 1, "entanglement"), part)
-    unit_c = cross_partition(regular_complete(n, 1, "communication"), part, "a_to_b")
-    e_min = created / unit_e
-    c_min = created / unit_c
-    scale_e = graphs.symmetrised_edge_weight("entanglement", 1, n)
-    scale_c = graphs.symmetrised_edge_weight("communication", 1, n)
+    ent, comm = regular_complete(n, 1, "entanglement"), regular_complete(n, 1, "communication")
+    e_min = created / cross_partition(ent, part)
+    c_min = created / cross_partition(comm, part, "a_to_b")
+    # the closed form's factor per unit of total
+    scale_e = ent.symmetrised_weight() / ent.total()
+    scale_c = comm.symmetrised_weight() / comm.total()
     return e_min / scale_e, c_min / scale_c
 
 
@@ -291,7 +291,7 @@ class DeltaMatrix:
 def regular_complete(n: int, weight: int | Fraction, kind: str = "entanglement") -> graphs.Graph:
     w = Fraction(weight)
     mat = tuple(tuple(Fraction(0) if i == j else w for j in range(n)) for i in range(n))
-    cls = graphs.EntanglementGraph if kind == "entanglement" else graphs.CommunicationGraph
+    cls = {c.kind: c for c in (graphs.EntanglementGraph, graphs.CommunicationGraph)}[kind]
     return cls(n, mat)
 
 
@@ -305,7 +305,7 @@ def cross_partition(g: graphs.Graph, partition: Partition, direction: str | None
     if partition.n != g.n:
         raise ValueError("partition and graph disagree on the party count")
     a, b = partition.side_a, partition.side_b
-    if isinstance(g, graphs.EntanglementGraph):
+    if not g.directed:
         if direction is not None:
             raise ValueError("direction applies to communication graphs only")
         return sum((g.weight(i, j) for i in a for j in b), Fraction(0))
@@ -326,7 +326,7 @@ def expendable_resources(g: graphs.Graph, gain_set: Iterable) -> Fraction:
     communication graphs it holds ordered (sender, receiver) tuples.
     """
     gain = set(gain_set)
-    undirected = isinstance(g, graphs.EntanglementGraph)
+    undirected = not g.directed
     edge = frozenset if undirected else tuple
     total = sum((g.weight(i, j) for i, j in itertools.permutations(range(1, g.n + 1), 2)
                  if edge((i, j)) not in gain), Fraction(0))

@@ -120,8 +120,8 @@ def test_c05_star_protocol():
             assert engine.ensemble_fidelity(
                 run.ensemble, protocols.data_order(run), u @ state) >= 1 - 1e-9
             ent, comm = graphs.star_graphs(n, hub=1)
-            assert run.ledger.consumed_matrix(n) == [list(r) for r in ent.weights]
-            assert run.ledger.bits_matrix(n) == [list(r) for r in comm.weights]
+            assert graphs.EntanglementGraph.from_book(n, run.ledger.ebits_consumed) == ent
+            assert graphs.CommunicationGraph.from_book(n, run.ledger.bits_sent) == comm
             assert run.ledger.total_consumed() == 2 * (n - 1)
             assert run.ledger.total_bits_sent() == 4 * (n - 1)
 
@@ -143,10 +143,8 @@ def test_c06_symmetrisation_oracle(tmp_path, capsys):
                         w[j][i] = val
             g = (graphs.EntanglementGraph if kind == "entanglement"
                  else graphs.CommunicationGraph)(n, tuple(tuple(r) for r in w))
-            total = (graphs.total_entanglement(g) if kind == "entanglement"
-                     else graphs.total_communication(g))
             sym = graphs.symmetrise(g)
-            expect = graphs.symmetrised_edge_weight(kind, total, n)
+            expect = g.symmetrised_weight()
             assert all(sym.weights[i][j] == expect
                        for i in range(n) for j in range(n) if i != j)
         assert cli.main(["symmetrise", "--input", str(FIXTURE),

@@ -41,11 +41,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def star_bundle(run):
     n = run.n_parties
-    return graphs.GraphBundle(
-        n,
-        graphs.EntanglementGraph(n, tuple(tuple(r) for r in run.ledger.granted_matrix(n))),
-        graphs.CommunicationGraph(n, tuple(tuple(r) for r in run.ledger.bits_matrix(n))),
-    )
+    return graphs.GraphBundle(n, graphs.EntanglementGraph.from_book(n, run.ledger.granted),
+                              graphs.CommunicationGraph.from_book(n, run.ledger.bits_sent))
 
 
 def run_star(n=3, seed=0):
@@ -301,6 +298,25 @@ class TestAuditViolations:
         bundle = graphs.import_json(NO_EBITS_2)
         with pytest.raises(ValueError, match="parties"):
             audit.audit_trace(run.trace, bundle)
+
+    @pytest.mark.parametrize("n,header,code", [
+        (40, {}, 2),
+        (5, {"max_qubits": 4, "registry": [], "branches": [{"p": 1.0, "amplitudes": [[1.0, 0.0]]}]}, 2),
+        (4, {"max_qubits": 4, "registry": [], "branches": [{"p": 1.0, "amplitudes": [[1.0, 0.0]]}]}, 0),
+    ], ids=["40-parties-default-cap", "5-parties-cap-4", "4-parties-cap-4"])
+    @pytest.mark.parametrize("flags", [[], ["--no-replay"]], ids=["replay", "no-replay"])
+    def test_more_parties_than_the_registry_cap_exit_two(self, tmp_path, capsys, n, header, code, flags):
+        """Every party holds a qubit, so no run has more parties than its registry cap:
+        the header's, or the default without an initial state.  Such a trace is refused
+        before its 2^(n-1) cuts are listed, which at 40 parties would not finish."""
+        trace, graph = tmp_path / "t.jsonl", tmp_path / "g.json"
+        trace.write_text(json.dumps(dict({"kind": "header", "format": TRACE_FORMAT, "n_parties": n}, **header))
+                         + "\n", encoding="utf-8")
+        graph.write_text(json.dumps({"n": n, "entanglement": [["0"] * n] * n}), encoding="utf-8")
+        assert cli.main(["audit", "--trace", str(trace), "--graphs", str(graph), *flags]) == code
+        cap = header.get("max_qubits", engine.DEFAULT_MAX_QUBITS)
+        refusal = f"error: trace has {n} parties, more than its registry cap of {cap} qubits\n"
+        assert capsys.readouterr().err == ("" if code == 0 else refusal)
 
     def test_nonlocal_gate_declared_local_flagged(self):
         report = audit_forged("nonlocal-gate")
@@ -622,9 +638,7 @@ def test_cut_sums_match_the_cross_partition_oracle(case):
     frozenset oracle: an undirected book across each cut, a directed one out of
     the side of party 1 and into it."""
     n, ent, comm = case
-    parties = range(1, n + 1)
-    undirected = audit._nonzero(ent, itertools.combinations(parties, 2))
-    directed = audit._nonzero(comm, itertools.permutations(parties, 2))
+    undirected, directed = ent.book(), comm.book()
     den = math.lcm(*(v.denominator for v in (*undirected.values(), *directed.values())))
     shared = audit._terms(undirected, den, directed=False)
     sent = audit._terms(directed, den, directed=True)

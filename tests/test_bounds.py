@@ -184,7 +184,6 @@ class TestRederivation:
         # n! runs must put 2*n! ebits on each swapped pair and n! on each
         # cycle pair; beyond what those edges hold, at most half of the
         # weight on all other edges may move over
-        from ebitnet import graphs
         from ebitnet.gates import ps_cp_permutation
 
         gain = oracles.permutation_gain_edges(ps_cp_permutation(n).mapping, "entanglement")
@@ -193,7 +192,7 @@ class TestRederivation:
         expendable_per_e = oracles.expendable_resources(unit, gain)
         created = Fraction(math.factorial(n) * n)
         e_min = created / (direct_per_e + expendable_per_e / 2)
-        scale = graphs.symmetrised_edge_weight("entanglement", 1, n)
+        scale = unit.symmetrised_weight() / unit.total()  # the closed form's factor per unit of total
         ht_e, ht_c = bounds.half_transfer_bounds(n)
         assert e_min / scale == ht_e
         assert ht_c == 2 * ht_e

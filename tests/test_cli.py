@@ -71,6 +71,12 @@ class TestSimulate:
         monkeypatch.setenv("EBITNET_MAX_QUBITS", "junk")
         assert run_cli("simulate", "teleport", "--output", str(tmp_path / "y")) == 2
 
+    def test_a_star_run_over_the_registry_cap_exits_two_before_drawing_its_inputs(self, tmp_path, capsys):
+        # a star run holds n + 2 qubits at its peak; its 2^25-dimensional Haar input would need 8 PiB
+        assert run_cli("simulate", "star-op", "--n", "25", "--output", str(tmp_path)) == 2
+        assert capsys.readouterr().err == "error: star-op at --n 25 needs 27 qubits, over the registry cap of 24\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_simulated_trace_passes_audit(self, tmp_path, capsys):
         out = tmp_path / "sim"
         assert run_cli("simulate", "star-op", "--n", "3", "--output", str(out)) == 0

@@ -96,6 +96,14 @@ class TestGates:
         with pytest.raises(ValueError, match="unitary"), np.errstate(invalid="ignore"):
             Gate((QubitId(1, "a"),), np.array([[entry, 0], [0, 1]]))
 
+    def test_a_gate_without_targets_is_refused(self):
+        # it would add a product group of no qubits
+        ens, a, b = bell_pair_ensemble()
+        with pytest.raises(ValueError, match="^a gate needs at least one target$"):
+            engine.apply_gate(ens, Gate((), np.eye(1)))
+        with pytest.raises(ValueError, match="^a gate needs at least one target$"):
+            engine.apply_conditional(ens, (), {"0": np.eye(1)}, 0)
+
     def test_unknown_target_rejected(self):
         ens, a, b = bell_pair_ensemble()
         with pytest.raises(ValueError, match="unknown target"):

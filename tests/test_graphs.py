@@ -69,35 +69,48 @@ def permute_graph(g, perm):
     return type(g)(n, w)
 
 
+@given(st.one_of(entanglement_graphs(max_n=6), communication_graphs(max_n=6)))
+@settings(max_examples=60, deadline=None)
+def test_graph_book_total_and_closed_form_follow_its_kind(g):
+    """Whether a graph is directed decides its book, its total and its closed
+    form: the book gives the graph back, the total is the matrix sum (halved when
+    undirected), and the closed form is every off-diagonal cell of the explicit sum."""
+    assert type(g).from_book(g.n, g.book()) == g
+    matrix_sum = sum((x for row in g.weights for x in row), Fraction(0))
+    assert g.total() == (matrix_sum if g.directed else matrix_sum / 2)
+    sym = graphs.symmetrise(g)
+    assert {sym.weights[i][j] for i in range(g.n) for j in range(g.n) if i != j} == {g.symmetrised_weight()}
+
+
 class TestTotals:
     def test_four_lab_example_entanglement(self):
         ex = graphs.four_lab_example()
         # hand sum of the documented matrix: 3 + 2 + 6 + 1
-        assert graphs.total_entanglement(ex.entanglement) == 12
+        assert ex.entanglement.total() == 12
 
     def test_four_lab_example_communication(self):
         ex = graphs.four_lab_example()
         # hand sum: 1 + 4 + 2 + 9 + 5
-        assert graphs.total_communication(ex.communication) == 21
+        assert ex.communication.total() == 21
 
     def test_zero_graphs(self):
         z = regular_complete(4, 0)
-        assert graphs.total_entanglement(z) == 0
+        assert z.total() == 0
         zc = regular_complete(4, 0, "communication")
-        assert graphs.total_communication(zc) == 0
+        assert zc.total() == 0
 
     @given(st.integers(min_value=2, max_value=8), small_fractions)
     def test_regular_complete_total(self, n, e):
         g = regular_complete(n, e)
-        assert graphs.total_entanglement(g) == e * n * (n - 1) / 2
+        assert g.total() == e * n * (n - 1) / 2
 
 
 class TestStarGraphs:
     @pytest.mark.parametrize("n,ents,bits", [(2, 2, 4), (4, 6, 12), (6, 10, 20)])
     def test_totals(self, n, ents, bits):
         ge, gc = graphs.star_graphs(n)
-        assert graphs.total_entanglement(ge) == ents
-        assert graphs.total_communication(gc) == bits
+        assert ge.total() == ents
+        assert gc.total() == bits
 
     def test_hub_spokes_weight_two(self):
         ge, gc = graphs.star_graphs(5, hub=3)
@@ -119,7 +132,7 @@ class TestSymmetrise:
         assert all(
             sym.weights[i][j] == 42 for i in range(4) for j in range(4) if i != j
         )
-        assert graphs.symmetrised_edge_weight("communication", 21, 4) == 42
+        assert ex.communication.symmetrised_weight() == 42
 
     def test_fixture_entanglement_48(self):
         # the explicit sum over all 24 vertex permutations; a figure caption
@@ -129,18 +142,18 @@ class TestSymmetrise:
         assert all(
             sym.weights[i][j] == 48 for i in range(4) for j in range(4) if i != j
         )
-        assert graphs.symmetrised_edge_weight("entanglement", 12, 4) == 48
+        assert ex.entanglement.symmetrised_weight() == 48
 
     def test_total_scales_by_factorial(self):
         ex = graphs.four_lab_example()
         sym = graphs.symmetrise(ex.entanglement)
-        assert graphs.total_entanglement(sym) == math.factorial(4) * 12
+        assert sym.total() == math.factorial(4) * 12
 
     @given(entanglement_graphs())
     @settings(max_examples=40, deadline=None)
     def test_closed_form_matches_brute_force_entanglement(self, g):
         sym = graphs.symmetrise(g)
-        w = graphs.symmetrised_edge_weight("entanglement", graphs.total_entanglement(g), g.n)
+        w = g.symmetrised_weight()
         assert all(
             sym.weights[i][j] == w for i in range(g.n) for j in range(g.n) if i != j
         )
@@ -150,7 +163,7 @@ class TestSymmetrise:
     @settings(max_examples=40, deadline=None)
     def test_closed_form_matches_brute_force_communication(self, g):
         sym = graphs.symmetrise(g)
-        w = graphs.symmetrised_edge_weight("communication", graphs.total_communication(g), g.n)
+        w = g.symmetrised_weight()
         assert all(
             sym.weights[i][j] == w for i in range(g.n) for j in range(g.n) if i != j
         )
@@ -160,7 +173,7 @@ class TestSymmetrise:
         for n in (2, 3, 4, 5):
             g = regular_complete(n, Fraction(3, 2))
             sym = graphs.symmetrise(g)
-            w = graphs.symmetrised_edge_weight("entanglement", graphs.total_entanglement(g), n)
+            w = g.symmetrised_weight()
             assert sym.weights[0][1] == w == math.factorial(n) * Fraction(3, 2)
 
     @given(entanglement_graphs(max_n=4))
@@ -200,7 +213,7 @@ class TestSymmetrise:
         assert top < 2**63 <= top * math.factorial(n)
         sym = graphs.symmetrise(g)
         assert sym.weights == reference_symmetrise(g)
-        assert sym.weights[0][1] == graphs.symmetrised_edge_weight("entanglement", graphs.total_entanglement(g), n)
+        assert sym.weights[0][1] == g.symmetrised_weight()
 
     @pytest.mark.parametrize("n", range(1, graphs.BRUTE_FORCE_MAX + 1))
     def test_permutation_table_holds_every_permutation_once(self, n):
@@ -255,10 +268,12 @@ class TestSymmetrise:
         with pytest.raises(ValueError, match="capped"):
             graphs.symmetrise(big)
         # the closed form still answers
-        assert graphs.symmetrised_edge_weight("entanglement", 36, 9) == 2 * math.factorial(7) * 36
+        assert big.symmetrised_weight() == 2 * math.factorial(7) * 36
 
     def test_edge_weight_n2(self):
-        assert graphs.symmetrised_edge_weight("entanglement", Fraction(5), 2) == 10
+        assert EntanglementGraph(2, ((0, 5), (5, 0))).symmetrised_weight() == 10
+        with pytest.raises(ValueError, match="at least 2 parties"):
+            CommunicationGraph(1, ((0,),)).symmetrised_weight()
 
 
 class TestCrossPartition:
@@ -414,7 +429,7 @@ class TestSerialization:
         back = graphs.import_json(text)
         assert back.entanglement == ex.entanglement
         assert back.communication == ex.communication
-        assert graphs.total_entanglement(back.entanglement) == 12
+        assert back.entanglement.total() == 12
         assert graphs.export_json(back) == text
 
     def test_dot_for_empty_two_vertex_graph(self):
@@ -531,4 +546,4 @@ class TestSerialization:
         doc = '{"n": 2, "entanglement": [["0", "3/2"], ["3/2", "0"]]}'
         g = graphs.import_json(doc).entanglement
         assert g.weight(1, 2) == Fraction(3, 2)
-        assert graphs.total_entanglement(g) == Fraction(3, 2)
+        assert g.total() == Fraction(3, 2)

@@ -217,8 +217,8 @@ class TestCollectiveStar:
         run = star_run(4, state)
         protocols.collective_op_star(run, protocols.CollectiveOp(unitary=oracles.ps_unitary(4)))
         ent, comm = graphs.star_graphs(4, hub=1)
-        assert run.ledger.consumed_matrix(4) == [list(r) for r in ent.weights]
-        assert run.ledger.bits_matrix(4) == [list(r) for r in comm.weights]
+        assert graphs.EntanglementGraph.from_book(4, run.ledger.ebits_consumed) == ent
+        assert graphs.CommunicationGraph.from_book(4, run.ledger.bits_sent) == comm
         assert run.ledger.total_consumed() == 6
         assert run.ledger.total_bits_sent() == 12
 
@@ -281,7 +281,7 @@ class TestCollectiveStar:
         protocols.collective_op_star(run, protocols.CollectiveOp(unitary=u), hub=2)
         assert engine.ensemble_fidelity(run.ensemble, protocols.data_order(run), u @ state) >= 1 - 1e-9
         ent, _ = graphs.star_graphs(3, hub=2)
-        assert run.ledger.consumed_matrix(3) == [list(r) for r in ent.weights]
+        assert graphs.EntanglementGraph.from_book(3, run.ledger.ebits_consumed) == ent
 
     def test_local_dressing_does_not_change_costs(self):
         rng = np.random.default_rng(15)

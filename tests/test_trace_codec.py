@@ -248,6 +248,10 @@ def test_out_of_range_party_is_rejected_with_its_line(kind, key, value):
                                                                           [["0.0", "0.0"], ["1.0", "0.0"]]]},
     {"kind": "local_measure", "party": 2, "targets": [[2, "q2"]], "basis": "computational",
      "discard": False, "index": 1, "distribution": {"0": 10**400, "1": 0.5}},
+    {"kind": "local_gate", "party": 1, "targets": [], "matrix": [[[1.0, 0.0]]]},
+    {"kind": "local_gate", "party": 1, "targets": [], "conditional_on": 0, "cases": {"0": [[[1.0, 0.0]]]}},
+    {"kind": "local_measure", "party": 1, "targets": [], "basis": "computational",
+     "discard": False, "index": 1, "distribution": {"": 1.0}},
 ], ids=["no-matrix-or-cases", "three-qubit-ebit", "matrix-not-pairs", "distribution-not-object", "not-object",
         "init-22", "init-too-short", "allocate-nothing", "unknown-basis", "gate-1x1", "case-1x1",
         "oracle-2x2-on-two", "message-to-self", "negative-message", "decode-from-self", "negative-decode",
@@ -259,7 +263,8 @@ def test_out_of_range_party_is_rejected_with_its_line(kind, key, value):
         "conditional-on-string", "pair-float-party", "qubit-float-party", "bits-float", "bits-integer",
         "bits-divide-by-zero", "payload-integer", "init-integer", "label-integer", "distribution-strings",
         "distribution-bool", "gate-not-unitary", "gate-nan", "case-not-unitary", "allocate-off-party",
-        "bell-with-elements", "povm-string", "gate-strings", "distribution-too-large-for-a-float"])
+        "bell-with-elements", "povm-string", "gate-strings", "distribution-too-large-for-a-float",
+        "gate-no-targets", "case-no-targets", "measure-no-targets"])
 def test_malformed_event_is_rejected_with_its_line(record):
     records = golden_records()[:3] + [record]
     with pytest.raises(ValueError, match=r"^trace line 4: "):
