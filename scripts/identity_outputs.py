@@ -6,8 +6,8 @@ Usage: python scripts/identity_outputs.py [--output DIR]   (default out/identity
 For each protocol spec at seeds 7 and 11 it keeps the files of ``ebitnet
 simulate`` and the exit code, stdout and stderr of that command and of
 ``ebitnet audit`` on its outputs, with and without ``--no-replay``.  It also
-records a few usage errors (among them a star run whose n + 2 qubits pass the
-registry cap), and audits seeded mutations of the small runs'
+records a few usage errors (among them a star run whose n + 2 qubits, and
+permutation runs whose 2n qubits, pass the registry cap), and audits seeded mutations of the small runs'
 traces and graph files (dropped, duplicated and swapped events, re-paired
 ebits, changed bits, forged creates, decodes and messages, lowered graph
 weights, shifted distributions, a relabel moved across parties, re-pointed
@@ -24,7 +24,15 @@ complex128 bytes, with that text truncated or with a NaN written into its
 bytes; an allocation at a party other than its qubits'; and a local gate on
 no qubits.  A header-only trace of 40 parties, more than the default registry
 cap, must make both audits exit 2 as well; a checkout whose audit does not
-refuse it lists its 2^39 cuts and does not finish.
+refuse it lists its 2^39 cuts and does not finish.  So must a header cap over
+the one in force: 25 on the teleport trace, and 100 on a 40-party header with
+one initial qubit (a checkout that trusts the header hangs on the latter).
+Two cut probes on the teleport trace must make both audits exit 1: three
+appended creates of a (1, 2) ebit break the cut-entanglement check, and an
+appended decode of 9 bits at 2 from 1 breaks the cut-communication check.
+Two runs that no simulate command makes are built with the library and
+audited both ways: a recorded POVM at the hub of a three-party star, and
+computational and Bell measurements with and without discard.
 Then ``ebitnet symmetrise`` runs on the four-lab fixture and on seeded rational
 graphs up to n = 9 (the brute-force cap is 8), and graph-file probes put one
 value that is not a JSON integer or string (``1e400``, ``0.5``, ``true``, a row
@@ -56,7 +64,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ebitnet import cli  # noqa: E402
+import numpy as np  # noqa: E402
+
+from ebitnet import cli, engine, gates, graphs, protocols  # noqa: E402
+from ebitnet.engine import QubitId  # noqa: E402
+from ebitnet.ledger import Allocate, LocalMeasure, dump_trace  # noqa: E402
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "four_lab_example.json"
 
@@ -88,6 +100,7 @@ USAGE_ERRORS = [
     ["ps", "--n", "3"], ["ps", "--n", "0"], ["ps", "--n", "4", "--hub", "5"],
     ["ps-cp", "--n", "4"], ["ps-cp", "--n", "1"], ["perm-entangle", "--n", "1"], ["perm-comm", "--n", "0"],
     ["teleport", "--sample", "-1"], ["star-op", "--n", "25"],
+    ["perm-comm", "--n", "13"], ["perm-entangle", "--n", "13"],
 ]
 # --n-max values of the bounds tables: the smallest, the first odd n, the cap
 BOUNDS_N_MAX = (2, 3, 64)
@@ -317,6 +330,20 @@ def _forty_parties(records, graph, rng):
     graph.update(n=40, entanglement=[["0"] * 40 for _ in range(40)])
 
 
+def _forty_parties_cap_100(records, graph, rng):
+    """The forty-party header with one initial qubit, at party 1, and a registry cap of
+    100: over the cap in force, so a trace cannot raise it and list 2^39 cuts."""
+    _forty_parties(records, graph, rng)
+    records[0].update(max_qubits=100, registry=[[1, "q"]], branches=[{"p": 1.0, "amplitudes": [[1, 0], [0, 0]]}])
+
+
+def _append(*extra):
+    """The records ``extra`` appended after the last event."""
+    def mutate(records, graph, rng):
+        records += [dict(r) for r in extra]
+    return mutate
+
+
 def _nan_first_entry(text):
     """Base64 of little-endian complex128 entries, the first entry's real part set to NaN."""
     data = bytearray(base64.b64decode(text))
@@ -372,7 +399,48 @@ LOAD_PROBES = (
     ("perm-entangle-n3", "allocate-at-other-party", _set_first("allocate", "party", 2)),
     ("teleport", "gate-without-targets", _gate_without_targets),
     ("teleport", "forty-parties", _forty_parties),
+    ("teleport", "max-qubits-over-the-cap-in-force", _set_first("header", "max_qubits", 25)),
+    ("teleport", "forty-parties-cap-100", _forty_parties_cap_100),
 )
+# (base, name, mutation): cut violations that both audits must report with exit 1
+CUT_PROBES = (
+    ("teleport", "three-creates", _append(*[{"kind": "ebit_create", "pair": [1, 2]}] * 3)),
+    ("teleport", "decoded-9-bits", _append({"kind": "decoded", "at": 2, "from": 1, "bits": "9"})),
+)
+
+
+def povm_star_run():
+    """A recorded POVM of Haar-random rank-1 elements on three random data qubits,
+    run at hub 1 of a star: its outcome goes to the spokes as supplementary messages."""
+    rng = np.random.default_rng(7)
+    run = protocols.new_run(3)
+    protocols.add_data_qubits(run, gates.random_state(8, rng))
+    for spoke in (2, 3):
+        run.ledger.grant(spoke, 1, 2)
+    run.snapshot_initial()
+    povm = engine.Povm(tuple(np.outer(column, column.conj()) for column in gates.haar_unitary(8, rng).T))
+    protocols.collective_op_star(run, protocols.CollectiveOp(povm=povm, record=True), hub=1)
+    return run
+
+
+def measurements_run():
+    """At party 1, a Bell measurement without discard of its data qubit and a fresh one,
+    then a computational measurement of each, the second discarded; at party 2, a
+    computational measurement without discard."""
+    rng = np.random.default_rng(11)
+    run = protocols.new_run(2)
+    protocols.add_data_qubits(run, gates.random_state(4, rng))
+    run.snapshot_initial()
+    q1, fresh, q2 = run.data_qubits[1], QubitId(1, "a"), run.data_qubits[2]
+    run.step(Allocate(1, (fresh,), "0"))
+    for party, targets, basis, discard in ((1, (q1, fresh), "bell", False), (1, (q1,), "computational", False),
+                                           (1, (fresh,), "computational", True), (2, (q2,), "computational", False)):
+        run.step(LocalMeasure(party, targets, basis, discard, run.ensemble.measurement_count, ()))
+    return run
+
+
+# runs no simulate command makes, built with the library and audited both ways
+LIBRARY_RUNS = {"povm-star-n3": povm_star_run, "measurements": measurements_run}
 
 
 # party counts of the seeded rational graphs given to symmetrise
@@ -475,8 +543,17 @@ def main() -> None:
         mutations = dict(MUTATIONS, **(PROBES if graph["n"] >= 3 else {}))
         for m, (name, mutate) in enumerate(mutations.items()):
             outcomes += mutate_and_audit(root, base, name, mutate, random.Random(1000 * b + m))
-    for base, name, mutate in LOAD_PROBES:
+    for base, name, mutate in LOAD_PROBES + CUT_PROBES:
         outcomes += mutate_and_audit(root, base, name, mutate, None)
+    for name, build in LIBRARY_RUNS.items():
+        run, into = build(), root / "library" / name
+        into.mkdir(parents=True, exist_ok=True)
+        n, book = run.n_parties, run.ledger
+        bundle = graphs.GraphBundle(n, graphs.EntanglementGraph.from_book(n, book.granted),
+                                    graphs.CommunicationGraph.from_book(n, book.bits_sent))
+        (into / "trace.jsonl").write_text(dump_trace(run.trace), encoding="utf-8")
+        (into / "graphs.json").write_text(graphs.export_json(bundle), encoding="utf-8")
+        outcomes += audit_both(into / "trace.jsonl", into / "graphs.json", into)
 
     into = root / "symmetrise" / "four-lab"
     into.mkdir(parents=True, exist_ok=True)

@@ -175,9 +175,20 @@ MUTANTS = (
            (GRAPHS + "test_graph_book_total_and_closed_form_follow_its_kind",
             GRAPHS + "TestSymmetrise::test_fixture_communication_42")),
     Mutant("integer ceilings round down", "src/ebitnet/bounds.py",
-           "return -(-a // b)", "return a // b",
+           "tuple(map(math.ceil, lower_bounds(n)))", "tuple(map(math.floor, lower_bounds(n)))",
            (BOUNDS + "TestIntegerRules::test_integer_comm_boundary_equals_the_fraction_scan",
             BOUNDS + "TestIntegerRules::test_one_shot_ceilings_are_the_ceilings_of_the_lower_bounds"), quick=True),
+    Mutant("the boundary scan rounds the conditional bits down", "src/ebitnet/bounds.py",
+           "math.ceil(half_transfer_bounds(n)[1])", "math.floor(half_transfer_bounds(n)[1])",
+           (BOUNDS + "TestIntegerRules::test_integer_comm_boundary_equals_the_fraction_scan",
+            BOUNDS + "TestIntegerRules::test_one_shot_ceilings_are_the_ceilings_of_the_lower_bounds")),
+    Mutant("the CSV bits row prints the ebit figure", "src/ebitnet/bounds.py",
+           "str(rep.figures[name][i])", "str(rep.figures[name][0])",
+           (BOUNDS + "TestReports::test_tables_read_back_to_the_report_figures",)),
+    Mutant("half_transfer_conditional is true at even n", "src/ebitnet/bounds.py",
+           "property(lambda self: self.n % 2 == 1)", "property(lambda self: True)",
+           (BOUNDS + "TestReports::test_tables_read_back_to_the_report_figures",
+            BOUNDS + "TestReports::test_report_even_has_no_odd_columns")),
     Mutant("the half-transfer bits are the ebit figure", "src/ebitnet/bounds.py",
            "e = Fraction(2 * n * n * (n - 1), n * n + 3)\n    return e, 2 * e",
            "e = Fraction(2 * n * n * (n - 1), n * n + 3)\n    return e, e",

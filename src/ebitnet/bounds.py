@@ -5,12 +5,15 @@ For even n the teleportation figures are known optimal; for odd n the module
 evaluates the rigorous lower bounds, their integer one-shot ceilings, and the
 tighter bounds conditional on the half-transfer hypothesis (flagged as such).
 Each odd-n figure is one Fraction built from integers, its bit figure twice its
-ebit figure, and each ceiling is an integer ceiling division.  The n = 3 case
-is marked open: nothing here claims optimality for it.
+ebit figure, and each ceiling is ``math.ceil`` of the figure it rounds.  The
+n = 3 case is marked open: nothing here claims optimality for it.
+``table_csv`` and ``table_json`` write the bound table that ``ebitnet bounds`` prints.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,11 +49,6 @@ def lower_bounds(n: int) -> tuple[Fraction, Fraction]:
     return e, 2 * e
 
 
-def _ceil_div(a: int, b: int) -> int:
-    """ceil(a / b) for integers, b > 0."""
-    return -(-a // b)
-
-
 def integer_one_shot_bounds(n: int) -> tuple[int, int]:
     """Ceilings of the odd-n lower bounds for whole-resource single runs.
 
@@ -60,7 +58,7 @@ def integer_one_shot_bounds(n: int) -> tuple[int, int]:
     _require_n(n, 3)
     if n % 2 == 0:
         raise ValueError(f"integer one-shot bounds are the odd-n refinement, got n = {n}")
-    return _ceil_div(2 * n * (n - 1), n + 1), _ceil_div(4 * n * (n - 1), n + 1)
+    return tuple(map(math.ceil, lower_bounds(n)))
 
 
 def half_transfer_bounds(n: int) -> tuple[Fraction, Fraction]:
@@ -73,54 +71,41 @@ def half_transfer_bounds(n: int) -> tuple[Fraction, Fraction]:
     return e, 2 * e
 
 
+# Resource columns of the bound table, in table order.
+RESOURCES = ("teleport", "lower", "half_transfer", "cap", "integer_one_shot")
+
+
 @dataclass(frozen=True)
 class BoundReport:
-    """All bound figures for one party count, exact and cross-checked."""
+    """All bound figures for one party count, exact and cross-checked: ``figures``
+    maps each of RESOURCES to its (ebits, bits) pair, or to None for an odd-n
+    refinement at even n."""
 
     n: int
-    parity: str
-    teleport_e: Fraction
-    teleport_c: Fraction
-    lower_e: Fraction
-    lower_c: Fraction
-    cap_e: Fraction
-    cap_c: Fraction
-    half_transfer_e: Fraction | None
-    half_transfer_c: Fraction | None
-    integer_one_shot_e: int | None
-    integer_one_shot_c: int | None
-    optimality_open: bool               # the n = 3 question is unresolved
-    half_transfer_conditional: bool     # odd-n figures assume the half-transfer hypothesis
+    figures: dict[str, tuple | None]
+
+    parity = property(lambda self: "odd" if self.n % 2 else "even")
+    optimality_open = property(lambda self: self.n == 3)  # the n = 3 question is unresolved
+    # odd-n figures assume the half-transfer hypothesis
+    half_transfer_conditional = property(lambda self: self.n % 2 == 1)
 
     def __post_init__(self):
-        if self.lower_e > self.teleport_e or self.lower_c > self.teleport_c:
+        (te, tc), (le, lc), (cape, capc) = (self.figures[name] for name in ("teleport", "lower", "cap"))
+        if le > te or lc > tc:
             raise AssertionError(f"n={self.n}: lower bound exceeds the teleportation figure")
-        if self.n >= 3 and self.cap_e > self.lower_e:
+        if self.n >= 3 and cape > le:
             raise AssertionError(f"n={self.n}: cap exceeds the lower bound")
-        values = [self.teleport_e, self.teleport_c, self.lower_e, self.lower_c, self.cap_e, self.cap_c]
-        if any(v < 0 for v in values):
+        if any(v < 0 for v in (te, tc, le, lc, cape, capc)):
             raise AssertionError(f"n={self.n}: negative bound value")
 
 
 def bound_report(n: int) -> BoundReport:
     _require_n(n)
-    te, tc = teleport_resources(n)
-    le, lc = lower_bounds(n)
-    cape, capc = distillation_caps(n)
-    odd = n % 2 == 1 and n >= 3
-    hte, htc = half_transfer_bounds(n) if odd else (None, None)
-    ie, ic = integer_one_shot_bounds(n) if odd else (None, None)
-    return BoundReport(
-        n=n,
-        parity="odd" if n % 2 else "even",
-        teleport_e=te, teleport_c=tc,
-        lower_e=le, lower_c=lc,
-        cap_e=cape, cap_c=capc,
-        half_transfer_e=hte, half_transfer_c=htc,
-        integer_one_shot_e=ie, integer_one_shot_c=ic,
-        optimality_open=(n == 3),
-        half_transfer_conditional=odd,
-    )
+    odd = n % 2 == 1
+    return BoundReport(n, {"teleport": teleport_resources(n), "lower": lower_bounds(n),
+                           "half_transfer": half_transfer_bounds(n) if odd else None,
+                           "cap": distillation_caps(n),
+                           "integer_one_shot": integer_one_shot_bounds(n) if odd else None})
 
 
 def bound_table(n_max: int) -> list[BoundReport]:
@@ -130,18 +115,29 @@ def bound_table(n_max: int) -> list[BoundReport]:
     return [bound_report(n) for n in range(2, n_max + 1)]
 
 
-# Resource columns of the bound table; each has an _e (ebits) and a _c (bits)
-# field on BoundReport.
-RESOURCES = ("teleport", "lower", "half_transfer", "cap", "integer_one_shot")
+def table_csv(n_max: int) -> str:
+    """The bound table as CSV: for each n an entanglement row of the ebit
+    figures and a communication row of the bit figures, one column per resource."""
+    lines = [",".join(("n", "kind") + RESOURCES)]
+    for rep in bound_table(n_max):
+        for i, kind in enumerate(("entanglement", "communication")):
+            cells = ("" if rep.figures[name] is None else str(rep.figures[name][i]) for name in RESOURCES)
+            lines.append(",".join([str(rep.n), kind, *cells]))
+    return "\n".join(lines) + "\n"
 
 
-def table_rows(n_max: int) -> list[dict]:
-    """Flat rows (one per n and resource kind) for CSV/JSON export."""
-    return [
-        {"n": rep.n, "kind": kind, **{name: getattr(rep, f"{name}_{suffix}") for name in RESOURCES}}
-        for rep in bound_table(n_max)
-        for kind, suffix in (("entanglement", "e"), ("communication", "c"))
-    ]
+def table_json(n_max: int) -> str:
+    """The bound table as JSON: one entry per n with its flags and, per resource,
+    {"e": ebits, "c": bits}; integer ceilings stay numbers, exact figures are strings."""
+    doc = []
+    for rep in bound_table(n_max):
+        entry = {"n": rep.n, "parity": rep.parity, "optimality_open": rep.optimality_open,
+                 "half_transfer_conditional": rep.half_transfer_conditional}
+        for name, pair in rep.figures.items():
+            entry[name] = None if pair is None else {
+                key: v if isinstance(v, int) else str(v) for key, v in zip("ec", pair)}
+        doc.append(entry)
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def integer_comm_boundary(n_max: int) -> int | None:
@@ -149,9 +145,8 @@ def integer_comm_boundary(n_max: int) -> int | None:
     equals the teleportation figure (scanning odd n up to n_max)."""
     boundary = None
     for n in range(3, n_max + 1, 2):
-        if _ceil_div(4 * n * n * (n - 1), n * n + 3) == 4 * (n - 1):
-            if boundary is None:
-                boundary = n
+        if math.ceil(half_transfer_bounds(n)[1]) == 4 * (n - 1):
+            boundary = boundary or n
         else:
             boundary = None
     return boundary

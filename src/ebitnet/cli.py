@@ -15,7 +15,8 @@ input or an output path that cannot be written, 141 (128 + SIGPIPE) when
 stdout is closed before the output is written.  Identical flags and seed
 produce byte-identical output files; the optional ``--sample`` mode only
 prints illustrative draws and never affects exit codes.  The environment
-variable EBITNET_MAX_QUBITS overrides the default registry cap of 24.
+variable EBITNET_MAX_QUBITS overrides the default registry cap of 24 for
+``simulate`` and ``audit``; a trace cannot raise the cap in force.
 """
 
 from __future__ import annotations
@@ -184,9 +185,10 @@ def _simulate(protocol: str, n: int, rng: np.random.Generator, hub: int, cap: in
             raise CliUsageError(f"{protocol} needs an {('even', 'odd')[parity]} --n >= {least}, got {n}")
     if protocol in _HUB_PROTOCOLS and not 1 <= hub <= n:
         raise CliUsageError(f"--hub {hub} out of range 1..{n}")
-    # a star run holds n + 2 qubits at its peak; refused here, before its 2^n inputs are drawn
-    if protocol in _HUB_PROTOCOLS and n + 2 > cap:
-        raise CliUsageError(f"{protocol} at --n {n} needs {n + 2} qubits, over the registry cap of {cap}")
+    # a star run holds n + 2 qubits at its peak, a permutation run 2n: refused before any input is drawn
+    peak = n + 2 if protocol in _HUB_PROTOCOLS else 2 * n
+    if protocol in _N_RULES and peak > cap:
+        raise CliUsageError(f"{protocol} at --n {n} needs {peak} qubits, over the registry cap of {cap}")
     return _SIMULATORS[protocol](n, rng, hub, cap)
 
 
@@ -226,30 +228,10 @@ def _print_samples(run, count: int, seed: int) -> None:
 # bounds
 
 
-def _amount(value):
-    """A bound figure for the JSON table: integers stay numbers, rationals become strings."""
-    return value if isinstance(value, int) else str(value)
-
-
 def cmd_bounds(args) -> int:
     if args.n_max > 64:
         raise CliUsageError(f"--n-max is capped at 64, got {args.n_max}")
-    if args.format == "csv":
-        lines = [",".join(("n", "kind") + bounds.RESOURCES)]
-        for r in bounds.table_rows(args.n_max):
-            cells = ("" if r[name] is None else str(r[name]) for name in bounds.RESOURCES)
-            lines.append(",".join([str(r["n"]), r["kind"], *cells]))
-        text = "\n".join(lines) + "\n"
-    else:
-        doc = []
-        for rep in bounds.bound_table(args.n_max):
-            entry = {"n": rep.n, "parity": rep.parity, "optimality_open": rep.optimality_open,
-                     "half_transfer_conditional": rep.half_transfer_conditional}
-            for name in bounds.RESOURCES:
-                e, c = getattr(rep, f"{name}_e"), getattr(rep, f"{name}_c")
-                entry[name] = None if e is None else {"e": _amount(e), "c": _amount(c)}
-            doc.append(entry)
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = bounds.table_csv(args.n_max) if args.format == "csv" else bounds.table_json(args.n_max)
     if args.output:
         path = Path(args.output)
         _output_dir(path.parent)
@@ -312,10 +294,15 @@ def cmd_symmetrise(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    cap = _max_qubits()
     try:
         trace = load_trace(Path(args.trace).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise CliUsageError(f"trace: {exc}") from None
+    # a header may not raise the cap in force: the replay and the cut listing grow with it
+    if trace.initial is not None and trace.initial.max_qubits > cap:
+        raise CliUsageError(f"trace: its header's max_qubits of {trace.initial.max_qubits} is over the "
+                            f"registry cap of {cap}; EBITNET_MAX_QUBITS sets that cap")
     try:
         bundle = graphs.import_json(Path(args.graphs).read_text(encoding="utf-8"))
     except (OSError, graphs.GraphFormatError) as exc:

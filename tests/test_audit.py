@@ -318,6 +318,22 @@ class TestAuditViolations:
         refusal = f"error: trace has {n} parties, more than its registry cap of {cap} qubits\n"
         assert capsys.readouterr().err == ("" if code == 0 else refusal)
 
+    @pytest.mark.parametrize("n,header", [
+        (3, {"max_qubits": 25, "registry": [], "branches": [{"p": 1.0, "amplitudes": [[1.0, 0.0]]}]}),
+        (40, {"max_qubits": 100, "registry": [[1, "q"]], "branches": [{"p": 1.0, "amplitudes": [[1, 0], [0, 0]]}]}),
+    ], ids=["3-parties-cap-25", "40-parties-cap-100"])
+    @pytest.mark.parametrize("flags", [[], ["--no-replay"]], ids=["replay", "no-replay"])
+    def test_a_header_cap_over_the_one_in_force_exits_two(self, tmp_path, capsys, n, header, flags):
+        """The cap in force is EBITNET_MAX_QUBITS or the default; a header cannot raise it.  A
+        checkout that trusts the header audits the first trace and lists 2^39 cuts of the second."""
+        trace, graph = tmp_path / "t.jsonl", tmp_path / "g.json"
+        trace.write_text(json.dumps(dict({"kind": "header", "format": TRACE_FORMAT, "n_parties": n}, **header))
+                         + "\n", encoding="utf-8")
+        graph.write_text(json.dumps({"n": n, "entanglement": [["0"] * n] * n}), encoding="utf-8")
+        assert cli.main(["audit", "--trace", str(trace), "--graphs", str(graph), *flags]) == 2
+        assert capsys.readouterr().err == (f"error: trace: its header's max_qubits of {header['max_qubits']} is "
+                                           "over the registry cap of 24; EBITNET_MAX_QUBITS sets that cap\n")
+
     def test_nonlocal_gate_declared_local_flagged(self):
         report = audit_forged("nonlocal-gate")
         assert any(v.check == "locality" for v in report.violations)

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -203,32 +204,65 @@ class TestReports:
         rep = bounds.bound_report(3)
         assert rep.optimality_open
         assert rep.half_transfer_conditional
-        assert rep.teleport_e == 4 and rep.lower_e == 3
-        assert rep.half_transfer_e == 3 and rep.cap_e == 3
-        assert rep.integer_one_shot_e == 3
+        assert rep.figures["teleport"][0] == 4 and rep.figures["lower"][0] == 3
+        assert rep.figures["half_transfer"][0] == 3 and rep.figures["cap"][0] == 3
+        assert rep.figures["integer_one_shot"][0] == 3
 
     def test_report_even_has_no_odd_columns(self):
         rep = bounds.bound_report(4)
-        assert rep.half_transfer_e is None and rep.integer_one_shot_e is None
-        assert not rep.optimality_open
+        assert rep.figures["half_transfer"] is None and rep.figures["integer_one_shot"] is None
+        assert not rep.optimality_open and not rep.half_transfer_conditional
 
     def test_bound_table_rows(self):
         table = bounds.bound_table(9)
         assert [r.n for r in table] == list(range(2, 10))
         by_n = {r.n: r for r in table}
-        assert by_n[4].teleport_e == 6
-        assert by_n[9].lower_e == Fraction(72, 5)
+        assert by_n[4].figures["teleport"][0] == 6
+        assert by_n[9].figures["lower"][0] == Fraction(72, 5)
 
     def test_table_rows_shape(self):
-        rows = bounds.table_rows(4)
+        rows = [line.split(",") for line in bounds.table_csv(4).splitlines()[1:]]
         assert len(rows) == 6  # three n values, two resource kinds
-        assert {r["kind"] for r in rows} == {"entanglement", "communication"}
-        n4e = [r for r in rows if r["n"] == 4 and r["kind"] == "entanglement"][0]
-        assert n4e["teleport"] == 6 and n4e["half_transfer"] is None
+        assert {r[1] for r in rows} == {"entanglement", "communication"}
+        n4e = dict(zip(bounds.RESOURCES, [r for r in rows if r[:2] == ["4", "entanglement"]][0][2:]))
+        assert n4e["teleport"] == "6" and n4e["half_transfer"] == ""
 
     def test_chain_for_all_n_up_to_32(self):
         for rep in bounds.bound_table(32):
-            assert rep.cap_e <= rep.lower_e or rep.n == 2
-            assert rep.lower_e <= rep.teleport_e
+            tel_e, low_e, cap_e = (rep.figures[name][0] for name in ("teleport", "lower", "cap"))
+            assert cap_e <= low_e or rep.n == 2
+            assert low_e <= tel_e
             if rep.parity == "odd":
-                assert rep.lower_e <= rep.half_transfer_e <= rep.teleport_e
+                assert low_e <= rep.figures["half_transfer"][0] <= tel_e
+
+    @pytest.mark.parametrize("n_max", [2, 3, 64])
+    def test_tables_read_back_to_the_report_figures(self, n_max):
+        """Each CSV and JSON cell parses back to its report's figure: the ebits row
+        is element 0 of a pair and the bits row element 1, and an odd-only column
+        at even n is empty (CSV) or null (JSON)."""
+        header, *rows = (line.split(",") for line in bounds.table_csv(n_max).splitlines())
+        assert header == ["n", "kind", *bounds.RESOURCES]
+        assert [(int(n), kind) for n, kind, *_ in rows] == [
+            (n, kind) for n in range(2, n_max + 1) for kind in ("entanglement", "communication")]
+        for n, kind, *cells in rows:
+            figures = bounds.bound_report(int(n)).figures
+            i = ("entanglement", "communication").index(kind)
+            for name, cell in zip(bounds.RESOURCES, cells, strict=True):
+                pair = figures[name]
+                assert (cell == "") if pair is None else (Fraction(cell) == pair[i])
+        doc = json.loads(bounds.table_json(n_max))
+        assert [entry["n"] for entry in doc] == list(range(2, n_max + 1))
+        for entry in doc:
+            n = entry["n"]
+            assert entry["parity"] == ("odd" if n % 2 else "even")
+            assert entry["half_transfer_conditional"] is (n % 2 == 1)
+            assert entry["optimality_open"] is (n == 3)
+            figures = bounds.bound_report(n).figures
+            assert set(entry) == {"n", "parity", "half_transfer_conditional", "optimality_open", *figures}
+            for name, pair in figures.items():
+                if pair is None:
+                    assert entry[name] is None
+                    continue
+                assert (Fraction(entry[name]["e"]), Fraction(entry[name]["c"])) == pair
+                # whole-resource ceilings are JSON integers, exact figures strings
+                assert {type(v) for v in entry[name].values()} == {int if name == "integer_one_shot" else str}

@@ -71,11 +71,31 @@ class TestSimulate:
         monkeypatch.setenv("EBITNET_MAX_QUBITS", "junk")
         assert run_cli("simulate", "teleport", "--output", str(tmp_path / "y")) == 2
 
-    def test_a_star_run_over_the_registry_cap_exits_two_before_drawing_its_inputs(self, tmp_path, capsys):
-        # a star run holds n + 2 qubits at its peak; its 2^25-dimensional Haar input would need 8 PiB
-        assert run_cli("simulate", "star-op", "--n", "25", "--output", str(tmp_path)) == 2
-        assert capsys.readouterr().err == "error: star-op at --n 25 needs 27 qubits, over the registry cap of 24\n"
+    @pytest.mark.parametrize("protocol,n,need", [
+        ("star-op", 25, 27), ("perm-comm", 13, 26), ("perm-entangle", 13, 26)])
+    def test_a_star_run_over_the_registry_cap_exits_two_before_drawing_its_inputs(self, protocol, n, need,
+                                                                                   tmp_path, capsys):
+        # a star run holds n + 2 qubits at its peak, and its 2^25-dimensional Haar input would need
+        # 8 PiB; a permutation run holds 2n, and is refused before its n messages or permutation
+        assert run_cli("simulate", protocol, "--n", str(n), "--output", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {protocol} at --n {n} needs {need} qubits, over the registry cap of 24\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_trace_audits_under_the_cap_it_was_simulated_under_and_no_larger(self, tmp_path, monkeypatch,
+                                                                               capsys):
+        monkeypatch.setenv("EBITNET_MAX_QUBITS", "30")
+        assert run_cli("simulate", "perm-comm", "--n", "3", "--output", str(tmp_path)) == 0
+        trace = tmp_path / "perm-comm_trace.jsonl"
+        files = ("--trace", str(trace), "--graphs", str(tmp_path / "perm-comm_graphs.json"))
+        assert '"max_qubits": 30' in trace.read_text(encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("audit", *files) == 0
+        assert json.loads(capsys.readouterr().out)["violations"] == []
+        monkeypatch.delenv("EBITNET_MAX_QUBITS")
+        assert run_cli("audit", *files) == 2
+        assert capsys.readouterr().err == ("error: trace: its header's max_qubits of 30 is over the registry "
+                                           "cap of 24; EBITNET_MAX_QUBITS sets that cap\n")
 
     def test_simulated_trace_passes_audit(self, tmp_path, capsys):
         out = tmp_path / "sim"
