@@ -27,6 +27,8 @@ cap, must make both audits exit 2 as well; a checkout whose audit does not
 refuse it lists its 2^39 cuts and does not finish.  So must a header cap over
 the one in force: 25 on the teleport trace, and 100 on a 40-party header with
 one initial qubit (a checkout that trusts the header hangs on the latter).
+A header-only trace of 13 parties under ``EBITNET_MAX_QUBITS=12`` must make
+both audits exit 2: without an initial state, the cap in force bounds the parties.
 Two cut probes on the teleport trace must make both audits exit 1: three
 appended creates of a (1, 2) ebit break the cut-entanglement check, and an
 appended decode of 9 bits at 2 from 1 breaks the cut-communication check.
@@ -55,12 +57,14 @@ import base64
 import contextlib
 import io
 import json
+import os
 import random
 import struct
 import sys
 import traceback
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -322,18 +326,20 @@ def _gate_without_targets(records, graph, rng):
     records.insert(1, {"kind": "local_gate", "party": 1, "targets": [], "matrix": [[[1, 0]]]})
 
 
-def _forty_parties(records, graph, rng):
-    """The header alone, without an initial state, for 40 parties (more than the
-    default registry cap), and a 40-party graph of zero ebits."""
-    records[:] = [{"kind": "header", "format": records[0]["format"], "n_parties": 40}]
-    graph.clear()
-    graph.update(n=40, entanglement=[["0"] * 40 for _ in range(40)])
+def _header_only(n):
+    """The header alone, without an initial state, for ``n`` parties, and an
+    n-party graph of zero ebits."""
+    def mutate(records, graph, rng):
+        records[:] = [{"kind": "header", "format": records[0]["format"], "n_parties": n}]
+        graph.clear()
+        graph.update(n=n, entanglement=[["0"] * n for _ in range(n)])
+    return mutate
 
 
 def _forty_parties_cap_100(records, graph, rng):
     """The forty-party header with one initial qubit, at party 1, and a registry cap of
     100: over the cap in force, so a trace cannot raise it and list 2^39 cuts."""
-    _forty_parties(records, graph, rng)
+    _header_only(40)(records, graph, rng)
     records[0].update(max_qubits=100, registry=[[1, "q"]], branches=[{"p": 1.0, "amplitudes": [[1, 0], [0, 0]]}])
 
 
@@ -398,9 +404,14 @@ LOAD_PROBES = (
     ("star-op-n3", "haar-base64-nan", _base64_gate(_nan_first_entry)),
     ("perm-entangle-n3", "allocate-at-other-party", _set_first("allocate", "party", 2)),
     ("teleport", "gate-without-targets", _gate_without_targets),
-    ("teleport", "forty-parties", _forty_parties),
+    ("teleport", "forty-parties", _header_only(40)),
     ("teleport", "max-qubits-over-the-cap-in-force", _set_first("header", "max_qubits", 25)),
     ("teleport", "forty-parties-cap-100", _forty_parties_cap_100),
+)
+# (base, name, mutation, EBITNET_MAX_QUBITS): a header-only trace of more parties than a
+# lowered cap in force, which both audits must refuse with exit 2
+CAP_PROBES = (
+    ("teleport", "thirteen-parties-cap-12", _header_only(13), "12"),
 )
 # (base, name, mutation): cut violations that both audits must report with exit 1
 CUT_PROBES = (
@@ -413,11 +424,9 @@ def povm_star_run():
     """A recorded POVM of Haar-random rank-1 elements on three random data qubits,
     run at hub 1 of a star: its outcome goes to the spokes as supplementary messages."""
     rng = np.random.default_rng(7)
-    run = protocols.new_run(3)
-    protocols.add_data_qubits(run, gates.random_state(8, rng))
+    run = protocols.new_run(3, gates.random_state(8, rng))
     for spoke in (2, 3):
         run.ledger.grant(spoke, 1, 2)
-    run.snapshot_initial()
     povm = engine.Povm(tuple(np.outer(column, column.conj()) for column in gates.haar_unitary(8, rng).T))
     protocols.collective_op_star(run, protocols.CollectiveOp(povm=povm, record=True), hub=1)
     return run
@@ -428,9 +437,7 @@ def measurements_run():
     then a computational measurement of each, the second discarded; at party 2, a
     computational measurement without discard."""
     rng = np.random.default_rng(11)
-    run = protocols.new_run(2)
-    protocols.add_data_qubits(run, gates.random_state(4, rng))
-    run.snapshot_initial()
+    run = protocols.new_run(2, gates.random_state(4, rng))
     q1, fresh, q2 = run.data_qubits[1], QubitId(1, "a"), run.data_qubits[2]
     run.step(Allocate(1, (fresh,), "0"))
     for party, targets, basis, discard in ((1, (q1, fresh), "bell", False), (1, (q1,), "computational", False),
@@ -545,6 +552,9 @@ def main() -> None:
             outcomes += mutate_and_audit(root, base, name, mutate, random.Random(1000 * b + m))
     for base, name, mutate in LOAD_PROBES + CUT_PROBES:
         outcomes += mutate_and_audit(root, base, name, mutate, None)
+    for base, name, mutate, cap in CAP_PROBES:
+        with mock.patch.dict(os.environ, EBITNET_MAX_QUBITS=cap):
+            outcomes += mutate_and_audit(root, base, name, mutate, None)
     for name, build in LIBRARY_RUNS.items():
         run, into = build(), root / "library" / name
         into.mkdir(parents=True, exist_ok=True)

@@ -134,8 +134,8 @@ MUTANTS = (
            "EIG_TOL = 1e-12", "EIG_TOL = 1e-9",
            (ENGINE + "TestEntropy::test_eigenvalue_cutoff",)),
     Mutant("branch-norm tolerance 1000x looser", "src/ebitnet/engine.py",
-           "if not abs(norm - 1.0) <= 1e-9:\n                    raise AssertionError",
-           "if not abs(norm - 1.0) <= 1e-6:\n                    raise AssertionError",
+           "if not abs(norm - 1.0) <= 1e-9:  # negated so that a NaN norm fails",
+           "if not abs(norm - 1.0) <= 1e-6:  # negated so that a NaN norm fails",
            (ENGINE + "TestBlockKernelAgainstMasks::test_branch_norm_tolerance",)),
     Mutant("measurement index not checked", "src/ebitnet/audit.py",
            "if isinstance(ev, LocalMeasure) and ev.index != ens.measurement_count:", "if False:",
@@ -193,9 +193,25 @@ MUTANTS = (
            "e = Fraction(2 * n * n * (n - 1), n * n + 3)\n    return e, 2 * e",
            "e = Fraction(2 * n * n * (n - 1), n * n + 3)\n    return e, e",
            (BOUNDS + "TestIntegerRules::test_single_fractions_equal_the_scaled_products",)),
-    Mutant("a header branch over no qubits loads with any amplitude", "src/ebitnet/ledger.py",
-           "    if not registry:  # a branch over no qubits", "    if False:  # a branch over no qubits",
-           (CODEC + "test_a_branch_over_no_qubits_needs_an_amplitude_of_modulus_one",)),
+    Mutant("a dense state's norms read from its factors, so a branch over no qubits has none",
+           "src/ebitnet/engine.py",
+           "            for vec in vectors:", "            for vec in (f for b in ens.branches for f in b.factors):",
+           (CODEC + "test_a_branch_over_no_qubits_needs_an_amplitude_of_modulus_one",
+            ENGINE + "test_from_vectors_refuses_what_a_trace_header_refuses[zero-qubit-norm-drift]")),
+    Mutant("an allocation's init string is not checked at load", "src/ebitnet/ledger.py",
+           'if not self.qubits or len(self.init) != len(self.qubits) or set(self.init) - {"0", "1"}:',
+           "if not self.qubits:",
+           (CODEC + "test_malformed_event_is_rejected_with_its_line[init-22]",
+            CODEC + "test_malformed_event_is_rejected_with_its_line[init-too-short]")),
+    Mutant("a header-only trace's parties held to the default cap, not the one in force", "src/ebitnet/cli.py",
+           "cap = cap if trace.initial is None else trace.initial.max_qubits",
+           "cap = engine.DEFAULT_MAX_QUBITS if trace.initial is None else trace.initial.max_qubits",
+           (AUDIT + "TestAuditViolations::test_more_parties_than_the_registry_cap_exit_two"
+                    "[no-replay-13-parties-cap-12-in-force]",)),
+    Mutant("a dense state may weigh a branch negatively", "src/ebitnet/engine.py",
+           "if not all(p >= 0 for p in probabilities):", "if False:",
+           (CODEC + "test_malformed_header_is_rejected_on_line_1[negative-p]",
+            ENGINE + "test_from_vectors_refuses_what_a_trace_header_refuses[negative-p]")),
     Mutant("a local gate is built without its unitarity check", "src/ebitnet/ledger.py",
            "engine.check_unitary(matrix)", "pass",
            (PROTOCOLS + "TestResourceBook::test_step_refuses_a_non_unitary_gate",

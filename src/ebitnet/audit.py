@@ -274,10 +274,6 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
     n = trace.n_parties
     if resources.n != n:
         raise ValueError(f"trace has {n} parties but graphs describe {resources.n}")
-    # every party holds a qubit, so no run has more parties than its registry cap: refused before 2^(n-1) cuts
-    cap = engine.DEFAULT_MAX_QUBITS if trace.initial is None else trace.initial.max_qubits
-    if n > cap:
-        raise ValueError(f"trace has {n} parties, more than its registry cap of {cap} qubits")
     granted, capacity = ({} if g is None else g.book() for g in (resources.entanglement, resources.communication))
     report = AuditReport(n_parties=n, checks_run=["held-nonnegative", "locality"])
 

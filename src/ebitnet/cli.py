@@ -84,14 +84,10 @@ def _write(path: Path, text: str) -> None:
 
 
 def _simulate_teleport(n: int, rng: np.random.Generator, hub: int, cap: int):
-    run = protocols.new_run(2, cap)
     state = gates.random_state(2, rng)
-    run.ensemble, (q1,) = engine.allocate_qubits(run.ensemble, 1, 1, labels=("q1",))
-    run.ensemble = engine.BranchEnsemble.from_amplitudes((q1,), state, cap)
-    run.data_qubits[1] = q1
+    run = protocols.new_run(2, state, max_qubits=cap)
     run.ledger.grant(1, 2, 1)
-    run.snapshot_initial()
-    moved = protocols.teleport(run, q1, to=2)
+    moved = protocols.teleport(run, run.data_qubits[1], to=2)
     fid = engine.ensemble_fidelity(run.ensemble, [moved], state)
     led = run.ledger
     return run, [
@@ -103,7 +99,6 @@ def _simulate_teleport(n: int, rng: np.random.Generator, hub: int, cap: int):
 
 def _simulate_star(n: int, rng: np.random.Generator, hub: int, cap: int, permutation_of=None):
     """The hub-star run of the permutation ``permutation_of(n)``, or of a Haar unitary when None."""
-    run = protocols.new_run(n, cap)
     state = gates.random_state(1 << n, rng)
     if permutation_of is None:
         u = gates.haar_unitary(1 << n, rng)
@@ -112,11 +107,10 @@ def _simulate_star(n: int, rng: np.random.Generator, hub: int, cap: int, permuta
         # slot p(i) ends up holding what slot i held: read in that order, the output is the input
         p = permutation_of(n)
         op, slots, want = protocols.CollectiveOp(permutation=p), [p(i) for i in range(1, n + 1)], state
-    protocols.add_data_qubits(run, state)
+    run = protocols.new_run(n, state, max_qubits=cap)
     for i in range(1, n + 1):
         if i != hub:
             run.ledger.grant(i, hub, 2)
-    run.snapshot_initial()
     protocols.collective_op_star(run, op, hub=hub)
     fid = engine.ensemble_fidelity(run.ensemble, [run.data_qubits[i] for i in slots], want)
     led = run.ledger
@@ -303,6 +297,10 @@ def cmd_audit(args) -> int:
     if trace.initial is not None and trace.initial.max_qubits > cap:
         raise CliUsageError(f"trace: its header's max_qubits of {trace.initial.max_qubits} is over the "
                             f"registry cap of {cap}; EBITNET_MAX_QUBITS sets that cap")
+    # every party holds a qubit, so no run has more parties than its registry cap: refused before 2^(n-1) cuts
+    cap = cap if trace.initial is None else trace.initial.max_qubits
+    if trace.n_parties > cap:
+        raise CliUsageError(f"trace has {trace.n_parties} parties, more than its registry cap of {cap} qubits")
     try:
         bundle = graphs.import_json(Path(args.graphs).read_text(encoding="utf-8"))
     except (OSError, graphs.GraphFormatError) as exc:

@@ -85,55 +85,53 @@ class Branch(NamedTuple):
     record: Mapping[int, str]
 
 
-def dense_branch(probability: float, amplitudes) -> Branch:
-    """The one-factor branch of a dense vector over the registry, registry qubit r
-    as index bit r; over an empty registry ``amplitudes`` is one amplitude, a
-    phase, and the branch has no factor."""
-    vec = np.asarray(amplitudes, dtype=complex)
-    return Branch(probability, (vec,) if vec.size > 1 else (), {})
-
-
 @dataclass
 class BranchEnsemble:
-    """Probability-weighted set of pure product states over a shared registry.
-
-    ``groups`` defaults to the whole registry as one group, which is what a
-    list of one-factor branches ``dense_branch(p, vec)`` describes; an empty
-    registry has no group.
-    """
+    """Probability-weighted set of pure product states over a shared registry."""
 
     registry: tuple[QubitId, ...]
     branches: list[Branch]
-    max_qubits: int = DEFAULT_MAX_QUBITS
-    measurement_count: int = 0
-    groups: tuple[Group, ...] | None = None
-
-    def __post_init__(self):
-        if self.groups is None:
-            self.groups = (self.registry,) if self.registry else ()
+    max_qubits: int
+    measurement_count: int
+    groups: tuple[Group, ...]
 
     @classmethod
     def vacuum(cls, max_qubits: int = DEFAULT_MAX_QUBITS) -> "BranchEnsemble":
-        return cls(registry=(), branches=[dense_branch(1.0, np.ones(1, dtype=complex))], max_qubits=max_qubits)
+        return cls((), [Branch(1.0, (), {})], max_qubits, 0, ())
 
     @classmethod
-    def from_amplitudes(
-        cls,
-        registry: Sequence[QubitId],
-        amplitudes: Sequence[complex],
-        max_qubits: int = DEFAULT_MAX_QUBITS,
-    ) -> "BranchEnsemble":
+    def from_vectors(cls, registry: Sequence[QubitId], branches: Sequence[tuple[float, Sequence[complex]]],
+                     max_qubits: int) -> "BranchEnsemble":
+        """The ensemble of the weighted dense vectors ``branches`` over ``registry``,
+        registry qubit r as index bit r, once they pass every check of a state.
+
+        This is the one constructor from dense vectors: a run's input and a
+        trace header's initial state are both made here.  The registry must hold
+        distinct ids and at most ``max_qubits`` of them, each probability must be
+        non-negative and each vector hold 2^k entries, the probabilities must sum
+        to 1 and each vector's norm be 1.  The whole registry is one product
+        group, and an empty registry none: a branch over no qubits keeps no factor.
+        """
         registry = tuple(registry)
         if len(set(registry)) != len(registry):
             raise ValueError("registry contains duplicate qubit ids")
-        vec = np.asarray(amplitudes, dtype=complex)
-        if vec.shape != (2 ** len(registry),):
-            raise ValueError(f"expected {2 ** len(registry)} amplitudes, got {vec.shape}")
-        norm = np.linalg.norm(vec)
-        if not abs(norm - 1.0) <= 1e-9:  # negated so that a NaN norm fails
-            raise ValueError(f"state is not normalized (norm {norm})")
-        ens = cls(registry=registry, branches=[dense_branch(1.0, vec / norm)], max_qubits=max_qubits)
-        ens.check()
+        probabilities = [p for p, _ in branches]
+        if not all(p >= 0 for p in probabilities):  # negated so that a NaN fails
+            raise ValueError(f"branch probabilities must not be negative, got {probabilities}")
+        vectors = [np.asarray(vec, dtype=complex) for _, vec in branches]
+        if any(vec.shape != (1 << len(registry),) for vec in vectors):
+            raise ValueError(f"every branch needs {1 << len(registry)} amplitudes")
+        if len(registry) > max_qubits:
+            raise ValueError(f"a registry of {len(registry)} qubits exceeds max_qubits {max_qubits}")
+        groups = (registry,) if registry else ()
+        ens = cls(registry, [Branch(p, (vec,) if registry else (), {}) for p, vec in zip(probabilities, vectors)],
+                  max_qubits, 0, groups)
+        try:
+            ens.check(fresh=())
+            for vec in vectors:
+                _check_norm(vec)
+        except AssertionError as exc:
+            raise ValueError(f"initial state: {exc}") from None
         return ens
 
     @property
@@ -170,9 +168,13 @@ class BranchEnsemble:
         indices = range(len(self.groups)) if fresh is None else list(fresh)
         for b in self.branches:
             for i in indices:
-                norm = math.sqrt(np.vdot(b.factors[i], b.factors[i]).real)
-                if not abs(norm - 1.0) <= 1e-9:
-                    raise AssertionError(f"branch norm {norm} drifted from 1")
+                _check_norm(b.factors[i])
+
+
+def _check_norm(vec: np.ndarray) -> None:
+    norm = math.sqrt(np.vdot(vec, vec).real)
+    if not abs(norm - 1.0) <= 1e-9:  # negated so that a NaN norm fails
+        raise AssertionError(f"branch norm {norm} drifted from 1")
 
 
 @dataclass(frozen=True)
@@ -336,34 +338,15 @@ def product_groups(
 # registry management
 
 
-def allocate_qubits(
-    ensemble: BranchEnsemble,
-    party: int,
-    count: int,
-    init: str | None = None,
-    labels: Sequence[str] | None = None,
-) -> tuple[BranchEnsemble, tuple[QubitId, ...]]:
-    """Append ``count`` fresh qubits at ``party`` in the basis state ``init``.
+def allocate_qubits(ensemble: BranchEnsemble, qubits: Sequence[QubitId], init: str) -> BranchEnsemble:
+    """Append the fresh ``qubits`` in the basis state ``init``, one '0'/'1' character each.
 
-    New qubits occupy the highest registry positions, each in a group of its
-    own.  ``init`` is a string of '0'/'1' characters, one per new qubit,
-    defaulting to all zeros.
+    New qubits occupy the highest registry positions, each in a group of its own.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    init = "0" * count if init is None else init
-    if len(init) != count or set(init) - {"0", "1"}:
-        raise ValueError(f"init string {init!r} does not describe {count} basis qubits")
-    if labels is None:
-        base = len(ensemble.registry)
-        labels = tuple(f"x{base + i}" for i in range(count))
-    new_ids = tuple(QubitId(party, lbl) for lbl in labels)
-    if len(new_ids) != count:
-        raise ValueError(f"{len(new_ids)} labels given for {count} qubits")
-    blocks = [np.zeros(2, dtype=complex) for _ in new_ids]
+    blocks = [np.zeros(2, dtype=complex) for _ in qubits]
     for block, c in zip(blocks, init):
         block[int(c)] = 1.0
-    return _append(ensemble, [(q,) for q in new_ids], blocks), new_ids
+    return _append(ensemble, [(q,) for q in qubits], blocks)
 
 
 def insert_bell_pair(ensemble: BranchEnsemble, first: QubitId, second: QubitId) -> BranchEnsemble:

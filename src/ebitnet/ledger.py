@@ -193,9 +193,7 @@ class Allocate(Event):
     added = property(lambda self: self.qubits)
 
     def apply(self, ens):
-        ens, _ = engine.allocate_qubits(ens, self.party, len(self.qubits), init=self.init,
-                                        labels=[q.label for q in self.qubits])
-        return ens, None
+        return engine.allocate_qubits(ens, self.qubits, self.init), None
 
 
 @dataclass(frozen=True)
@@ -602,7 +600,8 @@ def _header_record(trace: ProtocolTrace) -> dict:
 
 
 def _header_trace(rec: Mapping) -> ProtocolTrace:
-    """The empty trace a header record describes, with its checked initial state."""
+    """The empty trace a header record describes; its initial state is checked
+    where every dense state is, in ``BranchEnsemble.from_vectors``."""
     if rec.get("kind") != "header":
         raise ValueError("expected a header record")
     if rec.get("format") != TRACE_FORMAT:
@@ -613,28 +612,9 @@ def _header_trace(rec: Mapping) -> ProtocolTrace:
     if "registry" not in rec:
         return ProtocolTrace(n_parties)
     registry = _REGISTRY_IN(rec["registry"], n_parties)
-    if len(set(registry)) != len(registry):
-        raise ValueError("registry contains duplicate qubit ids")
-    raw = [(_float(b["p"]), _complex_in(b["amplitudes"])) for b in rec["branches"]]
-    if not all(p >= 0 for p, _ in raw):  # negated so that a NaN fails
-        raise ValueError(f"branch probabilities must not be negative, got {[p for p, _ in raw]}")
-    if any(vec.shape != (1 << len(registry),) for _, vec in raw):
-        raise ValueError(f"every branch needs {1 << len(registry)} amplitudes")
-    branches = [engine.dense_branch(p, vec) for p, vec in raw]
+    branches = [(_float(b["p"]), _complex_in(b["amplitudes"])) for b in rec["branches"]]
     max_qubits = _int(rec.get("max_qubits", DEFAULT_MAX_QUBITS))
-    if len(registry) > max_qubits:
-        raise ValueError(f"a registry of {len(registry)} qubits exceeds max_qubits {max_qubits}")
-    initial = BranchEnsemble(registry, branches, max_qubits)
-    try:
-        initial.check()
-    except AssertionError as exc:
-        raise ValueError(f"initial state: {exc}") from None
-    if not registry:  # a branch over no qubits keeps no factor, so check() did not see its amplitude
-        for _, vec in raw:
-            norm = math.sqrt(np.vdot(vec, vec).real)
-            if not abs(norm - 1.0) <= 1e-9:
-                raise ValueError(f"initial state: branch norm {norm} drifted from 1")
-    return ProtocolTrace(n_parties, initial)
+    return ProtocolTrace(n_parties, BranchEnsemble.from_vectors(registry, branches, max_qubits))
 
 
 def dump_trace(trace: ProtocolTrace) -> str:

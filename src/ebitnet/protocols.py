@@ -68,19 +68,14 @@ class ProtocolRun:
 
     n_parties: int
     ensemble: BranchEnsemble
+    trace: ProtocolTrace
+    data_qubits: dict[int, QubitId]
     ledger: ResourceLedger = field(default_factory=ResourceLedger)
-    trace: ProtocolTrace | None = None
-    data_qubits: dict[int, QubitId] = field(default_factory=dict)
     _labels: int = 0
 
     def fresh_label(self) -> str:
         self._labels += 1
         return f"a{self._labels - 1}"
-
-    def snapshot_initial(self) -> None:
-        """Record the current ensemble as the trace's replay starting point; no
-        operation writes into it, so it is stored as it is."""
-        self.trace.initial = self.ensemble
 
     def step(self, event: Event) -> dict[str, float] | None:
         """Apply ``event``, then book it and append it to the trace.
@@ -103,27 +98,25 @@ class ProtocolRun:
         return dist
 
 
-def new_run(n_parties: int, max_qubits: int = engine.DEFAULT_MAX_QUBITS) -> ProtocolRun:
-    run = ProtocolRun(n_parties, BranchEnsemble.vacuum(max_qubits))
-    run.trace = ProtocolTrace(n_parties=n_parties)
-    return run
+def new_run(n_parties: int, state: Sequence[complex] | None = None,
+            max_qubits: int = engine.DEFAULT_MAX_QUBITS) -> ProtocolRun:
+    """A run of ``n_parties`` whose trace starts from the state it is made with.
 
-
-def add_data_qubits(run: ProtocolRun, amplitudes: Sequence[complex] | None = None) -> None:
-    """Give every party one data qubit, jointly in ``amplitudes`` (default all-zeros).
-
-    Data qubits are labeled q1..qN in party order, so party i's qubit is
-    amplitude-index bit i-1 of the joint state.  This is pre-run setup: it
-    is not traced, so call it before snapshot_initial.
+    With ``state`` of 2^k amplitudes, party i holds data qubit q<i> for
+    i = 1..k, amplitude-index bit i-1 of the joint state, which is divided by
+    its norm; without one the registry is empty.  No operation writes into an
+    ensemble, so the trace keeps the run's first one as it is.
     """
-    if run.trace.events:
-        raise ValueError("data qubits must be set up before any traced events")
-    for i in range(1, run.n_parties + 1):
-        run.ensemble, (qid,) = engine.allocate_qubits(run.ensemble, i, 1, labels=(f"q{i}",))
-        run.data_qubits[i] = qid
-    if amplitudes is not None:
-        order = [run.data_qubits[i] for i in range(1, run.n_parties + 1)]
-        run.ensemble = BranchEnsemble.from_amplitudes(order, amplitudes, run.ensemble.max_qubits)
+    data_qubits = {}
+    ensemble = BranchEnsemble.vacuum(max_qubits)
+    if state is not None:
+        vec = np.asarray(state, dtype=complex)
+        k = vec.size.bit_length() - 1
+        if not 1 <= k <= n_parties:
+            raise ValueError(f"state needs 2^k amplitudes for some k in 1..{n_parties}, got {vec.size}")
+        data_qubits = {i: QubitId(i, f"q{i}") for i in range(1, k + 1)}
+        ensemble = BranchEnsemble.from_vectors(data_qubits.values(), [(1.0, vec / np.linalg.norm(vec))], max_qubits)
+    return ProtocolRun(n_parties, ensemble, ProtocolTrace(n_parties, ensemble), data_qubits)
 
 
 def data_order(run: ProtocolRun) -> list[QubitId]:
@@ -285,8 +278,7 @@ def permutation_entangle(p: Permutation,
     if not p.is_derangement:
         raise ValueError(f"permutation {p.mapping} has fixed points")
     n = p.n
-    run = new_run(n, max_qubits)
-    run.snapshot_initial()
+    run = new_run(n, max_qubits=max_qubits)
     keeps: dict[int, QubitId] = {}
     moves: dict[int, QubitId] = {}
     for i in range(1, n + 1):
@@ -323,11 +315,10 @@ def permutation_communicate(p: Permutation, messages: Mapping[int, str],
         raise ValueError("need one 2-bit message per receiving party")
     for msg in messages.values():
         _check_message(msg)
-    run = new_run(n, max_qubits)
+    run = new_run(n, max_qubits=max_qubits)
     pinv = p.inverse()
     for i in range(1, n + 1):
         run.ledger.grant(i, pinv(i))
-    run.snapshot_initial()
     firsts: dict[int, QubitId] = {}
     hollows: dict[int, QubitId] = {}   # hollow qubit resident at each lab
     for i in range(1, n + 1):

@@ -34,6 +34,10 @@
   which ``protocols`` books as supplementary bits.
 - ``dense_vectors`` gives each branch's dense statevector over the registry,
   through ``engine.branch_vectors``.
+- ``one_branch`` is the ensemble of one dense vector (``BranchEnsemble.from_vectors``
+  with probability 1), over party 1's qubits x0, x1, ... unless a registry is
+  given, and ``allocate`` appends fresh qubits by label (``engine.allocate_qubits``
+  of their ids), all zeros unless an init string is given.
 - ``DenseEnsemble`` runs trace events on one dense 2^k vector per branch, as
   the engine did before it kept each branch as a product of factors: kron on
   allocation, one tensordot over the whole vector per gate, index masks per
@@ -404,6 +408,22 @@ def delta_three_lab_bound(delta: DeltaMatrix) -> DeltaVerdict:
         slack = loss / 2 - e[i][j]
         half_loss_ok = slack >= 0
     return DeltaVerdict(row_sums_ok, single_gain_ok, half_loss_ok, slack, gaining)
+
+
+def one_branch(amplitudes, registry=None, max_qubits: int = engine.DEFAULT_MAX_QUBITS) -> engine.BranchEnsemble:
+    """The one-branch ensemble of ``amplitudes``, registry qubit r as index bit r;
+    the registry defaults to party 1's qubits x0, x1, ..., one per index bit."""
+    vec = np.asarray(amplitudes, dtype=complex)
+    if registry is None:
+        registry = [engine.QubitId(1, f"x{i}") for i in range(vec.size.bit_length() - 1)]
+    return engine.BranchEnsemble.from_vectors(registry, [(1.0, vec)], max_qubits)
+
+
+def allocate(ensemble, party: int, *labels: str, init: str | None = None):
+    """``ensemble`` with fresh qubits ``labels`` at ``party`` appended in the basis
+    state ``init`` (all zeros by default), and their ids."""
+    ids = tuple(engine.QubitId(party, label) for label in labels)
+    return engine.allocate_qubits(ensemble, ids, init or "0" * len(ids)), ids
 
 
 def dense_vectors(ensemble) -> list[np.ndarray]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from ebitnet import bounds, cli, engine, gates, graphs, protocols
-from ebitnet.engine import BranchEnsemble, Gate, Povm
+from ebitnet.engine import Gate, Povm, QubitId
 from ebitnet.gates import Permutation
 
 import oracles
@@ -41,12 +41,9 @@ def test_c01_teleportation_correctness():
         rng = np.random.default_rng(101)
         for _ in range(100):
             state = gates.random_state(2, rng)
-            run = protocols.new_run(2)
-            run.ensemble, (q1,) = engine.allocate_qubits(run.ensemble, 1, 1, labels=("q1",))
-            run.ensemble = BranchEnsemble.from_amplitudes((q1,), state)
+            run = protocols.new_run(2, state)
             run.ledger.grant(1, 2, 1)
-            run.snapshot_initial()
-            moved = protocols.teleport(run, q1, to=2)
+            moved = protocols.teleport(run, run.data_qubits[1], to=2)
             assert engine.ensemble_fidelity(run.ensemble, [moved], state) >= 1 - 1e-10
             assert run.ledger.total_consumed() == 1
             assert dict(run.ledger.bits_sent) == {(1, 2): 2}
@@ -58,19 +55,15 @@ def test_c02_two_qubit_protocol_accounting():
         for _ in range(20):
             state = gates.random_state(4, rng)
             u = gates.haar_unitary(4, rng)
-            run = protocols.new_run(2)
-            protocols.add_data_qubits(run, state)
+            run = protocols.new_run(2, state)
             run.ledger.grant(1, 2, 2)
-            run.snapshot_initial()
             protocols.collective_op_star(run, protocols.CollectiveOp(unitary=u), hub=2)
             assert run.ledger.total_consumed() == 2
             assert run.ledger.bits_sent[(1, 2)] == 2
             assert run.ledger.bits_sent[(2, 1)] == 2
             assert engine.ensemble_fidelity(run.ensemble, protocols.data_order(run), u @ state) >= 1 - 1e-10
-        run = protocols.new_run(2)
-        protocols.add_data_qubits(run, gates.random_state(4, rng))
+        run = protocols.new_run(2, gates.random_state(4, rng))
         run.ledger.grant(1, 2, 2)
-        run.snapshot_initial()
         povm = Povm(tuple(np.eye(4) / 4 for _ in range(4)))
         protocols.collective_op_star(run, protocols.CollectiveOp(povm=povm, record=True), hub=2)
         assert abs(run.ledger.supplementary_bits - 2.0) <= 1e-12
@@ -111,11 +104,9 @@ def test_c05_star_protocol():
         for n in (3, 4, 5):
             state = gates.random_state(1 << n, rng)
             u = gates.haar_unitary(1 << n, rng)
-            run = protocols.new_run(n)
-            protocols.add_data_qubits(run, state)
+            run = protocols.new_run(n, state)
             for i in range(2, n + 1):
                 run.ledger.grant(i, 1, 2)
-            run.snapshot_initial()
             protocols.collective_op_star(run, protocols.CollectiveOp(unitary=u), hub=1)
             assert engine.ensemble_fidelity(
                 run.ensemble, protocols.data_order(run), u @ state) >= 1 - 1e-9
@@ -190,12 +181,8 @@ def test_c09_locc_monotonicity():
             owners = list(range(1, n_parties + 1))
             owners += [int(rng.integers(1, n_parties + 1)) for _ in range(n_qubits - n_parties)]
             rng.shuffle(owners)
-            ens = BranchEnsemble.vacuum()
-            ids = []
-            for idx, party in enumerate(owners):
-                ens, (q,) = engine.allocate_qubits(ens, party, 1, labels=(f"q{idx}",))
-                ids.append(q)
-            ens = BranchEnsemble.from_amplitudes(ids, gates.random_state(1 << n_qubits, rng))
+            ids = [QubitId(party, f"q{idx}") for idx, party in enumerate(owners)]
+            ens = oracles.one_branch(gates.random_state(1 << n_qubits, rng), ids)
             parties = sorted({q.party for q in ens.registry})
             cuts = [set(c) for r in range(1, len(parties))
                     for c in itertools.combinations(parties, r) if parties[0] in c]

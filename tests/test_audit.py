@@ -47,13 +47,11 @@ def star_bundle(run):
 
 def run_star(n=3, seed=0):
     rng = np.random.default_rng(seed)
-    run = protocols.new_run(n)
     state = gates.random_state(1 << n, rng)
     u = gates.haar_unitary(1 << n, rng)
-    protocols.add_data_qubits(run, state)
+    run = protocols.new_run(n, state)
     for i in range(2, n + 1):
         run.ledger.grant(i, 1, 2)
-    run.snapshot_initial()
     protocols.collective_op_star(run, protocols.CollectiveOp(unitary=u))
     return run
 
@@ -113,17 +111,14 @@ class TestAuditCleanRuns:
     def test_superdense_within_dense_coding_allowance(self):
         run = protocols.new_run(2)
         run.ledger.grant(1, 2, 1)
-        run.snapshot_initial()
         protocols.superdense_send(run, 1, 2, "11")
         assert audit.audit_trace(run.trace, star_bundle(run)).ok
 
     def test_recorded_povm_run_is_clean(self):
         # supplementary messages ride outside the channel-capacity budget
         rng = np.random.default_rng(60)
-        run = protocols.new_run(2)
-        protocols.add_data_qubits(run, gates.random_state(4, rng))
+        run = protocols.new_run(2, gates.random_state(4, rng))
         run.ledger.grant(1, 2, 2)
-        run.snapshot_initial()
         povm = engine.Povm(tuple(np.eye(4) / 4 for _ in range(4)))
         protocols.collective_op_star(run, protocols.CollectiveOp(povm=povm, record=True), hub=2)
         report = audit.audit_trace(run.trace, star_bundle(run))
@@ -299,22 +294,27 @@ class TestAuditViolations:
         with pytest.raises(ValueError, match="parties"):
             audit.audit_trace(run.trace, bundle)
 
-    @pytest.mark.parametrize("n,header,code", [
-        (40, {}, 2),
-        (5, {"max_qubits": 4, "registry": [], "branches": [{"p": 1.0, "amplitudes": [[1.0, 0.0]]}]}, 2),
-        (4, {"max_qubits": 4, "registry": [], "branches": [{"p": 1.0, "amplitudes": [[1.0, 0.0]]}]}, 0),
-    ], ids=["40-parties-default-cap", "5-parties-cap-4", "4-parties-cap-4"])
+    @pytest.mark.parametrize("n,header,code,in_force", [
+        (40, {}, 2, None),
+        (5, {"max_qubits": 4, "registry": [], "branches": [{"p": 1.0, "amplitudes": [[1.0, 0.0]]}]}, 2, None),
+        (4, {"max_qubits": 4, "registry": [], "branches": [{"p": 1.0, "amplitudes": [[1.0, 0.0]]}]}, 0, None),
+        (13, {}, 2, 12),
+    ], ids=["40-parties-default-cap", "5-parties-cap-4", "4-parties-cap-4", "13-parties-cap-12-in-force"])
     @pytest.mark.parametrize("flags", [[], ["--no-replay"]], ids=["replay", "no-replay"])
-    def test_more_parties_than_the_registry_cap_exit_two(self, tmp_path, capsys, n, header, code, flags):
+    def test_more_parties_than_the_registry_cap_exit_two(self, tmp_path, capsys, monkeypatch, n, header, code,
+                                                         in_force, flags):
         """Every party holds a qubit, so no run has more parties than its registry cap:
-        the header's, or the default without an initial state.  Such a trace is refused
-        before its 2^(n-1) cuts are listed, which at 40 parties would not finish."""
+        the header's, or without an initial state the cap in force (EBITNET_MAX_QUBITS or
+        the default).  Such a trace is refused before its 2^(n-1) cuts are listed, which
+        at 40 parties would not finish."""
+        if in_force is not None:
+            monkeypatch.setenv("EBITNET_MAX_QUBITS", str(in_force))
         trace, graph = tmp_path / "t.jsonl", tmp_path / "g.json"
         trace.write_text(json.dumps(dict({"kind": "header", "format": TRACE_FORMAT, "n_parties": n}, **header))
                          + "\n", encoding="utf-8")
         graph.write_text(json.dumps({"n": n, "entanglement": [["0"] * n] * n}), encoding="utf-8")
         assert cli.main(["audit", "--trace", str(trace), "--graphs", str(graph), *flags]) == code
-        cap = header.get("max_qubits", engine.DEFAULT_MAX_QUBITS)
+        cap = header.get("max_qubits", in_force or engine.DEFAULT_MAX_QUBITS)
         refusal = f"error: trace has {n} parties, more than its registry cap of {cap} qubits\n"
         assert capsys.readouterr().err == ("" if code == 0 else refusal)
 
@@ -486,7 +486,7 @@ def test_monotone_tolerance(p, rises):
     monotone across {1} by h(p): about 3e-8 ebits at p = 1e-9 (a violation) and
     4e-10 at p = 1e-11 (inside ENTROPY_TOL)."""
     q1, q2 = QubitId(1, "q1"), QubitId(1, "q2")
-    initial = engine.BranchEnsemble.from_amplitudes((q1, q2), [np.sqrt(1 - p), 0, 0, np.sqrt(p)])
+    initial = oracles.one_branch([np.sqrt(1 - p), 0, 0, np.sqrt(p)], (q1, q2))
     trace = ProtocolTrace(2, initial, [Relabel(q2, QubitId(2, "q2"))])
     report = audit.audit_trace(trace, graphs.import_json(NO_EBITS_2))
     assert ("replay-monotonicity" in [v.check for v in report.violations]) == rises
@@ -672,13 +672,11 @@ class TestComposition:
         rng = np.random.default_rng(55)
         for trial in range(8):
             n = int(rng.integers(2, 5))
-            run = protocols.new_run(n)
             state = gates.random_state(1 << n, rng)
-            protocols.add_data_qubits(run, state)
+            run = protocols.new_run(n, state)
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
                     run.ledger.grant(i, j, 8)
-            run.snapshot_initial()
             for _ in range(int(rng.integers(3, 7))):
                 owner = int(rng.integers(1, n + 1))
                 qubit = run.data_qubits[owner]
@@ -921,7 +919,7 @@ def random_trace(data):
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1), label="seed"))
     owners = data.draw(st.lists(party, max_size=4), label="initial owners")
     registry = tuple(QubitId(p, f"i{j}") for j, p in enumerate(owners))
-    initial = engine.BranchEnsemble.from_amplitudes(registry, gates.random_state(1 << len(registry), rng))
+    initial = oracles.one_branch(gates.random_state(1 << len(registry), rng), registry)
     ens, events, labels = initial, [], iter(f"x{i}" for i in itertools.count())
     measured = []  # (index, outcome length) of measurements every branch records
 
@@ -1067,8 +1065,8 @@ def party_ensembles(draw):
             vec[rng.integers(len(vec))] = 1.0
         else:
             vec = gates.random_state(1 << len(registry), rng)
-        branches.append(engine.dense_branch(float(weight), vec))
-    return n, engine.BranchEnsemble(registry, branches)
+        branches.append((float(weight), vec))
+    return n, engine.BranchEnsemble.from_vectors(registry, branches, engine.DEFAULT_MAX_QUBITS)
 
 
 @given(party_ensembles())
@@ -1154,7 +1152,7 @@ def test_a_measurement_within_a_group_solves_its_splits_again(monkeypatch, basis
     # the measurement keeps every qubit, so its group keeps its key; its spectra
     # change, so it is solved again, while the ebit between parties 2 and 3 is kept
     registry = (QubitId(1, "a"), QubitId(1, "d"), QubitId(2, "b"), QubitId(3, "c"))
-    initial = engine.BranchEnsemble.from_amplitudes(registry, gates.random_state(16, np.random.default_rng(11)))
+    initial = oracles.one_branch(gates.random_state(16, np.random.default_rng(11)), registry)
     trace = measured_trace(3, initial, [
         EbitConsume((2, 3), (QubitId(2, "x"), QubitId(3, "y"))),
         LocalMeasure(1, tuple(QubitId(1, label) for label in targets), basis, False, 0, ()),
@@ -1180,8 +1178,7 @@ def test_only_a_bell_discard_with_a_fresh_half_is_a_teleport(monkeypatch, near_m
     # that discards q with a leaves q's state at b, up to a Pauli, so it renames q to b
     # and solves nothing.  After a gate or a measurement on a half, or without the
     # discard, it acts on q's group like any other measurement
-    initial = engine.BranchEnsemble.from_amplitudes((TELEPORTED, KEPT),
-                                                    gates.random_state(4, np.random.default_rng(3)))
+    initial = oracles.one_branch(gates.random_state(4, np.random.default_rng(3)), (TELEPORTED, KEPT))
     index = sum(isinstance(ev, LocalMeasure) for ev in near_miss)  # of the Bell measurement
     trace = measured_trace(3, initial, [
         EbitConsume((1, 3), (HALF, FAR)),
@@ -1198,7 +1195,7 @@ def test_only_a_bell_discard_with_a_fresh_half_is_a_teleport(monkeypatch, near_m
 def test_a_gate_with_a_target_at_another_party_is_solved_again():
     # a CNOT from 1:a to 2:b declared local to party 1 makes |+>|0> a Bell pair
     registry = (QubitId(1, "a"), QubitId(2, "b"))
-    initial = engine.BranchEnsemble.from_amplitudes(registry, np.array([1, 1, 0, 0]) / np.sqrt(2))
+    initial = oracles.one_branch(np.array([1, 1, 0, 0]) / np.sqrt(2), registry)
     trace = ProtocolTrace(2, initial, [LocalGate(1, registry, gates.cnot_unitary())])
     report = audit.audit_trace(trace, graphs.GraphBundle(2, None, None))
     assert [(v.check, v.step) for v in report.violations] == [("locality", 0), ("replay-monotonicity", 0)]
@@ -1210,7 +1207,7 @@ def test_a_gate_that_joins_groups_is_solved_again(monkeypatch):
     # a party-1 CNOT joins the ebit {1:a, 2:b} with 1:c; discarding 1:c brings the
     # group {1:a, 2:b} back, now in a product state in each branch
     a, b, c = QubitId(1, "a"), QubitId(2, "b"), QubitId(1, "c")
-    initial = engine.BranchEnsemble.from_amplitudes((), np.ones(1))
+    initial = engine.BranchEnsemble.vacuum()
     trace = measured_trace(2, initial, [
         EbitConsume((1, 2), (a, b)),
         Allocate(1, (c,), "0"),
@@ -1226,7 +1223,7 @@ def test_a_relocation_across_parties_solves_its_group_again(monkeypatch):
     # moving 2:b to party 1 keeps every label of the group and its split by the
     # cut {1} | {2}, but the party-1 part of that split is now {a, b}, not {a}
     registry = (QubitId(1, "a"), QubitId(2, "b"), QubitId(2, "c"))
-    initial = engine.BranchEnsemble.from_amplitudes(registry, gates.random_state(8, np.random.default_rng(5)))
+    initial = oracles.one_branch(gates.random_state(8, np.random.default_rng(5)), registry)
     trace = ProtocolTrace(2, initial, [Relocate(QubitId(2, "b"), 1)])
     _, states, series, _ = audit_monotone_series(monkeypatch, trace, graphs.GraphBundle(2, None, None))
     assert_series_matches_the_per_branch_formula(trace, states, series)

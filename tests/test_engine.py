@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,10 +14,14 @@ import oracles
 from test_audit import REPLAY_N, random_trace
 
 
+# qubits x0 and x1 at party 1, x2 and x3 at party 2
+TWO_AT_EACH_OF_TWO = tuple(QubitId(party, f"x{i}") for i, party in enumerate((1, 1, 2, 2)))
+
+
 def bell_pair_ensemble(party_a=1, party_b=1):
     ens = BranchEnsemble.vacuum()
-    ens, (a,) = engine.allocate_qubits(ens, party_a, 1, labels=("a",))
-    ens, (b,) = engine.allocate_qubits(ens, party_b, 1, labels=("b",))
+    ens, (a,) = oracles.allocate(ens, party_a, "a")
+    ens, (b,) = oracles.allocate(ens, party_b, "b")
     ens = engine.apply_gate(ens, Gate((a,), gates.HADAMARD))
     ens = engine.apply_gate(ens, Gate((a, b), gates.cnot_unitary()))
     return ens, a, b
@@ -24,8 +29,7 @@ def bell_pair_ensemble(party_a=1, party_b=1):
 
 class TestAllocation:
     def test_single_zero_qubit(self):
-        ens = BranchEnsemble.vacuum()
-        ens, _ = engine.allocate_qubits(ens, 1, 1)
+        ens, _ = oracles.allocate(BranchEnsemble.vacuum(), 1, "x0")
         assert np.allclose(oracles.dense_vectors(ens)[0], [1, 0])
 
     def test_bell_construction(self):
@@ -34,38 +38,36 @@ class TestAllocation:
 
     def test_allocation_extends_every_branch(self):
         ens = BranchEnsemble.vacuum()
-        ens, (a,) = engine.allocate_qubits(ens, 1, 1, labels=("a",))
+        ens, (a,) = oracles.allocate(ens, 1, "a")
         ens = engine.apply_gate(ens, Gate((a,), gates.HADAMARD))
         ens, _ = engine.measure_computational(ens, (a,))
         assert len(ens.branches) == 2
-        ens, _ = engine.allocate_qubits(ens, 2, 1, init="1")
+        ens, _ = oracles.allocate(ens, 2, "x1", init="1")
         assert len(ens.branches) == 2
         assert all(abs(b.probability - 0.5) < 1e-12 for b in ens.branches)
         assert ens.num_qubits == 2
 
     def test_init_string(self):
-        ens = BranchEnsemble.vacuum()
-        ens, _ = engine.allocate_qubits(ens, 1, 2, init="10")
+        ens, _ = oracles.allocate(BranchEnsemble.vacuum(), 1, "x0", "x1", init="10")
         # first new qubit is bit 0, so "10" is index 1
         assert np.argmax(np.abs(oracles.dense_vectors(ens)[0])) == 1
 
     def test_capacity_cap(self):
         ens = BranchEnsemble.vacuum(max_qubits=3)
-        ens, _ = engine.allocate_qubits(ens, 1, 3)
+        ens, _ = oracles.allocate(ens, 1, "x0", "x1", "x2")
         with pytest.raises(RegistryCapacityError):
-            engine.allocate_qubits(ens, 1, 1)
+            oracles.allocate(ens, 1, "x3")
 
     def test_duplicate_label_rejected(self):
         ens = BranchEnsemble.vacuum()
-        ens, _ = engine.allocate_qubits(ens, 1, 1, labels=("a",))
+        ens, _ = oracles.allocate(ens, 1, "a")
         with pytest.raises(ValueError):
-            engine.allocate_qubits(ens, 1, 1, labels=("a",))
+            oracles.allocate(ens, 1, "a")
 
 
 class TestGates:
     def test_swap_on_basis_state(self):
-        ens = BranchEnsemble.vacuum()
-        ens, (a, b) = engine.allocate_qubits(ens, 1, 2, init="10")
+        ens, (a, b) = oracles.allocate(BranchEnsemble.vacuum(), 1, "x0", "x1", init="10")
         ens = engine.apply_gate(ens, Gate((a, b), oracles.swap_unitary()))
         assert np.argmax(np.abs(oracles.dense_vectors(ens)[0])) == 2
 
@@ -111,9 +113,8 @@ class TestGates:
 
     def test_norms_preserved(self):
         rng = np.random.default_rng(11)
-        ens = BranchEnsemble.vacuum()
-        ens, ids = engine.allocate_qubits(ens, 1, 3)
-        ens = BranchEnsemble.from_amplitudes(ids, gates.random_state(8, rng))
+        ens = oracles.one_branch(gates.random_state(8, rng))
+        ids = ens.registry
         for _ in range(20):
             k = rng.integers(1, 3)
             targets = tuple(rng.choice(len(ids), size=k, replace=False))
@@ -131,8 +132,7 @@ class TestMeasurement:
         assert abs(sum(br.probability for br in ens.branches) - 1) < 1e-12
 
     def test_eigenstate_deterministic(self):
-        ens = BranchEnsemble.vacuum()
-        ens, (a,) = engine.allocate_qubits(ens, 1, 1)
+        ens, (a,) = oracles.allocate(BranchEnsemble.vacuum(), 1, "x0")
         ens, dist = engine.measure_computational(ens, (a,))
         assert dist == {"0": pytest.approx(1.0)}
         assert len(ens.branches) == 1
@@ -161,23 +161,20 @@ class TestMeasurement:
 class TestPovm:
     def test_uniform_povm_m4(self):
         rng = np.random.default_rng(0)
-        ens = BranchEnsemble.vacuum()
-        ens, ids = engine.allocate_qubits(ens, 1, 2)
-        ens = BranchEnsemble.from_amplitudes(ids, gates.random_state(4, rng))
+        ens = oracles.one_branch(gates.random_state(4, rng))
+        ids = ens.registry
         povm = Povm(tuple(np.eye(4) / 4 for _ in range(4)))
         assert engine.measure_povm(ens, povm, ids) == pytest.approx([0.25] * 4)
 
     def test_projective_on_eigenstate(self):
-        ens = BranchEnsemble.vacuum()
-        ens, (a,) = engine.allocate_qubits(ens, 1, 1, init="1")
+        ens, (a,) = oracles.allocate(BranchEnsemble.vacuum(), 1, "x0", init="1")
         povm = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
         assert engine.measure_povm(ens, povm, (a,)) == pytest.approx([0.0, 1.0])
 
     def test_uniform_m8_state_independent(self):
         rng = np.random.default_rng(5)
-        ens = BranchEnsemble.vacuum()
-        ens, ids = engine.allocate_qubits(ens, 1, 3)
-        ens = BranchEnsemble.from_amplitudes(ids, gates.random_state(8, rng))
+        ens = oracles.one_branch(gates.random_state(8, rng))
+        ids = ens.registry
         povm = Povm(tuple(np.eye(8) / 8 for _ in range(8)))
         assert engine.measure_povm(ens, povm, ids) == pytest.approx([0.125] * 8)
 
@@ -222,9 +219,7 @@ class TestReducedDensity:
         assert np.allclose(rho, np.eye(2) / 2)
 
     def test_product_state_pure_projector(self):
-        ens = BranchEnsemble.vacuum()
-        ens, (a,) = engine.allocate_qubits(ens, 1, 1)
-        ens, (b,) = engine.allocate_qubits(ens, 1, 1)
+        ens, (a, b) = oracles.allocate(BranchEnsemble.vacuum(), 1, "x0", "x1")
         ens = engine.apply_gate(ens, Gate((b,), gates.HADAMARD))
         rho = engine.reduced_density(ens, (a,))
         assert np.allclose(rho, np.diag([1.0, 0.0]))
@@ -240,9 +235,8 @@ class TestReducedDensity:
 
     def test_eigenvalues_match_on_both_sides(self):
         rng = np.random.default_rng(17)
-        ens = BranchEnsemble.vacuum()
-        ens, ids = engine.allocate_qubits(ens, 1, 5)
-        ens = BranchEnsemble.from_amplitudes(ids, gates.random_state(32, rng))
+        ens = oracles.one_branch(gates.random_state(32, rng))
+        ids = ens.registry
         left = np.linalg.eigvalsh(engine.reduced_density(ens, ids[:2]))
         right = np.linalg.eigvalsh(engine.reduced_density(ens, ids[2:]))
         left = np.sort(left[left > 1e-9])
@@ -256,25 +250,25 @@ class TestEntropy:
         assert engine.entanglement_entropy(ens, {1}) == pytest.approx(1.0, abs=1e-9)
 
     def test_product_state_zero(self):
-        ens = BranchEnsemble.vacuum()
-        ens, _ = engine.allocate_qubits(ens, 1, 1)
-        ens, (b,) = engine.allocate_qubits(ens, 2, 1)
+        ens, _ = oracles.allocate(BranchEnsemble.vacuum(), 1, "x0")
+        ens, (b,) = oracles.allocate(ens, 2, "x1")
         ens = engine.apply_gate(ens, Gate((b,), gates.HADAMARD))
         assert engine.entanglement_entropy(ens, {1}) == pytest.approx(0.0, abs=1e-9)
 
     def test_rounding_gives_no_negative_entropy(self):
-        # the party-1 spectrum of |+>|0> solves to an eigenvalue a rounding error above 1
-        ens = BranchEnsemble.from_amplitudes((QubitId(1, "a"), QubitId(2, "b")), np.array([1, 1, 0, 0]) / np.sqrt(2))
+        # the party-1 spectrum of |+>|0>, divided by its norm, solves to an eigenvalue a rounding error above 1
+        vec = np.array([1, 1, 0, 0]) / np.sqrt(2)
+        ens = oracles.one_branch(vec / np.linalg.norm(vec), (QubitId(1, "a"), QubitId(2, "b")))
         value = engine.entanglement_entropy(ens, {1})
         assert value == 0.0 and f"{value:.12f}" == "0.000000000000"
 
     def test_two_cross_pairs_two_ebits(self):
         # two Bell pairs, each stretched between parties 1 and 2
         ens = BranchEnsemble.vacuum()
-        ens, (a1,) = engine.allocate_qubits(ens, 1, 1, labels=("a1",))
-        ens, (b1,) = engine.allocate_qubits(ens, 2, 1, labels=("b1",))
-        ens, (a2,) = engine.allocate_qubits(ens, 1, 1, labels=("a2",))
-        ens, (b2,) = engine.allocate_qubits(ens, 2, 1, labels=("b2",))
+        ens, (a1,) = oracles.allocate(ens, 1, "a1")
+        ens, (b1,) = oracles.allocate(ens, 2, "b1")
+        ens, (a2,) = oracles.allocate(ens, 1, "a2")
+        ens, (b2,) = oracles.allocate(ens, 2, "b2")
         for x, y in ((a1, b1), (a2, b2)):
             ens = engine.apply_gate(ens, Gate((x,), gates.HADAMARD))
             ens = engine.apply_gate(ens, Gate((x, y), gates.cnot_unitary()))
@@ -285,7 +279,7 @@ class TestEntropy:
         """A Schmidt weight of 1e-11 adds its -p log2 p (about 36.5 p) to the entropy;
         one of 1e-14 is below EIG_TOL and dropped, leaving about 1.4 p."""
         q1, q2 = QubitId(1, "q1"), QubitId(2, "q2")
-        ens = BranchEnsemble.from_amplitudes((q1, q2), [np.sqrt(1 - p), 0, 0, np.sqrt(p)])
+        ens = oracles.one_branch([np.sqrt(1 - p), 0, 0, np.sqrt(p)], (q1, q2))
         assert (engine.subset_entropies(ens, [[q1]])[0] > 10 * p) == counted
 
     def test_improper_partition_rejected(self):
@@ -297,12 +291,9 @@ class TestEntropy:
 
     def test_invariant_under_local_unitaries(self):
         rng = np.random.default_rng(23)
-        ens = BranchEnsemble.vacuum()
-        ens, ids = engine.allocate_qubits(ens, 1, 2)
-        ens, ids2 = engine.allocate_qubits(ens, 2, 2)
-        ens = BranchEnsemble.from_amplitudes(ids + ids2, gates.random_state(16, rng))
+        ens = oracles.one_branch(gates.random_state(16, rng), TWO_AT_EACH_OF_TWO)
         before = engine.entanglement_entropy(ens, {1})
-        for q in ids + ids2:
+        for q in ens.registry:
             ens = engine.apply_gate(ens, Gate((q,), gates.haar_unitary(2, rng)))
         assert abs(engine.entanglement_entropy(ens, {1}) - before) < 1e-9
 
@@ -311,8 +302,8 @@ class TestEntropy:
         rng = np.random.default_rng(seed)
         registry = tuple(QubitId(1, f"x{i}") for i in range(k))
         weights = rng.random(n_branches) + 0.1
-        branches = [engine.dense_branch(float(w), gates.random_state(1 << k, rng)) for w in weights / weights.sum()]
-        return BranchEnsemble(registry, branches)
+        branches = [(float(w), gates.random_state(1 << k, rng)) for w in weights / weights.sum()]
+        return BranchEnsemble.from_vectors(registry, branches, engine.DEFAULT_MAX_QUBITS)
 
     @given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=4),
            st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
@@ -338,12 +329,9 @@ class TestEntropy:
 
     def test_measurement_cannot_raise_average_entropy(self):
         rng = np.random.default_rng(29)
-        ens = BranchEnsemble.vacuum()
-        ens, ids1 = engine.allocate_qubits(ens, 1, 2)
-        ens, ids2 = engine.allocate_qubits(ens, 2, 2)
-        ens = BranchEnsemble.from_amplitudes(ids1 + ids2, gates.random_state(16, rng))
+        ens = oracles.one_branch(gates.random_state(16, rng), TWO_AT_EACH_OF_TWO)
         before = engine.entanglement_entropy(ens, {1})
-        ens, _ = engine.measure_computational(ens, (ids1[0],))
+        ens, _ = engine.measure_computational(ens, (ens.registry[0],))
         assert engine.entanglement_entropy(ens, {1}) <= before + 1e-9
 
 
@@ -375,9 +363,8 @@ class TestBellTools:
 
     def test_bell_measure_identifies_each_state(self):
         for label, vec in oracles.bell_states().items():
-            ens = BranchEnsemble.vacuum()
-            ens, ids = engine.allocate_qubits(ens, 1, 2)
-            ens = BranchEnsemble.from_amplitudes(ids, vec)
+            ens = oracles.one_branch(vec)
+            ids = ens.registry
             _, dist = engine.bell_measure(ens, ids)
             assert max(dist, key=dist.get) == label
             assert dist[label] == pytest.approx(1.0)
@@ -418,9 +405,8 @@ class TestEmbeddingOracle:
             positions = list(rng.choice(k, size=m, replace=False))
             u = gates.haar_unitary(1 << m, rng)
             vec = gates.random_state(1 << k, rng)
-            ens = BranchEnsemble.vacuum()
-            ens, ids = engine.allocate_qubits(ens, 1, k)
-            ens = BranchEnsemble.from_amplitudes(ids, vec)
+            ens = oracles.one_branch(vec)
+            ids = ens.registry
             targets = tuple(ids[p] for p in positions)
             got = oracles.dense_vectors(engine.apply_gate(ens, Gate(targets, u)))[0]
             want = self.full_matrix(u, positions, k) @ vec
@@ -433,9 +419,8 @@ class TestEmbeddingOracle:
             m = int(rng.integers(1, k + 1))
             positions = sorted(rng.choice(k, size=m, replace=False))
             vec = gates.random_state(1 << k, rng)
-            ens = BranchEnsemble.vacuum()
-            ens, ids = engine.allocate_qubits(ens, 1, k)
-            ens = BranchEnsemble.from_amplitudes(ids, vec)
+            ens = oracles.one_branch(vec)
+            ids = ens.registry
             _, dist = engine.measure_computational(ens, tuple(ids[p] for p in positions))
             for outcome, prob in dist.items():
                 expected = sum(
@@ -448,10 +433,9 @@ class TestEmbeddingOracle:
 class TestBranchVectors:
     def test_reorder_round_trip(self):
         rng = np.random.default_rng(31)
-        ens = BranchEnsemble.vacuum()
-        ens, ids = engine.allocate_qubits(ens, 1, 3)
         vec = gates.random_state(8, rng)
-        ens = BranchEnsemble.from_amplitudes(ids, vec)
+        ens = oracles.one_branch(vec)
+        ids = ens.registry
         (_, same), = engine.branch_vectors(ens, ids)
         assert np.allclose(same, vec)
         (_, rev), = engine.branch_vectors(ens, ids[::-1])
@@ -472,15 +456,8 @@ class TestCoalesce:
         assert merged.branches[0].probability == pytest.approx(1.0)
 
     def test_global_phase_ignored(self):
-        ens = BranchEnsemble.vacuum()
-        ens, (a,) = engine.allocate_qubits(ens, 1, 1)
-        two = BranchEnsemble(
-            ens.registry,
-            [
-                engine.dense_branch(0.5, np.array([1, 0], dtype=complex)),
-                engine.dense_branch(0.5, np.array([-1, 0], dtype=complex)),
-            ],
-        )
+        two = BranchEnsemble.from_vectors((QubitId(1, "x0"),), [(0.5, [1, 0]), (0.5, [-1, 0])],
+                                          engine.DEFAULT_MAX_QUBITS)
         assert len(engine.coalesce(two).branches) == 1
 
     @pytest.mark.parametrize("first,second,merges", [
@@ -494,16 +471,15 @@ class TestCoalesce:
         COALESCE_TOL and stay apart, and 1e-12 apart are within it and merge.  The
         tolerance is absolute: [0.6, 0.8] and the same state rotated by 1e-6 differ
         by 8e-7 and stay apart, however large their amplitudes."""
-        ens, (a,) = engine.allocate_qubits(BranchEnsemble.vacuum(), 1, 1)
-        two = BranchEnsemble(ens.registry, [engine.dense_branch(0.5, np.array(first, dtype=complex)),
-                                            engine.dense_branch(0.5, np.array(second, dtype=complex))])
+        two = BranchEnsemble.from_vectors((QubitId(1, "x0"),), [(0.5, first), (0.5, second)],
+                                          engine.DEFAULT_MAX_QUBITS)
         assert len(engine.coalesce(two).branches) == (1 if merges else 2)
 
     def test_branches_that_differ_in_a_later_factor_stay_apart(self):
         # b is measured out of |+>, so the branches agree in every factor but b's
         ens = BranchEnsemble.vacuum()
-        ens, (a,) = engine.allocate_qubits(ens, 1, 1, labels=("a",))
-        ens, (b,) = engine.allocate_qubits(ens, 1, 1, labels=("b",))
+        ens, (a,) = oracles.allocate(ens, 1, "a")
+        ens, (b,) = oracles.allocate(ens, 1, "b")
         ens = engine.apply_gate(ens, Gate((b,), gates.HADAMARD))
         ens, _ = engine.measure_computational(ens, (b,))
         assert len(ens.groups) == 2 and ens.locate(b)[0] == 1
@@ -518,8 +494,8 @@ class TestCoalesce:
         # measure a |+> qubit away: both branches leave the same remainder,
         # so they merge and the conflicting outcome record is dropped
         ens = BranchEnsemble.vacuum()
-        ens, (a,) = engine.allocate_qubits(ens, 1, 1, labels=("a",))
-        ens, (b,) = engine.allocate_qubits(ens, 1, 1, labels=("b",))
+        ens, (a,) = oracles.allocate(ens, 1, "a")
+        ens, (b,) = oracles.allocate(ens, 1, "b")
         ens = engine.apply_gate(ens, Gate((a,), gates.HADAMARD))
         ens, _ = engine.measure_computational(ens, (a,), discard=True)
         assert len(ens.branches) == 2
@@ -536,9 +512,8 @@ class TestBlockKernelAgainstMasks:
     @pytest.mark.parametrize("discard", [False, True])
     def test_measurement_matches_mask_reference(self, discard):
         rng = np.random.default_rng(5)
-        ens = BranchEnsemble.vacuum()
-        ens, ids = engine.allocate_qubits(ens, 1, 5)
-        ens = BranchEnsemble.from_amplitudes(ids, gates.random_state(32, rng))
+        ens = oracles.one_branch(gates.random_state(32, rng))
+        ids = ens.registry
         targets = [ids[3], ids[0], ids[4]]
         out, dist = engine.measure_computational(ens, targets, discard=discard)
         [vec] = oracles.dense_vectors(ens)
@@ -561,7 +536,7 @@ class TestBlockKernelAgainstMasks:
 
     def test_branch_norm_tolerance(self):
         """check() refuses a branch whose norm drifted by 1e-8 and accepts a drift of 1e-11."""
-        ens = BranchEnsemble.from_amplitudes((QubitId(1, "a"),), [1.0, 0.0])
+        ens = oracles.one_branch([1.0, 0.0])
         [factor] = ens.branches[0].factors
         factor[0] = 1 + 1e-8
         with pytest.raises(AssertionError, match="branch norm"):
@@ -571,8 +546,8 @@ class TestBlockKernelAgainstMasks:
 
     def test_probability_sum_tolerance(self):
         """check() refuses branch probabilities summing to 1 + 1e-11 and accepts 1 + 1e-14."""
-        ens = BranchEnsemble((QubitId(1, "a"),), [engine.dense_branch(0.5, np.array([1, 0], dtype=complex)),
-                                                  engine.dense_branch(0.5, np.array([0, 1], dtype=complex))])
+        ens = BranchEnsemble.from_vectors((QubitId(1, "a"),), [(0.5, [1, 0]), (0.5, [0, 1])],
+                                          engine.DEFAULT_MAX_QUBITS)
         ens.branches[1] = ens.branches[1]._replace(probability=0.5 + 1e-11)
         with pytest.raises(AssertionError, match="sum to"):
             ens.check()
@@ -580,8 +555,41 @@ class TestBlockKernelAgainstMasks:
         ens.check()
 
     def test_nan_amplitude_is_rejected(self):
-        with pytest.raises(ValueError, match="normalized"):
-            BranchEnsemble.from_amplitudes((QubitId(1, "a"),), [float("nan"), 0.0])
+        with pytest.raises(ValueError, match="^initial state: branch norm nan drifted from 1$"):
+            oracles.one_branch([float("nan"), 0.0])
+
+
+A, B, NAN = QubitId(1, "a"), QubitId(2, "b"), float("nan")
+# fault -> (registry, [(p, vector), ...], max_qubits, the refusal); each is a fault the
+# trace load refuses in a header's initial state (test_trace_codec.HEADER_FAULTS)
+STATE_FAULTS = {
+    "duplicate-id": ((A, A), [(1.0, [1, 0, 0, 0])], 24, "registry contains duplicate qubit ids"),
+    "negative-p": ((A, B), [(1.5, [1, 0, 0, 0]), (-0.5, [1, 0, 0, 0])], 24,
+                   "branch probabilities must not be negative, got [1.5, -0.5]"),
+    "nan-p": ((A, B), [(NAN, [1, 0, 0, 0])], 24, "branch probabilities must not be negative, got [nan]"),
+    "wrong-length": ((A, B), [(1.0, [1, 0, 0])], 24, "every branch needs 4 amplitudes"),
+    "over-cap": ((A, B), [(1.0, [1, 0, 0, 0])], 1, "a registry of 2 qubits exceeds max_qubits 1"),
+    "norm-drift": ((A, B), [(1.0, [2, 0, 0, 0])], 24, "initial state: branch norm 2.0 drifted from 1"),
+    "nan-amplitude": ((A, B), [(1.0, [NAN, 0, 0, 0])], 24, "initial state: branch norm nan drifted from 1"),
+    "zero-qubit-norm-drift": ((), [(1.0, [0.5])], 24, "initial state: branch norm 0.5 drifted from 1"),
+    "probability-sum": ((A, B), [(0.5, [1, 0, 0, 0])], 24, "initial state: branch probabilities sum to 0.5"),
+    "no-branches": ((A, B), [], 24, "initial state: branch probabilities sum to 0"),
+}
+
+
+@pytest.mark.parametrize("registry,branches,max_qubits,refusal", STATE_FAULTS.values(), ids=STATE_FAULTS.keys())
+def test_from_vectors_refuses_what_a_trace_header_refuses(registry, branches, max_qubits, refusal):
+    """``from_vectors`` makes both a run's input and a trace's initial state, so it
+    refuses each fault with the text the load reports after the line number."""
+    header = {"kind": "header", "format": ledger.TRACE_FORMAT, "n_parties": 2, "max_qubits": max_qubits,
+              "registry": [[q.party, q.label] for q in registry],
+              "branches": [{"p": p, "amplitudes": [[float(z), 0.0] for z in vec]} for p, vec in branches]}
+    with pytest.raises(ValueError) as loaded:
+        ledger.load_trace(json.dumps(header) + "\n")
+    assert str(loaded.value) == f"trace line 1: {refusal}"
+    with pytest.raises(ValueError) as built:
+        BranchEnsemble.from_vectors(registry, branches, max_qubits)
+    assert str(built.value) == refusal
 
 
 @st.composite
@@ -593,13 +601,12 @@ def oracle_cases(draw):
     registry = tuple(QubitId(p, f"x{i}") for i, p in enumerate(owners))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
     weights = rng.random(draw(st.integers(min_value=1, max_value=2))) + 0.1
-    branches = [engine.dense_branch(float(w), gates.random_state(1 << len(registry), rng))
-                for w in weights / weights.sum()]
+    branches = [(float(w), gates.random_state(1 << len(registry), rng)) for w in weights / weights.sum()]
     order = draw(st.permutations(registry))
     targets = tuple(order[:draw(st.integers(min_value=1, max_value=len(registry)))])
     p = gates.Permutation(tuple(draw(st.permutations(range(1, len(targets) + 1)))))
     oracle = CollectiveOracle(tuple(sorted({q.party for q in targets})), targets, p)
-    return n, BranchEnsemble(registry, branches), oracle
+    return n, BranchEnsemble.from_vectors(registry, branches, engine.DEFAULT_MAX_QUBITS), oracle
 
 
 class TestRelabel:
@@ -673,7 +680,7 @@ class TestFactoredAgainstDense:
     def test_an_empty_registry_has_no_group_and_no_factor(self):
         ens = BranchEnsemble.vacuum()
         assert ens.groups == () and [b.factors for b in ens.branches] == [()]
-        ens, (x0, x1) = engine.allocate_qubits(ens, 1, 2)
+        ens, (x0, x1) = oracles.allocate(ens, 1, "x0", "x1")
         p, q = QubitId(1, "p"), QubitId(2, "q")
         ens = engine.insert_bell_pair(ens, p, q)
         assert ens.groups == ((x0,), (x1,), (p, q))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ebitnet import cli, engine, gates, protocols
-from ebitnet.engine import BranchEnsemble, Povm
+from ebitnet.engine import Povm
 from ebitnet.gates import Permutation
 from ebitnet.ledger import (
     ClassicalMessage,
@@ -17,6 +17,7 @@ from ebitnet.ledger import (
     InsufficientResources,
     LocalGate,
     LocalMeasure,
+    ProtocolTrace,
     ResourceLedger,
 )
 
@@ -24,31 +25,23 @@ import oracles
 
 
 def single_qubit_run(state, ebits=1):
-    run = protocols.new_run(2)
-    run.ensemble, (q1,) = engine.allocate_qubits(run.ensemble, 1, 1, labels=("q1",))
-    run.ensemble = BranchEnsemble.from_amplitudes((q1,), state)
-    run.data_qubits[1] = q1
+    run = protocols.new_run(2, state)
     if ebits:
         run.ledger.grant(1, 2, ebits)
-    run.snapshot_initial()
-    return run, q1
+    return run, run.data_qubits[1]
 
 
-def two_party_run(state=None, ebits=2):
-    run = protocols.new_run(2)
-    protocols.add_data_qubits(run, state)
+def two_party_run(state=(1, 0, 0, 0), ebits=2):
+    run = protocols.new_run(2, state)
     run.ledger.grant(1, 2, ebits)
-    run.snapshot_initial()
     return run
 
 
-def star_run(n, state=None, hub=1, ebits=2):
-    run = protocols.new_run(n)
-    protocols.add_data_qubits(run, state)
+def star_run(n, state, hub=1, ebits=2):
+    run = protocols.new_run(n, state)
     for i in range(1, n + 1):
         if i != hub:
             run.ledger.grant(i, hub, ebits)
-    run.snapshot_initial()
     return run
 
 
@@ -65,14 +58,10 @@ class TestTeleport:
 
     def test_entanglement_follows_the_qubit(self):
         # party 1 holds both halves of a pair; teleport one half to party 2
-        run = protocols.new_run(2)
-        ens = run.ensemble
-        ens, (a,) = engine.allocate_qubits(ens, 1, 1, labels=("h1",))
-        ens, (b,) = engine.allocate_qubits(ens, 1, 1, labels=("h2",))
-        ens = BranchEnsemble.from_amplitudes((a, b), oracles.bell_state("00"))
-        run.ensemble = ens
+        a, b = engine.QubitId(1, "h1"), engine.QubitId(1, "h2")
+        ens = oracles.one_branch(oracles.bell_state("00"), (a, b))
+        run = protocols.ProtocolRun(2, ens, ProtocolTrace(2, ens), {})
         run.ledger.grant(1, 2, 1)
-        run.snapshot_initial()
         assert engine.entanglement_entropy(run.ensemble, {1}, universe={1, 2}) == pytest.approx(0.0)
         before = engine.subset_entropies(run.ensemble, [[a]])[0]
         moved = protocols.teleport(run, b, to=2)
@@ -96,14 +85,12 @@ class TestSuperdense:
     def test_all_messages_decode(self, msg):
         run = protocols.new_run(2)
         run.ledger.grant(1, 2, 1)
-        run.snapshot_initial()
         assert protocols.superdense_send(run, 1, 2, msg) == msg
         assert run.ledger.total_consumed() == 1
 
     def test_message_00_measures_phi_plus(self):
         run = protocols.new_run(2)
         run.ledger.grant(1, 2, 1)
-        run.snapshot_initial()
         protocols.superdense_send(run, 1, 2, "00")
         (meas,) = [e for e in run.trace.events if isinstance(e, LocalMeasure)]
         assert dict(meas.distribution) == {"00": pytest.approx(1.0)}
@@ -111,7 +98,6 @@ class TestSuperdense:
     def test_two_sends_cost_two_ebits(self):
         run = protocols.new_run(2)
         run.ledger.grant(1, 2, 2)
-        run.snapshot_initial()
         assert protocols.superdense_send(run, 1, 2, "10") == "10"
         assert protocols.superdense_send(run, 2, 1, "01") == "01"
         assert run.ledger.total_consumed() == 2
@@ -119,7 +105,6 @@ class TestSuperdense:
 
     def test_insufficient_ebits(self):
         run = protocols.new_run(2)
-        run.snapshot_initial()
         with pytest.raises(InsufficientResources):
             protocols.superdense_send(run, 1, 2, "00")
 
@@ -315,7 +300,7 @@ class TestSwapDemos:
         # build the same two local pairs but skip the oracle
         ens = engine.BranchEnsemble.vacuum()
         for party in (1, 2):
-            ens, (k, m) = engine.allocate_qubits(ens, party, 2, labels=(f"k{party}", f"m{party}"))
+            ens, (k, m) = oracles.allocate(ens, party, f"k{party}", f"m{party}")
             ens = engine.apply_gate(ens, engine.Gate((k,), gates.HADAMARD))
             ens = engine.apply_gate(ens, engine.Gate((k, m), gates.cnot_unitary()))
         assert engine.entanglement_entropy(ens, {1}) == pytest.approx(0.0, abs=1e-9)
@@ -323,10 +308,10 @@ class TestSwapDemos:
     def test_single_pair_half_size_run(self):
         # one local pair at party 1, a fresh qubit at party 2, one swap: 1 ebit
         ens = engine.BranchEnsemble.vacuum()
-        ens, (k, m) = engine.allocate_qubits(ens, 1, 2, labels=("k", "m"))
+        ens, (k, m) = oracles.allocate(ens, 1, "k", "m")
         ens = engine.apply_gate(ens, engine.Gate((k,), gates.HADAMARD))
         ens = engine.apply_gate(ens, engine.Gate((k, m), gates.cnot_unitary()))
-        ens, (b,) = engine.allocate_qubits(ens, 2, 1, labels=("b",))
+        ens, (b,) = oracles.allocate(ens, 2, "b")
         ens = engine.apply_gate(ens, engine.Gate((m, b), oracles.swap_unitary()))
         assert engine.entanglement_entropy(ens, {1}) == pytest.approx(1.0, abs=1e-9)
 
@@ -420,22 +405,19 @@ class TestDerangementMaximality:
 class TestSupplementaryInformation:
     def test_uniform_povm_log2m(self):
         rng = np.random.default_rng(20)
-        ens = engine.BranchEnsemble.vacuum()
-        ens, ids = engine.allocate_qubits(ens, 1, 2)
-        ens = BranchEnsemble.from_amplitudes(ids, gates.random_state(4, rng))
+        ens = oracles.one_branch(gates.random_state(4, rng))
+        ids = ens.registry
         for m in (2, 4, 8):
             povm = Povm(tuple(np.eye(4) / m for _ in range(m)))
             assert oracles.supplementary_information(povm, ens, ids) == pytest.approx(math.log2(m))
 
     def test_projective_on_eigenstate_zero(self):
-        ens = engine.BranchEnsemble.vacuum()
-        ens, (a,) = engine.allocate_qubits(ens, 1, 1, init="1")
+        ens, (a,) = oracles.allocate(engine.BranchEnsemble.vacuum(), 1, "x0", init="1")
         povm = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
         assert oracles.supplementary_information(povm, ens, (a,)) == pytest.approx(0.0)
 
     def test_two_outcome_uniform_one_bit(self):
-        ens = engine.BranchEnsemble.vacuum()
-        ens, (a,) = engine.allocate_qubits(ens, 1, 1)
+        ens, (a,) = oracles.allocate(engine.BranchEnsemble.vacuum(), 1, "x0")
         povm = Povm((np.eye(2) / 2, np.eye(2) / 2))
         assert oracles.supplementary_information(povm, ens, (a,)) == pytest.approx(1.0)
 
