@@ -31,7 +31,10 @@ A header-only trace of 13 parties under ``EBITNET_MAX_QUBITS=12`` must make
 both audits exit 2: without an initial state, the cap in force bounds the parties.
 Two cut probes on the teleport trace must make both audits exit 1: three
 appended creates of a (1, 2) ebit break the cut-entanglement check, and an
-appended decode of 9 bits at 2 from 1 breaks the cut-communication check.
+appended decode of 9 bits at 2 from 1 breaks the cut-communication check.  A
+CNOT from party 1's data qubit to party 2's, appended to the five-party star-op
+trace and declared local to party 1, raises the replay monotone across several
+cuts; the report prints each rise to 12 digits.
 Two runs that no simulate command makes are built with the library and
 audited both ways: a recorded POVM at the hub of a three-party star, and
 computational and Bell measurements with and without discard.
@@ -95,6 +98,7 @@ SPECS = {
     "ps-n2": ("ps", ["--n", "2"]),
     "ps-n4": ("ps", ["--n", "4"]),
     "ps-n8": ("ps", ["--n", "8"]),
+    "ps-n10": ("ps", ["--n", "10"]),
     "ps-cp-n3": ("ps-cp", ["--n", "3"]),
     "ps-cp-n5": ("ps-cp", ["--n", "5"]),
     "ps-cp-n7": ("ps-cp", ["--n", "7"]),
@@ -418,6 +422,14 @@ CUT_PROBES = (
     ("teleport", "three-creates", _append(*[{"kind": "ebit_create", "pair": [1, 2]}] * 3)),
     ("teleport", "decoded-9-bits", _append({"kind": "decoded", "at": 2, "from": 1, "bits": "9"})),
 )
+# (base, name, mutation): a CNOT from 1:q1 to 2:q2 declared local to party 1, after the last event
+# of the five-party star: the replay reports the cuts whose monotone it raises, each value to 12
+# digits, so a change in how the cut values are summed shows in the report
+CNOT = [[[float(z.real), float(z.imag)] for z in row] for row in gates.cnot_unitary()]
+MONOTONE_PROBES = (
+    ("star-op-n5", "cross-party-cnot", _append({"kind": "local_gate", "party": 1, "targets": [[1, "q1"], [2, "q2"]],
+                                                "matrix": CNOT})),
+)
 
 
 def povm_star_run():
@@ -550,7 +562,7 @@ def main() -> None:
         mutations = dict(MUTATIONS, **(PROBES if graph["n"] >= 3 else {}))
         for m, (name, mutate) in enumerate(mutations.items()):
             outcomes += mutate_and_audit(root, base, name, mutate, random.Random(1000 * b + m))
-    for base, name, mutate in LOAD_PROBES + CUT_PROBES:
+    for base, name, mutate in LOAD_PROBES + CUT_PROBES + MONOTONE_PROBES:
         outcomes += mutate_and_audit(root, base, name, mutate, None)
     for base, name, mutate, cap in CAP_PROBES:
         with mock.patch.dict(os.environ, EBITNET_MAX_QUBITS=cap):

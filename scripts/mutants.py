@@ -302,6 +302,14 @@ MUTANTS = (
     Mutant("a teleport rename on a Bell measurement without discard", "src/ebitnet/audit.py",
            'ev.basis == "bell" and ev.discard:', 'ev.basis == "bell":',
            (AUDIT + "test_only_a_bell_discard_with_a_fresh_half_is_a_teleport",)),
+    Mutant("a renamed entry keeps its stale cut vector", "src/ebitnet/audit.py",
+           "carried[frozenset(slots)] = slots, entropies, None", "carried[frozenset(slots)] = slots, entropies, vector",
+           (AUDIT + "test_carried_cut_vectors_equal_fresh_ones_bit_for_bit",
+            AUDIT + "test_a_relocation_across_parties_solves_its_group_again")),
+    Mutant("a filtered entry keeps its cut vector", "src/ebitnet/audit.py",
+           "vector if len(kept) == len(entropies) else None", "vector",
+           (AUDIT + "test_carried_cut_vectors_equal_fresh_ones_bit_for_bit",
+            AUDIT + "test_a_gate_with_a_target_at_another_party_is_solved_again")),
     Mutant("a rename not applied to the slots", "src/ebitnet/audit.py",
            "slots = tuple(map(renames.get, slots, slots))", "pass",
            (AUDIT + "test_only_a_bell_discard_with_a_fresh_half_is_a_teleport",
@@ -324,9 +332,8 @@ MUTANTS = (
            (ENGINE + "TestCoalesce::test_branches_that_differ_in_a_later_factor_stay_apart",
             ENGINE + "TestFactoredAgainstDense::test_random_traces")),
     Mutant("batched results land in the wrong split", "src/ebitnet/engine.py",
-           "zip(splits, np.maximum(", "zip(splits[::-1], np.maximum(",
-           (ENGINE + "TestEntropy::test_batched_entropies_land_on_their_subsets",
-            AUDIT + "test_replay_solves_and_eigensolver_calls_are_pinned")),
+           "zip(chunk, per_branch)", "zip(chunk[::-1], per_branch)",
+           (ENGINE + "TestEntropy::test_batched_entropies_land_on_their_subsets",)),
     # branches are values that ensembles share: no operation writes into its input
     Mutant("a measurement writes its outcome into the record it shares with its input", "src/ebitnet/engine.py",
            "record = dict(b.record)", "record = b.record",

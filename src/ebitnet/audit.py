@@ -39,8 +39,16 @@ slots' current parties.  One rule (``_carry``) carries the entries from step
 to step as long as each branch keeps the same Schmidt spectrum for them:
 renames, teleports among them, rewrite the slots; a unitary within a group
 keeps the splits it does not straddle; any other event that acts on a group
-drops its entries.  Every step values every cut from these entries, and
-solves the splits it lacks in one batched call.
+drops its entries.  Each entry also carries the group's term of every cut as
+one float64 vector, 0.0 where the cut keeps the group whole: an entry the
+event leaves unchanged keeps it, and one it renames or filters is valued
+again.  Every step sums the vectors in group order, which adds each cut's
+terms in that order, as adding 0.0 is exact, and compares the monotone with
+the last step's in one vector comparison.  The splits a step lacks are solved
+in one ``engine.subset_entropies`` call, which gathers the blocks of each
+group's splits of one side size together, makes their Grams in one batched
+matmul and solves each side size in one ``eigvalsh`` call, in chunks of at
+most ``engine.ENTROPY_CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -127,18 +135,20 @@ def _leaving(terms: Terms, side: int) -> int:
     return sum(num for a, b, num in terms if a & side and not b & side)
 
 
-# a group's qubits in slot order, and the entropy of each split solved so far, keyed on
-# its mask over the slots (the smaller of the mask and its complement)
-Entry = tuple[engine.Group, dict[int, float]]
+# a group's qubits in slot order; the entropy of each split solved so far, keyed on its
+# mask over the slots (the smaller of the mask and its complement); and the group's term
+# of each cut's entropy, None until it is valued again and while no cut splits the group
+Entry = tuple[engine.Group, dict[int, float], np.ndarray | None]
 Cache = dict[frozenset[QubitId], Entry]
 
 
 class _Cuts(tuple):
     """The bipartitions of parties 1..n as masks of the side holding party 1.
-    ``splits(slots)`` gives, for a group's qubits in slot order, each distinct
-    split the cuts make of them as a slot mask (the smaller of the side's mask
-    and its complement) with the indices of the cuts that make it, worked out
-    from the slots' parties once per slot tuple."""
+    ``splits(slots)`` gives, for a group's qubits in slot order, the distinct
+    splits the cuts make of them as slot masks (the smaller of the side's mask
+    and its complement), ascending, and for each cut the place of its split in
+    that list counted from 1, 0 where the cut keeps the group whole; worked out
+    once per tuple of the slots' parties."""
 
     def __new__(cls, n: int):
         cuts = super().__new__(cls, (_mask((1, *rest)) for r in range(n - 1)
@@ -146,26 +156,22 @@ class _Cuts(tuple):
         cuts._splits = {}
         return cuts
 
-    def splits(self, slots: engine.Group) -> list[tuple[int, np.ndarray]]:
-        if slots not in self._splits:
-            at: dict[int, int] = {}  # the slots of each party, as a mask
-            for j, q in enumerate(slots):
-                at[q.party] = at.get(q.party, 0) | 1 << j
-            sides = {0: 0}  # the slots of each set of those parties, keyed on its party mask
-            for p, mask in at.items():
+    def splits(self, slots: engine.Group) -> tuple[list[int], np.ndarray]:
+        owners = tuple([q.party for q in slots])
+        if owners not in self._splits:
+            sides = {0: 0}  # the slots of each set of the slots' parties, keyed on its party mask
+            for p in set(owners):
+                mask = sum(1 << j for j, owner in enumerate(owners) if owner == p)
                 sides.update([(parties | 1 << p, side | mask) for parties, side in sides.items()])
-            whole, full = _mask(at), (1 << len(slots)) - 1
-            indices: dict[int, list[int]] = {}
-            for i, cut in enumerate(self):
-                side = sides[cut & whole]
-                split = min(side, full ^ side)  # 0 where the cut keeps the group whole
-                if split:
-                    indices.setdefault(split, []).append(i)
-            self._splits[slots] = [(split, np.array(cuts)) for split, cuts in indices.items()]
-        return self._splits[slots]
+            whole, full = _mask(owners), (1 << len(slots)) - 1
+            made = [min(side, full ^ side) for side in (sides[cut & whole] for cut in self)]
+            distinct = sorted(set(made) - {0})
+            place = {split: k for k, split in enumerate([0, *distinct])}
+            self._splits[owners] = distinct, np.array([place[split] for split in made], dtype=np.intp)
+        return self._splits[owners]
 
 
-def _cut_entropies(ens: BranchEnsemble, cuts: _Cuts, cache: Cache) -> list[float]:
+def _cut_entropies(ens: BranchEnsemble, cuts: _Cuts, cache: Cache) -> np.ndarray:
     """The average entanglement entropy across each cut, in ebits.
 
     Every branch of ``ens`` is a product over ``ens.groups``, so the entropy of
@@ -174,28 +180,38 @@ def _cut_entropies(ens: BranchEnsemble, cuts: _Cuts, cache: Cache) -> list[float
     cut splits a group into share one spectrum, so each distinct split is
     solved once, however many cuts make it.  ``cache`` holds an entry for each
     group, keyed on its qubits as a frozenset; a group without one gets one
-    whose slots are its qubits in the engine's order.  The splits the entries
-    lack are solved in one ``engine.subset_entropies`` call and added to them.
-    Each cut sums its groups' terms in the order of ``ens.groups``.
+    whose slots are its qubits in the engine's order.  An entry without a cut
+    vector is valued again: the splits it lacks, over every such entry, are
+    solved in one ``engine.subset_entropies`` call and added to it, and its
+    vector holds each cut's split entropy, 0.0 where the cut keeps the group
+    whole.  The result adds the vectors in the order of ``ens.groups``: adding
+    0.0 is exact, so each cut sums its groups' terms in that order.
     """
-    terms = []  # (entropies, splits) of each group
+    entries = []  # (key, entry) of each group
     missing, sides = [], []  # (entropies, split) of each split to solve, and its qubits
     for group in ens.groups:
-        slots, entropies = cache.setdefault(frozenset(group), (group, {}))
-        splits = cuts.splits(slots)
-        terms.append((entropies, splits))
-        for split, _ in splits:
-            if split not in entropies:
-                missing.append((entropies, split))
-                sides.append([q for j, q in enumerate(slots) if split >> j & 1])
+        key = frozenset(group)
+        entry = cache.get(key) or (group, {}, None)
+        entries.append((key, entry))
+        slots, entropies, vector = entry
+        if vector is None:
+            for split in cuts.splits(slots)[0]:
+                if split not in entropies:
+                    missing.append((entropies, split))
+                    sides.append([q for j, q in enumerate(slots) if split >> j & 1])
     if missing:
         for (entropies, split), s in zip(missing, engine.subset_entropies(ens, sides)):
             entropies[split] = s
     values = np.zeros(len(cuts))
-    for entropies, splits in terms:
-        for split, indices in splits:
-            values[indices] += entropies[split]
-    return values.tolist()
+    for key, (slots, entropies, vector) in entries:
+        if vector is None:
+            distinct, places = cuts.splits(slots)
+            if distinct:
+                vector = np.array([0.0, *[entropies[split] for split in distinct]])[places]
+            cache[key] = slots, entropies, vector
+        if vector is not None:
+            values += vector
+    return values
 
 
 def _teleport(ev: LocalMeasure, fresh: Mapping[QubitId, QubitId]) -> dict[QubitId, QubitId]:
@@ -236,15 +252,16 @@ def _carry(cache: Cache, ev: Event, fresh: dict[QubitId, QubitId]) -> Cache:
     if not named:
         return cache
     carried = {}
-    for key, (slots, entropies) in cache.items():
+    for key, (slots, entropies, vector) in cache.items():
         if key.isdisjoint(named):
-            carried[key] = slots, entropies
+            carried[key] = slots, entropies, vector
         elif not key.isdisjoint(renames):
             slots = tuple(map(renames.get, slots, slots))
-            carried[frozenset(slots)] = slots, entropies
+            carried[frozenset(slots)] = slots, entropies, None
         elif isinstance(ev, LocalGate) and key.issuperset(named):
             targets = sum(1 << slots.index(q) for q in named)
-            carried[key] = slots, {split: s for split, s in entropies.items() if split & targets in (0, targets)}
+            kept = {split: s for split, s in entropies.items() if split & targets in (0, targets)}
+            carried[key] = slots, kept, vector if len(kept) == len(entropies) else None
     return carried
 
 
@@ -362,10 +379,10 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
         report.checks_run.append("replay-monotonicity")
         report.replayed = True
         held = initial  # ebits still held across each cut, over den
-        remaining = [h / den for h in held]  # correctly rounded, as float(Fraction(h, den)) is
+        remaining = np.array([h / den for h in held])  # correctly rounded, as float(Fraction(h, den)) is
         cache: Cache = {}
         fresh: dict[QubitId, QubitId] = {}
-        last = [e + r for e, r in zip(_cut_entropies(trace.initial, cuts, cache), remaining)]
+        last = _cut_entropies(trace.initial, cuts, cache) + remaining
         at = 0  # the step being replayed: replay_events raises before it yields that step
         try:
             for step, ev, ens in replay_events(trace.initial, trace.events):
@@ -373,14 +390,14 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
                 if isinstance(ev, EbitConsume):
                     pair = _mask(ev.pair)
                     held = [h - den * _spans(pair, cut) for h, cut in zip(held, cuts)]
-                    remaining = [h / den for h in held]
-                values = [e + r for e, r in zip(_cut_entropies(ens, cuts, cache), remaining)]
-                for cut, value, previous in zip(cuts, values, last):
-                    if value > previous + ENTROPY_TOL and not _spans(_mask(ev.joined), cut):
+                    remaining = np.array([h / den for h in held])
+                values = _cut_entropies(ens, cuts, cache) + remaining
+                for i in np.flatnonzero(values > last + ENTROPY_TOL).tolist():
+                    if not _spans(_mask(ev.joined), cuts[i]):
                         report.violations.append(Violation(
                             "replay-monotonicity",
-                            f"cut {_parties(cut)}: monotone rose from {previous:.12f} "
-                            f"to {value:.12f}",
+                            f"cut {_parties(cuts[i])}: monotone rose from {float(last[i]):.12f} "
+                            f"to {float(values[i]):.12f}",
                             step,
                         ))
                 last = values

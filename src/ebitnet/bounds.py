@@ -93,8 +93,11 @@ class BoundReport:
         (te, tc), (le, lc), (cape, capc) = (self.figures[name] for name in ("teleport", "lower", "cap"))
         if le > te or lc > tc:
             raise AssertionError(f"n={self.n}: lower bound exceeds the teleportation figure")
-        if self.n >= 3 and cape > le:
-            raise AssertionError(f"n={self.n}: cap exceeds the lower bound")
+        # for ebits and bits alike, the cap lies strictly below the lower bound from n = 4;
+        # at n = 2 and 3 the two are equal
+        for cap, low in ((cape, le), (capc, lc)):
+            if cap > low or cap == low and self.n >= 4:
+                raise AssertionError(f"n={self.n}: cap {'reaches' if cap == low else 'exceeds'} the lower bound")
         if any(v < 0 for v in (te, tc, le, lc, cape, capc)):
             raise AssertionError(f"n={self.n}: negative bound value")
 
@@ -145,7 +148,7 @@ def integer_comm_boundary(n_max: int) -> int | None:
     equals the teleportation figure (scanning odd n up to n_max)."""
     boundary = None
     for n in range(3, n_max + 1, 2):
-        if math.ceil(half_transfer_bounds(n)[1]) == 4 * (n - 1):
+        if math.ceil(half_transfer_bounds(n)[1]) == teleport_resources(n)[1]:
             boundary = boundary or n
         else:
             boundary = None

@@ -120,7 +120,7 @@ def _simulate_star(n: int, rng: np.random.Generator, hub: int, cap: int, permuta
         ("fidelity", fid >= 1 - 1e-9, f"output state fidelity {fid:.15f}"),
         ("ledger-matrix", star, "per-pair usage equals the hub star pattern" if star
          else "per-pair usage deviates from the hub star pattern"),
-        ("ledger-totals", led.total_consumed() == 2 * (n - 1) and led.total_bits_sent() == 4 * (n - 1),
+        ("ledger-totals", (led.total_consumed(), led.total_bits_sent()) == bounds.teleport_resources(n),
          f"consumed {led.total_consumed()}, sent {led.total_bits_sent()}"),
     ]
 

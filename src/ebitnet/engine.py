@@ -52,6 +52,8 @@ POVM_TOL = 1e-10
 PRUNE_TOL = 1e-14
 COALESCE_TOL = 1e-10
 EIG_TOL = 1e-12
+# the most bytes one chunk of subset_entropies holds at once (see _chunks)
+ENTROPY_CHUNK_BYTES = 32 << 20
 
 
 class RegistryCapacityError(RuntimeError):
@@ -243,35 +245,63 @@ class Povm:
 # low-level index plumbing
 
 
+@lru_cache(maxsize=1024)
+def _contraction(positions: tuple[int, ...], k: int) -> tuple[list[int], list[int], list[int]]:
+    """The axis permutations of a gate on the bits ``positions`` of a 2**k statevector,
+    as np.tensordot and np.moveaxis work them out: of the (2,) * 2m gate tensor, so
+    that its column bits, bit j first, follow its row bits; of the (2,) * k state
+    tensor, so that the axes of gate bits 0..m-1 lead; and of the product, so that
+    row bit j (its axis m-1-j) goes back to the state axis of gate bit j."""
+    m = len(positions)
+    state_axes = [k - 1 - p for p in positions]  # axis of gate bit j
+    op_order = [*range(m), *(2 * m - 1 - j for j in range(m))]
+    state_order = [*state_axes, *(a for a in range(k) if a not in state_axes)]
+    rows = [m - 1 - j for j in range(m)]
+    out_order = [a for a in range(k) if a not in rows]
+    for dest, src in sorted(zip(state_axes, rows)):
+        out_order.insert(dest, src)
+    return op_order, state_order, out_order
+
+
 def _apply_matrix(vec: np.ndarray, positions: Sequence[int], matrix: np.ndarray, k: int) -> np.ndarray:
     """Apply ``matrix`` to the bits ``positions`` of a 2**k statevector.
 
-    This stays on tensordot: a matmul over ``_block`` sums in another order,
-    moves the last digit of recorded distributions and so changes traces.
+    This is np.tensordot's contraction of column bit j with the state axis of
+    gate bit j, then np.moveaxis of the row bits back to those axes: the same
+    transposed operands go to the same ``np.dot``, without either function's
+    axis checks.  A matmul over ``_block`` would sum in another order, move the
+    last digit of recorded distributions and so change traces.
     """
     m = len(positions)
-    tensor = vec.reshape((2,) * k)
-    state_axes = [k - 1 - p for p in positions]  # axis of gate bit j
-    op = matrix.reshape((2,) * (2 * m))
-    # contract column bit j (op axis 2m-1-j) with the state axis of gate bit j
-    out = np.tensordot(op, tensor, axes=([2 * m - 1 - j for j in range(m)], state_axes))
-    # row bit j sits at out axis m-1-j; put it back where the input axis was
-    out = np.moveaxis(out, [m - 1 - j for j in range(m)], state_axes)
-    return np.ascontiguousarray(out).reshape(-1)
+    op_order, state_order, out_order = _contraction(tuple(positions), k)
+    op = matrix.reshape((2,) * (2 * m)).transpose(op_order).reshape(1 << m, 1 << m)
+    tensor = vec.reshape((2,) * k).transpose(state_order).reshape(1 << m, -1)
+    return np.dot(op, tensor).reshape((2,) * k).transpose(out_order).reshape(-1)
+
+
+@lru_cache(maxsize=1024)
+def _block_axes(positions: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The axes of a (2,) * k state tensor in the order of its block for the bits
+    ``positions``: theirs, the last one first, then the others in index order."""
+    rows = [k - 1 - p for p in reversed(positions)]
+    return (*rows, *(a for a in range(k) if a not in rows))
 
 
 def _block(vec: np.ndarray, positions: Sequence[int], k: int) -> np.ndarray:
     """A 2**k statevector as a (2**m, rest) block for the m bits ``positions``.
 
     Row index bit j is the qubit at ``positions[j]``; columns run over the
-    other qubits in their original index order.  A stack of statevectors,
-    shape (..., 2**k), gives the stack of their blocks.
+    other qubits in their original index order.
     """
-    lead = vec.ndim - 1
-    axes = [lead + k - 1 - p for p in reversed(positions)]
-    order = [*range(lead), *axes, *(a for a in range(lead, lead + k) if a not in axes)]
-    tensor = vec.reshape(vec.shape[:-1] + (2,) * k)
-    return np.transpose(tensor, order).reshape(*vec.shape[:-1], 1 << len(positions), -1)
+    return vec.reshape((2,) * k).transpose(_block_axes(tuple(positions), k)).reshape(1 << len(positions), -1)
+
+
+def _blocks(stack: np.ndarray, sides: Sequence[Sequence[int]], k: int) -> np.ndarray:
+    """The ``_block`` of each statevector of a (B, 2**k) stack for each of ``sides``,
+    all of m bits, as one (B, len(sides), 2**m, 2**(k - m)) array made in one copy."""
+    tensor = stack.reshape(len(stack), 1, *(2,) * k)
+    views = [tensor.transpose(0, 1, *[a + 2 for a in _block_axes(tuple(side), k)]) for side in sides]
+    return np.concatenate(views, axis=1).reshape(len(stack), len(sides), 1 << len(sides[0]), -1)
 
 
 def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -621,45 +651,85 @@ def subset_entropies(ensemble: BranchEnsemble, subsets: Iterable[Iterable[QubitI
     the sum, over the groups the subset splits, of the entropy of the
     subset's part of that group's factor.  The factor is pure, so the part and
     the rest of the group share one Schmidt spectrum; it is read from the
-    reduced densities of the smaller side.  Each group's factors are stacked
-    over the branches once, each split gets one (B, 2^m, 2^m) Gram stack for
-    its side of m qubits, and the Grams of each side size go through one
-    ``eigvalsh`` call.
+    reduced densities of the smaller side.  The splits are solved side size by
+    side size, in chunks of at most ENTROPY_CHUNK_BYTES (``_chunks``): within a
+    chunk, the blocks of each group's splits are copied out of its
+    branch-stacked factors together (``_blocks``) and get their (B, 2^m, 2^m)
+    Grams in one batched matmul, and the whole chunk goes through one
+    ``eigvalsh`` call, which solves each matrix on its own.  A subset adds its
+    splits' per-branch entropies in Python floats, side size by side size in
+    the order its own groups show them, and then weighs the branches in order;
+    so its value does not depend on the other subsets of the call.
     """
     groups, branches = ensemble.groups, ensemble.branches
     where = {q: (i, j) for i, group in enumerate(groups) for j, q in enumerate(group)}
-    # side size -> (subset index, group index, smaller side as bits of the group's factor)
-    by_size: dict[int, list[tuple[int, int, list[int]]]] = {}
-    count = 0
-    for count, subset in enumerate(subsets, start=1):
+    # side size -> (group index, smaller side as bits of the group's factor) of each split
+    by_size: dict[int, list[tuple[int, list[int]]]] = {}
+    terms = []  # of each subset, the (side size, index in by_size) of its splits, in the order they add up
+    for subset in subsets:
         wanted = set(subset)
         missing = wanted.difference(where)
         if missing:
             raise ValueError(f"unknown target qubit {min(missing)!r}")
+        own: dict[int, list[int]] = {}  # its splits' indices in by_size, by side size in order of appearance
         # the (group, bit) pairs sorted: group by group, each group's bits ascending
         for i, located in groupby(sorted(map(where.__getitem__, wanted)), key=itemgetter(0)):
             bits = [j for _, j in located]
             size = len(groups[i])
             side = bits if 2 * len(bits) <= size else [j for j in range(size) if j not in bits]
             if side:  # an empty side is a product cut, of entropy 0
-                by_size.setdefault(len(side), []).append((count - 1, i, side))
-    per_subset: list[np.ndarray | None] = [None] * count
+                splits = by_size.setdefault(len(side), [])
+                own.setdefault(len(side), []).append(len(splits))
+                splits.append((i, side))
+        terms.append([(m, s) for m, indices in own.items() for s in indices])
+    solved: dict[int, list] = {}  # side size -> per-branch entropies of each split
     stacks: dict[int, np.ndarray] = {}
-    for splits in by_size.values():
-        grams = []
-        for _, i, side in splits:
-            if i not in stacks:
-                stacks[i] = (branches[0].factors[i][np.newaxis] if len(branches) == 1
-                             else np.stack([b.factors[i] for b in branches]))
-            blocks = _block(stacks[i], side, len(groups[i]))
-            grams.append(blocks @ blocks.conj().swapaxes(-1, -2))
-        eigs = np.linalg.eigvalsh(np.stack(grams))
-        logs = np.log2(eigs, out=np.zeros_like(eigs), where=eigs > EIG_TOL)
-        # clamped at 0: an eigenvalue a rounding error above 1 has a small negative term
-        for (k, _, _), per_branch in zip(splits, np.maximum(-np.sum(eigs * logs, axis=-1), 0.0)):
-            per_subset[k] = per_branch if per_subset[k] is None else per_subset[k] + per_branch
-    return [0.0 if per_branch is None else float(sum(b.probability * s for b, s in zip(branches, per_branch)))
-            for per_branch in per_subset]
+    for m, splits in by_size.items():
+        solved[m] = [None] * len(splits)
+        for chunk in _chunks(splits, len(branches), list(map(len, groups))):
+            grams = np.empty((len(branches), len(chunk), 1 << m, 1 << m), dtype=complex)
+            at = 0
+            for i, run in groupby(chunk, key=lambda s: splits[s][0]):
+                run = list(run)
+                if i not in stacks:
+                    stacks[i] = (branches[0].factors[i][np.newaxis] if len(branches) == 1
+                                 else np.stack([b.factors[i] for b in branches]))
+                blocks = _blocks(stacks[i], [splits[s][1] for s in run], len(groups[i]))
+                np.matmul(blocks, blocks.conj().swapaxes(-1, -2), out=grams[:, at:at + len(run)])
+                at += len(run)
+            eigs = np.linalg.eigvalsh(grams)
+            logs = np.log2(eigs, out=np.zeros(eigs.shape), where=eigs > EIG_TOL)
+            # np.add.reduce is np.sum without its wrapper; clamped at 0: an eigenvalue a
+            # rounding error above 1 has a small negative term
+            per_branch = np.maximum(-np.add.reduce(eigs * logs, axis=-1), 0.0).T.tolist()
+            for s, values in zip(chunk, per_branch):
+                solved[m][s] = values
+    probabilities = [b.probability for b in branches]
+    entropies = []
+    for subset_terms in terms:
+        per_branch = [0.0] * len(branches)
+        for m, s in subset_terms:
+            per_branch = [a + b for a, b in zip(per_branch, solved[m][s])]
+        entropies.append(sum(p * s for p, s in zip(probabilities, per_branch)))
+    return entropies
+
+
+def _chunks(splits: Sequence[tuple[int, list[int]]], n_branches: int, sizes: Sequence[int]) -> list[list[int]]:
+    """The indices of ``splits``, all of one side size, sorted by group and cut into
+    runs that each hold at most ENTROPY_CHUNK_BYTES at once; ``sizes`` are the
+    groups' qubit counts.  A split holds its blocks and their conjugates and its
+    Gram stack; a split over the limit is a run of its own."""
+    chunks: list[list[int]] = []
+    held = ENTROPY_CHUNK_BYTES
+    for s in sorted(range(len(splits)), key=lambda s: splits[s][0]):
+        i, side = splits[s]
+        need = 16 * n_branches * ((2 << sizes[i]) + (1 << 2 * len(side)))
+        if held + need > ENTROPY_CHUNK_BYTES:
+            chunks.append([])
+            held = 0
+        chunks[-1].append(s)
+        held += need
+    return chunks
 
 
 def entanglement_entropy(

@@ -809,7 +809,8 @@ def audit_monotone_series(monkeypatch, trace, bundle):
         partitions.append(ens.groups)
         entropies = cut_entropies(ens, cut_masks, cache)
         groups = set(map(frozenset, ens.groups))
-        stale.extend((len(partitions) - 1, key) for key, (_, solved) in cache.items() if solved and key not in groups)
+        stale.extend((len(partitions) - 1, key) for key, (_, solved, _) in cache.items()
+                     if solved and key not in groups)
         for mask, value in zip(cut_masks, entropies):
             latest[frozenset(p for p in parties if mask >> p & 1)] = value
         return entropies
@@ -877,7 +878,7 @@ def walked_cut_entropies(groups, cut_masks, cache):
     walked against every cut, each cut's terms added in group order."""
     entropies = [0.0] * len(cut_masks)
     for group in groups:
-        slots, solved = cache[frozenset(group)]
+        slots, solved, _ = cache[frozenset(group)]
         for i, cut in enumerate(cut_masks):
             split = slot_split(slots, cut)
             if split:
@@ -893,13 +894,13 @@ def test_cut_entropies_equal_the_walk_of_every_group_against_every_cut(protocol)
     cuts = audit._Cuts(trace.n_parties)
     cache, fresh = {}, {}
     entropies = audit._cut_entropies(trace.initial, cuts, cache)
-    assert entropies == walked_cut_entropies(trace.initial.groups, cuts, cache)
+    assert entropies.tolist() == walked_cut_entropies(trace.initial.groups, cuts, cache)
     for _, ev, ens in audit.replay_events(trace.initial, trace.events):
         cache = audit._carry(cache, ev, fresh)
         entropies = audit._cut_entropies(ens, cuts, cache)
-        assert entropies == walked_cut_entropies(ens.groups, cuts, cache), ev
+        assert entropies.tolist() == walked_cut_entropies(ens.groups, cuts, cache), ev
         # no entry outlives its group with a solved split
-        assert {key for key, (_, solved) in cache.items() if solved} <= set(map(frozenset, ens.groups)), ev
+        assert {key for key, (_, solved, _) in cache.items() if solved} <= set(map(frozenset, ens.groups)), ev
 
 
 def random_trace(data):
@@ -1032,6 +1033,30 @@ def test_monotone_series_of_random_traces_matches_the_per_branch_formula(data):
     assert [v.step for v in report.violations if v.check == "locality"] == strays
     assert_series_matches_the_per_branch_formula(trace, states, series)
     assert_groups_partition_the_registry(states, partitions)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_carried_cut_vectors_equal_fresh_ones_bit_for_bit(data):
+    """At every step of a random trace, the cut values the replay carries equal,
+    bit for bit, those of a fresh valuation from the carried split entropies: the
+    vectors rebuilt from an empty cache given only those entropies, and the walk of
+    every group against every cut.  A fresh solve of every split agrees to 1e-12;
+    it need not agree bit for bit, as a carried split was solved on an earlier
+    state with the same spectrum."""
+    trace = random_trace(data)
+    cuts = audit._Cuts(trace.n_parties)
+    cache, fresh = {}, {}
+    states = itertools.chain([(None, None, trace.initial)], audit.replay_events(trace.initial, trace.events))
+    for _, ev, ens in states:
+        if ev is not None:
+            cache = audit._carry(cache, ev, fresh)
+        carried = audit._cut_entropies(ens, cuts, cache)
+        entries = {key: (slots, dict(solved), None) for key, (slots, solved, _) in cache.items()}
+        rebuilt = audit._cut_entropies(ens, cuts, entries)
+        assert carried.tobytes() == rebuilt.tobytes(), ev
+        assert carried.tolist() == walked_cut_entropies(ens.groups, cuts, cache), ev
+        assert np.abs(carried - audit._cut_entropies(ens, cuts, {})).max(initial=0.0) <= 1e-12, ev
 
 
 @given(st.data())

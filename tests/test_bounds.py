@@ -235,6 +235,26 @@ class TestReports:
             if rep.parity == "odd":
                 assert low_e <= rep.figures["half_transfer"][0] <= tel_e
 
+    @pytest.mark.parametrize("n,name,index,value,message", [
+        (4, "cap", 1, Fraction(12), "cap reaches the lower bound"),  # bits, at n >= 4 strictly below
+        (4, "cap", 0, Fraction(6), "cap reaches the lower bound"),
+        (5, "cap", 1, Fraction(14), "cap exceeds the lower bound"),
+        (3, "cap", 1, Fraction(7), "cap exceeds the lower bound"),  # at n = 3 equal is allowed, more is not
+        (2, "cap", 1, Fraction(5), "cap exceeds the lower bound"),
+    ])
+    def test_report_refuses_a_cap_not_below_the_lower_bound(self, n, name, index, value, message):
+        figures = dict(bounds.bound_report(n).figures)
+        pair = list(figures[name])
+        pair[index] = value
+        figures[name] = tuple(pair)
+        with pytest.raises(AssertionError, match=f"^n={n}: {message}$"):
+            bounds.BoundReport(n, figures)
+
+    def test_caps_meet_the_lower_bounds_at_two_and_three_parties(self):
+        for n in (2, 3):
+            figures = bounds.bound_report(n).figures
+            assert figures["cap"] == figures["lower"]
+
     @pytest.mark.parametrize("n_max", [2, 3, 64])
     def test_tables_read_back_to_the_report_figures(self, n_max):
         """Each CSV and JSON cell parses back to its report's figure: the ebits row

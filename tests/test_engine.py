@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -244,6 +245,24 @@ class TestReducedDensity:
         assert np.allclose(left, right, atol=1e-9)
 
 
+class TestApplyMatrix:
+    @given(st.integers(min_value=1, max_value=8), st.booleans(), st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_tensordot_and_moveaxis_bit_for_bit(self, k, adjoint, seed, data):
+        rng = np.random.default_rng(seed)
+        positions = data.draw(st.permutations(range(k)))[:data.draw(st.integers(min_value=1, max_value=k))]
+        m = len(positions)
+        vec = gates.random_state(1 << k, rng)
+        matrix = gates.haar_unitary(1 << m, rng)
+        matrix = matrix.conj().T if adjoint else matrix  # a Bell measurement's undo is such a transposed view
+        state_axes = [k - 1 - p for p in positions]
+        out = np.tensordot(matrix.reshape((2,) * (2 * m)), vec.reshape((2,) * k),
+                           axes=([2 * m - 1 - j for j in range(m)], state_axes))
+        want = np.ascontiguousarray(np.moveaxis(out, [m - 1 - j for j in range(m)], state_axes)).reshape(-1)
+        assert engine._apply_matrix(vec, positions, matrix, k).tobytes() == want.tobytes()
+
+
 class TestEntropy:
     def test_bell_pair_one_ebit(self):
         ens, a, b = bell_pair_ensemble(party_a=1, party_b=2)
@@ -314,18 +333,66 @@ class TestEntropy:
         rest = [q for q in ens.registry if q not in subset]
         assert abs(engine.subset_entropies(ens, [subset])[0] - engine.subset_entropies(ens, [rest])[0]) <= 1e-12
 
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=3),
-           st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_batched_entropies_land_on_their_subsets(self, k, n_branches, seed, data):
-        """One call over many subsets, whose smaller sides share a size or not,
-        gives each subset the entropy a call of its own gives it."""
-        ens = self.random_ensemble(k, n_branches, seed)
-        subsets = data.draw(st.lists(st.sets(st.sampled_from(ens.registry)), max_size=6))
-        batched = engine.subset_entropies(ens, subsets)
-        assert len(batched) == len(subsets)
-        for subset, value in zip(subsets, batched):
-            assert abs(value - engine.subset_entropies(ens, [subset])[0]) <= 1e-12
+    @staticmethod
+    def grouped_ensemble(sizes, n_branches, seed):
+        """A random ensemble whose branches are products over groups of ``sizes``
+        qubits, the qubits held by parties 1..3."""
+        rng = np.random.default_rng(seed)
+        groups, start = [], 0
+        for k in sizes:
+            groups.append(tuple(QubitId(int(rng.integers(1, 4)), f"x{start + j}") for j in range(k)))
+            start += k
+        weights = rng.random(n_branches) + 0.1
+        branches = [engine.Branch(float(w), tuple(gates.random_state(1 << k, rng) for k in sizes), {})
+                    for w in weights / weights.sum()]
+        return BranchEnsemble(tuple(q for g in groups for q in g), branches, engine.DEFAULT_MAX_QUBITS, 0,
+                              tuple(groups))
+
+    @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3),
+           st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.sampled_from([None, 1, 4096]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_batched_entropies_land_on_their_subsets(self, sizes, n_branches, seed, chunk_bytes, data):
+        """One call over many subsets, whose smaller sides share a size or not and
+        whose splits are solved in chunks of the default size, of a few splits or of
+        one, gives each subset the bits a call of its own gives it."""
+        ens = self.grouped_ensemble(sizes, n_branches, seed)
+        subsets = data.draw(st.lists(st.sets(st.sampled_from(ens.registry)), max_size=8))
+        singles = [engine.subset_entropies(ens, [subset])[0] for subset in subsets]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if chunk_bytes is not None:
+                monkeypatch.setattr(engine, "ENTROPY_CHUNK_BYTES", chunk_bytes)
+            assert engine.subset_entropies(ens, subsets) == singles
+
+    def test_chunks_cross_a_group_and_hold_their_bound(self, monkeypatch):
+        # 4 branches, groups of 4 and 6 qubits: a side-2 split holds 16 * 4 * (2 * 2^k + 16) bytes,
+        # 3,072 for the first group and 9,216 for the second.  The chunks run group by group,
+        # and the first one ends within the second group
+        splits = [(1, [0, 1]), (0, [0, 1]), (1, [2, 3]), (0, [1, 2]), (1, [0, 5])]
+        monkeypatch.setattr(engine, "ENTROPY_CHUNK_BYTES", 2 * 9216)
+        assert engine._chunks(splits, 4, [4, 6]) == [[1, 3, 0], [2, 4]]
+        monkeypatch.setattr(engine, "ENTROPY_CHUNK_BYTES", 1)
+        assert engine._chunks(splits, 4, [4, 6]) == [[1], [3], [0], [2], [4]]
+
+    def test_a_sixteen_qubit_factor_is_solved_in_chunks_of_at_most_32_mb(self):
+        # every side-8 split of one 16-qubit group, as a ps n=16 replay starts: 6,435 Grams
+        # of 256^2 entries, 6.7 GB at once; counted, not allocated
+        splits = [(0, list(side)) for side in itertools.combinations(range(16), 8)]
+        chunks = engine._chunks(splits, 1, [16])
+        per_split = 16 * ((2 << 16) + (1 << 16))
+        assert engine.ENTROPY_CHUNK_BYTES == 32 << 20
+        assert sorted(s for chunk in chunks for s in chunk) == list(range(len(splits)))
+        assert max(len(chunk) for chunk in chunks) * per_split <= engine.ENTROPY_CHUNK_BYTES
+
+    def test_one_eigensolver_call_per_side_size_within_a_chunk(self, monkeypatch):
+        ens = self.grouped_ensemble([5, 4, 3], 2, 17)
+        subsets = [[q] for q in ens.registry] + [list(g[:2]) for g in ens.groups]
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda grams: calls.append(grams.shape) or eigvalsh(grams))
+        engine.subset_entropies(ens, subsets)
+        # the pairs of the 5- and 4-qubit groups are sides of 2, that of the 3-qubit group its third qubit
+        assert calls == [(2, 13, 2, 2), (2, 2, 4, 4)]
 
     def test_measurement_cannot_raise_average_entropy(self):
         rng = np.random.default_rng(29)
