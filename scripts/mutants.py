@@ -268,11 +268,11 @@ MUTANTS = (
            "groups, sources = product_groups(ensemble.groups, joined=joined)",
            "groups, sources = product_groups(ensemble.groups)",
            (SERIES + "[perm-entangle]", SERIES + "[swap-entangle]")),
-    Mutant("a Bell measurement skips the join of its pair's groups and its basis change", "src/ebitnet/engine.py",
-           "ens = _evolve(ensemble, pair, lambda branch: _BELL_BASIS_CHANGE)", "ens = ensemble",
+    Mutant("a Bell measurement skips its basis change", "src/ebitnet/engine.py",
+           "_measure(ensemble, pair, discard, _BELL_BASIS_CHANGE)", "_measure(ensemble, pair, discard, None)",
            (SERIES + "[star-op]", AUDIT + "TestAuditCleanRuns::test_star_run_is_clean")),
     Mutant("discarded qubits stay in their group", "src/ebitnet/engine.py",
-           "discarded=gone if discard else frozenset())", "discarded=frozenset())",
+           "product_groups(joined, discarded=gone)", "product_groups(joined, discarded=frozenset())",
            (SERIES + "[star-op]",
             AUDIT + "test_monotone_values_every_cut_at_every_step_and_solves_only_after_state_changes")),
     Mutant("a consumed pair split into two groups", "src/ebitnet/engine.py",
@@ -314,9 +314,9 @@ MUTANTS = (
            "slots = tuple(map(renames.get, slots, slots))", "pass",
            (AUDIT + "test_only_a_bell_discard_with_a_fresh_half_is_a_teleport",
             AUDIT + "test_replay_solves_and_eigensolver_calls_are_pinned")),
-    # the factored engine: a gate in the kron of its targets' factors, the other factors shared,
-    # and coalesce comparing factor by factor
-    Mutant("a gate across two factors applied to the first factor only", "src/ebitnet/engine.py",
+    # the factored engine: a gate or a measurement in the kron of its targets' factors, the other
+    # factors shared, and coalesce comparing factor by factor
+    Mutant("a join across two factors gathers the first factor only", "src/ebitnet/engine.py",
            "_kron([b.factors[i] for i in hit])", "_kron([b.factors[i] for i in hit[:1]])",
            (ENGINE + "TestFactoredAgainstDense::test_random_traces",
             ENGINE + "TestEntropy::test_two_cross_pairs_two_ebits")),
@@ -325,7 +325,7 @@ MUTANTS = (
            (ENGINE + "TestFactoredAgainstDense::test_random_traces",
             ENGINE + "TestFactoredAgainstDense::test_protocol_runs")),
     Mutant("a gate copies the factors it does not touch", "src/ebitnet/engine.py",
-           "(*(b.factors[i] for (i,) in apart), factor)", "(*(b.factors[i].copy() for (i,) in apart), factor)",
+           "(*(b.factors[i] for i in apart), factor)", "(*(b.factors[i].copy() for i in apart), factor)",
            (ENGINE + "TestFactoredAgainstDense::test_protocol_runs",)),
     Mutant("coalesce compares only the first factor", "src/ebitnet/engine.py",
            "zip(canon_k, canon)", "zip(canon_k[:1], canon[:1])",
@@ -339,9 +339,17 @@ MUTANTS = (
            "record = dict(b.record)", "record = b.record",
            (ENGINE + "TestFactoredAgainstDense::test_operations_leave_their_input_unchanged",)),
     Mutant("a reduced density orders its subset by registry position", "src/ebitnet/engine.py",
-           "located = [ensemble.locate(q) for q in subset]",
-           "located = [ensemble.locate(q) for q in sorted(subset, key=ensemble.position)]",
+           '_join(ensemble, subset, "reduced density")',
+           '_join(ensemble, sorted(subset, key=ensemble.registry.index), "reduced density")',
            (PROTOCOLS + "TestCollectiveStar::test_povm_bits_follow_the_target_order_at_every_hub",)),
+    # the one measurement kernel: an outcome is one row of the joined factor's block
+    Mutant("a kept outcome is scattered into the wrong rows", "src/ebitnet/engine.py",
+           "state[index_rows[code]] = collapsed", "state[index_rows[code][::-1]] = collapsed",
+           (ENGINE + "TestBlockKernelAgainstMasks::test_measurement_matches_mask_reference",)),
+    Mutant("a Bell measurement without discard skips the basis change back", "src/ebitnet/engine.py",
+           "state = _apply_matrix(state, positions, basis_change.conj().T, size)", "pass",
+           (ENGINE + "TestBellTools::test_bell_measure_without_discard_collapses",
+            ENGINE + "TestMeasurementJoins::test_bell_measure_equals_the_composed_measurement_bit_for_bit")),
 )
 
 

@@ -13,7 +13,9 @@ Exit codes: 0 on success with all postconditions held, 1 when a
 postcondition or audit check fails, 2 on invalid arguments, malformed
 input or an output path that cannot be written, 141 (128 + SIGPIPE) when
 stdout is closed before the output is written.  Identical flags and seed
-produce byte-identical output files; the optional ``--sample`` mode only
+produce byte-identical output files on a fixed BLAS thread count
+(``OPENBLAS_NUM_THREADS``): from 128x128 up, the Haar draw's QR gives other
+bytes on another thread count.  The optional ``--sample`` mode only
 prints illustrative draws and never affects exit codes.  The environment
 variable EBITNET_MAX_QUBITS overrides the default registry cap of 24 for
 ``simulate`` and ``audit``; a trace cannot raise the cap in force.
@@ -27,7 +29,7 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +316,7 @@ def cmd_audit(args) -> int:
 # entry point
 
 
+@cache  # parse_args leaves the parser as it was, so every call of main shares one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ebitnet",

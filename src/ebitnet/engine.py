@@ -11,11 +11,11 @@ factor per group, and bit j of a factor is the group's j-th qubit.
 ``product_groups`` is the one rule that carries the groups through an
 operation; only the engine calls it, and the audit's replay reads the
 groups from each ensemble.  New qubits start groups of their own (a phi+
-pair one group), a gate or a Bell measurement joins its targets' groups
-into one whose factor is the kron of theirs, discarded qubits leave their
-group, and renames rename its members.  A computational measurement acts
-within each target's factor and joins nothing.  ``branch_vectors`` builds the
-dense vectors over the registry on demand.
+pair one group), a gate or a measurement joins its targets' groups into one
+whose factor is the kron of theirs, discarded qubits leave their group, and
+renames rename its members.  ``_join`` locates an operation's targets and
+joins their groups for gates, measurements and reduced densities alike.
+``branch_vectors`` builds the dense vectors over the registry on demand.
 
 Conventions, fixed once:
 
@@ -142,12 +142,6 @@ class BranchEnsemble:
 
     def parties(self) -> set[int]:
         return {q.party for q in self.registry}
-
-    def position(self, qubit: QubitId) -> int:
-        try:
-            return self.registry.index(qubit)
-        except ValueError:
-            raise ValueError(f"unknown target qubit {qubit!r}") from None
 
     def locate(self, qubit: QubitId) -> tuple[int, int]:
         """The index of ``qubit``'s group and its bit in that group's factor."""
@@ -317,14 +311,6 @@ def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
     return vec
 
 
-def _offsets(groups: Sequence[Group], indices: Iterable[int]) -> dict[int, int]:
-    """For the groups at ``indices``, taken in that order, the first bit each takes in the kron of their factors."""
-    offsets, bit = {}, 0
-    for i in indices:
-        offsets[i], bit = bit, bit + len(groups[i])
-    return offsets
-
-
 # --------------------------------------------------------------------------
 # product groups
 
@@ -341,7 +327,7 @@ def product_groups(
 
     This is the one grouping rule of the engine's factors; only the engine
     calls it.  ``renames`` maps a qubit to the id it has afterwards.
-    A gate or a Bell measurement acts on the set ``joined`` at once: the groups
+    A gate or a measurement acts on the set ``joined`` at once: the groups
     holding any of those qubits become one group, placed last, that lists their
     qubits group by group, so its factor is the kron of theirs.  The set
     ``discarded`` then leaves its groups, and a group left with none of its
@@ -362,6 +348,30 @@ def product_groups(
         groups = [groups[j] if discarded.isdisjoint(groups[j]) else tuple([q for q in groups[j] if q not in discarded])
                   for j in kept]
     return (*groups, *added), sources + [()] * len(added)
+
+
+def _join(ensemble: BranchEnsemble, targets: Sequence[QubitId], what: str):
+    """Locate the targets of a ``what`` (a gate, a measurement or a reduced
+    density), once they are nonempty and distinct, and join their groups by
+    ``product_groups``: every engine operation on targets starts here.
+
+    Returns the groups after the join, the joined one last; the indices of the
+    groups left apart; each target's bit in the kron of the joined factors; and
+    that kron of each branch in turn, which the caller must not write into.
+    """
+    joined = set(targets)
+    if not joined:  # it would add a group of no qubits
+        raise ValueError(f"a {what} needs at least one target")
+    if len(joined) != len(targets):
+        raise ValueError(f"{what} targets must be distinct")
+    located = [ensemble.locate(q) for q in targets]
+    groups, sources = product_groups(ensemble.groups, joined=joined)
+    *apart, hit = sources
+    offsets, bit = {}, 0  # each joined group's first bit in the kron of their factors
+    for i in hit:
+        offsets[i], bit = bit, bit + len(ensemble.groups[i])
+    return (groups, [i for (i,) in apart], [offsets[i] + j for i, j in located],
+            (_kron([b.factors[i] for i in hit]) for b in ensemble.branches))
 
 
 # --------------------------------------------------------------------------
@@ -412,7 +422,7 @@ def relabel_qubits(ensemble: BranchEnsemble, renames: Mapping[QubitId, QubitId])
     shared with ``ensemble``.
     """
     for old in renames:
-        ensemble.position(old)
+        ensemble.locate(old)
     registry = tuple(map(renames.get, ensemble.registry, ensemble.registry))
     if len(set(registry)) != len(registry):
         twice = next(q for q in registry if registry.count(q) > 1)
@@ -460,22 +470,11 @@ def apply_conditional(
 def _evolve(ensemble: BranchEnsemble, targets: Sequence[QubitId], matrix_of) -> BranchEnsemble:
     """Apply ``matrix_of(branch)`` to ``targets`` of every branch, in the factor of
     their joined groups; the other factors are shared."""
-    joined = set(targets)
-    if not joined:  # it would add a group of no qubits
-        raise ValueError("a gate needs at least one target")
-    if len(joined) != len(targets):
-        raise ValueError("gate targets must be distinct")
-    located = [ensemble.locate(q) for q in targets]
-    groups, sources = product_groups(ensemble.groups, joined=joined)
-    *apart, hit = sources
-    offsets = _offsets(ensemble.groups, hit)
-    positions = [offsets[i] + j for i, j in located]
-    size = len(groups[-1])
+    groups, apart, positions, gathered = _join(ensemble, targets, "gate")
     branches = []
-    for b in ensemble.branches:
-        factor = _apply_matrix(_kron([b.factors[i] for i in hit]), positions, matrix_of(b), size)
-        factors = (*(b.factors[i] for (i,) in apart), factor)
-        branches.append(Branch(b.probability, factors, b.record))
+    for b, factor in zip(ensemble.branches, gathered):
+        factor = _apply_matrix(factor, positions, matrix_of(b), len(groups[-1]))
+        branches.append(Branch(b.probability, (*(b.factors[i] for i in apart), factor), b.record))
     out = BranchEnsemble(ensemble.registry, branches, ensemble.max_qubits, ensemble.measurement_count, groups)
     out.check(fresh=(len(groups) - 1,))
     return out
@@ -487,72 +486,60 @@ def measure_computational(
     """Projective measurement in the computational basis.
 
     Every branch splits into its nonzero outcomes with Born-rule weights;
-    branches below the pruning threshold are dropped.  The measurement acts
-    within each target's factor: an outcome's weight is the product of the
-    weights of its parts in those factors.  With ``discard`` the measured
-    qubits leave the registry.  The outcome string lists target values in
-    target order.  Returns the post-measurement ensemble and the aggregate
-    outcome distribution.
+    branches below the pruning threshold are dropped.  The measurement joins
+    its targets' groups as a gate does.  With ``discard`` the measured qubits
+    leave the registry.  The outcome string lists target values in target
+    order.  Returns the post-measurement ensemble and the aggregate outcome
+    distribution.
     """
-    located = [ensemble.locate(q) for q in targets]
-    m = len(targets)
-    if len(set(located)) != m:
-        raise ValueError("measurement targets must be distinct")
-    midx = ensemble.measurement_count
-    outcomes = _outcome_strings(m)
-    # each measured group, in the order of its first target, with the bits of its targets in target order
-    touched: dict[int, list[int]] = {}
-    for i, j in located:
-        touched.setdefault(i, []).append(j)
-    measured = [(i, bits, len(ensemble.groups[i])) for i, bits in touched.items()]
-    first = list(touched)
-    codes = _group_codes(tuple(first.index(i) for i, _ in located))
-    # row ``code`` of a group's index block lists the factor indices of that outcome
-    index_rows = None if discard else [_block(np.arange(1 << size), bits, size) for _, bits, size in measured]
-    gone = set(targets)
-    groups, sources = product_groups(ensemble.groups, discarded=gone if discard else frozenset())
-    kept = [i for (i,) in sources]
+    return _measure(ensemble, targets, discard, None)
+
+
+def _measure(ensemble: BranchEnsemble, targets: Sequence[QubitId], discard: bool,
+             basis_change: np.ndarray | None) -> tuple[BranchEnsemble, dict[str, float]]:
+    """The one measurement kernel: it acts on one block of the joined factor of
+    ``targets``, after ``basis_change`` when one is given.
+
+    Row ``code`` of the block holds the amplitudes of that outcome, so its
+    squared norm is the outcome's weight.  A discarded outcome keeps the row
+    alone, and the joined group shrinks by the targets; a kept one is scattered
+    back into the factor indices it came from, and the adjoint of
+    ``basis_change`` is applied to it.
+    """
+    joined, apart, positions, gathered = _join(ensemble, targets, "measurement")
+    size, gone = len(joined[-1]), set(targets)
+    groups = product_groups(joined, discarded=gone)[0] if discard else joined
     registry = tuple([q for q in ensemble.registry if q not in gone]) if discard else ensemble.registry
+    remains = len(groups) > len(apart)  # the joined group keeps a qubit
+    # row ``code`` of the index block lists the factor indices of that outcome
+    index_rows = None if discard else _block(np.arange(1 << size), positions, size)
+    midx = ensemble.measurement_count
     dist: dict[str, float] = {}
     branches: list[Branch] = []
-    for b in ensemble.branches:
-        blocks = [_block(b.factors[i], bits, size) for i, bits, size in measured]
-        # np.add.reduce is np.sum without its wrapper: the same pairwise sum
-        weights = [[float(np.add.reduce(np.abs(row) ** 2)) for row in block] for block in blocks]
-        for outcome, parts in zip(outcomes, codes):
-            prob = b.probability * math.prod(map(list.__getitem__, weights, parts))
+    for b, factor in zip(ensemble.branches, gathered):
+        if basis_change is not None:
+            factor = _apply_matrix(factor, positions, basis_change, size)
+        rest = tuple(b.factors[i] for i in apart)
+        for code, row in enumerate(_block(factor, positions, size)):
+            # np.add.reduce is np.sum without its wrapper: the same pairwise sum
+            weight = float(np.add.reduce(np.abs(row) ** 2))
+            prob = b.probability * weight
             if prob <= PRUNE_TOL:
                 continue
+            outcome = format(code, f"0{len(targets)}b")[::-1]  # target j as character j
             dist[outcome] = dist.get(outcome, 0.0) + prob
-            factors = list(b.factors)
-            for g, ((i, _, size), block, code) in enumerate(zip(measured, blocks, parts)):
-                if discard:
-                    factors[i] = block[code] / math.sqrt(weights[g][code])
-                else:
-                    factors[i] = np.zeros(1 << size, dtype=complex)
-                    factors[i][index_rows[g][code]] = block[code] / math.sqrt(weights[g][code])
+            state = row / math.sqrt(weight)
+            if not discard:
+                state, collapsed = np.zeros(1 << size, dtype=complex), state
+                state[index_rows[code]] = collapsed
+                if basis_change is not None:
+                    state = _apply_matrix(state, positions, basis_change.conj().T, size)
             record = dict(b.record)
             record[midx] = outcome
-            branches.append(Branch(prob, tuple(map(factors.__getitem__, kept)), record))
+            branches.append(Branch(prob, (*rest, state) if remains else rest, record))
     out = BranchEnsemble(registry, branches, ensemble.max_qubits, midx + 1, groups)
-    out.check(fresh=[n for n, i in enumerate(kept) if i in touched])
+    out.check(fresh=range(len(apart), len(groups)))
     return out, dict(sorted(dist.items()))
-
-
-@lru_cache
-def _group_codes(owners: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """For each outcome code of the targets, target t in group ``owners[t]`` (the
-    groups numbered 0, 1, ... by their first target), the code of each group's
-    targets, its first target at bit 0."""
-    members = [[t for t, o in enumerate(owners) if o == g] for g in range(len(set(owners)))]
-    return [tuple(sum(((code >> t) & 1) << s for s, t in enumerate(ts)) for ts in members)
-            for code in range(1 << len(owners))]
-
-
-@lru_cache
-def _outcome_strings(m: int) -> list[str]:
-    """The outcome string of each code of an m-target measurement, target j as character j."""
-    return ["".join(str((code >> j) & 1) for j in range(m)) for code in range(1 << m)]
 
 
 # Two-qubit unitary sending each Bell state to its label's basis state:
@@ -563,18 +550,16 @@ _BELL_BASIS_CHANGE = np.kron(np.eye(2), gates.HADAMARD) @ gates.cnot_unitary()
 def bell_measure(
     ensemble: BranchEnsemble, pair: Sequence[QubitId], discard: bool = False
 ) -> tuple[BranchEnsemble, dict[str, float]]:
-    """Projective measurement of two qubits in the fixed Bell basis.
+    """Projective measurement of two qubits in the fixed Bell basis: the
+    computational measurement of the pair after the basis change, which is
+    undone when the pair is kept.
 
     The 2-bit outcome is (phase bit, flip bit), so phi+ reads "00", psi+
     "01", phi- "10" and psi- "11".
     """
     if len(pair) != 2:
         raise ValueError("bell_measure targets exactly 2 qubits")
-    ens = _evolve(ensemble, pair, lambda branch: _BELL_BASIS_CHANGE)
-    ens, dist = measure_computational(ens, pair, discard=discard)
-    if not discard:
-        ens = _evolve(ens, pair, lambda branch: _BELL_BASIS_CHANGE.conj().T)
-    return ens, dist
+    return _measure(ensemble, pair, discard, _BELL_BASIS_CHANGE)
 
 
 def measure_povm(ensemble: BranchEnsemble, povm: Povm, targets: Sequence[QubitId]) -> list[float]:
@@ -622,24 +607,16 @@ def coalesce(ensemble: BranchEnsemble) -> BranchEnsemble:
 
 
 def reduced_density(ensemble: BranchEnsemble, subset: Sequence[QubitId]) -> np.ndarray:
-    """Ensemble-averaged density matrix of ``subset``, from the factors that hold it.
+    """Ensemble-averaged density matrix of ``subset``, from the kron of the factors that hold it.
 
     Basis index bit j is ``subset[j]``, as a gate matrix reads its targets;
     trace is 1 and the result Hermitian to 1e-10.
     """
-    if not subset:
-        raise ValueError("subset must be nonempty")
-    located = [ensemble.locate(q) for q in subset]
-    if len(set(located)) != len(subset):
-        raise ValueError("subset qubits must be distinct")
-    held = sorted({i for i, _ in located})
-    offsets = _offsets(ensemble.groups, held)
-    bits = [offsets[i] + j for i, j in located]
-    size = sum(len(ensemble.groups[i]) for i in held)
+    groups, _, bits, gathered = _join(ensemble, subset, "reduced density")
     rho = np.zeros((1 << len(subset),) * 2, dtype=complex)
-    for b in ensemble.branches:
+    for b, factor in zip(ensemble.branches, gathered):
         # row index bit j of the block is subset[j]
-        mat = _block(_kron([b.factors[i] for i in held]), bits, size)
+        mat = _block(factor, bits, len(groups[-1]))
         rho += b.probability * (mat @ mat.conj().T)
     return rho
 

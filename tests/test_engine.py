@@ -590,7 +590,7 @@ class TestBlockKernelAgainstMasks:
             bits = [(code >> j) & 1 for j in range(3)]
             sel = np.ones(32, dtype=bool)
             for q, bit in zip(targets, bits):
-                sel &= ((idx >> ens.position(q)) & 1) == bit
+                sel &= ((idx >> ens.registry.index(q)) & 1) == bit
             weight = float(np.sum(np.abs(vec[sel]) ** 2))
             kept = vec[sel] if discard else np.where(sel, vec, 0.0)
             expected["".join(map(str, bits))] = (weight, kept / math.sqrt(weight))
@@ -795,3 +795,63 @@ class TestFactoredAgainstDense:
                                engine.DEFAULT_MAX_QUBITS)
         self.assert_engines_agree(run.trace.initial, run.trace.events)
 
+
+
+def random_product_ensemble(rng, sizes, n_branches):
+    """An ensemble of ``n_branches`` weighted branches over product groups of
+    ``sizes`` qubits, all at party 1, each factor of each branch a random state."""
+    labels = iter(range(sum(sizes)))
+    groups = tuple(tuple(QubitId(1, f"x{next(labels)}") for _ in range(size)) for size in sizes)
+    weights = rng.random(n_branches) + 0.1
+    branches = [engine.Branch(float(w), tuple(gates.random_state(1 << len(g), rng) for g in groups), {})
+                for w in weights / weights.sum()]
+    ens = BranchEnsemble(tuple(q for g in groups for q in g), branches, engine.DEFAULT_MAX_QUBITS, 0, groups)
+    ens.check()
+    return ens
+
+
+class TestMeasurementJoins:
+    """A measurement joins its targets' groups as a gate does, and a Bell
+    measurement is that kernel with the basis change fused in."""
+
+    @pytest.mark.parametrize("discard", [False, True])
+    def test_targets_in_two_groups_leave_one_joined_group_last(self, discard):
+        ens = random_product_ensemble(np.random.default_rng(3), (2, 1, 2, 1), 2)
+        g0, g1, g2, g3 = ens.groups
+        targets = (g2[0], g0[1])
+        measure = LocalMeasure(1, targets, "computational", discard, 0, ())
+        out, _ = measure.apply(ens)
+        joined = tuple(q for q in g0 + g2 if not discard or q not in targets)
+        assert out.groups == (g1, g3, joined)
+        TestFactoredAgainstDense().assert_engines_agree(ens, [measure])
+
+    @pytest.mark.parametrize("discard", [False, True])
+    @pytest.mark.parametrize("measure", [engine.measure_computational, engine.bell_measure])
+    def test_targets_in_the_last_group_move_no_group_and_share_the_rest(self, measure, discard):
+        """What keeps every trace a protocol writes byte-identical: its Bell pairs
+        already share the last group, so the other groups keep their places."""
+        ens = random_product_ensemble(np.random.default_rng(4), (2, 1, 3), 2)
+        last = ens.groups[-1]
+        out, _ = measure(ens, (last[2], last[0]), discard=discard)
+        kept = tuple(q for q in last if not discard or q == last[1])
+        assert out.groups == (*ens.groups[:-1], kept)
+        assert len(out.branches) == 4 * len(ens.branches)  # random states: no outcome is pruned
+        for k, b in enumerate(out.branches):
+            assert all(f is g for f, g in zip(b.factors[:-1], ens.branches[k // 4].factors[:-1]))
+
+    @pytest.mark.parametrize("discard", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bell_measure_equals_the_composed_measurement_bit_for_bit(self, seed, discard):
+        """The basis change, a computational measurement and the change back, each
+        run on its own, give the same bytes as the fused kernel."""
+        rng = np.random.default_rng(seed)
+        sizes = tuple(int(s) for s in rng.integers(1, 4, size=int(rng.integers(2, 5))))
+        ens = random_product_ensemble(rng, sizes, int(rng.integers(1, 4)))
+        pair = tuple(ens.registry[i] for i in rng.choice(ens.num_qubits, size=2, replace=False))
+        got, got_dist = engine.bell_measure(ens, pair, discard=discard)
+        want = engine._evolve(ens, pair, lambda branch: engine._BELL_BASIS_CHANGE)
+        want, want_dist = engine.measure_computational(want, pair, discard=discard)
+        if not discard:
+            want = engine._evolve(want, pair, lambda branch: engine._BELL_BASIS_CHANGE.conj().T)
+        assert got_dist == want_dist
+        assert TestFactoredAgainstDense.contents(got) == TestFactoredAgainstDense.contents(want)
