@@ -43,7 +43,13 @@ graphs up to n = 9 (the brute-force cap is 8), and graph-file probes put one
 value that is not a JSON integer or string (``1e400``, ``0.5``, ``true``, a row
 given as a string, an ``n`` of ``"2"``), or a cell too long or not an integer
 or ``"p/q"`` (``"1e5000"``, a 5000-digit integer), into the teleport graphs:
-``symmetrise`` and both audits must exit 2 on each.  ``bounds`` writes its
+``symmetrise`` and both audits must exit 2 on each.  Cell probes put valid or
+refused rational text there: ``"-0"``, ``"007"``, ``"3/6"`` against ``"1/2"``
+(symmetric, so read), ``"1/3"`` against ``"1/2"`` (not symmetric), ``"-1/2"``
+(negative) and numerators from 2^62 up, whose sums run on Python ints.  One
+more puts cells of at most 64 characters into the three-party star-op graphs
+whose symmetrised sum has cells of 85: ``symmetrise`` must exit 2 before it
+writes a ``symmetrised.json`` that its reader would refuse.  ``bounds`` writes its
 table as CSV and as JSON at ``--n-max`` 2, 3 and 64, once to a file and once to
 stdout (with the half-transfer boundary note at 64).  Last, ``simulate``,
 ``symmetrise`` and ``bounds`` write to output paths that cannot be written (a
@@ -477,6 +483,22 @@ GRAPH_PROBES = (
     ("cell-1e5000", ("entanglement", 0, 1), '"1e5000"'),
     ("cell-5000-digits", ("entanglement", 0, 1), "1" + "0" * 4999),
 )
+# (name, seed-7 run whose graphs file and trace are used, {path to a value: the JSON text put there})
+CELL_PROBES = (
+    ("cell-minus-zero", "teleport", {("communication", 1, 0): '"-0"'}),
+    ("cell-leading-zeros", "teleport", {("communication", 0, 1): '"007"'}),
+    ("cells-3-6-against-1-2", "teleport", {("entanglement", 0, 1): '"3/6"', ("entanglement", 1, 0): '"1/2"'}),
+    ("cells-1-3-against-1-2", "teleport", {("entanglement", 0, 1): '"1/3"', ("entanglement", 1, 0): '"1/2"'}),
+    ("cell-negative-half", "teleport", {("communication", 1, 0): '"-1/2"'}),
+    # 2 * 2**62 passes int64, so symmetrise sums on Python ints
+    ("cells-past-int64", "teleport", {("entanglement", 0, 1): '"4611686018427387904"',
+                                      ("entanglement", 1, 0): "4611686018427387904",
+                                      ("communication", 0, 1): '"9223372036854775807/3"'}),
+    ("cells-summed-past-the-cap", "star-op-n3", {
+        ("communication", 0, 1): '"1/9999999999999999999999"', ("communication", 0, 2): '"5"',
+        ("communication", 1, 0): '"123456789012345678901234567890123456789/7"', ("communication", 1, 2): '"1/3"',
+        ("communication", 2, 0): '"0"'}),
+)
 
 
 def rational_graph(n: int, rng: random.Random) -> dict:
@@ -499,22 +521,26 @@ def symmetrise(graph_file: Path, into: Path) -> str:
     return result
 
 
-def graph_probe(root: Path, name: str, path: tuple, literal: str) -> list[str]:
-    """symmetrise and both audits of the teleport seed-7 run, its graphs file carrying
-    ``literal`` at ``path``; the files go to graph-probes/<name>."""
-    source = root / "simulate" / "teleport-s7"
-    graph = json.loads((source / "teleport_graphs.json").read_text(encoding="utf-8"))
-    *keys, last = path
-    target = graph
-    for key in keys:
-        target = target[key]
-    target[last] = "@probe@"
+def graph_probe(root: Path, name: str, cells: dict, base: str = "teleport") -> list[str]:
+    """symmetrise and both audits of the seed-7 run of ``base``, its graphs file
+    carrying each JSON text of ``cells`` at its path; the files go to graph-probes/<name>."""
+    protocol = SPECS[base][0]
+    source = root / "simulate" / f"{base}-s7"
+    graph = json.loads((source / f"{protocol}_graphs.json").read_text(encoding="utf-8"))
+    for k, path in enumerate(cells):
+        *keys, last = path
+        target = graph
+        for key in keys:
+            target = target[key]
+        target[last] = f"@probe{k}@"
+    text = json.dumps(graph, sort_keys=True)
+    for k, literal in enumerate(cells.values()):
+        text = text.replace(f'"@probe{k}@"', literal)
     into = root / "graph-probes" / name
     into.mkdir(parents=True, exist_ok=True)
     graph_file = into / "graphs.json"
-    graph_file.write_text(json.dumps(graph, sort_keys=True).replace('"@probe@"', literal) + "\n",
-                          encoding="utf-8")
-    return [symmetrise(graph_file, into), *audit_both(source / "teleport_trace.jsonl", graph_file, into)]
+    graph_file.write_text(text + "\n", encoding="utf-8")
+    return [symmetrise(graph_file, into), *audit_both(source / f"{protocol}_trace.jsonl", graph_file, into)]
 
 
 def mutate_and_audit(root: Path, base: str, name: str, mutate, rng) -> list[str]:
@@ -587,7 +613,9 @@ def main() -> None:
                                           encoding="utf-8")
         outcomes.append(symmetrise(into / "graphs.json", into))
     for name, path, literal in GRAPH_PROBES:
-        outcomes += graph_probe(root, name, path, literal)
+        outcomes += graph_probe(root, name, {path: literal})
+    for name, base, cells in CELL_PROBES:
+        outcomes += graph_probe(root, name, cells, base)
 
     into = root / "bounds"
     into.mkdir(parents=True, exist_ok=True)

@@ -174,6 +174,26 @@ MUTANTS = (
            "(1 if self.directed else 2) * math.factorial", "2 * math.factorial",
            (GRAPHS + "test_graph_book_total_and_closed_form_follow_its_kind",
             GRAPHS + "TestSymmetrise::test_fixture_communication_42")),
+    # a graph's cells as integer numerators over the lcm of their reduced denominators
+    Mutant("a negative numerator is accepted", "src/ebitnet/graphs.py",
+           "    if num < 0:", "    if False:",
+           (GRAPHS + "TestSerialization::test_negative_weight_rejected",
+            GRAPHS + "TestSerialization::test_cell_checks_run_on_integers_with_the_fraction_messages[negative]")),
+    Mutant("an undirected graph skips its symmetry check", "src/ebitnet/graphs.py",
+           "if not self.directed and nums != tuple(zip(*nums)):", "if False:",
+           (GRAPHS + "TestSerialization::test_asymmetric_entanglement_rejected",
+            GRAPHS + "TestSerialization::test_cell_checks_run_on_integers_with_the_fraction_messages[unequal]")),
+    Mutant("a cell is written without its gcd reduction", "src/ebitnet/graphs.py",
+           "g = math.gcd(num, den)", "g = 1",
+           (GRAPHS + "TestSerialization::test_cells_are_written_in_lowest_terms",)),
+    Mutant("the common denominator is the product of the cells', not their lcm", "src/ebitnet/graphs.py",
+           "den = math.lcm(*(d for row in rows for _, d in row))", "den = math.prod(d for row in rows for _, d in row)",
+           (GRAPHS + "TestSerialization::test_numerators_share_the_lcm_of_the_reduced_denominators",
+            GRAPHS + "TestSymmetrise::test_one_symmetrise_command_builds_the_pair_counts_at_most_once")),
+    Mutant("an undirected total is not halved", "src/ebitnet/graphs.py",
+           "self.den if self.directed else 2 * self.den", "self.den",
+           (GRAPHS + "TestTotals::test_four_lab_example_entanglement",
+            GRAPHS + "TestSerialization::test_fraction_cells")),
     Mutant("integer ceilings round down", "src/ebitnet/bounds.py",
            "tuple(map(math.ceil, lower_bounds(n)))", "tuple(map(math.floor, lower_bounds(n)))",
            (BOUNDS + "TestIntegerRules::test_integer_comm_boundary_equals_the_fraction_scan",

@@ -262,10 +262,10 @@ def cmd_symmetrise(args) -> int:
         print(f"{kind}: total {g.total()}, symmetrised edge weight {kind[0]} = {weight} (closed form)")
         if n <= graphs.BRUTE_FORCE_MAX:
             sym = graphs.symmetrise(g, counts)
-            entries = {sym.weights[i][j] for i in range(n) for j in range(n) if i != j}
-            ok = entries == {weight}
-            print(f"{kind}: brute-force cross-check over {math.factorial(n)} "
-                  f"permutations: {'ok' if ok else 'MISMATCH ' + str(sorted(entries))}")
+            # the sum is held in lowest common terms, so each edge is p/q exactly when den is q and its numerator p
+            ok = (sym.den, {sym.nums[a - 1][b - 1] for a, b in sym.pairs()}) == (weight.denominator, {weight.numerator})
+            print(f"{kind}: brute-force cross-check over {math.factorial(n)} permutations: "
+                  f"{'ok' if ok else 'MISMATCH ' + str(sorted({sym.weight(a, b) for a, b in sym.pairs()}))}")
             if not ok:
                 return 1
             symmetrised[kind] = sym

@@ -6,13 +6,13 @@ from ``directed`` alone their pairs, books (keyed as the ledger's), totals,
 closed forms and file formats.  Symmetrising a graph sums it over all vertex
 permutations, yielding a regular complete graph whose single edge weight
 also follows from a closed form; both routes are kept so one can check the
-other.  All arithmetic is in fractions so factorial scalings are exact.  The
-explicit sum enumerates every permutation into one n! x n table, counts how
-many send each pair of vertices to each pair, and weights those counts by
-the graph's integer numerators over their common denominator (numpy int64,
-or Python ints where int64 could overflow), so it is exact too.  ``ebitnet
-symmetrise`` builds those counts (``pair_counts``) once for both graphs of
-a file.
+other.  A graph holds integer numerators over the lcm of its cells' reduced
+denominators, a canonical form (equal weights, equal graphs) in which cells
+are read, checked, summed and written.  The explicit sum enumerates every
+permutation into one n! x n table, counts how many send each pair of vertices
+to each pair, and weights those counts by the numerators (numpy int64, or
+Python ints where int64 could overflow), so it is exact too.  ``ebitnet
+symmetrise`` builds those counts (``pair_counts``) once for both graphs of a file.
 
 The weight a graph carries across a bipartition is counted by the audit's
 cut sums (``audit._leaving``), the program's one count of it.  The rest of
@@ -46,58 +46,62 @@ class GraphFormatError(ValueError):
     """Malformed graph input; the message carries the offending position."""
 
 
-Weights = tuple[tuple[Fraction, ...], ...]
+def _ratio(cell, kind: str, i: int, j: int) -> tuple[int, int]:
+    """Cell [i][j] (an int, a (num, den > 0) pair or what ``Fraction`` reads) in lowest terms, if not negative."""
+    if type(cell) is int:
+        num, den = cell, 1
+    elif type(cell) is tuple and cell[1] > 0:
+        g = math.gcd(*cell)
+        num, den = cell[0] // g, cell[1] // g
+    else:
+        try:
+            q = cell if isinstance(cell, Fraction) else Fraction(cell)
+        except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+            raise GraphFormatError(f"{kind}[{i}][{j}]: not a rational: {cell!r}") from None
+        num, den = q.numerator, q.denominator
+    if num < 0:
+        raise GraphFormatError(f"{kind}[{i}][{j}]: negative weight {_text(num, den)}")
+    return num, den
 
 
-def _to_weights(raw: Sequence[Sequence], n: int, where: str) -> Weights:
-    """``raw`` as an n x n matrix of nonnegative Fractions with a zero diagonal."""
-    if len(raw) != n:
-        raise GraphFormatError(f"{where}: expected {n} rows, got {len(raw)}")
-    rows = []
-    for i, row in enumerate(raw):
-        if len(row) != n:
-            raise GraphFormatError(f"{where}[{i}]: expected {n} entries, got {len(row)}")
-        out = []
-        for j, cell in enumerate(row):
-            try:
-                val = cell if isinstance(cell, Fraction) else Fraction(cell)
-            except (ValueError, TypeError, ZeroDivisionError, OverflowError):
-                raise GraphFormatError(f"{where}[{i}][{j}]: not a rational: {cell!r}") from None
-            if val < 0:
-                raise GraphFormatError(f"{where}[{i}][{j}]: negative weight {val}")
-            out.append(val)
-        rows.append(tuple(out))
-    for i in range(n):
-        if rows[i][i] != 0:
-            raise GraphFormatError(f"{where}[{i}][{i}]: diagonal must be zero")
-    return tuple(rows)
+def _text(num: int, den: int) -> str:
+    """num/den as ``str(Fraction(num, den))`` writes it, reduced with one gcd."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-def _check_symmetric(w: Weights, where: str) -> None:
-    for i in range(len(w)):
-        for j in range(i + 1, len(w)):
-            if w[i][j] != w[j][i]:
-                raise GraphFormatError(f"{where}[{i}][{j}]: matrix must be symmetric ({w[i][j]} != {w[j][i]})")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
-    """Resource weights over parties 1..n; a subclass sets ``kind``, the graph's
-    name in files and messages, and whether it is ``directed``."""
+    """Weights over parties 1..n as numerators ``nums`` over ``den``; a subclass sets
+    ``kind``, the graph's name in files and messages, and whether it is ``directed``."""
 
     n: int
-    weights: Weights
+    den: int
+    nums: tuple[tuple[int, ...], ...]
     kind: ClassVar[str]
     directed: ClassVar[bool]
 
-    def __post_init__(self):
-        w = _to_weights(self.weights, self.n, self.kind)
-        object.__setattr__(self, "weights", w)
-        if not self.directed:
-            _check_symmetric(w, self.kind)
+    def __init__(self, n: int, weights: Sequence[Sequence]):
+        if len(weights) != n:
+            raise GraphFormatError(f"{self.kind}: expected {n} rows, got {len(weights)}")
+        rows = []
+        for i, row in enumerate(weights):
+            if len(row) != n:
+                raise GraphFormatError(f"{self.kind}[{i}]: expected {n} entries, got {len(row)}")
+            rows.append([_ratio(cell, self.kind, i, j) for j, cell in enumerate(row)])
+        den = math.lcm(*(d for row in rows for _, d in row))
+        nums = tuple(tuple(num * (den // d) for num, d in row) for row in rows)
+        for i in range(n):
+            if nums[i][i]:
+                raise GraphFormatError(f"{self.kind}[{i}][{i}]: diagonal must be zero")
+        if not self.directed and nums != tuple(zip(*nums)):
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if nums[i][j] != nums[j][i])
+            raise GraphFormatError(f"{self.kind}[{i}][{j}]: matrix must be symmetric "
+                                   f"({_text(nums[i][j], den)} != {_text(nums[j][i], den)})")
+        self.__dict__.update(n=n, den=den, nums=nums)  # frozen: set past __setattr__
 
     def weight(self, a: int, b: int) -> Fraction:
-        return self.weights[a - 1][b - 1]
+        return Fraction(self.nums[a - 1][b - 1], self.den)
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         """The pairs that carry a weight: a < b when undirected, every ordered pair when directed."""
@@ -105,12 +109,12 @@ class Graph:
 
     def book(self) -> dict[tuple[int, int], Fraction]:
         """The nonzero weights, keyed on the pairs as ``pairs`` gives them."""
-        return {(a, b): self.weight(a, b) for a, b in self.pairs() if self.weight(a, b)}
+        return {(a, b): self.weight(a, b) for a, b in self.pairs() if self.nums[a - 1][b - 1]}
 
     @classmethod
     def from_book(cls, n: int, book: Mapping[tuple[int, int], Fraction]) -> Graph:
         """The graph on n parties with ``book``'s weights, mirrored when undirected."""
-        mat = [[Fraction(0)] * n for _ in range(n)]
+        mat = [[0] * n for _ in range(n)]
         for (a, b), v in book.items():
             mat[a - 1][b - 1] = v
             if not cls.directed:
@@ -119,7 +123,7 @@ class Graph:
 
     def total(self) -> Fraction:
         """The sum of the weights over ``pairs``: half the matrix sum when undirected."""
-        return sum((self.weight(a, b) for a, b in self.pairs()), Fraction(0))
+        return Fraction(sum(map(sum, self.nums)), self.den if self.directed else 2 * self.den)
 
     def symmetrised_weight(self) -> Fraction:
         """Closed-form edge weight of the symmetrised graph: (n-2)! total, doubled when undirected."""
@@ -147,11 +151,7 @@ def star_graphs(n: int, hub: int = 1) -> tuple[EntanglementGraph, CommunicationG
         raise ValueError("a star needs at least 2 parties")
     if not 1 <= hub <= n:
         raise ValueError(f"hub {hub} out of range 1..{n}")
-    h = hub - 1
-    mat = tuple(
-        tuple(Fraction(2) if (i == h) != (j == h) else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
+    mat = [[2 if (i == hub) != (j == hub) else 0 for j in range(1, n + 1)] for i in range(1, n + 1)]
     return EntanglementGraph(n, mat), CommunicationGraph(n, mat)
 
 
@@ -193,24 +193,18 @@ def symmetrise(g: Graph, counts: np.ndarray | None = None) -> Graph:
     Cell (i, j) of the sum is sum over (a, b) of C[i, a, j, b] W[a, b]: the
     pair counts ``counts`` (``pair_counts(n)``, built here when not given) of
     the permutation table times the integer numerators W over the common
-    denominator.
+    denominator, over which the result is built.
     """
     n = g.n
     if n > BRUTE_FORCE_MAX:
-        raise ValueError(
-            f"explicit symmetrisation is capped at n = {BRUTE_FORCE_MAX}; "
-            "use symmetrised_weight() for the closed form"
-        )
+        raise ValueError(f"explicit symmetrisation is capped at n = {BRUTE_FORCE_MAX}; "
+                         "use symmetrised_weight() for the closed form")
     if counts is None:
         counts = pair_counts(n)
-    fact = math.factorial(n)
-    den = math.lcm(*(x.denominator for row in g.weights for x in row))
-    nums = [[x.numerator * (den // x.denominator) for x in row] for row in g.weights]
     # every term is >= 0 and no cell of the sum passes max(W) * n!; beyond int64 it runs on Python ints
-    W = np.array(nums, dtype=object if max(map(max, nums), default=0) * fact >= 2**63 else np.int64)
-    acc = np.tensordot(counts, W, axes=([1, 3], [0, 1]))
-    mat = tuple(tuple(Fraction(int(v), den) for v in row) for row in acc)
-    return type(g)(n, mat)
+    top = max(map(max, g.nums), default=0) * math.factorial(n)
+    acc = np.tensordot(counts, np.array(g.nums, dtype=object if top >= 2**63 else np.int64), axes=([1, 3], [0, 1]))
+    return type(g)(n, [[(v, g.den) for v in row] for row in acc.tolist()])
 
 
 # --------------------------------------------------------------------------
@@ -230,9 +224,14 @@ class GraphBundle:
 
 
 def export_json(bundle: GraphBundle) -> str:
+    """The bundle as a graph file; refuses a cell longer than the reader takes."""
     doc: dict = {"n": bundle.n}
     for g in bundle.graphs:
-        doc[g.kind] = [[str(x) for x in row] for row in g.weights]
+        doc[g.kind] = cells = [[_text(x, g.den) for x in row] for row in g.nums]
+        if max(map(len, itertools.chain(*cells)), default=0) > CELL_MAX_CHARS:
+            i, j = next((i, j) for i in range(g.n) for j in range(g.n) if len(cells[i][j]) > CELL_MAX_CHARS)
+            raise GraphFormatError(f"{g.kind}[{i}][{j}]: cannot write a weight of {len(cells[i][j])} characters, "
+                                   f"more than the {CELL_MAX_CHARS} a graph file's cell holds: {cells[i][j][:20]}...")
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -241,7 +240,7 @@ def export_json(bundle: GraphBundle) -> str:
 # "1e5000", and much longer cells would make exact totals too long to print
 # (Python refuses to convert integers of more than 4300 digits to text).
 CELL_MAX_CHARS = 64
-_CELL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_CELL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class _LongInt(str):
@@ -260,8 +259,9 @@ def _shown(value) -> str:
 
 def _json_matrix(raw, where: str) -> list:
     """``raw`` once it is a list of rows whose cells are JSON integers (not
-    booleans) or integer or "p/q" strings, none longer than CELL_MAX_CHARS;
-    floats never reach ``Fraction``."""
+    booleans) or integer or "p/q" strings, none longer than CELL_MAX_CHARS; a
+    string becomes its (numerator, denominator) pair in place, or stays text for
+    the graph to refuse when the denominator is zero.  Floats never reach ``Fraction``."""
     if not isinstance(raw, list):
         raise GraphFormatError(f"{where}: expected a list of rows, got {_shown(raw)}")
     for i, row in enumerate(raw):
@@ -273,9 +273,11 @@ def _json_matrix(raw, where: str) -> list:
                                        f"than {CELL_MAX_CHARS}: {_shown(cell)}")
             if isinstance(cell, bool) or not isinstance(cell, (int, str)):
                 raise GraphFormatError(f"{where}[{i}][{j}]: not an integer or a string: {_shown(cell)}")
-            if isinstance(cell, str) and not (len(cell) <= CELL_MAX_CHARS and _CELL.fullmatch(cell)):
-                raise GraphFormatError(f'{where}[{i}][{j}]: not an integer or "p/q" string of at most '
-                                       f"{CELL_MAX_CHARS} characters: {_shown(cell)}")
+            if isinstance(cell, str):
+                if not (match := len(cell) <= CELL_MAX_CHARS and _CELL.fullmatch(cell)):
+                    raise GraphFormatError(f'{where}[{i}][{j}]: not an integer or "p/q" string of at most '
+                                           f"{CELL_MAX_CHARS} characters: {_shown(cell)}")
+                row[j] = (int(match[1]), den) if (den := int(match[2] or 1)) else cell
     return raw
 
 
@@ -307,23 +309,14 @@ def export_dot(g: Graph, name: str | None = None) -> str:
     head, arrow = ("digraph", "->") if g.directed else ("graph", "--")
     lines = [f"{head} {name or g.kind} {{"]
     lines += [f"  {i};" for i in range(1, g.n + 1)]
-    lines += [f'  {i} {arrow} {j} [label="{w}"];' for (i, j), w in g.book().items()]
+    lines += [f'  {i} {arrow} {j} [label="{_text(g.nums[i - 1][j - 1], g.den)}"];'
+              for i, j in g.pairs() if g.nums[i - 1][j - 1]]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def four_lab_example() -> GraphBundle:
     """The documented 4-lab example pair used throughout the tests and CLI."""
-    ent = EntanglementGraph(4, (
-        (0, 3, 2, 6),
-        (3, 0, 1, 0),
-        (2, 1, 0, 0),
-        (6, 0, 0, 0),
-    ))
-    comm = CommunicationGraph(4, (
-        (0, 1, 4, 0),
-        (2, 0, 0, 9),
-        (0, 0, 0, 0),
-        (5, 0, 0, 0),
-    ))
+    ent = EntanglementGraph(4, ((0, 3, 2, 6), (3, 0, 1, 0), (2, 1, 0, 0), (6, 0, 0, 0)))
+    comm = CommunicationGraph(4, ((0, 1, 4, 0), (2, 0, 0, 9), (0, 0, 0, 0), (5, 0, 0, 0)))
     return GraphBundle(4, ent, comm)

@@ -19,6 +19,13 @@
   conditions ``delta_three_lab_bound``.  ``cross_partition`` is the brute-force
   oracle for the audit's integer cut sums (``audit._terms`` and
   ``audit._leaving``), the program's one count across a bipartition.
+- ``read_fraction_graphs`` reads a graph file as the program read it when a graph
+  held one ``Fraction`` per cell, with the same checks in the same order and the
+  same messages; ``fraction_total``, ``fraction_symmetrised_weight``,
+  ``fraction_symmetrise``, ``fraction_export_json`` and ``fraction_export_dot``
+  sum, symmetrise and write such matrices.  They are the oracles for the integer
+  numerators over one denominator that ``graphs.Graph`` holds, and
+  ``fraction_matrix`` reads a graph back as Fractions.
 - ``rederive_lower_bounds`` recomputes ``bounds.lower_bounds`` through that
   calculus (partitions, cross-partition weights, symmetrised edge weights).
 - ``permutation_gain_edges`` lists the edges a permutation gains on, from which
@@ -47,7 +54,9 @@
 """
 
 import itertools
+import json
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -288,7 +297,7 @@ class DeltaMatrix:
             rows.append(tuple(out))
         if any(rows[i][i] for i in range(self.n)):
             raise graphs.GraphFormatError("delta: diagonal must be zero")
-        graphs._check_symmetric(rows, "delta")
+        check_symmetric_fractions(rows, "delta")
         object.__setattr__(self, "entries", tuple(rows))
 
 
@@ -408,6 +417,139 @@ def delta_three_lab_bound(delta: DeltaMatrix) -> DeltaVerdict:
         slack = loss / 2 - e[i][j]
         half_loss_ok = slack >= 0
     return DeltaVerdict(row_sums_ok, single_gain_ok, half_loss_ok, slack, gaining)
+
+
+# -- graph files read, checked, summed and written one Fraction per cell ------
+
+FractionMatrix = tuple[tuple[Fraction, ...], ...]
+
+
+def fraction_matrix(g: graphs.Graph) -> FractionMatrix:
+    """The graph's weights, cell by cell, as Fractions."""
+    return tuple(tuple(Fraction(x, g.den) for x in row) for row in g.nums)
+
+
+def check_symmetric_fractions(w: FractionMatrix, where: str) -> None:
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
+            if w[i][j] != w[j][i]:
+                raise graphs.GraphFormatError(f"{where}[{i}][{j}]: matrix must be symmetric ({w[i][j]} != {w[j][i]})")
+
+
+class _LongDigits(str):
+    """The digits of a JSON integer longer than the cell cap, left unconverted."""
+
+
+def _shown_cell(value) -> str:
+    text = str(value) if isinstance(value, _LongDigits) else json.dumps(value)
+    return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+
+
+def _fraction_cells(raw, n: int, kind: str) -> FractionMatrix:
+    """``raw`` checked as the Fraction-cell reader checked it: JSON types and cell
+    text first, then row counts, each cell through ``Fraction`` and its sign, the
+    diagonal, and symmetry when undirected."""
+    cap, err = graphs.CELL_MAX_CHARS, graphs.GraphFormatError
+    if not isinstance(raw, list):
+        raise err(f"{kind}: expected a list of rows, got {_shown_cell(raw)}")
+    for i, row in enumerate(raw):
+        if not isinstance(row, list):
+            raise err(f"{kind}[{i}]: expected a list of entries, got {_shown_cell(row)}")
+        for j, cell in enumerate(row):
+            if isinstance(cell, _LongDigits):
+                raise err(f"{kind}[{i}][{j}]: an integer of {len(cell)} digits is longer than {cap}: "
+                          f"{_shown_cell(cell)}")
+            if isinstance(cell, bool) or not isinstance(cell, (int, str)):
+                raise err(f"{kind}[{i}][{j}]: not an integer or a string: {_shown_cell(cell)}")
+            if isinstance(cell, str) and not (len(cell) <= cap and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", cell)):
+                raise err(f'{kind}[{i}][{j}]: not an integer or "p/q" string of at most {cap} characters: '
+                          f"{_shown_cell(cell)}")
+    if len(raw) != n:
+        raise err(f"{kind}: expected {n} rows, got {len(raw)}")
+    rows = []
+    for i, row in enumerate(raw):
+        if len(row) != n:
+            raise err(f"{kind}[{i}]: expected {n} entries, got {len(row)}")
+        out = []
+        for j, cell in enumerate(row):
+            try:
+                val = Fraction(cell)
+            except ZeroDivisionError:
+                raise err(f"{kind}[{i}][{j}]: not a rational: {cell!r}") from None
+            if val < 0:
+                raise err(f"{kind}[{i}][{j}]: negative weight {val}")
+            out.append(val)
+        rows.append(tuple(out))
+    for i in range(n):
+        if rows[i][i] != 0:
+            raise err(f"{kind}[{i}][{i}]: diagonal must be zero")
+    if kind == "entanglement":
+        check_symmetric_fractions(rows, kind)
+    return tuple(rows)
+
+
+def read_fraction_graphs(text: str) -> tuple[int, dict[str, FractionMatrix]]:
+    """n and each kind's matrix of a graph file, or the ``GraphFormatError`` a
+    reader raises that holds one Fraction per cell: the oracle for ``graphs.import_json``."""
+    err = graphs.GraphFormatError
+    try:
+        doc = json.loads(text, parse_int=lambda d: int(d) if len(d) <= graphs.CELL_MAX_CHARS else _LongDigits(d))
+    except json.JSONDecodeError as exc:
+        raise err(f"line {exc.lineno}, column {exc.colno}: invalid JSON") from None
+    except RecursionError:
+        raise err("top level: JSON nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise err("top level: expected a JSON object")
+    if "n" not in doc:
+        raise err('top level: missing "n"')
+    n = doc["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise err(f'"n": not an integer: {_shown_cell(n)}')
+    if n < 1:
+        raise err(f'"n": must be positive, got {n}')
+    found = {kind: _fraction_cells(doc[kind], n, kind) for kind in ("entanglement", "communication") if kind in doc}
+    if not found:
+        raise err('top level: need "entanglement" and/or "communication"')
+    return n, found
+
+
+def fraction_pairs(kind: str, n: int) -> Iterable[tuple[int, int]]:
+    """The 0-based cells that carry a weight: i < j when undirected."""
+    return (itertools.permutations if kind == "communication" else itertools.combinations)(range(n), 2)
+
+
+def fraction_total(kind: str, w: FractionMatrix) -> Fraction:
+    return sum((w[i][j] for i, j in fraction_pairs(kind, len(w))), Fraction(0))
+
+
+def fraction_symmetrised_weight(kind: str, w: FractionMatrix) -> Fraction:
+    n = len(w)
+    return (1 if kind == "communication" else 2) * math.factorial(n - 2) * fraction_total(kind, w)
+
+
+def fraction_export_json(n: int, matrices: dict[str, FractionMatrix]) -> str:
+    doc: dict = {"n": n, **{kind: [[str(x) for x in row] for row in w] for kind, w in matrices.items()}}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def fraction_export_dot(kind: str, w: FractionMatrix) -> str:
+    head, arrow = ("digraph", "->") if kind == "communication" else ("graph", "--")
+    lines = [f"{head} {kind} {{", *(f"  {i};" for i in range(1, len(w) + 1))]
+    lines += [f'  {i + 1} {arrow} {j + 1} [label="{w[i][j]}"];' for i, j in fraction_pairs(kind, len(w)) if w[i][j]]
+    return "\n".join([*lines, "}"]) + "\n"
+
+
+def fraction_symmetrise(w: FractionMatrix) -> FractionMatrix:
+    """The explicit sum over all n! vertex permutations in Fraction arithmetic,
+    cell by cell: the oracle for the integer kernel of ``graphs.symmetrise``."""
+    n = len(w)
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for perm in itertools.permutations(range(n)):
+        for i in range(n):
+            wi, row = w[perm[i]], acc[i]
+            for j in range(n):
+                row[j] += wi[perm[j]]
+    return tuple(tuple(row) for row in acc)
 
 
 def one_branch(amplitudes, registry=None, max_qubits: int = engine.DEFAULT_MAX_QUBITS) -> engine.BranchEnsemble:

@@ -392,7 +392,7 @@ def _shift_first_two(dist):
 def test_star_report_with_lowered_channel_is_exact():
     run = run_star()
     bundle = star_bundle(run)
-    weights = [list(r) for r in bundle.communication.weights]
+    weights = [list(r) for r in oracles.fraction_matrix(bundle.communication)]
     weights[0][1] -= 1
     lowered = graphs.GraphBundle(3, bundle.entanglement, graphs.CommunicationGraph(3, weights))
     report = audit.audit_trace(run.trace, lowered)

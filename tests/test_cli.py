@@ -240,6 +240,22 @@ class TestSymmetrise:
         assert run_cli("symmetrise", "--input", str(src), "--output", str(tmp_path / "o")) == 2
         assert "symmetric" in capsys.readouterr().err
 
+    def test_a_sum_whose_cells_the_reader_would_refuse_exits_two_before_it_is_written(self, tmp_path, capsys):
+        """Cells within the 64-character cap can sum to 85 characters; such a result
+        is refused with exit 2 and no symmetrised.json, which no reader would take back."""
+        cells = ["1/9999999999999999999999", "5", "123456789012345678901234567890123456789/7", "1/3"]
+        assert max(map(len, cells)) <= 64
+        comm = [["0", cells[0], cells[1]], [cells[2], "0", cells[3]], ["0", "0", "0"]]
+        src, out = tmp_path / "g.json", tmp_path / "o"
+        src.write_text(json.dumps({"n": 3, "communication": comm}))
+        assert run_cli("symmetrise", "--input", str(src), "--output", str(out)) == 2
+        captured = capsys.readouterr()
+        assert "cross-check over 6 permutations: ok" in captured.out
+        assert captured.err.startswith("error: communication[0][1]: cannot write a weight of 85 characters, "
+                                       "more than the 64 a graph file's cell holds: 12345678901234567890...")
+        assert captured.err.count("\n") == 1
+        assert not (out / "symmetrised.json").exists()
+
     def test_missing_file_exits_two(self, tmp_path):
         assert run_cli("symmetrise", "--input", str(tmp_path / "no.json"),
                        "--output", str(tmp_path / "o")) == 2

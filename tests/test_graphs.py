@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from ebitnet import cli, graphs
 from ebitnet.graphs import CommunicationGraph, EntanglementGraph, GraphFormatError
 
 import oracles
-from oracles import DeltaMatrix, Partition, regular_complete
+from oracles import DeltaMatrix, Partition, fraction_matrix, regular_complete
 
 small_fractions = st.fractions(min_value=0, max_value=9, max_denominator=4)
 
@@ -35,18 +36,7 @@ def communication_graphs(draw, min_n=2, max_n=5):
 
 
 def reference_symmetrise(g):
-    """The explicit sum over all n! vertex permutations in Fraction arithmetic,
-    cell by cell: the oracle for the integer kernel of graphs.symmetrise."""
-    n = g.n
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    for perm in itertools.permutations(range(n)):
-        w = g.weights
-        for i in range(n):
-            wi = w[perm[i]]
-            row = acc[i]
-            for j in range(n):
-                row[j] += wi[perm[j]]
-    return tuple(tuple(row) for row in acc)
+    return oracles.fraction_symmetrise(fraction_matrix(g))
 
 
 def rational_graphs(n, rng):
@@ -65,8 +55,8 @@ def rational_graphs(n, rng):
 
 def permute_graph(g, perm):
     n = g.n
-    w = tuple(tuple(g.weights[perm[i]][perm[j]] for j in range(n)) for i in range(n))
-    return type(g)(n, w)
+    w = tuple(tuple(g.nums[perm[i]][perm[j]] for j in range(n)) for i in range(n))
+    return type(g)(n, [[(x, g.den) for x in row] for row in w])
 
 
 @given(st.one_of(entanglement_graphs(max_n=6), communication_graphs(max_n=6)))
@@ -76,10 +66,10 @@ def test_graph_book_total_and_closed_form_follow_its_kind(g):
     form: the book gives the graph back, the total is the matrix sum (halved when
     undirected), and the closed form is every off-diagonal cell of the explicit sum."""
     assert type(g).from_book(g.n, g.book()) == g
-    matrix_sum = sum((x for row in g.weights for x in row), Fraction(0))
+    matrix_sum = sum((x for row in fraction_matrix(g) for x in row), Fraction(0))
     assert g.total() == (matrix_sum if g.directed else matrix_sum / 2)
     sym = graphs.symmetrise(g)
-    assert {sym.weights[i][j] for i in range(g.n) for j in range(g.n) if i != j} == {g.symmetrised_weight()}
+    assert {sym.weight(a, b) for a, b in itertools.permutations(range(1, g.n + 1), 2)} == {g.symmetrised_weight()}
 
 
 class TestTotals:
@@ -129,9 +119,7 @@ class TestSymmetrise:
     def test_fixture_communication_42(self):
         ex = graphs.four_lab_example()
         sym = graphs.symmetrise(ex.communication)
-        assert all(
-            sym.weights[i][j] == 42 for i in range(4) for j in range(4) if i != j
-        )
+        assert {sym.weight(a, b) for a, b in sym.pairs()} == {42}
         assert ex.communication.symmetrised_weight() == 42
 
     def test_fixture_entanglement_48(self):
@@ -139,9 +127,7 @@ class TestSymmetrise:
         # elsewhere quotes 24 for this example, which fails this oracle
         ex = graphs.four_lab_example()
         sym = graphs.symmetrise(ex.entanglement)
-        assert all(
-            sym.weights[i][j] == 48 for i in range(4) for j in range(4) if i != j
-        )
+        assert {sym.weight(a, b) for a, b in itertools.permutations(range(1, 5), 2)} == {48}
         assert ex.entanglement.symmetrised_weight() == 48
 
     def test_total_scales_by_factorial(self):
@@ -154,34 +140,30 @@ class TestSymmetrise:
     def test_closed_form_matches_brute_force_entanglement(self, g):
         sym = graphs.symmetrise(g)
         w = g.symmetrised_weight()
-        assert all(
-            sym.weights[i][j] == w for i in range(g.n) for j in range(g.n) if i != j
-        )
-        assert sym.weights == reference_symmetrise(g)
+        assert {sym.weight(a, b) for a, b in itertools.permutations(range(1, g.n + 1), 2)} == {w}
+        assert fraction_matrix(sym) == reference_symmetrise(g)
 
     @given(communication_graphs())
     @settings(max_examples=40, deadline=None)
     def test_closed_form_matches_brute_force_communication(self, g):
         sym = graphs.symmetrise(g)
         w = g.symmetrised_weight()
-        assert all(
-            sym.weights[i][j] == w for i in range(g.n) for j in range(g.n) if i != j
-        )
-        assert sym.weights == reference_symmetrise(g)
+        assert {sym.weight(a, b) for a, b in itertools.permutations(range(1, g.n + 1), 2)} == {w}
+        assert fraction_matrix(sym) == reference_symmetrise(g)
 
     def test_already_regular_self_consistency(self):
         for n in (2, 3, 4, 5):
             g = regular_complete(n, Fraction(3, 2))
             sym = graphs.symmetrise(g)
             w = g.symmetrised_weight()
-            assert sym.weights[0][1] == w == math.factorial(n) * Fraction(3, 2)
+            assert fraction_matrix(sym)[0][1] == w == math.factorial(n) * Fraction(3, 2)
 
     @given(entanglement_graphs(max_n=4))
     @settings(max_examples=20, deadline=None)
     def test_permutation_invariance(self, g):
         sym = graphs.symmetrise(g)
         for perm in itertools.permutations(range(g.n)):
-            assert graphs.symmetrise(permute_graph(g, perm)).weights == sym.weights
+            assert graphs.symmetrise(permute_graph(g, perm)) == sym
 
     @given(entanglement_graphs(max_n=4))
     @settings(max_examples=15, deadline=None)
@@ -189,17 +171,14 @@ class TestSymmetrise:
         once = graphs.symmetrise(g)
         twice = graphs.symmetrise(once)
         f = math.factorial(g.n)
-        assert all(
-            twice.weights[i][j] == f * once.weights[i][j]
-            for i in range(g.n) for j in range(g.n)
-        )
+        assert fraction_matrix(twice) == tuple(tuple(f * x for x in row) for row in fraction_matrix(once))
 
     def test_n8_rational_graph_matches_reference(self):
         rng = random.Random(8)
         w = [[Fraction(0) if i == j else Fraction(rng.randint(0, 12), rng.randint(1, 6))
               for j in range(8)] for i in range(8)]
         g = CommunicationGraph(8, tuple(map(tuple, w)))
-        assert graphs.symmetrise(g).weights == reference_symmetrise(g)
+        assert fraction_matrix(graphs.symmetrise(g)) == reference_symmetrise(g)
 
     def test_sums_past_int64_match_reference(self):
         """Scaled numerators near 2**55 fit int64, but 7! of them do not: the sum
@@ -209,11 +188,11 @@ class TestSymmetrise:
         for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
             w[i][j] = w[j][i] = Fraction(2**55 + 7919 * k, 3)
         g = EntanglementGraph(n, tuple(map(tuple, w)))
-        top = max(x.numerator for row in g.weights for x in row)
+        top = max(map(max, g.nums))
         assert top < 2**63 <= top * math.factorial(n)
         sym = graphs.symmetrise(g)
-        assert sym.weights == reference_symmetrise(g)
-        assert sym.weights[0][1] == g.symmetrised_weight()
+        assert fraction_matrix(sym) == reference_symmetrise(g)
+        assert fraction_matrix(sym)[0][1] == g.symmetrised_weight()
 
     @pytest.mark.parametrize("n", range(1, graphs.BRUTE_FORCE_MAX + 1))
     def test_permutation_table_holds_every_permutation_once(self, n):
@@ -504,7 +483,7 @@ class TestSerialization:
     def test_cells_of_64_characters_load(self):
         big, ratio = "9" * 64, "1" * 31 + "/" + "3" * 32
         g = graphs.import_json('{"n": 2, "communication": [[0, %s], ["%s", 0]]}' % (big, ratio)).communication
-        assert g.weights == ((0, int(big)), (Fraction(ratio), 0))
+        assert fraction_matrix(g) == ((0, int(big)), (Fraction(ratio), 0))
 
     @pytest.mark.parametrize("doc,where", [
         ('{"n": 2, "entanglement": [[0, "1e5000"], [1, 0]]}', "entanglement[0][1]: "),
@@ -527,7 +506,44 @@ class TestSerialization:
 
     def test_integer_and_string_cells_mix(self):
         g = graphs.import_json('{"n": 2, "communication": [[0, 3], ["1/2", "0"]]}').communication
-        assert g.weights == ((0, 3), (Fraction(1, 2), 0))
+        assert fraction_matrix(g) == ((0, 3), (Fraction(1, 2), 0))
+
+    def test_numerators_share_the_lcm_of_the_reduced_denominators(self):
+        """"4/2" reduces to 2 and "0/9" to 0 before the lcm is taken: 1/2, 1/3 and 1/2 give 6, not 12 or 36."""
+        g = graphs.import_json('{"n": 3, "communication": [["0", "1/2", "4/2"], ["1/3", "0", "0/9"], '
+                               '["2/4", "007", "-0"]]}').communication
+        assert (g.den, g.nums) == (6, ((0, 3, 12), (2, 0, 0), (3, 42, 0)))
+        assert g == CommunicationGraph(3, ((0, Fraction(1, 2), 2), (Fraction(1, 3), 0, 0), (Fraction(1, 2), 7, 0)))
+        assert g.total() == Fraction(62, 6)
+
+    def test_cells_are_written_in_lowest_terms(self):
+        """A cell held over the common denominator is written reduced: 12/6 as "2", 3/6 as "1/2"."""
+        bundle = graphs.import_json('{"n": 2, "communication": [["0", "4/2"], ["3/6", "0"]], '
+                                    '"entanglement": [["0", "1/3"], ["2/6", "0"]]}')
+        assert json.loads(graphs.export_json(bundle)) == {
+            "n": 2, "communication": [["0", "2"], ["1/2", "0"]], "entanglement": [["0", "1/3"], ["1/3", "0"]]}
+        assert '1 -> 2 [label="2"]' in graphs.export_dot(bundle.communication)
+        assert '2 -> 1 [label="1/2"]' in graphs.export_dot(bundle.communication)
+        assert '1 -- 2 [label="1/3"]' in graphs.export_dot(bundle.entanglement)
+
+    @pytest.mark.parametrize("doc,message", [
+        ('[["0", "1/2"], ["3/6", "0"]]', None),
+        ('[["0", "1/3"], ["1/2", "0"]]', r"^entanglement\[0\]\[1\]: matrix must be symmetric \(1/3 != 1/2\)$"),
+        ('[["0", "-2/4"], ["-1/2", "0"]]', r"^entanglement\[0\]\[1\]: negative weight -1/2$"),
+        ('[["0", "1/0"], ["1/2", "0"]]', r"^entanglement\[0\]\[1\]: not a rational: '1/0'$"),
+        ('[["-0/3", "1"], ["1", "0"]]', None),
+        ('[["0/3", "1"], ["1", "1/3"]]', r"^entanglement\[1\]\[1\]: diagonal must be zero$"),
+    ], ids=["equal-unreduced", "unequal", "negative", "zero-denominator", "minus-zero", "diagonal"])
+    def test_cell_checks_run_on_integers_with_the_fraction_messages(self, doc, message):
+        text = '{"n": 2, "entanglement": %s}' % doc
+        if message is None:
+            want = oracles.read_fraction_graphs(text)[1]["entanglement"]
+            assert fraction_matrix(graphs.import_json(text).entanglement) == want
+        else:
+            with pytest.raises(GraphFormatError, match=message):
+                graphs.import_json(text)
+            with pytest.raises(GraphFormatError, match=message):
+                oracles.read_fraction_graphs(text)
 
     def test_symmetrise_of_an_overflowing_cell_exits_two(self, tmp_path, capsys):
         src = tmp_path / "g.json"
@@ -547,3 +563,97 @@ class TestSerialization:
         g = graphs.import_json(doc).entanglement
         assert g.weight(1, 2) == Fraction(3, 2)
         assert g.total() == Fraction(3, 2)
+
+
+# denominators whose lcm passes 2**63: (10**12 + 39) * 3**30 is about 2 * 10**26
+LARGE_DENOMINATORS = (10**12 + 39, 3**30, 2**61 - 1)
+
+
+@st.composite
+def weight_values(draw, allow_zero=True):
+    """A nonnegative p/q, small or with up to 64 digits above a denominator that may be large."""
+    num = draw(st.one_of(st.integers(0, 12), st.integers(0, 10**64 - 1)))
+    den = draw(st.one_of(st.integers(1, 6), st.sampled_from(LARGE_DENOMINATORS)))
+    return Fraction(num if allow_zero or num else 1, den)
+
+
+@st.composite
+def cell_texts(draw, value: Fraction):
+    """``value`` as a file may hold it: a JSON integer, or a string with leading zeros,
+    a "-" on a zero, or p/q scaled by 2 or 3 ("4/2", "0/9")."""
+    p, q = value.numerator, value.denominator
+    if q == 1 and draw(st.booleans()):
+        return p
+    k = draw(st.sampled_from((1, 1, 2, 3)))
+    sign = "-" if p == 0 and draw(st.booleans()) else ""
+    zeros = "0" * draw(st.integers(0, 2))
+    tail = f"/{'0' * draw(st.integers(0, 2))}{q * k}" if q * k != 1 or draw(st.booleans()) else ""
+    return f"{sign}{zeros}{p * k}{tail}"
+
+
+@st.composite
+def graph_files(draw):
+    """A graph file on n <= 5 parties, its cells drawn as ``cell_texts``; every other
+    one gets one cell that may break a check: asymmetric, on the diagonal, negative,
+    over 64 characters or "1/0"."""
+    n = draw(st.integers(1, 5))
+    kinds = draw(st.sets(st.sampled_from(("entanglement", "communication")), min_size=1))
+    doc: dict = {"n": n}
+    for kind in sorted(kinds):
+        values = [[Fraction(0)] * n for _ in range(n)]
+        for i, j in itertools.permutations(range(n), 2):
+            if kind == "communication" or i < j:
+                values[i][j] = draw(weight_values())
+                if kind == "entanglement":
+                    values[j][i] = values[i][j]
+        doc[kind] = [[draw(cell_texts(v)) for v in row] for row in values]
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(sorted(kinds)))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        changed = weight_values(allow_zero=False).flatmap(cell_texts)
+        doc[kind][i][j] = draw(st.one_of(
+            changed, changed,
+            weight_values(allow_zero=False).map(lambda v: f"-{v}"),
+            st.sampled_from(("1/0", "-0/0", "1" * 65, "7/" + "3" * 62))))
+    return json.dumps(doc)
+
+
+@given(graph_files())
+@settings(max_examples=200, deadline=None)
+def test_integer_graphs_read_check_sum_and_write_as_the_fraction_reader(text):
+    """Every draw reads, checks, totals, symmetrises and writes as the reader that held
+    one Fraction per cell, and every refusal carries its message; a written cell past
+    the reader's cap is refused, naming its kind, position and length."""
+    try:
+        n, matrices = oracles.read_fraction_graphs(text)
+    except GraphFormatError as exc:
+        with pytest.raises(GraphFormatError) as got:
+            graphs.import_json(text)
+        assert str(got.value) == str(exc)
+        return
+    bundle = graphs.import_json(text)
+    assert bundle.n == n and {g.kind: fraction_matrix(g) for g in bundle.graphs} == matrices
+    assert graphs.export_json(bundle) == oracles.fraction_export_json(n, matrices)
+    sums = {}
+    for g in bundle.graphs:
+        w = matrices[g.kind]
+        assert g.den == math.lcm(*(x.denominator for row in w for x in row))
+        assert g.book() == {(i + 1, j + 1): w[i][j] for i, j in oracles.fraction_pairs(g.kind, n) if w[i][j]}
+        assert graphs.export_dot(g) == oracles.fraction_export_dot(g.kind, w)
+        assert g.total() == oracles.fraction_total(g.kind, w)
+        if n >= 2:
+            assert g.symmetrised_weight() == oracles.fraction_symmetrised_weight(g.kind, w)
+        else:
+            with pytest.raises(ValueError, match="at least 2 parties"):
+                g.symmetrised_weight()
+        sums[g.kind] = graphs.symmetrise(g)
+        assert fraction_matrix(sums[g.kind]) == oracles.fraction_symmetrise(w)
+    summed = graphs.GraphBundle(n, **sums)
+    long = [(g.kind, i, j, len(str(x))) for g in summed.graphs for i, row in enumerate(fraction_matrix(g))
+            for j, x in enumerate(row) if len(str(x)) > graphs.CELL_MAX_CHARS]
+    if not long:
+        assert graphs.export_json(summed) == oracles.fraction_export_json(n, {k: fraction_matrix(g) for k, g in sums.items()})
+    else:
+        kind, i, j, length = long[0]
+        with pytest.raises(GraphFormatError, match=rf"^{kind}\[{i}\]\[{j}\]: cannot write a weight of {length} "):
+            graphs.export_json(summed)
