@@ -194,6 +194,13 @@ MUTANTS = (
            "self.den if self.directed else 2 * self.den", "self.den",
            (GRAPHS + "TestTotals::test_four_lab_example_entanglement",
             GRAPHS + "TestSerialization::test_fraction_cells")),
+    Mutant("a graph file's cell may pass the length cap", "src/ebitnet/graphs.py",
+           "len(cell) <= CELL_MAX_CHARS and _CELL.fullmatch(cell)", "_CELL.fullmatch(cell)",
+           (GRAPHS + "TestSerialization::test_cells_are_bounded_integer_or_p_q_strings",)),
+    Mutant("a cell past the reader's cap is written", "src/ebitnet/graphs.py",
+           "if max(map(len, itertools.chain(*cells)), default=0) > CELL_MAX_CHARS:", "if False:",
+           ("tests/test_cli.py::TestSymmetrise::"
+            "test_a_sum_whose_cells_the_reader_would_refuse_exits_two_before_it_is_written",)),
     Mutant("integer ceilings round down", "src/ebitnet/bounds.py",
            "tuple(map(math.ceil, lower_bounds(n)))", "tuple(map(math.floor, lower_bounds(n)))",
            (BOUNDS + "TestIntegerRules::test_integer_comm_boundary_equals_the_fraction_scan",
