@@ -75,6 +75,15 @@ MUTANTS = (
            '_check_parties("an allocation", (self.party,), self.qubits)', "pass",
            (CODEC + "test_malformed_event_is_rejected_with_its_line[allocate-off-party]",
             CODEC + "test_audit_of_malformed_golden_trace_exits_two_with_its_line[no-replay-allocate-off-party]")),
+    Mutant("a party above n_parties read", "src/ebitnet/ledger.py",
+           "if not 1 <= _int(raw) <= n_parties:", "if not 1 <= _int(raw):",
+           (CODEC + "test_out_of_range_party_is_rejected_with_its_line",)),
+    Mutant("an ebit consumption may name qubits off its pair", "src/ebitnet/ledger.py",
+           '_check_parties("an ebit consumption", self.pair, self.qubits)', "pass",
+           (CODEC + "test_malformed_event_is_rejected_with_its_line[consume-qubits-off-pair]",)),
+    Mutant("an oracle may name targets off its parties", "src/ebitnet/ledger.py",
+           '_check_parties("an oracle", self.parties, self.targets)', "pass",
+           (CODEC + "test_malformed_event_is_rejected_with_its_line[oracle-parties-off-targets]",)),
     Mutant("decoded bits keyed (at, from)", "src/ebitnet/ledger.py",
            "(self.from_party, self.at_party)", "(self.at_party, self.from_party)",
            (PROTOCOLS + "TestResourceBook::test_decoded_bits_are_booked_from_sender_to_receiver",
@@ -370,9 +379,13 @@ MUTANTS = (
            '_join(ensemble, sorted(subset, key=ensemble.registry.index), "reduced density")',
            (PROTOCOLS + "TestCollectiveStar::test_povm_bits_follow_the_target_order_at_every_hub",)),
     # the one measurement kernel: an outcome is one row of the joined factor's block
-    Mutant("a kept outcome is scattered into the wrong rows", "src/ebitnet/engine.py",
-           "state[index_rows[code]] = collapsed", "state[index_rows[code][::-1]] = collapsed",
+    Mutant("a kept outcome is put back from the wrong row", "src/ebitnet/engine.py",
+           "block[code] = state", "block[code ^ 1] = state",
            (ENGINE + "TestBlockKernelAgainstMasks::test_measurement_matches_mask_reference",)),
+    # the one layout: a gate is the product with the _block of its reversed targets
+    Mutant("a gate blocks its targets unreversed", "src/ebitnet/engine.py",
+           "_block(vec, positions[::-1], k)", "_block(vec, positions, k)",
+           (ENGINE + "TestApplyMatrix::test_equals_tensordot_and_moveaxis_bit_for_bit",)),
     Mutant("a Bell measurement without discard skips the basis change back", "src/ebitnet/engine.py",
            "state = _apply_matrix(state, positions, basis_change.conj().T, size)", "pass",
            (ENGINE + "TestBellTools::test_bell_measure_without_discard_collapses",

@@ -255,6 +255,7 @@ def cmd_symmetrise(args) -> int:
     n = bundle.n
     outdir = _output_dir(args.output)
     symmetrised = {}  # kind -> symmetrised graph
+    files = {}  # name -> text of each output file, all built before any is written
     # every file holds a graph, so below the cap the pair counts are built once for both graphs' sums
     counts = graphs.pair_counts(n) if n <= graphs.BRUTE_FORCE_MAX else None
     for g in bundle.graphs:
@@ -272,11 +273,13 @@ def cmd_symmetrise(args) -> int:
         else:
             print(f"{kind}: brute-force cross-check skipped "
                   f"(n = {n} exceeds the cap of {graphs.BRUTE_FORCE_MAX})")
-        _write(outdir / f"{kind}.dot", graphs.export_dot(g))
+        files[f"{kind}.dot"] = graphs.export_dot(g)
     if symmetrised:
-        _write(outdir / "symmetrised.json", graphs.export_json(graphs.GraphBundle(n, **symmetrised)))
+        files["symmetrised.json"] = graphs.export_json(graphs.GraphBundle(n, **symmetrised))
         for kind, g in symmetrised.items():
-            _write(outdir / f"symmetrised_{kind}.dot", graphs.export_dot(g, name=f"symmetrised_{kind}"))
+            files[f"symmetrised_{kind}.dot"] = graphs.export_dot(g, name=f"symmetrised_{kind}")
+    for name, text in files.items():
+        _write(outdir / name, text)
     # only a four-party input can be the example, so no other builds it
     if n == 4 and bundle.entanglement is not None and bundle.entanglement == graphs.four_lab_example().entanglement:
         print("note: the symmetrised edge weight of this four-lab example is sometimes "

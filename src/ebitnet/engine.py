@@ -15,7 +15,11 @@ pair one group), a gate or a measurement joins its targets' groups into one
 whose factor is the kron of theirs, discarded qubits leave their group, and
 renames rename its members.  ``_join`` locates an operation's targets and
 joins their groups for gates, measurements and reduced densities alike.
-``branch_vectors`` builds the dense vectors over the registry on demand.
+``_block`` is the one layout of the bits an operation acts on: it views a
+factor as a (2^m, rest) block whose row bit j is the j-th of those bits, and
+``_unblock`` is its inverse.  Gates, kept outcomes, reduced densities,
+entropies and dense vectors all go through it.  ``branch_vectors`` builds the
+dense vectors over the registry on demand.
 
 Conventions, fixed once:
 
@@ -240,45 +244,17 @@ class Povm:
 
 
 @lru_cache(maxsize=1024)
-def _contraction(positions: tuple[int, ...], k: int) -> tuple[list[int], list[int], list[int]]:
-    """The axis permutations of a gate on the bits ``positions`` of a 2**k statevector,
-    as np.tensordot and np.moveaxis work them out: of the (2,) * 2m gate tensor, so
-    that its column bits, bit j first, follow its row bits; of the (2,) * k state
-    tensor, so that the axes of gate bits 0..m-1 lead; and of the product, so that
-    row bit j (its axis m-1-j) goes back to the state axis of gate bit j."""
-    m = len(positions)
-    state_axes = [k - 1 - p for p in positions]  # axis of gate bit j
-    op_order = [*range(m), *(2 * m - 1 - j for j in range(m))]
-    state_order = [*state_axes, *(a for a in range(k) if a not in state_axes)]
-    rows = [m - 1 - j for j in range(m)]
-    out_order = [a for a in range(k) if a not in rows]
-    for dest, src in sorted(zip(state_axes, rows)):
-        out_order.insert(dest, src)
-    return op_order, state_order, out_order
-
-
-def _apply_matrix(vec: np.ndarray, positions: Sequence[int], matrix: np.ndarray, k: int) -> np.ndarray:
-    """Apply ``matrix`` to the bits ``positions`` of a 2**k statevector.
-
-    This is np.tensordot's contraction of column bit j with the state axis of
-    gate bit j, then np.moveaxis of the row bits back to those axes: the same
-    transposed operands go to the same ``np.dot``, without either function's
-    axis checks.  A matmul over ``_block`` would sum in another order, move the
-    last digit of recorded distributions and so change traces.
-    """
-    m = len(positions)
-    op_order, state_order, out_order = _contraction(tuple(positions), k)
-    op = matrix.reshape((2,) * (2 * m)).transpose(op_order).reshape(1 << m, 1 << m)
-    tensor = vec.reshape((2,) * k).transpose(state_order).reshape(1 << m, -1)
-    return np.dot(op, tensor).reshape((2,) * k).transpose(out_order).reshape(-1)
-
-
-@lru_cache(maxsize=1024)
 def _block_axes(positions: tuple[int, ...], k: int) -> tuple[int, ...]:
     """The axes of a (2,) * k state tensor in the order of its block for the bits
     ``positions``: theirs, the last one first, then the others in index order."""
     rows = [k - 1 - p for p in reversed(positions)]
     return (*rows, *(a for a in range(k) if a not in rows))
+
+
+@lru_cache(maxsize=1024)
+def _unblock_axes(positions: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The inverse of the permutation ``_block_axes(positions, k)``."""
+    return tuple(sorted(range(k), key=_block_axes(positions, k).__getitem__))
 
 
 def _block(vec: np.ndarray, positions: Sequence[int], k: int) -> np.ndarray:
@@ -288,6 +264,26 @@ def _block(vec: np.ndarray, positions: Sequence[int], k: int) -> np.ndarray:
     other qubits in their original index order.
     """
     return vec.reshape((2,) * k).transpose(_block_axes(tuple(positions), k)).reshape(1 << len(positions), -1)
+
+
+def _unblock(block: np.ndarray, positions: Sequence[int], k: int) -> np.ndarray:
+    """The 2**k statevector whose ``_block`` for the bits ``positions`` is ``block``."""
+    return block.reshape((2,) * k).transpose(_unblock_axes(tuple(positions), k)).reshape(-1)
+
+
+def _apply_matrix(vec: np.ndarray, positions: Sequence[int], matrix: np.ndarray, k: int) -> np.ndarray:
+    """Apply ``matrix`` to the bits ``positions`` of a 2**k statevector.
+
+    The product is the matrix with its column bits reversed times the
+    ``_block`` of the reversed targets, put back by ``_unblock``.  These are the
+    operands np.tensordot builds to contract column bit j with the state axis
+    of gate bit j, so the same ``np.dot`` sums in its order.  A matmul of
+    ``matrix`` over the ``_block`` of ``positions`` would sum in another order,
+    move the last digit of recorded distributions and so change traces.
+    """
+    m = len(positions)
+    op = matrix.reshape(1 << m, *(2,) * m).transpose(0, *range(m, 0, -1)).reshape(1 << m, 1 << m)
+    return _unblock(np.dot(op, _block(vec, positions[::-1], k)), positions, k)
 
 
 def _blocks(stack: np.ndarray, sides: Sequence[Sequence[int]], k: int) -> np.ndarray:
@@ -502,17 +498,15 @@ def _measure(ensemble: BranchEnsemble, targets: Sequence[QubitId], discard: bool
 
     Row ``code`` of the block holds the amplitudes of that outcome, so its
     squared norm is the outcome's weight.  A discarded outcome keeps the row
-    alone, and the joined group shrinks by the targets; a kept one is scattered
-    back into the factor indices it came from, and the adjoint of
-    ``basis_change`` is applied to it.
+    alone, and the joined group shrinks by the targets; a kept one is written
+    into row ``code`` of a zero block and put back by ``_unblock``, and the
+    adjoint of ``basis_change`` is applied to it.
     """
     joined, apart, positions, gathered = _join(ensemble, targets, "measurement")
     size, gone = len(joined[-1]), set(targets)
     groups = product_groups(joined, discarded=gone)[0] if discard else joined
     registry = tuple([q for q in ensemble.registry if q not in gone]) if discard else ensemble.registry
     remains = len(groups) > len(apart)  # the joined group keeps a qubit
-    # row ``code`` of the index block lists the factor indices of that outcome
-    index_rows = None if discard else _block(np.arange(1 << size), positions, size)
     midx = ensemble.measurement_count
     dist: dict[str, float] = {}
     branches: list[Branch] = []
@@ -530,8 +524,9 @@ def _measure(ensemble: BranchEnsemble, targets: Sequence[QubitId], discard: bool
             dist[outcome] = dist.get(outcome, 0.0) + prob
             state = row / math.sqrt(weight)
             if not discard:
-                state, collapsed = np.zeros(1 << size, dtype=complex), state
-                state[index_rows[code]] = collapsed
+                block = np.zeros((1 << len(targets), len(row)), dtype=complex)
+                block[code] = state
+                state = _unblock(block, positions, size)
                 if basis_change is not None:
                     state = _apply_matrix(state, positions, basis_change.conj().T, size)
             record = dict(b.record)
@@ -639,18 +634,14 @@ def subset_entropies(ensemble: BranchEnsemble, subsets: Iterable[Iterable[QubitI
     so its value does not depend on the other subsets of the call.
     """
     groups, branches = ensemble.groups, ensemble.branches
-    where = {q: (i, j) for i, group in enumerate(groups) for j, q in enumerate(group)}
     # side size -> (group index, smaller side as bits of the group's factor) of each split
     by_size: dict[int, list[tuple[int, list[int]]]] = {}
     terms = []  # of each subset, the (side size, index in by_size) of its splits, in the order they add up
     for subset in subsets:
-        wanted = set(subset)
-        missing = wanted.difference(where)
-        if missing:
-            raise ValueError(f"unknown target qubit {min(missing)!r}")
         own: dict[int, list[int]] = {}  # its splits' indices in by_size, by side size in order of appearance
-        # the (group, bit) pairs sorted: group by group, each group's bits ascending
-        for i, located in groupby(sorted(map(where.__getitem__, wanted)), key=itemgetter(0)):
+        # the (group, bit) pairs sorted: group by group, each group's bits ascending; the
+        # qubits are located in id order, so an error names the smallest unknown one
+        for i, located in groupby(sorted(map(ensemble.locate, sorted(set(subset)))), key=itemgetter(0)):
             bits = [j for _, j in located]
             size = len(groups[i])
             side = bits if 2 * len(bits) <= size else [j for j in range(size) if j not in bits]

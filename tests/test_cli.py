@@ -242,7 +242,8 @@ class TestSymmetrise:
 
     def test_a_sum_whose_cells_the_reader_would_refuse_exits_two_before_it_is_written(self, tmp_path, capsys):
         """Cells within the 64-character cap can sum to 85 characters; such a result
-        is refused with exit 2 and no symmetrised.json, which no reader would take back."""
+        is refused with exit 2 before any output file is written, since no reader
+        would take back its symmetrised.json."""
         cells = ["1/9999999999999999999999", "5", "123456789012345678901234567890123456789/7", "1/3"]
         assert max(map(len, cells)) <= 64
         comm = [["0", cells[0], cells[1]], [cells[2], "0", cells[3]], ["0", "0", "0"]]
@@ -255,6 +256,7 @@ class TestSymmetrise:
                                        "more than the 64 a graph file's cell holds: 12345678901234567890...")
         assert captured.err.count("\n") == 1
         assert not (out / "symmetrised.json").exists()
+        assert not any(out.iterdir())
 
     def test_missing_file_exits_two(self, tmp_path):
         assert run_cli("symmetrise", "--input", str(tmp_path / "no.json"),

@@ -301,6 +301,13 @@ class TestEntropy:
         ens = oracles.one_branch([np.sqrt(1 - p), 0, 0, np.sqrt(p)], (q1, q2))
         assert (engine.subset_entropies(ens, [[q1]])[0] > 10 * p) == counted
 
+    def test_two_unknown_qubits_are_refused_by_the_smaller_id(self):
+        """The qubits of a subset are located in id order, whatever order it lists them in."""
+        ens, a, b = bell_pair_ensemble(party_a=1, party_b=2)
+        subsets = [[a], [QubitId(2, "y"), b, QubitId(1, "z")]]
+        with pytest.raises(ValueError, match=r"^unknown target qubit 1:z$"):
+            engine.subset_entropies(ens, subsets)
+
     def test_improper_partition_rejected(self):
         ens, a, b = bell_pair_ensemble(party_a=1, party_b=2)
         with pytest.raises(ValueError):
