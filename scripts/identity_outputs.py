@@ -7,7 +7,8 @@ For each protocol spec at seeds 7 and 11 it keeps the files of ``ebitnet
 simulate`` and the exit code, stdout and stderr of that command and of
 ``ebitnet audit`` on its outputs, with and without ``--no-replay``.  It also
 records a few usage errors (among them a star run whose n + 2 qubits, and
-permutation runs whose 2n qubits, pass the registry cap), and audits seeded mutations of the small runs'
+permutation runs whose 2n qubits, pass the registry cap, and a ``--sample``
+over its cap), and audits seeded mutations of the small runs'
 traces and graph files (dropped, duplicated and swapped events, re-paired
 ebits, changed bits, forged creates, decodes and messages, lowered graph
 weights, shifted distributions, a relabel moved across parties, re-pointed
@@ -51,7 +52,10 @@ more puts cells of at most 64 characters into the three-party star-op graphs
 whose symmetrised sum has cells of 85: ``symmetrise`` must exit 2 before it
 writes a ``symmetrised.json`` that its reader would refuse.  ``bounds`` writes its
 table as CSV and as JSON at ``--n-max`` 2, 3 and 64, once to a file and once to
-stdout (with the half-transfer boundary note at 64).  Last, ``simulate``,
+stdout (with the half-transfer boundary note at 64).  Outputs are then
+rewritten: ``simulate star-op`` at n = 5 and then 3 into one directory, and the
+bounds table at ``--n-max`` 64 and then 2 into one file; the rewritten files
+must hold the bytes a fresh path gets.  Last, ``simulate``,
 ``symmetrise`` and ``bounds`` write to output paths that cannot be written (a
 regular file or a directory where the other is needed, a path under
 ``/dev/null``); each must exit 2 with an ``error:`` line.
@@ -115,6 +119,7 @@ USAGE_ERRORS = [
     ["ps-cp", "--n", "4"], ["ps-cp", "--n", "1"], ["perm-entangle", "--n", "1"], ["perm-comm", "--n", "0"],
     ["teleport", "--sample", "-1"], ["star-op", "--n", "25"],
     ["perm-comm", "--n", "13"], ["perm-entangle", "--n", "13"],
+    ["teleport", "--sample", "1000001"], ["teleport", "--sample", "100000000000"],
 ]
 # --n-max values of the bounds tables: the smallest, the first odd n, the cap
 BOUNDS_N_MAX = (2, 3, 64)
@@ -629,6 +634,20 @@ def main() -> None:
                 result = result.replace(str(root), "<output>")
                 (into / f"{name}.txt").write_text(result, encoding="utf-8")
                 outcomes.append(result)
+
+    # longer outputs rewritten by shorter ones: the files must hold the bytes a fresh path gets
+    into = root / "rewrite"
+    into.mkdir(parents=True, exist_ok=True)
+    results = [run_cli(["simulate", "star-op", "--seed", "7", "--n", n, "--output", str(into)]) for n in ("5", "3")]
+    # the bounds run's stdout names its path
+    results += [run_cli(["bounds", "--n-max", n_max, "--output", str(into / "bounds.csv")])
+                .replace(str(root), "<output>") for n_max in ("64", "2")]
+    fresh = {**{f.name: f for f in (root / "simulate" / "star-op-n3-s7").glob("star-op_*")},
+             "bounds.csv": root / "bounds" / "bounds-2.csv"}
+    (into / "rewrite.txt").write_text("".join(results) + "".join(
+        f"{name}: {'the same bytes as' if (into / name).read_bytes() == path.read_bytes() else 'DIFFERS from'} "
+        f"a fresh path\n" for name, path in sorted(fresh.items())), encoding="utf-8")
+    outcomes += results
 
     into = root / "unwritable"
     into.mkdir(parents=True, exist_ok=True)

@@ -45,6 +45,7 @@ CODEC = "tests/test_trace_codec.py::"
 ENGINE = "tests/test_engine.py::"
 GRAPHS = "tests/test_graphs.py::"
 BOUNDS = "tests/test_bounds.py::"
+WRITER = "tests/test_cli.py::TestWriter::"
 SERIES = AUDIT + "test_monotone_series_matches_the_per_branch_formula"
 MUTANTS = (
     Mutant("step refuses only below zero", "src/ebitnet/protocols.py",
@@ -390,6 +391,17 @@ MUTANTS = (
            "state = _apply_matrix(state, positions, basis_change.conj().T, size)", "pass",
            (ENGINE + "TestBellTools::test_bell_measure_without_discard_collapses",
             ENGINE + "TestMeasurementJoins::test_bell_measure_equals_the_composed_measurement_bit_for_bit")),
+    # the one output writer rewrites a file in place: cut at the end of the new bytes, opened with mode 0o666
+    Mutant("an output file is rewritten without being cut", "src/ebitnet/cli.py",
+           "os.ftruncate(fd, written)", "pass",
+           (WRITER + "test_a_shorter_table_over_a_longer_file_leaves_no_stale_tail",
+            WRITER + "test_a_write_that_fails_part_way_leaves_a_prefix_of_the_new_bytes")),
+    Mutant("a new output file is opened with os.open's default mode", "src/ebitnet/cli.py",
+           "os.O_WRONLY | os.O_CREAT, 0o666)", "os.O_WRONLY | os.O_CREAT)",
+           (WRITER + "test_a_rewrite_keeps_the_inode_and_mode_and_a_new_file_gets_0o666_under_the_umask",)),
+    Mutant("a device output is cut too", "src/ebitnet/cli.py",
+           "if stat.S_ISREG(os.fstat(fd).st_mode):", "if True:",
+           (WRITER + "test_a_device_is_written_without_being_cut",)),
 )
 
 

@@ -16,7 +16,9 @@ stdout is closed before the output is written.  Identical flags and seed
 produce byte-identical output files on a fixed BLAS thread count
 (``OPENBLAS_NUM_THREADS``): from 128x128 up, the Haar draw's QR gives other
 bytes on another thread count.  The optional ``--sample`` mode only
-prints illustrative draws and never affects exit codes.  The environment
+prints illustrative draws and never affects exit codes, though a K below 0
+or above ``SAMPLE_MAX`` is refused before the run.  An existing output file
+is rewritten in place (see ``_write``).  The environment
 variable EBITNET_MAX_QUBITS overrides the default registry cap of 24 for
 ``simulate`` and ``audit``; a trace cannot raise the cap in force.
 """
@@ -28,6 +30,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import sys
 from functools import cache, partial
 from pathlib import Path
@@ -43,6 +46,10 @@ PROTOCOLS = (
     "teleport", "two-qubit-op", "star-op", "swap-comm", "swap-entangle",
     "perm-entangle", "perm-comm", "ps", "ps-cp",
 )
+
+
+# the most --sample draws per measurement: K draws are held as one array and printed on one line
+SAMPLE_MAX = 10**6
 
 
 class CliUsageError(ValueError):
@@ -72,8 +79,27 @@ def _output_dir(path: str | Path) -> Path:
 
 
 def _write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, rewriting an existing file in place.
+
+    The open has no ``O_TRUNC``: a regular file is cut at the end of what was
+    written instead, which on some filesystems costs far less than truncating
+    it to zero first.  So a file keeps its inode and mode, a symlink is
+    followed, and a write that fails part way leaves a prefix of the new bytes.
+    A device or FIFO (``/dev/stdout``, ``/dev/null``) is written, not cut.
+    """
+    data = memoryview(text.encode("utf-8"))
     try:
-        path.write_text(text, encoding="utf-8")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)  # the mode open(path, "w") passes
+        try:
+            written = 0
+            try:
+                while written < len(data):
+                    written += os.write(fd, data[written:])
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise CliUsageError(f"cannot write {path}: {exc}") from None
 
@@ -191,6 +217,8 @@ def _simulate(protocol: str, n: int, rng: np.random.Generator, hub: int, cap: in
 def cmd_simulate(args) -> int:
     if args.sample < 0:
         raise CliUsageError(f"--sample must be >= 0, got {args.sample}")
+    if args.sample > SAMPLE_MAX:
+        raise CliUsageError(f"--sample is capped at {SAMPLE_MAX} draws per measurement, got {args.sample}")
     cap = _max_qubits()
     rng = np.random.default_rng(args.seed)
     outdir = _output_dir(args.output)  # a path that cannot be written fails before the run
@@ -335,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--hub", type=int, default=1, help="hub party for star protocols")
     p_sim.add_argument("--output", default="out", help="output directory")
     p_sim.add_argument("--sample", type=int, default=0, metavar="K",
-                       help="also print K sampled outcomes per measurement (demo only)")
+                       help=f"also print K <= {SAMPLE_MAX} sampled outcomes per measurement (demo only)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_bounds = sub.add_parser("bounds", help="tabulate the closed-form resource bounds")

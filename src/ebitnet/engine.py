@@ -257,6 +257,12 @@ def _unblock_axes(positions: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(sorted(range(k), key=_block_axes(positions, k).__getitem__))
 
 
+@lru_cache(maxsize=64)
+def _reversed_column_axes(m: int) -> tuple[int, ...]:
+    """The axes of an m-qubit matrix as a (2**m, 2, ..., 2) tensor with its column bits reversed."""
+    return (0, *range(m, 0, -1))
+
+
 def _block(vec: np.ndarray, positions: Sequence[int], k: int) -> np.ndarray:
     """A 2**k statevector as a (2**m, rest) block for the m bits ``positions``.
 
@@ -282,7 +288,7 @@ def _apply_matrix(vec: np.ndarray, positions: Sequence[int], matrix: np.ndarray,
     move the last digit of recorded distributions and so change traces.
     """
     m = len(positions)
-    op = matrix.reshape(1 << m, *(2,) * m).transpose(0, *range(m, 0, -1)).reshape(1 << m, 1 << m)
+    op = matrix.reshape(1 << m, *(2,) * m).transpose(_reversed_column_axes(m)).reshape(1 << m, 1 << m)
     return _unblock(np.dot(op, _block(vec, positions[::-1], k)), positions, k)
 
 

@@ -1,12 +1,14 @@
+import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from ebitnet import cli, ledger
+from ebitnet import bounds, cli, ledger
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "fixtures" / "four_lab_example.json"
@@ -113,6 +115,22 @@ class TestSimulate:
         out = tmp_path / "s"
         assert run_cli("simulate", "teleport", "--sample", "3", "--output", str(out)) == 0
         assert "sample: measurement" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("count", [cli.SAMPLE_MAX + 1, 100_000_000_000])
+    def test_a_sample_over_the_cap_is_a_usage_error_before_the_run(self, count, tmp_path, monkeypatch, capsys):
+        # refused by arithmetic on K: neither the run nor a draw happens
+        monkeypatch.setattr(cli, "_simulate", lambda *args: pytest.fail("the protocol ran"))
+        assert run_cli("simulate", "teleport", "--sample", str(count), "--output", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --sample is capped at {cli.SAMPLE_MAX} draws per measurement, "
+                                f"got {count}\n")
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_a_sample_at_the_cap_is_drawn(self, tmp_path, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(cli, "_print_samples", lambda run, count, seed: drawn.append(count))
+        assert run_cli("simulate", "teleport", "--sample", str(cli.SAMPLE_MAX), "--output", str(tmp_path)) == 0
+        assert drawn == [cli.SAMPLE_MAX]
 
     def test_negative_sample_is_a_usage_error_before_the_run(self, tmp_path, capsys):
         out = tmp_path / "s"
@@ -306,6 +324,63 @@ class TestDeterminism:
         assert run_cli("bounds", "--n-max", "16", "--output", str(a)) == 0
         assert run_cli("bounds", "--n-max", "16", "--output", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestWriter:
+    """An output file is rewritten in place: no stale tail, the same inode and mode,
+    symlinks followed, and devices written without being cut."""
+
+    def test_a_shorter_table_over_a_longer_file_leaves_no_stale_tail(self, tmp_path):
+        fresh, rewritten = tmp_path / "fresh.csv", tmp_path / "t.csv"
+        assert run_cli("bounds", "--n-max", "2", "--output", str(fresh)) == 0
+        assert run_cli("bounds", "--n-max", "64", "--output", str(rewritten)) == 0
+        assert rewritten.stat().st_size > fresh.stat().st_size
+        assert run_cli("bounds", "--n-max", "2", "--output", str(rewritten)) == 0
+        assert rewritten.read_bytes() == fresh.read_bytes()
+
+    def test_a_rewrite_keeps_the_inode_and_mode_and_a_new_file_gets_0o666_under_the_umask(self, tmp_path):
+        out = tmp_path / "t.csv"
+        old_umask = os.umask(0o027)
+        try:
+            assert run_cli("bounds", "--n-max", "64", "--output", str(out)) == 0
+        finally:
+            os.umask(old_umask)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~0o027
+        out.chmod(0o604)
+        inode = out.stat().st_ino
+        assert run_cli("bounds", "--n-max", "3", "--output", str(out)) == 0
+        assert (out.stat().st_ino, out.stat().st_mode & 0o777) == (inode, 0o604)
+
+    def test_an_output_through_a_symlink_writes_its_target(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n" * 1000, encoding="utf-8")
+        link.symlink_to(target)
+        assert run_cli("bounds", "--n-max", "2", "--output", str(link)) == 0
+        assert link.is_symlink() and link.readlink() == target
+        assert target.read_text(encoding="utf-8") == bounds.table_csv(2)
+
+    def test_a_device_is_written_without_being_cut(self, capsys):
+        assert run_cli("bounds", "--output", os.devnull) == 0
+        assert capsys.readouterr().out.startswith(f"wrote {os.devnull}\n")
+
+    def test_a_write_that_fails_part_way_leaves_a_prefix_of_the_new_bytes(self, tmp_path, monkeypatch):
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"o" * 5000)
+        write = os.write
+        calls = []
+
+        def write_100_bytes_then_fail(fd, data):
+            calls.append(len(data))
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(fd, data[:100])
+
+        monkeypatch.setattr(cli.os, "write", write_100_bytes_then_fail)
+        with pytest.raises(cli.CliUsageError, match=re.escape(f"cannot write {out}: [Errno {errno.ENOSPC}]")):
+            cli._write(out, "n" * 1000)
+        monkeypatch.undo()
+        assert calls == [1000, 900]
+        assert out.read_bytes() == b"n" * 100
 
 
 @pytest.mark.parametrize("argv", [["bounds", "--n-max", "64"], ["audit"]], ids=["bounds", "audit"])
