@@ -7,8 +7,7 @@ For each protocol spec at seeds 7 and 11 it keeps the files of ``ebitnet
 simulate`` and the exit code, stdout and stderr of that command and of
 ``ebitnet audit`` on its outputs, with and without ``--no-replay``.  It also
 records a few usage errors (among them a star run whose n + 2 qubits, and
-permutation runs whose 2n qubits, pass the registry cap, and a ``--sample``
-over its cap), and audits seeded mutations of the small runs'
+permutation runs whose 2n qubits, pass the registry cap), and audits seeded mutations of the small runs'
 traces and graph files (dropped, duplicated and swapped events, re-paired
 ebits, changed bits, forged creates, decodes and messages, lowered graph
 weights, shifted distributions, a relabel moved across parties, re-pointed
@@ -93,7 +92,6 @@ SEEDS = (7, 11)
 # spec name -> simulate arguments after the protocol name
 SPECS = {
     "teleport": ("teleport", []),
-    "teleport-sample": ("teleport", ["--sample", "3"]),
     "two-qubit-op": ("two-qubit-op", []),
     "swap-comm": ("swap-comm", []),
     "swap-entangle": ("swap-entangle", []),
@@ -117,9 +115,7 @@ USAGE_ERRORS = [
     ["star-op", "--n", "1"], ["star-op", "--n", "3", "--hub", "4"], ["star-op", "--n", "3", "--hub", "0"],
     ["ps", "--n", "3"], ["ps", "--n", "0"], ["ps", "--n", "4", "--hub", "5"],
     ["ps-cp", "--n", "4"], ["ps-cp", "--n", "1"], ["perm-entangle", "--n", "1"], ["perm-comm", "--n", "0"],
-    ["teleport", "--sample", "-1"], ["star-op", "--n", "25"],
-    ["perm-comm", "--n", "13"], ["perm-entangle", "--n", "13"],
-    ["teleport", "--sample", "1000001"], ["teleport", "--sample", "100000000000"],
+    ["star-op", "--n", "25"], ["perm-comm", "--n", "13"], ["perm-entangle", "--n", "13"],
 ]
 # --n-max values of the bounds tables: the smallest, the first odd n, the cap
 BOUNDS_N_MAX = (2, 3, 64)
@@ -602,8 +598,8 @@ def main() -> None:
         run, into = build(), root / "library" / name
         into.mkdir(parents=True, exist_ok=True)
         n, book = run.n_parties, run.ledger
-        bundle = graphs.GraphBundle(n, graphs.EntanglementGraph.from_book(n, book.granted),
-                                    graphs.CommunicationGraph.from_book(n, book.bits_sent))
+        bundle = graphs.GraphBundle(n, graphs.EntanglementGraph.from_book(n, book.granted, book.den),
+                                    graphs.CommunicationGraph.from_book(n, book.bits_sent, book.den))
         (into / "trace.jsonl").write_text(dump_trace(run.trace), encoding="utf-8")
         (into / "graphs.json").write_text(graphs.export_json(bundle), encoding="utf-8")
         outcomes += audit_both(into / "trace.jsonl", into / "graphs.json", into)

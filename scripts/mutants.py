@@ -58,11 +58,11 @@ MUTANTS = (
            (AUDIT + "TestAuditViolations::test_overconsumption_flagged",
             AUDIT + "test_forged_trace_report_is_exact")),
     Mutant("supplementary messages charged in full, past their POVM cover", "src/ebitnet/ledger.py",
-           "if not self.supplementary:", "if True:",
+           "        if self.supplementary:", "        if False:",
            (PROTOCOLS + "TestCollectiveTwoQubit::test_recorded_uniform_povm_supplementary",
             AUDIT + "test_cut_checks_match_brute_force_reference"), quick=True),
     Mutant("supplementary bits beyond the POVM cover go free", "src/ebitnet/ledger.py",
-           "        if beyond:", "        if False:",
+           "if bits or not self.supplementary:", "if not self.supplementary:",
            (AUDIT + "test_supplementary_messages_beyond_the_povm_cover_are_charged",
             AUDIT + "test_cut_checks_match_brute_force_reference"), quick=True),
     Mutant("POVM distribution taken from the record", "src/ebitnet/ledger.py",
@@ -98,16 +98,19 @@ MUTANTS = (
            (AUDIT + "test_forged_trace_report_is_exact",
             AUDIT + "test_cut_checks_match_brute_force_reference")),
     Mutant("an undirected book drops its reversed terms", "src/ebitnet/audit.py",
-           "terms.append((1 << b, 1 << a, num))", "pass",
+           "terms + [(b, a, num) for a, b, num in terms]", "terms",
            (AUDIT + "test_cut_sums_match_the_cross_partition_oracle",
             AUDIT + "test_forged_trace_report_is_exact",
             AUDIT + "test_cut_checks_match_brute_force_reference")),
-    Mutant("book terms not scaled to the common denominator", "src/ebitnet/audit.py",
-           "num = v.numerator * (den // v.denominator)", "num = v.numerator",
-           (AUDIT + "test_cut_sums_match_the_cross_partition_oracle",
-            AUDIT + "test_cut_checks_match_brute_force_reference")),
+    Mutant("a rescale to a new denominator skips the consumed ebits", "src/ebitnet/ledger.py",
+           "(self.ebits_consumed, self.ebits_created, self.bits_sent,", "(self.ebits_created, self.bits_sent,",
+           (PROTOCOLS + "TestResourceBook::test_an_amount_over_a_new_denominator_rescales_every_book",
+            AUDIT + "test_cut_checks_match_brute_force_reference"), quick=True),
+    Mutant("the audit's books start over den 1, not the entanglement graph's", "src/ebitnet/audit.py",
+           "ResourceLedger(den=ent.den, granted=ent.book())", "ResourceLedger(granted=ent.book())",
+           (AUDIT + "test_cut_checks_match_brute_force_reference",)),
     Mutant("channel capacity reached counts as exceeded", "src/ebitnet/audit.py",
-           "if bits > cap:", "if bits >= cap:",
+           "bits * comm.den > comm.nums", "bits * comm.den >= comm.nums",
            (AUDIT + "TestAuditCleanRuns::test_star_run_is_clean",)),
     Mutant("registry cap one qubit short at load", "src/ebitnet/ledger.py",
            "len(ids) + len(added) > max_qubits", "len(ids) + len(added) >= max_qubits",

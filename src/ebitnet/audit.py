@@ -20,12 +20,13 @@ The one pass over the events charges each through its ``book`` and exempts
 the cuts its ``joined`` parties span; the replay runs each through ``apply``.
 
 The cut sums are the program's one count of resources across a bipartition.
-The graphs enter as their books (``Graph.book``), keyed as the ledger's are.
-Every book is put over one common denominator as integer (from-bit, to-bit,
-numerator) terms, an undirected book giving each pair in both directions, and
-``_leaving`` sums the terms that leave a side mask, only for the cuts a check
-runs on.  The checks compare integers; a violation's text prints them as
-fractions again, and the replay's held ebits divide them into floats.
+The ledger that books the events starts from the entanglement graph's book
+(``Graph.book``) and ``den``, so every book holds integer numerators over one
+``den``.  ``_terms`` gives a book as (from-bit, to-bit, numerator) terms, an
+undirected book giving each pair in both directions, and ``_leaving`` sums the
+terms that leave a side mask, only for the cuts a check runs on.  The checks
+compare integers; a violation's text prints them as fractions again, and the
+replay's held ebits divide them into floats.
 
 The replay reads the product groups from each replayed ensemble
 (``ens.groups``, which only the engine works out): every branch is a product
@@ -54,7 +55,6 @@ most ``engine.ENTROPY_CHUNK_BYTES``.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -63,7 +63,7 @@ import numpy as np
 
 from . import engine
 from .engine import BranchEnsemble, QubitId
-from .graphs import GraphBundle
+from .graphs import CommunicationGraph, EntanglementGraph, GraphBundle
 from .ledger import (
     CollectiveOracle,
     EbitConsume,
@@ -116,16 +116,11 @@ def _spans(mask: int, cut: int) -> bool:
 Terms = list[tuple[int, int, int]]
 
 
-def _terms(book: Mapping[tuple[int, int], Fraction], den: int, directed: bool) -> Terms:
-    """``book`` as integer (from-bit, to-bit, numerator) terms over the common
-    denominator ``den``; an undirected book gives each pair in both directions."""
-    terms = []
-    for (a, b), v in book.items():
-        num = v.numerator * (den // v.denominator)
-        terms.append((1 << a, 1 << b, num))
-        if not directed:
-            terms.append((1 << b, 1 << a, num))
-    return terms
+def _terms(book: Mapping[tuple[int, int], int], directed: bool) -> Terms:
+    """``book``'s numerators as (from-bit, to-bit, numerator) terms; an
+    undirected book gives each pair in both directions."""
+    terms = [(1 << a, 1 << b, num) for (a, b), num in book.items()]
+    return terms if directed else terms + [(b, a, num) for a, b, num in terms]
 
 
 def _leaving(terms: Terms, side: int) -> int:
@@ -291,11 +286,13 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
     n = trace.n_parties
     if resources.n != n:
         raise ValueError(f"trace has {n} parties but graphs describe {resources.n}")
-    granted, capacity = ({} if g is None else g.book() for g in (resources.entanglement, resources.communication))
+    zeros = [[0] * n for _ in range(n)]
+    ent = resources.entanglement or EntanglementGraph(n, zeros)
+    comm = resources.communication or CommunicationGraph(n, zeros)
     report = AuditReport(n_parties=n, checks_run=["held-nonnegative", "locality"])
 
     # -- one pass over the events: books, locality and cuts spanned ---------
-    books = ResourceLedger(granted=granted)
+    books = ResourceLedger(den=ent.den, granted=ent.book())
     locality: list[Violation] = []
     spanned_by_oracle: set[int] = set()
     spanned_by_conveyance: set[int] = set()
@@ -307,7 +304,7 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
             key = pair_key(*ev.pair)
             report.violations.append(Violation(
                 "held-nonnegative",
-                f"pair {key} consumed beyond its {granted.get(key, Fraction(0))} held ebits",
+                f"pair {key} consumed beyond its {ent.weight(*key)} held ebits",
                 step,
             ))
         elif isinstance(ev, (LocalGate, LocalMeasure)):
@@ -332,20 +329,17 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
     report.violations += locality
 
     report.checks_run.append("channel-capacity")
+    den = books.den
     for (a, b), bits in sorted(books.bits_sent.items()):
-        cap = capacity.get((a, b), Fraction(0))
-        if bits > cap:
+        if bits * comm.den > comm.nums[a - 1][b - 1] * den:
             report.violations.append(Violation(
                 "channel-capacity",
-                f"{bits} bits sent {a}->{b} exceed the declared capacity {cap}",
+                f"{Fraction(bits, den)} bits sent {a}->{b} exceed the declared capacity {comm.weight(a, b)}",
             ))
 
-    # every book over one denominator, so that each cut check compares integers
-    den = math.lcm(*(v.denominator for book in (granted, books.ebits_created, books.ebits_consumed,
-                                                books.bits_sent, books.bits_decoded) for v in book.values()))
-    shared, made, used = (_terms(book, den, directed=False)
-                          for book in (granted, books.ebits_created, books.ebits_consumed))
-    sent, decoded = (_terms(book, den, directed=True) for book in (books.bits_sent, books.bits_decoded))
+    shared, made, used = (_terms(book, directed=False)
+                          for book in (books.granted, books.ebits_created, books.ebits_consumed))
+    sent, decoded = (_terms(book, directed=True) for book in (books.bits_sent, books.bits_decoded))
 
     report.checks_run.append("cut-entanglement")
     initial = [_leaving(shared, cut) for cut in cuts]

@@ -15,10 +15,8 @@ input or an output path that cannot be written, 141 (128 + SIGPIPE) when
 stdout is closed before the output is written.  Identical flags and seed
 produce byte-identical output files on a fixed BLAS thread count
 (``OPENBLAS_NUM_THREADS``): from 128x128 up, the Haar draw's QR gives other
-bytes on another thread count.  The optional ``--sample`` mode only
-prints illustrative draws and never affects exit codes, though a K below 0
-or above ``SAMPLE_MAX`` is refused before the run.  An existing output file
-is rewritten in place (see ``_write``).  The environment
+bytes on another thread count.  An existing output file is rewritten in
+place (see ``_write``).  The environment
 variable EBITNET_MAX_QUBITS overrides the default registry cap of 24 for
 ``simulate`` and ``audit``; a trace cannot raise the cap in force.
 """
@@ -40,16 +38,12 @@ import numpy as np
 from . import audit as audit_mod
 from . import bounds, engine, gates, graphs, protocols
 from .gates import Permutation
-from .ledger import LocalMeasure, dump_trace, load_trace
+from .ledger import dump_trace, load_trace
 
 PROTOCOLS = (
     "teleport", "two-qubit-op", "star-op", "swap-comm", "swap-entangle",
     "perm-entangle", "perm-comm", "ps", "ps-cp",
 )
-
-
-# the most --sample draws per measurement: K draws are held as one array and printed on one line
-SAMPLE_MAX = 10**6
 
 
 class CliUsageError(ValueError):
@@ -118,10 +112,10 @@ def _simulate_teleport(n: int, rng: np.random.Generator, hub: int, cap: int):
     moved = protocols.teleport(run, run.data_qubits[1], to=2)
     fid = engine.ensemble_fidelity(run.ensemble, [moved], state)
     led = run.ledger
+    consumed, sent = led.total(led.ebits_consumed), led.total(led.bits_sent)
     return run, [
         ("fidelity", fid >= 1 - 1e-10, f"teleported state fidelity {fid:.15f}"),
-        ("ledger", led.total_consumed() == 1 and led.total_bits_sent() == 2,
-         f"consumed {led.total_consumed()} ebits, sent {led.total_bits_sent()} bits"),
+        ("ledger", consumed == 1 and sent == 2, f"consumed {consumed} ebits, sent {sent} bits"),
     ]
 
 
@@ -142,20 +136,21 @@ def _simulate_star(n: int, rng: np.random.Generator, hub: int, cap: int, permuta
     protocols.collective_op_star(run, op, hub=hub)
     fid = engine.ensemble_fidelity(run.ensemble, [run.data_qubits[i] for i in slots], want)
     led = run.ledger
-    star = (graphs.EntanglementGraph.from_book(n, led.ebits_consumed),
-            graphs.CommunicationGraph.from_book(n, led.bits_sent)) == graphs.star_graphs(n, hub)
+    consumed, sent = led.total(led.ebits_consumed), led.total(led.bits_sent)
+    star = (graphs.EntanglementGraph.from_book(n, led.ebits_consumed, led.den),
+            graphs.CommunicationGraph.from_book(n, led.bits_sent, led.den)) == graphs.star_graphs(n, hub)
     return run, [
         ("fidelity", fid >= 1 - 1e-9, f"output state fidelity {fid:.15f}"),
         ("ledger-matrix", star, "per-pair usage equals the hub star pattern" if star
          else "per-pair usage deviates from the hub star pattern"),
-        ("ledger-totals", (led.total_consumed(), led.total_bits_sent()) == bounds.teleport_resources(n),
-         f"consumed {led.total_consumed()}, sent {led.total_bits_sent()}"),
+        ("ledger-totals", (consumed, sent) == bounds.teleport_resources(n), f"consumed {consumed}, sent {sent}"),
     ]
 
 
 def _simulate_perm_entangle(n: int, rng: np.random.Generator, hub: int, cap: int):
     result = protocols.permutation_entangle(Permutation.cyclic_shift(n), cap)
-    created = result.run.ledger.total_created()
+    led = result.run.ledger
+    created = led.total(led.ebits_created)
     ents = engine.subset_entropies(result.run.ensemble, [[a] for a, _ in result.pair_qubits])
     # party 1 shares one pair with party 2 and one with party n
     cut = engine.entanglement_entropy(result.run.ensemble, {1})
@@ -172,10 +167,10 @@ def _simulate_perm_comm(n: int, rng: np.random.Generator, hub: int, cap: int):
     result = protocols.permutation_communicate(Permutation.cyclic_shift(n), messages, cap)
     correct = sum(result.decoded[i] == result.sent[i] for i in result.sent)
     led = result.run.ledger
+    consumed, sent = led.total(led.ebits_consumed), led.total(led.bits_sent)
     return result.run, [
         ("decode", result.decoded == result.sent, f"{2 * n} bits conveyed, {correct}/{n} messages correct"),
-        ("ledger", led.total_consumed() == n and led.total_bits_sent() == 0,
-         f"consumed {led.total_consumed()} ebits, {led.total_bits_sent()} channel bits"),
+        ("ledger", consumed == n and sent == 0, f"consumed {consumed} ebits, {sent} channel bits"),
     ]
 
 
@@ -215,10 +210,6 @@ def _simulate(protocol: str, n: int, rng: np.random.Generator, hub: int, cap: in
 
 
 def cmd_simulate(args) -> int:
-    if args.sample < 0:
-        raise CliUsageError(f"--sample must be >= 0, got {args.sample}")
-    if args.sample > SAMPLE_MAX:
-        raise CliUsageError(f"--sample is capped at {SAMPLE_MAX} draws per measurement, got {args.sample}")
     cap = _max_qubits()
     rng = np.random.default_rng(args.seed)
     outdir = _output_dir(args.output)  # a path that cannot be written fails before the run
@@ -228,24 +219,13 @@ def cmd_simulate(args) -> int:
     ledger_doc = dict(run.ledger.summary())
     ledger_doc["checks"] = [{"name": name, "ok": bool(ok), "detail": detail} for name, ok, detail in checks]
     _write(outdir / f"{stem}_ledger.json", json.dumps(ledger_doc, sort_keys=True, indent=2) + "\n")
-    n = run.n_parties
-    bundle = graphs.GraphBundle(n, graphs.EntanglementGraph.from_book(n, run.ledger.granted),
-                                graphs.CommunicationGraph.from_book(n, run.ledger.bits_sent))
+    n, led = run.n_parties, run.ledger
+    bundle = graphs.GraphBundle(n, graphs.EntanglementGraph.from_book(n, led.granted, led.den),
+                                graphs.CommunicationGraph.from_book(n, led.bits_sent, led.den))
     _write(outdir / f"{stem}_graphs.json", graphs.export_json(bundle))
     for name, ok, detail in checks:
         print(f"{stem}: {name}: {'ok' if ok else 'FAIL'} ({detail})")
-    if args.sample:
-        _print_samples(run, args.sample, args.seed)
     return 0 if all(ok for _, ok, _ in checks) else 1
-
-
-def _print_samples(run, count: int, seed: int) -> None:
-    rng = np.random.default_rng(seed)
-    for i, ev in enumerate(ev for ev in run.trace.events if isinstance(ev, LocalMeasure)):
-        outcomes = [k for k, _ in ev.distribution]
-        probs = np.array([p for _, p in ev.distribution])
-        draws = rng.choice(outcomes, size=count, p=probs / probs.sum())
-        print(f"sample: measurement {i} at party {ev.party}: {' '.join(draws)}")
 
 
 # --------------------------------------------------------------------------
@@ -362,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0, help="seed for random inputs (default 0)")
     p_sim.add_argument("--hub", type=int, default=1, help="hub party for star protocols")
     p_sim.add_argument("--output", default="out", help="output directory")
-    p_sim.add_argument("--sample", type=int, default=0, metavar="K",
-                       help=f"also print K <= {SAMPLE_MAX} sampled outcomes per measurement (demo only)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_bounds = sub.add_parser("bounds", help="tabulate the closed-form resource bounds")

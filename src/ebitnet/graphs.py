@@ -107,18 +107,18 @@ class Graph:
         """The pairs that carry a weight: a < b when undirected, every ordered pair when directed."""
         return (itertools.permutations if self.directed else itertools.combinations)(range(1, self.n + 1), 2)
 
-    def book(self) -> dict[tuple[int, int], Fraction]:
-        """The nonzero weights, keyed on the pairs as ``pairs`` gives them."""
-        return {(a, b): self.weight(a, b) for a, b in self.pairs() if self.nums[a - 1][b - 1]}
+    def book(self) -> dict[tuple[int, int], int]:
+        """The nonzero numerators over ``den``, keyed on the pairs as ``pairs`` gives them."""
+        return {(a, b): self.nums[a - 1][b - 1] for a, b in self.pairs() if self.nums[a - 1][b - 1]}
 
     @classmethod
-    def from_book(cls, n: int, book: Mapping[tuple[int, int], Fraction]) -> Graph:
-        """The graph on n parties with ``book``'s weights, mirrored when undirected."""
+    def from_book(cls, n: int, book: Mapping[tuple[int, int], int], den: int) -> Graph:
+        """The graph on n parties with ``book``'s numerators over ``den``, mirrored when undirected."""
         mat = [[0] * n for _ in range(n)]
-        for (a, b), v in book.items():
-            mat[a - 1][b - 1] = v
+        for (a, b), num in book.items():
+            mat[a - 1][b - 1] = (num, den)
             if not cls.directed:
-                mat[b - 1][a - 1] = v
+                mat[b - 1][a - 1] = (num, den)
         return cls(n, mat)
 
     def total(self) -> Fraction:

@@ -1,7 +1,7 @@
 """Resource accounting and protocol traces.
 
 The ledger books ebits per unordered party pair and classical bits per
-ordered pair, all in exact rationals so counting identities hold exactly.
+ordered pair, as integer numerators over one denominator, so counts are exact.
 A trace is the ordered, replayable log of everything a protocol did:
 local gates and measurements, classical messages, ebit consumption and
 creation, plus the registry plumbing (allocation, relocation, relabeling,
@@ -48,58 +48,65 @@ def pair_key(a: int, b: int) -> tuple[int, int]:
 
 @dataclass
 class ResourceLedger:
-    """Per-pair ebit and per-direction bit accounting in exact rationals.
+    """Per-pair ebit and per-direction bit accounting, exact: every book holds
+    integer numerators over the one denominator ``den``, as a graph's cells do.
 
     A trace event charges it through its own ``book``, for protocols and the
     audit alike.  Booking never refuses: a pair consumed beyond its grant
     holds a negative amount, and refusing is left to the caller.
     """
 
-    ebits_consumed: dict[tuple[int, int], Fraction] = field(default_factory=dict)
-    ebits_created: dict[tuple[int, int], Fraction] = field(default_factory=dict)
-    bits_sent: dict[tuple[int, int], Fraction] = field(default_factory=dict)  # (from, to)
-    bits_decoded: dict[tuple[int, int], Fraction] = field(default_factory=dict)  # (from, at)
-    granted: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    den: int = 1
+    ebits_consumed: dict[tuple[int, int], int] = field(default_factory=dict)
+    ebits_created: dict[tuple[int, int], int] = field(default_factory=dict)
+    bits_sent: dict[tuple[int, int], int] = field(default_factory=dict)  # (from, to)
+    bits_decoded: dict[tuple[int, int], int] = field(default_factory=dict)  # (from, at)
+    granted: dict[tuple[int, int], int] = field(default_factory=dict)
     supplementary_bits: float = 0.0
     # bits of POVM outcomes a party may broadcast on each of its streams, and
     # how much of that each stream (from, to) has used
-    outcome_cover: dict[int, Fraction] = field(default_factory=dict)
-    cover_used: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    outcome_cover: dict[int, int] = field(default_factory=dict)
+    cover_used: dict[tuple[int, int], int] = field(default_factory=dict)
+
+    def num(self, amount: int | Fraction) -> int:
+        """The nonnegative ``amount`` as a numerator over ``den``, which first
+        scales every book up to their lcm when the amount's denominator does not divide it."""
+        if amount < 0:
+            raise ValueError(f"ledger amounts only grow, got {amount}")
+        if self.den % amount.denominator:
+            scale = math.lcm(self.den, amount.denominator) // self.den
+            for book in (self.ebits_consumed, self.ebits_created, self.bits_sent, self.bits_decoded,
+                         self.granted, self.outcome_cover, self.cover_used):
+                for key in book:
+                    book[key] *= scale
+            self.den *= scale
+        return amount.numerator * (self.den // amount.denominator)
 
     def grant(self, a: int, b: int, amount: int | Fraction = 1) -> None:
         """Endow the pair {a,b} with initially held ebits."""
-        _book(self.granted, pair_key(a, b), amount)
+        _book(self.granted, pair_key(a, b), self.num(amount))
 
     def held(self, a: int, b: int) -> Fraction:
         key = pair_key(a, b)
-        return self.granted.get(key, Fraction(0)) - self.ebits_consumed.get(key, Fraction(0))
+        return Fraction(self.granted.get(key, 0) - self.ebits_consumed.get(key, 0), self.den)
 
-    @property
-    def ebits_held(self) -> dict[tuple[int, int], Fraction]:
-        return {key: self.held(*key) for key in self.granted.keys() | self.ebits_consumed.keys()}
+    def total(self, book: Mapping) -> Fraction:
+        """The sum of one of the books."""
+        return Fraction(sum(book.values()), self.den)
 
     def add_supplementary(self, bits: float) -> None:
         if bits < 0:
             raise ValueError("supplementary information is nonnegative")
         self.supplementary_bits += bits
 
-    # -- aggregates -------------------------------------------------------
-
-    def total_consumed(self) -> Fraction:
-        return sum(self.ebits_consumed.values(), Fraction(0))
-
-    def total_created(self) -> Fraction:
-        return sum(self.ebits_created.values(), Fraction(0))
-
-    def total_bits_sent(self) -> Fraction:
-        return sum(self.bits_sent.values(), Fraction(0))
-
     def summary(self) -> dict:
-        def pairs(d: Mapping[tuple[int, int], Fraction], sep: str) -> dict[str, str]:
-            return {f"{a}{sep}{b}": str(v) for (a, b), v in sorted(d.items())}
+        def pairs(book: Mapping[tuple[int, int], int], sep: str) -> dict[str, str]:
+            return {f"{a}{sep}{b}": str(Fraction(v, self.den)) for (a, b), v in sorted(book.items())}
 
+        held = {key: self.granted.get(key, 0) - self.ebits_consumed.get(key, 0)
+                for key in self.granted.keys() | self.ebits_consumed.keys()}
         return {
-            "ebits_held": pairs(self.ebits_held, "-"),
+            "ebits_held": pairs(held, "-"),
             "ebits_consumed": pairs(self.ebits_consumed, "-"),
             "ebits_created": pairs(self.ebits_created, "-"),
             "bits_sent": pairs(self.bits_sent, ">"),
@@ -117,13 +124,10 @@ def outcome_bits(probabilities) -> int:
     return math.ceil(entropy) if entropy > 0.0 else 0
 
 
-def _book(book: dict, key, amount) -> Fraction:
-    """Add a nonnegative ``amount`` to ``book[key]`` and return it as a Fraction."""
-    amount = Fraction(amount)
-    if amount < 0:
-        raise ValueError(f"ledger amounts only grow, got {amount}")
-    book[key] = book.get(key, Fraction(0)) + amount
-    return amount
+def _book(book: dict, key, num: int) -> int:
+    """Add the numerator ``num`` to ``book[key]`` and return it."""
+    book[key] = book.get(key, 0) + num
+    return num
 
 
 # --------------------------------------------------------------------------
@@ -210,7 +214,7 @@ class EbitConsume(Event):
         return engine.insert_bell_pair(ens, *self.qubits), None
 
     def book(self, ledger):
-        _book(ledger.ebits_consumed, pair_key(*self.pair), 1)
+        _book(ledger.ebits_consumed, pair_key(*self.pair), ledger.den)
 
 
 @dataclass(frozen=True)
@@ -218,7 +222,7 @@ class EbitCreate(Event):
     pair: tuple[Party, Party]
 
     def book(self, ledger):
-        _book(ledger.ebits_created, pair_key(*self.pair), 1)
+        _book(ledger.ebits_created, pair_key(*self.pair), ledger.den)
 
 
 @dataclass(frozen=True)
@@ -295,8 +299,8 @@ class LocalMeasure(Event):
         but no more than the ceiling of log2 of its element count, on every
         stream (a, b)."""
         if self.povm is not None:
-            _book(ledger.outcome_cover, self.party, min(outcome_bits(p for _, p in self.distribution),
-                                                        (len(self.povm.elements) - 1).bit_length()))
+            _book(ledger.outcome_cover, self.party, ledger.den * min(outcome_bits(p for _, p in self.distribution),
+                                                                     (len(self.povm.elements) - 1).bit_length()))
 
 
 @dataclass(frozen=True)
@@ -312,14 +316,12 @@ class ClassicalMessage(Event):
     def book(self, ledger):
         """A supplementary message draws on its sender's POVM cover, and the
         bits beyond it are charged as sent like any other message."""
-        stream = (self.sender, self.receiver)
-        if not self.supplementary:
-            _book(ledger.bits_sent, stream, self.bits)
-            return
-        unused = ledger.outcome_cover.get(self.sender, Fraction(0)) - ledger.cover_used.get(stream, Fraction(0))
-        beyond = self.bits - _book(ledger.cover_used, stream, min(self.bits, unused))
-        if beyond:
-            _book(ledger.bits_sent, stream, beyond)
+        stream, bits = (self.sender, self.receiver), ledger.num(self.bits)
+        if self.supplementary:
+            unused = ledger.outcome_cover.get(self.sender, 0) - ledger.cover_used.get(stream, 0)
+            bits -= _book(ledger.cover_used, stream, min(bits, unused))
+        if bits or not self.supplementary:
+            _book(ledger.bits_sent, stream, bits)
 
 
 @dataclass(frozen=True)
@@ -333,7 +335,7 @@ class DecodedBits(Event):
         _check_transfer("decode", self.from_party, self.at_party, self.bits)
 
     def book(self, ledger):
-        _book(ledger.bits_decoded, (self.from_party, self.at_party), self.bits)
+        _book(ledger.bits_decoded, (self.from_party, self.at_party), ledger.num(self.bits))
 
 
 class _Rename(Event):

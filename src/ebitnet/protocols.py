@@ -262,7 +262,6 @@ def collective_op_star(run: ProtocolRun, op: CollectiveOp, hub: int = 1) -> None
 
 @dataclass
 class PermutationEntangleResult:
-    created: dict[tuple[int, int], Fraction]   # pair -> ebits established
     pair_qubits: list[tuple[QubitId, QubitId]]  # the physical Bell partners
     run: ProtocolRun
 
@@ -290,7 +289,7 @@ def permutation_entangle(p: Permutation,
         j = p(i)
         run.step(EbitCreate(pair_key(i, j)))
         pair_qubits.append((keeps[i], moves[j]))
-    return PermutationEntangleResult(dict(run.ledger.ebits_created), pair_qubits, run)
+    return PermutationEntangleResult(pair_qubits, run)
 
 
 @dataclass

@@ -45,7 +45,7 @@ def test_c01_teleportation_correctness():
             run.ledger.grant(1, 2, 1)
             moved = protocols.teleport(run, run.data_qubits[1], to=2)
             assert engine.ensemble_fidelity(run.ensemble, [moved], state) >= 1 - 1e-10
-            assert run.ledger.total_consumed() == 1
+            assert run.ledger.total(run.ledger.ebits_consumed) == 1
             assert dict(run.ledger.bits_sent) == {(1, 2): 2}
 
 
@@ -58,7 +58,7 @@ def test_c02_two_qubit_protocol_accounting():
             run = protocols.new_run(2, state)
             run.ledger.grant(1, 2, 2)
             protocols.collective_op_star(run, protocols.CollectiveOp(unitary=u), hub=2)
-            assert run.ledger.total_consumed() == 2
+            assert run.ledger.total(run.ledger.ebits_consumed) == 2
             assert run.ledger.bits_sent[(1, 2)] == 2
             assert run.ledger.bits_sent[(2, 1)] == 2
             assert engine.ensemble_fidelity(run.ensemble, protocols.data_order(run), u @ state) >= 1 - 1e-10
@@ -88,14 +88,14 @@ def test_c04_permutation_maximality():
         for p in cases:
             n = p.n
             ent = protocols.permutation_entangle(p)
-            assert ent.run.ledger.total_created() == n
+            assert ent.run.ledger.total(ent.run.ledger.ebits_created) == n
             for a, b in ent.pair_qubits:
                 assert abs(engine.subset_entropies(ent.run.ensemble, [[a]])[0] - 1.0) <= 1e-9
                 assert abs(engine.subset_entropies(ent.run.ensemble, [[b]])[0] - 1.0) <= 1e-9
             msgs = {i: f"{rng.integers(0, 2)}{rng.integers(0, 2)}" for i in range(1, n + 1)}
             comm = protocols.permutation_communicate(p, msgs)
             assert comm.decoded == msgs
-            assert comm.run.ledger.total_consumed() == n
+            assert comm.run.ledger.total(comm.run.ledger.ebits_consumed) == n
 
 
 def test_c05_star_protocol():
@@ -111,10 +111,10 @@ def test_c05_star_protocol():
             assert engine.ensemble_fidelity(
                 run.ensemble, protocols.data_order(run), u @ state) >= 1 - 1e-9
             ent, comm = graphs.star_graphs(n, hub=1)
-            assert graphs.EntanglementGraph.from_book(n, run.ledger.ebits_consumed) == ent
-            assert graphs.CommunicationGraph.from_book(n, run.ledger.bits_sent) == comm
-            assert run.ledger.total_consumed() == 2 * (n - 1)
-            assert run.ledger.total_bits_sent() == 4 * (n - 1)
+            assert graphs.EntanglementGraph.from_book(n, run.ledger.ebits_consumed, run.ledger.den) == ent
+            assert graphs.CommunicationGraph.from_book(n, run.ledger.bits_sent, run.ledger.den) == comm
+            assert run.ledger.total(run.ledger.ebits_consumed) == 2 * (n - 1)
+            assert run.ledger.total(run.ledger.bits_sent) == 4 * (n - 1)
 
 
 def test_c06_symmetrisation_oracle(tmp_path, capsys):

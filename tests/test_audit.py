@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import json
-import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,8 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def star_bundle(run):
     n = run.n_parties
-    return graphs.GraphBundle(n, graphs.EntanglementGraph.from_book(n, run.ledger.granted),
-                              graphs.CommunicationGraph.from_book(n, run.ledger.bits_sent))
+    return graphs.GraphBundle(n, graphs.EntanglementGraph.from_book(n, run.ledger.granted, run.ledger.den),
+                              graphs.CommunicationGraph.from_book(n, run.ledger.bits_sent, run.ledger.den))
 
 
 def run_star(n=3, seed=0):
@@ -635,7 +634,8 @@ cells = st.one_of(
 @st.composite
 def rational_books(draw):
     """A party count and entanglement and communication graphs read from a graph
-    file whose cells are drawn from ``cells``, with zero cells mixed in."""
+    file whose cells are drawn from ``cells``, with zero cells mixed in; their
+    weights are the Fractions the oracle reader reads from that file."""
     n = draw(st.integers(min_value=2, max_value=6))
     cell = st.one_of(st.just("0"), cells)
     ent = [["0"] * n for _ in range(n)]
@@ -643,26 +643,26 @@ def rational_books(draw):
         ent[i][j] = ent[j][i] = draw(cell)
     comm = [["0" if i == j else draw(cell) for j in range(n)] for i in range(n)]
     assert max(len(c) for row in ent + comm for c in row) <= graphs.CELL_MAX_CHARS
-    bundle = graphs.import_json(json.dumps({"n": n, "entanglement": ent, "communication": comm}))
+    text = json.dumps({"n": n, "entanglement": ent, "communication": comm})
+    bundle = graphs.import_json(text)
+    assert {g.kind: oracles.fraction_matrix(g) for g in bundle.graphs} == oracles.read_fraction_graphs(text)[1]
     return n, bundle.entanglement, bundle.communication
 
 
 @given(rational_books())
 @settings(max_examples=100, deadline=None)
 def test_cut_sums_match_the_cross_partition_oracle(case):
-    """The audit's integer cut sums over one common denominator, against the
-    frozenset oracle: an undirected book across each cut, a directed one out of
-    the side of party 1 and into it."""
+    """The audit's integer cut sums over each graph's book, against the frozenset
+    oracle: an undirected book across each cut, a directed one out of the side of
+    party 1 and into it."""
     n, ent, comm = case
-    undirected, directed = ent.book(), comm.book()
-    den = math.lcm(*(v.denominator for v in (*undirected.values(), *directed.values())))
-    shared = audit._terms(undirected, den, directed=False)
-    sent = audit._terms(directed, den, directed=True)
+    shared = audit._terms(ent.book(), directed=False)
+    sent = audit._terms(comm.book(), directed=True)
     for cut in audit._Cuts(n):
         part = oracles.Partition(n, frozenset(audit._parties(cut)))
-        assert Fraction(audit._leaving(shared, cut), den) == oracles.cross_partition(ent, part)
-        assert Fraction(audit._leaving(sent, cut), den) == oracles.cross_partition(comm, part, "a_to_b")
-        assert Fraction(audit._leaving(sent, ~cut), den) == oracles.cross_partition(comm, part, "b_to_a")
+        assert Fraction(audit._leaving(shared, cut), ent.den) == oracles.cross_partition(ent, part)
+        assert Fraction(audit._leaving(sent, cut), comm.den) == oracles.cross_partition(comm, part, "a_to_b")
+        assert Fraction(audit._leaving(sent, ~cut), comm.den) == oracles.cross_partition(comm, part, "b_to_a")
 
 
 class TestComposition:

@@ -111,35 +111,6 @@ class TestSimulate:
         assert doc["violations"] == []
         assert doc["replayed"] is True
 
-    def test_sample_mode_prints_draws(self, tmp_path, capsys):
-        out = tmp_path / "s"
-        assert run_cli("simulate", "teleport", "--sample", "3", "--output", str(out)) == 0
-        assert "sample: measurement" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("count", [cli.SAMPLE_MAX + 1, 100_000_000_000])
-    def test_a_sample_over_the_cap_is_a_usage_error_before_the_run(self, count, tmp_path, monkeypatch, capsys):
-        # refused by arithmetic on K: neither the run nor a draw happens
-        monkeypatch.setattr(cli, "_simulate", lambda *args: pytest.fail("the protocol ran"))
-        assert run_cli("simulate", "teleport", "--sample", str(count), "--output", str(tmp_path)) == 2
-        captured = capsys.readouterr()
-        assert captured.err == (f"error: --sample is capped at {cli.SAMPLE_MAX} draws per measurement, "
-                                f"got {count}\n")
-        assert captured.out == "" and list(tmp_path.iterdir()) == []
-
-    def test_a_sample_at_the_cap_is_drawn(self, tmp_path, monkeypatch):
-        drawn = []
-        monkeypatch.setattr(cli, "_print_samples", lambda run, count, seed: drawn.append(count))
-        assert run_cli("simulate", "teleport", "--sample", str(cli.SAMPLE_MAX), "--output", str(tmp_path)) == 0
-        assert drawn == [cli.SAMPLE_MAX]
-
-    def test_negative_sample_is_a_usage_error_before_the_run(self, tmp_path, capsys):
-        out = tmp_path / "s"
-        out.mkdir()
-        assert run_cli("simulate", "teleport", "--sample", "-1", "--output", str(out)) == 2
-        captured = capsys.readouterr()
-        assert "--sample" in captured.err and captured.out == ""
-        assert list(out.iterdir()) == []
-
     @pytest.mark.parametrize("protocol,extra", [
         ("teleport", []),
         ("two-qubit-op", []),

@@ -65,7 +65,7 @@ def test_graph_book_total_and_closed_form_follow_its_kind(g):
     """Whether a graph is directed decides its book, its total and its closed
     form: the book gives the graph back, the total is the matrix sum (halved when
     undirected), and the closed form is every off-diagonal cell of the explicit sum."""
-    assert type(g).from_book(g.n, g.book()) == g
+    assert type(g).from_book(g.n, g.book(), g.den) == g
     matrix_sum = sum((x for row in fraction_matrix(g) for x in row), Fraction(0))
     assert g.total() == (matrix_sum if g.directed else matrix_sum / 2)
     sym = graphs.symmetrise(g)
@@ -638,7 +638,7 @@ def test_integer_graphs_read_check_sum_and_write_as_the_fraction_reader(text):
     for g in bundle.graphs:
         w = matrices[g.kind]
         assert g.den == math.lcm(*(x.denominator for row in w for x in row))
-        assert g.book() == {(i + 1, j + 1): w[i][j] for i, j in oracles.fraction_pairs(g.kind, n) if w[i][j]}
+        assert g.book() == {(i + 1, j + 1): w[i][j] * g.den for i, j in oracles.fraction_pairs(g.kind, n) if w[i][j]}
         assert graphs.export_dot(g) == oracles.fraction_export_dot(g.kind, w)
         assert g.total() == oracles.fraction_total(g.kind, w)
         if n >= 2:

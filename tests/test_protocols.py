@@ -14,11 +14,13 @@ from ebitnet.ledger import (
     CollectiveOracle,
     DecodedBits,
     EbitConsume,
+    EbitCreate,
     InsufficientResources,
     LocalGate,
     LocalMeasure,
     ProtocolTrace,
     ResourceLedger,
+    pair_key,
 )
 
 import oracles
@@ -53,7 +55,7 @@ class TestTeleport:
         moved = protocols.teleport(run, q1, to=2)
         assert moved.party == 2
         assert engine.ensemble_fidelity(run.ensemble, [moved], state) >= 1 - 1e-10
-        assert run.ledger.total_consumed() == 1
+        assert run.ledger.total(run.ledger.ebits_consumed) == 1
         assert run.ledger.bits_sent[(1, 2)] == 2
 
     def test_entanglement_follows_the_qubit(self):
@@ -75,8 +77,8 @@ class TestTeleport:
         run, q1 = single_qubit_run(gates.random_state(2, rng), ebits=0)
         with pytest.raises(InsufficientResources):
             protocols.teleport(run, q1, to=2)
-        assert run.ledger.total_consumed() == 0
-        assert run.ledger.total_bits_sent() == 0
+        assert run.ledger.total(run.ledger.ebits_consumed) == 0
+        assert run.ledger.total(run.ledger.bits_sent) == 0
         assert not run.trace.events
 
 
@@ -86,7 +88,7 @@ class TestSuperdense:
         run = protocols.new_run(2)
         run.ledger.grant(1, 2, 1)
         assert protocols.superdense_send(run, 1, 2, msg) == msg
-        assert run.ledger.total_consumed() == 1
+        assert run.ledger.total(run.ledger.ebits_consumed) == 1
 
     def test_message_00_measures_phi_plus(self):
         run = protocols.new_run(2)
@@ -100,8 +102,8 @@ class TestSuperdense:
         run.ledger.grant(1, 2, 2)
         assert protocols.superdense_send(run, 1, 2, "10") == "10"
         assert protocols.superdense_send(run, 2, 1, "01") == "01"
-        assert run.ledger.total_consumed() == 2
-        assert run.ledger.total_bits_sent() == 0  # no classical channel used
+        assert run.ledger.total(run.ledger.ebits_consumed) == 2
+        assert run.ledger.total(run.ledger.bits_sent) == 0  # no classical channel used
 
     def test_insufficient_ebits(self):
         run = protocols.new_run(2)
@@ -121,7 +123,7 @@ class TestCollectiveTwoQubit:
         protocols.collective_op_star(run, protocols.CollectiveOp(unitary=oracles.swap_unitary()), hub=2)
         expected = np.kron(a, b)
         assert engine.ensemble_fidelity(run.ensemble, protocols.data_order(run), expected) >= 1 - 1e-10
-        assert run.ledger.total_consumed() == 2
+        assert run.ledger.total(run.ledger.ebits_consumed) == 2
         assert run.ledger.bits_sent[(1, 2)] == 2
         assert run.ledger.bits_sent[(2, 1)] == 2
 
@@ -131,8 +133,8 @@ class TestCollectiveTwoQubit:
         run = two_party_run(state)
         protocols.collective_op_star(run, protocols.CollectiveOp(unitary=np.eye(4)), hub=2)
         assert engine.ensemble_fidelity(run.ensemble, protocols.data_order(run), state) >= 1 - 1e-10
-        assert run.ledger.total_consumed() == 2
-        assert run.ledger.total_bits_sent() == 4
+        assert run.ledger.total(run.ledger.ebits_consumed) == 2
+        assert run.ledger.total(run.ledger.bits_sent) == 4
 
     def test_recorded_uniform_povm_supplementary(self):
         rng = np.random.default_rng(9)
@@ -168,8 +170,8 @@ class TestCollectiveStar:
         u = oracles.permutation_unitary(Permutation.cyclic_shift(3))
         protocols.collective_op_star(run, protocols.CollectiveOp(unitary=u))
         assert engine.ensemble_fidelity(run.ensemble, protocols.data_order(run), u @ state) >= 1 - 1e-9
-        assert run.ledger.total_consumed() == 4
-        assert run.ledger.total_bits_sent() == 8
+        assert run.ledger.total(run.ledger.ebits_consumed) == 4
+        assert run.ledger.total(run.ledger.bits_sent) == 8
 
     def test_n2_ledger_is_the_same_at_either_hub(self):
         rng = np.random.default_rng(12)
@@ -202,10 +204,10 @@ class TestCollectiveStar:
         run = star_run(4, state)
         protocols.collective_op_star(run, protocols.CollectiveOp(unitary=oracles.ps_unitary(4)))
         ent, comm = graphs.star_graphs(4, hub=1)
-        assert graphs.EntanglementGraph.from_book(4, run.ledger.ebits_consumed) == ent
-        assert graphs.CommunicationGraph.from_book(4, run.ledger.bits_sent) == comm
-        assert run.ledger.total_consumed() == 6
-        assert run.ledger.total_bits_sent() == 12
+        assert graphs.EntanglementGraph.from_book(4, run.ledger.ebits_consumed, run.ledger.den) == ent
+        assert graphs.CommunicationGraph.from_book(4, run.ledger.bits_sent, run.ledger.den) == comm
+        assert run.ledger.total(run.ledger.ebits_consumed) == 6
+        assert run.ledger.total(run.ledger.bits_sent) == 12
 
     @pytest.mark.parametrize("p", [gates.ps_permutation(2), gates.ps_permutation(4), gates.ps_permutation(6),
                                    gates.ps_cp_permutation(3), gates.ps_cp_permutation(5)],
@@ -266,7 +268,7 @@ class TestCollectiveStar:
         protocols.collective_op_star(run, protocols.CollectiveOp(unitary=u), hub=2)
         assert engine.ensemble_fidelity(run.ensemble, protocols.data_order(run), u @ state) >= 1 - 1e-9
         ent, _ = graphs.star_graphs(3, hub=2)
-        assert graphs.EntanglementGraph.from_book(3, run.ledger.ebits_consumed) == ent
+        assert graphs.EntanglementGraph.from_book(3, run.ledger.ebits_consumed, run.ledger.den) == ent
 
     def test_local_dressing_does_not_change_costs(self):
         rng = np.random.default_rng(15)
@@ -288,13 +290,13 @@ class TestSwapDemos:
         for ma, mb in itertools.product(msgs, msgs):
             result = protocols.permutation_communicate(oracles.two_cycle(), {2: ma, 1: mb})
             assert (result.decoded[2], result.decoded[1]) == (ma, mb)
-            assert result.run.ledger.total_consumed() == 2
-            assert result.run.ledger.total_bits_sent() == 0
+            assert result.run.ledger.total(result.run.ledger.ebits_consumed) == 2
+            assert result.run.ledger.total(result.run.ledger.bits_sent) == 0
 
     def test_entangle_demo_two_ebits(self):
         result = protocols.permutation_entangle(oracles.two_cycle())
         assert engine.entanglement_entropy(result.run.ensemble, {1}) == pytest.approx(2.0, abs=1e-9)
-        assert result.run.ledger.total_created() == 2
+        assert result.run.ledger.total(result.run.ledger.ebits_created) == 2
 
     def test_without_swap_no_entanglement(self):
         # build the same two local pairs but skip the oracle
@@ -319,17 +321,18 @@ class TestSwapDemos:
 class TestPermutationEntangle:
     def test_n6_cycle_creates_six(self):
         result = protocols.permutation_entangle(Permutation.cyclic_shift(6))
-        assert result.run.ledger.total_created() == 6
-        assert sum(result.created.values()) == 6
+        ledger = result.run.ledger
+        assert ledger.total(ledger.ebits_created) == 6
+        assert ledger.ebits_created == {pair_key(i, i % 6 + 1): 1 for i in range(1, 7)} and ledger.den == 1
 
     def test_n2_swap_creates_two(self):
         result = protocols.permutation_entangle(oracles.two_cycle())
-        assert result.created == {(1, 2): 2}
+        assert result.run.ledger.ebits_created == {(1, 2): 2}
         assert engine.entanglement_entropy(result.run.ensemble, {1}) == pytest.approx(2.0, abs=1e-9)
 
     def test_n4_double_transposition(self):
         result = protocols.permutation_entangle(Permutation((2, 1, 4, 3)))
-        assert result.created == {(1, 2): 2, (3, 4): 2}
+        assert result.run.ledger.ebits_created == {(1, 2): 2, (3, 4): 2}
         for a, b in result.pair_qubits:
             rho = engine.reduced_density(result.run.ensemble, [a, b])
             phi = oracles.bell_state("00")
@@ -352,7 +355,7 @@ class TestPermutationCommunicate:
         msgs = {i: f"{rng.integers(0, 2)}{rng.integers(0, 2)}" for i in range(1, 7)}
         result = protocols.permutation_communicate(Permutation.cyclic_shift(6), msgs)
         assert result.decoded == msgs
-        assert result.run.ledger.total_consumed() == 6
+        assert result.run.ledger.total(result.run.ledger.ebits_consumed) == 6
 
     def test_all_zero_messages_measure_phi_plus(self):
         msgs = {i: "00" for i in range(1, 4)}
@@ -387,7 +390,7 @@ class TestDerangementMaximality:
         for n in (2, 3, 4, 5):
             for p in self.all_derangements(n):
                 ent = protocols.permutation_entangle(p)
-                assert ent.run.ledger.total_created() == n
+                assert ent.run.ledger.total(ent.run.ledger.ebits_created) == n
                 msgs = {i: f"{rng.integers(0, 2)}{rng.integers(0, 2)}" for i in range(1, n + 1)}
                 comm = protocols.permutation_communicate(p, msgs)
                 assert comm.decoded == msgs
@@ -397,7 +400,8 @@ class TestDerangementMaximality:
         pool = self.all_derangements(6)
         for idx in rng.choice(len(pool), size=5, replace=False):
             p = pool[idx]
-            assert protocols.permutation_entangle(p).run.ledger.total_created() == 6
+            ledger = protocols.permutation_entangle(p).run.ledger
+            assert ledger.total(ledger.ebits_created) == 6
             msgs = {i: f"{rng.integers(0, 2)}{rng.integers(0, 2)}" for i in range(1, 7)}
             assert protocols.permutation_communicate(p, msgs).decoded == msgs
 
@@ -430,12 +434,12 @@ class TestLedgerInvariants:
         run = star_run(4, gates.random_state(16, rng))
         protocols.collective_op_star(run, protocols.CollectiveOp(unitary=gates.haar_unitary(16, rng)))
         consumes = [e for e in run.trace.events if isinstance(e, EbitConsume)]
-        assert Fraction(len(consumes)) == run.ledger.total_consumed()
+        assert Fraction(len(consumes)) == run.ledger.total(run.ledger.ebits_consumed)
 
     def test_held_never_negative(self):
         run = two_party_run(ebits=2)
         protocols.collective_op_star(run, protocols.CollectiveOp(unitary=np.eye(4)), hub=2)
-        assert all(v >= 0 for v in run.ledger.ebits_held.values())
+        assert all(Fraction(v) >= 0 for v in run.ledger.summary()["ebits_held"].values())
         with pytest.raises(InsufficientResources):
             run.step(EbitConsume((1, 2), (engine.QubitId(1, "x"), engine.QubitId(2, "y"))))
 
@@ -453,7 +457,7 @@ class TestLedgerInvariants:
              if isinstance(e, ClassicalMessage) and not e.supplementary),
             Fraction(0),
         )
-        assert traced == run.ledger.total_bits_sent()
+        assert traced == run.ledger.total(run.ledger.bits_sent)
 
 
 # the --n each protocol is simulated at; the others take no --n
@@ -475,8 +479,47 @@ class TestResourceBook:
         ledger = ResourceLedger()
         DecodedBits(at_party=2, from_party=3, bits=Fraction(2)).book(ledger)
         DecodedBits(at_party=2, from_party=3, bits=Fraction(1, 2)).book(ledger)
-        assert ledger.bits_decoded == {(3, 2): Fraction(5, 2)}
+        assert (ledger.bits_decoded, ledger.den) == ({(3, 2): 5}, 2)
         assert ledger.bits_sent == {}
+
+    def test_an_amount_over_a_new_denominator_rescales_every_book(self):
+        """Amounts of 1/2, then 7/3, then a grant of 5/4 after a consume take the
+        books from den 1 to 2, 6 and 12.  Every book was written before one of
+        those rescales, and each reads as the plain Fraction sums: a supplementary
+        message of 1/2 draws half of a 1-bit POVM cover, and one of 1 bit draws the
+        other half and is charged the bits beyond it."""
+        ledger = ResourceLedger()
+        outcomes = (("0", 0.5), ("1", 0.5))
+        qubit = engine.QubitId(1, "m")
+        LocalMeasure(1, (qubit,), "povm", False, 0, outcomes, Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+                     ).book(ledger)
+        ledger.grant(1, 3, 2)
+        EbitCreate((3, 1)).book(ledger)
+        ClassicalMessage(1, 2, Fraction(1, 2), supplementary=True).book(ledger)
+        ClassicalMessage(1, 2, Fraction(1, 2)).book(ledger)
+        DecodedBits(at_party=2, from_party=1, bits=Fraction(7, 3)).book(ledger)
+        EbitConsume((1, 2), (engine.QubitId(1, "x"), engine.QubitId(2, "y"))).book(ledger)
+        ledger.grant(2, 1, Fraction(5, 4))
+        ClassicalMessage(1, 2, Fraction(1), supplementary=True).book(ledger)
+
+        # the ordinary 1/2, and the supplementary 1/2 + 1 beyond the cover of 1
+        sent = Fraction(1, 2) + (Fraction(1, 2) + Fraction(1) - Fraction(1))
+        assert ledger.den == 12
+        assert (ledger.held(1, 2), ledger.held(1, 3)) == (Fraction(5, 4) - Fraction(1), Fraction(2))
+        assert [ledger.total(book) for book in (ledger.granted, ledger.ebits_consumed, ledger.ebits_created,
+                                                 ledger.bits_sent, ledger.bits_decoded)] == [
+            Fraction(2) + Fraction(5, 4), Fraction(1), Fraction(1), sent, Fraction(7, 3)]
+        assert (ledger.outcome_cover, ledger.cover_used) == ({1: 12}, {(1, 2): 12})
+        assert ledger.summary() == {
+            "ebits_held": {"1-2": str(Fraction(5, 4) - 1), "1-3": "2"},
+            "ebits_consumed": {"1-2": "1"},
+            "ebits_created": {"1-3": "1"},
+            "bits_sent": {"1>2": str(sent)},
+            "supplementary_bits": 0.0,
+        }
+        books = [value for value in vars(ledger).values() if isinstance(value, dict)]
+        assert len(books) == 7
+        assert all(type(num) is int for book in books for num in book.values())
 
     @pytest.mark.parametrize("ebits", [0, 1])
     def test_step_refuses_a_consume_without_a_held_ebit(self, ebits):
