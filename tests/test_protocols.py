@@ -521,6 +521,41 @@ class TestResourceBook:
         assert len(books) == 7
         assert all(type(num) is int for book in books for num in book.values())
 
+    def test_an_amount_whose_denominator_divides_den_leaves_the_books_unscaled(self):
+        ledger = ResourceLedger()
+        ledger.grant(1, 2, Fraction(1, 6))
+        for amount in (Fraction(1, 3), Fraction(1, 2), 2):
+            ledger.grant(2, 1, amount)
+        assert (ledger.den, ledger.granted) == (6, {(1, 2): 1 + 2 + 3 + 12})
+        assert ledger.held(1, 2) == Fraction(1, 6) + Fraction(1, 3) + Fraction(1, 2) + 2
+
+    @pytest.mark.parametrize("amount", [-1, Fraction(-1, 3)])
+    def test_a_negative_amount_is_refused_before_any_rescale(self, amount):
+        ledger = ResourceLedger()
+        ledger.grant(1, 2, 1)
+        with pytest.raises(ValueError, match=f"^ledger amounts only grow, got {amount}$"):
+            ledger.grant(1, 2, amount)
+        assert (ledger.den, ledger.granted) == (1, {(1, 2): 1})
+
+    def test_a_ledger_seeded_from_a_graph_holds_its_weights(self):
+        """The audit's seed: a ledger over a graph's den and book holds each
+        pair's weight, totals the graph's total and rescales on from there."""
+        from ebitnet import graphs
+
+        ent = graphs.EntanglementGraph(3, [[0, "1/2", "2/3"], ["1/2", 0, 0], ["2/3", 0, 0]])
+        ledger = ResourceLedger(den=ent.den, granted=ent.book())
+        assert ledger.den == 6
+        assert [ledger.held(a, b) for a, b in ent.pairs()] == [ent.weight(a, b) for a, b in ent.pairs()]
+        assert ledger.total(ledger.granted) == ent.total()
+        ledger.grant(2, 3, Fraction(1, 4))
+        assert ledger.den == 12
+        assert graphs.EntanglementGraph.from_book(3, ledger.granted, ledger.den) == graphs.EntanglementGraph(
+            3, [[0, "1/2", "2/3"], ["1/2", 0, "1/4"], ["2/3", "1/4", 0]])
+
+    def test_the_total_of_an_empty_book_is_zero(self):
+        ledger = ResourceLedger(den=6)
+        assert (ledger.total(ledger.bits_sent), ledger.summary()["ebits_held"]) == (Fraction(0), {})
+
     @pytest.mark.parametrize("ebits", [0, 1])
     def test_step_refuses_a_consume_without_a_held_ebit(self, ebits):
         rng = np.random.default_rng(23)
