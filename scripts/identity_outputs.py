@@ -29,6 +29,9 @@ the one in force: 25 on the teleport trace, and 100 on a 40-party header with
 one initial qubit (a checkout that trusts the header hangs on the latter).
 A header-only trace of 13 parties under ``EBITNET_MAX_QUBITS=12`` must make
 both audits exit 2: without an initial state, the cap in force bounds the parties.
+So must one of 70 parties under ``EBITNET_MAX_QUBITS=100``: within that cap, but
+party 63 on would pass an int64 cut mask's sign bit, and a checkout that lists
+its 2^69 cuts does not finish.
 Two cut probes on the teleport trace must make both audits exit 1: three
 appended creates of a (1, 2) ebit break the cut-entanglement check, and an
 appended decode of 9 bits at 2 from 1 breaks the cut-communication check.  A
@@ -420,9 +423,11 @@ LOAD_PROBES = (
     ("teleport", "forty-parties-cap-100", _forty_parties_cap_100),
 )
 # (base, name, mutation, EBITNET_MAX_QUBITS): a header-only trace of more parties than a
-# lowered cap in force, which both audits must refuse with exit 2
+# lowered cap in force, and one within a raised cap but of more parties than an int64 cut
+# mask holds; both audits must refuse each with exit 2
 CAP_PROBES = (
     ("teleport", "thirteen-parties-cap-12", _header_only(13), "12"),
+    ("teleport", "seventy-parties-cap-100", _header_only(70), "100"),
 )
 # (base, name, mutation): cut violations that both audits must report with exit 1
 CUT_PROBES = (

@@ -90,15 +90,15 @@ MUTANTS = (
            (PROTOCOLS + "TestResourceBook::test_decoded_bits_are_booked_from_sender_to_receiver",
             AUDIT + "test_forged_trace_report_is_exact")),
     Mutant("dense-coding allowance of 3 bits", "src/ebitnet/audit.py",
-           "allowance = 2 * _leaving(", "allowance = 3 * _leaving(",
+           "allowance = 2 * used", "allowance = 3 * used",
            (AUDIT + "test_forged_trace_report_is_exact",
             AUDIT + "test_cut_checks_match_brute_force_reference")),
     Mutant("decodes into the cut counted as out of it", "src/ebitnet/audit.py",
-           '(~cut, "into")', '(cut, "into")',
+           '("into", into[3:])', '("into", out[3:])',
            (AUDIT + "test_forged_trace_report_is_exact",
             AUDIT + "test_cut_checks_match_brute_force_reference")),
     Mutant("an undirected book drops its reversed terms", "src/ebitnet/audit.py",
-           "terms + [(b, a, num) for a, b, num in terms]", "terms",
+           "        if not directed:", "        if False:",
            (AUDIT + "test_cut_sums_match_the_cross_partition_oracle",
             AUDIT + "test_forged_trace_report_is_exact",
             AUDIT + "test_cut_checks_match_brute_force_reference")),
@@ -116,7 +116,7 @@ MUTANTS = (
            "len(ids) + len(added) > max_qubits", "len(ids) + len(added) >= max_qubits",
            (CODEC + "test_registry_may_reach_max_qubits_but_not_pass_it",), quick=True),
     Mutant("a cut is spanned by nothing", "src/ebitnet/audit.py",
-           "return 0 != mask & cut != mask", "return False",
+           "return (part != 0) & (part != masks)", "return part != part",
            (AUDIT + "test_forged_trace_report_is_exact",
             AUDIT + "test_cut_checks_match_brute_force_reference",
             AUDIT + "TestAuditCleanRuns::test_permutation_protocols_clean")),
@@ -160,12 +160,16 @@ MUTANTS = (
            "ENTROPY_TOL = 1e-9", "ENTROPY_TOL = 1e-6",
            (AUDIT + "test_monotone_tolerance",)),
     Mutant("held ebits not dropped on a consume", "src/ebitnet/audit.py",
-           "h - den * _spans(pair, cut)", "h - 0 * den * _spans(pair, cut)",
+           "held - den * _spanned(", "held - 0 * den * _spanned(",
            (AUDIT + "TestAuditCleanRuns::test_star_run_is_clean",
             AUDIT + "test_cross_party_relabel_report_is_exact")),
     Mutant("message bits coerced from any JSON value", "src/ebitnet/ledger.py",
            "return Fraction(_str(raw))", "return Fraction(raw)",
            (CODEC + "test_malformed_event_is_rejected_with_its_line",)),
+    Mutant("the audit's cut sums run in int64 past its range", "src/ebitnet/audit.py",
+           "2**63", "2**200",
+           (AUDIT + "test_cut_checks_past_int64_match_brute_force_reference",
+            AUDIT + "test_cut_arrays_match_the_scalar_references")),
     Mutant("symmetrise sums in int64 past its range", "src/ebitnet/graphs.py",
            "2**63", "2**200",
            (GRAPHS + "TestSymmetrise::test_sums_past_int64_match_reference",), quick=True),

@@ -22,11 +22,17 @@ the cuts its ``joined`` parties span; the replay runs each through ``apply``.
 The cut sums are the program's one count of resources across a bipartition.
 The ledger that books the events starts from the entanglement graph's book
 (``Graph.book``) and ``den``, so every book holds integer numerators over one
-``den``.  ``_terms`` gives a book as (from-bit, to-bit, numerator) terms, an
-undirected book giving each pair in both directions, and ``_leaving`` sums the
-terms that leave a side mask, only for the cuts a check runs on.  The checks
-compare integers; a violation's text prints them as fractions again, and the
-replay's held ebits divide them into floats.
+``den``.  The cuts are one int64 array of party masks (``_Cuts``), and every
+check runs on all of them at once: ``_book_sums`` gives each book's numerators
+that leave each side of a cut, one way and back, as a (terms x cuts) "leaves
+the side" boolean times the numerators, and ``_spanned`` the cuts each set of
+parties lies across.  The checks compare the sums as vectors, in int64 while
+one bound on every sum and operand stays below 2^63 and on Python ints
+(``dtype=object``) past it, and build a violation only for each flagged cut,
+in cut order.  Its text prints the numerators as fractions again, and the
+replay's held ebits divide them into floats, each correctly rounded
+(``_over``).  An int64 mask holds parties up to 62, so a trace of more is
+refused before any cut is listed.
 
 The replay reads the product groups from each replayed ensemble
 (``ens.groups``, which only the engine works out): every branch is a product
@@ -77,6 +83,10 @@ from .ledger import (
 )
 
 ENTROPY_TOL = 1e-9
+# the most parties an int64 cut mask holds: bit p for party p, below the sign bit
+CUT_PARTIES_MAX = 62
+# the most bytes of the (2 x terms x cuts) int64 product a book sum holds at once
+CUT_CHUNK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -98,36 +108,56 @@ class AuditReport:
         return not self.violations
 
 
-def _mask(parties: Iterable[int]) -> int:
-    """A set of parties as a bit mask, bit p for party p."""
-    return sum(1 << p for p in set(parties))
-
-
 def _parties(mask: int) -> list[int]:
     """The parties of a mask in increasing order, as a report names a cut."""
     return [p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
-def _spans(mask: int, cut: int) -> bool:
-    """Whether the parties of ``mask`` lie on both sides of ``cut``."""
-    return 0 != mask & cut != mask
+def _spanned(party_sets: Sequence[Iterable[int]], cuts: np.ndarray) -> np.ndarray:
+    """(sets x cuts) booleans: whether the parties of each set lie on both sides of each cut."""
+    masks = np.array([sum({1 << p for p in parties}) for parties in party_sets], dtype=np.int64)[:, None]
+    part = masks & cuts
+    return (part != 0) & (part != masks)
 
 
-Terms = list[tuple[int, int, int]]
+def _book_sums(books: Sequence[tuple[Mapping[tuple[int, int], int], bool]], cuts: np.ndarray,
+               top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The numerators of each (book, directed) pair that leave each side, as two
+    (books x cuts) arrays: ``out`` from the side of the cut mask to the other
+    side, and ``into`` back.  A book maps (from, to) parties to numerators, and
+    an undirected book gives each pair in both directions, so its ``out`` is the
+    weight of the pairs across the cut.  ``top`` bounds every sum and every
+    operand the caller makes of them: the arrays are int64 while it is below
+    2^63, else Python ints (``dtype=object``).  Each sum is a (terms x cuts)
+    "leaves the side" boolean times the numerators, added up book by book, over
+    chunks of cuts whose product holds at most ``CUT_CHUNK_BYTES``."""
+    dtype = object if top >= 2**63 else np.int64
+    terms, starts = [], []  # ((from, to), numerator) of every book, and where each book's terms start
+    for book, directed in books:
+        starts.append(len(terms))
+        terms.append(((0, 0), 0))  # party 0 is on no side: a zero term, so no book is empty
+        terms += book.items()
+        if not directed:
+            terms += [((b, a), num) for (a, b), num in book.items()]
+    ends = np.array([pair for pair, _ in terms], dtype=np.int64).T  # (2 x terms): from, to
+    nums = np.array([num for _, num in terms], dtype=dtype)[:, None]
+    bits = 1 << np.arange(ends.max() + 1)[:, None]  # (parties x 1): bit p for party p
+    sums = np.empty((2, len(books), len(cuts)), dtype)
+    step = max(1, CUT_CHUNK_BYTES // (16 * len(terms)))
+    for lo in range(0, len(cuts), step):
+        a, b = ((cuts[lo:lo + step] & bits) != 0)[ends]  # (terms x cuts): whether each end is on the side
+        sums[:, :, lo:lo + step] = np.add.reduceat(nums * np.stack([a > b, b > a]), starts, axis=1)
+    return sums[0], sums[1]
 
 
-def _terms(book: Mapping[tuple[int, int], int], directed: bool) -> Terms:
-    """``book``'s numerators as (from-bit, to-bit, numerator) terms; an
-    undirected book gives each pair in both directions."""
-    terms = [(1 << a, 1 << b, num) for (a, b), num in book.items()]
-    return terms if directed else terms + [(b, a, num) for a, b, num in terms]
-
-
-def _leaving(terms: Terms, side: int) -> int:
-    """The sum of the terms that leave the side mask ``side``: from a party in
-    it to one outside.  Over an undirected book's terms, this is the weight of
-    the pairs that cross the cut."""
-    return sum(num for a, b, num in terms if a & side and not b & side)
+def _over(nums: np.ndarray, den: int, bound: int) -> np.ndarray:
+    """Each of ``nums`` over ``den`` as a float64, correctly rounded as
+    ``float(Fraction(num, den))`` is.  ``bound`` bounds ``den`` and every |num|:
+    below 2^53 both are exact float64 values and one float64 division rounds
+    correctly; past it, Python divides the ints."""
+    if bound < 2**53:
+        return nums / den
+    return np.array([num / den for num in nums.tolist()], dtype=np.float64)
 
 
 # a group's qubits in slot order; the entropy of each split solved so far, keyed on its
@@ -137,32 +167,34 @@ Entry = tuple[engine.Group, dict[int, float], np.ndarray | None]
 Cache = dict[frozenset[QubitId], Entry]
 
 
-class _Cuts(tuple):
-    """The bipartitions of parties 1..n as masks of the side holding party 1.
-    ``splits(slots)`` gives, for a group's qubits in slot order, the distinct
-    splits the cuts make of them as slot masks (the smaller of the side's mask
-    and its complement), ascending, and for each cut the place of its split in
-    that list counted from 1, 0 where the cut keeps the group whole; worked out
-    once per tuple of the slots' parties."""
+class _Cuts:
+    """The bipartitions of parties 1..n as one int64 array ``masks``: the mask of
+    the side holding party 1, bit p for party p, by the size of that side and
+    then its other parties in lexicographic order.  ``splits(slots)`` gives, for a
+    group's qubits in slot order, the distinct splits the cuts make of them as
+    slot masks (the smaller of the side's mask and its complement), ascending,
+    and for each cut the place of its split in that list counted from 1, 0
+    where the cut keeps the group whole; worked out once per tuple of the slots'
+    parties.  An int64 mask holds parties up to 62, so more parties are refused
+    before any cut is listed."""
 
-    def __new__(cls, n: int):
-        cuts = super().__new__(cls, (_mask((1, *rest)) for r in range(n - 1)
-                                     for rest in itertools.combinations(range(2, n + 1), r)))
-        cuts._splits = {}
-        return cuts
+    def __init__(self, n: int):
+        if n > CUT_PARTIES_MAX:
+            raise ValueError(f"a trace of {n} parties has 2^{n - 1} cuts; the audit holds each as an int64 "
+                             f"party mask, which fits at most {CUT_PARTIES_MAX} parties")
+        bits = [1 << p for p in range(2, n + 1)]
+        sums = itertools.chain.from_iterable(map(sum, itertools.combinations(bits, r)) for r in range(n - 1))
+        self.masks = 2 + np.fromiter(sums, dtype=np.int64, count=(1 << n - 1) - 1)
+        self._splits: dict[tuple[int, ...], tuple[list[int], np.ndarray]] = {}
 
     def splits(self, slots: engine.Group) -> tuple[list[int], np.ndarray]:
         owners = tuple([q.party for q in slots])
         if owners not in self._splits:
-            sides = {0: 0}  # the slots of each set of the slots' parties, keyed on its party mask
-            for p in set(owners):
-                mask = sum(1 << j for j, owner in enumerate(owners) if owner == p)
-                sides.update([(parties | 1 << p, side | mask) for parties, side in sides.items()])
-            whole, full = _mask(owners), (1 << len(slots)) - 1
-            made = [min(side, full ^ side) for side in (sides[cut & whole] for cut in self)]
-            distinct = sorted(set(made) - {0})
-            place = {split: k for k, split in enumerate([0, *distinct])}
-            self._splits[owners] = distinct, np.array([place[split] for split in made], dtype=np.intp)
+            side = (self.masks[:, None] >> np.array(owners, dtype=np.int64) & 1) @ (1 << np.arange(len(owners)))
+            made = np.minimum(side, ((1 << len(owners)) - 1) ^ side)
+            # numbered from 0 upwards, where 0 is the split of a cut that keeps the group whole
+            distinct, places = np.unique(np.concatenate([[0], made]), return_inverse=True)
+            self._splits[owners] = distinct[1:].tolist(), places[1:]
         return self._splits[owners]
 
 
@@ -197,7 +229,7 @@ def _cut_entropies(ens: BranchEnsemble, cuts: _Cuts, cache: Cache) -> np.ndarray
     if missing:
         for (entropies, split), s in zip(missing, engine.subset_entropies(ens, sides)):
             entropies[split] = s
-    values = np.zeros(len(cuts))
+    values = np.zeros(len(cuts.masks))
     for key, (slots, entropies, vector) in entries:
         if vector is None:
             distinct, places = cuts.splits(slots)
@@ -291,12 +323,13 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
     comm = resources.communication or CommunicationGraph(n, zeros)
     report = AuditReport(n_parties=n, checks_run=["held-nonnegative", "locality"])
 
-    # -- one pass over the events: books, locality and cuts spanned ---------
+    # -- one pass over the events: books, locality and the party sets that exempt cuts
+    cuts = _Cuts(n)
+    masks = cuts.masks
     books = ResourceLedger(den=ent.den, granted=ent.book())
     locality: list[Violation] = []
-    spanned_by_oracle: set[int] = set()
-    spanned_by_conveyance: set[int] = set()
-    cuts = _Cuts(n)
+    by_oracle: set[frozenset[int]] = set()
+    by_conveyance: set[frozenset[int]] = set()
 
     for step, ev in enumerate(trace.events):
         ev.book(books)
@@ -322,10 +355,8 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
                 "qubit conveyance must be a relocate event",
                 step,
             ))
-        joined = _mask(ev.joined)
-        if joined:
-            spanned = spanned_by_oracle if isinstance(ev, CollectiveOracle) else spanned_by_conveyance
-            spanned.update(cut for cut in cuts if _spans(joined, cut))
+        if ev.joined:
+            (by_oracle if isinstance(ev, CollectiveOracle) else by_conveyance).add(frozenset(ev.joined))
     report.violations += locality
 
     report.checks_run.append("channel-capacity")
@@ -337,43 +368,43 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
                 f"{Fraction(bits, den)} bits sent {a}->{b} exceed the declared capacity {comm.weight(a, b)}",
             ))
 
-    shared, made, used = (_terms(book, directed=False)
-                          for book in (books.granted, books.ebits_created, books.ebits_consumed))
-    sent, decoded = (_terms(book, directed=True) for book in (books.bits_sent, books.bits_decoded))
+    cut_books = ((books.granted, False), (books.ebits_created, False), (books.ebits_consumed, False),
+                 (books.bits_sent, True), (books.bits_decoded, True))
+    # a bound on every cut sum, comparison operand and replayed held count below
+    top = 2 * sum(sum(book.values()) for book, _ in cut_books) + den * len(trace.events)
+    out, into = _book_sums(cut_books, masks, top)
+    shared, made, used = out[:3]
+    spans = _spanned([*by_oracle, *by_conveyance], masks)
+    oracle_spans = spans[:len(by_oracle)].any(axis=0)
 
     report.checks_run.append("cut-entanglement")
-    initial = [_leaving(shared, cut) for cut in cuts]
-    for cut, held in zip(cuts, initial):
-        if cut in spanned_by_oracle or cut in spanned_by_conveyance:
-            continue
-        created, consumed = _leaving(made, cut), _leaving(used, cut)
-        if created > consumed + held:
-            report.violations.append(Violation(
-                "cut-entanglement",
-                f"cut {_parties(cut)}: {Fraction(created, den)} ebits created exceed "
-                f"{Fraction(consumed, den)} consumed + {Fraction(held, den)} initially shared",
-            ))
+    for i in np.flatnonzero((made > used + shared) & ~spans.any(axis=0)).tolist():
+        report.violations.append(Violation(
+            "cut-entanglement",
+            f"cut {_parties(int(masks[i]))}: {Fraction(int(made[i]), den)} ebits created exceed "
+            f"{Fraction(int(used[i]), den)} consumed + {Fraction(int(shared[i]), den)} initially shared",
+        ))
 
     report.checks_run.append("cut-communication")
-    for cut in cuts:
-        if cut in spanned_by_oracle:
-            continue
-        allowance = 2 * _leaving(used, cut)
-        for side, name in ((cut, "out of"), (~cut, "into")):
-            got, msg = _leaving(decoded, side), _leaving(sent, side)
-            if got > msg + allowance:
+    allowance = 2 * used
+    sides = [(name, got, msg, got > msg + allowance)
+             for name, (msg, got) in (("out of", out[3:]), ("into", into[3:]))]
+    for i in np.flatnonzero((sides[0][3] | sides[1][3]) & ~oracle_spans).tolist():
+        for name, got, msg, over in sides:
+            if over[i]:
                 report.violations.append(Violation(
                     "cut-communication",
-                    f"cut {_parties(cut)}: {Fraction(got, den)} bits decoded {name} the cut exceed "
-                    f"{Fraction(msg, den)} sent + dense-coding allowance {Fraction(allowance, den)}",
+                    f"cut {_parties(int(masks[i]))}: {Fraction(int(got[i]), den)} bits decoded {name} the cut "
+                    f"exceed {Fraction(int(msg[i]), den)} sent + dense-coding allowance "
+                    f"{Fraction(int(allowance[i]), den)}",
                 ))
 
     # -- statevector replay -------------------------------------------------
     if replay and trace.initial is not None:
         report.checks_run.append("replay-monotonicity")
         report.replayed = True
-        held = initial  # ebits still held across each cut, over den
-        remaining = np.array([h / den for h in held])  # correctly rounded, as float(Fraction(h, den)) is
+        held = shared  # ebits still held across each cut, over den, each at most top in size
+        remaining = _over(held, den, max(top, den))
         cache: Cache = {}
         fresh: dict[QubitId, QubitId] = {}
         last = _cut_entropies(trace.initial, cuts, cache) + remaining
@@ -382,18 +413,19 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
             for step, ev, ens in replay_events(trace.initial, trace.events):
                 cache = _carry(cache, ev, fresh)
                 if isinstance(ev, EbitConsume):
-                    pair = _mask(ev.pair)
-                    held = [h - den * _spans(pair, cut) for h, cut in zip(held, cuts)]
-                    remaining = np.array([h / den for h in held])
+                    held = held - den * _spanned([ev.pair], masks)[0].astype(held.dtype)
+                    remaining = _over(held, den, max(top, den))
                 values = _cut_entropies(ens, cuts, cache) + remaining
-                for i in np.flatnonzero(values > last + ENTROPY_TOL).tolist():
-                    if not _spans(_mask(ev.joined), cuts[i]):
-                        report.violations.append(Violation(
-                            "replay-monotonicity",
-                            f"cut {_parties(cuts[i])}: monotone rose from {float(last[i]):.12f} "
-                            f"to {float(values[i]):.12f}",
-                            step,
-                        ))
+                rose = np.flatnonzero(values > last + ENTROPY_TOL)
+                if rose.size and ev.joined:
+                    rose = rose[~_spanned([ev.joined], masks[rose])[0]]
+                for i in rose.tolist():
+                    report.violations.append(Violation(
+                        "replay-monotonicity",
+                        f"cut {_parties(int(masks[i]))}: monotone rose from {float(last[i]):.12f} "
+                        f"to {float(values[i]):.12f}",
+                        step,
+                    ))
                 last = values
                 at = step + 1
         except (ValueError, AssertionError) as exc:

@@ -15,7 +15,7 @@ Python ints where int64 could overflow), so it is exact too.  ``ebitnet
 symmetrise`` builds those counts (``pair_counts``) once for both graphs of a file.
 
 The weight a graph carries across a bipartition is counted by the audit's
-cut sums (``audit._leaving``), the program's one count of it.  The rest of
+cut sums (``audit._book_sums``), the program's one count of it.  The rest of
 the paper's calculus (partitions, cross-partition weights, expendable
 resources, the half-transfer and three-lab conditions) is test oracles, in
 ``tests/oracles.py``.

@@ -17,8 +17,13 @@
   ``regular_complete``, ``cross_partition``, ``expendable_resources``,
   ``half_transfer_check`` and, on a signed ``DeltaMatrix``, the three-lab
   conditions ``delta_three_lab_bound``.  ``cross_partition`` is the brute-force
-  oracle for the audit's integer cut sums (``audit._terms`` and
-  ``audit._leaving``), the program's one count across a bipartition.
+  oracle for the audit's integer cut sums (``audit._book_sums``), the program's
+  one count across a bipartition.
+- ``cut_masks``, ``party_mask``, ``book_terms``, ``leaving``, ``spans`` and
+  ``cut_splits`` are the audit's cut listing, cut sums, spanned cuts and group
+  splits as the audit once made them, one cut at a time in Python ints: the
+  references for its int64 mask arrays (``audit._Cuts``, ``audit._book_sums``,
+  ``audit._spanned``).
 - ``read_fraction_graphs`` reads a graph file as the program read it when a graph
   held one ``Fraction`` per cell, with the same checks in the same order and the
   same messages; ``fraction_total``, ``fraction_symmetrised_weight``,
@@ -248,6 +253,55 @@ def comparison_predicates(n: int) -> ComparisonReport:
     )
 
 
+# -- the audit's cut sums and splits, one cut at a time in Python ints -------------
+
+
+def party_mask(parties: Iterable[int]) -> int:
+    """A set of parties as a bit mask, bit p for party p."""
+    return sum(1 << p for p in set(parties))
+
+
+def cut_masks(n: int) -> list[int]:
+    """The bipartitions of parties 1..n as masks of the side holding party 1, by
+    the size of that side and then its other parties in lexicographic order."""
+    return [party_mask((1, *rest)) for r in range(n - 1) for rest in itertools.combinations(range(2, n + 1), r)]
+
+
+def book_terms(book, directed: bool) -> list[tuple[int, int, int]]:
+    """A book's numerators as (from-bit, to-bit, numerator) terms; an undirected
+    book gives each pair in both directions."""
+    terms = [(1 << a, 1 << b, num) for (a, b), num in book.items()]
+    return terms if directed else terms + [(b, a, num) for a, b, num in terms]
+
+
+def leaving(terms, side: int) -> int:
+    """The sum of the terms that leave the side mask ``side``: from a party in it
+    to one outside.  Over an undirected book's terms, this is the weight of the
+    pairs that cross the cut."""
+    return sum(num for a, b, num in terms if a & side and not b & side)
+
+
+def spans(mask: int, cut: int) -> bool:
+    """Whether the parties of ``mask`` lie on both sides of ``cut``."""
+    return 0 != mask & cut != mask
+
+
+def cut_splits(cuts: Sequence[int], owners: Sequence[int]) -> tuple[list[int], list[int]]:
+    """For a group's slots held by ``owners``, the distinct splits ``cuts`` make of
+    them as slot masks (the smaller of the side's mask and its complement),
+    ascending, and for each cut the place of its split in that list counted from
+    1, 0 where the cut keeps the group whole."""
+    sides = {0: 0}  # the slots of each set of the slots' parties, keyed on its party mask
+    for p in set(owners):
+        mask = sum(1 << j for j, owner in enumerate(owners) if owner == p)
+        sides.update([(parties | 1 << p, side | mask) for parties, side in sides.items()])
+    whole, full = party_mask(owners), (1 << len(owners)) - 1
+    made = [min(side, full ^ side) for side in (sides[cut & whole] for cut in cuts)]
+    distinct = sorted(set(made) - {0})
+    place = {split: k for k, split in enumerate([0, *distinct])}
+    return distinct, [place[split] for split in made]
+
+
 # -- the resource-graph calculus of the paper, on frozenset partitions ---------
 
 
@@ -310,7 +364,7 @@ def regular_complete(n: int, weight: int | Fraction, kind: str = "entanglement")
 
 def cross_partition(g: graphs.Graph, partition: Partition, direction: str | None = None) -> Fraction:
     """Resource weight crossing the partition: the brute-force oracle for the
-    audit's cut sums (``audit._leaving``).
+    audit's cut sums (``audit._book_sums``).
 
     For entanglement graphs: the ebits shared between the two sides.  For
     communication graphs a direction is required: "a_to_b" or "b_to_a".

@@ -1,8 +1,10 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -317,6 +319,34 @@ class TestAuditViolations:
         refusal = f"error: trace has {n} parties, more than its registry cap of {cap} qubits\n"
         assert capsys.readouterr().err == ("" if code == 0 else refusal)
 
+    @pytest.mark.parametrize("flags", [[], ["--no-replay"]], ids=["replay", "no-replay"])
+    def test_more_parties_than_an_int64_cut_mask_holds_exit_two(self, tmp_path, capsys, monkeypatch, flags):
+        """Under a raised cap, a header-only trace of 70 parties is within its registry
+        cap, but its 2^69 cuts do not fit the audit's int64 party masks: it is refused
+        with exit 2 before any cut is listed, which would not finish.  The refusal
+        allocates next to nothing, and the cut arrays are never built."""
+        monkeypatch.setenv("EBITNET_MAX_QUBITS", "100")
+        monkeypatch.setattr(audit.np, "fromiter", None)  # listing a cut would raise a TypeError
+        trace, graph = tmp_path / "t.jsonl", tmp_path / "g.json"
+        trace.write_text(json.dumps({"kind": "header", "format": TRACE_FORMAT, "n_parties": 70}) + "\n",
+                         encoding="utf-8")
+        graph.write_text(json.dumps({"n": 70, "entanglement": [["0"] * 70] * 70}), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert cli.main(["audit", "--trace", str(trace), "--graphs", str(graph), *flags]) == 2
+            assert tracemalloc.get_traced_memory()[1] < 2**22
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == ("error: a trace of 70 parties has 2^69 cuts; the audit holds each as an "
+                                           "int64 party mask, which fits at most 62 parties\n")
+
+    def test_sixty_three_parties_are_one_too_many_for_an_int64_cut_mask(self, monkeypatch):
+        """Party p is bit p of a cut mask, so party 63 would be the sign bit."""
+        monkeypatch.setattr(audit.np, "fromiter", None)
+        assert audit.CUT_PARTIES_MAX == 62 and np.int64(1) << 62 > 0 > np.int64(1) << 63
+        with pytest.raises(ValueError, match=r"^a trace of 63 parties has 2\^62 cuts;"):
+            audit._Cuts(63)
+
     @pytest.mark.parametrize("n,header", [
         (3, {"max_qubits": 25, "registry": [], "branches": [{"p": 1.0, "amplitudes": [[1.0, 0.0]]}]}),
         (40, {"max_qubits": 100, "registry": [[1, "q"]], "branches": [{"p": 1.0, "amplitudes": [[1, 0], [0, 0]]}]}),
@@ -512,20 +542,22 @@ def povm_record(party, distribution):
 
 
 @st.composite
-def bookkeeping_cases(draw):
-    """A party count, optional resource graphs, and a bookkeeping-only event list."""
+def bookkeeping_cases(draw, scale=1):
+    """A party count, optional resource graphs, and a bookkeeping-only event list;
+    graph weights and message and decode bits are ``scale`` times the drawn amounts."""
+    scaled = amounts.map(lambda amount: amount * scale)
     n = draw(st.integers(min_value=2, max_value=5))
     party = st.integers(min_value=1, max_value=n)
     pair = st.tuples(party, party).filter(lambda p: p[0] != p[1])  # unsorted, as in memory
     ent = comm = None
     if draw(st.booleans()):
-        upper = {(i, j): draw(amounts) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+        upper = {(i, j): draw(scaled) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
         ent = graphs.EntanglementGraph(n, tuple(
             tuple(upper.get((min(i, j), max(i, j)), Fraction(0)) for j in range(1, n + 1))
             for i in range(1, n + 1)))
     if draw(st.booleans()):
         comm = graphs.CommunicationGraph(n, tuple(
-            tuple(Fraction(0) if i == j else draw(amounts) for j in range(1, n + 1))
+            tuple(Fraction(0) if i == j else draw(scaled) for j in range(1, n + 1))
             for i in range(1, n + 1)))
 
     def oracle(parties):
@@ -535,8 +567,8 @@ def bookkeeping_cases(draw):
     event = st.one_of(
         pair.map(lambda p: EbitConsume(p, (QubitId(p[0], "x"), QubitId(p[1], "y")))),
         pair.map(EbitCreate),
-        st.builds(lambda p, bits, sup: ClassicalMessage(*p, bits, sup), pair, amounts, st.booleans()),
-        st.builds(lambda p, bits: DecodedBits(*p, bits), pair, amounts),
+        st.builds(lambda p, bits, sup: ClassicalMessage(*p, bits, sup), pair, scaled, st.booleans()),
+        st.builds(lambda p, bits: DecodedBits(*p, bits), pair, scaled),
         st.sets(party, min_size=1, max_size=n).map(oracle),
         st.builds(lambda frm, to: Relocate(QubitId(frm, "r"), to), party, party),
         st.builds(povm_record, party, st.sampled_from(sorted(RECORDED_COVER))),
@@ -623,6 +655,17 @@ def test_cut_checks_match_brute_force_reference(case):
     assert [(v.check, v.detail, v.step) for v in report.violations] == reference_violations(n, ent, comm, events)
 
 
+@given(bookkeeping_cases(scale=2**62))
+@settings(max_examples=100, deadline=None)
+def test_cut_checks_past_int64_match_brute_force_reference(case):
+    """Graph weights and bits 2^62 times the usual amounts: the cut sums pass the
+    range of int64, so they run on Python ints, and every violation's text still
+    matches the reference's exact sums."""
+    n, ent, comm, events = case
+    report = audit.audit_trace(ProtocolTrace(n, events=events), graphs.GraphBundle(n, ent, comm), replay=False)
+    assert [(v.check, v.detail, v.step) for v in report.violations] == reference_violations(n, ent, comm, events)
+
+
 # a graph cell: an integer of up to CELL_MAX_CHARS digits, or "p/q" of up to CELL_MAX_CHARS characters
 cells = st.one_of(
     st.integers(min_value=0, max_value=10**graphs.CELL_MAX_CHARS - 1).map(str),
@@ -656,13 +699,83 @@ def test_cut_sums_match_the_cross_partition_oracle(case):
     oracle: an undirected book across each cut, a directed one out of the side of
     party 1 and into it."""
     n, ent, comm = case
-    shared = audit._terms(ent.book(), directed=False)
-    sent = audit._terms(comm.book(), directed=True)
-    for cut in audit._Cuts(n):
+    cuts = audit._Cuts(n).masks
+    ((shared,), _), ((sent_out,), (sent_in,)) = (
+        audit._book_sums([(g.book(), g.directed)], cuts, 2 * sum(g.book().values())) for g in (ent, comm))
+    shared, sent_out, sent_in = shared.tolist(), sent_out.tolist(), sent_in.tolist()
+    for i, cut in enumerate(cuts.tolist()):
         part = oracles.Partition(n, frozenset(audit._parties(cut)))
-        assert Fraction(audit._leaving(shared, cut), ent.den) == oracles.cross_partition(ent, part)
-        assert Fraction(audit._leaving(sent, cut), comm.den) == oracles.cross_partition(comm, part, "a_to_b")
-        assert Fraction(audit._leaving(sent, ~cut), comm.den) == oracles.cross_partition(comm, part, "b_to_a")
+        assert Fraction(shared[i], ent.den) == oracles.cross_partition(ent, part)
+        assert Fraction(sent_out[i], comm.den) == oracles.cross_partition(comm, part, "a_to_b")
+        assert Fraction(sent_in[i], comm.den) == oracles.cross_partition(comm, part, "b_to_a")
+
+
+# numerators up to and past int64: 2^63 - 1 and 2^63 sit on either side of its range
+numerators = st.one_of(st.integers(min_value=0, max_value=9), st.sampled_from([2**62, 2**63 - 1, 2**63]),
+                       st.integers(min_value=2**62, max_value=2**65))
+
+
+@st.composite
+def cut_cases(draw):
+    """A party count from 1 to 10, up to five books, each directed or not, of
+    numerators that sum within or past int64, and the party sets of a few events."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    party = st.integers(min_value=1, max_value=n)
+    pair = st.tuples(party, party).filter(lambda p: p[0] != p[1])
+    book = st.dictionaries(pair, numerators, max_size=6) if n > 1 else st.just({})
+    books = draw(st.lists(st.tuples(book, st.booleans()), min_size=1, max_size=5))
+    sets = draw(st.lists(st.lists(party, min_size=1, max_size=4), max_size=4))
+    return n, books, sets
+
+
+@given(cut_cases())
+@settings(max_examples=200, deadline=None)
+def test_cut_arrays_match_the_scalar_references(case):
+    """The cut masks, the book sums both ways (int64, or Python ints once their
+    bound passes 2^63), the spanned cuts and each group's splits, against the
+    scalar references the audit once computed cut by cut."""
+    n, books, sets = case
+    cuts = audit._Cuts(n)
+    masks = oracles.cut_masks(n)
+    assert cuts.masks.dtype == np.int64 and cuts.masks.tolist() == masks
+    top = 2 * sum(sum(book.values()) for book, _ in books)
+    out, into = audit._book_sums(books, cuts.masks, top)
+    assert out.dtype == into.dtype == (object if top >= 2**63 else np.int64)
+    for k, (book, directed) in enumerate(books):
+        terms = oracles.book_terms(book, directed)
+        assert out[k].tolist() == [oracles.leaving(terms, cut) for cut in masks]
+        assert into[k].tolist() == [oracles.leaving(terms, ~cut) for cut in masks]
+    with mock.patch.object(audit, "CUT_CHUNK_BYTES", 1):  # one cut per chunk
+        chunked = audit._book_sums(books, cuts.masks, top)
+    assert [a.tolist() for a in chunked] == [out.tolist(), into.tolist()]
+    spanned = audit._spanned(sets, cuts.masks)
+    assert spanned.tolist() == [[oracles.spans(oracles.party_mask(s), cut) for cut in masks] for s in sets]
+    for owners in sets:
+        slots = tuple(QubitId(p, f"s{j}") for j, p in enumerate(owners))
+        distinct, places = cuts.splits(slots)
+        assert (distinct, places.tolist()) == oracles.cut_splits(masks, owners)
+
+
+def test_the_cuts_of_four_parties_in_order():
+    """By the size of the side holding party 1, then its other parties in
+    lexicographic order: {1}, {1,2}, {1,3}, {1,4}, {1,2,3}, {1,2,4}, {1,3,4}."""
+    assert audit._Cuts(4).masks.tolist() == [2, 6, 10, 18, 14, 22, 26]
+    assert audit._Cuts(2).masks.tolist() == [2] and audit._Cuts(1).masks.tolist() == []
+
+
+@given(st.lists(st.integers(min_value=-2**64, max_value=2**64), max_size=6),
+       st.integers(min_value=1, max_value=2**64), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_held_ebits_divide_into_correctly_rounded_floats(nums, den, wide):
+    """``_over`` rounds each numerator over ``den`` as ``float(Fraction(num, den))``
+    does, given its bound on ``den`` and every |num|: in float64 below 2^53, where
+    both are exact, and in Python ints past it, the bound tight or loose."""
+    nums = [num + 2**53 * wide for num in nums]
+    bound = max([den, *map(abs, nums)])
+    want = [float(Fraction(num, den)) for num in nums]
+    for loose in (bound, 2**80):
+        got = audit._over(np.array(nums, dtype=np.int64 if bound < 2**63 else object), den, loose)
+        assert got.dtype == np.float64 and got.tolist() == want
 
 
 class TestComposition:
@@ -804,14 +917,14 @@ def audit_monotone_series(monkeypatch, trace, bundle):
     cut_entropies, solve, replay_events = audit._cut_entropies, engine.subset_entropies, audit.replay_events
     parties = range(1, trace.n_parties + 1)
 
-    def evaluating(ens, cut_masks, cache):
+    def evaluating(ens, cuts, cache):
         counts[0] += 1
         partitions.append(ens.groups)
-        entropies = cut_entropies(ens, cut_masks, cache)
+        entropies = cut_entropies(ens, cuts, cache)
         groups = set(map(frozenset, ens.groups))
         stale.extend((len(partitions) - 1, key) for key, (_, solved, _) in cache.items()
                      if solved and key not in groups)
-        for mask, value in zip(cut_masks, entropies):
+        for mask, value in zip(cuts.masks.tolist(), entropies):
             latest[frozenset(p for p in parties if mask >> p & 1)] = value
         return entropies
 
@@ -894,11 +1007,11 @@ def test_cut_entropies_equal_the_walk_of_every_group_against_every_cut(protocol)
     cuts = audit._Cuts(trace.n_parties)
     cache, fresh = {}, {}
     entropies = audit._cut_entropies(trace.initial, cuts, cache)
-    assert entropies.tolist() == walked_cut_entropies(trace.initial.groups, cuts, cache)
+    assert entropies.tolist() == walked_cut_entropies(trace.initial.groups, cuts.masks.tolist(), cache)
     for _, ev, ens in audit.replay_events(trace.initial, trace.events):
         cache = audit._carry(cache, ev, fresh)
         entropies = audit._cut_entropies(ens, cuts, cache)
-        assert entropies.tolist() == walked_cut_entropies(ens.groups, cuts, cache), ev
+        assert entropies.tolist() == walked_cut_entropies(ens.groups, cuts.masks.tolist(), cache), ev
         # no entry outlives its group with a solved split
         assert {key for key, (_, solved, _) in cache.items() if solved} <= set(map(frozenset, ens.groups)), ev
 
@@ -1055,7 +1168,7 @@ def test_carried_cut_vectors_equal_fresh_ones_bit_for_bit(data):
         entries = {key: (slots, dict(solved), None) for key, (slots, solved, _) in cache.items()}
         rebuilt = audit._cut_entropies(ens, cuts, entries)
         assert carried.tobytes() == rebuilt.tobytes(), ev
-        assert carried.tolist() == walked_cut_entropies(ens.groups, cuts, cache), ev
+        assert carried.tolist() == walked_cut_entropies(ens.groups, cuts.masks.tolist(), cache), ev
         assert np.abs(carried - audit._cut_entropies(ens, cuts, {})).max(initial=0.0) <= 1e-12, ev
 
 
@@ -1134,8 +1247,8 @@ def test_monotone_values_every_cut_at_every_step_and_solves_only_after_state_cha
 
 def distinct_splits(group, n):
     """The distinct splits the cuts of 1..n make of ``group``, as party masks."""
-    mask = audit._mask(q.party for q in group)
-    return {min(cut & mask, ~cut & mask) for cut in audit._Cuts(n)} - {0}
+    mask = oracles.party_mask(q.party for q in group)
+    return {min(cut & mask, ~cut & mask) for cut in oracles.cut_masks(n)} - {0}
 
 
 def test_a_step_solves_only_the_splits_of_the_groups_its_event_named(monkeypatch):

@@ -696,7 +696,7 @@ class TestRelabel:
                                                               engine.branch_vectors(dense, order)):
             assert p_renamed == p_dense
             assert np.array_equal(v_renamed, v_dense)
-        for cut in map(audit._parties, audit._Cuts(n)):
+        for cut in map(audit._parties, audit._Cuts(n).masks.tolist()):
             got = engine.entanglement_entropy(renamed, cut, universe=range(1, n + 1))
             want = engine.entanglement_entropy(dense, cut, universe=range(1, n + 1))
             assert abs(got - want) <= 1e-12
