@@ -62,14 +62,24 @@ must hold the bytes a fresh path gets.  Last, ``simulate``,
 regular file or a directory where the other is needed, a path under
 ``/dev/null``); each must exit 2 with an ``error:`` line.
 
+Each usage error's directory is named after its arguments (``usage/star-op-n-1``),
+so a probe that goes shows as a deletion.  Last, the script writes
+``identity.sha256`` into the output directory: a header of the numpy version and
+the OpenBLAS configuration string, then one ``sha256  path`` line per file,
+sorted by path.  Made on one BLAS thread (``OPENBLAS_NUM_THREADS=1``), it is
+committed as ``fixtures/identity.sha256``, and ``tests/test_scripts.py`` compares
+each run with it.
+
 The script imports ebitnet from the src/ directory of its own checkout.  To
-check that a change leaves the CLI's behaviour byte-identical, run it from two
-checkouts into two fresh directories and compare them with ``diff -r``.
+compare two checkouts file by file, run it from each into two fresh directories
+and compare them with ``diff -r``.
 """
 
 import argparse
 import base64
 import contextlib
+import ctypes
+import hashlib
 import io
 import json
 import os
@@ -90,6 +100,8 @@ from ebitnet.engine import QubitId  # noqa: E402
 from ebitnet.ledger import Allocate, LocalMeasure, dump_trace  # noqa: E402
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "four_lab_example.json"
+# the file under the output directory that lists every other file's sha256
+MANIFEST = "identity.sha256"
 
 SEEDS = (7, 11)
 # spec name -> simulate arguments after the protocol name
@@ -564,6 +576,35 @@ def mutate_and_audit(root: Path, base: str, name: str, mutate, rng) -> list[str]
     return audit_both(into / "trace.jsonl", into / "graphs.json", into)
 
 
+def blas_config() -> str:
+    """The configuration string of the OpenBLAS that numpy runs, which names the
+    CPU kernel it chose at load, or "unknown BLAS" when numpy does not expose one."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)  # its symbols are looked up in its dependencies too
+    except (ImportError, OSError):
+        return "unknown BLAS"
+    # the name in numpy's own wheels, and in a numpy linked to a system OpenBLAS
+    for name in ("scipy_openblas_get_config64_", "openblas_get_config"):
+        get_config = getattr(lib, name, None)
+        if get_config is not None:
+            get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+            return get_config().decode("ascii", "replace").strip()
+    return "unknown BLAS"
+
+
+def write_manifest(root: Path) -> int:
+    """Write ``MANIFEST`` under ``root``: a header of the numpy version and BLAS configuration
+    the outputs were made with, then one ``sha256  path`` line per file under
+    ``root``, sorted by path; returns the number of files listed."""
+    paths = sorted(path.relative_to(root).as_posix() for path in root.rglob("*")
+                   if path.is_file() and path != root / MANIFEST)
+    lines = [f"# numpy {np.__version__}", f"# {blas_config()}"]
+    lines += [f"{hashlib.sha256((root / path).read_bytes()).hexdigest()}  {path}" for path in paths]
+    (root / MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return len(paths)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--output", default="out/identity", help="output directory (default out/identity)")
@@ -580,8 +621,8 @@ def main() -> None:
             outcomes.append(result)
             outcomes += audit_both(into / f"{protocol}_trace.jsonl", into / f"{protocol}_graphs.json", into)
 
-    for i, argv in enumerate(USAGE_ERRORS):
-        into = root / "usage" / f"{i:02d}"
+    for argv in USAGE_ERRORS:
+        into = root / "usage" / "-".join(arg.lstrip("-") for arg in argv)  # star-op --n 1: usage/star-op-n-1
         into.mkdir(parents=True, exist_ok=True)
         result = run_cli(["simulate", *argv, "--output", str(into)])
         (into / "simulate.txt").write_text(result, encoding="utf-8")
@@ -660,8 +701,9 @@ def main() -> None:
         (into / f"{name}.txt").write_text(result, encoding="utf-8")
         outcomes.append(result)
 
+    files = write_manifest(root)
     exits = Counter(result.split("\n", 1)[0] for result in outcomes)
-    print(f"{len(outcomes)} commands written to {root}: "
+    print(f"{len(outcomes)} commands written to {root}, {files} files listed in {root / MANIFEST}: "
           + ", ".join(f"{count} x {code}" for code, count in sorted(exits.items())))
 
 

@@ -5,7 +5,7 @@ Usage: python scripts/mutants.py [--quick]
 
 Each row of ``MUTANTS`` names a file, an exact piece of its text, the text
 to put in its place, and the tests expected to fail once it is there.  For
-each row the script copies the tree (src, tests, fixtures, pyproject.toml)
+each row the script copies the tree (src, tests, fixtures, scripts, pyproject.toml)
 into a temporary directory, applies the edit and runs only the named tests.
 The mutant is killed when one of them fails, and survives when they all pass.
 The named tests are first run once on an unmutated copy; they must pass.
@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TREE = ("src", "tests", "fixtures", "pyproject.toml")
+TREE = ("src", "tests", "fixtures", "scripts", "pyproject.toml")
 
 
 class Mutant(NamedTuple):
@@ -257,11 +257,30 @@ MUTANTS = (
            (CODEC + "test_malformed_header_is_rejected_on_line_1[negative-p]",
             ENGINE + "test_from_vectors_refuses_what_a_trace_header_refuses[negative-p]")),
     Mutant("a local gate is built without its unitarity check", "src/ebitnet/ledger.py",
-           "engine.check_unitary(matrix)", "pass",
+           "engine.check_unitary(matrix, len(self.targets))", "pass",
            (PROTOCOLS + "TestResourceBook::test_step_refuses_a_non_unitary_gate",
             CODEC + "test_malformed_event_is_rejected_with_its_line",
             CODEC + "test_first_non_unitary_gate_is_reported_across_matrix_sizes",
+            CODEC + "test_gate_local_gate_and_trace_load_give_one_shape_refusal",
             AUDIT + "test_unitarity_is_checked_once_per_path")),
+    Mutant("a gate matrix of the wrong size passes", "src/ebitnet/engine.py",
+           "if mat.shape != (dim, dim):", "if False:",
+           (CODEC + "test_gate_local_gate_and_trace_load_give_one_shape_refusal",)),
+    # the one locality rule: each event's nonlocal_detail, which step refuses and the audit reports
+    Mutant("a gate or measurement declared local answers local wherever its targets are", "src/ebitnet/ledger.py",
+           'return f"event declared local to party {self.party} targets {strangers}" if strangers else None',
+           "return None",
+           (PROTOCOLS + "TestResourceBook::test_step_refuses_a_nonlocal_event",
+            AUDIT + "test_forged_trace_report_is_exact[nonlocal-gate]",
+            AUDIT + "test_forged_trace_report_is_exact[mixed]"), quick=True),
+    Mutant("a relabel across parties answers local", "src/ebitnet/ledger.py",
+           "if self.old.party != self.new.party:", "if False:",
+           (PROTOCOLS + "TestResourceBook::test_step_refuses_a_nonlocal_event[relabel]",
+            AUDIT + "test_forged_trace_report_is_exact[cross-party-relabel]",
+            AUDIT + "test_cross_party_relabel_report_is_exact")),
+    Mutant("step applies an event that is not local", "src/ebitnet/protocols.py",
+           "if event.nonlocal_detail is not None:", "if False:",
+           (PROTOCOLS + "TestResourceBook::test_step_refuses_a_nonlocal_event",)),
     Mutant("decode base64 without the length check", "src/ebitnet/ledger.py",
            "if len(data) != nbytes:", "if False:",
            (CODEC + "test_malformed_base64_array_is_rejected_with_its_line",)),
@@ -409,6 +428,11 @@ MUTANTS = (
     Mutant("a device output is cut too", "src/ebitnet/cli.py",
            "if stat.S_ISREG(os.fstat(fd).st_mode):", "if True:",
            (WRITER + "test_a_device_is_written_without_being_cut",)),
+    # a change to written bytes alone, which the committed output manifest sees
+    Mutant("the audit report is printed with an indent of 1", "src/ebitnet/cli.py",
+           "json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2)",
+           "json.dumps(dataclasses.asdict(report), sort_keys=True, indent=1)",
+           ("tests/test_scripts.py::test_script_exits_zero_with_defaults[identity_outputs.py]",)),
 )
 
 

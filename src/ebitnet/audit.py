@@ -16,8 +16,9 @@ Checks, per trace:
   across each cut) is checked to be non-increasing step by step, again
   excepting oracle and qubit-conveyance steps that span the cut.
 
-The one pass over the events charges each through its ``book`` and exempts
-the cuts its ``joined`` parties span; the replay runs each through ``apply``.
+The one pass over the events charges each through its ``book``, reports its
+``nonlocal_detail`` as a locality violation and exempts the cuts its
+``joined`` parties span; the replay runs each through ``apply``.
 
 The cut sums are the program's one count of resources across a bipartition.
 The ledger that books the events starts from the entanglement graph's book
@@ -77,7 +78,6 @@ from .ledger import (
     LocalGate,
     LocalMeasure,
     ProtocolTrace,
-    Relabel,
     ResourceLedger,
     pair_key,
 )
@@ -340,21 +340,8 @@ def audit_trace(trace: ProtocolTrace, resources: GraphBundle, replay: bool = Tru
                 f"pair {key} consumed beyond its {ent.weight(*key)} held ebits",
                 step,
             ))
-        elif isinstance(ev, (LocalGate, LocalMeasure)):
-            strangers = [q for q in ev.targets if q.party != ev.party]
-            if strangers:
-                locality.append(Violation(
-                    "locality",
-                    f"event declared local to party {ev.party} targets {strangers}",
-                    step,
-                ))
-        elif isinstance(ev, Relabel) and ev.old.party != ev.new.party:
-            locality.append(Violation(
-                "locality",
-                f"relabel moves {ev.old} to party {ev.new.party}; "
-                "qubit conveyance must be a relocate event",
-                step,
-            ))
+        if ev.nonlocal_detail is not None:
+            locality.append(Violation("locality", ev.nonlocal_detail, step))
         if ev.joined:
             (by_oracle if isinstance(ev, CollectiveOracle) else by_conveyance).add(frozenset(ev.joined))
     report.violations += locality

@@ -174,18 +174,16 @@ def _simulate_perm_comm(n: int, rng: np.random.Generator, hub: int, cap: int):
     ]
 
 
-_SIMULATORS = {
-    "teleport": _simulate_teleport,
-    "star-op": _simulate_star,
-    "perm-entangle": _simulate_perm_entangle,
-    "perm-comm": _simulate_perm_comm,
-    "ps": partial(_simulate_star, permutation_of=gates.ps_permutation),
-    "ps-cp": partial(_simulate_star, permutation_of=gates.ps_cp_permutation),
+# protocol -> (simulator, the least --n or None where --n is ignored, the parity --n must have
+# or None, whether it runs at a --hub)
+_PROTOCOLS = {
+    "teleport": (_simulate_teleport, None, None, False),
+    "star-op": (_simulate_star, 2, None, True),
+    "perm-entangle": (_simulate_perm_entangle, 2, None, False),
+    "perm-comm": (_simulate_perm_comm, 2, None, False),
+    "ps": (partial(_simulate_star, permutation_of=gates.ps_permutation), 2, 0, True),
+    "ps-cp": (partial(_simulate_star, permutation_of=gates.ps_cp_permutation), 3, 1, True),
 }
-# protocol -> (smallest --n, the parity --n must have or None); the others ignore --n
-_N_RULES = {"star-op": (2, None), "perm-entangle": (2, None), "perm-comm": (2, None),
-            "ps": (2, 0), "ps-cp": (3, 1)}
-_HUB_PROTOCOLS = ("star-op", "ps", "ps-cp")
 # the two-party runs, which ignore --n and --hub: protocol -> (protocol, n, hub) run instead
 _TWO_PARTY = {"two-qubit-op": ("star-op", 2, 2), "swap-comm": ("perm-comm", 2, 1),
               "swap-entangle": ("perm-entangle", 2, 1)}
@@ -194,19 +192,17 @@ _TWO_PARTY = {"two-qubit-op": ("star-op", 2, 2), "swap-comm": ("perm-comm", 2, 1
 def _simulate(protocol: str, n: int, rng: np.random.Generator, hub: int, cap: int):
     """Run ``protocol`` after checking --n and --hub; returns (run, checks)."""
     protocol, n, hub = _TWO_PARTY.get(protocol, (protocol, n, hub))
-    if protocol in _N_RULES:
-        least, parity = _N_RULES[protocol]
-        if parity is None and n < least:
-            raise CliUsageError(f"{protocol} needs --n >= {least}")
-        if parity is not None and (n < least or n % 2 != parity):
-            raise CliUsageError(f"{protocol} needs an {('even', 'odd')[parity]} --n >= {least}, got {n}")
-    if protocol in _HUB_PROTOCOLS and not 1 <= hub <= n:
+    simulate, least, parity, at_hub = _PROTOCOLS[protocol]
+    if least is not None and (n < least or parity not in (None, n % 2)):
+        raise CliUsageError(f"{protocol} needs --n >= {least}" if parity is None
+                            else f"{protocol} needs an {('even', 'odd')[parity]} --n >= {least}, got {n}")
+    if at_hub and not 1 <= hub <= n:
         raise CliUsageError(f"--hub {hub} out of range 1..{n}")
     # a star run holds n + 2 qubits at its peak, a permutation run 2n: refused before any input is drawn
-    peak = n + 2 if protocol in _HUB_PROTOCOLS else 2 * n
-    if protocol in _N_RULES and peak > cap:
+    peak = n + 2 if at_hub else 2 * n
+    if least is not None and peak > cap:
         raise CliUsageError(f"{protocol} at --n {n} needs {peak} qubits, over the registry cap of {cap}")
-    return _SIMULATORS[protocol](n, rng, hub, cap)
+    return simulate(n, rng, hub, cap)
 
 
 def cmd_simulate(args) -> int:

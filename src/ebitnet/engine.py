@@ -185,24 +185,22 @@ class Gate:
     matrix: np.ndarray
 
     def __post_init__(self):
-        targets = tuple(self.targets)
-        object.__setattr__(self, "targets", targets)
-        dim = 1 << len(targets)
-        if np.shape(self.matrix) != (dim, dim):
-            raise ValueError(f"gate on {len(targets)} qubits needs a {dim}x{dim} matrix")
-        object.__setattr__(self, "matrix", check_unitary(self.matrix))
+        object.__setattr__(self, "targets", tuple(self.targets))
+        object.__setattr__(self, "matrix", check_unitary(self.matrix, len(self.targets)))
 
 
-def check_unitary(matrix) -> np.ndarray:
-    """``matrix`` as a complex array, once it is square and unitary to within UNITARY_TOL.
+def check_unitary(matrix, n_targets: int) -> np.ndarray:
+    """``matrix`` as a complex array, once it is the 2^n x 2^n matrix of a gate
+    on ``n_targets`` = n qubits and is unitary to within UNITARY_TOL.
 
-    This is the one unitarity rule.  It runs when a ``Gate`` or a traced
+    This is the one gate-matrix rule.  It runs when a ``Gate`` or a traced
     ``LocalGate`` is built, so once for each gate a protocol steps or a load
     reads.  The evolution functions trust the matrices they are given.
     """
     mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"a unitary needs a square matrix, got shape {mat.shape}")
+    dim = 1 << n_targets
+    if mat.shape != (dim, dim):
+        raise ValueError(f"a gate on {n_targets} qubits needs a {dim}x{dim} matrix, got shape {mat.shape}")
     err = np.max(np.abs(mat.conj().T @ mat - np.eye(len(mat))))
     if not err <= UNITARY_TOL:  # negated so that a NaN deviation fails
         raise ValueError(f"matrix is not unitary (deviation {err:.3e})")

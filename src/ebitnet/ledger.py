@@ -10,8 +10,9 @@ run from its recorded initial state.  Each event kind answers for itself,
 over the ``Event`` defaults: ``apply`` is its one engine call, which
 protocols run and the audit replays; ``book`` its one charge to the resource
 books, for both alike; ``named``, ``removed`` and ``added`` the qubit ids
-that ``track_ids`` walks at load.  The product groups of the state are the
-engine's alone: a replay reads them from each ensemble ``apply`` makes.
+that ``track_ids`` walks at load; ``nonlocal_detail`` the one locality rule,
+which protocols refuse by and the audit reports.  The product groups of the
+state are the engine's alone: a replay reads them from each ensemble ``apply`` makes.
 """
 
 from __future__ import annotations
@@ -141,13 +142,6 @@ Party = int
 # a trace that holds one fails to load.
 
 
-def _check_square(matrix, targets) -> None:
-    dim = 1 << len(targets)
-    if np.shape(matrix) != (dim, dim):
-        raise ValueError(f"a gate on {len(targets)} qubits needs a {dim}x{dim} matrix, "
-                         f"got shape {np.shape(matrix)}")
-
-
 def _check_parties(what: str, parties, qubits) -> None:
     if set(parties) != {q.party for q in qubits}:
         raise ValueError(f"{what} names parties {sorted(set(parties))} "
@@ -164,10 +158,13 @@ def _check_transfer(what: str, frm: int, to: int, bits: Fraction) -> None:
 class Event:
     """A trace event.  ``named``, ``removed`` and ``added`` are the qubit ids it
     names (each registered, none twice), then removes, then adds (each new), and
-    ``joined`` the parties it acts across at once.  By default it does none of
-    these, renames nothing, books nothing and leaves the ensemble as it was."""
+    ``joined`` the parties it acts across at once.  ``nonlocal_detail`` says how
+    an event that claims to stay at one party reaches past it, and is None when
+    it does not.  By default an event does none of these, renames nothing,
+    books nothing and leaves the ensemble as it was."""
 
     named = removed = added = joined = ()
+    nonlocal_detail = None
 
     @property
     def renames(self) -> dict[QubitId, QubitId]:
@@ -225,8 +222,17 @@ class EbitCreate(Event):
         _book(ledger.ebits_created, pair_key(*self.pair), ledger.den)
 
 
+class _AtParty(Event):
+    """An event declared local to ``party``: every qubit it targets must be held there."""
+
+    @property
+    def nonlocal_detail(self):
+        strangers = [q for q in self.targets if q.party != self.party]
+        return f"event declared local to party {self.party} targets {strangers}" if strangers else None
+
+
 @dataclass(frozen=True)
-class LocalGate(Event):
+class LocalGate(_AtParty):
     party: Party
     targets: tuple[QubitId, ...]
     matrix: np.ndarray | None = None
@@ -240,8 +246,7 @@ class LocalGate(Event):
         if given not in ((True, False, False), (False, True, True)):
             raise ValueError("a local gate takes either a matrix or cases with conditional_on")
         for matrix in self.matrices:
-            _check_square(matrix, self.targets)
-            engine.check_unitary(matrix)
+            engine.check_unitary(matrix, len(self.targets))
 
     @property
     def matrices(self) -> list[np.ndarray]:
@@ -257,7 +262,7 @@ class LocalGate(Event):
 
 
 @dataclass(frozen=True)
-class LocalMeasure(Event):
+class LocalMeasure(_AtParty):
     party: Party
     targets: tuple[QubitId, ...]
     basis: str  # "computational" | "bell" | "povm"
@@ -389,6 +394,11 @@ class Relabel(_Rename):
     new: QubitId
 
     renames = property(lambda self: {self.old: self.new})
+
+    @property
+    def nonlocal_detail(self):
+        if self.old.party != self.new.party:
+            return f"relabel moves {self.old} to party {self.new.party}; qubit conveyance must be a relocate event"
 
 
 @dataclass(frozen=True)

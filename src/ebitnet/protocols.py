@@ -1,9 +1,11 @@
 """Teleportation-based protocols with full resource accounting.
 
-Every traced step goes through ``ProtocolRun.step``: the event's ``apply``
-runs it on the exact ensemble engine (the same call the audit replays it
-with), its ``book`` charges it to the ledger (by the same rule the audit
-charges with) and the trace records it.
+Every traced step goes through ``ProtocolRun.step``: an event that reaches
+past the party it is declared local to is refused by its ``nonlocal_detail``
+(the same rule the audit reports with), the event's ``apply`` runs it on the
+exact ensemble engine (the same call the audit replays it with), its ``book``
+charges it to the ledger (by the same rule the audit charges with) and the
+trace records it.
 Held ebits are realized lazily: a phi+ pair enters the statevector only
 when a step consumes it, which keeps the registry small.  The permutation
 protocols (SWAP is their two-party case) apply the operation under study as
@@ -80,13 +82,17 @@ class ProtocolRun:
     def step(self, event: Event) -> dict[str, float] | None:
         """Apply ``event``, then book it and append it to the trace.
 
-        An ebit consumption on a pair that holds less than one ebit raises
-        InsufficientResources first, and an event that fails to apply raises
-        too, each with the ledger, the ensemble and the trace untouched.  A
-        local gate is unitary by construction: ``LocalGate`` refuses a matrix
-        that is not.  A measurement is booked and recorded with, and returns,
-        the distribution it produced.
+        An event that reaches past the party it is declared local to raises
+        ValueError with its ``nonlocal_detail`` first, an ebit consumption on a
+        pair that holds less than one ebit raises InsufficientResources, and an
+        event that fails to apply raises too, each with the ledger, the
+        ensemble and the trace untouched.  A local gate is unitary by
+        construction: ``LocalGate`` refuses a matrix that is not.  A
+        measurement is booked and recorded with, and returns, the distribution
+        it produced.
         """
+        if event.nonlocal_detail is not None:
+            raise ValueError(event.nonlocal_detail)
         if isinstance(event, EbitConsume) and self.ledger.held(*event.pair) < 1:
             raise InsufficientResources(
                 f"pair {pair_key(*event.pair)} holds {self.ledger.held(*event.pair)} ebits, needs 1")
@@ -132,8 +138,6 @@ def _consume_pair(run: ProtocolRun, a: int, b: int) -> tuple[QubitId, QubitId]:
 
 
 def _local_gate(run: ProtocolRun, party: int, targets: Sequence[QubitId], matrix: np.ndarray) -> None:
-    if any(q.party != party for q in targets):
-        raise ValueError(f"gate targets {targets} are not all at party {party}")
     run.step(LocalGate(party, tuple(targets), matrix=matrix))
 
 
@@ -144,8 +148,6 @@ def _oracle(run: ProtocolRun, targets: Sequence[QubitId], p: Permutation) -> Non
 def _bell_measure_local(
     run: ProtocolRun, party: int, pair: Sequence[QubitId], discard: bool = True
 ) -> tuple[int, dict[str, float]]:
-    if any(q.party != party for q in pair):
-        raise ValueError(f"bell measurement of {pair} is not local to party {party}")
     midx = run.ensemble.measurement_count
     return midx, run.step(LocalMeasure(party, tuple(pair), "bell", discard, midx, ()))
 

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ebitnet import audit, cli, engine, gates, graphs, protocols
@@ -646,7 +646,16 @@ def reference_violations(n, ent, comm, events):
     return out
 
 
+def consume(a, b):
+    return EbitConsume((a, b), (QubitId(a, "x"), QubitId(b, "y")))
+
+
+# decodes one bit per consumed ebit past the dense-coding allowance of two, which the
+# drawn cases seldom reach: out of the cut [1], then into the cuts [1] and [1, 2]
 @given(bookkeeping_cases())
+@example((2, None, None, [consume(1, 2), DecodedBits(2, 1, Fraction(3))]))
+@example((3, None, None, [consume(1, 2), consume(2, 3), ClassicalMessage(3, 1, Fraction(1, 2)),
+                          DecodedBits(1, 3, Fraction(3))]))
 @settings(max_examples=200, deadline=None)
 def test_cut_checks_match_brute_force_reference(case):
     n, ent, comm, events = case
@@ -848,7 +857,8 @@ def test_unitarity_is_checked_once_per_path(monkeypatch, tmp_path):
     once, the load checks each once and the replay checks none."""
     checked = []
     check = engine.check_unitary
-    monkeypatch.setattr(engine, "check_unitary", lambda matrix: checked.append(matrix) or check(matrix))
+    monkeypatch.setattr(engine, "check_unitary",
+                        lambda matrix, n_targets: checked.append(matrix) or check(matrix, n_targets))
     assert cli.main(["simulate", "star-op", "--n", "3", "--seed", "7", "--output", str(tmp_path)]) == 0
     simulated, checked[:] = len(checked), []
     trace = load_trace((tmp_path / "star-op_trace.jsonl").read_text(encoding="utf-8"))

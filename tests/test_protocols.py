@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from ebitnet.ledger import (
     LocalGate,
     LocalMeasure,
     ProtocolTrace,
+    Relabel,
     ResourceLedger,
     pair_key,
 )
@@ -578,6 +580,29 @@ class TestResourceBook:
         with pytest.raises(ValueError, match=r"^matrix is not unitary \(deviation 3\.000e\+00\)$"):
             run.step(LocalGate(1, (q1,), matrix=bad) if form == "matrix"
                      else LocalGate(1, (q1,), cases=(("0", gates.ID2), ("1", bad)), conditional_on=0))
+        assert run.ensemble is ensemble
+        assert run.trace.events == events
+        assert run.ledger == books
+
+    @pytest.mark.parametrize("event", ["gate-matrix", "gate-cases", "measure", "relabel"])
+    def test_step_refuses_a_nonlocal_event(self, event):
+        """An event that reaches past the party it is declared local to, which would
+        apply, is refused with the audit's locality text, before it changes anything."""
+        run = protocols.new_run(2, gates.random_state(4, np.random.default_rng(23)))
+        q1, q2 = run.data_qubits[1], run.data_qubits[2]
+        run.step(LocalMeasure(1, (q1,), "computational", False, 0, ()))
+        ensemble, events, books = run.ensemble, list(run.trace.events), copy.deepcopy(run.ledger)
+        declared = "event declared local to party 1 targets [2:q2]"
+        nonlocal_event, refusal = {
+            "gate-matrix": (LocalGate(1, (q1, q2), matrix=gates.cnot_unitary()), declared),
+            "gate-cases": (LocalGate(1, (q2,), cases=(("0", gates.ID2), ("1", gates.PAULI_X)), conditional_on=0),
+                           declared),
+            "measure": (LocalMeasure(1, (q2,), "computational", False, 1, ()), declared),
+            "relabel": (Relabel(q1, engine.QubitId(2, "moved")),
+                        "relabel moves 1:q1 to party 2; qubit conveyance must be a relocate event"),
+        }[event]
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            run.step(nonlocal_event)
         assert run.ensemble is ensemble
         assert run.trace.events == events
         assert run.ledger == books

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ebitnet import cli, gates
-from ebitnet.engine import QubitId
+from ebitnet.engine import Gate, QubitId
 from ebitnet.ledger import LocalGate, ProtocolTrace, _complex_in, _complex_out, dump_trace, event_record, load_trace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -301,6 +301,26 @@ def test_first_bad_line_is_reported_whatever_its_fault():
     records[3]["matrix"] = _scaled_identity(2, 1.0)
     with pytest.raises(ValueError, match=r"^trace line 5: qubit 2:zz is not in the registry$"):
         load_trace(as_text(records))
+
+
+@pytest.mark.parametrize("form", ["matrix", "cases"])
+def test_gate_local_gate_and_trace_load_give_one_shape_refusal(form):
+    """A 4x4 unitary on one qubit is refused by the one gate-matrix rule,
+    ``engine.check_unitary``, in one text: by ``engine.Gate``, by ``LocalGate``
+    with it as its matrix or as a case, and by the load of a trace line that holds it."""
+    refusal = r"a gate on 1 qubits needs a 2x2 matrix, got shape \(4, 4\)"
+    if form == "matrix":
+        event, record = {"matrix": np.eye(4)}, {"matrix": _scaled_identity(4, 1.0)}
+    else:
+        event = {"cases": (("0", np.eye(2)), ("1", np.eye(4))), "conditional_on": 0}
+        record = {"cases": {"0": _scaled_identity(2, 1.0), "1": _scaled_identity(4, 1.0)}, "conditional_on": 0}
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        Gate((QubitId(2, "q2"),), np.eye(4))
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        LocalGate(2, (QubitId(2, "q2"),), **event)
+    with pytest.raises(ValueError, match=f"^trace line 4: {refusal}$"):
+        load_trace(as_text(golden_records()[:3] + [{"kind": "local_gate", "party": 2, "targets": [[2, "q2"]],
+                                                    **record}]))
 
 
 def test_registry_may_reach_max_qubits_but_not_pass_it():
