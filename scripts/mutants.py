@@ -47,6 +47,7 @@ GRAPHS = "tests/test_graphs.py::"
 BOUNDS = "tests/test_bounds.py::"
 WRITER = "tests/test_cli.py::TestWriter::"
 SERIES = AUDIT + "test_monotone_series_matches_the_per_branch_formula"
+AGREE = AUDIT + "test_the_engine_and_the_audit_give_one_value_per_cut"
 MUTANTS = (
     Mutant("step refuses only below zero", "src/ebitnet/protocols.py",
            "self.ledger.held(*event.pair) < 1:", "self.ledger.held(*event.pair) < 0:",
@@ -397,6 +398,13 @@ MUTANTS = (
     Mutant("batched results land in the wrong split", "src/ebitnet/engine.py",
            "zip(chunk, per_branch)", "zip(chunk[::-1], per_branch)",
            (ENGINE + "TestEntropy::test_batched_entropies_land_on_their_subsets",)),
+    # one side rule and one sum order: a party cut has one value in the engine and the audit
+    Mutant("a half split is solved on the side the caller gives", "src/ebitnet/engine.py",
+           "key=lambda m: (m.bit_count(), m))", "key=lambda m: (m.bit_count(), m != mask))",
+           (AGREE,)),
+    Mutant("a party cut adds its groups' terms in reverse order", "src/ebitnet/engine.py",
+           "for term in split_entropies(ensemble, splits):", "for term in split_entropies(ensemble, splits)[::-1]:",
+           (AGREE,)),
     # branches are values that ensembles share: no operation writes into its input
     Mutant("a measurement writes its outcome into the record it shares with its input", "src/ebitnet/engine.py",
            "record = dict(b.record)", "record = b.record",

@@ -39,8 +39,10 @@ The replay reads the product groups from each replayed ensemble
 (``ens.groups``, which only the engine works out): every branch is a product
 over groups of qubits that no event has acted on together, one engine factor
 per group, so a cut's entropy is the sum, over the groups it splits, of the
-entropy of the group's part on one side (``_cut_entropies``), which the
-engine solves on that group's factor alone.  The replay keeps one entry per
+entropy of the group's part on one side (``_cut_entropies``), which
+``engine.split_entropies`` solves on that group's factor alone, on the side
+it picks; ``engine.entanglement_entropy`` adds the same terms in the same
+order, so a cut has one value in both.  The replay keeps one entry per
 group: its qubits in a fixed slot order and the entropy of each split solved,
 keyed on the split's mask over the slots, so the masks a cut makes follow the
 slots' current parties.  One rule (``_carry``) carries the entries from step
@@ -53,10 +55,11 @@ event leaves unchanged keeps it, and one it renames or filters is valued
 again.  Every step sums the vectors in group order, which adds each cut's
 terms in that order, as adding 0.0 is exact, and compares the monotone with
 the last step's in one vector comparison.  The splits a step lacks are solved
-in one ``engine.subset_entropies`` call, which gathers the blocks of each
-group's splits of one side size together, makes their Grams in one batched
-matmul and solves each side size in one ``eigvalsh`` call, in chunks of at
-most ``engine.ENTROPY_CHUNK_BYTES``.
+in one ``engine.split_entropies`` call, each as its group's index and the
+bits of the group's factor its slots hold, so no qubit is looked up by id;
+the call gathers the blocks of each group's splits of one side size
+together, makes their Grams in one batched matmul and solves each side size
+in one ``eigvalsh`` call, in chunks of at most ``engine.ENTROPY_CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -209,14 +212,16 @@ def _cut_entropies(ens: BranchEnsemble, cuts: _Cuts, cache: Cache) -> np.ndarray
     group, keyed on its qubits as a frozenset; a group without one gets one
     whose slots are its qubits in the engine's order.  An entry without a cut
     vector is valued again: the splits it lacks, over every such entry, are
-    solved in one ``engine.subset_entropies`` call and added to it, and its
+    solved in one ``engine.split_entropies`` call, each as (group index, the
+    bits of the group's factor that its slots hold), and added to it; its
     vector holds each cut's split entropy, 0.0 where the cut keeps the group
     whole.  The result adds the vectors in the order of ``ens.groups``: adding
-    0.0 is exact, so each cut sums its groups' terms in that order.
+    0.0 is exact, so each cut sums its groups' terms in that order, as
+    ``engine.entanglement_entropy`` does.
     """
     entries = []  # (key, entry) of each group
-    missing, sides = [], []  # (entropies, split) of each split to solve, and its qubits
-    for group in ens.groups:
+    missing, splits = [], []  # (entropies, split) of each split to solve, and its engine split
+    for i, group in enumerate(ens.groups):
         key = frozenset(group)
         entry = cache.get(key) or (group, {}, None)
         entries.append((key, entry))
@@ -225,9 +230,9 @@ def _cut_entropies(ens: BranchEnsemble, cuts: _Cuts, cache: Cache) -> np.ndarray
             for split in cuts.splits(slots)[0]:
                 if split not in entropies:
                     missing.append((entropies, split))
-                    sides.append([q for j, q in enumerate(slots) if split >> j & 1])
+                    splits.append((i, [group.index(q) for j, q in enumerate(slots) if split >> j & 1]))
     if missing:
-        for (entropies, split), s in zip(missing, engine.subset_entropies(ens, sides)):
+        for (entropies, split), s in zip(missing, engine.split_entropies(ens, splits)):
             entropies[split] = s
     values = np.zeros(len(cuts.masks))
     for key, (slots, entropies, vector) in entries:

@@ -151,9 +151,10 @@ def _simulate_perm_entangle(n: int, rng: np.random.Generator, hub: int, cap: int
     result = protocols.permutation_entangle(Permutation.cyclic_shift(n), cap)
     led = result.run.ledger
     created = led.total(led.ebits_created)
-    ents = engine.subset_entropies(result.run.ensemble, [[a] for a, _ in result.pair_qubits])
+    ens = result.run.ensemble
+    ents = engine.split_entropies(ens, [(i, [j]) for i, j in (ens.locate(a) for a, _ in result.pair_qubits)])
     # party 1 shares one pair with party 2 and one with party n
-    cut = engine.entanglement_entropy(result.run.ensemble, {1})
+    cut = engine.entanglement_entropy(ens, {1})
     return result.run, [
         ("created", created == n, f"created {created} shared ebits"),
         ("pair-entropy", all(abs(x - 1.0) <= 1e-9 for x in ents),

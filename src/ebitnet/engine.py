@@ -18,8 +18,9 @@ joins their groups for gates, measurements and reduced densities alike.
 ``_block`` is the one layout of the bits an operation acts on: it views a
 factor as a (2^m, rest) block whose row bit j is the j-th of those bits, and
 ``_unblock`` is its inverse.  Gates, kept outcomes, reduced densities,
-entropies and dense vectors all go through it.  ``branch_vectors`` builds the
-dense vectors over the registry on demand.
+entropies and dense vectors all go through it.  ``split_entropies`` is the one
+entropy solve, and the one rule for the side of a split it solves.
+``branch_vectors`` builds the dense vectors over the registry on demand.
 
 Conventions, fixed once:
 
@@ -42,7 +43,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from operator import itemgetter
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -56,7 +56,7 @@ POVM_TOL = 1e-10
 PRUNE_TOL = 1e-14
 COALESCE_TOL = 1e-10
 EIG_TOL = 1e-12
-# the most bytes one chunk of subset_entropies holds at once (see _chunks)
+# the most bytes one chunk of split_entropies holds at once (see _chunks)
 ENTROPY_CHUNK_BYTES = 32 << 20
 
 
@@ -620,53 +620,47 @@ def reduced_density(ensemble: BranchEnsemble, subset: Sequence[QubitId]) -> np.n
     return rho
 
 
-def subset_entropies(ensemble: BranchEnsemble, subsets: Iterable[Iterable[QubitId]]) -> list[float]:
-    """Probability-weighted per-branch von Neumann entropy (base 2) of each subset.
+def split_entropies(ensemble: BranchEnsemble, splits: Iterable[tuple[int, Iterable[int]]]) -> list[float]:
+    """Probability-weighted per-branch von Neumann entropy (base 2) of each split.
 
-    Every branch is a product over the groups, so its entropy of a subset is
-    the sum, over the groups the subset splits, of the entropy of the
-    subset's part of that group's factor.  The factor is pure, so the part and
-    the rest of the group share one Schmidt spectrum; it is read from the
-    reduced densities of the smaller side.  The splits are solved side size by
-    side size, in chunks of at most ENTROPY_CHUNK_BYTES (``_chunks``): within a
-    chunk, the blocks of each group's splits are copied out of its
-    branch-stacked factors together (``_blocks``) and get their (B, 2^m, 2^m)
-    Grams in one batched matmul, and the whole chunk goes through one
-    ``eigvalsh`` call, which solves each matrix on its own.  A subset adds its
-    splits' per-branch entropies in Python floats, side size by side size in
-    the order its own groups show them, and then weighs the branches in order;
-    so its value does not depend on the other subsets of the call.
+    A split is (group index, bits of that group's factor on one side).  The
+    factor is pure, so both sides share one Schmidt spectrum, and this is the
+    one place that picks the side to solve: the smaller one, and of two halves
+    the one without the group's last bit; an empty side is a product cut, of
+    entropy 0.  So a split has one value, whichever side it is given by.  It is
+    read from the Grams of that side, side size by side size, in chunks of at
+    most ENTROPY_CHUNK_BYTES (``_chunks``): within a chunk, the blocks of each
+    group's splits are copied out of its branch-stacked factors together
+    (``_blocks``) and get their (B, 2^m, 2^m) Grams in one batched matmul, and
+    the whole chunk goes through one ``eigvalsh`` call, which solves each matrix
+    on its own.  A split weighs its per-branch entropies in branch order, so its
+    value does not depend on the other splits of the call.
     """
     groups, branches = ensemble.groups, ensemble.branches
-    # side size -> (group index, smaller side as bits of the group's factor) of each split
-    by_size: dict[int, list[tuple[int, list[int]]]] = {}
-    terms = []  # of each subset, the (side size, index in by_size) of its splits, in the order they add up
-    for subset in subsets:
-        own: dict[int, list[int]] = {}  # its splits' indices in by_size, by side size in order of appearance
-        # the (group, bit) pairs sorted: group by group, each group's bits ascending; the
-        # qubits are located in id order, so an error names the smallest unknown one
-        for i, located in groupby(sorted(map(ensemble.locate, sorted(set(subset)))), key=itemgetter(0)):
-            bits = [j for _, j in located]
-            size = len(groups[i])
-            side = bits if 2 * len(bits) <= size else [j for j in range(size) if j not in bits]
-            if side:  # an empty side is a product cut, of entropy 0
-                splits = by_size.setdefault(len(side), [])
-                own.setdefault(len(side), []).append(len(splits))
-                splits.append((i, side))
-        terms.append([(m, s) for m, indices in own.items() for s in indices])
-    solved: dict[int, list] = {}  # side size -> per-branch entropies of each split
+    probabilities = [b.probability for b in branches]
+    entropies = []  # of each split; one whose side is empty stays 0.0
+    # side size -> (group index, solved side as bits of the group's factor, index in entropies) of each split
+    by_size: dict[int, list[tuple[int, list[int], int]]] = {}
+    for i, bits in splits:
+        size = len(groups[i])
+        mask = sum(1 << j for j in set(bits))
+        # the smaller of the side and its complement, and of two halves the one without bit size - 1
+        side = min(mask, ((1 << size) - 1) ^ mask, key=lambda m: (m.bit_count(), m))
+        if side:
+            split = (i, [j for j in range(size) if side >> j & 1], len(entropies))
+            by_size.setdefault(side.bit_count(), []).append(split)
+        entropies.append(0.0)
     stacks: dict[int, np.ndarray] = {}
-    for m, splits in by_size.items():
-        solved[m] = [None] * len(splits)
-        for chunk in _chunks(splits, len(branches), list(map(len, groups))):
+    for m, sides in by_size.items():
+        for chunk in _chunks(sides, len(branches), list(map(len, groups))):
             grams = np.empty((len(branches), len(chunk), 1 << m, 1 << m), dtype=complex)
             at = 0
-            for i, run in groupby(chunk, key=lambda s: splits[s][0]):
+            for i, run in groupby(chunk, key=lambda s: sides[s][0]):
                 run = list(run)
                 if i not in stacks:
                     stacks[i] = (branches[0].factors[i][np.newaxis] if len(branches) == 1
                                  else np.stack([b.factors[i] for b in branches]))
-                blocks = _blocks(stacks[i], [splits[s][1] for s in run], len(groups[i]))
+                blocks = _blocks(stacks[i], [sides[s][1] for s in run], len(groups[i]))
                 np.matmul(blocks, blocks.conj().swapaxes(-1, -2), out=grams[:, at:at + len(run)])
                 at += len(run)
             eigs = np.linalg.eigvalsh(grams)
@@ -675,26 +669,19 @@ def subset_entropies(ensemble: BranchEnsemble, subsets: Iterable[Iterable[QubitI
             # rounding error above 1 has a small negative term
             per_branch = np.maximum(-np.add.reduce(eigs * logs, axis=-1), 0.0).T.tolist()
             for s, values in zip(chunk, per_branch):
-                solved[m][s] = values
-    probabilities = [b.probability for b in branches]
-    entropies = []
-    for subset_terms in terms:
-        per_branch = [0.0] * len(branches)
-        for m, s in subset_terms:
-            per_branch = [a + b for a, b in zip(per_branch, solved[m][s])]
-        entropies.append(sum(p * s for p, s in zip(probabilities, per_branch)))
+                entropies[sides[s][2]] = sum(p * v for p, v in zip(probabilities, values))
     return entropies
 
 
-def _chunks(splits: Sequence[tuple[int, list[int]]], n_branches: int, sizes: Sequence[int]) -> list[list[int]]:
-    """The indices of ``splits``, all of one side size, sorted by group and cut into
-    runs that each hold at most ENTROPY_CHUNK_BYTES at once; ``sizes`` are the
-    groups' qubit counts.  A split holds its blocks and their conjugates and its
-    Gram stack; a split over the limit is a run of its own."""
+def _chunks(splits: Sequence[tuple], n_branches: int, sizes: Sequence[int]) -> list[list[int]]:
+    """The indices of ``splits``, (group index, side, ...) all of one side size, sorted
+    by group and cut into runs that each hold at most ENTROPY_CHUNK_BYTES at once;
+    ``sizes`` are the groups' qubit counts.  A split holds its blocks and their
+    conjugates and its Gram stack; a split over the limit is a run of its own."""
     chunks: list[list[int]] = []
     held = ENTROPY_CHUNK_BYTES
     for s in sorted(range(len(splits)), key=lambda s: splits[s][0]):
-        i, side = splits[s]
+        i, side = splits[s][:2]
         need = 16 * n_branches * ((2 << sizes[i]) + (1 << 2 * len(side)))
         if held + need > ENTROPY_CHUNK_BYTES:
             chunks.append([])
@@ -712,7 +699,11 @@ def entanglement_entropy(
     all_parties = set(universe) if universe is not None else ensemble.parties()
     if not parts or not parts < all_parties:
         raise ValueError(f"partition {sorted(parts)} is not a proper nonempty subset of {sorted(all_parties)}")
-    return subset_entropies(ensemble, [[q for q in ensemble.registry if q.party in parts]])[0]
+    splits = [(i, [j for j, q in enumerate(group) if q.party in parts]) for i, group in enumerate(ensemble.groups)]
+    total = 0.0
+    for term in split_entropies(ensemble, splits):  # in group order, one by one, as the audit adds them
+        total += term  # not sum(): from Python 3.12 it adds floats with compensation
+    return total
 
 
 def shannon_entropy(distribution) -> float:

@@ -622,6 +622,12 @@ def allocate(ensemble, party: int, *labels: str, init: str | None = None):
     return engine.allocate_qubits(ensemble, ids, init or "0" * len(ids)), ids
 
 
+def qubit_entropy(ensemble, qubit) -> float:
+    """The average entanglement entropy of ``qubit`` with the rest of its product group."""
+    i, j = ensemble.locate(qubit)
+    return engine.split_entropies(ensemble, [(i, [j])])[0]
+
+
 def dense_vectors(ensemble) -> list[np.ndarray]:
     """Each branch's dense statevector, registry qubit r as amplitude-index bit r."""
     return [vec for _, vec in engine.branch_vectors(ensemble, ensemble.registry)]

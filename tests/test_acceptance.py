@@ -90,8 +90,8 @@ def test_c04_permutation_maximality():
             ent = protocols.permutation_entangle(p)
             assert ent.run.ledger.total(ent.run.ledger.ebits_created) == n
             for a, b in ent.pair_qubits:
-                assert abs(engine.subset_entropies(ent.run.ensemble, [[a]])[0] - 1.0) <= 1e-9
-                assert abs(engine.subset_entropies(ent.run.ensemble, [[b]])[0] - 1.0) <= 1e-9
+                assert abs(oracles.qubit_entropy(ent.run.ensemble, a) - 1.0) <= 1e-9
+                assert abs(oracles.qubit_entropy(ent.run.ensemble, b) - 1.0) <= 1e-9
             msgs = {i: f"{rng.integers(0, 2)}{rng.integers(0, 2)}" for i in range(1, n + 1)}
             comm = protocols.permutation_communicate(p, msgs)
             assert comm.decoded == msgs

@@ -924,7 +924,7 @@ def audit_monotone_series(monkeypatch, trace, bundle):
     series = []
     states = [trace.initial]
     partitions = []
-    cut_entropies, solve, replay_events = audit._cut_entropies, engine.subset_entropies, audit.replay_events
+    cut_entropies, solve, replay_events = audit._cut_entropies, engine.split_entropies, audit.replay_events
     parties = range(1, trace.n_parties + 1)
 
     def evaluating(ens, cuts, cache):
@@ -938,10 +938,10 @@ def audit_monotone_series(monkeypatch, trace, bundle):
             latest[frozenset(p for p in parties if mask >> p & 1)] = value
         return entropies
 
-    def solving(ens, subsets):
-        subsets = list(subsets)
-        counts[1] += len(subsets)
-        return solve(ens, subsets)
+    def solving(ens, splits):
+        splits = list(splits)
+        counts[1] += len(splits)
+        return solve(ens, splits)
 
     def recording(initial, events):
         for step, ev, ens in replay_events(initial, events):
@@ -952,7 +952,7 @@ def audit_monotone_series(monkeypatch, trace, bundle):
         series.append((*counts, dict(latest)))
 
     monkeypatch.setattr(audit, "_cut_entropies", evaluating)
-    monkeypatch.setattr(engine, "subset_entropies", solving)
+    monkeypatch.setattr(engine, "split_entropies", solving)
     monkeypatch.setattr(audit, "replay_events", recording)
     report = audit.audit_trace(trace, bundle)
     assert report.replayed
@@ -1226,6 +1226,38 @@ def test_cut_entropy_matches_the_per_branch_formula(case):
         assert abs(value - reference_entropy(ens, cut)) <= 1e-12
 
 
+@st.composite
+def grouped_party_ensembles(draw):
+    """A random ensemble of 1..4 branches, each a product over 1..4 groups of 1..6
+    qubits, the qubits held by parties 1..n for n in 2..4; a group of an even
+    size may be split in halves."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4))
+    n_branches = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    groups, start = [], 0
+    for k in sizes:
+        groups.append(tuple(QubitId(int(rng.integers(1, n + 1)), f"x{start + j}") for j in range(k)))
+        start += k
+    weights = rng.random(n_branches) + 0.1
+    branches = [engine.Branch(float(w), tuple(gates.random_state(1 << k, rng) for k in sizes), {})
+                for w in weights / weights.sum()]
+    return n, engine.BranchEnsemble(tuple(q for g in groups for q in g), branches, engine.DEFAULT_MAX_QUBITS, 0,
+                                    tuple(groups))
+
+
+@given(grouped_party_ensembles())
+@settings(max_examples=200, deadline=None)
+def test_the_engine_and_the_audit_give_one_value_per_cut(case):
+    """The engine's cut entropy is the audit's, to the bit: both solve each split
+    on the side the engine picks and add a cut's group terms in group order."""
+    n, ens = case
+    cuts = audit._Cuts(n)
+    for mask, value in zip(cuts.masks.tolist(), audit._cut_entropies(ens, cuts, {})):
+        side = [p for p in range(1, n + 1) if mask >> p & 1]
+        assert engine.entanglement_entropy(ens, side, universe=range(1, n + 1)) == value, side
+
+
 def test_monotone_values_every_cut_at_every_step_and_solves_only_after_state_changes(monkeypatch):
     # the golden trace holds every event kind, a same-party relabel, a POVM record,
     # gates at one party within one group and a relocation across parties.  Appended:
@@ -1388,18 +1420,18 @@ def test_replay_solves_and_eigensolver_calls_are_pinned(monkeypatch, tmp_path, p
     trace = load_trace((tmp_path / f"{protocol}_trace.jsonl").read_text(encoding="utf-8"))
     bundle = graphs.import_json((tmp_path / f"{protocol}_graphs.json").read_text(encoding="utf-8"))
     counts = {"solves": 0, "calls": 0}
-    subset_entropies, eigvalsh = engine.subset_entropies, np.linalg.eigvalsh
+    split_entropies, eigvalsh = engine.split_entropies, np.linalg.eigvalsh
 
-    def solving(ens, subsets):
-        subsets = list(subsets)
-        counts["solves"] += len(subsets)
-        return subset_entropies(ens, subsets)
+    def solving(ens, splits):
+        splits = list(splits)
+        counts["solves"] += len(splits)
+        return split_entropies(ens, splits)
 
     def calling(matrices):
         counts["calls"] += 1
         return eigvalsh(matrices)
 
-    monkeypatch.setattr(engine, "subset_entropies", solving)
+    monkeypatch.setattr(engine, "split_entropies", solving)
     monkeypatch.setattr(np.linalg, "eigvalsh", calling)
     report = audit.audit_trace(trace, bundle)
     assert report.ok and report.replayed

@@ -299,14 +299,7 @@ class TestEntropy:
         one of 1e-14 is below EIG_TOL and dropped, leaving about 1.4 p."""
         q1, q2 = QubitId(1, "q1"), QubitId(2, "q2")
         ens = oracles.one_branch([np.sqrt(1 - p), 0, 0, np.sqrt(p)], (q1, q2))
-        assert (engine.subset_entropies(ens, [[q1]])[0] > 10 * p) == counted
-
-    def test_two_unknown_qubits_are_refused_by_the_smaller_id(self):
-        """The qubits of a subset are located in id order, whatever order it lists them in."""
-        ens, a, b = bell_pair_ensemble(party_a=1, party_b=2)
-        subsets = [[a], [QubitId(2, "y"), b, QubitId(1, "z")]]
-        with pytest.raises(ValueError, match=r"^unknown target qubit 1:z$"):
-            engine.subset_entropies(ens, subsets)
+        assert (engine.split_entropies(ens, [(0, [0])])[0] > 10 * p) == counted
 
     def test_improper_partition_rejected(self):
         ens, a, b = bell_pair_ensemble(party_a=1, party_b=2)
@@ -335,10 +328,11 @@ class TestEntropy:
            st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
     @settings(max_examples=200, deadline=None)
     def test_both_sides_of_a_cut_have_one_entropy(self, k, n_branches, seed, data):
+        """A split given by either side solves the same side, so it has one value, to the bit."""
         ens = self.random_ensemble(k, n_branches, seed)
-        subset = data.draw(st.sets(st.sampled_from(ens.registry)))
-        rest = [q for q in ens.registry if q not in subset]
-        assert abs(engine.subset_entropies(ens, [subset])[0] - engine.subset_entropies(ens, [rest])[0]) <= 1e-12
+        bits = data.draw(st.sets(st.integers(min_value=0, max_value=k - 1)))
+        rest = [j for j in range(k) if j not in bits]
+        assert engine.split_entropies(ens, [(0, bits)]) == engine.split_entropies(ens, [(0, rest)])
 
     @staticmethod
     def grouped_ensemble(sizes, n_branches, seed):
@@ -360,16 +354,18 @@ class TestEntropy:
            st.sampled_from([None, 1, 4096]), st.data())
     @settings(max_examples=150, deadline=None)
     def test_batched_entropies_land_on_their_subsets(self, sizes, n_branches, seed, chunk_bytes, data):
-        """One call over many subsets, whose smaller sides share a size or not and
-        whose splits are solved in chunks of the default size, of a few splits or of
-        one, gives each subset the bits a call of its own gives it."""
+        """One call over many splits, whose solved sides share a size or not and
+        which are solved in chunks of the default size, of a few splits or of
+        one, gives each split the bits a call of its own gives it."""
         ens = self.grouped_ensemble(sizes, n_branches, seed)
-        subsets = data.draw(st.lists(st.sets(st.sampled_from(ens.registry)), max_size=8))
-        singles = [engine.subset_entropies(ens, [subset])[0] for subset in subsets]
+        split = st.integers(min_value=0, max_value=len(sizes) - 1).flatmap(
+            lambda i: st.tuples(st.just(i), st.sets(st.integers(min_value=0, max_value=sizes[i] - 1))))
+        splits = data.draw(st.lists(split, max_size=8))
+        singles = [engine.split_entropies(ens, [split])[0] for split in splits]
         with pytest.MonkeyPatch.context() as monkeypatch:
             if chunk_bytes is not None:
                 monkeypatch.setattr(engine, "ENTROPY_CHUNK_BYTES", chunk_bytes)
-            assert engine.subset_entropies(ens, subsets) == singles
+            assert engine.split_entropies(ens, splits) == singles
 
     def test_chunks_cross_a_group_and_hold_their_bound(self, monkeypatch):
         # 4 branches, groups of 4 and 6 qubits: a side-2 split holds 16 * 4 * (2 * 2^k + 16) bytes,
@@ -393,11 +389,11 @@ class TestEntropy:
 
     def test_one_eigensolver_call_per_side_size_within_a_chunk(self, monkeypatch):
         ens = self.grouped_ensemble([5, 4, 3], 2, 17)
-        subsets = [[q] for q in ens.registry] + [list(g[:2]) for g in ens.groups]
+        splits = [(i, [j]) for i, g in enumerate(ens.groups) for j in range(len(g))] + [(i, [0, 1]) for i in range(3)]
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda grams: calls.append(grams.shape) or eigvalsh(grams))
-        engine.subset_entropies(ens, subsets)
+        engine.split_entropies(ens, splits)
         # the pairs of the 5- and 4-qubit groups are sides of 2, that of the 3-qubit group its third qubit
         assert calls == [(2, 13, 2, 2), (2, 2, 4, 4)]
 

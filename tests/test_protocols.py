@@ -67,7 +67,7 @@ class TestTeleport:
         run = protocols.ProtocolRun(2, ens, ProtocolTrace(2, ens), {})
         run.ledger.grant(1, 2, 1)
         assert engine.entanglement_entropy(run.ensemble, {1}, universe={1, 2}) == pytest.approx(0.0)
-        before = engine.subset_entropies(run.ensemble, [[a]])[0]
+        before = oracles.qubit_entropy(run.ensemble, a)
         moved = protocols.teleport(run, b, to=2)
         after = engine.entanglement_entropy(run.ensemble, {1}, universe={1, 2})
         assert after == pytest.approx(before, abs=1e-9)
