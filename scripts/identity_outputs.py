@@ -31,7 +31,9 @@ A header-only trace of 13 parties under ``EBITNET_MAX_QUBITS=12`` must make
 both audits exit 2: without an initial state, the cap in force bounds the parties.
 So must one of 70 parties under ``EBITNET_MAX_QUBITS=100``: within that cap, but
 party 63 on would pass an int64 cut mask's sign bit, and a checkout that lists
-its 2^69 cuts does not finish.
+its 2^69 cuts does not finish.  So must one of 40 parties under the same cap:
+its 2^39 - 1 cut masks would take 4 TiB, past the audit's byte limit, and a
+checkout without that limit asks numpy for them and fails with a traceback.
 Two cut probes on the teleport trace must make both audits exit 1: three
 appended creates of a (1, 2) ebit break the cut-entanglement check, and an
 appended decode of 9 bits at 2 from 1 breaks the cut-communication check.  A
@@ -435,11 +437,13 @@ LOAD_PROBES = (
     ("teleport", "forty-parties-cap-100", _forty_parties_cap_100),
 )
 # (base, name, mutation, EBITNET_MAX_QUBITS): a header-only trace of more parties than a
-# lowered cap in force, and one within a raised cap but of more parties than an int64 cut
-# mask holds; both audits must refuse each with exit 2
+# lowered cap in force, and two within a raised cap: one of more parties than an int64 cut
+# mask holds, one whose cut masks would take more bytes than the audit allows; both
+# audits must refuse each with exit 2
 CAP_PROBES = (
     ("teleport", "thirteen-parties-cap-12", _header_only(13), "12"),
     ("teleport", "seventy-parties-cap-100", _header_only(70), "100"),
+    ("teleport", "forty-parties-cap-100-in-force", _header_only(40), "100"),
 )
 # (base, name, mutation): cut violations that both audits must report with exit 1
 CUT_PROBES = (

@@ -178,9 +178,9 @@ MUTANTS = (
            "for pos in range(k + 1):", "for pos in range(k):",
            (GRAPHS + "TestSymmetrise::test_permutation_table_holds_every_permutation_once",
             GRAPHS + "TestSymmetrise::test_n8_rational_graph_matches_reference"), quick=True),
-    Mutant("the pair counts skip the last chunk of permutations", "src/ebitnet/graphs.py",
-           "range(0, len(table), _CHUNK)", "range(0, len(table) - _CHUNK, _CHUNK)",
-           (GRAPHS + "TestSymmetrise::test_pair_counts_over_several_chunks",
+    Mutant("the pair counts drop the last permutation of the table", "src/ebitnet/graphs.py",
+           "np.eye(n, dtype=np.float32)[table]", "np.eye(n, dtype=np.float32)[table[:-1]]",
+           (GRAPHS + "TestSymmetrise::test_pair_counts_of_the_largest_tables",
             GRAPHS + "TestSymmetrise::test_n8_rational_graph_matches_reference")),
     Mutant("symmetrise builds the pair counts once per graph", "src/ebitnet/cli.py",
            "counts = graphs.pair_counts(n) if n <= graphs.BRUTE_FORCE_MAX else None", "counts = None",
@@ -258,12 +258,16 @@ MUTANTS = (
            (CODEC + "test_malformed_header_is_rejected_on_line_1[negative-p]",
             ENGINE + "test_from_vectors_refuses_what_a_trace_header_refuses[negative-p]")),
     Mutant("a local gate is built without its unitarity check", "src/ebitnet/ledger.py",
-           "engine.check_unitary(matrix, len(self.targets))", "pass",
+           "engine.check_unitary(self.matrices, len(self.targets))", "pass",
            (PROTOCOLS + "TestResourceBook::test_step_refuses_a_non_unitary_gate",
             CODEC + "test_malformed_event_is_rejected_with_its_line",
             CODEC + "test_first_non_unitary_gate_is_reported_across_matrix_sizes",
+            CODEC + "test_first_non_unitary_case_of_a_conditional_gate_is_reported",
             CODEC + "test_gate_local_gate_and_trace_load_give_one_shape_refusal",
             AUDIT + "test_unitarity_is_checked_once_per_path")),
+    Mutant("the stacked unitarity check covers only a gate event's first matrix", "src/ebitnet/engine.py",
+           "np.matmul(stack.conj().swapaxes(1, 2), stack)", "np.matmul(stack[:1].conj().swapaxes(1, 2), stack[:1])",
+           (CODEC + "test_first_non_unitary_case_of_a_conditional_gate_is_reported",)),
     Mutant("a gate matrix of the wrong size passes", "src/ebitnet/engine.py",
            "if mat.shape != (dim, dim):", "if False:",
            (CODEC + "test_gate_local_gate_and_trace_load_give_one_shape_refusal",)),

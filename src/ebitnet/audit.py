@@ -88,6 +88,9 @@ from .ledger import (
 ENTROPY_TOL = 1e-9
 # the most parties an int64 cut mask holds: bit p for party p, below the sign bit
 CUT_PARTIES_MAX = 62
+# the most bytes the array of cut masks may take, 8 for each of 2^(n-1) - 1 cuts:
+# 28 parties fit, and the default registry cap of 24 parties needs 64 MiB
+CUT_ARRAY_BYTES_MAX = 1 << 30
 # the most bytes of the (2 x terms x cuts) int64 product a book sum holds at once
 CUT_CHUNK_BYTES = 1 << 22
 
@@ -178,13 +181,18 @@ class _Cuts:
     slot masks (the smaller of the side's mask and its complement), ascending,
     and for each cut the place of its split in that list counted from 1, 0
     where the cut keeps the group whole; worked out once per tuple of the slots'
-    parties.  An int64 mask holds parties up to 62, so more parties are refused
-    before any cut is listed."""
+    parties.  An int64 mask holds parties up to 62, and the array may take at
+    most ``CUT_ARRAY_BYTES_MAX`` bytes, so more parties are refused before any
+    cut is listed."""
 
     def __init__(self, n: int):
         if n > CUT_PARTIES_MAX:
             raise ValueError(f"a trace of {n} parties has 2^{n - 1} cuts; the audit holds each as an int64 "
                              f"party mask, which fits at most {CUT_PARTIES_MAX} parties")
+        nbytes = 8 * ((1 << n - 1) - 1)
+        if nbytes > CUT_ARRAY_BYTES_MAX:
+            raise ValueError(f"a trace of {n} parties has 2^{n - 1} - 1 cuts, whose int64 party masks take "
+                             f"{nbytes} bytes; the audit holds at most {CUT_ARRAY_BYTES_MAX} bytes of them")
         bits = [1 << p for p in range(2, n + 1)]
         sums = itertools.chain.from_iterable(map(sum, itertools.combinations(bits, r)) for r in range(n - 1))
         self.masks = 2 + np.fromiter(sums, dtype=np.int64, count=(1 << n - 1) - 1)

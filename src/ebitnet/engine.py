@@ -186,25 +186,31 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "matrix", check_unitary(self.matrix, len(self.targets)))
+        object.__setattr__(self, "matrix", check_unitary([self.matrix], len(self.targets))[0])
 
 
-def check_unitary(matrix, n_targets: int) -> np.ndarray:
-    """``matrix`` as a complex array, once it is the 2^n x 2^n matrix of a gate
-    on ``n_targets`` = n qubits and is unitary to within UNITARY_TOL.
+def check_unitary(matrices: Sequence, n_targets: int) -> list[np.ndarray]:
+    """``matrices`` as complex arrays, once each is the 2^n x 2^n matrix of a
+    gate on ``n_targets`` = n qubits and is unitary to within UNITARY_TOL.
 
-    This is the one gate-matrix rule.  It runs when a ``Gate`` or a traced
-    ``LocalGate`` is built, so once for each gate a protocol steps or a load
-    reads.  The evolution functions trust the matrices they are given.
+    This is the one gate-matrix rule, and it takes a gate event's matrices
+    together: a ``Gate`` its one matrix, a traced ``LocalGate`` its matrix or
+    every case matrix.  So it runs once for each gate a protocol steps or a
+    load reads.  Every shape is checked first, then one stacked product
+    M^H M - I covers all the matrices, and the first matrix past the
+    tolerance is named by its own deviation.  The evolution functions trust
+    the matrices they are given.
     """
-    mat = np.asarray(matrix, dtype=complex)
+    mats = [np.asarray(m, dtype=complex) for m in matrices]
     dim = 1 << n_targets
-    if mat.shape != (dim, dim):
-        raise ValueError(f"a gate on {n_targets} qubits needs a {dim}x{dim} matrix, got shape {mat.shape}")
-    err = np.max(np.abs(mat.conj().T @ mat - np.eye(len(mat))))
-    if not err <= UNITARY_TOL:  # negated so that a NaN deviation fails
-        raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
-    return mat
+    for mat in mats:
+        if mat.shape != (dim, dim):
+            raise ValueError(f"a gate on {n_targets} qubits needs a {dim}x{dim} matrix, got shape {mat.shape}")
+    stack = mats[0][np.newaxis] if len(mats) == 1 else np.stack(mats)
+    for err in np.abs(np.matmul(stack.conj().swapaxes(1, 2), stack) - np.eye(dim)).max(axis=(1, 2)).tolist():
+        if not err <= UNITARY_TOL:  # negated so that a NaN deviation fails
+            raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
+    return mats
 
 
 @dataclass(frozen=True)
@@ -518,17 +524,19 @@ def _measure(ensemble: BranchEnsemble, targets: Sequence[QubitId], discard: bool
         if basis_change is not None:
             factor = _apply_matrix(factor, positions, basis_change, size)
         rest = tuple(b.factors[i] for i in apart)
-        for code, row in enumerate(_block(factor, positions, size)):
-            # np.add.reduce is np.sum without its wrapper: the same pairwise sum
-            weight = float(np.add.reduce(np.abs(row) ** 2))
-            prob = b.probability * weight
-            if prob <= PRUNE_TOL:
-                continue
+        rows = _block(factor, positions, size)
+        # np.add.reduce is np.sum without its wrapper; each row of the contiguous
+        # squares is summed in the pairwise order of a sum of that row alone
+        weights = np.add.reduce(np.abs(rows) ** 2, axis=1)
+        probs = [b.probability * weight for weight in weights.tolist()]
+        kept = [code for code, prob in enumerate(probs) if not prob <= PRUNE_TOL]  # a NaN is kept for check to refuse
+        # only the kept rows are divided, so an outcome of weight 0 warns nothing
+        for code, state in zip(kept, rows[kept] / np.sqrt(weights[kept])[:, np.newaxis]):
+            prob = probs[code]
             outcome = format(code, f"0{len(targets)}b")[::-1]  # target j as character j
             dist[outcome] = dist.get(outcome, 0.0) + prob
-            state = row / math.sqrt(weight)
             if not discard:
-                block = np.zeros((1 << len(targets), len(row)), dtype=complex)
+                block = np.zeros(rows.shape, dtype=complex)
                 block[code] = state
                 state = _unblock(block, positions, size)
                 if basis_change is not None:

@@ -37,9 +37,6 @@ import numpy as np
 # would make `ebitnet symmetrise` at n = 9 (the perm-wide benchmark workload) run
 # the explicit sum: its stdout would change and it would take about 9x the n = 8 time.
 BRUTE_FORCE_MAX = 8
-# Permutations whose one-hot rows go into one product in _pair_counts: a count
-# in a chunk stays below 2**24, so the float32 sums are exact.
-_CHUNK = 512
 
 
 class GraphFormatError(ValueError):
@@ -169,14 +166,14 @@ def _permutation_table(n: int) -> np.ndarray:
 
 def _pair_counts(table: np.ndarray) -> np.ndarray:
     """C[i, a, j, b], the number of rows of ``table`` that send i to a and j to b,
-    summed as the Gram product of the rows' one-hot codes, _CHUNK rows at a time."""
+    as the Gram product of the rows' one-hot codes in one float32 product.
+
+    Every partial sum is a count of at most (n-1)! <= 7! = 5040 < 2^24 for
+    n <= BRUTE_FORCE_MAX, so the float32 sums are exact.  At n = 8 the one-hot
+    table holds 8! x 64 float32 entries, 10 MB."""
     n = table.shape[1]
-    one_hot = np.eye(n, dtype=np.float32)
-    counts = np.zeros((n * n, n * n), np.int64)
-    for start in range(0, len(table), _CHUNK):
-        e = one_hot[table[start:start + _CHUNK]].reshape(-1, n * n)
-        counts += (e.T @ e).astype(np.int64)
-    return counts.reshape(n, n, n, n)
+    e = np.eye(n, dtype=np.float32)[table].reshape(-1, n * n)
+    return (e.T @ e).astype(np.int64).reshape(n, n, n, n)
 
 
 def pair_counts(n: int) -> np.ndarray:

@@ -245,8 +245,7 @@ class LocalGate(_AtParty):
         given = (self.matrix is not None, self.cases is not None, self.conditional_on is not None)
         if given not in ((True, False, False), (False, True, True)):
             raise ValueError("a local gate takes either a matrix or cases with conditional_on")
-        for matrix in self.matrices:
-            engine.check_unitary(matrix, len(self.targets))
+        engine.check_unitary(self.matrices, len(self.targets))
 
     @property
     def matrices(self) -> list[np.ndarray]:
@@ -454,7 +453,8 @@ def _complex_out(arr) -> list | dict:
     arr = np.asarray(arr, dtype=complex)
     if arr.size >= BASE64_MIN_ENTRIES:
         return {"shape": list(arr.shape), "c128": base64.b64encode(arr.astype("<c16").tobytes()).decode("ascii")}
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+    # the float64 view of the contiguous array is its [re, im] pairs
+    return np.ascontiguousarray(arr).view(np.float64).reshape(*arr.shape, 2).tolist()
 
 
 def _complex_in(raw) -> np.ndarray:
@@ -629,9 +629,13 @@ def _header_trace(rec: Mapping) -> ProtocolTrace:
     return ProtocolTrace(n_parties, BranchEnsemble.from_vectors(registry, branches, max_qubits))
 
 
+# json.dumps(rec, sort_keys=True) without building an encoder per record
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def dump_trace(trace: ProtocolTrace) -> str:
-    lines = [json.dumps(_header_record(trace), sort_keys=True)]
-    lines += [json.dumps(event_record(e), sort_keys=True) for e in trace.events]
+    lines = [_ENCODER.encode(_header_record(trace))]
+    lines += [_ENCODER.encode(event_record(e)) for e in trace.events]
     return "\n".join(lines) + "\n"
 
 

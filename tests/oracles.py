@@ -46,6 +46,9 @@
   which ``protocols`` books as supplementary bits.
 - ``dense_vectors`` gives each branch's dense statevector over the registry,
   through ``engine.branch_vectors``.
+- ``complex_pairs`` writes a small complex array as nested lists ending in
+  [re, im] pairs from stacked copies of its real and imaginary parts, as the
+  trace writer once did: the oracle for ``ledger._complex_out``'s pair form.
 - ``one_branch`` is the ensemble of one dense vector (``BranchEnsemble.from_vectors``
   with probability 1), over party 1's qubits x0, x1, ... unless a registry is
   given, and ``allocate`` appends fresh qubits by label (``engine.allocate_qubits``
@@ -631,6 +634,12 @@ def qubit_entropy(ensemble, qubit) -> float:
 def dense_vectors(ensemble) -> list[np.ndarray]:
     """Each branch's dense statevector, registry qubit r as amplitude-index bit r."""
     return [vec for _, vec in engine.branch_vectors(ensemble, ensemble.registry)]
+
+
+def complex_pairs(array) -> list:
+    """``array`` as a complex array, written as nested lists ending in [re, im] pairs."""
+    arr = np.asarray(array, dtype=complex)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 # CNOT from the first qubit (bit 0), then a Hadamard on it: Bell state "ab" to basis state "ab"

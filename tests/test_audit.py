@@ -347,6 +347,34 @@ class TestAuditViolations:
         with pytest.raises(ValueError, match=r"^a trace of 63 parties has 2\^62 cuts;"):
             audit._Cuts(63)
 
+    @pytest.mark.parametrize("flags", [[], ["--no-replay"]], ids=["replay", "no-replay"])
+    def test_a_cut_array_over_its_byte_limit_is_refused_before_it_is_made(self, tmp_path, capsys, monkeypatch,
+                                                                         flags):
+        """Under a raised cap, a header-only trace of 40 parties fits the int64 masks,
+        but its 2^39 - 1 masks would take 4 TiB: the audit exits 2 naming the party
+        count and the bytes, and the cut array is never asked for."""
+        monkeypatch.setenv("EBITNET_MAX_QUBITS", "100")
+        monkeypatch.setattr(audit.np, "fromiter", None)  # listing a cut would raise a TypeError
+        trace, graph = tmp_path / "t.jsonl", tmp_path / "g.json"
+        trace.write_text(json.dumps({"kind": "header", "format": TRACE_FORMAT, "n_parties": 40}) + "\n",
+                         encoding="utf-8")
+        graph.write_text(json.dumps({"n": 40, "entanglement": [["0"] * 40] * 40}), encoding="utf-8")
+        assert cli.main(["audit", "--trace", str(trace), "--graphs", str(graph), *flags]) == 2
+        assert capsys.readouterr().err == (f"error: a trace of 40 parties has 2^39 - 1 cuts, whose int64 party "
+                                           f"masks take {8 * (2**39 - 1)} bytes; the audit holds at most "
+                                           f"{2**30} bytes of them\n")
+
+    def test_twenty_eight_parties_are_the_most_the_cut_byte_limit_holds(self, monkeypatch):
+        """At 1 GiB the limit admits 28 parties, whose array of 2^27 - 1 masks is 8 bytes
+        short of it, and refuses 29; neither array is made here."""
+        monkeypatch.setattr(audit.np, "fromiter", None)
+        assert audit.CUT_ARRAY_BYTES_MAX == 2**30
+        with pytest.raises(TypeError):  # past the limit check, at the listing of the cuts
+            audit._Cuts(28)
+        with pytest.raises(ValueError, match=rf"^a trace of 29 parties has 2\^28 - 1 cuts, whose int64 party masks "
+                                             rf"take {8 * (2**28 - 1)} bytes;"):
+            audit._Cuts(29)
+
     @pytest.mark.parametrize("n,header", [
         (3, {"max_qubits": 25, "registry": [], "branches": [{"p": 1.0, "amplitudes": [[1.0, 0.0]]}]}),
         (40, {"max_qubits": 100, "registry": [[1, "q"]], "branches": [{"p": 1.0, "amplitudes": [[1, 0], [0, 0]]}]}),
@@ -853,21 +881,23 @@ class TestReplay:
 
 
 def test_unitarity_is_checked_once_per_path(monkeypatch, tmp_path):
-    """The star-op n=3 seed-7 trace holds 17 gate matrices: simulate checks each
-    once, the load checks each once and the replay checks none."""
-    checked = []
+    """The star-op n=3 seed-7 trace holds 17 gate matrices in 5 gate events:
+    simulate checks each matrix once, the load checks each once and the replay
+    checks none, and each path makes one call per gate event."""
+    checked = []  # the matrices of each call
     check = engine.check_unitary
     monkeypatch.setattr(engine, "check_unitary",
-                        lambda matrix, n_targets: checked.append(matrix) or check(matrix, n_targets))
+                        lambda matrices, n_targets: checked.append(len(matrices)) or check(matrices, n_targets))
     assert cli.main(["simulate", "star-op", "--n", "3", "--seed", "7", "--output", str(tmp_path)]) == 0
-    simulated, checked[:] = len(checked), []
+    simulated, checked[:] = list(checked), []
     trace = load_trace((tmp_path / "star-op_trace.jsonl").read_text(encoding="utf-8"))
-    loaded, checked[:] = len(checked), []
+    loaded, checked[:] = list(checked), []
     bundle = graphs.import_json((tmp_path / "star-op_graphs.json").read_text(encoding="utf-8"))
     report = audit.audit_trace(trace, bundle)
     assert report.ok and report.replayed
     matrices = sum(len(ev.matrices) for ev in trace.events if isinstance(ev, LocalGate))
-    assert (matrices, simulated, loaded, len(checked)) == (17, 17, 17, 0)
+    assert (matrices, sum(simulated), sum(loaded), sum(checked)) == (17, 17, 17, 0)
+    assert (len(simulated), len(loaded), len(checked)) == (5, 5, 0)
 
 
 # the --n each protocol is simulated at; the others take no --n

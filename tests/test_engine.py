@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebitnet import audit, cli, engine, gates, ledger
+from ebitnet import audit, cli, engine, gates, ledger, protocols
 from ebitnet.engine import BranchEnsemble, Gate, Povm, QubitId, RegistryCapacityError
 from ebitnet.ledger import CollectiveOracle, LocalGate, LocalMeasure, Relabel, Relocate
 
@@ -157,6 +157,25 @@ class TestMeasurement:
         ens, _ = engine.measure_computational(ens, (a,))
         outcomes = {br.record[0] for br in ens.branches}
         assert outcomes == {"0", "1"}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("message", ["00", "01", "10", "11"])
+    def test_a_zero_weight_outcome_warns_nothing(self, message):
+        """Outcome 1 of |0> weighs exactly 0, and a dense-coding Bell measurement
+        has one outcome: the outcomes left out are not normalised, so no division
+        warns, and the kept branches are as before."""
+        ens = oracles.one_branch([1, 0])
+        kept, dist = engine.measure_computational(ens, ens.registry)
+        assert dist == {"0": 1.0}
+        assert [(b.probability, [f.tolist() for f in b.factors], b.record) for b in kept.branches] == [
+            (1.0, [[1, 0]], {0: "0"})]
+        run = protocols.new_run(2)
+        run.ledger.grant(1, 2, 1)
+        assert protocols.superdense_send(run, 1, 2, message) == message
+        (meas,) = [e for e in run.trace.events if isinstance(e, LocalMeasure)]
+        assert meas.distribution == ((message, 0.9999999999999996),)
+        assert [(b.probability, b.factors, b.record) for b in run.ensemble.branches] == [
+            (0.9999999999999996, (), {0: message})]
 
 
 class TestPovm:

@@ -212,7 +212,7 @@ class TestSymmetrise:
         assert (graphs._pair_counts(graphs._permutation_table(n)) == want).all()
 
     @pytest.mark.parametrize("n", range(6, graphs.BRUTE_FORCE_MAX + 1))
-    def test_pair_counts_over_several_chunks(self, n):
+    def test_pair_counts_of_the_largest_tables(self, n):
         """(n-1)! permutations send i to a, and (n-2)! send i to a and j != i to b != a."""
         counts = graphs._pair_counts(graphs._permutation_table(n))
         i, a, j, b = np.ix_(range(n), range(n), range(n), range(n))

@@ -15,7 +15,18 @@ import pytest
 
 from ebitnet import cli, gates
 from ebitnet.engine import Gate, QubitId
-from ebitnet.ledger import LocalGate, ProtocolTrace, _complex_in, _complex_out, dump_trace, event_record, load_trace
+from ebitnet.ledger import (
+    BASE64_MIN_ENTRIES,
+    LocalGate,
+    ProtocolTrace,
+    _complex_in,
+    _complex_out,
+    dump_trace,
+    event_record,
+    load_trace,
+)
+
+import oracles
 
 ROOT = Path(__file__).resolve().parent.parent
 # Written by the trace writer that predates the field-driven codec; kept frozen apart
@@ -289,6 +300,21 @@ def test_first_non_unitary_gate_is_reported_across_matrix_sizes():
         load_trace(as_text(records))
 
 
+def test_first_non_unitary_case_of_a_conditional_gate_is_reported():
+    """One check covers a conditional gate's cases together: its first case is
+    unitary, its third and fourth are not, and the third is named by its own
+    deviation, when the event is built and when its trace line is loaded."""
+    scales = (1.0, 1.0, 1.5, 2.0)  # deviations 0, 0, 1.25 and 3
+    refusal = r"matrix is not unitary \(deviation 1\.250e\+00\)"
+    cases = tuple((k, np.diag([s, 1.0]) @ m) for s, (k, m) in zip(scales, gates.TELEPORT_CORRECTIONS.items()))
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        LocalGate(2, (QubitId(2, "q2"),), cases=cases, conditional_on=0)
+    record = {"kind": "local_gate", "party": 2, "targets": [[2, "q2"]], "conditional_on": 0,
+              "cases": {k: _complex_out(m) for k, m in cases}}
+    with pytest.raises(ValueError, match=f"^trace line 4: {refusal}$"):
+        load_trace(as_text(golden_records()[:3] + [record]))
+
+
 def test_first_bad_line_is_reported_whatever_its_fault():
     """A non-unitary gate on line 4 is reported before a gate on an unknown qubit on line 5."""
     gate = {"kind": "local_gate", "party": 2}
@@ -495,6 +521,29 @@ def test_base64_with_excess_padding_is_not_canonical():
     assert _complex_in(array).tobytes() == np.array([1.0, 1j, -1.0]).tobytes()
     with pytest.raises(ValueError, match=r"^c128 is not the canonical base64 of its bytes$"):
         _complex_in(dict(array, c128=array["c128"] + "="))
+
+
+_GRID = (np.arange(24) - 1j * np.arange(24)[::-1]).reshape(4, 6) / 7
+SMALL_ARRAYS = {
+    "transposed-view": _GRID.T,
+    "strided-slice": _GRID[1:, ::2],
+    "z-times-x": gates.PAULI_Z @ gates.PAULI_X,
+    "negative-zeros": np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), -1j]),
+    "real-floats": np.array([[-0.0, 2.5], [1e-300, -3.0]]),
+    "integers": np.arange(-3, 4),
+    "one-d-63-entries": np.exp(1j * np.arange(63)),
+    "two-d-63-entries": np.exp(1j * np.arange(63)).reshape(7, 9),
+    "three-d-view": _GRID.reshape(2, 3, 4).transpose(2, 0, 1),
+    "zero-d": np.asarray(0.5 - 0.25j),
+}
+
+
+@pytest.mark.parametrize("array", SMALL_ARRAYS.values(), ids=SMALL_ARRAYS.keys())
+def test_small_arrays_are_written_as_stacked_real_and_imaginary_parts(array):
+    """The [re, im] pairs come from a float64 view of the array's entries, and give the
+    JSON text of stacked copies of its real and imaginary parts, signs of zeros included."""
+    assert np.asarray(array).size < BASE64_MIN_ENTRIES
+    assert json.dumps(_complex_out(array)) == json.dumps(oracles.complex_pairs(array))
 
 
 def test_the_base64_form_starts_at_64_entries():
