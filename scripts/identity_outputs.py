@@ -17,7 +17,9 @@ and every measurement index raised by 5, its corrections left as they were).
 Load probes of single values that must make both audits exit 2 come last: a
 permutation that is not a bijection or is longer than its targets, a header of
 another format; parties, integers, booleans, strings and probabilities given as
-another JSON type; message bits that are not an exact string amount; a
+another JSON type; message bits that are not an exact string amount, or are a
+string that ``Fraction`` reads but a graph cell's grammar refuses (an exponent,
+a decimal); a
 local gate matrix that is not unitary (a NaN or a doubled entry in [re, im]
 pairs); the star-op hub's Haar matrix, which the trace writes as base64 of its
 complex128 bytes, with that text truncated or with a NaN written into its
@@ -424,6 +426,8 @@ LOAD_PROBES = (
     ("teleport", "bits-float", _set_first("message", "bits", 0.1)),
     ("teleport", "bits-integer", _set_first("message", "bits", 2)),
     ("teleport", "bits-divide-by-zero", _set_first("message", "bits", "1/0")),
+    ("teleport", "bits-exponent", _set_first("message", "bits", "1e5000")),
+    ("teleport", "bits-decimal", _set_first("message", "bits", "0.5")),
     ("teleport", "distribution-strings", _string_distribution),
     ("perm-comm-n3", "payload-integer", _set_first("decoded", "payload", 1)),
     ("teleport", "gate-entry-nan", _first_gate_entry([float("nan"), 0.0])),

@@ -78,7 +78,7 @@ MUTANTS = (
            (CODEC + "test_malformed_event_is_rejected_with_its_line[allocate-off-party]",
             CODEC + "test_audit_of_malformed_golden_trace_exits_two_with_its_line[no-replay-allocate-off-party]")),
     Mutant("a party above n_parties read", "src/ebitnet/ledger.py",
-           "if not 1 <= _int(raw) <= n_parties:", "if not 1 <= _int(raw):",
+           "if not 1 <= raw <= n_parties:", "if not 1 <= raw:",
            (CODEC + "test_out_of_range_party_is_rejected_with_its_line",)),
     Mutant("an ebit consumption may name qubits off its pair", "src/ebitnet/ledger.py",
            '_check_parties("an ebit consumption", self.pair, self.qubits)', "pass",
@@ -165,7 +165,7 @@ MUTANTS = (
            (AUDIT + "TestAuditCleanRuns::test_star_run_is_clean",
             AUDIT + "test_cross_party_relabel_report_is_exact")),
     Mutant("message bits coerced from any JSON value", "src/ebitnet/ledger.py",
-           "return Fraction(_str(raw))", "return Fraction(raw)",
+           "    if type(raw) is not str:", "    if (raw := str(raw)) is None:",
            (CODEC + "test_malformed_event_is_rejected_with_its_line",)),
     Mutant("the audit's cut sums run in int64 past its range", "src/ebitnet/audit.py",
            "2**63", "2**200",
@@ -213,12 +213,22 @@ MUTANTS = (
            (GRAPHS + "TestTotals::test_four_lab_example_entanglement",
             GRAPHS + "TestSerialization::test_fraction_cells")),
     Mutant("a graph file's cell may pass the length cap", "src/ebitnet/graphs.py",
-           "len(cell) <= CELL_MAX_CHARS and _CELL.fullmatch(cell)", "_CELL.fullmatch(cell)",
+           "len(text) <= CELL_MAX_CHARS and _CELL.fullmatch(text)", "_CELL.fullmatch(text)",
            (GRAPHS + "TestSerialization::test_cells_are_bounded_integer_or_p_q_strings",)),
     Mutant("a cell past the reader's cap is written", "src/ebitnet/graphs.py",
            "if max(map(len, itertools.chain(*cells)), default=0) > CELL_MAX_CHARS:", "if False:",
            ("tests/test_cli.py::TestSymmetrise::"
             "test_a_sum_whose_cells_the_reader_would_refuse_exits_two_before_it_is_written",)),
+    # the read layers: each distinct graph cell is read once, and trace amounts and lines by one rule each
+    Mutant("amounts read by Fraction(str) again", "src/ebitnet/ledger.py",
+           "ratio = cell_ratio(raw)", "ratio = Fraction(raw).as_integer_ratio()",
+           (CODEC + "test_message_bits_follow_the_graph_cell_grammar",)),
+    Mutant("a repeat of a cell's first 64 characters skips the length and regex checks", "src/ebitnet/graphs.py",
+           "texts.get(cell)", "texts.get(cell[:CELL_MAX_CHARS])",
+           (GRAPHS + "TestSerialization::test_a_repeated_bad_cell_is_refused_at_its_first_position",)),
+    Mutant("a trace line decoded without the byte-order mark case", "src/ebitnet/ledger.py",
+           "            if ln.startswith(_BOM):", "            if False:",
+           (CODEC + "test_a_line_is_refused_as_json_loads_refuses_it",)),
     Mutant("integer ceilings round down", "src/ebitnet/bounds.py",
            "tuple(map(math.ceil, lower_bounds(n)))", "tuple(map(math.floor, lower_bounds(n)))",
            (BOUNDS + "TestIntegerRules::test_integer_comm_boundary_equals_the_fraction_scan",
@@ -289,6 +299,10 @@ MUTANTS = (
     Mutant("decode base64 without the length check", "src/ebitnet/ledger.py",
            "if len(data) != nbytes:", "if False:",
            (CODEC + "test_malformed_base64_array_is_rejected_with_its_line",)),
+    Mutant("base64 pad bits not checked", "src/ebitnet/ledger.py",
+           " or rest and text[rest - 4] not in _ZERO_PAD_DIGITS[rest]:", ":",
+           (CODEC + "test_the_pad_bit_check_agrees_with_re_encoding",
+            CODEC + "test_malformed_base64_array_is_rejected_with_its_line[c128-non-canonical]")),
     Mutant("write every dense array as base64", "src/ebitnet/ledger.py",
            "if arr.size >= BASE64_MIN_ENTRIES:", "if True:",
            (CODEC + "test_a_pauli_gate_record_is_written_as_in_format_3",

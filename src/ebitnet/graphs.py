@@ -43,6 +43,11 @@ class GraphFormatError(ValueError):
     """Malformed graph input; the message carries the offending position."""
 
 
+# the cell types a graph reads once per distinct value; only these exact types, as
+# 1 + 0j == 1 is a key of 1 but no rational
+_KEYED_CELLS = (int, str, tuple)
+
+
 def _ratio(cell, kind: str, i: int, j: int) -> tuple[int, int]:
     """Cell [i][j] (an int, a (num, den > 0) pair or what ``Fraction`` reads) in lowest terms, if not negative."""
     if type(cell) is int:
@@ -81,11 +86,20 @@ class Graph:
     def __init__(self, n: int, weights: Sequence[Sequence]):
         if len(weights) != n:
             raise GraphFormatError(f"{self.kind}: expected {n} rows, got {len(weights)}")
+        read = {}  # each distinct int, str or tuple cell of this call -> its reduced (num, den)
         rows = []
         for i, row in enumerate(weights):
             if len(row) != n:
                 raise GraphFormatError(f"{self.kind}[{i}]: expected {n} entries, got {len(row)}")
-            rows.append([_ratio(cell, self.kind, i, j) for j, cell in enumerate(row)])
+            pairs = []
+            for j, cell in enumerate(row):
+                if type(cell) in _KEYED_CELLS:
+                    if (pair := read.get(cell)) is None:
+                        pair = read[cell] = _ratio(cell, self.kind, i, j)
+                else:
+                    pair = _ratio(cell, self.kind, i, j)
+                pairs.append(pair)
+            rows.append(pairs)
         den = math.lcm(*(d for row in rows for _, d in row))
         nums = tuple(tuple(num * (den // d) for num, d in row) for row in rows)
         for i in range(n):
@@ -233,11 +247,20 @@ def export_json(bundle: GraphBundle) -> str:
 
 
 # A graph file's cell is a JSON integer, or a string holding an integer or
-# "p/q", of at most CELL_MAX_CHARS characters.  Fraction alone would also read
-# "1e5000", and much longer cells would make exact totals too long to print
-# (Python refuses to convert integers of more than 4300 digits to text).
+# "p/q", of at most CELL_MAX_CHARS characters; a trace's amounts are such strings
+# too.  Fraction alone would also read "1e5000", and much longer cells would make
+# exact totals too long to print (Python refuses to convert integers of more than
+# 4300 digits to text).
 CELL_MAX_CHARS = 64
+CELL_GRAMMAR = f'an integer or "p/q" string of at most {CELL_MAX_CHARS} characters'
 _CELL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def cell_ratio(text: str) -> tuple[int, int] | None:
+    """The numerator and denominator that ``text`` writes, unreduced, or None when
+    it is not ``CELL_GRAMMAR``: the one rule of graph cells and trace amounts."""
+    match = len(text) <= CELL_MAX_CHARS and _CELL.fullmatch(text)
+    return (int(match[1]), int(match[2] or 1)) if match else None
 
 
 class _LongInt(str):
@@ -248,6 +271,11 @@ def _json_int(digits: str) -> int | _LongInt:
     return int(digits) if len(digits) <= CELL_MAX_CHARS else _LongInt(digits)
 
 
+# json.loads(text, parse_int=_json_int) without building a decoder per file; a
+# byte-order mark fails as json.loads fails it, at line 1, column 1
+_DECODER = json.JSONDecoder(parse_int=_json_int)
+
+
 def _shown(value) -> str:
     """``value`` as it reads in the file, cut short when long."""
     text = str(value) if isinstance(value, _LongInt) else json.dumps(value)
@@ -256,31 +284,34 @@ def _shown(value) -> str:
 
 def _json_matrix(raw, where: str) -> list:
     """``raw`` once it is a list of rows whose cells are JSON integers (not
-    booleans) or integer or "p/q" strings, none longer than CELL_MAX_CHARS; a
-    string becomes its (numerator, denominator) pair in place, or stays text for
-    the graph to refuse when the denominator is zero.  Floats never reach ``Fraction``."""
+    booleans) or ``CELL_GRAMMAR`` strings; a string becomes its (numerator,
+    denominator) pair in place, or stays text for the graph to refuse when the
+    denominator is zero.  Each distinct string is checked and read once, at its
+    first position in row-major order.  Floats never reach ``Fraction``."""
     if not isinstance(raw, list):
         raise GraphFormatError(f"{where}: expected a list of rows, got {_shown(raw)}")
+    texts = {}  # each distinct string cell of this call -> its pair, or itself when the denominator is zero
     for i, row in enumerate(raw):
         if not isinstance(row, list):
             raise GraphFormatError(f"{where}[{i}]: expected a list of entries, got {_shown(row)}")
         for j, cell in enumerate(row):
-            if isinstance(cell, _LongInt):
+            if type(cell) is str:  # not a _LongInt, whose digits may equal a string's
+                if (pair := texts.get(cell)) is None:
+                    if (pair := cell_ratio(cell)) is None:
+                        raise GraphFormatError(f"{where}[{i}][{j}]: not {CELL_GRAMMAR}: {_shown(cell)}")
+                    pair = texts[cell] = pair if pair[1] else cell
+                row[j] = pair
+            elif isinstance(cell, _LongInt):
                 raise GraphFormatError(f"{where}[{i}][{j}]: an integer of {len(cell)} digits is longer "
                                        f"than {CELL_MAX_CHARS}: {_shown(cell)}")
-            if isinstance(cell, bool) or not isinstance(cell, (int, str)):
+            elif type(cell) is not int:
                 raise GraphFormatError(f"{where}[{i}][{j}]: not an integer or a string: {_shown(cell)}")
-            if isinstance(cell, str):
-                if not (match := len(cell) <= CELL_MAX_CHARS and _CELL.fullmatch(cell)):
-                    raise GraphFormatError(f'{where}[{i}][{j}]: not an integer or "p/q" string of at most '
-                                           f"{CELL_MAX_CHARS} characters: {_shown(cell)}")
-                row[j] = (int(match[1]), den) if (den := int(match[2] or 1)) else cell
     return raw
 
 
 def import_json(text: str) -> GraphBundle:
     try:
-        doc = json.loads(text, parse_int=_json_int)
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"line {exc.lineno}, column {exc.colno}: invalid JSON") from None
     except RecursionError:

@@ -29,6 +29,7 @@ import numpy as np
 from . import engine
 from .engine import DEFAULT_MAX_QUBITS, BranchEnsemble, Povm, QubitId
 from .gates import Permutation
+from .graphs import CELL_GRAMMAR, cell_ratio
 
 TRACE_FORMAT = "ebitnet-trace/4"
 # Complex arrays of at least this many entries are written as base64 of their
@@ -469,6 +470,11 @@ def _complex_in(raw) -> np.ndarray:
     return pairs.astype(float, copy=False).view(complex)[..., 0]
 
 
+# bytes % 3 -> the base64 digits whose pad bits are zero: the low 4 bits of the digit
+# before "==" (one byte in the last quantum), the low 2 bits of the one before "="
+_ZERO_PAD_DIGITS = {1: "AQgw", 2: "AEIMQUYcgkosw048"}
+
+
 def _c128_in(raw: Mapping) -> np.ndarray:
     """The array of a {"shape", "c128"} record.  The text must be the canonical
     base64 of exactly 16 bytes per entry of the shape, which is checked before
@@ -488,15 +494,22 @@ def _c128_in(raw: Mapping) -> np.ndarray:
     nbytes = 16 * math.prod(shape)
     if len(data) != nbytes:
         raise ValueError(f"c128 holds {len(data)} bytes, shape {shape} needs {nbytes}")
-    if base64.b64encode(data) != text.encode("ascii"):
+    # strict decoding leaves two ways to write the bytes otherwise: more padding than
+    # they need, and pad bits that are not zero in the last digit before the padding
+    rest = nbytes % 3
+    if len(text) != 4 * -(-nbytes // 3) or rest and text[rest - 4] not in _ZERO_PAD_DIGITS[rest]:
         raise ValueError("c128 is not the canonical base64 of its bytes")
     return np.frombuffer(data, dtype="<c16").astype(complex, copy=False).reshape(shape)
+
+
+class _FieldError(ValueError):
+    """A field's value of the wrong JSON shape; the reader of the record names the field."""
 
 
 def _exactly(*kinds: type, what: str):
     """A decoder that passes only values of the exact JSON ``kinds``: a float is
     not an integer, a bool is not a number and nothing is coerced."""
-    def decode(raw):
+    def decode(raw, n_parties=None):
         if type(raw) not in kinds:
             raise ValueError(f"expected {what}, got {raw!r}")
         return raw
@@ -509,6 +522,18 @@ _str = _exactly(str, what="a string")
 _number = _exactly(int, float, what="a number")
 
 
+def _list(raw, what: str) -> list:
+    if type(raw) is not list:
+        raise _FieldError(f"expected {what}, got {raw!r}")
+    return raw
+
+
+def _items(raw, what: str):
+    if type(raw) is not dict:
+        raise _FieldError(f"expected {what}, got {raw!r}")
+    return raw.items()
+
+
 def _float(raw) -> float:
     """A JSON number as a float; an integer too large for one is a ValueError."""
     try:
@@ -517,53 +542,70 @@ def _float(raw) -> float:
         raise ValueError(f"an integer of {len(str(raw))} digits is too large for a float") from None
 
 
-def _fraction(raw) -> Fraction:
-    """An exact amount written as a string such as "2" or "7/2"."""
-    try:
-        return Fraction(_str(raw))
-    except ZeroDivisionError:
-        raise ValueError(f"amount {raw!r} divides by zero") from None
+def _fraction(raw, n_parties=None) -> Fraction:
+    """An exact amount, written as a graph file writes a cell: a string such as
+    "2" or "7/2" (``graphs.CELL_GRAMMAR``)."""
+    if type(raw) is not str:
+        raise ValueError(f"expected a string, got {raw!r}")
+    ratio = cell_ratio(raw)
+    if ratio is None:
+        shown = repr(raw) if len(raw) <= 40 else f"{raw[:20]!r}... ({len(raw)} characters)"
+        raise ValueError(f"amount {shown} is not {CELL_GRAMMAR}")
+    if not ratio[1]:
+        raise ValueError(f"amount {raw!r} divides by zero")
+    return Fraction(*ratio)
 
 
 def _party(raw, n_parties: int) -> int:
-    if not 1 <= _int(raw) <= n_parties:
+    if type(raw) is not int:
+        raise ValueError(f"expected an integer, got {raw!r}")
+    if not 1 <= raw <= n_parties:
         raise ValueError(f"party {raw} is outside 1..{n_parties}")
     return raw
 
 
 def _qubit(raw, n_parties: int) -> QubitId:
+    """A qubit id, written [party, label]; a fault of its party or label is named by ``_party`` or ``_str``."""
+    if type(raw) is not list or len(raw) != 2:
+        raise _FieldError(f"expected a [party, label] qubit id, got {raw!r}")
     party, label = raw
-    return QubitId(_party(party, n_parties), _str(label))
+    if type(party) is not int or not 1 <= party <= n_parties or type(label) is not str:
+        _party(party, n_parties), _str(label)  # one of them raises, with its own text
+    return QubitId(party, label)
+
+
+def _qubits(raw, n_parties: int) -> tuple[QubitId, ...]:
+    return tuple([_qubit(q, n_parties) for q in _list(raw, "a list of [party, label] qubit ids")])
 
 
 def _two(raw):
-    if len(raw) != 2:
-        raise ValueError(f"expected a pair, got {raw!r}")
+    if type(raw) is not list or len(raw) != 2:
+        raise _FieldError(f"expected a pair, got {raw!r}")
     return raw
 
 
 _CODECS = {
     "Party": (int, _party),
-    "int": (int, lambda raw, n: _int(raw)),
-    "str": (str, lambda raw, n: _str(raw)),
-    "bool": (bool, lambda raw, n: _bool(raw)),
-    "Fraction": (str, lambda raw, n: _fraction(raw)),
+    "int": (int, _int),
+    "str": (str, _str),
+    "bool": (bool, _bool),
+    "Fraction": (str, _fraction),
     "QubitId": (lambda q: [q.party, q.label], _qubit),
     "np.ndarray": (_complex_out, lambda raw, n: _complex_in(raw)),
-    "Permutation": (lambda p: list(p.mapping), lambda raw, n: Permutation(tuple(_int(v) for v in raw))),
+    "Permutation": (lambda p: list(p.mapping),
+                    lambda raw, n: Permutation(tuple(_int(v) for v in _list(raw, "a list of integers")))),
     "Povm": (lambda povm: [_complex_out(e) for e in povm.elements],
-             lambda raw, n: Povm(tuple(_complex_in(e) for e in raw))),
-    "tuple[Party, ...]": (list, lambda raw, n: tuple(_party(p, n) for p in raw)),
+             lambda raw, n: Povm(tuple(_complex_in(e) for e in _list(raw, "a list of POVM elements")))),
+    "tuple[Party, ...]": (list, lambda raw, n: tuple(_party(p, n) for p in _list(raw, "a list of parties"))),
     "tuple[Party, Party]": (list, lambda raw, n: pair_key(*(_party(p, n) for p in _two(raw)))),
-    "tuple[QubitId, ...]": (
-        lambda qs: [[q.party, q.label] for q in qs], lambda raw, n: tuple(_qubit(q, n) for q in raw)),
+    "tuple[QubitId, ...]": (lambda qs: [[q.party, q.label] for q in qs], _qubits),
     "tuple[QubitId, QubitId]": (
         lambda qs: [[q.party, q.label] for q in qs], lambda raw, n: tuple(_qubit(q, n) for q in _two(raw))),
     "tuple[tuple[str, np.ndarray], ...]": (
         lambda cases: {k: _complex_out(m) for k, m in cases},
-        lambda raw, n: tuple(sorted((str(k), _complex_in(m)) for k, m in raw.items()))),
+        lambda raw, n: tuple(sorted((k, _complex_in(m)) for k, m in _items(raw, "an object of case matrices")))),
     "tuple[tuple[str, float], ...]": (
-        dict, lambda raw, n: tuple(sorted((k, _float(v)) for k, v in raw.items()))),
+        dict, lambda raw, n: tuple(sorted((k, _float(v)) for k, v in _items(raw, "an object of probabilities")))),
 }
 _KINDS = {
     Allocate: "allocate", EbitConsume: "ebit_consume", EbitCreate: "ebit_create",
@@ -592,11 +634,17 @@ def event_record(event: Event) -> dict:
 
 def event_from_record(rec: Mapping, n_parties: int) -> Event:
     """Decode one event record; every party in it must lie in 1..n_parties."""
-    cls = _EVENT_TYPES.get(rec.get("kind"))
-    if cls is None:
-        raise ValueError(f"unknown event kind {rec.get('kind')!r}")
-    return cls(**{name: decode(rec[key], n_parties)
-                  for name, key, _, decode in _FIELDS[cls] if rec.get(key) is not None})
+    kind = rec.get("kind")
+    if (cls := _EVENT_TYPES.get(kind) if type(kind) is str else None) is None:
+        raise ValueError(f"unknown event kind {kind!r}")
+    args = {}
+    for name, key, _, decode in _FIELDS[cls]:
+        if (raw := rec.get(key)) is not None:
+            try:
+                args[name] = decode(raw, n_parties)
+            except _FieldError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+    return cls(**args)
 
 
 def _header_record(trace: ProtocolTrace) -> dict:
@@ -623,14 +671,24 @@ def _header_trace(rec: Mapping) -> ProtocolTrace:
         raise ValueError(f"n_parties must be a positive integer, got {n_parties!r}")
     if "registry" not in rec:
         return ProtocolTrace(n_parties)
-    registry = _REGISTRY_IN(rec["registry"], n_parties)
-    branches = [(_float(b["p"]), _complex_in(b["amplitudes"])) for b in rec["branches"]]
+    try:
+        registry = _REGISTRY_IN(rec["registry"], n_parties)
+    except _FieldError as exc:
+        raise ValueError(f"registry: {exc}") from None
+    branches = rec.get("branches")
+    if type(branches) is not list or not all(type(b) is dict and "p" in b and "amplitudes" in b for b in branches):
+        raise ValueError('branches: a header with a registry needs a list of {"p", "amplitudes"} objects')
+    branches = [(_float(b["p"]), _complex_in(b["amplitudes"])) for b in branches]
     max_qubits = _int(rec.get("max_qubits", DEFAULT_MAX_QUBITS))
     return ProtocolTrace(n_parties, BranchEnsemble.from_vectors(registry, branches, max_qubits))
 
 
 # json.dumps(rec, sort_keys=True) without building an encoder per record
 _ENCODER = json.JSONEncoder(sort_keys=True)
+# json.loads(line) without its per-call set-up; load_trace makes the one check of
+# json.loads on text that this decoder lacks, the refusal of a byte-order mark
+_DECODER = json.JSONDecoder()
+_BOM = "\ufeff"
 
 
 def dump_trace(trace: ProtocolTrace) -> str:
@@ -653,7 +711,9 @@ def load_trace(text: str) -> ProtocolTrace:
         raise ValueError("trace line 1: empty trace")
     for i, ln in lines:
         try:
-            rec = json.loads(ln)
+            if ln.startswith(_BOM):
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", ln, 0)
+            rec = _DECODER.decode(ln)
             if not isinstance(rec, dict):
                 raise ValueError("expected a JSON object")
             if i == lines[0][0]:

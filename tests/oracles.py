@@ -46,6 +46,10 @@
   which ``protocols`` books as supplementary bits.
 - ``dense_vectors`` gives each branch's dense statevector over the registry,
   through ``engine.branch_vectors``.
+- ``canonical_base64`` re-encodes the bytes of a base64 text, as the trace reader
+  once checked a base64 array: the oracle for the reader's padding and pad-bit
+  check.  ``json_line_refusal`` reads a trace line with ``json.loads``, as the
+  reader once did: the oracle for its one line decoder's refusals.
 - ``complex_pairs`` writes a small complex array as nested lists ending in
   [re, im] pairs from stacked copies of its real and imaginary parts, as the
   trace writer once did: the oracle for ``ledger._complex_out``'s pair form.
@@ -61,6 +65,7 @@
   event's ``apply``; it reads only the ids a rename event's ``renames`` gives.
 """
 
+import base64
 import itertools
 import json
 import math
@@ -640,6 +645,24 @@ def complex_pairs(array) -> list:
     """``array`` as a complex array, written as nested lists ending in [re, im] pairs."""
     arr = np.asarray(array, dtype=complex)
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+
+def canonical_base64(text: str) -> bool:
+    """Whether ``text``, which strict base64 decoding reads, is the one encoding of its
+    bytes, checked by encoding them again: the oracle for ``ledger._c128_in``'s pad-bit check."""
+    return base64.b64encode(base64.b64decode(text, validate=True)) == text.encode("ascii")
+
+
+def json_line_refusal(line: str) -> str | None:
+    """What ``ledger.load_trace`` says of a line that holds no JSON object, as it said it
+    when it read each line with ``json.loads``; None when the line holds one."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON ({exc.msg})"
+    except RecursionError:
+        return "JSON nested too deeply"
+    return None if isinstance(rec, dict) else "expected a JSON object"
 
 
 # CNOT from the first qubit (bit 0), then a Hadamard on it: Bell state "ab" to basis state "ab"

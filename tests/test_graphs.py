@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -462,6 +463,7 @@ class TestSerialization:
         ('{"n": true, "communication": [[0, 1], [1, 0]]}', r'"n": not an integer: true'),
         ('{"n": "2", "communication": [[0, 1], [1, 0]]}', r'"n": not an integer: "2"'),
         ('{"n": 2.0, "communication": [[0, 1], [1, 0]]}', r'"n": not an integer: 2\.0'),
+        ('\ufeff{"n": 2, "communication": [[0, 1], [1, 0]]}', r"^line 1, column 1: invalid JSON$"),
     ])
     def test_cells_and_n_must_be_json_integers_or_strings(self, doc, where):
         with pytest.raises(GraphFormatError, match=where):
@@ -545,6 +547,38 @@ class TestSerialization:
             with pytest.raises(GraphFormatError, match=message):
                 oracles.read_fraction_graphs(text)
 
+    @pytest.mark.parametrize("earlier,bad,message", [
+        ('"1"', '"-1"', "negative weight -1"),
+        ('"1/2"', '"1/0"', "not a rational: '1/0'"),
+        ("1", "true", "not an integer or a string: true"),
+        ('"1/2"', "0.5", "not an integer or a string: 0.5"),
+        ('"%s"' % ("1" * 64), '"%s"' % ("1" * 65),
+         'not an integer or "p/q" string of at most 64 characters: "1111111111111111111... (67 characters)'),
+        ('"%s"' % ("1" * 64), "1" * 5000, "an integer of 5000 digits is longer than 64: "
+                                          "11111111111111111111... (5000 characters)"),
+    ], ids=["negative", "zero-denominator", "true", "float", "65-characters", "5000-digits"])
+    def test_a_repeated_bad_cell_is_refused_at_its_first_position(self, earlier, bad, message):
+        """Each distinct cell is read once, and a refused one at its first position in row-major
+        order, after a valid cell that equals it as a number or in its first 64 characters."""
+        rows = f"[[0, {earlier}, {bad}], [{bad}, 0, {bad}], [{earlier}, {bad}, 0]]"
+        text = '{"n": 3, "communication": %s}' % rows
+        with pytest.raises(GraphFormatError) as got:
+            graphs.import_json(text)
+        assert str(got.value) == f"communication[0][2]: {message}"
+        with pytest.raises(GraphFormatError, match=re.escape(str(got.value))):
+            oracles.read_fraction_graphs(text)
+
+    @pytest.mark.parametrize("cell", [[1], {"p": 1}, bytearray(b"1")], ids=["list", "dict", "bytearray"])
+    def test_an_unhashable_cell_in_memory_is_a_format_error(self, cell):
+        with pytest.raises(GraphFormatError, match=r"^communication\[0\]\[1\]: not a rational: "):
+            CommunicationGraph(2, [[0, cell], [cell, 0]])
+
+    def test_cells_of_other_types_equal_to_a_keyed_cell_are_read_by_their_own_rule(self):
+        """1 + 0j equals the integer 1 before it, but it is no rational; True and 1.0 read as 1."""
+        with pytest.raises(GraphFormatError, match=r"^communication\[1\]\[0\]: not a rational: \(1\+0j\)$"):
+            CommunicationGraph(2, [[0, 1], [1 + 0j, 0]])
+        assert CommunicationGraph(2, [[0, 1], [True, 0]]) == CommunicationGraph(2, [[0, 1.0], [1, 0]])
+
     def test_symmetrise_of_an_overflowing_cell_exits_two(self, tmp_path, capsys):
         src = tmp_path / "g.json"
         src.write_text('{"n": 2, "entanglement": [[0, 1e400], [1e400, 0]]}')
@@ -616,6 +650,27 @@ def graph_files(draw):
             weight_values(allow_zero=False).map(lambda v: f"-{v}"),
             st.sampled_from(("1/0", "-0/0", "1" * 65, "7/" + "3" * 62))))
     return json.dumps(doc)
+
+
+@st.composite
+def bundles(draw):
+    """A bundle on 1 to 6 parties with one or both graphs, whose weights have at most
+    six digits above and below the line, so every cell fits a graph file."""
+    n = draw(st.integers(1, 6))
+    weights = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
+    ent = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        ent[i][j] = ent[j][i] = draw(weights)
+    comm = [[Fraction(0) if i == j else draw(weights) for j in range(n)] for i in range(n)]
+    kinds = draw(st.sampled_from([("entanglement",), ("communication",), ("entanglement", "communication")]))
+    found = {"entanglement": EntanglementGraph(n, ent), "communication": CommunicationGraph(n, comm)}
+    return graphs.GraphBundle(n, **{kind: found[kind] for kind in kinds})
+
+
+@given(bundles())
+@settings(max_examples=100, deadline=None)
+def test_a_written_bundle_reads_back_as_itself(bundle):
+    assert graphs.import_json(graphs.export_json(bundle)) == bundle
 
 
 @given(graph_files())

@@ -2,16 +2,20 @@
 with the line number (exit 2 from ``ebitnet audit``, never a traceback)."""
 
 import base64
+import binascii
 import json
 import os
 import re
 import string
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebitnet import cli, gates
 from ebitnet.engine import Gate, QubitId
@@ -282,6 +286,115 @@ def test_malformed_event_is_rejected_with_its_line(record):
         load_trace(as_text(records))
 
 
+GATE_1Q = {"kind": "local_gate", "party": 2, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+MEASURE_1Q = {"kind": "local_measure", "party": 2, "targets": [[2, "q2"]], "basis": "computational",
+              "discard": False, "index": 1, "distribution": {"0": 0.5, "1": 0.5}}
+
+
+def _without_branches(records):
+    del records[0]["branches"]
+
+
+@pytest.mark.parametrize("mutate,line,message", [
+    (lambda rs: rs.append(dict(GATE_1Q, targets=[1])), 4, "targets: expected a [party, label] qubit id, got 1"),
+    (lambda rs: rs.append({"kind": "allocate", "party": 1, "qubits": [[1, "a0", 3]], "init": "0"}), 4,
+     "qubits: expected a [party, label] qubit id, got [1, 'a0', 3]"),
+    (lambda rs: rs.append(dict(GATE_1Q, targets={"a": 1})), 4,
+     "targets: expected a list of [party, label] qubit ids, got {'a': 1}"),
+    (lambda rs: rs.append({"kind": ["local_gate"]}), 4, "unknown event kind ['local_gate']"),
+    (lambda rs: rs.append(dict(MEASURE_1Q, distribution=[0.5, 0.5])), 4,
+     "distribution: expected an object of probabilities, got [0.5, 0.5]"),
+    (_without_branches, 1, 'branches: a header with a registry needs a list of {"p", "amplitudes"} objects'),
+    (lambda rs: rs[0]["branches"][0].pop("p"), 1,
+     'branches: a header with a registry needs a list of {"p", "amplitudes"} objects'),
+    (lambda rs: rs[0].update(registry=5), 1, "registry: expected a list of [party, label] qubit ids, got 5"),
+    (lambda rs: rs.append({"kind": "oracle", "parties": [2], "targets": [[2, "q2"]], "permutation": 5}), 4,
+     "permutation: expected a list of integers, got 5"),
+    (lambda rs: rs.append({"kind": "oracle", "parties": {"2": 1}, "targets": [[2, "q2"]], "permutation": [1]}), 4,
+     "parties: expected a list of parties, got {'2': 1}"),
+    (lambda rs: rs.append(dict(MEASURE_1Q, basis="povm", distribution={"0": 1.0}, povm=5)), 4,
+     "povm: expected a list of POVM elements, got 5"),
+    (lambda rs: rs.append({"kind": "ebit_create", "pair": {"1": 2}}), 4, "pair: expected a pair, got {'1': 2}"),
+    (lambda rs: rs.append({"kind": "ebit_consume", "pair": [1, 2], "qubits": [[1, "x"], [2, "y"], [2, "z"]]}), 4,
+     "qubits: expected a pair, got [[1, 'x'], [2, 'y'], [2, 'z']]"),
+], ids=["qubit-integer", "qubit-three-entries", "targets-object", "kind-list", "distribution-list",
+        "header-without-branches", "branch-without-p", "registry-integer", "permutation-integer", "parties-object", "povm-integer",
+        "pair-object", "pair-of-three-qubits"])
+def test_a_field_of_the_wrong_json_shape_is_named_with_what_it_expects(mutate, line, message):
+    records = golden_records()[:3]
+    mutate(records)
+    with pytest.raises(ValueError, match=f"^trace line {line}: {re.escape(message)}$"):
+        load_trace(as_text(records))
+
+
+GRAMMAR = 'is not an integer or "p/q" string of at most 64 characters'
+
+
+@pytest.mark.parametrize("bits,message", [
+    ("1e5000", f"amount '1e5000' {GRAMMAR}"),
+    ("1e400", f"amount '1e400' {GRAMMAR}"),
+    ("0.5", f"amount '0.5' {GRAMMAR}"),
+    (" 2", f"amount ' 2' {GRAMMAR}"),
+    ("2_0", f"amount '2_0' {GRAMMAR}"),
+    ("1" * 65, f"amount '{'1' * 20}'... (65 characters) {GRAMMAR}"),
+    ("2/0", "amount '2/0' divides by zero"),
+    ("-3", "a message carries a nonnegative number of bits, got -3"),
+], ids=["exponent", "exponent-401-digits", "decimal", "space", "underscore", "65-characters", "divide-by-zero",
+        "negative"])
+def test_message_bits_follow_the_graph_cell_grammar(tmp_path, capsys, bits, message):
+    """An amount is read by the one rule of graph cells, so "1e5000" is refused at load, with
+    its line, and not once the audit prints 5000 digits; the star-op n=3 trace's first
+    message is on line 4."""
+    records = golden_records()[:3] + [{"kind": "message", "from": 1, "to": 2, "bits": bits}]
+    with pytest.raises(ValueError, match=f"^trace line 4: {re.escape(message)}$"):
+        load_trace(as_text(records))
+    records, graphs_file = _star_trace(tmp_path)
+    assert next(i for i, r in enumerate(records, start=1) if r["kind"] == "message") == 4
+    _first("message", "bits", bits)(records)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(as_text(records), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["audit", "--trace", str(bad), "--graphs", str(graphs_file), "--no-replay"]) == 2
+    assert capsys.readouterr().err == f"error: trace: trace line 4: {message}\n"
+
+
+@pytest.mark.parametrize("bits,amount", [("2", 2), ("7/2", Fraction(7, 2)), ("007", 7), ("-0", 0), ("6/4", Fraction(3, 2)),
+                                         ("9" * 64, int("9" * 64))])
+def test_message_bits_in_the_grammar_load_exactly(bits, amount):
+    records = golden_records()[:3] + [{"kind": "message", "from": 1, "to": 2, "bits": bits}]
+    assert load_trace(as_text(records)).events[-1].bits == amount
+
+
+NESTED = "[" * 100_000 + "]" * 100_000
+COALESCE = '{"kind": "coalesce"}'
+MALFORMED_LINES = {
+    "bom-header": (1, "\ufeff" + json.dumps(golden_records()[0])),
+    "bom-event": (2, "\ufeff" + COALESCE),
+    "space-then-bom": (2, " \ufeff" + COALESCE),
+    "leading-and-trailing-whitespace": (2, " \t" + COALESCE + "\t "),
+    "extra-data": (2, COALESCE + " {}"),
+    "truncated-object": (2, COALESCE[:-3]),
+    "top-level-array": (2, "[1, 2]"),
+    "number": (2, "5"),
+    "string": (2, '"coalesce"'),
+    "nested-too-deeply": (2, NESTED),
+}
+
+
+@pytest.mark.parametrize("line,text", MALFORMED_LINES.values(), ids=MALFORMED_LINES.keys())
+def test_a_line_is_refused_as_json_loads_refuses_it(line, text):
+    """The one decoder of trace lines gives each line the text it had when every line was
+    read by ``json.loads``, the byte-order mark included; a line it reads loads as its object."""
+    lines = [json.dumps(golden_records()[0]), COALESCE]
+    lines[line - 1] = text
+    refusal = oracles.json_line_refusal(text)
+    if refusal is None:
+        assert load_trace("\n".join(lines)).events == load_trace(as_text(golden_records()[:1]) + COALESCE).events
+    else:
+        with pytest.raises(ValueError, match=f"^trace line {line}: {re.escape(refusal)}$"):
+            load_trace("\n".join(lines))
+
+
 def _scaled_identity(dim, first):
     """The dim x dim identity with ``first`` as its first entry, as [re, im] pairs."""
     return [[[first if i == j == 0 else float(i == j), 0.0] for j in range(dim)] for i in range(dim)]
@@ -521,6 +634,52 @@ def test_base64_with_excess_padding_is_not_canonical():
     assert _complex_in(array).tobytes() == np.array([1.0, 1j, -1.0]).tobytes()
     with pytest.raises(ValueError, match=r"^c128 is not the canonical base64 of its bytes$"):
         _complex_in(dict(array, c128=array["c128"] + "="))
+
+
+B64_DIGITS = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+
+
+@st.composite
+def base64_texts(draw):
+    """The base64 of 16 bytes per entry for 0 to 5 entries, so that every length modulo
+    3 occurs, then one corrupted character, one "=" too many, or none."""
+    data = draw(st.binary(min_size=0, max_size=5).map(lambda b: b"".join(bytes([x]) * 16 for x in b)))
+    data = draw(st.binary(min_size=len(data), max_size=len(data))) if draw(st.booleans()) else data
+    text = base64.b64encode(data).decode("ascii")
+    fault = draw(st.sampled_from(["none", "character", "character", "pad"]))
+    if fault == "character" and text:
+        at = draw(st.sampled_from(sorted({len(text) - 4, len(text) - 3, len(text) - 2, 0, len(text) // 2})))
+        text = text[:at] + draw(st.sampled_from(B64_DIGITS + "=")) + text[at + 1:]
+    elif fault == "pad":
+        text += "="
+    return data, text
+
+
+@given(base64_texts())
+@settings(max_examples=300, deadline=None)
+def test_the_pad_bit_check_agrees_with_re_encoding(drawn):
+    """A text that decodes strictly to the bytes its shape needs is canonical exactly when
+    re-encoding its bytes gives it back; the load checks its padding and pad bits instead."""
+    data, text = drawn
+    array = {"shape": [len(data) // 16], "c128": text}
+    try:
+        decoded = base64.b64decode(text, validate=True)
+    except binascii.Error:
+        decoded = None
+    if decoded is None or len(decoded) != len(data):
+        with pytest.raises(ValueError, match=r"^c128 (is not base64|holds)"):
+            _complex_in(array)
+    elif oracles.canonical_base64(text):
+        assert _complex_in(array).astype("<c16").tobytes() == decoded
+    else:
+        with pytest.raises(ValueError, match=r"^c128 is not the canonical base64 of its bytes$"):
+            _complex_in(array)
+
+
+@pytest.mark.parametrize("text,canonical", [("QQ==", True), ("QR==", False), ("QUI=", True), ("QUJ=", False),
+                                            ("QUJD", True), ("QUJD=", False), ("QUJD==", False)])
+def test_the_oracle_knows_the_forms_strict_decoding_leaves(text, canonical):
+    assert oracles.canonical_base64(text) is canonical
 
 
 _GRID = (np.arange(24) - 1j * np.arange(24)[::-1]).reshape(4, 6) / 7
