@@ -7,20 +7,20 @@ For each protocol spec at seeds 7 and 11 it keeps the files of ``ebitnet
 simulate`` and the exit code, stdout and stderr of that command and of
 ``ebitnet audit`` on its outputs, with and without ``--no-replay``.  It also
 records a few usage errors (among them a star run whose n + 2 qubits, and
-permutation runs whose 2n qubits, pass the registry cap), and audits seeded mutations of the small runs'
-traces and graph files (dropped, duplicated and swapped events, re-paired
-ebits, changed bits, forged creates, decodes and messages, lowered graph
-weights, shifted distributions, a relabel moved across parties, re-pointed
-consumes, a forged oracle, a header registry cap below the trace's needs,
+permutation runs whose 2n qubits, pass the registry cap, and a negative seed),
+and audits seeded mutations of the small runs' traces and graph files
+(dropped, duplicated and swapped events, re-paired ebits, changed bits,
+forged creates, decodes and messages, lowered graph weights, shifted
+distributions, a relabel moved across parties, re-pointed consumes, a forged
+oracle, a header registry cap below the trace's needs,
 every message marked supplementary against graphs that grant no communication,
 and every measurement index raised by 5, its corrections left as they were).
 Load probes of single values that must make both audits exit 2 come last: a
 permutation that is not a bijection or is longer than its targets, a header of
 another format; parties, integers, booleans, strings and probabilities given as
-another JSON type; message bits that are not an exact string amount, or are a
-string that ``Fraction`` reads but a graph cell's grammar refuses (an exponent,
-a decimal); a
-local gate matrix that is not unitary (a NaN or a doubled entry in [re, im]
+another JSON type; a message with a misspelt key; message bits that are not
+an exact string amount, or are a string that ``Fraction`` reads but a graph
+cell's grammar refuses (an exponent, a decimal); a local gate matrix that is not unitary (a NaN or a doubled entry in [re, im]
 pairs); the star-op hub's Haar matrix, which the trace writes as base64 of its
 complex128 bytes, with that text truncated or with a NaN written into its
 bytes; an allocation at a party other than its qubits'; and a local gate on
@@ -135,6 +135,7 @@ USAGE_ERRORS = [
     ["ps", "--n", "3"], ["ps", "--n", "0"], ["ps", "--n", "4", "--hub", "5"],
     ["ps-cp", "--n", "4"], ["ps-cp", "--n", "1"], ["perm-entangle", "--n", "1"], ["perm-comm", "--n", "0"],
     ["star-op", "--n", "25"], ["perm-comm", "--n", "13"], ["perm-entangle", "--n", "13"],
+    ["teleport", "--seed", "-1"],
 ]
 # --n-max values of the bounds tables: the smallest, the first odd n, the cap
 BOUNDS_N_MAX = (2, 3, 64)
@@ -423,6 +424,7 @@ LOAD_PROBES = (
     ("teleport", "index-float", _set_first("local_measure", "index", 0.0)),
     ("teleport", "message-to-float", _set_first("message", "to", 2.9)),
     ("teleport", "supplementary-string", _set_first("message", "supplementary", "false")),
+    ("teleport", "supplementary-misspelt", _set_first("message", "supplementry", True)),
     ("teleport", "bits-float", _set_first("message", "bits", 0.1)),
     ("teleport", "bits-integer", _set_first("message", "bits", 2)),
     ("teleport", "bits-divide-by-zero", _set_first("message", "bits", "1/0")),

@@ -194,7 +194,7 @@ MUTANTS = (
             GRAPHS + "TestSymmetrise::test_fixture_communication_42")),
     # a graph's cells as integer numerators over the lcm of their reduced denominators
     Mutant("a negative numerator is accepted", "src/ebitnet/graphs.py",
-           "    if num < 0:", "    if False:",
+           "or min(flat, default=0) < 0):", "or False):",
            (GRAPHS + "TestSerialization::test_negative_weight_rejected",
             GRAPHS + "TestSerialization::test_cell_checks_run_on_integers_with_the_fraction_messages[negative]")),
     Mutant("an undirected graph skips its symmetry check", "src/ebitnet/graphs.py",
@@ -204,10 +204,18 @@ MUTANTS = (
     Mutant("a cell is written without its gcd reduction", "src/ebitnet/graphs.py",
            "g = math.gcd(num, den)", "g = 1",
            (GRAPHS + "TestSerialization::test_cells_are_written_in_lowest_terms",)),
-    Mutant("the common denominator is the product of the cells', not their lcm", "src/ebitnet/graphs.py",
-           "den = math.lcm(*(d for row in rows for _, d in row))", "den = math.prod(d for row in rows for _, d in row)",
-           (GRAPHS + "TestSerialization::test_numerators_share_the_lcm_of_the_reduced_denominators",
+    # the reader's lcm needs no row: over any common multiple, the graph's one gcd gives the same lcm
+    Mutant("a graph keeps the denominator it is given, not the lcm of its reduced weights'", "src/ebitnet/graphs.py",
+           "g = math.gcd(den, *flat)", "g = 1",
+           (GRAPHS + "TestSerialization::test_a_graph_holds_its_numerators_in_lowest_terms",
             GRAPHS + "TestSymmetrise::test_one_symmetrise_command_builds_the_pair_counts_at_most_once")),
+    Mutant("a graph takes numerators of any type", "src/ebitnet/graphs.py",
+           "{*map(type, flat)} - {int}", "set()",
+           (GRAPHS + "TestSerialization::test_a_graph_takes_only_int_numerators",)),
+    Mutant("a graph file's zero denominator is read", "src/ebitnet/graphs.py",
+           "if any(d == 0 for _, d in texts.values()):", "if False:",
+           (GRAPHS + "TestSerialization::test_cell_checks_run_on_integers_with_the_fraction_messages[zero-denominator]",
+            GRAPHS + "TestSerialization::test_a_repeated_bad_cell_is_refused_at_its_first_position[zero-denominator]")),
     Mutant("an undirected total is not halved", "src/ebitnet/graphs.py",
            "self.den if self.directed else 2 * self.den", "self.den",
            (GRAPHS + "TestTotals::test_four_lab_example_entanglement",
@@ -322,6 +330,10 @@ MUTANTS = (
     Mutant("POVM cover counted from the record, not the elements", "src/ebitnet/ledger.py",
            "(len(self.povm.elements) - 1).bit_length()", "(len(self.distribution) - 1).bit_length()",
            (AUDIT + "test_povm_cover_is_capped_by_its_element_count",)),
+    Mutant("a record may hold a key its kind does not have", "src/ebitnet/ledger.py",
+           '_refuse_keys(rec, _RECORD_KEYS[cls], f"a {kind} record")', "pass",
+           (CODEC + "test_a_record_refuses_a_key_its_kind_does_not_have[misspelt-message]",
+            CODEC + "test_a_record_refuses_a_key_its_kind_does_not_have[gate-extra]")),
     Mutant("a local gate may have no targets", "src/ebitnet/ledger.py",
            'raise ValueError("a local gate needs at least one target")', "pass",
            (CODEC + "test_malformed_event_is_rejected_with_its_line[gate-no-targets]",
@@ -344,25 +356,25 @@ MUTANTS = (
     Mutant("a measurement removes its targets whether or not it discards them", "src/ebitnet/ledger.py",
            "self.targets if self.discard else ()", "self.targets",
            (AUDIT + "test_the_load_walk_of_qubit_ids_follows_the_replayed_registry",)),
-    # the product groups at the engine's product_groups call sites, one row per rule; the replay
-    # reads the groups from the ensemble, so its cuts are valued on groups that miss the factors
+    # the product groups each engine operation builds with its factors, one row per operation; the
+    # replay reads the groups from the ensemble, so its cuts are valued on groups that miss the factors
     Mutant("a gate joins no groups", "src/ebitnet/engine.py",
-           "groups, sources = product_groups(ensemble.groups, joined=joined)",
-           "groups, sources = product_groups(ensemble.groups)",
+           "groups = (*(ensemble.groups[i] for i in apart), tuple([q for i in hit for q in ensemble.groups[i]]))",
+           "groups = ensemble.groups",
            (SERIES + "[perm-entangle]", SERIES + "[swap-entangle]")),
     Mutant("a Bell measurement skips its basis change", "src/ebitnet/engine.py",
            "_measure(ensemble, pair, discard, _BELL_BASIS_CHANGE)", "_measure(ensemble, pair, discard, None)",
            (SERIES + "[star-op]", AUDIT + "TestAuditCleanRuns::test_star_run_is_clean")),
     Mutant("discarded qubits stay in their group", "src/ebitnet/engine.py",
-           "product_groups(joined, discarded=gone)", "product_groups(joined, discarded=frozenset())",
+           "left = tuple([q for q in joined[-1] if q not in gone])", "left = joined[-1]",
            (SERIES + "[star-op]",
             AUDIT + "test_monotone_values_every_cut_at_every_step_and_solves_only_after_state_changes")),
     Mutant("a consumed pair split into two groups", "src/ebitnet/engine.py",
-           "product_groups(ensemble.groups, added=new_groups)",
-           "product_groups(ensemble.groups, added=[(q,) for group in new_groups for q in group])",
+           "(*ensemble.groups, *new_groups)", "(*ensemble.groups, *[(q,) for group in new_groups for q in group])",
            (SERIES + "[teleport]", SERIES + "[perm-comm]")),
     Mutant("relabels, relocations and oracles rename no group member", "src/ebitnet/engine.py",
-           "groups, _ = product_groups(ensemble.groups, renames=renames)", "groups = ensemble.groups",
+           "groups = tuple([tuple(map(renames.get, group, group)) for group in ensemble.groups])",
+           "groups = ensemble.groups",
            (SERIES + "[perm-comm]", AUDIT + "test_cross_party_relabel_report_is_exact")),
     # the split entropies the replay carries from step to step (audit._carry), and the batched solve behind them
     Mutant("keep a measured group's splits that do not straddle its targets", "src/ebitnet/audit.py",

@@ -208,6 +208,8 @@ def _simulate(protocol: str, n: int, rng: np.random.Generator, hub: int, cap: in
 
 def cmd_simulate(args) -> int:
     cap = _max_qubits()
+    if args.seed < 0:
+        raise CliUsageError(f"--seed must be a non-negative integer, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     outdir = _output_dir(args.output)  # a path that cannot be written fails before the run
     run, checks = _simulate(args.protocol, args.n, rng, args.hub, cap)

@@ -7,14 +7,13 @@ discarded dynamically; every qubit belongs to one party (laboratory).
 
 Every branch is a product over the ensemble's product groups, ordered tuples
 of qubit ids that partition the registry.  A branch holds one amplitude
-factor per group, and bit j of a factor is the group's j-th qubit.
-``product_groups`` is the one rule that carries the groups through an
-operation; only the engine calls it, and the audit's replay reads the
-groups from each ensemble.  New qubits start groups of their own (a phi+
-pair one group), a gate or a measurement joins its targets' groups into one
-whose factor is the kron of theirs, discarded qubits leave their group, and
-renames rename its members.  ``_join`` locates an operation's targets and
-joins their groups for gates, measurements and reduced densities alike.
+factor per group, and bit j of a factor is the group's j-th qubit.  Each
+operation builds its groups where it builds its factors, and the audit's
+replay reads the groups from each ensemble.  New qubits start groups of their
+own (a phi+ pair one group), a gate or a measurement joins its targets' groups
+into one whose factor is the kron of theirs (``_join``, for gates,
+measurements and reduced densities alike), discarded qubits leave their
+group, and renames rename its members.
 ``_block`` is the one layout of the bits an operation acts on: it views a
 factor as a (2^m, rest) block whose row bit j is the j-th of those bits, and
 ``_unblock`` is its inverse.  Gates, kept outcomes, reduced densities,
@@ -43,7 +42,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -317,66 +316,30 @@ def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
     return vec
 
 
-# --------------------------------------------------------------------------
-# product groups
-
-
-def product_groups(
-    groups: Sequence[Group],
-    joined: Collection[QubitId] | None = None,
-    discarded: Collection[QubitId] = frozenset(),
-    renames: Mapping[QubitId, QubitId] | None = None,
-    added: Sequence[Group] = (),
-) -> tuple[tuple[Group, ...], list[tuple[int, ...]]]:
-    """The product groups after an operation, from the groups before it, and for
-    each group after it the indices of the groups before it that it holds.
-
-    This is the one grouping rule of the engine's factors; only the engine
-    calls it.  ``renames`` maps a qubit to the id it has afterwards.
-    A gate or a measurement acts on the set ``joined`` at once: the groups
-    holding any of those qubits become one group, placed last, that lists their
-    qubits group by group, so its factor is the kron of theirs.  The set
-    ``discarded`` then leaves its groups, and a group left with none of its
-    qubits is gone.  The ``added`` groups come last.  Every other group keeps
-    its place, its order and its factor.
-    """
-    sources = list(zip(range(len(groups))))
-    if renames:
-        groups = [g if renames.keys().isdisjoint(g) else tuple(map(renames.get, g, g)) for g in groups]
-    hit = () if joined is None else tuple([i for i, g in enumerate(groups) if not joined.isdisjoint(g)])
-    if joined is not None and hit != (len(groups) - 1,):  # a join of the last group alone moves nothing
-        apart = [i for i in range(len(groups)) if i not in hit]
-        sources = [(i,) for i in apart] + [hit]
-        groups = [groups[i] for i in apart] + [tuple([q for i in hit for q in groups[i]])]
-    if discarded:
-        kept = [j for j, g in enumerate(groups) if not discarded.issuperset(g)]
-        sources = [sources[j] for j in kept]
-        groups = [groups[j] if discarded.isdisjoint(groups[j]) else tuple([q for q in groups[j] if q not in discarded])
-                  for j in kept]
-    return (*groups, *added), sources + [()] * len(added)
-
-
 def _join(ensemble: BranchEnsemble, targets: Sequence[QubitId], what: str):
     """Locate the targets of a ``what`` (a gate, a measurement or a reduced
-    density), once they are nonempty and distinct, and join their groups by
-    ``product_groups``: every engine operation on targets starts here.
+    density), once they are nonempty and distinct, and join their groups: every
+    engine operation on targets starts here.
 
-    Returns the groups after the join, the joined one last; the indices of the
-    groups left apart; each target's bit in the kron of the joined factors; and
-    that kron of each branch in turn, which the caller must not write into.
+    The groups holding a target become one group, placed last, that lists their
+    qubits group by group in ascending group order, so its factor is the kron
+    of theirs; every other group keeps its place, its order and its factor.
+    Returns the groups after the join; the indices of the groups left apart;
+    each target's bit in the kron of the joined factors; and that kron of each
+    branch in turn, which the caller must not write into.
     """
-    joined = set(targets)
-    if not joined:  # it would add a group of no qubits
+    if not targets:  # it would add a group of no qubits
         raise ValueError(f"a {what} needs at least one target")
-    if len(joined) != len(targets):
+    if len(set(targets)) != len(targets):
         raise ValueError(f"{what} targets must be distinct")
     located = [ensemble.locate(q) for q in targets]
-    groups, sources = product_groups(ensemble.groups, joined=joined)
-    *apart, hit = sources
+    hit = sorted({i for i, _ in located})
+    apart = [i for i in range(len(ensemble.groups)) if i not in hit]
     offsets, bit = {}, 0  # each joined group's first bit in the kron of their factors
     for i in hit:
         offsets[i], bit = bit, bit + len(ensemble.groups[i])
-    return (groups, [i for (i,) in apart], [offsets[i] + j for i, j in located],
+    groups = (*(ensemble.groups[i] for i in apart), tuple([q for i in hit for q in ensemble.groups[i]]))
+    return (groups, apart, [offsets[i] + j for i, j in located],
             (_kron([b.factors[i] for i in hit]) for b in ensemble.branches))
 
 
@@ -415,9 +378,9 @@ def _append(ensemble: BranchEnsemble, new_groups: Sequence[Group], blocks: Seque
     if len(set(new_ids)) != len(new_ids) or set(new_ids) & set(ensemble.registry):
         raise ValueError("new qubit ids collide with existing registry entries")
     registry = ensemble.registry + new_ids
-    groups, _ = product_groups(ensemble.groups, added=new_groups)
     branches = [Branch(b.probability, (*b.factors, *blocks), b.record) for b in ensemble.branches]
-    return BranchEnsemble(registry, branches, ensemble.max_qubits, ensemble.measurement_count, groups)
+    return BranchEnsemble(registry, branches, ensemble.max_qubits, ensemble.measurement_count,
+                          (*ensemble.groups, *new_groups))
 
 
 def relabel_qubits(ensemble: BranchEnsemble, renames: Mapping[QubitId, QubitId]) -> BranchEnsemble:
@@ -433,7 +396,7 @@ def relabel_qubits(ensemble: BranchEnsemble, renames: Mapping[QubitId, QubitId])
     if len(set(registry)) != len(registry):
         twice = next(q for q in registry if registry.count(q) > 1)
         raise ValueError(f"qubit id {twice!r} already in use")
-    groups, _ = product_groups(ensemble.groups, renames=renames)
+    groups = tuple([tuple(map(renames.get, group, group)) for group in ensemble.groups])
     return BranchEnsemble(registry, ensemble.branches, ensemble.max_qubits, ensemble.measurement_count, groups)
 
 
@@ -514,7 +477,10 @@ def _measure(ensemble: BranchEnsemble, targets: Sequence[QubitId], discard: bool
     """
     joined, apart, positions, gathered = _join(ensemble, targets, "measurement")
     size, gone = len(joined[-1]), set(targets)
-    groups = product_groups(joined, discarded=gone)[0] if discard else joined
+    groups = joined
+    if discard:  # the targets leave the joined group, and it goes when they were all it held
+        left = tuple([q for q in joined[-1] if q not in gone])
+        groups = (*joined[:-1], left) if left else joined[:-1]
     registry = tuple([q for q in ensemble.registry if q not in gone]) if discard else ensemble.registry
     remains = len(groups) > len(apart)  # the joined group keeps a qubit
     midx = ensemble.measurement_count

@@ -6,13 +6,16 @@ from ``directed`` alone their pairs, books (keyed as the ledger's), totals,
 closed forms and file formats.  Symmetrising a graph sums it over all vertex
 permutations, yielding a regular complete graph whose single edge weight
 also follows from a closed form; both routes are kept so one can check the
-other.  A graph holds integer numerators over the lcm of its cells' reduced
-denominators, a canonical form (equal weights, equal graphs) in which cells
-are read, checked, summed and written.  The explicit sum enumerates every
-permutation into one n! x n table, counts how many send each pair of vertices
-to each pair, and weights those counts by the numerators (numpy int64, or
-Python ints where int64 could overflow), so it is exact too.  ``ebitnet
-symmetrise`` builds those counts (``pair_counts``) once for both graphs of a file.
+other.  A graph is built from int numerators over an int denominator,
+``Graph(n, nums, den=1)``, and holds them in lowest terms: numerators over
+the lcm of its weights' reduced denominators, a canonical form (equal
+weights, equal graphs) in which cells are checked, summed and written.  Only
+the file reader (``_json_matrix``) reads cell text.  The explicit sum
+enumerates every permutation into one n! x n table, counts how many send each
+pair of vertices to each pair, and weights those counts by the numerators
+(numpy int64, or Python ints where int64 could overflow), so it is exact too.
+``ebitnet symmetrise`` builds those counts (``pair_counts``) once for both
+graphs of a file.
 
 The weight a graph carries across a bipartition is counted by the audit's
 cut sums (``audit._book_sums``), the program's one count of it.  The rest of
@@ -43,33 +46,24 @@ class GraphFormatError(ValueError):
     """Malformed graph input; the message carries the offending position."""
 
 
-# the cell types a graph reads once per distinct value; only these exact types, as
-# 1 + 0j == 1 is a key of 1 but no rational
-_KEYED_CELLS = (int, str, tuple)
-
-
-def _ratio(cell, kind: str, i: int, j: int) -> tuple[int, int]:
-    """Cell [i][j] (an int, a (num, den > 0) pair or what ``Fraction`` reads) in lowest terms, if not negative."""
-    if type(cell) is int:
-        num, den = cell, 1
-    elif type(cell) is tuple and cell[1] > 0:
-        g = math.gcd(*cell)
-        num, den = cell[0] // g, cell[1] // g
-    else:
-        try:
-            q = cell if isinstance(cell, Fraction) else Fraction(cell)
-        except (ValueError, TypeError, ZeroDivisionError, OverflowError):
-            raise GraphFormatError(f"{kind}[{i}][{j}]: not a rational: {cell!r}") from None
-        num, den = q.numerator, q.denominator
-    if num < 0:
-        raise GraphFormatError(f"{kind}[{i}][{j}]: negative weight {_text(num, den)}")
-    return num, den
-
-
 def _text(num: int, den: int) -> str:
     """num/den as ``str(Fraction(num, den))`` writes it, reduced with one gcd."""
     g = math.gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _refuse_first(kind: str, n: int, rows: Sequence[Sequence], fault) -> None:
+    """Refuse ``rows`` at their first fault in row-major order, if they have one: a
+    row count other than n, then row by row a length other than n or a cell to
+    which ``fault`` gives a reason."""
+    if len(rows) != n:
+        raise GraphFormatError(f"{kind}: expected {n} rows, got {len(rows)}")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise GraphFormatError(f"{kind}[{i}]: expected {n} entries, got {len(row)}")
+        for j, cell in enumerate(row):
+            if reason := fault(cell):
+                raise GraphFormatError(f"{kind}[{i}][{j}]: {reason}")
 
 
 @dataclass(frozen=True, init=False)
@@ -83,25 +77,16 @@ class Graph:
     kind: ClassVar[str]
     directed: ClassVar[bool]
 
-    def __init__(self, n: int, weights: Sequence[Sequence]):
-        if len(weights) != n:
-            raise GraphFormatError(f"{self.kind}: expected {n} rows, got {len(weights)}")
-        read = {}  # each distinct int, str or tuple cell of this call -> its reduced (num, den)
-        rows = []
-        for i, row in enumerate(weights):
-            if len(row) != n:
-                raise GraphFormatError(f"{self.kind}[{i}]: expected {n} entries, got {len(row)}")
-            pairs = []
-            for j, cell in enumerate(row):
-                if type(cell) in _KEYED_CELLS:
-                    if (pair := read.get(cell)) is None:
-                        pair = read[cell] = _ratio(cell, self.kind, i, j)
-                else:
-                    pair = _ratio(cell, self.kind, i, j)
-                pairs.append(pair)
-            rows.append(pairs)
-        den = math.lcm(*(d for row in rows for _, d in row))
-        nums = tuple(tuple(num * (den // d) for num, d in row) for row in rows)
+    def __init__(self, n: int, nums: Sequence[Sequence[int]], den: int = 1):
+        if type(den) is not int or den < 1:
+            raise GraphFormatError(f"{self.kind}: denominator must be a positive integer, got {den!r}")
+        flat = [x for row in nums for x in row]
+        if (len(nums) != n or any(len(row) != n for row in nums) or {*map(type, flat)} - {int}
+                or min(flat, default=0) < 0):
+            _refuse_first(self.kind, n, nums, lambda x: f"not an integer numerator: {x!r}" if type(x) is not int
+                          else x < 0 and f"negative weight {_text(x, den)}")
+        g = math.gcd(den, *flat)  # lowest terms: equal weights, equal graphs
+        nums, den = tuple([tuple([x // g for x in row]) for row in nums]), den // g
         for i in range(n):
             if nums[i][i]:
                 raise GraphFormatError(f"{self.kind}[{i}][{i}]: diagonal must be zero")
@@ -127,10 +112,10 @@ class Graph:
         """The graph on n parties with ``book``'s numerators over ``den``, mirrored when undirected."""
         mat = [[0] * n for _ in range(n)]
         for (a, b), num in book.items():
-            mat[a - 1][b - 1] = (num, den)
+            mat[a - 1][b - 1] = num
             if not cls.directed:
-                mat[b - 1][a - 1] = (num, den)
-        return cls(n, mat)
+                mat[b - 1][a - 1] = num
+        return cls(n, mat, den)
 
     def total(self) -> Fraction:
         """The sum of the weights over ``pairs``: half the matrix sum when undirected."""
@@ -215,7 +200,7 @@ def symmetrise(g: Graph, counts: np.ndarray | None = None) -> Graph:
     # every term is >= 0 and no cell of the sum passes max(W) * n!; beyond int64 it runs on Python ints
     top = max(map(max, g.nums), default=0) * math.factorial(n)
     acc = np.tensordot(counts, np.array(g.nums, dtype=object if top >= 2**63 else np.int64), axes=([1, 3], [0, 1]))
-    return type(g)(n, [[(v, g.den) for v in row] for row in acc.tolist()])
+    return type(g)(n, acc.tolist(), g.den)
 
 
 # --------------------------------------------------------------------------
@@ -282,31 +267,40 @@ def _shown(value) -> str:
     return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
 
 
-def _json_matrix(raw, where: str) -> list:
-    """``raw`` once it is a list of rows whose cells are JSON integers (not
-    booleans) or ``CELL_GRAMMAR`` strings; a string becomes its (numerator,
-    denominator) pair in place, or stays text for the graph to refuse when the
-    denominator is zero.  Each distinct string is checked and read once, at its
-    first position in row-major order.  Floats never reach ``Fraction``."""
+def _json_matrix(raw, n: int, where: str) -> tuple[list[list[int]], int]:
+    """The numerators of ``raw`` over the lcm of its cells' reduced denominators,
+    and that lcm, once ``raw`` is a list of rows whose cells are JSON integers
+    (not booleans) or ``CELL_GRAMMAR`` strings: the one reader of cell text.
+    Each distinct string is checked and read once, at its first position in
+    row-major order.  A zero denominator is refused where it stands among the
+    graph's own row-by-row checks, so a file is refused at the fault the
+    Fraction reader named."""
     if not isinstance(raw, list):
         raise GraphFormatError(f"{where}: expected a list of rows, got {_shown(raw)}")
-    texts = {}  # each distinct string cell of this call -> its pair, or itself when the denominator is zero
+    texts = {}  # each distinct string cell of this call -> its (numerator, denominator) in lowest terms
     for i, row in enumerate(raw):
         if not isinstance(row, list):
             raise GraphFormatError(f"{where}[{i}]: expected a list of entries, got {_shown(row)}")
         for j, cell in enumerate(row):
             if type(cell) is str:  # not a _LongInt, whose digits may equal a string's
-                if (pair := texts.get(cell)) is None:
+                if texts.get(cell) is None:
                     if (pair := cell_ratio(cell)) is None:
                         raise GraphFormatError(f"{where}[{i}][{j}]: not {CELL_GRAMMAR}: {_shown(cell)}")
-                    pair = texts[cell] = pair if pair[1] else cell
-                row[j] = pair
+                    g = math.gcd(*pair) or 1  # "0/0" stays (0, 0)
+                    texts[cell] = pair[0] // g, pair[1] // g
             elif isinstance(cell, _LongInt):
                 raise GraphFormatError(f"{where}[{i}][{j}]: an integer of {len(cell)} digits is longer "
                                        f"than {CELL_MAX_CHARS}: {_shown(cell)}")
             elif type(cell) is not int:
                 raise GraphFormatError(f"{where}[{i}][{j}]: not an integer or a string: {_shown(cell)}")
-    return raw
+    if any(d == 0 for _, d in texts.values()):
+        def fault(cell):
+            num, d = texts[cell] if type(cell) is str else (cell, 1)
+            return f"not a rational: {cell!r}" if not d else num < 0 and f"negative weight {_text(num, d)}"
+        _refuse_first(where, n, raw, fault)
+    den = math.lcm(*(d for _, d in texts.values()))
+    scaled = {text: num * (den // d) for text, (num, d) in texts.items()}
+    return [[scaled[cell] if type(cell) is str else cell * den for cell in row] for row in raw], den
 
 
 def import_json(text: str) -> GraphBundle:
@@ -325,7 +319,7 @@ def import_json(text: str) -> GraphBundle:
         raise GraphFormatError(f'"n": not an integer: {_shown(n)}')
     if n < 1:
         raise GraphFormatError(f'"n": must be positive, got {n}')
-    found = {cls.kind: cls(n, _json_matrix(doc[cls.kind], cls.kind))
+    found = {cls.kind: cls(n, *_json_matrix(doc[cls.kind], n, cls.kind))
              for cls in (EntanglementGraph, CommunicationGraph) if cls.kind in doc}
     if not found:
         raise GraphFormatError('top level: need "entanglement" and/or "communication"')

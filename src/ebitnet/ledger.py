@@ -622,6 +622,16 @@ _FIELDS = {
     for cls in _KINDS
 }
 _REGISTRY_OUT, _REGISTRY_IN = _CODECS["tuple[QubitId, ...]"]
+# the keys a record of each event type, a header and a header's branch object may hold
+_RECORD_KEYS = {cls: {"kind", *(key for _, key, _, _ in rows)} for cls, rows in _FIELDS.items()}
+_HEADER_KEYS = {"kind", "format", "n_parties", "max_qubits", "registry", "branches"}
+_BRANCH_KEYS = {"p", "amplitudes"}
+
+
+def _refuse_keys(rec: Mapping, keys: set, what: str) -> None:
+    """Refuse a key of ``rec`` that ``keys`` does not hold, naming the first in sorted order."""
+    if extra := rec.keys() - keys:
+        raise ValueError(f"{what} has no key {min(extra)!r}")
 
 
 def event_record(event: Event) -> dict:
@@ -637,6 +647,7 @@ def event_from_record(rec: Mapping, n_parties: int) -> Event:
     kind = rec.get("kind")
     if (cls := _EVENT_TYPES.get(kind) if type(kind) is str else None) is None:
         raise ValueError(f"unknown event kind {kind!r}")
+    _refuse_keys(rec, _RECORD_KEYS[cls], f"a {kind} record")
     args = {}
     for name, key, _, decode in _FIELDS[cls]:
         if (raw := rec.get(key)) is not None:
@@ -666,6 +677,7 @@ def _header_trace(rec: Mapping) -> ProtocolTrace:
         raise ValueError("expected a header record")
     if rec.get("format") != TRACE_FORMAT:
         raise ValueError(f"trace format {rec.get('format')!r} is not {TRACE_FORMAT!r}")
+    _refuse_keys(rec, _HEADER_KEYS, "a header record")
     n_parties = rec.get("n_parties")
     if type(n_parties) is not int or n_parties < 1:
         raise ValueError(f"n_parties must be a positive integer, got {n_parties!r}")
@@ -676,8 +688,10 @@ def _header_trace(rec: Mapping) -> ProtocolTrace:
     except _FieldError as exc:
         raise ValueError(f"registry: {exc}") from None
     branches = rec.get("branches")
-    if type(branches) is not list or not all(type(b) is dict and "p" in b and "amplitudes" in b for b in branches):
+    if type(branches) is not list or not all(type(b) is dict and b.keys() >= _BRANCH_KEYS for b in branches):
         raise ValueError('branches: a header with a registry needs a list of {"p", "amplitudes"} objects')
+    for k, b in enumerate(branches):
+        _refuse_keys(b, _BRANCH_KEYS, f"branches[{k}]")
     branches = [(_float(b["p"]), _complex_in(b["amplitudes"])) for b in branches]
     max_qubits = _int(rec.get("max_qubits", DEFAULT_MAX_QUBITS))
     return ProtocolTrace(n_parties, BranchEnsemble.from_vectors(registry, branches, max_qubits))

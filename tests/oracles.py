@@ -29,8 +29,9 @@
   same messages; ``fraction_total``, ``fraction_symmetrised_weight``,
   ``fraction_symmetrise``, ``fraction_export_json`` and ``fraction_export_dot``
   sum, symmetrise and write such matrices.  They are the oracles for the integer
-  numerators over one denominator that ``graphs.Graph`` holds, and
-  ``fraction_matrix`` reads a graph back as Fractions.
+  numerators over one denominator that ``graphs.Graph`` holds;
+  ``fraction_matrix`` reads a graph back as Fractions, and ``graph_of`` builds
+  one from them.
 - ``rederive_lower_bounds`` recomputes ``bounds.lower_bounds`` through that
   calculus (partitions, cross-partition weights, symmetrised edge weights).
 - ``permutation_gain_edges`` lists the edges a permutation gains on, from which
@@ -364,10 +365,8 @@ class DeltaMatrix:
 
 
 def regular_complete(n: int, weight: int | Fraction, kind: str = "entanglement") -> graphs.Graph:
-    w = Fraction(weight)
-    mat = tuple(tuple(Fraction(0) if i == j else w for j in range(n)) for i in range(n))
     cls = {c.kind: c for c in (graphs.EntanglementGraph, graphs.CommunicationGraph)}[kind]
-    return cls(n, mat)
+    return graph_of(cls, [[0 if i == j else weight for j in range(n)] for i in range(n)])
 
 
 def cross_partition(g: graphs.Graph, partition: Partition, direction: str | None = None) -> Fraction:
@@ -489,6 +488,14 @@ FractionMatrix = tuple[tuple[Fraction, ...], ...]
 def fraction_matrix(g: graphs.Graph) -> FractionMatrix:
     """The graph's weights, cell by cell, as Fractions."""
     return tuple(tuple(Fraction(x, g.den) for x in row) for row in g.nums)
+
+
+def graph_of(cls: type[graphs.Graph], fraction_rows) -> graphs.Graph:
+    """The ``cls`` graph on len(fraction_rows) parties whose weights are those int or
+    Fraction cells: the inverse of ``fraction_matrix``."""
+    rows = [[Fraction(x) for x in row] for row in fraction_rows]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return cls(len(rows), [[x.numerator * (den // x.denominator) for x in row] for row in rows], den)
 
 
 def check_symmetric_fractions(w: FractionMatrix, where: str) -> None:

@@ -132,8 +132,7 @@ def test_c06_symmetrisation_oracle(tmp_path, capsys):
                     w[i][j] = val
                     if kind == "entanglement":
                         w[j][i] = val
-            g = (graphs.EntanglementGraph if kind == "entanglement"
-                 else graphs.CommunicationGraph)(n, tuple(tuple(r) for r in w))
+            g = oracles.graph_of(graphs.EntanglementGraph if kind == "entanglement" else graphs.CommunicationGraph, w)
             sym = graphs.symmetrise(g)
             expect = g.symmetrised_weight()
             assert all(sym.weight(a, b) == expect for a, b in itertools.permutations(range(1, n + 1), 2))

@@ -451,7 +451,7 @@ def test_star_report_with_lowered_channel_is_exact():
     bundle = star_bundle(run)
     weights = [list(r) for r in oracles.fraction_matrix(bundle.communication)]
     weights[0][1] -= 1
-    lowered = graphs.GraphBundle(3, bundle.entanglement, graphs.CommunicationGraph(3, weights))
+    lowered = graphs.GraphBundle(3, bundle.entanglement, oracles.graph_of(graphs.CommunicationGraph, weights))
     report = audit.audit_trace(run.trace, lowered)
     assert report.checks_run == STATIC_CHECKS + ["replay-monotonicity"]
     assert report.replayed
@@ -580,13 +580,11 @@ def bookkeeping_cases(draw, scale=1):
     ent = comm = None
     if draw(st.booleans()):
         upper = {(i, j): draw(scaled) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-        ent = graphs.EntanglementGraph(n, tuple(
-            tuple(upper.get((min(i, j), max(i, j)), Fraction(0)) for j in range(1, n + 1))
-            for i in range(1, n + 1)))
+        ent = oracles.graph_of(graphs.EntanglementGraph, [
+            [upper.get((min(i, j), max(i, j)), 0) for j in range(1, n + 1)] for i in range(1, n + 1)])
     if draw(st.booleans()):
-        comm = graphs.CommunicationGraph(n, tuple(
-            tuple(Fraction(0) if i == j else draw(scaled) for j in range(1, n + 1))
-            for i in range(1, n + 1)))
+        comm = oracles.graph_of(graphs.CommunicationGraph, [
+            [0 if i == j else draw(scaled) for j in range(1, n + 1)] for i in range(1, n + 1)])
 
     def oracle(parties):
         targets = tuple(QubitId(p, "o") for p in sorted(parties))

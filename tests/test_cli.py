@@ -61,6 +61,11 @@ class TestSimulate:
     def test_ps_cp_even_n_is_usage_error(self, tmp_path, capsys):
         assert run_cli("simulate", "ps-cp", "--n", "4", "--output", str(tmp_path)) == 2
 
+    def test_negative_seed_is_usage_error_naming_its_flag(self, tmp_path, capsys):
+        assert run_cli("simulate", "teleport", "--seed", "-1", "--output", str(tmp_path)) == 2
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_protocol_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("simulate", "nonsense", "--output", str(tmp_path))

@@ -14,7 +14,7 @@ from ebitnet import cli, graphs
 from ebitnet.graphs import CommunicationGraph, EntanglementGraph, GraphFormatError
 
 import oracles
-from oracles import DeltaMatrix, Partition, fraction_matrix, regular_complete
+from oracles import DeltaMatrix, Partition, fraction_matrix, graph_of, regular_complete
 
 small_fractions = st.fractions(min_value=0, max_value=9, max_denominator=4)
 
@@ -26,14 +26,14 @@ def entanglement_graphs(draw, min_n=2, max_n=5):
     for i in range(n):
         for j in range(i + 1, n):
             w[i][j] = w[j][i] = draw(small_fractions)
-    return EntanglementGraph(n, tuple(tuple(r) for r in w))
+    return graph_of(EntanglementGraph, w)
 
 
 @st.composite
 def communication_graphs(draw, min_n=2, max_n=5):
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     w = [[draw(small_fractions) if i != j else Fraction(0) for j in range(n)] for i in range(n)]
-    return CommunicationGraph(n, tuple(tuple(r) for r in w))
+    return graph_of(CommunicationGraph, w)
 
 
 def reference_symmetrise(g):
@@ -51,13 +51,13 @@ def rational_graphs(n, rng):
         for j in range(i + 1, n):
             ent[i][j] = ent[j][i] = weight()
     comm = [[Fraction(0) if i == j else weight() for j in range(n)] for i in range(n)]
-    return EntanglementGraph(n, tuple(map(tuple, ent))), CommunicationGraph(n, tuple(map(tuple, comm)))
+    return graph_of(EntanglementGraph, ent), graph_of(CommunicationGraph, comm)
 
 
 def permute_graph(g, perm):
     n = g.n
     w = tuple(tuple(g.nums[perm[i]][perm[j]] for j in range(n)) for i in range(n))
-    return type(g)(n, [[(x, g.den) for x in row] for row in w])
+    return type(g)(n, w, g.den)
 
 
 @given(st.one_of(entanglement_graphs(max_n=6), communication_graphs(max_n=6)))
@@ -178,7 +178,7 @@ class TestSymmetrise:
         rng = random.Random(8)
         w = [[Fraction(0) if i == j else Fraction(rng.randint(0, 12), rng.randint(1, 6))
               for j in range(8)] for i in range(8)]
-        g = CommunicationGraph(8, tuple(map(tuple, w)))
+        g = graph_of(CommunicationGraph, w)
         assert fraction_matrix(graphs.symmetrise(g)) == reference_symmetrise(g)
 
     def test_sums_past_int64_match_reference(self):
@@ -188,7 +188,7 @@ class TestSymmetrise:
         w = [[Fraction(0)] * n for _ in range(n)]
         for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
             w[i][j] = w[j][i] = Fraction(2**55 + 7919 * k, 3)
-        g = EntanglementGraph(n, tuple(map(tuple, w)))
+        g = graph_of(EntanglementGraph, w)
         top = max(map(max, g.nums))
         assert top < 2**63 <= top * math.factorial(n)
         sym = graphs.symmetrise(g)
@@ -443,15 +443,15 @@ class TestSerialization:
     def test_negative_weight_rejected(self):
         with pytest.raises(GraphFormatError, match="negative"):
             graphs.import_json('{"n": 2, "entanglement": [["0", "-1"], ["-1", "0"]]}')
-        # a cell that is already a Fraction is checked too
-        with pytest.raises(GraphFormatError, match=r"\[0\]\[1\]: negative"):
-            CommunicationGraph(2, ((Fraction(0), Fraction(-1, 2)), (Fraction(0), Fraction(0))))
+        # a numerator in memory is checked too, and named over its denominator in lowest terms
+        with pytest.raises(GraphFormatError, match=r"^communication\[0\]\[1\]: negative weight -1/2$"):
+            CommunicationGraph(2, ((0, -3), (0, 0)), 6)
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(GraphFormatError, match="diagonal"):
             graphs.import_json('{"n": 2, "communication": [["1", "0"], ["0", "0"]]}')
         with pytest.raises(GraphFormatError, match=r"\[1\]\[1\]: diagonal"):
-            EntanglementGraph(2, ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1, 3))))
+            EntanglementGraph(2, ((0, 3), (3, 1)), 3)
 
     @pytest.mark.parametrize("doc,where", [
         ('{"n": 2, "entanglement": [[0, 1e400], [1e400, 0]]}', r"entanglement\[0\]\[1\]: .*Infinity"),
@@ -515,7 +515,7 @@ class TestSerialization:
         g = graphs.import_json('{"n": 3, "communication": [["0", "1/2", "4/2"], ["1/3", "0", "0/9"], '
                                '["2/4", "007", "-0"]]}').communication
         assert (g.den, g.nums) == (6, ((0, 3, 12), (2, 0, 0), (3, 42, 0)))
-        assert g == CommunicationGraph(3, ((0, Fraction(1, 2), 2), (Fraction(1, 3), 0, 0), (Fraction(1, 2), 7, 0)))
+        assert g == CommunicationGraph(3, ((0, 3, 12), (2, 0, 0), (3, 42, 0)), 6)
         assert g.total() == Fraction(62, 6)
 
     def test_cells_are_written_in_lowest_terms(self):
@@ -568,16 +568,32 @@ class TestSerialization:
         with pytest.raises(GraphFormatError, match=re.escape(str(got.value))):
             oracles.read_fraction_graphs(text)
 
-    @pytest.mark.parametrize("cell", [[1], {"p": 1}, bytearray(b"1")], ids=["list", "dict", "bytearray"])
-    def test_an_unhashable_cell_in_memory_is_a_format_error(self, cell):
-        with pytest.raises(GraphFormatError, match=r"^communication\[0\]\[1\]: not a rational: "):
-            CommunicationGraph(2, [[0, cell], [cell, 0]])
+    @pytest.mark.parametrize("cell", [
+        (1, [2]), (1,), (1.0, 2.0), (1, 2), 0.1, 1.0, True, 1 + 0j, "1e3", " 2 ", "1", Fraction(1, 2), Fraction(2),
+        [1], {"p": 1}, bytearray(b"1"), np.int64(1),
+    ], ids=repr)
+    def test_a_graph_takes_only_int_numerators(self, cell):
+        """Cell text is read by the file reader alone: a graph in memory refuses any
+        numerator whose type is not int, at its position, whatever value it equals."""
+        with pytest.raises(GraphFormatError, match=rf"^communication\[1\]\[0\]: not an integer numerator: "
+                                                   rf"{re.escape(repr(cell))}$"):
+            CommunicationGraph(2, [[0, 1], [cell, 0]])
 
-    def test_cells_of_other_types_equal_to_a_keyed_cell_are_read_by_their_own_rule(self):
-        """1 + 0j equals the integer 1 before it, but it is no rational; True and 1.0 read as 1."""
-        with pytest.raises(GraphFormatError, match=r"^communication\[1\]\[0\]: not a rational: \(1\+0j\)$"):
-            CommunicationGraph(2, [[0, 1], [1 + 0j, 0]])
-        assert CommunicationGraph(2, [[0, 1], [True, 0]]) == CommunicationGraph(2, [[0, 1.0], [1, 0]])
+    @pytest.mark.parametrize("den", [0, -1, True, 1.0, Fraction(1), "1"], ids=repr)
+    def test_a_graph_takes_only_a_positive_int_denominator(self, den):
+        with pytest.raises(GraphFormatError, match=rf"^entanglement: denominator must be a positive integer, "
+                                                   rf"got {re.escape(repr(den))}$"):
+            EntanglementGraph(2, [[0, 1], [1, 0]], den)
+
+    def test_a_graph_holds_its_numerators_in_lowest_terms(self):
+        """One gcd over the denominator and every numerator: 4/6 and 2/6 are held as 2/3
+        and 1/3, so equal weights make equal graphs whatever denominator they came over."""
+        g = CommunicationGraph(3, [[0, 4, 0], [2, 0, 6], [0, 0, 0]], 6)
+        assert (g.den, g.nums) == (3, ((0, 2, 0), (1, 0, 3), (0, 0, 0)))
+        assert g == CommunicationGraph(3, [[0, 2, 0], [1, 0, 3], [0, 0, 0]], 3)
+        assert EntanglementGraph(2, [[0, 0], [0, 0]], 7).den == 1
+        # a sum over every permutation holds its numerators in lowest terms too
+        assert graphs.symmetrise(EntanglementGraph(2, [[0, 1], [1, 0]], 2)).den == 1
 
     def test_symmetrise_of_an_overflowing_cell_exits_two(self, tmp_path, capsys):
         src = tmp_path / "g.json"
@@ -663,7 +679,7 @@ def bundles(draw):
         ent[i][j] = ent[j][i] = draw(weights)
     comm = [[Fraction(0) if i == j else draw(weights) for j in range(n)] for i in range(n)]
     kinds = draw(st.sampled_from([("entanglement",), ("communication",), ("entanglement", "communication")]))
-    found = {"entanglement": EntanglementGraph(n, ent), "communication": CommunicationGraph(n, comm)}
+    found = {"entanglement": graph_of(EntanglementGraph, ent), "communication": graph_of(CommunicationGraph, comm)}
     return graphs.GraphBundle(n, **{kind: found[kind] for kind in kinds})
 
 

@@ -544,7 +544,7 @@ class TestResourceBook:
         pair's weight, totals the graph's total and rescales on from there."""
         from ebitnet import graphs
 
-        ent = graphs.EntanglementGraph(3, [[0, "1/2", "2/3"], ["1/2", 0, 0], ["2/3", 0, 0]])
+        ent = graphs.EntanglementGraph(3, [[0, 3, 4], [3, 0, 0], [4, 0, 0]], 6)
         ledger = ResourceLedger(den=ent.den, granted=ent.book())
         assert ledger.den == 6
         assert [ledger.held(a, b) for a, b in ent.pairs()] == [ent.weight(a, b) for a, b in ent.pairs()]
@@ -552,7 +552,7 @@ class TestResourceBook:
         ledger.grant(2, 3, Fraction(1, 4))
         assert ledger.den == 12
         assert graphs.EntanglementGraph.from_book(3, ledger.granted, ledger.den) == graphs.EntanglementGraph(
-            3, [[0, "1/2", "2/3"], ["1/2", 0, "1/4"], ["2/3", "1/4", 0]])
+            3, [[0, 6, 8], [6, 0, 3], [8, 3, 0]], 12)
 
     def test_the_total_of_an_empty_book_is_zero(self):
         ledger = ResourceLedger(den=6)

@@ -170,6 +170,38 @@ def test_a_branch_over_no_qubits_needs_an_amplitude_of_modulus_one(amplitude, lo
             load_trace(as_text([header]))
 
 
+def _with_key(line: int, **extra) -> list[dict]:
+    """The golden records with ``extra`` keys added to the record on ``line``."""
+    records = golden_records()
+    records[line - 1].update(extra)
+    return records
+
+
+def _with_branch_key() -> list[dict]:
+    records = golden_records()
+    records[0]["branches"][0]["q"] = 0
+    return records
+
+
+@pytest.mark.parametrize("records,message", [
+    ([{"kind": "header", "format": "ebitnet-trace/4", "n_parties": 2},
+      {"kind": "message", "from": 1, "to": 2, "bits": "2", "supplementry": True}],
+     "trace line 2: a message record has no key 'supplementry'"),
+    (golden_records()[:3] + [{"kind": "local_gate", "party": 2, "targets": [[2, "q2"]], "extra": 1,
+                              "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}],
+     "trace line 4: a local_gate record has no key 'extra'"),
+    (_with_key(3, zz=0, aa=0), "trace line 3: a %s record has no key 'aa'" % golden_records()[2]["kind"]),
+    (_with_key(1, extra=1), "trace line 1: a header record has no key 'extra'"),
+    (_with_branch_key(), "trace line 1: branches[0] has no key 'q'"),
+], ids=["misspelt-message", "gate-extra", "first-of-two", "header-extra", "branch-extra"])
+def test_a_record_refuses_a_key_its_kind_does_not_have(records, message):
+    """A key no field of the record's kind reads is refused by name, the first in sorted
+    order, not read past: a misspelt "supplementary" would charge a message in full."""
+    with pytest.raises(ValueError) as got:
+        load_trace(as_text(records))
+    assert str(got.value) == message
+
+
 @pytest.mark.parametrize("kind,key,value", [
     ("allocate", "party", 4),
     ("ebit_consume", "pair", [1, 7]),
