@@ -23,8 +23,8 @@ an exact string amount, or are a string that ``Fraction`` reads but a graph
 cell's grammar refuses (an exponent, a decimal); a local gate matrix that is not unitary (a NaN or a doubled entry in [re, im]
 pairs); the star-op hub's Haar matrix, which the trace writes as base64 of its
 complex128 bytes, with that text truncated or with a NaN written into its
-bytes; an allocation at a party other than its qubits'; and a local gate on
-no qubits.  A header-only trace of 40 parties, more than the default registry
+bytes; an allocation at a party other than its qubits'; a local gate on
+no qubits; and a header without a registry that still holds a cap and branches.  A header-only trace of 40 parties, more than the default registry
 cap, must make both audits exit 2 as well; a checkout whose audit does not
 refuse it lists its 2^39 cuts and does not finish.  So must a header cap over
 the one in force: 25 on the teleport trace, and 100 on a 40-party header with
@@ -66,7 +66,8 @@ must hold the bytes a fresh path gets.  Last, ``simulate``,
 regular file or a directory where the other is needed, a path under
 ``/dev/null``); each must exit 2 with an ``error:`` line.
 
-Each usage error's directory is named after its arguments (``usage/star-op-n-1``),
+Each usage error's directory is named after its arguments, a flag without its
+dashes and a value with its sign (``usage/star-op-n-1``, ``usage/teleport-seed--1``),
 so a probe that goes shows as a deletion.  Last, the script writes
 ``identity.sha256`` into the output directory: a header of the numpy version and
 the OpenBLAS configuration string, then one ``sha256  path`` line per file,
@@ -367,6 +368,13 @@ def _header_only(n):
     return mutate
 
 
+def _bare_header_with_cap_and_branches(records, graph, rng):
+    """The header without its registry, and with a cap of "x" and branches of 7: a
+    header without an initial state holds neither."""
+    del records[0]["registry"]
+    records[0].update(max_qubits="x", branches=7)
+
+
 def _forty_parties_cap_100(records, graph, rng):
     """The forty-party header with one initial qubit, at party 1, and a registry cap of
     100: over the cap in force, so a trace cannot raise it and list 2^39 cuts."""
@@ -438,6 +446,7 @@ LOAD_PROBES = (
     ("star-op-n3", "haar-base64-nan", _base64_gate(_nan_first_entry)),
     ("perm-entangle-n3", "allocate-at-other-party", _set_first("allocate", "party", 2)),
     ("teleport", "gate-without-targets", _gate_without_targets),
+    ("teleport", "header-without-registry-with-cap-and-branches", _bare_header_with_cap_and_branches),
     ("teleport", "forty-parties", _header_only(40)),
     ("teleport", "max-qubits-over-the-cap-in-force", _set_first("header", "max_qubits", 25)),
     ("teleport", "forty-parties-cap-100", _forty_parties_cap_100),
@@ -632,7 +641,8 @@ def main() -> None:
             outcomes += audit_both(into / f"{protocol}_trace.jsonl", into / f"{protocol}_graphs.json", into)
 
     for argv in USAGE_ERRORS:
-        into = root / "usage" / "-".join(arg.lstrip("-") for arg in argv)  # star-op --n 1: usage/star-op-n-1
+        # star-op --n 1: usage/star-op-n-1; teleport --seed -1: usage/teleport-seed--1
+        into = root / "usage" / "-".join(arg.removeprefix("--") for arg in argv)
         into.mkdir(parents=True, exist_ok=True)
         result = run_cli(["simulate", *argv, "--output", str(into)])
         (into / "simulate.txt").write_text(result, encoding="utf-8")

@@ -132,9 +132,11 @@ MUTANTS = (
            'if rec.get("format") not in (TRACE_FORMAT, "ebitnet-trace/1"):',
            (CODEC + "test_malformed_header_is_rejected_on_line_1",
             CODEC + "test_audit_of_malformed_trace_exits_two_without_traceback")),
-    Mutant("renames may collide", "src/ebitnet/engine.py",
-           'raise ValueError(f"qubit id {twice!r} already in use")', "pass",
-           (ENGINE + "TestRelabel::test_renames_must_give_distinct_ids",)),
+    Mutant("step applies an event without walking its qubit ids", "src/ebitnet/protocols.py",
+           "track_ids(set(self.ensemble.registry), event, self.ensemble.max_qubits)", "pass",
+           (ENGINE + "TestAllocation::test_capacity_cap",
+            ENGINE + "TestRelabel::test_renames_must_give_distinct_ids",
+            PROTOCOLS + "TestResourceBook::test_step_that_fails_to_apply_books_nothing"), quick=True),
     Mutant("unitarity tolerance 100x looser", "src/ebitnet/engine.py",
            "if not err <= UNITARY_TOL:", "if not err <= 100 * UNITARY_TOL:",
            (ENGINE + "TestGates::test_unitarity_tolerance",)),
@@ -341,6 +343,17 @@ MUTANTS = (
     Mutant("a Bell record may name 3 targets", "src/ebitnet/ledger.py",
            'if self.basis == "bell" and len(self.targets) != 2:', "if False:",
            (CODEC + "test_audit_of_malformed_golden_trace_exits_two_with_its_line[no-replay-bell-on-three]",)),
+    Mutant("a missing required key reaches the event's constructor", "src/ebitnet/ledger.py",
+           "        elif required:", "        elif False:",
+           (CODEC + "test_a_record_without_a_required_key_is_refused_by_its_json_name",)),
+    Mutant("a header without a registry may hold a cap and branches", "src/ebitnet/ledger.py",
+           '_refuse_keys(rec, _BARE_HEADER_KEYS, "a header record without a registry")', "pass",
+           (CODEC + "test_malformed_header_is_rejected_on_line_1[max_qubits-without-registry]",
+            CODEC + "test_a_record_refuses_a_key_its_kind_does_not_have[bare-header-branches]")),
+    Mutant("a POVM element's shape is read before it is checked", "src/ebitnet/engine.py",
+           "if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:", "if False:",
+           (CODEC + "test_a_key_dropped_or_replaced_raises_only_a_trace_line_value_error",
+            CODEC + "test_a_povm_element_that_is_not_a_square_matrix_is_refused_by_its_shape")),
     # the registry walk of ledger.track_ids at load, and the qubit ids each event names, removes and adds
     Mutant("an unknown qubit passes the load walk", "src/ebitnet/ledger.py",
            "if q not in ids:", "if False:",
@@ -440,8 +453,8 @@ MUTANTS = (
            "record = dict(b.record)", "record = b.record",
            (ENGINE + "TestFactoredAgainstDense::test_operations_leave_their_input_unchanged",)),
     Mutant("a reduced density orders its subset by registry position", "src/ebitnet/engine.py",
-           '_join(ensemble, subset, "reduced density")',
-           '_join(ensemble, sorted(subset, key=ensemble.registry.index), "reduced density")',
+           "_join(ensemble, subset)",
+           "_join(ensemble, sorted(subset, key=ensemble.registry.index))",
            (PROTOCOLS + "TestCollectiveStar::test_povm_bits_follow_the_target_order_at_every_hub",)),
     # the one measurement kernel: an outcome is one row of the joined factor's block
     Mutant("a kept outcome is put back from the wrong row", "src/ebitnet/engine.py",

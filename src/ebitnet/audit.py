@@ -308,11 +308,13 @@ def _carry(cache: Cache, ev: Event, fresh: dict[QubitId, QubitId]) -> Cache:
 def replay_events(initial: BranchEnsemble, events: Sequence[Event]):
     """Re-execute a trace deterministically, yielding the ensemble after each event.
 
-    Raises ValueError when an event cannot be applied, a measurement's index is
-    not the number of measurements replayed before it (which a POVM does not
-    advance), or a recorded distribution disagrees with the replayed one.  ``initial``
-    is left as it was: engine operations return fresh ensembles, and an
-    event that leaves the state alone yields the ensemble it was given.
+    The events' qubit ids are trusted: ``load_trace`` walked them with
+    ``track_ids``, as ``ProtocolRun.step`` does.  Raises ValueError when an event
+    cannot be applied, a measurement's index is not the number of measurements
+    replayed before it (which a POVM does not advance), or a recorded
+    distribution disagrees with the replayed one.  ``initial`` is left as it
+    was: engine operations return fresh ensembles, and an event that leaves the
+    state alone yields the ensemble it was given.
     """
     ens = initial
     for step, ev in enumerate(events):

@@ -375,7 +375,7 @@ def main(argv=None) -> int:
         # the reader closed stdout early; the interpreter's exit flush must not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, engine.RegistryCapacityError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,6 +34,10 @@ ensembles and never write into their input: branches and ensembles share
 every factor and every record an operation did not change, so any ensemble,
 such as a trace's initial state, stays valid as a snapshot however the run
 goes on.
+
+Operations trust their qubit ids as they trust their matrices: the one rule
+for the ids an event names and adds and for ``max_qubits`` is
+``ledger.track_ids``, which ``ProtocolRun.step`` and a trace's load walk.
 """
 
 from __future__ import annotations
@@ -57,10 +61,6 @@ COALESCE_TOL = 1e-10
 EIG_TOL = 1e-12
 # the most bytes one chunk of split_entropies holds at once (see _chunks)
 ENTROPY_CHUNK_BYTES = 32 << 20
-
-
-class RegistryCapacityError(RuntimeError):
-    """Raised when an allocation would exceed the registry qubit cap."""
 
 
 class QubitId(NamedTuple):
@@ -223,7 +223,10 @@ class Povm:
         object.__setattr__(self, "elements", elems)
         if not elems:
             raise ValueError("POVM needs at least one element")
-        dim = elems[0].shape[0]
+        shape = elems[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+            raise ValueError(f"POVM element 0 has shape {shape}, not that of a nonempty square matrix")
+        dim = shape[0]
         total = np.zeros((dim, dim), dtype=complex)
         for i, e in enumerate(elems):
             if e.shape != (dim, dim):
@@ -316,9 +319,9 @@ def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
     return vec
 
 
-def _join(ensemble: BranchEnsemble, targets: Sequence[QubitId], what: str):
-    """Locate the targets of a ``what`` (a gate, a measurement or a reduced
-    density), once they are nonempty and distinct, and join their groups: every
+def _join(ensemble: BranchEnsemble, targets: Sequence[QubitId]):
+    """Locate the targets of a gate, a measurement or a reduced density, which
+    are trusted to be nonempty and distinct, and join their groups: every
     engine operation on targets starts here.
 
     The groups holding a target become one group, placed last, that lists their
@@ -328,10 +331,6 @@ def _join(ensemble: BranchEnsemble, targets: Sequence[QubitId], what: str):
     each target's bit in the kron of the joined factors; and that kron of each
     branch in turn, which the caller must not write into.
     """
-    if not targets:  # it would add a group of no qubits
-        raise ValueError(f"a {what} needs at least one target")
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"{what} targets must be distinct")
     located = [ensemble.locate(q) for q in targets]
     hit = sorted({i for i, _ in located})
     apart = [i for i in range(len(ensemble.groups)) if i not in hit]
@@ -368,16 +367,9 @@ def insert_bell_pair(ensemble: BranchEnsemble, first: QubitId, second: QubitId) 
 
 
 def _append(ensemble: BranchEnsemble, new_groups: Sequence[Group], blocks: Sequence[np.ndarray]) -> BranchEnsemble:
-    """Append the groups ``new_groups`` to the registry, ``blocks[i]`` the factor of
-    ``new_groups[i]`` in every branch."""
-    new_ids = tuple(q for group in new_groups for q in group)
-    if ensemble.num_qubits + len(new_ids) > ensemble.max_qubits:
-        raise RegistryCapacityError(
-            f"allocating {len(new_ids)} qubits would exceed the registry cap of {ensemble.max_qubits}"
-        )
-    if len(set(new_ids)) != len(new_ids) or set(new_ids) & set(ensemble.registry):
-        raise ValueError("new qubit ids collide with existing registry entries")
-    registry = ensemble.registry + new_ids
+    """Append the groups ``new_groups`` of fresh ids to the registry, ``blocks[i]``
+    the factor of ``new_groups[i]`` in every branch."""
+    registry = ensemble.registry + tuple(q for group in new_groups for q in group)
     branches = [Branch(b.probability, (*b.factors, *blocks), b.record) for b in ensemble.branches]
     return BranchEnsemble(registry, branches, ensemble.max_qubits, ensemble.measurement_count,
                           (*ensemble.groups, *new_groups))
@@ -387,15 +379,10 @@ def relabel_qubits(ensemble: BranchEnsemble, renames: Mapping[QubitId, QubitId])
     """Rename registry entries (party and/or label), all at once; no amplitude moves.
 
     A qubit permutation is such a rename: the state of ``q`` moves to
-    ``renames[q]``.  The ids produced must be distinct, and the branches are
-    shared with ``ensemble``.
+    ``renames[q]``.  The old ids are trusted to be registered and the new ones
+    to be distinct, and the branches are shared with ``ensemble``.
     """
-    for old in renames:
-        ensemble.locate(old)
     registry = tuple(map(renames.get, ensemble.registry, ensemble.registry))
-    if len(set(registry)) != len(registry):
-        twice = next(q for q in registry if registry.count(q) > 1)
-        raise ValueError(f"qubit id {twice!r} already in use")
     groups = tuple([tuple(map(renames.get, group, group)) for group in ensemble.groups])
     return BranchEnsemble(registry, ensemble.branches, ensemble.max_qubits, ensemble.measurement_count, groups)
 
@@ -439,7 +426,7 @@ def apply_conditional(
 def _evolve(ensemble: BranchEnsemble, targets: Sequence[QubitId], matrix_of) -> BranchEnsemble:
     """Apply ``matrix_of(branch)`` to ``targets`` of every branch, in the factor of
     their joined groups; the other factors are shared."""
-    groups, apart, positions, gathered = _join(ensemble, targets, "gate")
+    groups, apart, positions, gathered = _join(ensemble, targets)
     branches = []
     for b, factor in zip(ensemble.branches, gathered):
         factor = _apply_matrix(factor, positions, matrix_of(b), len(groups[-1]))
@@ -475,7 +462,7 @@ def _measure(ensemble: BranchEnsemble, targets: Sequence[QubitId], discard: bool
     into row ``code`` of a zero block and put back by ``_unblock``, and the
     adjoint of ``basis_change`` is applied to it.
     """
-    joined, apart, positions, gathered = _join(ensemble, targets, "measurement")
+    joined, apart, positions, gathered = _join(ensemble, targets)
     size, gone = len(joined[-1]), set(targets)
     groups = joined
     if discard:  # the targets leave the joined group, and it goes when they were all it held
@@ -530,15 +517,11 @@ def bell_measure(
     The 2-bit outcome is (phase bit, flip bit), so phi+ reads "00", psi+
     "01", phi- "10" and psi- "11".
     """
-    if len(pair) != 2:
-        raise ValueError("bell_measure targets exactly 2 qubits")
     return _measure(ensemble, pair, discard, _BELL_BASIS_CHANGE)
 
 
 def measure_povm(ensemble: BranchEnsemble, povm: Povm, targets: Sequence[QubitId]) -> list[float]:
     """Outcome probabilities of a POVM on ``targets``; the state is untouched."""
-    if povm.dim != 1 << len(targets):
-        raise ValueError(f"POVM dimension {povm.dim} does not match {len(targets)} targets")
     rho = reduced_density(ensemble, targets)
     probs = [float(np.real(np.trace(rho @ e))) for e in povm.elements]
     total = sum(probs)
@@ -585,7 +568,7 @@ def reduced_density(ensemble: BranchEnsemble, subset: Sequence[QubitId]) -> np.n
     Basis index bit j is ``subset[j]``, as a gate matrix reads its targets;
     trace is 1 and the result Hermitian to 1e-10.
     """
-    groups, _, bits, gathered = _join(ensemble, subset, "reduced density")
+    groups, _, bits, gathered = _join(ensemble, subset)
     rho = np.zeros((1 << len(subset),) * 2, dtype=complex)
     for b, factor in zip(ensemble.branches, gathered):
         # row index bit j of the block is subset[j]

@@ -10,9 +10,10 @@ run from its recorded initial state.  Each event kind answers for itself,
 over the ``Event`` defaults: ``apply`` is its one engine call, which
 protocols run and the audit replays; ``book`` its one charge to the resource
 books, for both alike; ``named``, ``removed`` and ``added`` the qubit ids
-that ``track_ids`` walks at load; ``nonlocal_detail`` the one locality rule,
-which protocols refuse by and the audit reports.  The product groups of the
-state are the engine's alone: a replay reads them from each ensemble ``apply`` makes.
+that ``track_ids``, the one registry rule, walks in each protocol step and at
+load; ``nonlocal_detail`` the one locality rule, which protocols refuse by and
+the audit reports.  The product groups of the state are the engine's alone: a
+replay reads them from each ensemble ``apply`` makes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from typing import Mapping
 
@@ -409,9 +410,10 @@ class Coalesce(Event):
 
 def track_ids(ids: set[QubitId], event: Event, max_qubits: int) -> None:
     """Move the registry's qubit ids ``ids`` past ``event``, checked without
-    amplitudes as its ``apply`` would check them: every qubit the event names
-    must be registered, no target named twice, every qubit it adds must be new,
-    and the registry may not grow past ``max_qubits``.
+    amplitudes: every qubit the event names must be registered, no target named
+    twice, every qubit it adds must be new, and the registry may not grow past
+    ``max_qubits``.  This is the one rule for ids and the cap, which
+    ``ProtocolRun.step`` and ``load_trace`` walk; engine operations trust their ids.
     """
     named, added = event.named, event.added
     for q in named:
@@ -445,7 +447,8 @@ class ProtocolTrace:
 #
 # Events are encoded field by field: the field's annotation picks an
 # (encoder, decoder) pair, fields that are None are left out, and absent keys
-# take the dataclass defaults.  Decoders get the party count for range checks.
+# take the dataclass defaults (a field without one is a required key).  Decoders
+# get the party count for range checks.
 
 
 def _complex_out(arr) -> list | dict:
@@ -615,16 +618,18 @@ _KINDS = {
 }
 _EVENT_TYPES = {kind: cls for cls, kind in _KINDS.items()}
 _KEYS = {"sender": "from", "receiver": "to", "at_party": "at", "from_party": "from", "to_party": "to"}
-# event type -> [(field name, JSON key, encoder, decoder)]
+# event type -> [(field name, JSON key, encoder, decoder, required)]
 _FIELDS = {
-    cls: [(f.name, _KEYS.get(f.name, f.name), *_CODECS[f.type.removesuffix(" | None")])
+    cls: [(f.name, _KEYS.get(f.name, f.name), *_CODECS[f.type.removesuffix(" | None")], f.default is MISSING)
           for f in fields(cls)]
     for cls in _KINDS
 }
 _REGISTRY_OUT, _REGISTRY_IN = _CODECS["tuple[QubitId, ...]"]
 # the keys a record of each event type, a header and a header's branch object may hold
-_RECORD_KEYS = {cls: {"kind", *(key for _, key, _, _ in rows)} for cls, rows in _FIELDS.items()}
-_HEADER_KEYS = {"kind", "format", "n_parties", "max_qubits", "registry", "branches"}
+_RECORD_KEYS = {cls: {"kind", *(row[1] for row in rows)} for cls, rows in _FIELDS.items()}
+# a header without a registry holds no initial state, so it has no cap or branches either
+_BARE_HEADER_KEYS = {"kind", "format", "n_parties"}
+_HEADER_KEYS = {*_BARE_HEADER_KEYS, "max_qubits", "registry", "branches"}
 _BRANCH_KEYS = {"p", "amplitudes"}
 
 
@@ -636,25 +641,28 @@ def _refuse_keys(rec: Mapping, keys: set, what: str) -> None:
 
 def event_record(event: Event) -> dict:
     rec = {"kind": _KINDS[type(event)]}
-    for name, key, encode, _ in _FIELDS[type(event)]:
+    for name, key, encode, _, _ in _FIELDS[type(event)]:
         if getattr(event, name) is not None:
             rec[key] = encode(getattr(event, name))
     return rec
 
 
 def event_from_record(rec: Mapping, n_parties: int) -> Event:
-    """Decode one event record; every party in it must lie in 1..n_parties."""
+    """Decode one event record; every party in it must lie in 1..n_parties, and
+    every key of a field without a default must be there."""
     kind = rec.get("kind")
     if (cls := _EVENT_TYPES.get(kind) if type(kind) is str else None) is None:
         raise ValueError(f"unknown event kind {kind!r}")
     _refuse_keys(rec, _RECORD_KEYS[cls], f"a {kind} record")
     args = {}
-    for name, key, _, decode in _FIELDS[cls]:
+    for name, key, _, decode, required in _FIELDS[cls]:
         if (raw := rec.get(key)) is not None:
             try:
                 args[name] = decode(raw, n_parties)
             except _FieldError as exc:
                 raise ValueError(f"{key}: {exc}") from None
+        elif required:
+            raise ValueError(f"a {kind} record needs the key {key!r}")
     return cls(**args)
 
 
@@ -682,6 +690,7 @@ def _header_trace(rec: Mapping) -> ProtocolTrace:
     if type(n_parties) is not int or n_parties < 1:
         raise ValueError(f"n_parties must be a positive integer, got {n_parties!r}")
     if "registry" not in rec:
+        _refuse_keys(rec, _BARE_HEADER_KEYS, "a header record without a registry")
         return ProtocolTrace(n_parties)
     try:
         registry = _REGISTRY_IN(rec["registry"], n_parties)
@@ -715,8 +724,8 @@ def load_trace(text: str) -> ProtocolTrace:
     """Parse a trace; malformed input raises ValueError("trace line N: ...").
 
     With an initial state in the header, ``track_ids`` follows the events from
-    its registry, so their qubits are checked against the registry and its
-    ``max_qubits``.  Every local gate matrix must be unitary; each is
+    its registry, as ``ProtocolRun.step`` does, so a replay can trust their ids.
+    Every local gate matrix must be unitary; each is
     checked when its event is built from its line, and not again in a replay.
     So the first bad line is the one reported, whatever its fault.
     """
@@ -742,6 +751,6 @@ def load_trace(text: str) -> ProtocolTrace:
             raise ValueError(f"trace line {i}: invalid JSON ({exc.msg})") from None
         except RecursionError:
             raise ValueError(f"trace line {i}: JSON nested too deeply") from None
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        except ValueError as exc:
             raise ValueError(f"trace line {i}: {exc}") from None
     return trace

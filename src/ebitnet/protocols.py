@@ -2,10 +2,11 @@
 
 Every traced step goes through ``ProtocolRun.step``: an event that reaches
 past the party it is declared local to is refused by its ``nonlocal_detail``
-(the same rule the audit reports with), the event's ``apply`` runs it on the
-exact ensemble engine (the same call the audit replays it with), its ``book``
-charges it to the ledger (by the same rule the audit charges with) and the
-trace records it.
+(the same rule the audit reports with), ``track_ids`` walks its qubit ids
+(the same rule a trace's load walks them with), the event's ``apply`` runs it
+on the exact ensemble engine (the same call the audit replays it with), its
+``book`` charges it to the ledger (by the same rule the audit charges with)
+and the trace records it.
 Held ebits are realized lazily: a phi+ pair enters the statevector only
 when a step consumes it, which keeps the registry small.  The permutation
 protocols (SWAP is their two-party case) apply the operation under study as
@@ -42,6 +43,7 @@ from .ledger import (
     ResourceLedger,
     outcome_bits,
     pair_key,
+    track_ids,
 )
 
 
@@ -83,16 +85,18 @@ class ProtocolRun:
         """Apply ``event``, then book it and append it to the trace.
 
         An event that reaches past the party it is declared local to raises
-        ValueError with its ``nonlocal_detail`` first, an ebit consumption on a
-        pair that holds less than one ebit raises InsufficientResources, and an
-        event that fails to apply raises too, each with the ledger, the
-        ensemble and the trace untouched.  A local gate is unitary by
-        construction: ``LocalGate`` refuses a matrix that is not.  A
-        measurement is booked and recorded with, and returns, the distribution
-        it produced.
+        ValueError with its ``nonlocal_detail`` first, one whose qubit ids
+        ``track_ids`` refuses raises ValueError before the engine, which trusts
+        its ids, sees them, an ebit consumption on a pair that holds less than
+        one ebit raises InsufficientResources, and an event that fails to apply
+        raises too, each with the ledger, the ensemble and the trace untouched.
+        A local gate is unitary by construction: ``LocalGate`` refuses a matrix
+        that is not.  A measurement is booked and recorded with, and returns,
+        the distribution it produced.
         """
         if event.nonlocal_detail is not None:
             raise ValueError(event.nonlocal_detail)
+        track_ids(set(self.ensemble.registry), event, self.ensemble.max_qubits)
         if isinstance(event, EbitConsume) and self.ledger.held(*event.pair) < 1:
             raise InsufficientResources(
                 f"pair {pair_key(*event.pair)} holds {self.ledger.held(*event.pair)} ebits, needs 1")

@@ -871,11 +871,17 @@ class TestReplay:
             for va, vb in zip(oracles.dense_vectors(a), oracles.dense_vectors(b)):
                 assert np.array_equal(va, vb)
 
-    def test_apply_event_refuses_a_gate_whose_targets_repeat(self):
+    def test_a_gate_whose_targets_repeat_is_refused_before_it_applies(self):
+        """The engine trusts its targets: a step refuses a repeated one before the
+        gate applies, and the load before a replay would apply it."""
         run = run_star()
         q = run.data_qubits[1]
-        with pytest.raises(ValueError, match=r"^gate targets must be distinct$"):
-            LocalGate(1, (q, q), matrix=np.eye(4, dtype=complex)).apply(run.ensemble)
+        gate = LocalGate(1, (q, q), matrix=np.eye(4, dtype=complex))
+        line = len(run.trace.events) + 2  # after the header and every event
+        with pytest.raises(ValueError, match=rf"^trace line {line}: targets \[1:q1, 1:q1\] name a qubit twice$"):
+            load_trace(dump_trace(run.trace) + json.dumps(event_record(gate)) + "\n")
+        with pytest.raises(ValueError, match=r"^targets \[1:q1, 1:q1\] name a qubit twice$"):
+            run.step(gate)
 
 
 def test_unitarity_is_checked_once_per_path(monkeypatch, tmp_path):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebitnet import audit, cli, engine, gates, ledger, protocols
-from ebitnet.engine import BranchEnsemble, Gate, Povm, QubitId, RegistryCapacityError
-from ebitnet.ledger import CollectiveOracle, LocalGate, LocalMeasure, Relabel, Relocate
+from ebitnet.engine import BranchEnsemble, Gate, Povm, QubitId
+from ebitnet.ledger import Allocate, CollectiveOracle, LocalGate, LocalMeasure, Relabel, Relocate
 
 import oracles
 from test_audit import REPLAY_N, random_trace
@@ -54,16 +54,22 @@ class TestAllocation:
         assert np.argmax(np.abs(oracles.dense_vectors(ens)[0])) == 1
 
     def test_capacity_cap(self):
-        ens = BranchEnsemble.vacuum(max_qubits=3)
-        ens, _ = oracles.allocate(ens, 1, "x0", "x1", "x2")
-        with pytest.raises(RegistryCapacityError):
-            oracles.allocate(ens, 1, "x3")
+        """A step may fill the registry to its cap but not pass it; the engine trusts
+        its caller, and ``ProtocolRun.step`` walks ``track_ids`` first."""
+        run = protocols.new_run(1, max_qubits=3)
+        run.step(Allocate(1, (QubitId(1, "x0"), QubitId(1, "x1"), QubitId(1, "x2")), "000"))
+        ensemble = run.ensemble
+        with pytest.raises(ValueError, match=r"^adding 1 qubits to 3 would exceed the registry cap of 3$"):
+            run.step(Allocate(1, (QubitId(1, "x3"),), "0"))
+        assert run.ensemble is ensemble
 
     def test_duplicate_label_rejected(self):
-        ens = BranchEnsemble.vacuum()
-        ens, _ = oracles.allocate(ens, 1, "a")
-        with pytest.raises(ValueError):
-            oracles.allocate(ens, 1, "a")
+        run = protocols.new_run(1)
+        run.step(Allocate(1, (QubitId(1, "a"),), "0"))
+        with pytest.raises(ValueError, match=r"^qubit 1:a is already in the registry$"):
+            run.step(Allocate(1, (QubitId(1, "a"),), "0"))
+        with pytest.raises(ValueError, match=r"^qubit 1:b is already in the registry$"):
+            run.step(Allocate(1, (QubitId(1, "b"), QubitId(1, "b")), "00"))
 
 
 class TestGates:
@@ -100,12 +106,13 @@ class TestGates:
             Gate((QubitId(1, "a"),), np.array([[entry, 0], [0, 1]]))
 
     def test_a_gate_without_targets_is_refused(self):
-        # it would add a product group of no qubits
-        ens, a, b = bell_pair_ensemble()
-        with pytest.raises(ValueError, match="^a gate needs at least one target$"):
-            engine.apply_gate(ens, Gate((), np.eye(1)))
-        with pytest.raises(ValueError, match="^a gate needs at least one target$"):
-            engine.apply_conditional(ens, (), {"0": np.eye(1)}, 0)
+        # it would add a product group of no qubits, so no event on no targets is built
+        with pytest.raises(ValueError, match="^a local gate needs at least one target$"):
+            LocalGate(1, (), matrix=np.eye(1))
+        with pytest.raises(ValueError, match="^a local gate needs at least one target$"):
+            LocalGate(1, (), cases=(("0", np.eye(1)),), conditional_on=0)
+        with pytest.raises(ValueError, match="^a measurement needs at least one target$"):
+            LocalMeasure(1, (), "computational", False, 0, ())
 
     def test_unknown_target_rejected(self):
         ens, a, b = bell_pair_ensemble()
@@ -716,15 +723,24 @@ class TestRelabel:
             want = engine.entanglement_entropy(dense, cut, universe=range(1, n + 1))
             assert abs(got - want) <= 1e-12
 
+    @staticmethod
+    def two_qubit_run():
+        run = protocols.new_run(1)
+        a, b = QubitId(1, "a"), QubitId(1, "b")
+        run.step(Allocate(1, (a, b), "00"))
+        return run, a, b
+
     def test_renames_must_give_distinct_ids(self):
-        ens, a, b = bell_pair_ensemble(1, 2)
-        with pytest.raises(ValueError, match="already in use"):
-            engine.relabel_qubits(ens, {a: b})
+        run, a, b = self.two_qubit_run()
+        with pytest.raises(ValueError, match=r"^qubit 1:b is already in the registry$"):
+            run.step(Relabel(a, b))
+        assert run.ensemble.registry == (a, b)
 
     def test_unknown_qubit_is_rejected(self):
-        ens, a, b = bell_pair_ensemble(1, 2)
-        with pytest.raises(ValueError, match="unknown target qubit"):
-            engine.relabel_qubits(ens, {QubitId(1, "nowhere"): QubitId(1, "c")})
+        run, a, b = self.two_qubit_run()
+        with pytest.raises(ValueError, match=r"^qubit 1:nowhere is not in the registry$"):
+            run.step(Relabel(QubitId(1, "nowhere"), QubitId(1, "c")))
+        assert run.ensemble.registry == (a, b)
 
 
 class TestFactoredAgainstDense:

@@ -611,8 +611,10 @@ class TestResourceBook:
         rng = np.random.default_rng(23)
         run, q1 = single_qubit_run(gates.random_state(2, rng))
         ensemble, events, books = run.ensemble, list(run.trace.events), copy.deepcopy(run.ledger)
-        with pytest.raises(ValueError, match="^new qubit ids collide with existing registry entries$"):
+        with pytest.raises(ValueError, match="^qubit 1:q1 is already in the registry$"):
             run.step(EbitConsume((1, 2), (q1, engine.QubitId(2, "y"))))
+        with pytest.raises(ValueError, match="^branch has no outcome recorded for measurement 0$"):
+            run.step(LocalGate(1, (q1,), cases=(("0", gates.ID2),), conditional_on=0))
         assert run.ensemble is ensemble
         assert run.trace.events == events
         assert run.ledger == books

@@ -125,6 +125,14 @@ def _string_amplitudes(header):
     header["branches"][0]["amplitudes"] = [[str(re), str(im)] for re, im in header["branches"][0]["amplitudes"]]
 
 
+def _without(*keys):
+    """The header without ``keys``: dropping its registry leaves a header without an initial state."""
+    def mutate(header):
+        for key in keys:
+            del header[key]
+    return mutate
+
+
 HEADER_FAULTS = {
     "no-n_parties": _drop_n_parties,
     "string-n_parties": lambda h: h.update(n_parties="3"),
@@ -147,6 +155,10 @@ HEADER_FAULTS = {
     "format-1": lambda h: h.update(format="ebitnet-trace/1"),
     "format-2": lambda h: h.update(format="ebitnet-trace/2"),
     "no-format": lambda h: h.pop("format"),
+    "max_qubits-without-registry": _without("registry", "branches"),
+    "branches-without-registry": _without("registry", "max_qubits"),
+    "bad-max_qubits-and-branches-without-registry": lambda h: (h.clear(), h.update(
+        kind="header", format="ebitnet-trace/4", n_parties=2, max_qubits="x", branches=7)),
 }
 
 
@@ -193,13 +205,44 @@ def _with_branch_key() -> list[dict]:
     (_with_key(3, zz=0, aa=0), "trace line 3: a %s record has no key 'aa'" % golden_records()[2]["kind"]),
     (_with_key(1, extra=1), "trace line 1: a header record has no key 'extra'"),
     (_with_branch_key(), "trace line 1: branches[0] has no key 'q'"),
-], ids=["misspelt-message", "gate-extra", "first-of-two", "header-extra", "branch-extra"])
+    ([{"kind": "header", "format": "ebitnet-trace/4", "n_parties": 2, "max_qubits": "x", "branches": 7}],
+     "trace line 1: a header record without a registry has no key 'branches'"),
+    ([{"kind": "header", "format": "ebitnet-trace/4", "n_parties": 2, "max_qubits": 24}],
+     "trace line 1: a header record without a registry has no key 'max_qubits'"),
+], ids=["misspelt-message", "gate-extra", "first-of-two", "header-extra", "branch-extra",
+        "bare-header-branches", "bare-header-max-qubits"])
 def test_a_record_refuses_a_key_its_kind_does_not_have(records, message):
     """A key no field of the record's kind reads is refused by name, the first in sorted
-    order, not read past: a misspelt "supplementary" would charge a message in full."""
+    order, not read past: a misspelt "supplementary" would charge a message in full.  A
+    header without a registry has no initial state, so no cap or branches to read."""
     with pytest.raises(ValueError) as got:
         load_trace(as_text(records))
     assert str(got.value) == message
+
+
+@pytest.mark.parametrize("record,message", [
+    ({"kind": "message", "from": 1, "bits": "2"}, "a message record needs the key 'to'"),
+    ({"kind": "message", "to": 2, "from": 1}, "a message record needs the key 'bits'"),
+    ({"kind": "decoded", "from": 1, "bits": "2"}, "a decoded record needs the key 'at'"),
+    ({"kind": "relocate", "qubit": [1, "q1"]}, "a relocate record needs the key 'to'"),
+    ({"kind": "ebit_create"}, "a ebit_create record needs the key 'pair'"),
+    ({"kind": "message", "from": 1, "to": None, "bits": "2"}, "a message record needs the key 'to'"),
+    ({"kind": "local_measure", "party": 2, "targets": [[2, "q2"]], "basis": "computational", "discard": False,
+      "index": 1}, "a local_measure record needs the key 'distribution'"),
+], ids=["message-to", "message-bits", "decoded-at", "relocate-to", "create-pair", "to-null", "distribution"])
+def test_a_record_without_a_required_key_is_refused_by_its_json_name(record, message):
+    """A field without a default is a required key, named as the trace writes it."""
+    with pytest.raises(ValueError, match=f"^trace line 4: {re.escape(message)}$"):
+        load_trace(as_text(golden_records()[:3] + [record]))
+
+
+def test_a_key_with_a_default_may_be_left_out():
+    trace = load_trace(as_text(golden_records()[:3] + [
+        {"kind": "message", "from": 1, "to": 2, "bits": "2"}, {"kind": "decoded", "at": 2, "from": 1, "bits": "2"},
+        {"kind": "local_gate", "party": 2, "targets": [[2, "q2"]], "matrix": [[[0.0, 0.0], [1.0, 0.0]],
+                                                                          [[1.0, 0.0], [0.0, 0.0]]]}]))
+    message, decoded, gate = trace.events[-3:]
+    assert message.supplementary is False and decoded.payload == "" and gate.cases is None
 
 
 @pytest.mark.parametrize("kind,key,value", [
@@ -852,8 +895,9 @@ def _allocate_off_party(records):
     (_allocate_off_party, 14),
     (lambda records: records[0].update(format="ebitnet-trace/2"), 1),
     (_bell_on_three, 16),
+    (_povm_elements([[1, 0]]), 17),
 ], ids=["povm-without-elements", "povm-4x4-on-one-qubit", "povm-not-identity", "povm-nan", "povm-empty",
-        "povm-discard", "allocate-off-party", "format-2", "bell-on-three"])
+        "povm-discard", "allocate-off-party", "format-2", "bell-on-three", "povm-element-one-pair"])
 @pytest.mark.parametrize("flags", [[], ["--no-replay"]], ids=["replay", "no-replay"])
 def test_audit_of_malformed_golden_trace_exits_two_with_its_line(tmp_path, capsys, mutate, line, flags):
     records = golden_records()
@@ -865,7 +909,57 @@ def test_audit_of_malformed_golden_trace_exits_two_with_its_line(tmp_path, capsy
     assert f"trace line {line}: " in capsys.readouterr().err
 
 
-def test_line_numbers_count_blank_lines():
+@pytest.mark.parametrize("elements,message", [
+    ([[1, 0]], "POVM element 0 has shape (), not that of a nonempty square matrix"),
+    ([[[1, 0], [0, 0]]], "POVM element 0 has shape (2,), not that of a nonempty square matrix"),
+    ([[[[1, 0], [0, 0]]]], "POVM element 0 has shape (1, 2), not that of a nonempty square matrix"),
+    ([{"shape": [0, 0], "c128": ""}], "POVM element 0 has shape (0, 0), not that of a nonempty square matrix"),
+    ([Z0, [[1, 0], [0, 0]]], "POVM element 1 has shape (2,), expected (2, 2)"),
+], ids=["one-pair", "a-row", "one-by-two", "empty", "second-a-row"])
+def test_a_povm_element_that_is_not_a_square_matrix_is_refused_by_its_shape(elements, message):
+    """One [re, im] pair decodes to a 0-d element, whose shape has no first entry to read."""
+    records = golden_records()
+    records[16]["povm"] = elements
+    with pytest.raises(ValueError, match=f"^trace line 17: {re.escape(message)}$"):
+        load_trace(as_text(records))
+
+
+# a trace's top-level values put in place of each key's: every JSON type, ids, pairs and base64
+FUZZ_VALUES = (None, True, False, 0, 1, -1, 2**70, 0.5, float("nan"), "", "x", "1/0", [], [1, 2], [[1, 0]],
+               [[1, "q1"], [1, "q1"]], {}, {"0": 1.0}, {"shape": [1], "c128": "AAAA"})
+FUZZ_RUNS = {"teleport": 2, "star-op": 3, "perm-comm": 3, "perm-entangle": 3, "ps-cp": 3}
+
+
+def _fuzz_traces() -> dict[str, list[dict]]:
+    traces = {"golden": golden_records()}
+    for protocol, n in FUZZ_RUNS.items():
+        run, _ = cli._simulate(protocol, n, np.random.default_rng(5), 1, 24)
+        traces[protocol] = [json.loads(line) for line in dump_trace(run.trace).splitlines()]
+    return traces
+
+
+def test_a_key_dropped_or_replaced_raises_only_a_trace_line_value_error():
+    """Each top-level key of each record of six traces, dropped or given each of
+    ``FUZZ_VALUES``: the load either reads the trace or refuses it with a
+    ValueError naming its line, and no other exception escapes."""
+    loads = refused = 0
+    for name, records in _fuzz_traces().items():
+        for r, record in enumerate(records):
+            for key in record:
+                for value in (..., *FUZZ_VALUES):
+                    changed = dict(record)
+                    if value is ...:
+                        del changed[key]
+                    else:
+                        changed[key] = value
+                    loads += 1
+                    try:
+                        load_trace(as_text([*records[:r], changed, *records[r + 1:]]))
+                    except ValueError as exc:
+                        refused += 1
+                        assert re.match(r"trace line \d+: ", str(exc)), (name, r, key, value, exc)
+    assert refused > loads // 2
+
     records = golden_records()
     records[1]["pair"] = [1, 9]
     text = as_text(records[:1]) + "\n" + as_text(records[1:])
