@@ -137,6 +137,18 @@ MUTANTS = (
            (ENGINE + "TestAllocation::test_capacity_cap",
             ENGINE + "TestRelabel::test_renames_must_give_distinct_ids",
             PROTOCOLS + "TestResourceBook::test_step_that_fails_to_apply_books_nothing"), quick=True),
+    Mutant("step walks only the events that name a qubit", "src/ebitnet/protocols.py",
+           "if event.named or event.added:", "if event.named:",
+           (ENGINE + "TestAllocation::test_capacity_cap",
+            ENGINE + "TestAllocation::test_duplicate_label_rejected")),
+    Mutant("the walk lets an event name a qubit twice", "src/ebitnet/ledger.py",
+           "if len(set(named)) != len(named):", "if False:",
+           (AUDIT + "TestReplay::test_a_gate_whose_targets_repeat_is_refused_before_it_applies",
+            AUDIT + "TestReplay::test_an_oracle_whose_targets_repeat_is_refused_by_the_walk_alone")),
+    Mutant("an oracle names the keys of its renames, where a repeated target collapses",
+           "src/ebitnet/ledger.py",
+           "named = removed = added = property(lambda self: self.targets)", "pass",
+           (AUDIT + "TestReplay::test_an_oracle_whose_targets_repeat_is_refused_by_the_walk_alone",)),
     Mutant("unitarity tolerance 100x looser", "src/ebitnet/engine.py",
            "if not err <= UNITARY_TOL:", "if not err <= 100 * UNITARY_TOL:",
            (ENGINE + "TestGates::test_unitarity_tolerance",)),

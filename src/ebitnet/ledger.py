@@ -367,8 +367,6 @@ class CollectiveOracle(_Rename):
 
     def __post_init__(self):
         _check_parties("an oracle", self.parties, self.targets)
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError(f"oracle targets {list(self.targets)} name a qubit twice")
         if self.permutation.n != len(self.targets):
             raise ValueError(f"a permutation of {self.permutation.n} slots cannot act on "
                              f"{len(self.targets)} targets")
@@ -377,6 +375,8 @@ class CollectiveOracle(_Rename):
     def renames(self):
         return {q: self.targets[self.permutation(i) - 1] for i, q in enumerate(self.targets, start=1)}
 
+    # the permutation takes the targets onto themselves
+    named = removed = added = property(lambda self: self.targets)
     joined = property(lambda self: self.parties)
 
 

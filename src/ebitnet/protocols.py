@@ -96,7 +96,8 @@ class ProtocolRun:
         """
         if event.nonlocal_detail is not None:
             raise ValueError(event.nonlocal_detail)
-        track_ids(set(self.ensemble.registry), event, self.ensemble.max_qubits)
+        if event.named or event.added:  # an event without ids leaves the registry as it was
+            track_ids(set(self.ensemble.registry), event, self.ensemble.max_qubits)
         if isinstance(event, EbitConsume) and self.ledger.held(*event.pair) < 1:
             raise InsufficientResources(
                 f"pair {pair_key(*event.pair)} holds {self.ledger.held(*event.pair)} ebits, needs 1")

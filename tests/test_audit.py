@@ -883,6 +883,23 @@ class TestReplay:
         with pytest.raises(ValueError, match=r"^targets \[1:q1, 1:q1\] name a qubit twice$"):
             run.step(gate)
 
+    def test_an_oracle_whose_targets_repeat_is_refused_by_the_walk_alone(self):
+        """An oracle names its targets themselves, so the walk sees a repeated one
+        that its renames would collapse.  A trace without an initial state is
+        never replayed and walks no ids, so it reads a repeated target of an
+        oracle as it reads one of a gate."""
+        run = run_star()
+        q = run.data_qubits[1]
+        oracle = CollectiveOracle((1,), (q, q), Permutation((2, 1)))
+        line = len(run.trace.events) + 2
+        with pytest.raises(ValueError, match=rf"^trace line {line}: targets \[1:q1, 1:q1\] name a qubit twice$"):
+            load_trace(dump_trace(run.trace) + json.dumps(event_record(oracle)) + "\n")
+        with pytest.raises(ValueError, match=r"^targets \[1:q1, 1:q1\] name a qubit twice$"):
+            run.step(oracle)
+        gate = LocalGate(1, (q, q), matrix=np.eye(4, dtype=complex))
+        bare = dump_trace(ProtocolTrace(3, None, [gate, oracle]))
+        assert dump_trace(load_trace(bare)) == bare
+
 
 def test_unitarity_is_checked_once_per_path(monkeypatch, tmp_path):
     """The star-op n=3 seed-7 trace holds 17 gate matrices in 5 gate events:

@@ -960,6 +960,8 @@ def test_a_key_dropped_or_replaced_raises_only_a_trace_line_value_error():
                         assert re.match(r"trace line \d+: ", str(exc)), (name, r, key, value, exc)
     assert refused > loads // 2
 
+
+def test_line_numbers_count_blank_lines():
     records = golden_records()
     records[1]["pair"] = [1, 9]
     text = as_text(records[:1]) + "\n" + as_text(records[1:])
