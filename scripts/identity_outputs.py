@@ -56,9 +56,12 @@ refused rational text there: ``"-0"``, ``"007"``, ``"3/6"`` against ``"1/2"``
 (negative) and numerators from 2^62 up, whose sums run on Python ints.  One
 more puts cells of at most 64 characters into the three-party star-op graphs
 whose symmetrised sum has cells of 85: ``symmetrise`` must exit 2 before it
-writes a ``symmetrised.json`` that its reader would refuse.  ``bounds`` writes its
+writes a ``symmetrised.json`` that its reader would refuse.  A graphs file of the
+bytes ``ff fe``, which are not UTF-8, must make ``symmetrise`` exit 2 naming its
+path and both audits exit 2 naming their graphs file.  ``bounds`` writes its
 table as CSV and as JSON at ``--n-max`` 2, 3 and 64, once to a file and once to
-stdout (with the half-transfer boundary note at 64).  Outputs are then
+stdout (with the half-transfer boundary note at 64), and must exit 2 at
+``--n-max`` 1 and 65 (``usage/bounds-n-max-1``).  Outputs are then
 rewritten: ``simulate star-op`` at n = 5 and then 3 into one directory, and the
 bounds table at ``--n-max`` 64 and then 2 into one file; the rewritten files
 must hold the bytes a fresh path gets.  Last, ``simulate``,
@@ -140,6 +143,8 @@ USAGE_ERRORS = [
 ]
 # --n-max values of the bounds tables: the smallest, the first odd n, the cap
 BOUNDS_N_MAX = (2, 3, 64)
+# bounds arguments refused with exit 2: below the smallest --n-max and past the cap
+BOUNDS_USAGE_ERRORS = [["--n-max", "1"], ["--n-max", "65"]]
 # commands whose output path cannot be written, {file} a regular file and {directory} a directory
 UNWRITABLE_OUTPUTS = {
     "simulate-to-a-file": ["simulate", "teleport", "--output", "{file}"],
@@ -647,6 +652,13 @@ def main() -> None:
         result = run_cli(["simulate", *argv, "--output", str(into)])
         (into / "simulate.txt").write_text(result, encoding="utf-8")
         outcomes.append(result)
+    for argv in BOUNDS_USAGE_ERRORS:
+        # --n-max 1: usage/bounds-n-max-1
+        into = root / "usage" / "-".join(arg.removeprefix("--") for arg in ["bounds", *argv])
+        into.mkdir(parents=True, exist_ok=True)
+        result = run_cli(["bounds", *argv])
+        (into / "bounds.txt").write_text(result, encoding="utf-8")
+        outcomes.append(result)
 
     for b, base in enumerate(MUTATION_BASES):
         protocol = SPECS[base][0]
@@ -683,6 +695,15 @@ def main() -> None:
         outcomes += graph_probe(root, name, {path: literal})
     for name, base, cells in CELL_PROBES:
         outcomes += graph_probe(root, name, cells, base)
+    # a graphs file that is not UTF-8: symmetrise names its path, the audits their graphs file
+    into = root / "graph-probes" / "not-utf-8"
+    into.mkdir(parents=True, exist_ok=True)
+    (into / "graphs.json").write_bytes(b"\xff\xfe")
+    result = run_cli(["symmetrise", "--input", str(into / "graphs.json"), "--output", str(into / "symmetrised")])
+    result = result.replace(str(root), "<output>")
+    (into / "symmetrise.txt").write_text(result, encoding="utf-8")
+    outcomes += [result, *audit_both(root / "simulate" / "teleport-s7" / "teleport_trace.jsonl",
+                                     into / "graphs.json", into)]
 
     into = root / "bounds"
     into.mkdir(parents=True, exist_ok=True)

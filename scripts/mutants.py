@@ -252,24 +252,39 @@ MUTANTS = (
            "            if ln.startswith(_BOM):", "            if False:",
            (CODEC + "test_a_line_is_refused_as_json_loads_refuses_it",)),
     Mutant("integer ceilings round down", "src/ebitnet/bounds.py",
-           "tuple(map(math.ceil, lower_bounds(n)))", "tuple(map(math.floor, lower_bounds(n)))",
-           (BOUNDS + "TestIntegerRules::test_integer_comm_boundary_equals_the_fraction_scan",
-            BOUNDS + "TestIntegerRules::test_one_shot_ceilings_are_the_ceilings_of_the_lower_bounds"), quick=True),
+           "integer_one_shot=(-(-low // den) * den, -(-2 * low // den) * den)",
+           "integer_one_shot=(low // den * den, 2 * low // den * den)",
+           (BOUNDS + "TestIntegerRules::test_one_shot_ceilings_are_the_ceilings_of_the_lower_bounds",
+            BOUNDS + "TestIntegerRules::test_report_numerators_over_den_equal_the_fraction_figures"), quick=True),
     Mutant("the boundary scan rounds the conditional bits down", "src/ebitnet/bounds.py",
-           "math.ceil(half_transfer_bounds(n)[1])", "math.floor(half_transfer_bounds(n)[1])",
-           (BOUNDS + "TestIntegerRules::test_integer_comm_boundary_equals_the_fraction_scan",
-            BOUNDS + "TestIntegerRules::test_one_shot_ceilings_are_the_ceilings_of_the_lower_bounds")),
+           'if -(-rep.figures["half_transfer"][1] // rep.den) * rep.den',
+           'if (rep.figures["half_transfer"][1] // rep.den) * rep.den',
+           (BOUNDS + "TestIntegerRules::test_integer_comm_boundary_equals_the_fraction_scan",)),
     Mutant("the CSV bits row prints the ebit figure", "src/ebitnet/bounds.py",
-           "str(rep.figures[name][i])", "str(rep.figures[name][0])",
-           (BOUNDS + "TestReports::test_tables_read_back_to_the_report_figures",)),
+           "_text(pair[i], rep.den)", "_text(pair[0], rep.den)",
+           (BOUNDS + "TestReports::test_tables_read_back_to_the_report_figures",
+            BOUNDS + "TestIntegerRules::test_tables_equal_the_fraction_oracle_byte_for_byte")),
     Mutant("half_transfer_conditional is true at even n", "src/ebitnet/bounds.py",
            "property(lambda self: self.n % 2 == 1)", "property(lambda self: True)",
            (BOUNDS + "TestReports::test_tables_read_back_to_the_report_figures",
             BOUNDS + "TestReports::test_report_even_has_no_odd_columns")),
     Mutant("the half-transfer bits are the ebit figure", "src/ebitnet/bounds.py",
-           "e = Fraction(2 * n * n * (n - 1), n * n + 3)\n    return e, 2 * e",
-           "e = Fraction(2 * n * n * (n - 1), n * n + 3)\n    return e, e",
-           (BOUNDS + "TestIntegerRules::test_single_fractions_equal_the_scaled_products",)),
+           "half_transfer=(half, 2 * half)", "half_transfer=(half, half)",
+           (BOUNDS + "TestIntegerRules::test_single_fractions_equal_the_scaled_products",
+            BOUNDS + "TestIntegerRules::test_report_numerators_over_den_equal_the_fraction_figures")),
+    # the report's checks, each on integer numerators over the report's den
+    Mutant("the lower bound may exceed the teleportation figure", "src/ebitnet/bounds.py",
+           "        if le > te or lc > tc:", "        if False:",
+           (BOUNDS + "TestReports::test_report_refuses_a_lower_bound_over_teleportation_or_a_negative_figure",)),
+    Mutant("the cap may reach the lower bound at n >= 4", "src/ebitnet/bounds.py",
+           "if cap > low or cap == low and self.n >= 4:", "if cap > low:",
+           (BOUNDS + "TestReports::test_report_refuses_a_cap_not_below_the_lower_bound",)),
+    Mutant("the cap may exceed the lower bound", "src/ebitnet/bounds.py",
+           "if cap > low or cap == low and self.n >= 4:", "if cap == low and self.n >= 4:",
+           (BOUNDS + "TestReports::test_report_refuses_a_cap_not_below_the_lower_bound",)),
+    Mutant("a negative figure passes the report", "src/ebitnet/bounds.py",
+           "        if any(v < 0 for v in (te, tc, le, lc, cape, capc)):", "        if False:",
+           (BOUNDS + "TestReports::test_report_refuses_a_lower_bound_over_teleportation_or_a_negative_figure",)),
     Mutant("a dense state's norms read from its factors, so a branch over no qubits has none",
            "src/ebitnet/engine.py",
            "            for vec in vectors:", "            for vec in (f for b in ens.branches for f in b.factors):",

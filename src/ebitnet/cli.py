@@ -232,6 +232,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.n_max < 2:
+        raise CliUsageError(f"--n-max must be at least 2, got {args.n_max}")
     if args.n_max > 64:
         raise CliUsageError(f"--n-max is capped at 64, got {args.n_max}")
     text = bounds.table_csv(args.n_max) if args.format == "csv" else bounds.table_json(args.n_max)
@@ -256,7 +258,7 @@ def cmd_bounds(args) -> int:
 def cmd_symmetrise(args) -> int:
     try:
         text = Path(args.input).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliUsageError(f"cannot read {args.input}: {exc}") from None
     bundle = graphs.import_json(text)
     n = bundle.n
@@ -315,7 +317,7 @@ def cmd_audit(args) -> int:
         raise CliUsageError(f"trace has {trace.n_parties} parties, more than its registry cap of {cap} qubits")
     try:
         bundle = graphs.import_json(Path(args.graphs).read_text(encoding="utf-8"))
-    except (OSError, graphs.GraphFormatError) as exc:
+    except (OSError, UnicodeDecodeError, graphs.GraphFormatError) as exc:
         raise CliUsageError(f"graphs: {exc}") from None
     report = audit_mod.audit_trace(trace, bundle, replay=not args.no_replay)
     print(json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2))

@@ -39,8 +39,12 @@
 - ``comparison_predicates`` evaluates the bound-ordering identities at one n
   (odd bound against the cap, half-transfer bound against the integer ceiling,
   the rounded conditional communication bound against teleportation) as
-  products of Fractions, the oracle for ``bounds.integer_comm_boundary``, which
-  tests the last of them in integers.
+  products of Fractions.
+- ``fraction_bound_report``, ``fraction_table_csv``, ``fraction_table_json`` and
+  ``fraction_integer_comm_boundary`` build, check and write the bound table as
+  the program did when it held one ``Fraction`` per figure and took each ceiling
+  with ``math.ceil``: the oracles for the integer numerators over one
+  denominator per n that ``bounds.bound_report`` holds.
 - ``bell_state`` gives a Bell state's amplitudes by label, and ``bell_states``
   all four, the basis ``engine.bell_measure`` reads out.
 - ``supplementary_information`` is the Shannon entropy of a POVM's outcomes,
@@ -260,6 +264,102 @@ def comparison_predicates(n: int) -> ComparisonReport:
         half_transfer_equals_integer=ht_e == int_e,
         integer_comm_equals_teleport=math.ceil(ht_c) == teleport_c,
     )
+
+
+# -- the bound table built, checked and written one Fraction per figure ----------
+
+
+def fraction_teleport_resources(n: int) -> tuple[Fraction, Fraction]:
+    return Fraction(2 * (n - 1)), Fraction(4 * (n - 1))
+
+
+def fraction_distillation_caps(n: int) -> tuple[Fraction, Fraction]:
+    return Fraction(n), Fraction(2 * n)
+
+
+def fraction_lower_bounds(n: int) -> tuple[Fraction, Fraction]:
+    if n % 2 == 0:
+        return fraction_teleport_resources(n)
+    e = Fraction(2 * n * (n - 1), n + 1)
+    return e, 2 * e
+
+
+def fraction_half_transfer_bounds(n: int) -> tuple[Fraction, Fraction]:
+    e = Fraction(2 * n * n * (n - 1), n * n + 3)
+    return e, 2 * e
+
+
+FRACTION_RESOURCES = ("teleport", "lower", "half_transfer", "cap", "integer_one_shot")
+
+
+@dataclass(frozen=True)
+class FractionBoundReport:
+    """A party count's figures as the bounds once held them: each resource's
+    (ebits, bits) as Fractions, integer ceilings as ints, None for an odd-n
+    refinement at even n; checked as the program checks its numerators."""
+
+    n: int
+    figures: dict[str, tuple | None]
+
+    parity = property(lambda self: "odd" if self.n % 2 else "even")
+    optimality_open = property(lambda self: self.n == 3)
+    half_transfer_conditional = property(lambda self: self.n % 2 == 1)
+
+    def __post_init__(self):
+        (te, tc), (le, lc), (cape, capc) = (self.figures[name] for name in ("teleport", "lower", "cap"))
+        if le > te or lc > tc:
+            raise AssertionError(f"n={self.n}: lower bound exceeds the teleportation figure")
+        for cap, low in ((cape, le), (capc, lc)):
+            if cap > low or cap == low and self.n >= 4:
+                raise AssertionError(f"n={self.n}: cap {'reaches' if cap == low else 'exceeds'} the lower bound")
+        if any(v < 0 for v in (te, tc, le, lc, cape, capc)):
+            raise AssertionError(f"n={self.n}: negative bound value")
+
+
+def fraction_bound_report(n: int) -> FractionBoundReport:
+    """The oracle for ``bounds.bound_report``: each figure a Fraction, each one-shot
+    ceiling ``math.ceil`` of the odd-n lower bound."""
+    odd = n % 2 == 1
+    return FractionBoundReport(n, {
+        "teleport": fraction_teleport_resources(n), "lower": fraction_lower_bounds(n),
+        "half_transfer": fraction_half_transfer_bounds(n) if odd else None,
+        "cap": fraction_distillation_caps(n),
+        "integer_one_shot": tuple(map(math.ceil, fraction_lower_bounds(n))) if odd else None})
+
+
+def fraction_table_csv(n_max: int) -> str:
+    """The oracle for ``bounds.table_csv``: each cell ``str`` of its Fraction or int."""
+    lines = [",".join(("n", "kind") + FRACTION_RESOURCES)]
+    for rep in map(fraction_bound_report, range(2, n_max + 1)):
+        for i, kind in enumerate(("entanglement", "communication")):
+            cells = ("" if rep.figures[name] is None else str(rep.figures[name][i]) for name in FRACTION_RESOURCES)
+            lines.append(",".join([str(rep.n), kind, *cells]))
+    return "\n".join(lines) + "\n"
+
+
+def fraction_table_json(n_max: int) -> str:
+    """The oracle for ``bounds.table_json``: ints stay JSON numbers, Fractions are ``str``."""
+    doc = []
+    for rep in map(fraction_bound_report, range(2, n_max + 1)):
+        entry = {"n": rep.n, "parity": rep.parity, "optimality_open": rep.optimality_open,
+                 "half_transfer_conditional": rep.half_transfer_conditional}
+        for name, pair in rep.figures.items():
+            entry[name] = None if pair is None else {
+                key: v if isinstance(v, int) else str(v) for key, v in zip("ec", pair)}
+        doc.append(entry)
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def fraction_integer_comm_boundary(n_max: int) -> int | None:
+    """The oracle for ``bounds.integer_comm_boundary``: ``math.ceil`` of each
+    Fraction conditional bit figure against the teleportation figure."""
+    boundary = None
+    for n in range(3, n_max + 1, 2):
+        if math.ceil(fraction_half_transfer_bounds(n)[1]) == fraction_teleport_resources(n)[1]:
+            boundary = boundary or n
+        else:
+            boundary = None
+    return boundary
 
 
 # -- the audit's cut sums and splits, one cut at a time in Python ints -------------

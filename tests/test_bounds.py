@@ -134,18 +134,26 @@ class TestComparisonPredicates:
 
 
 class TestIntegerRules:
-    """The bounds build each figure as one Fraction and each ceiling by integer
-    division; the oracles multiply Fractions and take math.ceil."""
+    """The bounds hold each figure as integer numerators over one den per n and take
+    each ceiling by integer division; the oracles build Fractions and take math.ceil."""
 
-    @pytest.mark.parametrize("n_max", range(3, 65))
+    @pytest.mark.parametrize("n_max", range(2, 65))
     def test_integer_comm_boundary_equals_the_fraction_scan(self, n_max):
-        boundary = None
-        for n in range(3, n_max + 1, 2):
-            if oracles.comparison_predicates(n).integer_comm_equals_teleport:
-                boundary = n if boundary is None else boundary
-            else:
-                boundary = None
-        assert bounds.integer_comm_boundary(n_max) == boundary
+        assert bounds.integer_comm_boundary(n_max) == oracles.fraction_integer_comm_boundary(n_max)
+
+    @pytest.mark.parametrize("n_max", range(2, 65))
+    def test_tables_equal_the_fraction_oracle_byte_for_byte(self, n_max):
+        assert bounds.table_csv(n_max) == oracles.fraction_table_csv(n_max)
+        assert bounds.table_json(n_max) == oracles.fraction_table_json(n_max)
+
+    @given(st.integers(min_value=1, max_value=1000).map(lambda k: 2 * k + 1))
+    def test_report_numerators_over_den_equal_the_fraction_figures(self, n):
+        rep, want = bounds.bound_report(n), oracles.fraction_bound_report(n).figures
+        assert rep.den == math.lcm(n + 1, n * n + 3)
+        assert {name: tuple(Fraction(v, rep.den) for v in pair) for name, pair in rep.figures.items()} == want
+        ceilings = rep.figures["integer_one_shot"]
+        assert all(v % rep.den == 0 for v in ceilings)
+        assert tuple(v // rep.den for v in ceilings) == tuple(map(math.ceil, want["lower"]))
 
     @given(st.integers(min_value=1, max_value=500).map(lambda k: 2 * k + 1))
     def test_one_shot_ceilings_are_the_ceilings_of_the_lower_bounds(self, n):
@@ -199,14 +207,19 @@ class TestRederivation:
         assert ht_c == 2 * ht_e
 
 
+def ebits(rep: bounds.BoundReport, name: str) -> Fraction:
+    """The report's ebit figure ``name``: its numerator over the report's den."""
+    return Fraction(rep.figures[name][0], rep.den)
+
+
 class TestReports:
     def test_report_n3_flags(self):
         rep = bounds.bound_report(3)
         assert rep.optimality_open
         assert rep.half_transfer_conditional
-        assert rep.figures["teleport"][0] == 4 and rep.figures["lower"][0] == 3
-        assert rep.figures["half_transfer"][0] == 3 and rep.figures["cap"][0] == 3
-        assert rep.figures["integer_one_shot"][0] == 3
+        assert ebits(rep, "teleport") == 4 and ebits(rep, "lower") == 3
+        assert ebits(rep, "half_transfer") == 3 and ebits(rep, "cap") == 3
+        assert ebits(rep, "integer_one_shot") == 3
 
     def test_report_even_has_no_odd_columns(self):
         rep = bounds.bound_report(4)
@@ -217,8 +230,8 @@ class TestReports:
         table = bounds.bound_table(9)
         assert [r.n for r in table] == list(range(2, 10))
         by_n = {r.n: r for r in table}
-        assert by_n[4].figures["teleport"][0] == 6
-        assert by_n[9].figures["lower"][0] == Fraction(72, 5)
+        assert ebits(by_n[4], "teleport") == 6
+        assert ebits(by_n[9], "lower") == Fraction(72, 5)
 
     def test_table_rows_shape(self):
         rows = [line.split(",") for line in bounds.table_csv(4).splitlines()[1:]]
@@ -235,20 +248,36 @@ class TestReports:
             if rep.parity == "odd":
                 assert low_e <= rep.figures["half_transfer"][0] <= tel_e
 
-    @pytest.mark.parametrize("n,name,index,value,message", [
-        (4, "cap", 1, Fraction(12), "cap reaches the lower bound"),  # bits, at n >= 4 strictly below
-        (4, "cap", 0, Fraction(6), "cap reaches the lower bound"),
-        (5, "cap", 1, Fraction(14), "cap exceeds the lower bound"),
-        (3, "cap", 1, Fraction(7), "cap exceeds the lower bound"),  # at n = 3 equal is allowed, more is not
-        (2, "cap", 1, Fraction(5), "cap exceeds the lower bound"),
-    ])
-    def test_report_refuses_a_cap_not_below_the_lower_bound(self, n, name, index, value, message):
-        figures = dict(bounds.bound_report(n).figures)
+    @staticmethod
+    def refuse(n, name, index, value, message):
+        """A report of n whose figure ``name`` has ``value`` at ``index`` (0 ebits, 1 bits),
+        set as its numerator over the report's den, fails its check with ``message``."""
+        rep = bounds.bound_report(n)
+        figures = dict(rep.figures)
         pair = list(figures[name])
-        pair[index] = value
+        pair[index] = value * rep.den
         figures[name] = tuple(pair)
         with pytest.raises(AssertionError, match=f"^n={n}: {message}$"):
-            bounds.BoundReport(n, figures)
+            bounds.BoundReport(n, rep.den, figures)
+
+    @pytest.mark.parametrize("n,name,index,value,message", [
+        (4, "cap", 1, 12, "cap reaches the lower bound"),  # bits, at n >= 4 strictly below
+        (4, "cap", 0, 6, "cap reaches the lower bound"),
+        (5, "cap", 1, 14, "cap exceeds the lower bound"),
+        (3, "cap", 1, 7, "cap exceeds the lower bound"),  # at n = 3 equal is allowed, more is not
+        (2, "cap", 1, 5, "cap exceeds the lower bound"),
+    ])
+    def test_report_refuses_a_cap_not_below_the_lower_bound(self, n, name, index, value, message):
+        self.refuse(n, name, index, value, message)
+
+    @pytest.mark.parametrize("n,name,index,value,message", [
+        (4, "lower", 0, 7, "lower bound exceeds the teleportation figure"),
+        (5, "lower", 1, 17, "lower bound exceeds the teleportation figure"),  # teleportation sends 16 bits
+        (4, "cap", 0, -1, "negative bound value"),
+    ])
+    def test_report_refuses_a_lower_bound_over_teleportation_or_a_negative_figure(self, n, name, index, value,
+                                                                                   message):
+        self.refuse(n, name, index, value, message)
 
     def test_caps_meet_the_lower_bounds_at_two_and_three_parties(self):
         for n in (2, 3):
@@ -265,11 +294,11 @@ class TestReports:
         assert [(int(n), kind) for n, kind, *_ in rows] == [
             (n, kind) for n in range(2, n_max + 1) for kind in ("entanglement", "communication")]
         for n, kind, *cells in rows:
-            figures = bounds.bound_report(int(n)).figures
+            rep = bounds.bound_report(int(n))
             i = ("entanglement", "communication").index(kind)
             for name, cell in zip(bounds.RESOURCES, cells, strict=True):
-                pair = figures[name]
-                assert (cell == "") if pair is None else (Fraction(cell) == pair[i])
+                pair = rep.figures[name]
+                assert (cell == "") if pair is None else (Fraction(cell) == Fraction(pair[i], rep.den))
         doc = json.loads(bounds.table_json(n_max))
         assert [entry["n"] for entry in doc] == list(range(2, n_max + 1))
         for entry in doc:
@@ -277,12 +306,13 @@ class TestReports:
             assert entry["parity"] == ("odd" if n % 2 else "even")
             assert entry["half_transfer_conditional"] is (n % 2 == 1)
             assert entry["optimality_open"] is (n == 3)
-            figures = bounds.bound_report(n).figures
-            assert set(entry) == {"n", "parity", "half_transfer_conditional", "optimality_open", *figures}
-            for name, pair in figures.items():
+            rep = bounds.bound_report(n)
+            assert set(entry) == {"n", "parity", "half_transfer_conditional", "optimality_open", *rep.figures}
+            for name, pair in rep.figures.items():
                 if pair is None:
                     assert entry[name] is None
                     continue
-                assert (Fraction(entry[name]["e"]), Fraction(entry[name]["c"])) == pair
+                assert (Fraction(entry[name]["e"]), Fraction(entry[name]["c"])) == tuple(
+                    Fraction(v, rep.den) for v in pair)
                 # whole-resource ceilings are JSON integers, exact figures strings
                 assert {type(v) for v in entry[name].values()} == {int if name == "integer_one_shot" else str}

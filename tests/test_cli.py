@@ -198,6 +198,12 @@ class TestBounds:
     def test_n_max_cap(self, capsys):
         assert run_cli("bounds", "--n-max", "100") == 2
 
+    @pytest.mark.parametrize("n_max", ["1", "0", "-5"])
+    def test_n_max_below_two_is_refused_naming_its_flag(self, n_max, capsys):
+        assert run_cli("bounds", "--n-max", n_max) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: --n-max must be at least 2, got {n_max}\n")
+
 
 class TestSymmetrise:
     def test_fixture_values_and_note(self, tmp_path, capsys):
@@ -256,6 +262,14 @@ class TestSymmetrise:
         assert run_cli("symmetrise", "--input", str(tmp_path / "no.json"),
                        "--output", str(tmp_path / "o")) == 2
 
+    def test_a_file_that_is_not_utf8_is_refused_naming_its_path(self, tmp_path, capsys):
+        src = tmp_path / "g.json"
+        src.write_bytes(b"\xff\xfe")
+        assert run_cli("symmetrise", "--input", str(src), "--output", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (f"error: cannot read {src}: 'utf-8' codec can't decode byte 0xff "
+                                           "in position 0: invalid start byte\n")
+        assert not (tmp_path / "o").exists()
+
 
 class TestAuditCommand:
     def test_forged_trace_exits_one(self, tmp_path, capsys):
@@ -276,6 +290,17 @@ class TestAuditCommand:
         g = tmp_path / "g.json"
         g.write_text('{"n": 2, "entanglement": [["0", "0"], ["0", "0"]]}')
         assert run_cli("audit", "--trace", str(trace), "--graphs", str(g)) == 2
+
+    @pytest.mark.parametrize("which", ["trace", "graphs"])
+    def test_a_file_that_is_not_utf8_is_refused_naming_which(self, which, tmp_path, capsys):
+        files = {"trace": tmp_path / "t.jsonl", "graphs": tmp_path / "g.json"}
+        files["trace"].write_text(json.dumps({"kind": "header", "format": ledger.TRACE_FORMAT, "n_parties": 2}) + "\n")
+        files["graphs"].write_text('{"n": 2, "entanglement": [["0", "0"], ["0", "0"]]}')
+        files[which].write_bytes(b"\xff\xfe")
+        assert run_cli("audit", "--trace", str(files["trace"]), "--graphs", str(files["graphs"])) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {which}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
 
 
 class TestDeterminism:

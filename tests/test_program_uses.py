@@ -25,9 +25,15 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ebitnet"
 PROGRAM = ("src", "scripts", "perfbench")
 
+_FIGURE = ("one closed form of the paper read from bounds.bound_report as Fractions, with its refusals; "
+           "the table writes the report's numerators, and the tests and oracles check this figure")
 ALLOWED = {
     "protocols.superdense_send": "the paper's dense-coding protocol, and the only producer of Relocate "
                                  "events; the tests run it and audit its traces",
+    "bounds.distillation_caps": _FIGURE,
+    "bounds.lower_bounds": _FIGURE,
+    "bounds.half_transfer_bounds": _FIGURE,
+    "bounds.integer_one_shot_bounds": _FIGURE,
 }
 
 
