@@ -86,6 +86,8 @@ from .ledger import (
 )
 
 ENTROPY_TOL = 1e-9
+# a recorded probability may differ from the replayed one by rounding in the last digits, not more
+REPLAY_PROB_TOL = 1e-9
 # the most parties an int64 cut mask holds: bit p for party p, below the sign bit
 CUT_PARTIES_MAX = 62
 # the most bytes the array of cut masks may take, 8 for each of 2^(n-1) - 1 cuts:
@@ -97,6 +99,8 @@ CUT_CHUNK_BYTES = 1 << 22
 
 @dataclass(frozen=True)
 class Violation:
+    """One failed ``check``: what failed, and the trace step it failed at when it has one."""
+
     check: str
     detail: str
     step: int | None = None
@@ -104,6 +108,8 @@ class Violation:
 
 @dataclass
 class AuditReport:
+    """The violations an audit found, the checks it ran and whether it replayed the trace."""
+
     n_parties: int
     violations: list[Violation] = field(default_factory=list)
     checks_run: list[str] = field(default_factory=list)
@@ -324,7 +330,7 @@ def replay_events(initial: BranchEnsemble, events: Sequence[Event]):
         if dist is not None:
             recorded = dict(ev.distribution)
             # negated so that a NaN probability fails
-            if set(recorded) != set(dist) or any(not abs(recorded[k] - dist[k]) <= 1e-9 for k in dist):
+            if set(recorded) != set(dist) or any(not abs(recorded[k] - dist[k]) <= REPLAY_PROB_TOL for k in dist):
                 raise ValueError(f"step {step}: recorded distribution {recorded} disagrees with replay {dist}")
         yield step, ev, ens
 

@@ -7,15 +7,22 @@ tighter bounds conditional on the half-transfer hypothesis (flagged as such).
 denominator per n (1 at even n, the lcm of n + 1 and n^2 + 3 at odd n): its checks
 compare integers, each ceiling is an integer ceiling division, and the Fraction
 functions read their figures from it.  The n = 3 case is marked open.
-``table_csv`` and ``table_json`` write the bound table that ``ebitnet bounds`` prints.
+
+``ebitnet bounds`` builds ``bound_table`` once; ``table_csv``, ``table_json`` and
+``integer_comm_boundary`` all read that list.  ``table_json`` writes the bytes that
+``json.dumps(doc, sort_keys=True, indent=2)`` gives for the table's document (keys
+sorted, two-space indent, strings through ``encode_basestring_ascii``, integer
+ceilings as JSON numbers), filling one template per entry from the numerators
+instead of building dicts for the encoder; ``tests/oracles.py::dumps_table_json``
+is that ``json.dumps`` writer, and the tests pin the two byte for byte.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .graphs import _text
 
@@ -111,45 +118,74 @@ def half_transfer_bounds(n: int) -> tuple[Fraction, Fraction]:
 
 
 def bound_table(n_max: int) -> list[BoundReport]:
-    """Bound reports for every n from 2 to n_max."""
+    """Bound reports for every n from 2 to n_max, each checked once as it is built."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     return [bound_report(n) for n in range(2, n_max + 1)]
 
 
-def table_csv(n_max: int) -> str:
+def table_csv(table: list[BoundReport]) -> str:
     """The bound table as CSV: for each n an entanglement row of the ebit
     figures and a communication row of the bit figures, one column per resource."""
     lines = [",".join(("n", "kind") + RESOURCES)]
-    for rep in bound_table(n_max):
+    for rep in table:
         for i, kind in enumerate(("entanglement", "communication")):
             cells = ("" if pair is None else _text(pair[i], rep.den) for pair in rep.figures.values())
             lines.append(",".join([str(rep.n), kind, *cells]))
     return "\n".join(lines) + "\n"
 
 
-def table_json(n_max: int) -> str:
+def _object_template(keys: tuple[str, ...], depth: int) -> str:
+    """A ``str.format`` template of a JSON object whose value for ``keys[i]`` fills slot i,
+    laid out as ``json.dumps(..., sort_keys=True, indent=2)`` lays out an object ``depth`` levels deep."""
+    pad = "  " * (depth + 1)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    fields = ",\n".join(f"{pad}{encode_basestring_ascii(keys[i])}: {{{i}}}" for i in order)
+    return "{{\n" + fields + "\n" + "  " * depth + "}}"
+
+
+# one table entry, its slots filled in this order: each of RESOURCES, then the report's n and flags
+_ENTRY = "  " + _object_template(RESOURCES + ("n", "parity", "optimality_open", "half_transfer_conditional"), 1)
+_PAIR = _object_template(("e", "c"), 2)
+_JSON_BOOL = ("false", "true")
+
+
+def table_json(table: list[BoundReport]) -> str:
     """The bound table as JSON: one entry per n with its flags and, per resource,
-    {"e": ebits, "c": bits}; integer ceilings stay numbers, exact figures are strings."""
-    doc = []
-    for rep in bound_table(n_max):
-        entry = {"n": rep.n, "parity": rep.parity, "optimality_open": rep.optimality_open,
-                 "half_transfer_conditional": rep.half_transfer_conditional}
-        for name, pair in rep.figures.items():
-            entry[name] = None if pair is None else {
-                key: v // rep.den if name == "integer_one_shot" else _text(v, rep.den) for key, v in zip("ec", pair)}
-        doc.append(entry)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    {"e": ebits, "c": bits}; integer ceilings stay numbers, exact figures are strings.
+
+    The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, which
+    ``tests/oracles.py::dumps_table_json`` writes: keys sorted at a two-space indent,
+    strings through ``encode_basestring_ascii``, integers as ``str``, flags as
+    ``true``/``false``, an absent figure as ``null`` and no entries as ``[]``.  Each
+    entry fills the ``_ENTRY`` template from the report's numerators, with no dict per
+    entry and no pure-Python encoder."""
+    entries = []
+    for rep in table:
+        den, cells = rep.den, []
+        for name in RESOURCES:
+            pair = rep.figures[name]
+            if pair is None:
+                cells.append("null")
+            elif name == "integer_one_shot":
+                cells.append(_PAIR.format(pair[0] // den, pair[1] // den))
+            else:
+                cells.append(_PAIR.format(encode_basestring_ascii(_text(pair[0], den)),
+                                          encode_basestring_ascii(_text(pair[1], den))))
+        entries.append(_ENTRY.format(*cells, rep.n, encode_basestring_ascii(rep.parity),
+                                     _JSON_BOOL[rep.optimality_open], _JSON_BOOL[rep.half_transfer_conditional]))
+    return "[\n" + ",\n".join(entries) + "\n]\n" if entries else "[]\n"
 
 
-def integer_comm_boundary(n_max: int) -> int | None:
+def integer_comm_boundary(table: list[BoundReport]) -> int | None:
     """Smallest odd n from which the conditional communication ceiling always
-    equals the teleportation figure (scanning odd n up to n_max)."""
+    equals the teleportation figure, scanning the table's odd-n reports in order."""
     boundary = None
-    for n in range(3, n_max + 1, 2):
-        rep = bound_report(n)
+    for rep in table:
+        if rep.n % 2 == 0:
+            continue
         if -(-rep.figures["half_transfer"][1] // rep.den) * rep.den == rep.figures["teleport"][1]:
-            boundary = boundary or n
+            boundary = boundary or rep.n
         else:
             boundary = None
     return boundary

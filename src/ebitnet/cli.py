@@ -236,7 +236,8 @@ def cmd_bounds(args) -> int:
         raise CliUsageError(f"--n-max must be at least 2, got {args.n_max}")
     if args.n_max > 64:
         raise CliUsageError(f"--n-max is capped at 64, got {args.n_max}")
-    text = bounds.table_csv(args.n_max) if args.format == "csv" else bounds.table_json(args.n_max)
+    table = bounds.bound_table(args.n_max)
+    text = bounds.table_csv(table) if args.format == "csv" else bounds.table_json(table)
     if args.output:
         path = Path(args.output)
         _output_dir(path.parent)
@@ -244,7 +245,7 @@ def cmd_bounds(args) -> int:
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(text)
-    boundary = bounds.integer_comm_boundary(args.n_max)
+    boundary = bounds.integer_comm_boundary(table)
     if boundary is not None:
         print(f"note: rounded up, the conditional half-transfer communication bound equals "
               f"the teleportation figure for every odd n >= {boundary} in this range")

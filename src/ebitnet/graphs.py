@@ -209,6 +209,8 @@ def symmetrise(g: Graph, counts: np.ndarray | None = None) -> Graph:
 
 @dataclass(frozen=True)
 class GraphBundle:
+    """The resource graphs of one n-party file, each absent when the file gives none."""
+
     n: int
     entanglement: EntanglementGraph | None = None
     communication: CommunicationGraph | None = None

@@ -183,6 +183,8 @@ class Event:
 
 @dataclass(frozen=True)
 class Allocate(Event):
+    """Fresh qubits at ``party``, each prepared in the basis state its ``init`` character names."""
+
     party: Party
     qubits: tuple[QubitId, ...]
     init: str
@@ -201,6 +203,8 @@ class Allocate(Event):
 
 @dataclass(frozen=True)
 class EbitConsume(Event):
+    """One held ebit of ``pair`` spent: its two qubits join the registry in the phi+ state."""
+
     pair: tuple[Party, Party]
     qubits: tuple[QubitId, QubitId]  # the instantiated phi+ pair
 
@@ -218,6 +222,8 @@ class EbitConsume(Event):
 
 @dataclass(frozen=True)
 class EbitCreate(Event):
+    """One ebit booked as established between the parties of ``pair``; the state is left as it was."""
+
     pair: tuple[Party, Party]
 
     def book(self, ledger):
@@ -235,6 +241,8 @@ class _AtParty(Event):
 
 @dataclass(frozen=True)
 class LocalGate(_AtParty):
+    """A unitary on qubits at ``party``: its ``matrix``, or the case that measurement ``conditional_on`` picks."""
+
     party: Party
     targets: tuple[QubitId, ...]
     matrix: np.ndarray | None = None
@@ -264,6 +272,8 @@ class LocalGate(_AtParty):
 
 @dataclass(frozen=True)
 class LocalMeasure(_AtParty):
+    """Measurement number ``index`` of qubits at ``party``, with the outcome ``distribution`` the run recorded."""
+
     party: Party
     targets: tuple[QubitId, ...]
     basis: str  # "computational" | "bell" | "povm"
@@ -311,6 +321,8 @@ class LocalMeasure(_AtParty):
 
 @dataclass(frozen=True)
 class ClassicalMessage(Event):
+    """``bits`` of classical communication sent from ``sender`` to ``receiver``."""
+
     sender: Party
     receiver: Party
     bits: Fraction
@@ -332,6 +344,8 @@ class ClassicalMessage(Event):
 
 @dataclass(frozen=True)
 class DecodedBits(Event):
+    """``bits`` sent by ``from_party`` and read out at ``at_party``."""
+
     at_party: Party
     from_party: Party
     bits: Fraction
@@ -382,6 +396,8 @@ class CollectiveOracle(_Rename):
 
 @dataclass(frozen=True)
 class Relocate(_Rename):
+    """``qubit`` conveyed to ``to_party`` under its own label."""
+
     qubit: QubitId
     to_party: Party
 
@@ -391,6 +407,8 @@ class Relocate(_Rename):
 
 @dataclass(frozen=True)
 class Relabel(_Rename):
+    """The qubit ``old`` renamed ``new`` at its own party."""
+
     old: QubitId
     new: QubitId
 
@@ -404,6 +422,8 @@ class Relabel(_Rename):
 
 @dataclass(frozen=True)
 class Coalesce(Event):
+    """Branches whose states agree up to a global phase merged into one."""
+
     def apply(self, ens):
         return engine.coalesce(ens), None
 

@@ -269,6 +269,8 @@ def collective_op_star(run: ProtocolRun, op: CollectiveOp, hub: int = 1) -> None
 
 @dataclass
 class PermutationEntangleResult:
+    """A permutation-entangle run and the Bell pairs it left across the labs."""
+
     pair_qubits: list[tuple[QubitId, QubitId]]  # the physical Bell partners
     run: ProtocolRun
 
@@ -301,6 +303,8 @@ def permutation_entangle(p: Permutation,
 
 @dataclass
 class PermutationCommResult:
+    """A permutation-communicate run, the message each receiver was sent and what it read out."""
+
     sent: dict[int, str]      # receiver -> message encoded for them
     decoded: dict[int, str]   # receiver -> message read out
     run: ProtocolRun

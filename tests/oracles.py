@@ -45,6 +45,11 @@
   the program did when it held one ``Fraction`` per figure and took each ceiling
   with ``math.ceil``: the oracles for the integer numerators over one
   denominator per n that ``bounds.bound_report`` holds.
+- ``dumps_table_json`` writes a built bound table through one dict per entry and
+  ``json.dumps(doc, sort_keys=True, indent=2)``, and ``per_n_integer_comm_boundary``
+  builds each odd-n report again for its scan, as ``ebitnet bounds`` once did:
+  the oracles for ``bounds.table_json``'s template writer and for the boundary
+  scan that reads the table the command built.
 - ``bell_state`` gives a Bell state's amplitudes by label, and ``bell_states``
   all four, the basis ``engine.bell_measure`` reads out.
 - ``supplementary_information`` is the Shannon entropy of a POVM's outcomes,
@@ -83,7 +88,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ebitnet import engine, gates, graphs
+from ebitnet import bounds, engine, gates, graphs
 from ebitnet.gates import Permutation
 from ebitnet.ledger import Allocate, Coalesce, CollectiveOracle, EbitConsume, LocalGate, LocalMeasure, Relabel, Relocate
 
@@ -356,6 +361,33 @@ def fraction_integer_comm_boundary(n_max: int) -> int | None:
     boundary = None
     for n in range(3, n_max + 1, 2):
         if math.ceil(fraction_half_transfer_bounds(n)[1]) == fraction_teleport_resources(n)[1]:
+            boundary = boundary or n
+        else:
+            boundary = None
+    return boundary
+
+
+def dumps_table_json(table: list) -> str:
+    """The oracle for ``bounds.table_json``: one dict per entry, written by ``json.dumps``."""
+    doc = []
+    for rep in table:
+        entry = {"n": rep.n, "parity": rep.parity, "optimality_open": rep.optimality_open,
+                 "half_transfer_conditional": rep.half_transfer_conditional}
+        for name, pair in rep.figures.items():
+            entry[name] = None if pair is None else {
+                key: v // rep.den if name == "integer_one_shot" else graphs._text(v, rep.den)
+                for key, v in zip("ec", pair)}
+        doc.append(entry)
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def per_n_integer_comm_boundary(n_max: int) -> int | None:
+    """The oracle for ``bounds.integer_comm_boundary``: each odd-n report built again by
+    ``bounds.bound_report`` and scanned by its integer ceiling."""
+    boundary = None
+    for n in range(3, n_max + 1, 2):
+        rep = bounds.bound_report(n)
+        if -(-rep.figures["half_transfer"][1] // rep.den) * rep.den == rep.figures["teleport"][1]:
             boundary = boundary or n
         else:
             boundary = None

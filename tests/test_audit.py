@@ -526,15 +526,17 @@ def test_povm_cover_is_capped_by_its_element_count(tmp_path):
         assert cli.main(["audit", "--trace", str(trace_file), "--graphs", str(graph_file), *flags]) == 1
 
 
-@pytest.mark.parametrize("shift,caught", [(1e-8, True), (1e-11, False), (float("nan"), True)])
+@pytest.mark.parametrize("shift,caught", [(1e-8, True), (1e-11, False), (float("nan"), True),
+                                          (0.5e-9, False), (2e-9, True)])
 def test_replay_distribution_tolerance(shift, caught):
-    """A recorded probability 1e-8 off the replayed one is a violation, and so is a NaN;
-    1e-11 off is rounding."""
+    """A recorded probability more than REPLAY_PROB_TOL (1e-9) off the replayed one is one
+    violation at the step that records it, and so is a NaN; 0.5e-9 off and less is rounding."""
     run = run_star()
     tampered = tamper_first_bell_distribution(
         run.trace, lambda dist: {k: v + shift if i == 0 else v for i, (k, v) in enumerate(sorted(dist.items()))})
+    step = next(i for i, ev in enumerate(tampered.events) if isinstance(ev, LocalMeasure) and ev.basis == "bell")
     report = audit.audit_trace(tampered, star_bundle(run))
-    assert [v.check for v in report.violations] == (["replay"] if caught else [])
+    assert [(v.check, v.step) for v in report.violations] == ([("replay", step)] if caught else [])
 
 
 @pytest.mark.parametrize("p,rises", [(1e-9, True), (1e-11, False)])

@@ -127,7 +127,7 @@ class TestComparisonPredicates:
 
     def test_integer_comm_boundary(self):
         # ceil(conditional communication bound) == teleport figure from n = 11 on
-        assert bounds.integer_comm_boundary(15) == 11
+        assert bounds.integer_comm_boundary(bounds.bound_table(15)) == 11
         assert not oracles.comparison_predicates(9).integer_comm_equals_teleport
         for n in (11, 13, 15, 21):
             assert oracles.comparison_predicates(n).integer_comm_equals_teleport
@@ -139,12 +139,13 @@ class TestIntegerRules:
 
     @pytest.mark.parametrize("n_max", range(2, 65))
     def test_integer_comm_boundary_equals_the_fraction_scan(self, n_max):
-        assert bounds.integer_comm_boundary(n_max) == oracles.fraction_integer_comm_boundary(n_max)
+        assert bounds.integer_comm_boundary(bounds.bound_table(n_max)) == oracles.fraction_integer_comm_boundary(n_max)
 
     @pytest.mark.parametrize("n_max", range(2, 65))
     def test_tables_equal_the_fraction_oracle_byte_for_byte(self, n_max):
-        assert bounds.table_csv(n_max) == oracles.fraction_table_csv(n_max)
-        assert bounds.table_json(n_max) == oracles.fraction_table_json(n_max)
+        table = bounds.bound_table(n_max)
+        assert bounds.table_csv(table) == oracles.fraction_table_csv(n_max)
+        assert bounds.table_json(table) == oracles.fraction_table_json(n_max)
 
     @given(st.integers(min_value=1, max_value=1000).map(lambda k: 2 * k + 1))
     def test_report_numerators_over_den_equal_the_fraction_figures(self, n):
@@ -165,6 +166,23 @@ class TestIntegerRules:
         lower, half = Fraction(n, n + 1), Fraction(n * n, n * n + 3)
         assert bounds.lower_bounds(n) == (2 * lower * (n - 1), 4 * lower * (n - 1))
         assert bounds.half_transfer_bounds(n) == (2 * half * (n - 1), 4 * half * (n - 1))
+
+
+class TestOneTable:
+    """``ebitnet bounds`` builds the table once: the JSON writer fills templates from
+    the reports' numerators, and the boundary scan reads the table's odd-n reports."""
+
+    @pytest.mark.parametrize("n_max", range(2, 65))
+    def test_json_writer_equals_json_dumps_byte_for_byte(self, n_max):
+        table = bounds.bound_table(n_max)
+        assert bounds.table_json(table) == oracles.dumps_table_json(table)
+
+    def test_json_writer_writes_no_entries_as_json_dumps_does(self):
+        assert bounds.table_json([]) == oracles.dumps_table_json([]) == "[]\n"
+
+    @pytest.mark.parametrize("n_max", range(2, 65))
+    def test_boundary_read_from_the_table_equals_the_per_n_scan(self, n_max):
+        assert bounds.integer_comm_boundary(bounds.bound_table(n_max)) == oracles.per_n_integer_comm_boundary(n_max)
 
 
 class TestTeleportationCount:
@@ -234,7 +252,7 @@ class TestReports:
         assert ebits(by_n[9], "lower") == Fraction(72, 5)
 
     def test_table_rows_shape(self):
-        rows = [line.split(",") for line in bounds.table_csv(4).splitlines()[1:]]
+        rows = [line.split(",") for line in bounds.table_csv(bounds.bound_table(4)).splitlines()[1:]]
         assert len(rows) == 6  # three n values, two resource kinds
         assert {r[1] for r in rows} == {"entanglement", "communication"}
         n4e = dict(zip(bounds.RESOURCES, [r for r in rows if r[:2] == ["4", "entanglement"]][0][2:]))
@@ -289,7 +307,8 @@ class TestReports:
         """Each CSV and JSON cell parses back to its report's figure: the ebits row
         is element 0 of a pair and the bits row element 1, and an odd-only column
         at even n is empty (CSV) or null (JSON)."""
-        header, *rows = (line.split(",") for line in bounds.table_csv(n_max).splitlines())
+        table = bounds.bound_table(n_max)
+        header, *rows = (line.split(",") for line in bounds.table_csv(table).splitlines())
         assert header == ["n", "kind", *bounds.RESOURCES]
         assert [(int(n), kind) for n, kind, *_ in rows] == [
             (n, kind) for n in range(2, n_max + 1) for kind in ("entanglement", "communication")]
@@ -299,7 +318,7 @@ class TestReports:
             for name, cell in zip(bounds.RESOURCES, cells, strict=True):
                 pair = rep.figures[name]
                 assert (cell == "") if pair is None else (Fraction(cell) == Fraction(pair[i], rep.den))
-        doc = json.loads(bounds.table_json(n_max))
+        doc = json.loads(bounds.table_json(table))
         assert [entry["n"] for entry in doc] == list(range(2, n_max + 1))
         for entry in doc:
             n = entry["n"]

@@ -195,6 +195,20 @@ class TestBounds:
         assert n3["optimality_open"] is True
         assert n3["half_transfer"] == {"e": "3", "c": "6"}
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_max", [2, 3, 64])
+    def test_one_command_builds_each_report_once(self, n_max, fmt, monkeypatch, capsys):
+        """The table, its writer and the boundary note all read one build: n_max - 1
+        reports, not one more per odd n for the boundary scan."""
+        built = []
+        report = bounds.bound_report
+        monkeypatch.setattr(bounds, "bound_report", lambda n: built.append(n) or report(n))
+        assert run_cli("bounds", "--n-max", str(n_max), "--format", fmt) == 0
+        assert built == list(range(2, n_max + 1))
+        out = capsys.readouterr().out
+        assert out.startswith(bounds.table_csv(bounds.bound_table(n_max)) if fmt == "csv"
+                              else bounds.table_json(bounds.bound_table(n_max)))
+
     def test_n_max_cap(self, capsys):
         assert run_cli("bounds", "--n-max", "100") == 2
 
@@ -358,7 +372,7 @@ class TestWriter:
         link.symlink_to(target)
         assert run_cli("bounds", "--n-max", "2", "--output", str(link)) == 0
         assert link.is_symlink() and link.readlink() == target
-        assert target.read_text(encoding="utf-8") == bounds.table_csv(2)
+        assert target.read_text(encoding="utf-8") == bounds.table_csv(bounds.bound_table(2))
 
     def test_a_device_is_written_without_being_cut(self, capsys):
         assert run_cli("bounds", "--output", os.devnull) == 0
